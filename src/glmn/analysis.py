@@ -21,9 +21,9 @@ import random
 import numpy as np
 
 from .enveloping import PBWElement, ReductionContext, multiply
-from .errors import (DimensionBudgetExceeded, NoMaximalVector, NotClosed,
+from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
-from .linalg import Matrix, Subspace, kernel_arr, matvec, row_reduce
+from .linalg import Matrix, Subspace, kernel_arr, matmul, matvec, row_reduce
 from .verma import ModuleRep, maximal_vectors
 
 LINE_BUDGET = 10 ** 4
@@ -64,11 +64,11 @@ class GradedSubmodule:
         M = self.module
         ev, od = self.even_part, self.odd_part
         for row in np.asarray(rows, dtype=np.int64).reshape(-1, M.dim):
-            pars = set(M.parity[row != 0])
-            assert len(pars) <= 1, "rows must be parity homogeneous"
-            if not pars:
+            pars = M.parity[row != 0]
+            if not pars.size:
                 continue
-            if pars.pop() == 0:
+            assert (pars == pars[0]).all(), "rows must be parity homogeneous"
+            if pars[0] == 0:
                 ev = ev.add_vectors(row)
             else:
                 od = od.add_vectors(row)
@@ -110,13 +110,12 @@ def spin(M, w):
     frontier = _homogeneous_components(M, w)
     while frontier:
         v = frontier.pop()
-        part = sub.even_part if not M.parity[np.nonzero(v)[0][0]] else sub.odd_part
-        red = part.reduce(v)
-        if not red.any():
+        grown = sub.add_rows(v)
+        if grown.dim == sub.dim:
             continue
-        sub = sub.add_rows(red)
+        sub = grown
         for u in M.units:
-            img = M.act(u, red)
+            img = M.act(u, v)
             if img.any():
                 frontier.append(img)
     return sub
@@ -381,13 +380,11 @@ def composition_series(M, line_budget=LINE_BUDGET, seed=0):
         if R.dim == 0:
             chain.append(GradedSubmodule(M))
             break
-        rows_global = np.array([matvec(M.field, embed.T, r) for r in rows_local],
-                               dtype=np.int64)
+        rows_global = matmul(M.field, rows_local, embed)
         sub_global = GradedSubmodule(M).add_rows(rows_global)
         chain.append(sub_global)
         current, basis_local = restrict_module(current, R)
-        embed = np.array([matvec(M.field, embed.T, r) for r in basis_local],
-                         dtype=np.int64).reshape(current.dim, M.dim)
+        embed = matmul(M.field, basis_local, embed)
     return CompositionSeries(chain, factors)
 
 
@@ -458,7 +455,7 @@ def frobenius_gram(algebra, sub_units, chi, dim_budget=4096):
     f = ctx.field
     dim = len(monos)
     if dim > dim_budget:
-        raise DimensionBudgetExceeded(f"dim u(sub) = {dim} > {dim_budget}")
+        raise BudgetExceeded(f"dim u(sub) = {dim} > {dim_budget}")
     top = tuple(ctx.caps[pos] - 1 if pos in positions else 0
                 for pos in range(ctx.ngens))
     gram = np.zeros((dim, dim), dtype=np.int64)

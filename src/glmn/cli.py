@@ -28,7 +28,7 @@ from .algebra import (Character, Weight, build_algebra, classify_character,
 from .analysis import (composition_series, frobenius_gram, is_simple,
                        regular_module, trivial_submodules)
 from .enveloping import PBWElement, ReductionContext, multiply, normalize
-from .errors import (BudgetExceeded, ConfigInvalid, GlmnError, TaskFailed)
+from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import make_field
 from .kw import kw_verify, levi_scan
 from .verma import (build_baby_verma, build_graded_verma,

@@ -91,10 +91,6 @@ class NotClosed(GlmnError):
     pass
 
 
-class DimensionBudgetExceeded(GlmnError):
-    pass
-
-
 class ShiftInconsistent(GlmnError):
     """No consistent one-dimensional shifted-trivial module for a unipotent
     subalgebra; the joint-kernel oracle is not applicable."""
@@ -137,8 +133,5 @@ class ConfigInvalid(GlmnError):
 
 
 class BudgetExceeded(GlmnError):
-    pass
-
-
-class TaskFailed(GlmnError):
-    pass
+    """A configured budget (module dimension, dim u(sub)) would be
+    exceeded; the CLI exits with code 2."""

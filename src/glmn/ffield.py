@@ -2,9 +2,12 @@
 
 Elements are encoded as integers 0 .. p^k - 1, the little-endian base-p
 encoding of the coefficient vector of the residue representative.  All
-arithmetic is table driven (base-p digit tables for addition, discrete
-log/exp tables for multiplication) and works elementwise on numpy arrays
-of element indices, so matrices can be processed without Python loops.
+arithmetic works elementwise on numpy arrays of element indices, so
+matrices can be processed without Python loops.  Over a prime field
+(k == 1) an index is its residue, and add, neg, sub and mul are integer
+arithmetic mod p.  Extension fields (k > 1) use base-p digit tables for
+addition and discrete log/exp tables for multiplication; inverses, powers
+and the Frobenius use those tables for every k.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def default_modulus(p, k):
 # ---------------------------------------------------------------------------
 
 class Field:
-    """The finite field F_{p^k} with table-driven vectorized arithmetic."""
+    """The finite field F_{p^k} with vectorized arithmetic on indices."""
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -193,21 +196,42 @@ class Field:
 
     # -- vectorized arithmetic on element indices ----------------------------
 
+    # Over F_p the index is the residue: add, neg, sub and mul reduce
+    # integer results mod p, with plain Python arithmetic for int scalars.
+
     def add(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = ((self.digits[a] + self.digits[b]) % self.p) @ self._ppow
+        if self.k == 1:
+            if type(a) is int and type(b) is int:
+                return (a + b) % self.p
+            out = (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
+        else:
+            out = ((self.digits[np.asarray(a, dtype=np.int64)]
+                    + self.digits[np.asarray(b, dtype=np.int64)]) % self.p) @ self._ppow
         return out if out.ndim else int(out)
 
     def neg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        out = ((-self.digits[a]) % self.p) @ self._ppow
+        if self.k == 1:
+            if type(a) is int:
+                return -a % self.p
+            out = -np.asarray(a, dtype=np.int64) % self.p
+        else:
+            out = ((-self.digits[np.asarray(a, dtype=np.int64)]) % self.p) @ self._ppow
         return out if out.ndim else int(out)
 
     def sub(self, a, b):
+        if self.k == 1:
+            if type(a) is int and type(b) is int:
+                return (a - b) % self.p
+            out = (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
+            return out if out.ndim else int(out)
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if self.k == 1:
+            if type(a) is int and type(b) is int:
+                return a * b % self.p
+            out = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64) % self.p
+            return out if out.ndim else int(out)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         la, lb = self.log_table[a], self.log_table[b]

@@ -103,7 +103,6 @@ def decompose_character(rs, chi):
 def levi_data(rs, chi):
     """Phi', the centralizer l' of chi_s, l, P and the nilradical N."""
     alg = rs.algebra
-    phi = _check_normalized(rs, chi)
     phi = order_phi_prime(rs, chi).order
     phi_keys = {r.key for r in phi}
     levi_roots = [r for r in rs.positive if r.key not in phi_keys]

@@ -3,9 +3,17 @@
 Matrices wrap a 2-D numpy array of field element indices.  Row reduction
 produces the canonical reduced row-echelon form, which makes Subspace
 comparison exact (equal subspaces have identical basis arrays).
+
+Over a prime field a matrix product is one float64 BLAS product of the
+residues reduced mod p.  It is exact while every partial sum stays below
+2^53, that is while inner * (p - 1)^2 < 2^53; longer inner dimensions are
+split into blocks that meet this bound.  Extension fields multiply column
+by column through the field's tables.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -101,19 +109,44 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
+_FLOAT_EXACT = 2 ** 53
+_INT64_EXACT = 2 ** 63
+
+
+def _matmul_mod(a, b, p):
+    """(a @ b) % p, exactly, for int64 arrays with entries in [0, p).
+
+    Each block of the inner dimension is one BLAS product in float64,
+    short enough that its sums stay below 2^53.  A prime too large for a
+    single float64 product, (p - 1)^2 >= 2^53, takes int64 blocks under
+    2^63 instead.
+    """
+    step = (p - 1) ** 2
+    if step < _FLOAT_EXACT:
+        dtype, block = np.float64, (_FLOAT_EXACT - 1) // step
+    else:
+        dtype, block = np.int64, (_INT64_EXACT - 1) // step
+    if block == 0:
+        raise ValueError(f"p = {p} is too large for exact int64 products")
+    inner = a.shape[1]
+    if inner <= block:
+        return (a.astype(dtype) @ b.astype(dtype) % p).astype(np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, inner, block):
+        part = a[:, s:s + block].astype(dtype) @ b[s:s + block].astype(dtype)
+        out = (out + (part % p).astype(np.int64)) % p
+    return out
+
+
 def matmul(field, a, b):
     """Matrix product on raw index arrays."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if field.k == 1:
+        return _matmul_mod(a, b, field.p)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for t in range(a.shape[1]):
-        col = a[:, t]
-        if not np.any(col):
-            continue
-        row = b[t, :]
-        if not np.any(row):
-            continue
-        out = field.add(out, field.mul(col[:, None], row[None, :]))
+    for t in np.flatnonzero(a.any(axis=0) & b.any(axis=1)):
+        out = field.add(out, field.mul(a[:, t, None], b[None, t, :]))
     return out
 
 
@@ -282,15 +315,26 @@ class Subspace:
     def dim(self):
         return self.basis.shape[0]
 
+    @classmethod
+    def _echelon(cls, field, ambient, basis, pivots):
+        """A Subspace from a basis already in reduced echelon form."""
+        sub = cls.__new__(cls)
+        sub.field, sub.ambient, sub.basis, sub.pivots = field, ambient, basis, pivots
+        return sub
+
     def reduce(self, vec):
-        """Residual of vec after subtracting its projection onto the span."""
-        v = np.asarray(vec, dtype=np.int64).copy()
-        f = self.field
-        for ri, pc in enumerate(self.pivots):
-            c = int(v[pc])
-            if c:
-                v = f.sub(v, f.mul(c, self.basis[ri]))
-        return v
+        """Residual of vec after subtracting its projection onto the span.
+
+        vec may also be a 2-D array, reduced row by row.  The basis is in
+        reduced echelon form, so the coefficients of the projection are
+        the entries of vec at the pivot columns.
+        """
+        v = np.asarray(vec, dtype=np.int64)
+        if not self.pivots:
+            return v.copy()
+        rows = v.reshape(-1, self.ambient)
+        proj = matmul(self.field, rows[:, self.pivots], self.basis)
+        return self.field.sub(rows, proj).reshape(v.shape)
 
     def contains(self, vec):
         return not np.any(self.reduce(vec))
@@ -304,12 +348,31 @@ class Subspace:
         return coeffs
 
     def add(self, other):
-        return Subspace(self.field, self.ambient,
-                        np.vstack([self.basis, other.basis]))
+        if self.dim < other.dim:
+            return other.add_vectors(self.basis)
+        return self.add_vectors(other.basis)
 
     def add_vectors(self, rows):
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient)
-        return Subspace(self.field, self.ambient, np.vstack([self.basis, rows]))
+        """The span of self and rows, inserting each row into the echelon
+        form: reduce it, scale its leading entry to 1, clear that column
+        from the basis and place it by pivot."""
+        f = self.field
+        basis, pivots = self.basis, list(self.pivots)
+        for row in np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient):
+            if pivots:
+                row = f.sub(row, matmul(f, row[None, pivots], basis)[0])
+            nz = np.flatnonzero(row)
+            if not len(nz):
+                continue
+            c = int(nz[0])
+            row = f.mul(row, f.inv(int(row[c])))
+            basis = f.sub(basis, f.mul(basis[:, c:c + 1], row[None, :]))
+            at = bisect.bisect(pivots, c)
+            basis = np.concatenate((basis[:at], row[None, :], basis[at:]))
+            pivots.insert(at, c)
+        if len(pivots) == self.dim:
+            return self
+        return Subspace._echelon(f, self.ambient, basis, pivots)
 
     def intersect(self, other):
         # null space construction on stacked bases
@@ -317,8 +380,8 @@ class Subspace:
             return Subspace(self.field, self.ambient)
         stacked = np.vstack([self.basis, other.basis]).T  # ambient x (d1+d2)
         ker = kernel_arr(self.field, stacked)
-        vecs = [matvec(self.field, self.basis.T, row[: self.dim]) for row in ker]
-        return Subspace(self.field, self.ambient, np.array(vecs, dtype=np.int64).reshape(-1, self.ambient))
+        return Subspace(self.field, self.ambient,
+                        matmul(self.field, ker[:, :self.dim], self.basis))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
@@ -326,7 +389,7 @@ class Subspace:
                 and bool(np.all(self.basis == other.basis)))
 
     def __le__(self, other):
-        return all(other.contains(row) for row in self.basis)
+        return not np.any(other.reduce(self.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of F^{self.ambient})"

@@ -20,7 +20,7 @@ from .errors import (ChiNotBorelCompatible, EigenvaluesOutsideField,
                      IntertwinerCheckFailed, LambdaNotInX, NonScalarResult,
                      NotG0Module, NotMaximal, ZeroVector)
 from .ffield import FieldElement
-from .linalg import Matrix, Subspace, eigenspaces, kernel_arr, matvec
+from .linalg import Matrix, Subspace, eigenspaces, kernel_arr, matmul, matvec
 
 
 class ModuleRep:
@@ -377,11 +377,10 @@ def f1_direct(Z):
 
 def _restrict_action(field, basis_sub, mat):
     """Matrix of mat on an invariant Subspace, in its canonical basis."""
-    rows = []
-    for b in basis_sub.basis:
-        img = matvec(field, mat, b)
-        rows.append(basis_sub.coords(img))
-    return np.array(rows, dtype=np.int64).T.reshape(basis_sub.dim, basis_sub.dim)
+    imgs = matmul(field, basis_sub.basis, np.asarray(mat).T)
+    if np.any(basis_sub.reduce(imgs)):
+        raise ValueError("vector not in subspace")
+    return imgs[:, basis_sub.pivots].T
 
 
 def _joint_eigen_split(field, mats, space):
@@ -404,10 +403,9 @@ def _joint_eigen_split(field, mats, space):
             for eig, ker in pairs:
                 if ker.dim == 0:
                     continue
-                vecs = [matvec(field, sub.basis.T, row) for row in ker.basis]
                 nxt.append((vals + (eig,),
                             Subspace(field, space.ambient,
-                                     np.array(vecs, dtype=np.int64))))
+                                     matmul(field, ker.basis, sub.basis))))
         pieces = nxt
     return pieces
 

@@ -68,6 +68,14 @@ class TestExitCodes:
                                         "--dim-budget", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("task", ["verma-scan", "frobenius-check"])
+    def test_every_task_over_dim_budget_exits_two(self, tmp_path, capsys, task):
+        # gl(2|1) at p=5: Vermas and u(n^-) both have dimension 20
+        cfg = write_cfg(tmp_path, m=2, n=1, tasks=[task])
+        code, _, err = run_cli(capsys, ["run", "--config", cfg,
+                                        "--dim-budget", "10"])
+        assert code == 2 and err.startswith("error:") and "20" in err
+
 
 class TestDeterminism:
     def test_jobs_do_not_change_report(self, tmp_path, capsys):

@@ -1,0 +1,253 @@
+"""Differential tests of the prime-field kernels.
+
+Over F_p, Field.add/neg/sub/mul are integer arithmetic mod p and
+linalg.matmul is one BLAS product mod p; Subspace inserts rows into its
+echelon form.  The oracles below are the table formulas (base-p digits,
+log/exp tables) and the column-by-column product they replaced, and a
+row reduction written on top of those formulas.  Every case must agree
+exactly, on prime fields and on F_25 (where the tables are still used).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from sympy import prevprime
+
+from glmn.ffield import make_field
+from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
+
+FIELDS = {"F5": make_field(5), "F7": make_field(7), "F11": make_field(11),
+          "F25": make_field(5, 2)}
+
+KERNEL_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# table oracles
+
+def t_add(F, a, b):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    return ((F.digits[a] + F.digits[b]) % F.p) @ F._ppow
+
+
+def t_neg(F, a):
+    return ((-F.digits[np.asarray(a, dtype=np.int64)]) % F.p) @ F._ppow
+
+
+def t_sub(F, a, b):
+    return t_add(F, a, t_neg(F, b))
+
+
+def t_mul(F, a, b):
+    la = F.log_table[np.asarray(a, dtype=np.int64)]
+    lb = F.log_table[np.asarray(b, dtype=np.int64)]
+    return np.where((la >= 0) & (lb >= 0),
+                    F.exp_table[(la + lb) % (F.q - 1)], 0)
+
+
+def t_inv(F, a):
+    return int(F.exp_table[(-F.log_table[a]) % (F.q - 1)])
+
+
+def t_matmul(F, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for t in range(a.shape[1]):
+        out = t_add(F, out, t_mul(F, a[:, t][:, None], b[t, :][None, :]))
+    return out
+
+
+def t_rref(F, arr):
+    a = np.array(arr, dtype=np.int64)
+    nrows, ncols = a.shape
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = t_mul(F, a[r], t_inv(F, int(a[r, c])))
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a = t_sub(F, a, t_mul(F, factors[:, None], a[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def t_span(F, rows, ambient):
+    """Canonical basis of the span of rows, by the table oracle."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, ambient)
+    a, pivots = t_rref(F, rows)
+    return a[:len(pivots)]
+
+
+def t_kernel(F, arr):
+    ech, pivots = t_rref(F, arr)
+    ncols = arr.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for ri, pc in enumerate(pivots):
+            basis[bi, pc] = t_neg(F, ech[ri, fc])
+    return t_span(F, basis, ncols)
+
+
+def t_intersect(F, s, other):
+    if s.dim == 0 or other.dim == 0:
+        return np.zeros((0, s.ambient), dtype=np.int64)
+    ker = t_kernel(F, np.vstack([s.basis, other.basis]).T)
+    return t_span(F, t_matmul(F, ker[:, :s.dim], s.basis), s.ambient)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+@st.composite
+def matrices(draw, q, rows=None, cols=None, max_side=6):
+    """Index matrices, about half of them built with a deficient rank."""
+    r = draw(st.integers(0, max_side)) if rows is None else rows
+    c = draw(st.integers(1, max_side)) if cols is None else cols
+    elems = st.integers(0, q - 1)
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.int64, (r, c), elements=elems))
+    inner = draw(st.integers(0, max(min(r, c) - 1, 0)))
+    left = draw(hnp.arrays(np.int64, (r, inner), elements=elems))
+    right = draw(hnp.arrays(np.int64, (inner, c), elements=elems))
+    return left, right
+
+
+def draw_matrix(data, F, **kw):
+    m = data.draw(matrices(F.q, **kw))
+    return t_matmul(F, *m) if isinstance(m, tuple) else m
+
+
+field_names = pytest.mark.parametrize("name", sorted(FIELDS))
+
+
+# ---------------------------------------------------------------------------
+# L0: field arithmetic
+
+@field_names
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_field_ops_match_tables(name, data):
+    F = FIELDS[name]
+    shape = data.draw(hnp.array_shapes(max_dims=2, max_side=6))
+    elems = st.integers(0, F.q - 1)
+    a = data.draw(hnp.arrays(np.int64, shape, elements=elems))
+    b = data.draw(hnp.arrays(np.int64, shape, elements=elems))
+    assert np.array_equal(F.add(a, b), t_add(F, a, b))
+    assert np.array_equal(F.neg(a), t_neg(F, a))
+    assert np.array_equal(F.sub(a, b), t_sub(F, a, b))
+    assert np.array_equal(F.mul(a, b), t_mul(F, a, b))
+
+
+@field_names
+@pytest.mark.parametrize("scalar", [int, np.int64])
+def test_scalar_ops_return_ints_and_match_tables(name, scalar):
+    F = FIELDS[name]
+    for x in range(F.q):
+        for y in (0, 1, F.q - 1, (3 * x + 1) % F.q):
+            a, b = scalar(x), scalar(y)
+            for got, want in ((F.add(a, b), t_add(F, x, y)),
+                              (F.sub(a, b), t_sub(F, x, y)),
+                              (F.mul(a, b), t_mul(F, x, y)),
+                              (F.neg(a), t_neg(F, x))):
+                assert type(got) is int and got == int(want)
+
+
+# ---------------------------------------------------------------------------
+# L1: products
+
+@field_names
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_matmul_matches_column_loop(name, data):
+    F = FIELDS[name]
+    n, k, m = (data.draw(st.integers(0, 7)) for _ in range(3))
+    a = draw_matrix(data, F, rows=n, cols=k) if k else np.zeros((n, 0), np.int64)
+    b = draw_matrix(data, F, rows=k, cols=m) if m else np.zeros((k, 0), np.int64)
+    got = matmul(F, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, t_matmul(F, a, b))
+
+
+# blocks of two: float64 products for the prime below 2^26, int64 products
+# for 2^31 - 1, where one product alone passes 2^53
+BLOCK_PRIMES = [prevprime(2 ** 26), 2 ** 31 - 1]
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_blocked_inner_dimension_is_exact(p, data):
+    n, k, m = (data.draw(st.integers(1, 9)) for _ in range(3))
+    elems = st.one_of(st.integers(0, p - 1), st.sampled_from([p - 1, p - 2]))
+    a = data.draw(hnp.arrays(np.int64, (n, k), elements=elems))
+    b = data.draw(hnp.arrays(np.int64, (k, m), elements=elems))
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = _matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.int64))
+
+
+def test_blocked_inner_dimension_worst_case():
+    # every entry p - 1, inner dimension far beyond one block
+    for p in BLOCK_PRIMES:
+        a = np.full((2, 11), p - 1, dtype=np.int64)
+        want = (11 * (p - 1) ** 2) % p
+        assert np.all(_matmul_mod(a, a.T, p) == want)
+
+
+# ---------------------------------------------------------------------------
+# L1: row reduction, kernels, subspaces
+
+@field_names
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_rref_and_kernel_match_oracle(name, data):
+    F = FIELDS[name]
+    a = draw_matrix(data, F)
+    ech, pivots = rref(F, a)
+    want, want_pivots = t_rref(F, a)
+    assert pivots == want_pivots and np.array_equal(ech, want)
+    ker = kernel_arr(F, a)
+    assert np.array_equal(ker, t_kernel(F, a))
+    assert ker.shape == (a.shape[1] - len(pivots), a.shape[1])
+    assert not np.any(t_matmul(F, a, ker.T))
+
+
+@field_names
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_subspace_ops_match_rref_of_stacked_basis(name, data):
+    F = FIELDS[name]
+    n = data.draw(st.integers(1, 6))
+    s = Subspace(F, n, draw_matrix(data, F, cols=n))
+    rows = draw_matrix(data, F, cols=n)
+    grown = s.add_vectors(rows)
+    want = t_span(F, np.vstack([s.basis, rows]), n)
+    assert np.array_equal(grown.basis, want)
+    assert grown.pivots == [int(np.flatnonzero(r)[0]) for r in want]
+
+    # reduce: sequential elimination along the pivots, by the tables
+    for v in rows:
+        res = v.copy()
+        for ri, pc in enumerate(s.pivots):
+            res = t_sub(F, res, t_mul(F, res[pc], s.basis[ri]))
+        assert np.array_equal(s.reduce(v), res)
+    assert np.array_equal(s.reduce(rows),
+                          np.array([s.reduce(v) for v in rows]).reshape(rows.shape))
+
+    other = Subspace(F, n, draw_matrix(data, F, cols=n))
+    both = s.intersect(other)
+    total = s.add(other)
+    assert np.array_equal(total.basis, t_span(F, np.vstack([s.basis, other.basis]), n))
+    assert np.array_equal(both.basis, t_intersect(F, s, other))
+    assert both.dim == s.dim + other.dim - total.dim
+    assert both <= s and both <= other
