@@ -11,8 +11,8 @@ from .algebra import (SuperAlgebra, Character, Weight, Root, RootSystem,
                       reflect, weyl_move_to_simple, classify_character,
                       weight_variety)
 from .enveloping import (PBWMonomial, PBWElement, ReductionContext,
-                         normalize, multiply, ad_action, hc_gamma,
-                         monomial_weight)
+                         reduction_context, normalize, multiply, ad_action,
+                         hc_gamma, monomial_weight)
 from .verma import (ModuleRep, BabyVerma, GradedBabyVerma,
                     SimplicityPolynomials, build_baby_verma,
                     build_even_verma, build_simple_g0_module,

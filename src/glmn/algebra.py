@@ -47,6 +47,8 @@ class SuperAlgebra:
             (i, j): ((i, j) if i == j else None) for (i, j) in self.even_units
         }
         self._root_system = None
+        # enveloping.reduction_context: (chi values, f_order keys) -> context
+        self._contexts = {}
 
     @property
     def dim(self):

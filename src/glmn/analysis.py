@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-from .enveloping import PBWElement, ReductionContext, multiply
+from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
 from .linalg import Matrix, Subspace, kernel_arr, matmul, matvec, row_reduce
@@ -408,7 +408,7 @@ def _check_closed(algebra, sub_units):
 
 def sub_enveloping_basis(algebra, chi, sub_units):
     """PBW monomial basis of u(sub, chi) inside the big context."""
-    ctx = ReductionContext(algebra, chi)
+    ctx = reduction_context(algebra, chi)
     positions = _sub_positions(ctx, sub_units)
     ranges = []
     for pos in range(ctx.ngens):

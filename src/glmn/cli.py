@@ -27,7 +27,7 @@ from .algebra import (Character, Weight, build_algebra, classify_character,
                       weight_in_variety, weight_variety)
 from .analysis import (composition_series, frobenius_gram, is_simple,
                        regular_module, trivial_submodules)
-from .enveloping import PBWElement, ReductionContext, multiply, normalize
+from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import make_field
 from .kw import kw_verify, levi_scan
@@ -210,11 +210,11 @@ def _scan_one(coords):
         row["dim_m"] = M.dim
         row["dim_z"] = Z.dim
         row["f1_direct"] = coeffs_of(field, f1d.idx)
-        Zb = build_baby_verma(algebra, chi, lam)
-        row["f_direct"] = coeffs_of(field, f_direct(Zb).idx)
+        fd = f_direct(build_baby_verma(algebra, chi, lam))
+        row["f_direct"] = coeffs_of(field, fd.idx)
         row["_f1_idx"] = f1d.idx
         row["_f0_idx"] = sp.f0.idx
-        row["_fd_idx"] = f_direct(Zb).idx
+        row["_fd_idx"] = fd.idx
     else:
         Z = build_baby_verma(algebra, chi, lam)
         fd = f_direct(Z)
@@ -568,7 +568,7 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
         with open(dump_module_path, "w") as fh:
             dump_module(Z, fh)
     if dump_element_path:
-        ctx = ReductionContext(algebra, chi)
+        ctx = reduction_context(algebra, chi)
         rs = algebra.root_system()
         word = []
         for r in rs.positive:

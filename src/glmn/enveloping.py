@@ -7,6 +7,10 @@ supplies another order) and the h block runs over the diagonal units.
 Straightening moves an out-of-order generator leftward one swap at a time,
 picking up the super sign and a bracket term, and reduces exponents with
 x^p = x^[p] + chi(x)^p for even x and x^2 = (1/2)[x, x] for odd x.
+
+Straightening depends only on (algebra, chi, f_order), never on a weight,
+so ``reduction_context`` keeps one context, with its memo, per such triple
+on the algebra and every weight of a scan shares it.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ from .ffield import FieldElement
 
 
 class ReductionContext:
-    """Immutable straightening context for u(g, chi).
+    """Straightening context for u(g, chi), immutable apart from its caches.
 
     f_order, when given, lists the positive roots in the order their
     negative root vectors appear in the f block; the default is the
     canonical positive order.  A memo table caches single-generator
-    straightening steps.
+    straightening steps, and ``_plans`` caches the weight-free induction
+    plans of ``verma.build_induced``.  Library code obtains contexts from
+    ``reduction_context``, so one context and its caches serve every
+    weight of a given (algebra, chi, f_order).
     """
 
     def __init__(self, algebra, chi, f_order=None):
@@ -58,6 +65,7 @@ class ReductionContext:
         self.chi_p = [f.power(chi.value(u), p) for u in units]
         self.half = f.inv(2 % p)
         self._memo = {}
+        self._plans = {}
 
     def gen_parity(self, pos):
         return self.parities[pos]
@@ -73,6 +81,23 @@ class ReductionContext:
 
     def __repr__(self):
         return f"ReductionContext({self.algebra!r}, {self.chi!r})"
+
+
+def reduction_context(algebra, chi, f_order=None):
+    """The shared ReductionContext of (algebra, chi, f_order).
+
+    Contexts are cached on the algebra, keyed by the values of chi and
+    the root order of the f block (the default order and the same order
+    given explicitly are one key), so an equal Character built afresh
+    finds the same context and its straightening memo.
+    """
+    assert chi.algebra is algebra, "chi belongs to another algebra"
+    roots = f_order if f_order is not None else algebra.root_system().positive
+    key = (tuple(sorted(chi.values.items())), tuple(r.key for r in roots))
+    ctx = algebra._contexts.get(key)
+    if ctx is None:
+        ctx = algebra._contexts[key] = ReductionContext(algebra, chi, f_order)
+    return ctx
 
 
 class PBWMonomial:

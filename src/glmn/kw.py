@@ -16,7 +16,7 @@ import random
 import numpy as np
 
 from .algebra import Character, Weight, reflect
-from .enveloping import ReductionContext
+from .enveloping import reduction_context
 from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
@@ -247,7 +247,7 @@ def build_levi_verma(algebra, chi, lam, phi):
     phi_keys = {r.key for r in phi}
     levi_roots = [r for r in rs.positive if r.key not in phi_keys]
     order = levi_roots + [r for r in rs.positive if r.key in phi_keys]
-    ctx = ReductionContext(algebra, chi, f_order=order)
+    ctx = reduction_context(algebra, chi, f_order=order)
     inner = {}
     for i in range(algebra.d):
         inner[ctx.nf + i] = np.array([[lam.value(i + 1)]], dtype=np.int64)
@@ -273,7 +273,7 @@ def build_kw_module(algebra, chi, M_prime, phi):
     phi_keys = {r.key for r in phi}
     levi_roots = [r for r in rs.positive if r.key not in phi_keys]
     order = list(phi) + levi_roots
-    ctx = ReductionContext(algebra, chi, f_order=order)
+    ctx = reduction_context(algebra, chi, f_order=order)
     inner = {}
     for t, r in enumerate(ctx.f_order):
         if t >= len(phi):

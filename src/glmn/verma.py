@@ -6,6 +6,13 @@ even-part Vermas and graded baby Vermas are all produced by one induced
 construction: pick a set of "free" negative root vectors whose monomials
 form the basis, and evaluate the straightened tail of each product on an
 inner module (a one-dimensional weight line, or a g_0bar-module).
+
+The straightening does not depend on the inner module.  Each shared
+ReductionContext keeps an induction plan per number of free roots: for
+every acting unit u and free monomial m, the terms c * m' * t of u * m in
+normal form, with m' a free monomial and t the remaining tail.  Building a
+module only multiplies out each distinct tail t on the inner module once
+and adds c * t into the (m', m) block of u's matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import itertools
 import numpy as np
 
 from .algebra import Weight, weight_in_variety
-from .enveloping import PBWElement, ReductionContext, multiply
+from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (ChiNotBorelCompatible, EigenvaluesOutsideField,
                      IntertwinerCheckFailed, LambdaNotInX, NonScalarResult,
                      NotG0Module, NotMaximal, ZeroVector)
@@ -164,6 +171,35 @@ def _check_borel(chi):
             raise ChiNotBorelCompatible(f"chi(E({i},{j})) must vanish")
 
 
+def _induction_plan(ctx, nfree):
+    """The inner-module-free part of build_induced, straightened once.
+
+    Returns (free monomials, entries), where entries[u] holds one tuple
+    (column monomial, row monomial, tail exponents, coefficient) per term
+    of u * (column monomial) in normal form: the term is coefficient *
+    (row monomial) * (tail), the tail covering positions nfree onwards.
+    Monomials are given by their index in the free monomial list.
+    """
+    plan = ctx._plans.get(nfree)
+    if plan is not None:
+        return plan
+    free_monos = [tuple(t) for t in
+                  itertools.product(*[range(c) for c in ctx.caps[:nfree]])]
+    mono_index = {m: t for t, m in enumerate(free_monos)}
+    rest = ctx.zero_exps[nfree:]
+    entries = {}
+    for u in ctx.algebra.units:
+        gen = PBWElement.generator(ctx, u)
+        terms = []
+        for col, mono in enumerate(free_monos):
+            prod = multiply(ctx, gen, PBWElement(ctx, {mono + rest: 1}))
+            for exps, c in prod.terms.items():
+                terms.append((col, mono_index[exps[:nfree]], exps[nfree:], c))
+        entries[u] = tuple(terms)
+    plan = ctx._plans[nfree] = (free_monos, entries)
+    return plan
+
+
 def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
                   klass=InducedModule, inner_highest=None, **extra):
     """Induced module on the basis (free f-monomials) x (inner basis).
@@ -174,13 +210,10 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
     inner_highest, when given, is the highest vector of the inner module
     in its own coordinates.
     """
-    alg = ctx.algebra
     f = ctx.field
     nfree = len(free_roots)
     assert [r.key for r in ctx.f_order[:nfree]] == [r.key for r in free_roots]
-    caps = ctx.caps[:nfree]
-    free_monos = [tuple(t) for t in itertools.product(*[range(c) for c in caps])]
-    mono_index = {m: t for t, m in enumerate(free_monos)}
+    free_monos, entries = _induction_plan(ctx, nfree)
     dim = len(free_monos) * inner_dim
     parity = np.zeros(dim, dtype=np.int64)
     labels = []
@@ -190,44 +223,42 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
             parity[t * inner_dim + w] = (mp + inner_parity[w]) % 2
             labels.append((mono, w))
 
-    def tail_apply(exps, w):
-        """Apply the non-free tail of a monomial to inner basis vector w."""
-        vec = np.zeros(inner_dim, dtype=np.int64)
-        vec[w] = 1
-        for pos in range(ctx.ngens - 1, nfree - 1, -1):
-            e = exps[pos]
+    tails = {}
+
+    def tail_matrix(tail):
+        """The tail acting on the inner module, None when it acts by zero.
+
+        The product runs over positions in order, so the rightmost
+        generator of the monomial acts first.
+        """
+        if tail in tails:
+            return tails[tail]
+        mat = np.eye(inner_dim, dtype=np.int64)
+        for pos, e in enumerate(tail, start=nfree):
             if not e:
                 continue
-            mat = inner_actions.get(pos)
-            if mat is None:
-                return None
+            factor = inner_actions.get(pos)
+            if factor is None:
+                mat = None
+                break
             for _ in range(e):
-                vec = matvec(f, mat, vec)
-            if not vec.any():
-                return None
-        return vec
+                mat = matmul(f, mat, factor)
+            if not mat.any():
+                mat = None
+                break
+        tails[tail] = mat
+        return mat
 
     action = {}
-    gens = {u: PBWElement.generator(ctx, u) for u in alg.units}
-    mono_elts = {}
-    for mono in free_monos:
-        exps = list(ctx.zero_exps)
-        exps[:nfree] = mono
-        mono_elts[mono] = PBWElement(ctx, {tuple(exps): 1})
-    for u in alg.units:
+    for u, terms in entries.items():
         mat = np.zeros((dim, dim), dtype=np.int64)
-        for mono in free_monos:
-            prod = multiply(ctx, gens[u], mono_elts[mono])
-            base = mono_index[mono] * inner_dim
-            for w in range(inner_dim):
-                col = base + w
-                for exps, c in prod.terms.items():
-                    vec = tail_apply(exps, w)
-                    if vec is None:
-                        continue
-                    row0 = mono_index[exps[:nfree]] * inner_dim
-                    seg = slice(row0, row0 + inner_dim)
-                    mat[seg, col] = f.add(mat[seg, col], f.mul(c, vec))
+        for col, row, tail, c in terms:
+            block = tail_matrix(tail)
+            if block is None:
+                continue
+            rows = slice(row * inner_dim, (row + 1) * inner_dim)
+            cols = slice(col * inner_dim, (col + 1) * inner_dim)
+            mat[rows, cols] = f.add(mat[rows, cols], f.mul(c, block))
         action[u] = Matrix(f, mat)
     hv = np.zeros(dim, dtype=np.int64)
     if inner_highest is not None:
@@ -243,8 +274,7 @@ def build_baby_verma(algebra, chi, lam):
     _check_borel(chi)
     if not weight_in_variety(algebra, chi, lam):
         raise LambdaNotInX(f"{lam!r} not in the weight variety of chi")
-    ctx = ReductionContext(algebra, chi)
-    rs = ctx.rs
+    ctx = reduction_context(algebra, chi)
     nfree = ctx.nf
     inner = {}
     for i in range(algebra.d):
@@ -262,8 +292,7 @@ def build_even_verma(algebra, chi, lam):
     _check_borel(chi)
     rs = algebra.root_system()
     order = rs.positive_even + rs.positive_odd
-    ctx = ReductionContext(algebra, chi, f_order=order)
-    nfree = len(rs.positive_even)
+    ctx = reduction_context(algebra, chi, f_order=order)
     inner = {}
     for i in range(algebra.d):
         inner[ctx.nf + i] = np.array([[lam.value(i + 1)]], dtype=np.int64)
@@ -301,7 +330,7 @@ def build_graded_verma(algebra, chi, M):
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
     rs = algebra.root_system()
     order = rs.positive_odd + rs.positive_even
-    ctx = ReductionContext(algebra, chi, f_order=order)
+    ctx = reduction_context(algebra, chi, f_order=order)
     nfree = len(rs.positive_odd)
     inner = {}
     for t, r in enumerate(ctx.f_order):
