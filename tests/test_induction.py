@@ -100,11 +100,10 @@ _ORACLE_CONTEXTS = {}
 
 def oracle_context(ctx):
     """A context equal to ctx but not shared with the library's cache."""
-    key = id(ctx)
-    if key not in _ORACLE_CONTEXTS:
-        _ORACLE_CONTEXTS[key] = (ctx, ReductionContext(ctx.algebra, ctx.chi,
-                                                       ctx.f_order))
-    return _ORACLE_CONTEXTS[key][1]
+    if ctx not in _ORACLE_CONTEXTS:
+        _ORACLE_CONTEXTS[ctx] = ReductionContext(ctx.algebra, ctx.chi,
+                                                 ctx.f_order)
+    return _ORACLE_CONTEXTS[ctx]
 
 
 def build_all(alg, chi, lam):
