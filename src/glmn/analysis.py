@@ -23,7 +23,7 @@ import numpy as np
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
-from .linalg import Matrix, Subspace, kernel_arr, matmul, matvec, row_reduce
+from .linalg import Matrix, Subspace, kernel_arr, matmul, row_reduce
 from .verma import ModuleRep, maximal_vectors
 
 LINE_BUDGET = 10 ** 4
@@ -62,26 +62,21 @@ class GradedSubmodule:
     def add_rows(self, rows):
         """Smallest graded space containing self and homogeneous rows."""
         M = self.module
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, M.dim)
+        nonzero = rows != 0
+        odd = (nonzero & (M.parity == 1)).any(axis=1)
+        even = (nonzero & (M.parity == 0)).any(axis=1)
+        assert not (odd & even).any(), "rows must be parity homogeneous"
         ev, od = self.even_part, self.odd_part
-        for row in np.asarray(rows, dtype=np.int64).reshape(-1, M.dim):
-            pars = M.parity[row != 0]
-            if not pars.size:
-                continue
-            assert (pars == pars[0]).all(), "rows must be parity homogeneous"
-            if pars[0] == 0:
-                ev = ev.add_vectors(row)
-            else:
-                od = od.add_vectors(row)
+        if even.any():
+            ev = ev.add_vectors(rows[even])
+        if odd.any():
+            od = od.add_vectors(rows[odd])
         return GradedSubmodule(M, ev, od)
 
     def is_action_closed(self):
-        M = self.module
         tot = self.total()
-        for u in M.units:
-            for row in tot.basis:
-                if not tot.contains(M.act(u, row)):
-                    return False
-        return True
+        return not np.any(tot.reduce(_unit_images(self.module, tot.basis)))
 
     def __repr__(self):
         return (f"GradedSubmodule(even={self.even_part.dim}, "
@@ -97,27 +92,52 @@ def _homogeneous_components(M, w):
     return comps
 
 
+def _stacked_action(M):
+    """The action matrices of M's units stacked into one (U * dim, dim) array."""
+    if not M.units:
+        return np.zeros((0, M.dim), dtype=np.int64)
+    return np.vstack([M.matrix(u).data for u in M.units])
+
+
+def _unit_images(M, rows, stacked=None):
+    """The images u.v of every row v under every unit u, as rows.
+
+    One product with the stacked action; the images of a row under all
+    units come out consecutively.
+    """
+    if stacked is None:
+        stacked = _stacked_action(M)
+    return matmul(M.field, rows, stacked.T).reshape(-1, M.dim)
+
+
+def _added_rows(old, new):
+    """The basis rows of new whose pivots are not pivots of old."""
+    known = set(old.pivots)
+    return new.basis[[t for t, c in enumerate(new.pivots) if c not in known]]
+
+
 def spin(M, w):
     """Smallest graded submodule containing w.
 
-    w is split into its homogeneous components and their span is closed
-    under every action matrix.
+    w is split into its homogeneous components, and their span is grown in
+    rounds.  Each round maps the basis rows the previous round added
+    through every unit in one product and inserts all the images in one
+    block.  The added rows are the grown basis rows whose pivots are new:
+    they vanish at every old pivot, so with the old space they span the
+    new one.  Spinning stops when a round adds nothing or the submodule is
+    the whole module.
     """
     w = np.asarray(w, dtype=np.int64)
     if not w.any():
         raise ZeroVector("cannot spin the zero vector")
-    sub = GradedSubmodule(M)
-    frontier = _homogeneous_components(M, w)
-    while frontier:
-        v = frontier.pop()
-        grown = sub.add_rows(v)
-        if grown.dim == sub.dim:
-            continue
+    stacked = _stacked_action(M)
+    sub = GradedSubmodule(M).add_rows(_homogeneous_components(M, w))
+    added = sub.basis_rows()
+    while len(added) and sub.dim < M.dim:
+        grown = sub.add_rows(_unit_images(M, added, stacked))
+        added = np.vstack([_added_rows(sub.even_part, grown.even_part),
+                           _added_rows(sub.odd_part, grown.odd_part)])
         sub = grown
-        for u in M.units:
-            img = M.act(u, v)
-            if img.any():
-                frontier.append(img)
     return sub
 
 
@@ -159,10 +179,7 @@ def shifted_joint_kernel(M):
 
 def trivial_submodules(M):
     """Joint kernel of all action matrices."""
-    f = M.field
-    stacked = np.vstack([M.matrix(u).data for u in M.units]) \
-        if M.units else np.zeros((0, M.dim), dtype=np.int64)
-    return Subspace(f, M.dim, kernel_arr(f, stacked))
+    return Subspace(M.field, M.dim, kernel_arr(M.field, _stacked_action(M)))
 
 
 def _has_cartan(M):
@@ -198,25 +215,19 @@ def _line_representatives(field, sub, line_budget, rng):
     """
     d = sub.dim
     q = field.q
-    if d == 1:
-        return [sub.basis[0]], False
-    count = (q ** d - 1) // (q - 1)
-    if count <= line_budget:
-        reps = []
+    coeffs = []
+    # a single line is never sampled
+    sampled = d > 1 and (q ** d - 1) // (q - 1) > line_budget
+    if not sampled:
         for lead in range(d):
             for tail in itertools.product(range(q), repeat=d - 1 - lead):
-                coeffs = np.zeros(d, dtype=np.int64)
-                coeffs[lead] = 1
-                coeffs[lead + 1:] = tail
-                reps.append(matvec(field, sub.basis.T, coeffs))
-        return reps, False
-    reps = []
-    for _ in range(64):
-        coeffs = np.array([rng.randrange(q) for _ in range(d)], dtype=np.int64)
-        if not coeffs.any():
-            coeffs[0] = 1
-        reps.append(matvec(field, sub.basis.T, coeffs))
-    return reps, True
+                coeffs.append((0,) * lead + (1,) + tail)
+    else:
+        for _ in range(64):
+            c = [rng.randrange(q) for _ in range(d)]
+            coeffs.append(c if any(c) else [1] + c[1:])
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(-1, d)
+    return list(matmul(field, coeffs, sub.basis)), sampled
 
 
 class SimplicityVerdict:
@@ -268,23 +279,24 @@ def quotient_module(M, sub):
     """
     f = M.field
     total = sub.total()
-    free = [c for c in range(M.dim) if c not in total.pivots]
-    free_arr = np.array(free, dtype=np.int64)
+    free = np.delete(np.arange(M.dim), total.pivots)
 
     def proj(vec):
-        return total.reduce(vec)[free_arr] if free else np.zeros(0, dtype=np.int64)
+        return total.reduce(vec)[..., free]
 
     def lift(vec):
-        out = np.zeros(M.dim, dtype=np.int64)
-        out[free_arr] = vec
+        vec = np.asarray(vec, dtype=np.int64)
+        out = np.zeros(vec.shape[:-1] + (M.dim,), dtype=np.int64)
+        out[..., free] = vec
         return out
 
-    action = {}
-    for u in M.units:
-        cols = [proj(M.act(u, lift(np.eye(len(free), dtype=np.int64)[t])))
-                for t in range(len(free))]
-        action[u] = Matrix(f, np.array(cols, dtype=np.int64).T.reshape(len(free), len(free)))
-    Q = ModuleRep(M.algebra, M.chi, M.units, action, M.parity[free_arr],
+    # column free[t] of an action matrix is the image of lift(e_t); its
+    # projection is column t of the quotient's matrix
+    m, U = len(free), len(M.units)
+    cols = _stacked_action(M)[:, free].reshape(U, M.dim, m)
+    blocks = proj(cols.transpose(0, 2, 1).reshape(U * m, M.dim)).reshape(U, m, m)
+    action = {u: Matrix(f, blocks[i].T) for i, u in enumerate(M.units)}
+    Q = ModuleRep(M.algebra, M.chi, M.units, action, M.parity[free],
                   highest_vector=None)
     if M.highest_vector is not None:
         hv = proj(M.highest_vector)
@@ -298,15 +310,12 @@ def quotient_module(M, sub):
 def restrict_module(M, sub):
     """M restricted to a graded submodule, with the embedding rows."""
     f = M.field
-    rows = sub.basis_rows()
-    space = Subspace(f, M.dim, rows)
-    basis = np.vstack([space.basis]) if space.dim else np.zeros((0, M.dim), dtype=np.int64)
-    action = {}
-    for u in M.units:
-        cols = [space.coords(M.act(u, b)) for b in basis]
-        action[u] = Matrix(f, np.array(cols, dtype=np.int64).T.reshape(space.dim, space.dim))
-    parity = np.array([int(M.parity[np.nonzero(b)[0][0]]) for b in basis],
-                      dtype=np.int64)
+    space = Subspace(f, M.dim, sub.basis_rows())
+    basis, d = space.basis, space.dim
+    # coords raises unless every image lies in the submodule
+    coeffs = space.coords(_unit_images(M, basis)).reshape(d, len(M.units), d)
+    action = {u: Matrix(f, coeffs[:, i].T) for i, u in enumerate(M.units)}
+    parity = M.parity[space.pivots]
     R = ModuleRep(M.algebra, M.chi, M.units, action, parity)
     return R, basis
 
@@ -330,8 +339,7 @@ def simple_head(M, line_budget=LINE_BUDGET, seed=0):
             for v in reps:
                 s = spin(Q, v)
                 if s.dim < Q.dim:
-                    lifted = [lift(row) for row in s.basis_rows()]
-                    bigger = R.add_rows(lifted) if lifted else R
+                    bigger = R.add_rows(lift(s.basis_rows()))
                     if bigger.dim > R.dim:
                         # grow one proper spin at a time: the quotient and
                         # the lift become stale as soon as R changes

@@ -2,7 +2,11 @@
 
 Matrices wrap a 2-D numpy array of field element indices.  Row reduction
 produces the canonical reduced row-echelon form, which makes Subspace
-comparison exact (equal subspaces have identical basis arrays).
+comparison exact (equal subspaces have identical basis arrays).  Each
+pivot step of rref touches only the rows that are nonzero in the pivot
+column, so sparse matrices reduce fast.  A Subspace grows by whole blocks:
+add_vectors reduces all new rows against the basis in one product, runs
+rref on the residual once and merges the new pivot rows into the basis.
 
 Over a prime field a matrix product is one float64 BLAS product of the
 residues reduced mod p.  It is exact while every partial sum stays below
@@ -12,8 +16,6 @@ by column through the field's tables.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -157,7 +159,10 @@ def matvec(field, a, v):
 def rref(field, arr):
     """Reduced row echelon form of a raw index array.
 
-    Returns (echelon array of the same shape, pivot column list).
+    Returns (echelon array of the same shape, pivot column list).  Each
+    pivot step updates only the rows with a nonzero entry in the pivot
+    column, so a sparse matrix (a stacked action, say) costs in proportion
+    to its nonzeros in the pivot columns rather than to its full size.
     """
     a = np.array(arr, dtype=np.int64)
     nrows, ncols = a.shape
@@ -173,10 +178,12 @@ def rref(field, arr):
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         a[r] = field.mul(a[r], field.inv(int(a[r, c])))
-        factors = a[:, c].copy()
-        factors[r] = 0
-        if np.any(factors):
-            a = field.sub(a, field.mul(factors[:, None], a[r][None, :]))
+        # row r vanishes left of c: earlier columns are pivots or were zero
+        rows = np.flatnonzero(a[:, c])
+        rows = rows[rows != r]
+        if len(rows):
+            a[rows, c:] = field.sub(a[rows, c:],
+                                    field.mul(a[rows, c][:, None], a[r, c:][None, :]))
         pivots.append(c)
         r += 1
     return a, pivots
@@ -340,12 +347,14 @@ class Subspace:
         return not np.any(self.reduce(vec))
 
     def coords(self, vec):
-        """Coefficients of vec on the canonical basis (vec must lie in it)."""
+        """Coefficients of vec on the canonical basis (vec must lie in it).
+
+        vec may also be a 2-D array, giving one coefficient row per row.
+        """
         v = np.asarray(vec, dtype=np.int64)
-        coeffs = v[self.pivots] if self.pivots else np.zeros(0, dtype=np.int64)
         if np.any(self.reduce(v)):
             raise ValueError("vector not in subspace")
-        return coeffs
+        return v[..., self.pivots]
 
     def add(self, other):
         if self.dim < other.dim:
@@ -353,26 +362,27 @@ class Subspace:
         return self.add_vectors(other.basis)
 
     def add_vectors(self, rows):
-        """The span of self and rows, inserting each row into the echelon
-        form: reduce it, scale its leading entry to 1, clear that column
-        from the basis and place it by pivot."""
+        """The span of self and a block of rows, inserted all at once.
+
+        The rows are reduced against the basis in one product; the nonzero
+        residuals vanish at every pivot, and their own rref gives the new
+        pivot rows.  One more product clears the new pivot columns from the
+        old basis, and the two blocks are merged by pivot.
+        """
         f = self.field
-        basis, pivots = self.basis, list(self.pivots)
-        for row in np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient):
-            if pivots:
-                row = f.sub(row, matmul(f, row[None, pivots], basis)[0])
-            nz = np.flatnonzero(row)
-            if not len(nz):
-                continue
-            c = int(nz[0])
-            row = f.mul(row, f.inv(int(row[c])))
-            basis = f.sub(basis, f.mul(basis[:, c:c + 1], row[None, :]))
-            at = bisect.bisect(pivots, c)
-            basis = np.concatenate((basis[:at], row[None, :], basis[at:]))
-            pivots.insert(at, c)
-        if len(pivots) == self.dim:
+        res = self.reduce(np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient))
+        res = res[res.any(axis=1)]
+        if not len(res):
             return self
-        return Subspace._echelon(f, self.ambient, basis, pivots)
+        new, new_pivots = rref(f, res)
+        new = new[:len(new_pivots)]
+        basis = self.basis
+        if self.pivots:
+            basis = f.sub(basis, matmul(f, basis[:, new_pivots], new))
+        pivots = self.pivots + new_pivots
+        order = np.argsort(pivots)
+        return Subspace._echelon(f, self.ambient, np.concatenate((basis, new))[order],
+                                 sorted(pivots))
 
     def intersect(self, other):
         # null space construction on stacked bases

@@ -83,14 +83,11 @@ class ModuleRep:
         alg = self.algebra
         f = self.field
         p = f.p
+        # parity block structure: x of parity s maps parity t to t+s
+        shift = self.parity[:, None] - self.parity[None, :]
         for u in self.units:
-            mat = self.action[u].data
-            pu = alg.parity(*u)
-            # parity block structure: x of parity s maps parity t to t+s
-            for a in range(self.dim):
-                for b in range(self.dim):
-                    if mat[a, b] and (self.parity[a] - self.parity[b] - pu) % 2:
-                        return False
+            if np.any(self.action[u].data[(shift - alg.parity(*u)) % 2 != 0]):
+                return False
         for x in self.units:
             mx = self.action[x]
             for y in self.units:

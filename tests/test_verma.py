@@ -14,7 +14,7 @@ import pytest
 from glmn.ffield import make_field
 from glmn.algebra import (build_algebra, Character, Weight, reflect,
                           weight_variety)
-from glmn.verma import (build_baby_verma, build_even_verma,
+from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
                         build_simple_g0_module, build_graded_verma,
                         f_direct, f_formula, f1_direct, maximal_vectors,
                         induced_hom)
@@ -27,6 +27,36 @@ F = make_field(5)
 
 def all_weights(d):
     return [Weight(F, c) for c in itertools.product(range(5), repeat=d)]
+
+
+class TestVerifyAxioms:
+    """Each broken module fails exactly one of the three checks."""
+
+    def _natural(self, parity=(0, 1), chi=None, scale=None):
+        # gl(1|1) on F^(1|1): E(i,j) acts by its own matrix
+        alg = build_algebra(1, 1, F)
+        action = {u: alg.unit_matrix(*u) for u in alg.units}
+        if scale:
+            unit, c = scale
+            action[unit] = action[unit].scale(c)
+        return ModuleRep(alg, Character(alg, chi or {}), alg.units, action,
+                         parity)
+
+    def test_natural_module_passes(self):
+        assert self._natural().verify_axioms()
+
+    def test_entry_breaking_parity_fails(self):
+        # same matrices, so brackets and p-th powers still hold, but E(1,2)
+        # now maps an even vector to an even vector
+        assert not self._natural(parity=(0, 0)).verify_axioms()
+
+    def test_wrong_bracket_fails(self):
+        # [2 E(1,2), E(2,1)] = 2 (E(1,1) + E(2,2)), not E(1,1) + E(2,2)
+        assert not self._natural(scale=((1, 2), 2)).verify_axioms()
+
+    def test_wrong_pth_power_fails(self):
+        # E(1,1)^p = E(1,1), which differs from E(1,1) + chi(E(1,1))^p
+        assert not self._natural(chi={(1, 1): 1}).verify_axioms()
 
 
 class TestConstruction:
