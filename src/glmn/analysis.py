@@ -92,22 +92,13 @@ def _homogeneous_components(M, w):
     return comps
 
 
-def _stacked_action(M):
-    """The action matrices of M's units stacked into one (U * dim, dim) array."""
-    if not M.units:
-        return np.zeros((0, M.dim), dtype=np.int64)
-    return np.vstack([M.matrix(u).data for u in M.units])
-
-
-def _unit_images(M, rows, stacked=None):
+def _unit_images(M, rows):
     """The images u.v of every row v under every unit u, as rows.
 
     One product with the stacked action; the images of a row under all
     units come out consecutively.
     """
-    if stacked is None:
-        stacked = _stacked_action(M)
-    return matmul(M.field, rows, stacked.T).reshape(-1, M.dim)
+    return matmul(M.field, rows, M.stacked_action.T).reshape(-1, M.dim)
 
 
 def _added_rows(old, new):
@@ -130,11 +121,10 @@ def spin(M, w):
     w = np.asarray(w, dtype=np.int64)
     if not w.any():
         raise ZeroVector("cannot spin the zero vector")
-    stacked = _stacked_action(M)
     sub = GradedSubmodule(M).add_rows(_homogeneous_components(M, w))
     added = sub.basis_rows()
     while len(added) and sub.dim < M.dim:
-        grown = sub.add_rows(_unit_images(M, added, stacked))
+        grown = sub.add_rows(_unit_images(M, added))
         added = np.vstack([_added_rows(sub.even_part, grown.even_part),
                            _added_rows(sub.odd_part, grown.odd_part)])
         sub = grown
@@ -179,7 +169,7 @@ def shifted_joint_kernel(M):
 
 def trivial_submodules(M):
     """Joint kernel of all action matrices."""
-    return Subspace(M.field, M.dim, kernel_arr(M.field, _stacked_action(M)))
+    return Subspace(M.field, M.dim, kernel_arr(M.field, M.stacked_action))
 
 
 def _has_cartan(M):
@@ -277,7 +267,6 @@ def quotient_module(M, sub):
     Returns (Q, proj, lift): proj maps ambient vectors to quotient
     coordinates and lift is a linear section.
     """
-    f = M.field
     total = sub.total()
     free = np.delete(np.arange(M.dim), total.pivots)
 
@@ -293,10 +282,10 @@ def quotient_module(M, sub):
     # column free[t] of an action matrix is the image of lift(e_t); its
     # projection is column t of the quotient's matrix
     m, U = len(free), len(M.units)
-    cols = _stacked_action(M)[:, free].reshape(U, M.dim, m)
+    cols = M.stacked_action[:, free].reshape(U, M.dim, m)
     blocks = proj(cols.transpose(0, 2, 1).reshape(U * m, M.dim)).reshape(U, m, m)
-    action = {u: Matrix(f, blocks[i].T) for i, u in enumerate(M.units)}
-    Q = ModuleRep(M.algebra, M.chi, M.units, action, M.parity[free],
+    Q = ModuleRep(M.algebra, M.chi, M.units,
+                  np.ascontiguousarray(blocks.transpose(0, 2, 1)), M.parity[free],
                   highest_vector=None)
     if M.highest_vector is not None:
         hv = proj(M.highest_vector)

@@ -246,7 +246,6 @@ def minimal_polynomial(field, a):
             # solve for coefficients on the recorded powers
             stacked = np.array(powers, dtype=np.int64).T
             sol = solve(field, stacked, flat)
-            deg = len(powers)
             coeffs = [field.neg(int(c)) for c in sol] + [1]
             return coeffs
         powers.append(flat)
@@ -284,9 +283,18 @@ def eigenspaces(field, a):
 
     Returns (pairs, complete) where pairs is a list of (eigenvalue index,
     kernel Subspace of a - eig*I) and complete says whether the
-    eigenspaces together span the whole space.
+    eigenspaces together span the whole space.  A scalar matrix c*I (every
+    1 x 1 matrix is one) has minimal polynomial x - c, so it returns
+    [(c, whole space)] at once; an empty matrix has no eigenvalues.  Other
+    matrices find their eigenvalues as the roots in the field of the
+    minimal polynomial.
     """
     n = a.shape[0]
+    if n == 0:
+        return [], True
+    c = int(a[0, 0])
+    if np.array_equal(a, c * np.eye(n, dtype=np.int64)):
+        return [(c, Subspace.full(field, n))], True
     coeffs = minimal_polynomial(field, a)
     pairs = []
     total = 0

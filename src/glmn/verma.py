@@ -10,9 +10,12 @@ inner module (a one-dimensional weight line, or a g_0bar-module).
 The straightening does not depend on the inner module.  Each shared
 ReductionContext keeps an induction plan per number of free roots: for
 every acting unit u and free monomial m, the terms c * m' * t of u * m in
-normal form, with m' a free monomial and t the remaining tail.  Building a
-module only multiplies out each distinct tail t on the inner module once
-and adds c * t into the (m', m) block of u's matrix.
+normal form, with m' a free monomial and t the remaining tail, gathered
+into a coefficient matrix with one row per (u, m', m) block that some term
+reaches and one column per distinct tail.  Building a module multiplies
+out each distinct tail on the inner module once, stacks the results and
+forms every block in one product of the coefficient matrix with that
+stack.
 """
 
 from __future__ import annotations
@@ -35,20 +38,41 @@ class ModuleRep:
 
     def __init__(self, algebra, chi, units, action, parity, labels=None,
                  highest_vector=None):
+        """action maps each unit to its Matrix, or is one (U, dim, dim)
+        index array holding the matrices in the order of units.  The
+        action is fixed once the module is built."""
         self.algebra = algebra
         self.field = algebra.field
         self.chi = chi
         self.units = list(units)
-        self.action = dict(action)
         self.parity = np.asarray(parity, dtype=np.int64)
+        self.dim = len(self.parity)
+        self._stacked = None
+        if isinstance(action, np.ndarray):
+            self._stacked = action.reshape(len(self.units) * self.dim, self.dim)
+            action = {u: Matrix(self.field, action[t])
+                      for t, u in enumerate(self.units)}
+        self.action = dict(action)
         self.labels = labels
         if highest_vector is not None:
             highest_vector = np.asarray(highest_vector, dtype=np.int64)
         self.highest_vector = highest_vector
-        self.dim = len(self.parity)
 
     def matrix(self, unit):
         return self.action[tuple(unit)]
+
+    @property
+    def stacked_action(self):
+        """The matrices of the units, in order, as one (U * dim, dim) array.
+
+        Computed once per module; a module built from a (U, dim, dim)
+        array shares that array's memory.
+        """
+        if self._stacked is None:
+            self._stacked = (np.vstack([self.action[u].data for u in self.units])
+                             if self.units
+                             else np.zeros((0, self.dim), dtype=np.int64))
+        return self._stacked
 
     def act(self, unit, vec):
         return matvec(self.field, self.action[tuple(unit)].data, vec)
@@ -79,31 +103,62 @@ class ModuleRep:
         return v
 
     def verify_axioms(self):
-        """Bracket compatibility, chi-reduction, and parity blocks."""
+        """Parity blocks, bracket compatibility and chi-reduction."""
+        return (self._parity_blocks_hold() and self._brackets_hold()
+                and self._pth_powers_hold())
+
+    def _parity_blocks_hold(self):
+        """A unit of parity s maps parity t to parity t + s."""
         alg = self.algebra
-        f = self.field
-        p = f.p
-        # parity block structure: x of parity s maps parity t to t+s
         shift = self.parity[:, None] - self.parity[None, :]
         for u in self.units:
             if np.any(self.action[u].data[(shift - alg.parity(*u)) % 2 != 0]):
                 return False
-        for x in self.units:
-            mx = self.action[x]
-            for y in self.units:
-                my = self.action[y]
-                sign = -1 if alg.parity(*x) and alg.parity(*y) else 1
-                comm = (mx @ my) + (my @ mx) if sign == -1 else (mx @ my) - (my @ mx)
-                expect = Matrix.zeros(f, self.dim, self.dim)
+        return True
+
+    def _brackets_hold(self):
+        """The supercommutator of every two units acts as their bracket.
+
+        For each left unit x one product with the units side by side gives
+        x y for every y, and one with the stacked units gives y x.  The
+        expected brackets are x's block of the (U, U, U) bracket
+        coefficients times the flattened units.  Memory stays O(U dim^2).
+        """
+        alg = self.algebra
+        f = self.field
+        n, units = self.dim, self.units
+        U = len(units)
+        index = {u: t for t, u in enumerate(units)}
+        coef = np.zeros((U, U, U), dtype=np.int64)
+        for a, x in enumerate(units):
+            for b, y in enumerate(units):
+                # the units of one bracket are distinct, their coefficients nonzero
                 for c, unit in alg.bracket_table[(x, y)]:
-                    if unit in self.action:
-                        expect = expect + self.action[unit].scale(c)
-                    elif c:
+                    if unit not in index:
                         return False
-                if comm != expect:
-                    return False
+                    coef[a, b, index[unit]] = c
+        stacked = self.stacked_action
+        side_by_side = stacked.reshape(U, n, n).transpose(1, 0, 2).reshape(n, U * n)
+        flat = stacked.reshape(U, n * n)
+        odd = np.array([alg.parity(*u) for u in units], dtype=bool)
+        for a in range(U):
+            x = stacked[a * n:(a + 1) * n]
+            xy = matmul(f, x, side_by_side).reshape(n, U, n).transpose(1, 0, 2)
+            yx = matmul(f, stacked, x).reshape(U, n, n)
+            if odd[a]:
+                # two odd units anticommute: [x, y] = x y + y x
+                yx[odd] = f.neg(yx[odd])
+            expect = matmul(f, coef[a], flat).reshape(U, n, n)
+            if not np.array_equal(f.sub(xy, yx), expect):
+                return False
+        return True
+
+    def _pth_powers_hold(self):
+        """x^p - x^[p] acts as chi(x)^p for every even unit x."""
+        f = self.field
+        p = f.p
         for x in self.units:
-            if alg.parity(*x):
+            if self.algebra.parity(*x):
                 continue
             i, j = x
             mp = self.action[x].power(p)
@@ -171,30 +226,59 @@ def _check_borel(chi):
 def _induction_plan(ctx, nfree):
     """The inner-module-free part of build_induced, straightened once.
 
-    Returns (free monomials, entries), where entries[u] holds one tuple
-    (column monomial, row monomial, tail exponents, coefficient) per term
-    of u * (column monomial) in normal form: the term is coefficient *
-    (row monomial) * (tail), the tail covering positions nfree onwards.
-    Monomials are given by their index in the free monomial list.
+    Every term of u * (column monomial) in normal form is c * (row
+    monomial) * (tail), the tail covering positions nfree onwards.  Returns
+    (free monomials, slots, tails, coef): slots is a (G, 3) array of the
+    (unit, row monomial, column monomial) triples that some term reaches,
+    tails lists the distinct tails, and coef is the (G, len(tails)) array
+    of field indices whose entry [g, s] sums the coefficients of the terms
+    with slot g and tail s.  Units are given by their index in
+    algebra.units and monomials by their index in the free monomial list.
     """
     plan = ctx._plans.get(nfree)
     if plan is not None:
         return plan
+    f = ctx.field
     free_monos = [tuple(t) for t in
                   itertools.product(*[range(c) for c in ctx.caps[:nfree]])]
     mono_index = {m: t for t, m in enumerate(free_monos)}
     rest = ctx.zero_exps[nfree:]
-    entries = {}
-    for u in ctx.algebra.units:
+    slots, tails, coefs = {}, {}, {}
+    for ui, u in enumerate(ctx.algebra.units):
         gen = PBWElement.generator(ctx, u)
-        terms = []
         for col, mono in enumerate(free_monos):
             prod = multiply(ctx, gen, PBWElement(ctx, {mono + rest: 1}))
             for exps, c in prod.terms.items():
-                terms.append((col, mono_index[exps[:nfree]], exps[nfree:], c))
-        entries[u] = tuple(terms)
-    plan = ctx._plans[nfree] = (free_monos, entries)
+                g = slots.setdefault((ui, mono_index[exps[:nfree]], col), len(slots))
+                s = tails.setdefault(exps[nfree:], len(tails))
+                coefs[g, s] = f.add(coefs[g, s], c) if (g, s) in coefs else c
+    coef = np.zeros((len(slots), len(tails)), dtype=np.int64)
+    for (g, s), c in coefs.items():
+        coef[g, s] = c
+    slots = np.array(list(slots), dtype=np.int64).reshape(-1, 3)
+    plan = ctx._plans[nfree] = (free_monos, slots, list(tails), coef)
     return plan
+
+
+def _tail_matrix(field, tail, start, inner_actions, inner_dim):
+    """A tail acting on the inner module, None when it acts by zero.
+
+    tail[t] is the exponent of the generator at position start + t.  The
+    product runs over positions in order, so the rightmost generator of the
+    monomial acts first.
+    """
+    mat = None
+    for pos, e in enumerate(tail, start=start):
+        if not e:
+            continue
+        factor = inner_actions.get(pos)
+        if factor is None:
+            return None
+        for _ in range(e):
+            mat = factor if mat is None else matmul(field, mat, factor)
+        if not mat.any():
+            return None
+    return np.eye(inner_dim, dtype=np.int64) if mat is None else mat
 
 
 def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
@@ -210,56 +294,32 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
     f = ctx.field
     nfree = len(free_roots)
     assert [r.key for r in ctx.f_order[:nfree]] == [r.key for r in free_roots]
-    free_monos, entries = _induction_plan(ctx, nfree)
-    dim = len(free_monos) * inner_dim
+    free_monos, slots, tails, coef = _induction_plan(ctx, nfree)
+    d = inner_dim
+    dim = len(free_monos) * d
     parity = np.zeros(dim, dtype=np.int64)
     labels = []
     for t, mono in enumerate(free_monos):
         mp = sum(e for e, par in zip(mono, ctx.parities[:nfree]) if par) % 2
-        for w in range(inner_dim):
-            parity[t * inner_dim + w] = (mp + inner_parity[w]) % 2
+        for w in range(d):
+            parity[t * d + w] = (mp + inner_parity[w]) % 2
             labels.append((mono, w))
 
-    tails = {}
-
-    def tail_matrix(tail):
-        """The tail acting on the inner module, None when it acts by zero.
-
-        The product runs over positions in order, so the rightmost
-        generator of the monomial acts first.
-        """
-        if tail in tails:
-            return tails[tail]
-        mat = np.eye(inner_dim, dtype=np.int64)
-        for pos, e in enumerate(tail, start=nfree):
-            if not e:
-                continue
-            factor = inner_actions.get(pos)
-            if factor is None:
-                mat = None
-                break
-            for _ in range(e):
-                mat = matmul(f, mat, factor)
-            if not mat.any():
-                mat = None
-                break
-        tails[tail] = mat
-        return mat
-
-    action = {}
-    for u, terms in entries.items():
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        for col, row, tail, c in terms:
-            block = tail_matrix(tail)
-            if block is None:
-                continue
-            rows = slice(row * inner_dim, (row + 1) * inner_dim)
-            cols = slice(col * inner_dim, (col + 1) * inner_dim)
-            mat[rows, cols] = f.add(mat[rows, cols], f.mul(c, block))
-        action[u] = Matrix(f, mat)
+    stack = np.zeros((len(tails), d * d), dtype=np.int64)
+    for s, tail in enumerate(tails):
+        mat = _tail_matrix(f, tail, nfree, inner_actions, d)
+        if mat is not None:
+            stack[s] = mat.reshape(-1)
+    blocks = matmul(f, coef, stack).reshape(-1, d, d)
+    # block g fills rows of monomial slots[g, 1], columns of slots[g, 2]
+    span = np.arange(d)
+    action = np.zeros((len(ctx.algebra.units), dim, dim), dtype=np.int64)
+    action[slots[:, 0, None, None],
+           (slots[:, 1, None] * d + span)[:, :, None],
+           (slots[:, 2, None] * d + span)[:, None, :]] = blocks
     hv = np.zeros(dim, dtype=np.int64)
     if inner_highest is not None:
-        hv[:inner_dim] = np.asarray(inner_highest, dtype=np.int64)
+        hv[:d] = np.asarray(inner_highest, dtype=np.int64)
     else:
         hv[0] = 1
     return klass(ctx, action=action, parity=parity, labels=labels,

@@ -1,0 +1,108 @@
+"""The batched ModuleRep.verify_axioms against the per-pair loop it replaced.
+
+verify_axioms checks every supercommutator with one product per left unit
+and reads the expected brackets off a bracket-coefficient block.  The
+oracle below forms each commutator [x, y] and each expected bracket as
+separate Matrix sums, pair by pair.  Both must give the same verdict on
+baby Vermas and even-part Vermas of gl(1|1) and gl(2|1), over F_5 and over
+F_{5^5}, intact and with action entries perturbed at random.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from glmn.algebra import Character, build_algebra, weight_variety
+from glmn.ffield import make_field
+from glmn.linalg import Matrix
+from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
+
+
+def oracle_verify_axioms(M):
+    """Parity blocks, then each bracket pair, then each p-th power."""
+    alg = M.algebra
+    f = M.field
+    p = f.p
+    shift = M.parity[:, None] - M.parity[None, :]
+    for u in M.units:
+        if np.any(M.action[u].data[(shift - alg.parity(*u)) % 2 != 0]):
+            return False
+    for x in M.units:
+        mx = M.action[x]
+        for y in M.units:
+            my = M.action[y]
+            sign = -1 if alg.parity(*x) and alg.parity(*y) else 1
+            comm = (mx @ my) + (my @ mx) if sign == -1 else (mx @ my) - (my @ mx)
+            expect = Matrix.zeros(f, M.dim, M.dim)
+            for c, unit in alg.bracket_table[(x, y)]:
+                if unit in M.action:
+                    expect = expect + M.action[unit].scale(c)
+                elif c:
+                    return False
+            if comm != expect:
+                return False
+    for x in M.units:
+        if alg.parity(*x):
+            continue
+        i, j = x
+        mp = M.action[x].power(p)
+        expect = Matrix.zeros(f, M.dim, M.dim)
+        if i == j:
+            expect = M.action[x]
+        scal = f.power(M.chi.value(x), p)
+        if scal:
+            expect = expect + Matrix.identity(f, M.dim).scale(scal)
+        if mp != expect:
+            return False
+    return True
+
+
+# (m, n, chi) over F_5; a diagonal chi extends the field to F_{5^5}
+SETTINGS = {
+    "gl11-F5-chi0": (1, 1, {}),
+    "gl11-F5^5-diag": (1, 1, {(1, 1): 1, (2, 2): 1}),
+    "gl21-F5-E21": (2, 1, {(2, 1): 1}),
+    "gl21-F5^5-diag": (2, 1, {(1, 1): 1, (2, 2): 1, (3, 3): 1}),
+}
+BUILDERS = {"baby": build_baby_verma, "even": build_even_verma}
+
+
+@functools.lru_cache(maxsize=None)
+def setting(name):
+    m, n, chi = SETTINGS[name]
+    alg = build_algebra(m, n, make_field(5))
+    return weight_variety(alg, Character(alg, chi))
+
+
+def perturbed(M, changes):
+    """A copy of M whose action has the entries (unit, row, col) -> value."""
+    action = {u: Matrix(M.field, M.action[u].data.copy()) for u in M.units}
+    for u, i, j, value in changes:
+        action[u].data[i, j] = value
+    return ModuleRep(M.algebra, M.chi, M.units, action, M.parity)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_matches_oracle(name, builder, data):
+    alg, chi, weights = setting(name)
+    lam = data.draw(st.sampled_from(weights), label="lambda")
+    M = BUILDERS[builder](alg, chi, lam)
+    assert M.verify_axioms() and oracle_verify_axioms(M)
+    changes = []
+    for _ in range(data.draw(st.integers(1, 3), label="changes")):
+        u = data.draw(st.sampled_from(M.units), label="unit")
+        # entries allowed by the parity blocks get past the first check
+        keep_parity = data.draw(st.booleans(), label="keep parity")
+        allowed = (M.parity[:, None] + M.parity[None, :]
+                   + alg.parity(*u)) % 2 == 0
+        cells = np.argwhere(allowed if keep_parity else np.ones_like(allowed))
+        i, j = data.draw(st.sampled_from([tuple(c) for c in cells]), label="cell")
+        value = data.draw(st.integers(0, M.field.q - 1), label="value")
+        changes.append((u, int(i), int(j), value))
+    N = perturbed(M, changes)
+    assert N.verify_axioms() == oracle_verify_axioms(N)

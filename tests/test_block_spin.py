@@ -24,7 +24,7 @@ from glmn.analysis import (GradedSubmodule, is_simple, quotient_module,
                            restrict_module, spin)
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
-from glmn.verma import build_baby_verma
+from glmn.verma import build_baby_verma, build_even_verma
 from test_kernels import FIELDS, KERNEL_SETTINGS, draw_matrix, t_kernel, t_rref
 
 F5 = make_field(5)
@@ -281,3 +281,23 @@ def test_is_action_closed_matches_per_vector_loop():
         want = all(tot.contains(Z.act(u, row))
                    for u in Z.units for row in tot.basis)
         assert grown.is_action_closed() == want
+
+
+# ---------------------------------------------------------------------------
+# the stacked action, computed once per module
+
+@pytest.mark.parametrize("name", sorted(MODULES) + ["even-part", "restricted"])
+def test_stacked_action_is_cached_vstack(name):
+    if name == "even-part":
+        alg = build_algebra(2, 1, F5)
+        M = build_even_verma(alg, Character(alg, {}), Weight(F5, [1, 0, 2]))
+    elif name == "restricted":
+        M, _ = restrict_module(*_proper_submodule())
+    else:
+        M = module(name)
+    stacked = M.stacked_action
+    assert stacked is M.stacked_action
+    assert np.array_equal(stacked, np.vstack([M.matrix(u).data for u in M.units]))
+    spin(M, M.highest_vector if M.highest_vector is not None
+         else np.eye(M.dim, dtype=np.int64)[0])
+    assert M.stacked_action is stacked

@@ -32,6 +32,13 @@ CONFIGS = {
         {"p": 5, "m": 1, "n": 1, "chi": {"E(1,1)": 1, "E(2,2)": 1},
          "lambda": "scan-all-X", "tasks": ["graded-verma-scan"],
          "seed": 0}, False),
+    # gl(2|1) has an even root: the even-part Vermas, their simple heads
+    # and the g_0bar-module check run on every weight, over F_{5^5}
+    "graded-gl21-diag": (
+        {"p": 5, "m": 2, "n": 1,
+         "chi": {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1},
+         "lambda": "scan-all-X", "tasks": ["graded-verma-scan"],
+         "seed": 0}, False),
     "kw-gl11": (
         {"p": 5, "m": 1, "n": 1, "chi": {"E(1,1)": 1},
          "lambda": "scan-all-X", "tasks": ["kw-verify"], "seed": 0}, False),

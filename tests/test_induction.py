@@ -194,3 +194,19 @@ class TestContextCache:
         assert sorted(tuple(r.key for r in c.f_order) for c in built) == \
             sorted([tuple(r.key for r in rs.positive),
                     tuple(r.key for r in rs.positive_odd + rs.positive_even)])
+
+
+def test_second_build_reuses_the_coefficient_matrix():
+    # a context outside the cache starts with no plan
+    alg, chi, weights = setting("gl21-F5^5-diag")
+    ctx = ReductionContext(alg, chi)
+    inner = {ctx.nf + i: np.array([[weights[0].value(i + 1)]], dtype=np.int64)
+             for i in range(alg.d)}
+    first = verma.build_induced(ctx, ctx.f_order, 1, [0], inner)
+    plan = ctx._plans[ctx.nf]
+    coef = plan[3]
+    with mock.patch.object(verma, "multiply",
+                           side_effect=AssertionError("straightened again")):
+        second = verma.build_induced(ctx, ctx.f_order, 1, [0], inner)
+    assert ctx._plans[ctx.nf] is plan and plan[3] is coef
+    assert np.array_equal(second.stacked_action, first.stacked_action)

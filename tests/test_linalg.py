@@ -173,6 +173,76 @@ class TestEigen:
         assert not complete
         assert [lam for lam, _ in pairs] == [0]
 
+    def test_empty_matrix(self):
+        assert eigenspaces(F, np.zeros((0, 0), dtype=np.int64)) == ([], True)
+
+
+def minimal_polynomial_eigenspaces(field, a):
+    """eigenspaces by the general route for every matrix: the roots of the
+    minimal polynomial and the kernel of a - eig*I at each."""
+    n = a.shape[0]
+    pairs = []
+    for lam in poly_roots(field, minimal_polynomial(field, a)):
+        shifted = field.sub(a, lam * np.eye(n, dtype=np.int64))
+        pairs.append((lam, Subspace(field, n, kernel_arr(field, shifted))))
+    return pairs, sum(ker.dim for _, ker in pairs) == n
+
+
+def conjugate(field, a, rng):
+    """g a g^-1 for a random invertible g."""
+    n = a.shape[0]
+    while True:
+        g = rand_mat(field, n, n, rng)
+        if row_reduce(g)[1] == n:
+            return matmul(field, matmul(field, g.data, a), inverse(g).data)
+
+
+class TestEigenRoutes:
+    """eigenspaces, with its scalar shortcut, against the general route."""
+
+    FIELDS = {"F5": F, "F5^5": make_field(5, 5)}
+
+    def check(self, field, a):
+        pairs, complete = eigenspaces(field, a)
+        want_pairs, want_complete = minimal_polynomial_eigenspaces(field, a)
+        assert complete == want_complete
+        assert [lam for lam, _ in pairs] == [lam for lam, _ in want_pairs]
+        assert all(ker == want for (_, ker), (_, want) in zip(pairs, want_pairs))
+        return pairs, complete
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_scalar(self, name, n):
+        field = self.FIELDS[name]
+        rng = random.Random(n)
+        for c in [0, 1] + [rng.randrange(field.q) for _ in range(3)]:
+            pairs, complete = self.check(field, c * np.eye(n, dtype=np.int64))
+            assert complete and [lam for lam, _ in pairs] == [c]
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_diagonalizable(self, name):
+        field = self.FIELDS[name]
+        rng = random.Random(11)
+        for n in (2, 3, 5):
+            values = [rng.randrange(field.q) for _ in range(n - 1)]
+            diag = np.diag([(values[0] + 1) % field.q] + values)
+            pairs, complete = self.check(field, conjugate(field, diag, rng))
+            assert complete and len(pairs) > 1
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_not_split(self, name):
+        # 2 is not a square mod 5, nor in F_{5^5}, which has no F_25 inside
+        field = self.FIELDS[name]
+        rng = random.Random(12)
+        companion = np.array([[0, 2], [1, 0]], dtype=np.int64)
+        jordan = np.array([[3, 1], [0, 3]], dtype=np.int64)
+        for block in (companion, jordan):
+            a = np.zeros((3, 3), dtype=np.int64)
+            a[:2, :2] = block
+            a[2, 2] = 4
+            _, complete = self.check(field, conjugate(field, a, rng))
+            assert not complete
+
 
 class TestSubspace:
     def test_canonical_equality(self):

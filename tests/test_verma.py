@@ -58,6 +58,15 @@ class TestVerifyAxioms:
         # E(1,1)^p = E(1,1), which differs from E(1,1) + chi(E(1,1))^p
         assert not self._natural(chi={(1, 1): 1}).verify_axioms()
 
+    @pytest.mark.parametrize("mutation,failing", [
+        ({"parity": (0, 0)}, "_parity_blocks_hold"),
+        ({"scale": ((1, 2), 2)}, "_brackets_hold"),
+        ({"chi": {(1, 1): 1}}, "_pth_powers_hold")])
+    def test_each_mutation_fails_only_its_own_check(self, mutation, failing):
+        M = self._natural(**mutation)
+        checks = ("_parity_blocks_hold", "_brackets_hold", "_pth_powers_hold")
+        assert [c for c in checks if not getattr(M, c)()] == [failing]
+
 
 class TestConstruction:
     def test_dimension_formula(self):
