@@ -6,11 +6,11 @@ peeling simple heads, composition series, regular modules of nilpotent
 subalgebras, joint-kernel trivial submodules and the Frobenius form.
 
 Generating candidates come from two sources.  Modules with a full Cartan
-action use weight-space maximal vectors.  Modules over a nilpotent
-subalgebra of strictly upper or lower triangular units have a single
-one-dimensional simple module, on which a unit x acts by the scalar
-chi(x); its isotypic socle (the joint kernel of the shifted actions)
-plays the role of the maximal-vector space.
+action, diagonal in their basis, use weight-space maximal vectors.
+Modules over a nilpotent subalgebra of strictly upper or lower triangular
+units have a single one-dimensional simple module, on which a unit x acts
+by the scalar chi(x); its isotypic socle (the joint kernel of the shifted
+actions) plays the role of the maximal-vector space.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ class GradedSubmodule:
 
     def basis_rows(self):
         return np.vstack([self.even_part.basis, self.odd_part.basis])
-
-    def union(self, other):
-        return GradedSubmodule(self.module,
-                               self.even_part.add(other.even_part),
-                               self.odd_part.add(other.odd_part))
 
     def add_rows(self, rows):
         """Smallest graded space containing self and homogeneous rows."""
@@ -185,16 +180,11 @@ def _candidate_spaces(M):
     if _has_cartan(M):
         return [(("weight",) + lam.key(), sub, par)
                 for lam, sub, par in maximal_vectors(M)]
-    ker = shifted_joint_kernel(M)
+    # chi vanishes on odd units, so the shifted actions are homogeneous
+    # and their joint kernel is the sum of its parity parts
     scalars = tuple(int(v) for v in _shifted_scalars(M).values())
-    out = []
-    f = M.field
-    for par in (0, 1):
-        sel = np.eye(M.dim, dtype=np.int64)[M.parity == par]
-        part = ker.intersect(Subspace(f, M.dim, sel))
-        if part.dim:
-            out.append((("shifted",) + scalars, part, par))
-    return out
+    return [(("shifted",) + scalars, part, par)
+            for par, part in shifted_joint_kernel(M).split(M.parity.tolist())]
 
 
 def _line_representatives(field, sub, line_budget, rng):
@@ -349,10 +339,6 @@ class CompositionSeries:
     def __init__(self, chain, factors):
         self.chain = chain
         self.factors = factors
-
-    @property
-    def length(self):
-        return len(self.factors)
 
     def __repr__(self):
         return f"CompositionSeries(factors={self.factors})"

@@ -26,7 +26,7 @@ from . import __version__
 from .algebra import (Character, Weight, build_algebra, classify_character,
                       weight_in_variety, weight_variety)
 from .analysis import (composition_series, frobenius_gram, is_simple,
-                       regular_module, trivial_submodules)
+                       regular_module, shifted_joint_kernel)
 from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import make_field
@@ -398,8 +398,10 @@ def regular_task(cfg, algebra, chi, weights):
     sub = _nminus_units(algebra)
     left = regular_module(algebra, sub, chi, side="left")
     right = regular_module(algebra, sub, chi, side="right")
-    tl = trivial_submodules(left)
-    tr = trivial_submodules(right)
+    # the socles of the shifted actions; with chi zero on n- they are the
+    # trivial submodules
+    tl = shifted_joint_kernel(left)
+    tr = shifted_joint_kernel(right)
     same_line = tl.dim == 1 == tr.dim and bool((tl.basis == tr.basis).all())
     series = composition_series(left, cfg["line_budget"],
                                 task_seed(cfg["seed"], "regular"))

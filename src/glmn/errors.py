@@ -79,8 +79,9 @@ class ZeroVector(GlmnError):
     pass
 
 
-class EigenvaluesOutsideField(GlmnError):
-    pass
+class NotWeightBasis(GlmnError):
+    """A Cartan matrix has an off-diagonal entry, so weight spaces are not
+    coordinate blocks of the module's basis."""
 
 
 class NoMaximalVector(GlmnError):

@@ -285,9 +285,6 @@ class Field:
         coeffs += [0] * (self.k - len(coeffs))
         return FieldElement(self, int(np.dot(np.array(coeffs, dtype=np.int64), self._ppow)))
 
-    def element_from_index(self, idx):
-        return FieldElement(self, int(idx))
-
     @property
     def zero(self):
         return FieldElement(self, 0)

@@ -20,11 +20,10 @@ from .enveloping import reduction_context
 from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
-from .linalg import Matrix, Subspace, eigenspaces, inverse, matvec
-from .verma import (ModuleRep, build_baby_verma, build_induced, induced_hom,
-                    maximal_vectors)
-from .analysis import (GradedSubmodule, _candidate_spaces,
-                       _line_representatives, is_simple, simple_head, spin)
+from .linalg import Matrix, Subspace, eigenspaces, inverse
+from .verma import ModuleRep, build_baby_verma, build_induced, induced_hom
+from .analysis import (_candidate_spaces, _line_representatives, is_simple,
+                       simple_head, spin)
 
 
 class CharacterDecomposition:

@@ -22,13 +22,6 @@ import numpy as np
 from .ffield import FieldElement
 
 
-def _as_index_array(field, data):
-    arr = np.array(data, dtype=object)
-    if arr.size and isinstance(arr.flat[0], FieldElement):
-        arr = np.vectorize(lambda e: e.idx, otypes=[np.int64])(arr)
-    return np.asarray(arr, dtype=np.int64)
-
-
 class Matrix:
     """A rows x cols matrix of field elements."""
 
@@ -39,10 +32,6 @@ class Matrix:
         self.data = np.asarray(data, dtype=np.int64)
         if self.data.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, _as_index_array(field, rows))
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -283,18 +272,12 @@ def eigenspaces(field, a):
 
     Returns (pairs, complete) where pairs is a list of (eigenvalue index,
     kernel Subspace of a - eig*I) and complete says whether the
-    eigenspaces together span the whole space.  A scalar matrix c*I (every
-    1 x 1 matrix is one) has minimal polynomial x - c, so it returns
-    [(c, whole space)] at once; an empty matrix has no eigenvalues.  Other
-    matrices find their eigenvalues as the roots in the field of the
-    minimal polynomial.
+    eigenspaces together span the whole space.  The eigenvalues are the
+    roots in the field of the minimal polynomial; an empty matrix has none.
     """
     n = a.shape[0]
     if n == 0:
         return [], True
-    c = int(a[0, 0])
-    if np.array_equal(a, c * np.eye(n, dtype=np.int64)):
-        return [(c, Subspace.full(field, n))], True
     coeffs = minimal_polynomial(field, a)
     pairs = []
     total = 0
@@ -321,10 +304,6 @@ class Subspace:
             a, pivots = rref(field, np.asarray(basis_rows, dtype=np.int64))
             self.basis = a[: len(pivots)]
             self.pivots = pivots
-
-    @classmethod
-    def full(cls, field, ambient):
-        return cls(field, ambient, np.eye(ambient, dtype=np.int64))
 
     @property
     def dim(self):
@@ -391,6 +370,27 @@ class Subspace:
         order = np.argsort(pivots)
         return Subspace._echelon(f, self.ambient, np.concatenate((basis, new))[order],
                                  sorted(pivots))
+
+    def split(self, keys):
+        """The pieces of a graded subspace, as (key, Subspace) sorted by key.
+
+        keys[c] is the grade of coordinate c.  When the subspace is the sum
+        of its intersections with the blocks of coordinates of equal key,
+        its canonical basis is the union of theirs: each basis row lies in
+        one block, the one of its pivot.  Raises ValueError when a basis
+        row leaves that block.
+        """
+        codes = {}
+        code = np.array([codes.setdefault(k, len(codes)) for k in keys], dtype=np.int64)
+        pivots = np.array(self.pivots, dtype=np.int64)
+        row_code = code[pivots]
+        if np.any((self.basis != 0) & (code != row_code[:, None])):
+            raise ValueError("subspace is not graded by these keys")
+        present = set(row_code.tolist())
+        return [(key, Subspace._echelon(self.field, self.ambient,
+                                        self.basis[row_code == c],
+                                        pivots[row_code == c].tolist()))
+                for key, c in sorted(codes.items()) if c in present]
 
     def intersect(self, other):
         # null space construction on stacked bases

@@ -16,6 +16,11 @@ reaches and one column per distinct tail.  Building a module multiplies
 out each distinct tail on the inner module once, stacks the results and
 forms every block in one product of the coefficient matrix with that
 stack.
+
+Every module built here has diagonal Cartan matrices, so its weight spaces
+are coordinate blocks: maximal vectors are one kernel of the e-actions,
+split by the (parity, weight) at each basis row's pivot, with no
+eigenvalues to solve for.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ import numpy as np
 
 from .algebra import Weight, weight_in_variety
 from .enveloping import PBWElement, multiply, reduction_context
-from .errors import (ChiNotBorelCompatible, EigenvaluesOutsideField,
-                     IntertwinerCheckFailed, LambdaNotInX, NonScalarResult,
-                     NotG0Module, NotMaximal, ZeroVector)
+from .errors import (ChiNotBorelCompatible, IntertwinerCheckFailed,
+                     LambdaNotInX, NonScalarResult, NotG0Module, NotMaximal,
+                     NotWeightBasis, ZeroVector)
 from .ffield import FieldElement
-from .linalg import Matrix, Subspace, eigenspaces, kernel_arr, matmul, matvec
+from .linalg import Matrix, Subspace, kernel_arr, matmul, matvec
 
 
 class ModuleRep:
@@ -76,16 +81,6 @@ class ModuleRep:
 
     def act(self, unit, vec):
         return matvec(self.field, self.action[tuple(unit)].data, vec)
-
-    def act_element(self, x, vec):
-        """Action of a Matrix algebra element (a combination of units)."""
-        f = self.field
-        out = np.zeros(self.dim, dtype=np.int64)
-        for (i, j) in self.units:
-            c = int(x.data[i - 1, j - 1])
-            if c:
-                out = f.add(out, f.mul(c, self.act((i, j), vec)))
-        return out
 
     def apply_word(self, word, vec):
         """Apply a product of units, written left to right, to a vector.
@@ -461,46 +456,19 @@ def f1_direct(Z):
     return _scalar_at_highest(Z, w)
 
 
-def _restrict_action(field, basis_sub, mat):
-    """Matrix of mat on an invariant Subspace, in its canonical basis."""
-    imgs = matmul(field, basis_sub.basis, np.asarray(mat).T)
-    if np.any(basis_sub.reduce(imgs)):
-        raise ValueError("vector not in subspace")
-    return imgs[:, basis_sub.pivots].T
-
-
-def _joint_eigen_split(field, mats, space):
-    """Split an invariant Subspace into joint eigenspaces of commuting mats.
-
-    Yields (eigenvalue tuple, Subspace).  Raises EigenvaluesOutsideField
-    when some restriction is not split over the field.
-    """
-    pieces = [((), space)]
-    for mat in mats:
-        nxt = []
-        for vals, sub in pieces:
-            if sub.dim == 0:
-                continue
-            r = _restrict_action(field, sub, mat)
-            pairs, complete = eigenspaces(field, r)
-            if not complete:
-                raise EigenvaluesOutsideField(
-                    "Cartan eigenvalues lie outside the scalar field")
-            for eig, ker in pairs:
-                if ker.dim == 0:
-                    continue
-                nxt.append((vals + (eig,),
-                            Subspace(field, space.ambient,
-                                     matmul(field, ker.basis, sub.basis))))
-        pieces = nxt
-    return pieces
-
-
 def maximal_vectors(M):
     """Weight lines annihilated by all positive root vectors.
 
     Returns a list of (Weight, Subspace, parity) with the Subspace in the
-    module's coordinates, one entry per occurring weight and parity.
+    module's coordinates, one entry per occurring weight and parity, sorted
+    by parity and then by the weight's indices.
+
+    Every module built here acts by diagonal Cartan matrices, so its weight
+    spaces and parity parts are coordinate blocks.  Each e-action maps a
+    block into another, so the joint kernel of the e-actions is the sum of
+    its intersections with the blocks: one kernel, split by the (parity,
+    weight) read at each basis row's pivot, gives every piece.  Raises
+    NotWeightBasis when a Cartan matrix has an off-diagonal entry.
     """
     alg = M.algebra
     rs = alg.root_system()
@@ -509,17 +477,14 @@ def maximal_vectors(M):
     e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in have]
     stacked = np.vstack([M.matrix(u).data for u in e_units]) if e_units \
         else np.zeros((0, M.dim), dtype=np.int64)
+    hmats = np.array([M.matrix((i, i)).data for i in range(1, alg.d + 1)])
+    diag = np.diagonal(hmats, axis1=1, axis2=2)
+    if np.count_nonzero(hmats) != np.count_nonzero(diag):
+        raise NotWeightBasis("a Cartan matrix is not diagonal in the module's basis")
     ker = Subspace(field, M.dim, kernel_arr(field, stacked))
-    out = []
-    for par in (0, 1):
-        sel = np.eye(M.dim, dtype=np.int64)[M.parity == par]
-        part = ker.intersect(Subspace(field, M.dim, sel))
-        if part.dim == 0:
-            continue
-        hmats = [M.matrix((i, i)).data for i in range(1, alg.d + 1)]
-        for vals, sub in _joint_eigen_split(field, hmats, part):
-            out.append((Weight(field, vals), sub, par))
-    return out
+    keys = list(zip(M.parity.tolist(), map(tuple, diag.T.tolist())))
+    return [(Weight(field, vals), sub, par)
+            for (par, vals), sub in ker.split(keys)]
 
 
 def induced_hom(source, target, u):

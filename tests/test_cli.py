@@ -167,3 +167,14 @@ class TestSubcommands:
         rep = json.loads(out)["tasks"][0]["record"]["reports"][0]
         assert rep["alphas"][0]["isomorphism"]
         assert rep["radical_absorbs_all"]
+
+    def test_regular_module_check_with_chi_on_nminus(self, tmp_path, capsys):
+        """chi(E21) = 1 shifts the socle off the joint kernel of the raw
+        actions; the shifted socles of both regular modules are one line."""
+        cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(2,1)": 1},
+                        tasks=["regular-module-check"])
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+        assert code == 0
+        rec = json.loads(out)["tasks"][0]["record"]
+        assert rec["trivial_dim_left"] == rec["trivial_dim_right"] == 1
+        assert rec["v_left_equals_v_right"]
