@@ -23,36 +23,53 @@ import numpy as np
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
-from .linalg import Matrix, Subspace, kernel_arr, matmul, row_reduce
+from .linalg import Matrix, Subspace, kernel, matmul, row_reduce
 from .verma import ModuleRep, maximal_vectors
 
 LINE_BUDGET = 10 ** 4
 
 
 class GradedSubmodule:
-    """A submodule split into its even and odd parts."""
+    """A graded subspace of a module: one Subspace spanned by parity
+    homogeneous rows.
 
-    __slots__ = ("module", "even_part", "odd_part")
+    Such a span is the sum of its even and odd parts, so each row of its
+    canonical basis lies in one part, the one of its pivot, and the
+    canonical bases of the two parts are the basis rows with even and with
+    odd pivots (Subspace.split).
+    """
 
-    def __init__(self, module, even_part=None, odd_part=None):
-        f = module.field
-        n = module.dim
+    __slots__ = ("module", "space")
+
+    def __init__(self, module, space=None):
         self.module = module
-        self.even_part = even_part if even_part is not None else Subspace(f, n)
-        self.odd_part = odd_part if odd_part is not None else Subspace(f, n)
+        self.space = space if space is not None else Subspace(module.field, module.dim)
 
     @property
     def dim(self):
-        return self.even_part.dim + self.odd_part.dim
+        return self.space.dim
 
     def total(self):
-        return self.even_part.add(self.odd_part)
+        return self.space
+
+    def _part(self, par):
+        parts = dict(self.space.split(self.module.parity.tolist()))
+        return parts.get(par, Subspace(self.module.field, self.module.dim))
+
+    @property
+    def even_part(self):
+        return self._part(0)
+
+    @property
+    def odd_part(self):
+        return self._part(1)
 
     def contains(self, vec):
-        return self.total().contains(vec)
+        return self.space.contains(vec)
 
     def basis_rows(self):
-        return np.vstack([self.even_part.basis, self.odd_part.basis])
+        """The canonical basis, in pivot order."""
+        return self.space.basis
 
     def add_rows(self, rows):
         """Smallest graded space containing self and homogeneous rows."""
@@ -62,16 +79,11 @@ class GradedSubmodule:
         odd = (nonzero & (M.parity == 1)).any(axis=1)
         even = (nonzero & (M.parity == 0)).any(axis=1)
         assert not (odd & even).any(), "rows must be parity homogeneous"
-        ev, od = self.even_part, self.odd_part
-        if even.any():
-            ev = ev.add_vectors(rows[even])
-        if odd.any():
-            od = od.add_vectors(rows[odd])
-        return GradedSubmodule(M, ev, od)
+        return GradedSubmodule(M, self.space.add_vectors(rows))
 
     def is_action_closed(self):
-        tot = self.total()
-        return not np.any(tot.reduce(_unit_images(self.module, tot.basis)))
+        space = self.space
+        return not np.any(space.reduce(_unit_images(self.module, space.basis)))
 
     def __repr__(self):
         return (f"GradedSubmodule(even={self.even_part.dim}, "
@@ -96,22 +108,17 @@ def _unit_images(M, rows):
     return matmul(M.field, rows, M.stacked_action.T).reshape(-1, M.dim)
 
 
-def _added_rows(old, new):
-    """The basis rows of new whose pivots are not pivots of old."""
-    known = set(old.pivots)
-    return new.basis[[t for t, c in enumerate(new.pivots) if c not in known]]
-
-
 def spin(M, w):
     """Smallest graded submodule containing w.
 
     w is split into its homogeneous components, and their span is grown in
     rounds.  Each round maps the basis rows the previous round added
     through every unit in one product and inserts all the images in one
-    block.  The added rows are the grown basis rows whose pivots are new:
-    they vanish at every old pivot, so with the old space they span the
-    new one.  Spinning stops when a round adds nothing or the submodule is
-    the whole module.
+    block; the images of homogeneous rows under homogeneous units are
+    homogeneous, so the span stays graded.  The added rows are the grown
+    basis rows whose pivots are new: they vanish at every old pivot, so
+    with the old space they span the new one.  Spinning stops when a round
+    adds nothing or the submodule is the whole module.
     """
     w = np.asarray(w, dtype=np.int64)
     if not w.any():
@@ -120,8 +127,7 @@ def spin(M, w):
     added = sub.basis_rows()
     while len(added) and sub.dim < M.dim:
         grown = sub.add_rows(_unit_images(M, added))
-        added = np.vstack([_added_rows(sub.even_part, grown.even_part),
-                           _added_rows(sub.odd_part, grown.odd_part)])
+        added = grown.basis_rows()[~np.isin(grown.space.pivots, sub.space.pivots)]
         sub = grown
     return sub
 
@@ -154,22 +160,18 @@ def shifted_joint_kernel(M):
     module over a nilpotent subalgebra)."""
     f = M.field
     scalars = _shifted_scalars(M)
-    blocks = []
-    eye = np.eye(M.dim, dtype=np.int64)
-    for u in M.units:
-        blocks.append(f.sub(M.matrix(u).data, f.mul(scalars[u], eye)))
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, M.dim), dtype=np.int64)
-    return Subspace(f, M.dim, kernel_arr(f, stacked))
+    shift = np.array([scalars[u] for u in M.units], dtype=np.int64).reshape(-1, 1, 1)
+    shifted = f.sub(M.actions, f.mul(shift, np.eye(M.dim, dtype=np.int64)))
+    return kernel(f, shifted.reshape(M.stacked_action.shape))
 
 
 def trivial_submodules(M):
     """Joint kernel of all action matrices."""
-    return Subspace(M.field, M.dim, kernel_arr(M.field, M.stacked_action))
+    return kernel(M.field, M.stacked_action)
 
 
 def _has_cartan(M):
-    alg = M.algebra
-    return all((i, i) in M.action for i in range(1, alg.d + 1))
+    return all(u in M.units for u in M.algebra.diag_units)
 
 
 def _candidate_spaces(M):
@@ -288,14 +290,13 @@ def quotient_module(M, sub):
 
 def restrict_module(M, sub):
     """M restricted to a graded submodule, with the embedding rows."""
-    f = M.field
-    space = Subspace(f, M.dim, sub.basis_rows())
+    space = sub.total()
     basis, d = space.basis, space.dim
-    # coords raises unless every image lies in the submodule
+    # coords raises unless every image lies in the submodule; coeffs[t, i]
+    # holds the coordinates of unit i's image of basis row t
     coeffs = space.coords(_unit_images(M, basis)).reshape(d, len(M.units), d)
-    action = {u: Matrix(f, coeffs[:, i].T) for i, u in enumerate(M.units)}
-    parity = M.parity[space.pivots]
-    R = ModuleRep(M.algebra, M.chi, M.units, action, parity)
+    R = ModuleRep(M.algebra, M.chi, M.units, coeffs.transpose(1, 2, 0),
+                  M.parity[space.pivots])
     return R, basis
 
 
@@ -407,22 +408,17 @@ def regular_module(algebra, sub_units, chi, side="left"):
     f = ctx.field
     index = {m: t for t, m in enumerate(monos)}
     dim = len(monos)
-    gens = {tuple(u): PBWElement.generator(ctx, u) for u in sub_units}
-    action = {}
-    for u in sub_units:
-        u = tuple(u)
-        mat = np.zeros((dim, dim), dtype=np.int64)
+    actions = np.zeros((len(sub_units), dim, dim), dtype=np.int64)
+    for mat, u in zip(actions, sub_units):
+        gen = PBWElement.generator(ctx, u)
         for m, t in index.items():
             b = PBWElement(ctx, {m: 1})
-            prod = multiply(ctx, gens[u], b) if side == "left" \
-                else multiply(ctx, b, gens[u])
+            prod = multiply(ctx, gen, b) if side == "left" else multiply(ctx, b, gen)
             for exps, c in prod.terms.items():
                 assert exps in index, "product left the subalgebra"
                 mat[index[exps], t] = f.add(int(mat[index[exps], t]), c)
-        action[u] = Matrix(f, mat)
     parity = np.array([ctx.mono_parity(m) for m in monos], dtype=np.int64)
-    M = ModuleRep(algebra, chi, [tuple(u) for u in sub_units], action, parity,
-                  labels=monos)
+    M = ModuleRep(algebra, chi, sub_units, actions, parity, labels=monos)
     M.ctx = ctx
     return M
 

@@ -21,6 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from sympy import isprime
 
 from . import __version__
 from .algebra import (Character, Weight, build_algebra, classify_character,
@@ -72,16 +73,28 @@ def load_config(path):
     return validate_config(raw)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(raw):
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("config must be a JSON object")
     cfg = dict(DEFAULTS)
     cfg.update(raw)
-    for key in ("p", "m", "n"):
-        if key not in cfg or not isinstance(cfg[key], int):
+    for key in ("p", "m", "n", "field_degree", "jobs", "dim_budget", "line_budget"):
+        if not _is_int(cfg.get(key)):
             raise ConfigInvalid(f"config needs integer '{key}'")
     if cfg["p"] < 5:
         raise ConfigInvalid("p must be at least 5")
+    if not isprime(cfg["p"]):
+        raise ConfigInvalid(f"p = {cfg['p']} is not prime")
     if cfg["m"] < 1 or cfg["n"] < 1:
         raise ConfigInvalid("m and n must be positive")
+    if cfg["field_degree"] < 1:
+        raise ConfigInvalid("field_degree must be at least 1")
+    if not isinstance(cfg["tasks"], list):
+        raise ConfigInvalid("tasks must be a list of task names")
     for t in cfg["tasks"]:
         if t not in TASKS:
             raise ConfigInvalid(f"unknown task {t!r}; known: {', '.join(TASKS)}")
@@ -550,7 +563,7 @@ def dump_module(module, stream):
             stream.write(f"label {t} {label}\n")
     for unit in module.units:
         stream.write(f"action E{unit}\n")
-        for row in module.matrix(unit).data:
+        for row in module.matrix(unit):
             stream.write("  " + " ".join(str(int(x)) for x in row) + "\n")
 
 

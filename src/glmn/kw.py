@@ -255,9 +255,8 @@ def build_levi_verma(algebra, chi, lam, phi):
     for r in levi_roots:
         units.append(rs.e_unit(r))
         units.append(rs.f_unit(r))
-    action = {u: Z.action[u] for u in units}
-    M = ModuleRep(algebra, chi, units, action, Z.parity, labels=Z.labels,
-                  highest_vector=Z.highest_vector)
+    M = ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity,
+                  labels=Z.labels, highest_vector=Z.highest_vector)
     M.lam = lam
     return M
 
@@ -276,12 +275,12 @@ def build_kw_module(algebra, chi, M_prime, phi):
     inner = {}
     for t, r in enumerate(ctx.f_order):
         if t >= len(phi):
-            inner[t] = M_prime.matrix(rs.f_unit(r)).data
+            inner[t] = M_prime.matrix(rs.f_unit(r))
     for i in range(algebra.d):
-        inner[ctx.nf + i] = M_prime.matrix((i + 1, i + 1)).data
+        inner[ctx.nf + i] = M_prime.matrix((i + 1, i + 1))
     for t, r in enumerate(ctx.e_order):
         if r.key not in phi_keys:
-            inner[ctx.nf + ctx.nh + t] = M_prime.matrix(rs.e_unit(r)).data
+            inner[ctx.nf + ctx.nh + t] = M_prime.matrix(rs.e_unit(r))
         # Phi' positive root vectors span N, which kills M_prime
     Z = build_induced(ctx, list(phi), M_prime.dim, list(M_prime.parity),
                       inner, inner_highest=M_prime.highest_vector)
@@ -358,6 +357,8 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
     if not cc.standard_levi:
         raise NotStandardLevi("chi is not in standard Levi form")
     Z = build_baby_verma(algebra, chi, lam)
+    R, headZ = simple_head(Z, line_budget, seed)
+    fpZ = sorted(fp for fp, _, _ in _candidate_spaces(headZ))
     report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
     for alpha in cc.levi_set:
         a = rs.weight_on_coroot(lam, alpha)
@@ -370,9 +371,7 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
         mu = dot_action(rs, [alpha], lam)
         source = build_baby_verma(algebra, chi, mu)
         T, rank = induced_hom(source, Z, u)
-        _, headZ = simple_head(Z, line_budget, seed)
         _, headS = simple_head(source, line_budget, seed)
-        fpZ = sorted(fp for fp, _, _ in _candidate_spaces(headZ))
         fpS = sorted(fp for fp, _, _ in _candidate_spaces(headS))
         heads_match = (headZ.dim == headS.dim and fpZ == fpS)
         report["alphas"].append({
@@ -384,19 +383,16 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
             "heads_match": bool(heads_match),
         })
     # Prop 5.17: unique maximal submodule behavior
-    R, head = simple_head(Z, line_budget, seed)
     rng = random.Random(seed)
+    total = R.total()
     absorbed = True
     for fp, sub, par in _candidate_spaces(Z):
         reps, _ = _line_representatives(f, sub, line_budget, rng)
         for v in reps:
             s = spin(Z, v)
-            if s.dim < Z.dim:
-                for row in s.basis_rows():
-                    if not R.contains(row):
-                        absorbed = False
+            if s.dim < Z.dim and total.reduce(s.basis_rows()).any():
+                absorbed = False
     outside_generate = True
-    total = R.total()
     for _ in range(samples):
         v = np.array([rng.randrange(f.q) for _ in range(Z.dim)], dtype=np.int64)
         if not v.any() or total.contains(v):
@@ -407,7 +403,7 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
             if spin(Z, c).dim < Z.dim:
                 outside_generate = False
     report["radical_dim"] = R.dim
-    report["head_dim"] = head.dim
+    report["head_dim"] = headZ.dim
     report["radical_absorbs_all"] = absorbed
     report["outside_vectors_generate"] = outside_generate
     return report

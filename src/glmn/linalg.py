@@ -49,15 +49,6 @@ class Matrix:
     def cols(self):
         return self.data.shape[1]
 
-    def entry(self, i, j):
-        return FieldElement(self.field, int(self.data[i, j]))
-
-    def copy(self):
-        return Matrix(self.field, self.data.copy())
-
-    def transpose(self):
-        return Matrix(self.field, self.data.T.copy())
-
     def __add__(self, other):
         return Matrix(self.field, self.field.add(self.data, other.data))
 
@@ -86,15 +77,7 @@ class Matrix:
         return not np.any(self.data)
 
     def power(self, e):
-        assert self.rows == self.cols and e >= 0
-        result = np.eye(self.rows, dtype=np.int64)
-        base = self.data
-        while e:
-            if e & 1:
-                result = matmul(self.field, result, base)
-            base = matmul(self.field, base, base)
-            e >>= 1
-        return Matrix(self.field, result)
+        return Matrix(self.field, matrix_power(self.field, self.data, e))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
@@ -145,6 +128,27 @@ def matvec(field, a, v):
     return matmul(field, a, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
 
 
+def matrix_power(field, a, e):
+    """a^e for a square index array, by repeated squaring.
+
+    The product starts from a rather than from the identity and the last
+    squaring, whose result nothing uses, is skipped: a^5 takes three
+    products.  The result never shares memory with a.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    assert a.shape[0] == a.shape[1] and e >= 0
+    if e == 0:
+        return np.eye(a.shape[0], dtype=np.int64)
+    result, base = None, a
+    while True:
+        if e & 1:
+            result = base if result is None else matmul(field, result, base)
+        e >>= 1
+        if not e:
+            return result.copy() if result is a else result
+        base = matmul(field, base, base)
+
+
 def rref(field, arr):
     """Reduced row echelon form of a raw index array.
 
@@ -184,29 +188,37 @@ def row_reduce(m):
     return Matrix(m.field, a), len(pivots)
 
 
+def kernel(field, arr):
+    """The right null space of a raw index array, as a Subspace.
+
+    Free column c of the echelon form gives the null vector with 1 at c and
+    minus column c at the pivots; the rref of these vectors is the
+    canonical basis, and its pivots come with it.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    ncols = arr.shape[1]
+    a, pivots = rref(field, arr)
+    free = np.delete(np.arange(ncols), pivots)
+    if not len(free):
+        return Subspace(field, ncols)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.neg(a[:len(pivots)][:, free].T)
+    basis, kpivots = rref(field, basis)
+    return Subspace._echelon(field, ncols, basis, kpivots)
+
+
 def kernel_arr(field, arr):
     """Canonical basis of the right null space of a raw index array.
 
     Returns a (nullity, cols) array in reduced row-echelon form.
     """
-    arr = np.asarray(arr, dtype=np.int64)
-    ncols = arr.shape[1]
-    a, pivots = rref(field, arr)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = field.neg(int(a[ri, fc]))
-    basis, _ = rref(field, basis)
-    return basis
+    return kernel(field, arr).basis
 
 
 def kernel_basis(m):
     """Subspace of vectors v with M v = 0."""
-    return Subspace(m.field, m.cols, kernel_arr(m.field, m.data))
+    return kernel(m.field, m.data)
 
 
 def inverse(m):
@@ -283,7 +295,7 @@ def eigenspaces(field, a):
     total = 0
     for lam in poly_roots(field, coeffs):
         shifted = field.sub(a, lam * np.eye(n, dtype=np.int64))
-        ker = Subspace(field, n, kernel_arr(field, shifted))
+        ker = kernel(field, shifted)
         pairs.append((lam, ker))
         total += ker.dim
     return pairs, total == n

@@ -1,7 +1,7 @@
 """Baby Verma modules and their graded relatives as explicit matrices.
 
-Every module here is a ModuleRep: one action matrix per acting matrix
-unit, a parity per basis vector, and the character chi.  Baby Vermas,
+Every module here is a ModuleRep: one (U, dim, dim) array of action
+matrices, a parity per basis vector, and the character chi.  Baby Vermas,
 even-part Vermas and graded baby Vermas are all produced by one induced
 construction: pick a set of "free" negative root vectors whose monomials
 form the basis, and evaluate the straightened tail of each product on an
@@ -35,52 +35,50 @@ from .errors import (ChiNotBorelCompatible, IntertwinerCheckFailed,
                      LambdaNotInX, NonScalarResult, NotG0Module, NotMaximal,
                      NotWeightBasis, ZeroVector)
 from .ffield import FieldElement
-from .linalg import Matrix, Subspace, kernel_arr, matmul, matvec
+from .linalg import Matrix, kernel, matmul, matrix_power, matvec
 
 
 class ModuleRep:
-    """A finite-dimensional u(g, chi)-module given by action matrices."""
+    """A finite-dimensional u(g, chi)-module given by action matrices.
 
-    def __init__(self, algebra, chi, units, action, parity, labels=None,
+    The action is one (U, dim, dim) index array, actions, whose slice t is
+    the matrix of units[t]; stacked_action is the same memory as one
+    (U * dim, dim) array.  The action is fixed once the module is built.
+    """
+
+    def __init__(self, algebra, chi, units, actions, parity, labels=None,
                  highest_vector=None):
-        """action maps each unit to its Matrix, or is one (U, dim, dim)
-        index array holding the matrices in the order of units.  The
-        action is fixed once the module is built."""
+        """actions is the (U, dim, dim) array, or a mapping from each unit
+        to its Matrix or index array, stacked here in the order of units."""
         self.algebra = algebra
         self.field = algebra.field
         self.chi = chi
-        self.units = list(units)
+        self.units = [tuple(u) for u in units]
         self.parity = np.asarray(parity, dtype=np.int64)
         self.dim = len(self.parity)
-        self._stacked = None
-        if isinstance(action, np.ndarray):
-            self._stacked = action.reshape(len(self.units) * self.dim, self.dim)
-            action = {u: Matrix(self.field, action[t])
-                      for t, u in enumerate(self.units)}
-        self.action = dict(action)
+        if hasattr(actions, "items"):
+            # each value is an index array or a Matrix wrapping one
+            actions = [actions[u] for u in self.units]
+            actions = [a if isinstance(a, np.ndarray) else a.data for a in actions]
+        U, n = len(self.units), self.dim
+        self.actions = np.ascontiguousarray(actions, dtype=np.int64).reshape(U, n, n)
+        self.stacked_action = self.actions.reshape(U * n, n)
+        self._index = {u: t for t, u in enumerate(self.units)}
         self.labels = labels
         if highest_vector is not None:
             highest_vector = np.asarray(highest_vector, dtype=np.int64)
         self.highest_vector = highest_vector
 
     def matrix(self, unit):
-        return self.action[tuple(unit)]
+        return self.actions[self._index[tuple(unit)]]
 
-    @property
-    def stacked_action(self):
-        """The matrices of the units, in order, as one (U * dim, dim) array.
-
-        Computed once per module; a module built from a (U, dim, dim)
-        array shares that array's memory.
-        """
-        if self._stacked is None:
-            self._stacked = (np.vstack([self.action[u].data for u in self.units])
-                             if self.units
-                             else np.zeros((0, self.dim), dtype=np.int64))
-        return self._stacked
+    def matrices(self, units):
+        """The matrices of the given units, in that order, as one
+        (len(units), dim, dim) array."""
+        return self.actions[[self._index[tuple(u)] for u in units]]
 
     def act(self, unit, vec):
-        return matvec(self.field, self.action[tuple(unit)].data, vec)
+        return matvec(self.field, self.matrix(unit), vec)
 
     def apply_word(self, word, vec):
         """Apply a product of units, written left to right, to a vector.
@@ -104,12 +102,9 @@ class ModuleRep:
 
     def _parity_blocks_hold(self):
         """A unit of parity s maps parity t to parity t + s."""
-        alg = self.algebra
-        shift = self.parity[:, None] - self.parity[None, :]
-        for u in self.units:
-            if np.any(self.action[u].data[(shift - alg.parity(*u)) % 2 != 0]):
-                return False
-        return True
+        shift = (self.parity[:, None] - self.parity[None, :]) % 2
+        unit_parity = np.array([self.algebra.parity(*u) for u in self.units])
+        return not np.any(self.actions[shift != unit_parity[:, None, None]])
 
     def _brackets_hold(self):
         """The supercommutator of every two units acts as their bracket.
@@ -152,18 +147,14 @@ class ModuleRep:
         """x^p - x^[p] acts as chi(x)^p for every even unit x."""
         f = self.field
         p = f.p
-        for x in self.units:
+        for x, mat in zip(self.units, self.actions):
             if self.algebra.parity(*x):
                 continue
-            i, j = x
-            mp = self.action[x].power(p)
-            expect = Matrix.zeros(f, self.dim, self.dim)
-            if i == j:
-                expect = self.action[x]
+            expect = mat if x[0] == x[1] else np.zeros_like(mat)
             scal = f.power(self.chi.value(x), p)
             if scal:
-                expect = expect + Matrix.identity(f, self.dim).scale(scal)
-            if mp != expect:
+                expect = f.add(expect, f.mul(np.eye(self.dim, dtype=np.int64), scal))
+            if not np.array_equal(matrix_power(f, mat, p), expect):
                 return False
         return True
 
@@ -308,16 +299,16 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
     blocks = matmul(f, coef, stack).reshape(-1, d, d)
     # block g fills rows of monomial slots[g, 1], columns of slots[g, 2]
     span = np.arange(d)
-    action = np.zeros((len(ctx.algebra.units), dim, dim), dtype=np.int64)
-    action[slots[:, 0, None, None],
-           (slots[:, 1, None] * d + span)[:, :, None],
-           (slots[:, 2, None] * d + span)[:, None, :]] = blocks
+    actions = np.zeros((len(ctx.algebra.units), dim, dim), dtype=np.int64)
+    actions[slots[:, 0, None, None],
+            (slots[:, 1, None] * d + span)[:, :, None],
+            (slots[:, 2, None] * d + span)[:, None, :]] = blocks
     hv = np.zeros(dim, dtype=np.int64)
     if inner_highest is not None:
         hv[:d] = np.asarray(inner_highest, dtype=np.int64)
     else:
         hv[0] = 1
-    return klass(ctx, action=action, parity=parity, labels=labels,
+    return klass(ctx, actions=actions, parity=parity, labels=labels,
                  highest_vector=hv, **extra)
 
 
@@ -349,9 +340,8 @@ def build_even_verma(algebra, chi, lam):
     for i in range(algebra.d):
         inner[ctx.nf + i] = np.array([[lam.value(i + 1)]], dtype=np.int64)
     Z = build_induced(ctx, rs.positive_even, 1, [0], inner)
-    action = {u: Z.action[u] for u in algebra.even_units}
-    M = ModuleRep(algebra, chi, algebra.even_units, action, Z.parity,
-                  labels=Z.labels, highest_vector=Z.highest_vector)
+    M = ModuleRep(algebra, chi, algebra.even_units, Z.matrices(algebra.even_units),
+                  Z.parity, labels=Z.labels, highest_vector=Z.highest_vector)
     M.lam = lam
     return M
 
@@ -387,12 +377,12 @@ def build_graded_verma(algebra, chi, M):
     inner = {}
     for t, r in enumerate(ctx.f_order):
         if t >= nfree:
-            inner[t] = M.matrix(rs.f_unit(r)).data
+            inner[t] = M.matrix(rs.f_unit(r))
     for i in range(algebra.d):
-        inner[ctx.nf + i] = M.matrix((i + 1, i + 1)).data
+        inner[ctx.nf + i] = M.matrix((i + 1, i + 1))
     for t, r in enumerate(ctx.e_order):
         if r.parity == 0:
-            inner[ctx.nf + ctx.nh + t] = M.matrix(rs.e_unit(r)).data
+            inner[ctx.nf + ctx.nh + t] = M.matrix(rs.e_unit(r))
         # odd positive root vectors (g_1) act by zero on M
     inner_parity = list(M.parity)
     return build_induced(ctx, rs.positive_odd, M.dim, inner_parity, inner,
@@ -473,15 +463,13 @@ def maximal_vectors(M):
     alg = M.algebra
     rs = alg.root_system()
     field = M.field
-    have = set(M.units)
-    e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in have]
-    stacked = np.vstack([M.matrix(u).data for u in e_units]) if e_units \
-        else np.zeros((0, M.dim), dtype=np.int64)
-    hmats = np.array([M.matrix((i, i)).data for i in range(1, alg.d + 1)])
+    e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in M.units]
+    stacked = M.matrices(e_units).reshape(len(e_units) * M.dim, M.dim)
+    hmats = M.matrices(alg.diag_units)
     diag = np.diagonal(hmats, axis1=1, axis2=2)
     if np.count_nonzero(hmats) != np.count_nonzero(diag):
         raise NotWeightBasis("a Cartan matrix is not diagonal in the module's basis")
-    ker = Subspace(field, M.dim, kernel_arr(field, stacked))
+    ker = kernel(field, stacked)
     keys = list(zip(M.parity.tolist(), map(tuple, diag.T.tolist())))
     return [(Weight(field, vals), sub, par)
             for (par, vals), sub in ker.split(keys)]
@@ -515,13 +503,13 @@ def induced_hom(source, target, u):
     for t, (mono, _) in enumerate(source.labels):
         word = [(rs.f_unit(r), e) for r, e in zip(source.ctx.f_order, mono)]
         cols[:, t] = target.apply_word(word, u)
-    T = Matrix(field, cols)
     for unit in source.units:
-        lhs = T @ source.matrix(unit)
-        rhs = target.matrix(unit) @ T
+        lhs = matmul(field, cols, source.matrix(unit))
+        rhs = matmul(field, target.matrix(unit), cols)
         if hom_parity and alg.parity(*unit):
-            rhs = -rhs
-        if lhs != rhs:
+            rhs = field.neg(rhs)
+        if not np.array_equal(lhs, rhs):
             raise IntertwinerCheckFailed(f"map does not intertwine E{unit}")
+    T = Matrix(field, cols)
     _, rank = row_reduce(T)
     return T, rank

@@ -27,18 +27,18 @@ def oracle_verify_axioms(M):
     p = f.p
     shift = M.parity[:, None] - M.parity[None, :]
     for u in M.units:
-        if np.any(M.action[u].data[(shift - alg.parity(*u)) % 2 != 0]):
+        if np.any(M.matrix(u)[(shift - alg.parity(*u)) % 2 != 0]):
             return False
     for x in M.units:
-        mx = M.action[x]
+        mx = Matrix(f, M.matrix(x))
         for y in M.units:
-            my = M.action[y]
+            my = Matrix(f, M.matrix(y))
             sign = -1 if alg.parity(*x) and alg.parity(*y) else 1
             comm = (mx @ my) + (my @ mx) if sign == -1 else (mx @ my) - (my @ mx)
             expect = Matrix.zeros(f, M.dim, M.dim)
             for c, unit in alg.bracket_table[(x, y)]:
-                if unit in M.action:
-                    expect = expect + M.action[unit].scale(c)
+                if unit in M.units:
+                    expect = expect + Matrix(f, M.matrix(unit)).scale(c)
                 elif c:
                     return False
             if comm != expect:
@@ -47,10 +47,10 @@ def oracle_verify_axioms(M):
         if alg.parity(*x):
             continue
         i, j = x
-        mp = M.action[x].power(p)
+        mp = Matrix(f, M.matrix(x)).power(p)
         expect = Matrix.zeros(f, M.dim, M.dim)
         if i == j:
-            expect = M.action[x]
+            expect = Matrix(f, M.matrix(x))
         scal = f.power(M.chi.value(x), p)
         if scal:
             expect = expect + Matrix.identity(f, M.dim).scale(scal)
@@ -78,7 +78,7 @@ def setting(name):
 
 def perturbed(M, changes):
     """A copy of M whose action has the entries (unit, row, col) -> value."""
-    action = {u: Matrix(M.field, M.action[u].data.copy()) for u in M.units}
+    action = {u: Matrix(M.field, M.matrix(u).copy()) for u in M.units}
     for u, i, j, value in changes:
         action[u].data[i, j] = value
     return ModuleRep(M.algebra, M.chi, M.units, action, M.parity)

@@ -254,7 +254,7 @@ def test_quotient_action_matches_per_vector_loop():
     Q, _, _ = quotient_module(Z, sub)
     want = seq_quotient_action(Z, sub)
     for u in Z.units:
-        assert np.array_equal(Q.matrix(u).data, want[u])
+        assert np.array_equal(Q.matrix(u), want[u])
 
 
 def test_restrict_action_matches_per_vector_loop():
@@ -262,7 +262,7 @@ def test_restrict_action_matches_per_vector_loop():
     R, basis = restrict_module(Z, sub)
     want = seq_restrict_action(Z, sub)
     for u in Z.units:
-        assert np.array_equal(R.matrix(u).data, want[u])
+        assert np.array_equal(R.matrix(u), want[u])
     assert np.array_equal(R.parity, [Z.parity[np.flatnonzero(b)[0]] for b in basis])
 
 
@@ -297,7 +297,7 @@ def test_stacked_action_is_cached_vstack(name):
         M = module(name)
     stacked = M.stacked_action
     assert stacked is M.stacked_action
-    assert np.array_equal(stacked, np.vstack([M.matrix(u).data for u in M.units]))
+    assert np.array_equal(stacked, np.vstack([M.matrix(u) for u in M.units]))
     spin(M, M.highest_vector if M.highest_vector is not None
          else np.eye(M.dim, dtype=np.int64)[0])
     assert M.stacked_action is stacked

@@ -77,6 +77,26 @@ class TestExitCodes:
         assert code == 2 and err.startswith("error:") and "20" in err
 
 
+    @pytest.mark.parametrize("raw", [
+        [{"p": 5, "m": 1, "n": 1}],
+        {"field_degree": 0},
+        {"jobs": "x"},
+        {"dim_budget": None},
+        {"line_budget": True},
+        {"p": 6},
+        {"tasks": "verma-scan"},
+    ], ids=["array", "field-degree-0", "jobs-str", "dim-budget-null",
+            "line-budget-bool", "p-composite", "tasks-str"])
+    def test_malformed_config_exits_two(self, tmp_path, capsys, raw):
+        if isinstance(raw, dict):
+            cfg = write_cfg(tmp_path, **raw)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
+        assert code == 2 and "error" in err
+
+
 class TestDeterminism:
     def test_jobs_do_not_change_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

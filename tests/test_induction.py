@@ -140,9 +140,9 @@ def test_builders_match_oracle(name, data):
         action, parity, labels = oracle_induced(
             oracle_context(ctx), free_roots, inner_dim, inner_parity,
             inner_actions)
-        assert sorted(Z.action) == sorted(action)
+        assert sorted(Z.units) == sorted(action)
         for u, mat in action.items():
-            assert np.array_equal(Z.action[u].data, mat), u
+            assert np.array_equal(Z.matrix(u), mat), u
         assert np.array_equal(Z.parity, parity)
         assert Z.labels == labels
 

@@ -10,6 +10,7 @@ by evaluating chi on explicitly conjugated matrix units.
 import numpy as np
 import pytest
 
+from glmn import kw
 from glmn.ffield import make_field
 from glmn.linalg import Matrix, inverse
 from glmn.algebra import build_algebra, Character, Weight, weight_variety
@@ -146,6 +147,22 @@ class TestLeviScan:
         assert entry["heads_match"]
         assert rep["radical_absorbs_all"]
         assert rep["outside_vectors_generate"]
+
+    def test_one_alpha_takes_two_simple_heads(self, monkeypatch):
+        # the head of Z is found once per weight, the source's once per alpha
+        alg = build_algebra(2, 1, F)
+        chi = Character(alg, {(2, 1): 1})
+        heads = []
+        real_simple_head = kw.simple_head
+
+        def counting_simple_head(M, *args):
+            heads.append(M.dim)
+            return real_simple_head(M, *args)
+
+        monkeypatch.setattr(kw, "simple_head", counting_simple_head)
+        rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]), seed=3)
+        assert len(rep["alphas"]) == 1
+        assert heads == [20, 20]
 
     def test_rejects_non_levi_chi(self):
         alg = build_algebra(1, 1, F)

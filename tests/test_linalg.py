@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from glmn.ffield import make_field
-from glmn.linalg import (Matrix, Subspace, matmul, matvec, rref, row_reduce,
-                         kernel_arr, kernel_basis, inverse, solve,
+from glmn.linalg import (Matrix, Subspace, matmul, matrix_power, matvec, rref,
+                         row_reduce, kernel_arr, kernel_basis, inverse, solve,
                          minimal_polynomial, poly_roots, eigenspaces)
 
 
@@ -46,6 +46,17 @@ class TestMatrixArithmetic:
         for e in range(6):
             assert a.power(e) == acc
             acc = acc @ a
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matrix_power_matches_repeated_product(self, k):
+        field = make_field(5, k)
+        a = rand_mat(field, 4, 4, random.Random(k)).data
+        acc = np.eye(4, dtype=np.int64)
+        for e in range(2 * field.p + 1):
+            got = matrix_power(field, a, e)
+            assert np.array_equal(got, acc), e
+            assert not np.shares_memory(got, a), e
+            acc = matmul(field, acc, a)
 
 
 class TestRref:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from glmn.ffield import make_field
+from glmn.linalg import Matrix
 from glmn.algebra import (build_algebra, Character, Weight, reflect,
                           weight_variety)
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
@@ -85,6 +86,18 @@ class TestConstruction:
         chi = Character(alg, chi_vals)
         Z = build_baby_verma(alg, chi, Weight(F, [1] * (m + n)))
         assert Z.verify_axioms()
+
+    def test_mapping_and_array_give_equal_actions(self):
+        alg = build_algebra(2, 1, F)
+        Z = build_baby_verma(alg, Character(alg, {}), Weight(F, [1, 0, 2]))
+        from_array = ModuleRep(alg, Z.chi, Z.units, Z.actions, Z.parity)
+        # a mapping is stacked in the order of units, whatever its own order
+        for action in ({u: Matrix(F, Z.matrix(u)) for u in reversed(Z.units)},
+                       {u: Z.matrix(u).copy() for u in Z.units}):
+            from_mapping = ModuleRep(alg, Z.chi, Z.units, action, Z.parity)
+            assert np.array_equal(from_mapping.actions, from_array.actions)
+        assert np.array_equal(from_array.actions, Z.actions)
+        assert np.shares_memory(Z.stacked_action, Z.actions)
 
     def test_highest_vector_behavior(self):
         alg = build_algebra(2, 1, F)

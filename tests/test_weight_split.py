@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glmn import linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import (composition_series, is_simple, regular_module,
                            restrict_module, simple_head)
@@ -58,11 +59,11 @@ def oracle_maximal_vectors(M):
     alg = M.algebra
     rs = alg.root_system()
     field = M.field
-    e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in M.action]
-    stacked = np.vstack([M.matrix(u).data for u in e_units]
+    e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in M.units]
+    stacked = np.vstack([M.matrix(u) for u in e_units]
                         + [np.zeros((0, M.dim), dtype=np.int64)])
     ker = Subspace(field, M.dim, kernel_arr(field, stacked))
-    hmats = [M.matrix((i, i)).data for i in range(1, alg.d + 1)]
+    hmats = [M.matrix((i, i)) for i in range(1, alg.d + 1)]
     out = []
     for par in (0, 1):
         sel = np.eye(M.dim, dtype=np.int64)[M.parity == par]
@@ -159,6 +160,26 @@ def test_reducible_verma_has_several_pieces():
     assert keys == sorted(keys)
 
 
+def test_maximal_vectors_takes_two_rrefs(monkeypatch):
+    """One rref of the stacked e-actions and one of the kernel vectors,
+    whose echelon form, with its pivots, is the kernel's Subspace."""
+    alg, chi, _ = setting("gl21-F5-chi0")
+    Z = build_baby_verma(alg, chi, Weight(F5, [1, 0, 2]))
+    shapes = []
+    real_rref = linalg.rref
+
+    def counting_rref(field, arr):
+        shapes.append(np.shape(arr))
+        return real_rref(field, arr)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    got = maximal_vectors(Z)
+    # gl(2|1) has three positive roots
+    assert len(shapes) == 2 and shapes[0] == (3 * Z.dim, Z.dim)
+    monkeypatch.undo()
+    assert_same(got, oracle_maximal_vectors(Z))
+
+
 def test_series_of_reducible_verma_is_covered():
     alg, chi, _ = setting("gl21-F5-chi0")
     lam = Weight(F5, [0, 0, 0])
@@ -178,7 +199,7 @@ def _borel_regular_module():
 def test_non_diagonal_cartan_is_rejected():
     M = _borel_regular_module()
     for i in (1, 2):
-        h = M.matrix((i, i)).data
+        h = M.matrix((i, i))
         assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 50
     with pytest.raises(NotWeightBasis):
         maximal_vectors(M)
