@@ -1,11 +1,21 @@
-"""Brute-force module oracles.
+"""Module analysis on explicit action matrices.
 
 Everything here works on explicit action matrices: spinning vectors into
-graded submodules, testing graded simplicity through maximal vectors,
-peeling simple heads, composition series, regular modules of nilpotent
-subalgebras, joint-kernel trivial submodules and the Frobenius form.
+graded submodules, graded simplicity, simple heads, composition series,
+regular modules of nilpotent subalgebras, joint-kernel trivial submodules
+and the Frobenius form.
 
-Generating candidates come from two sources.  Modules with a full Cartan
+Simplicity and simple heads are certified by one dual spin (dual_core)
+when a module is generated by a highest vector whose weight occurs at no
+other basis vector: the annihilator of the spin of that coordinate form
+under the transposed action is the sum of all proper submodules.  Every
+baby Verma, even-part, graded and Levi Verma built here, and every
+quotient of one, qualifies when its top weight space is a line.  Other
+modules (a larger top weight space, or no highest vector, as after
+restrict_module) go through the line route: spin every maximal-vector
+line, and peel heads one proper spin at a time.
+
+Generating candidates of the line route come from two sources.  Modules with a full Cartan
 action, diagonal in their basis, use weight-space maximal vectors.
 Modules over a nilpotent subalgebra of strictly upper or lower triangular
 units have a single one-dimensional simple module, on which a unit x acts
@@ -24,7 +34,7 @@ from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
 from .linalg import Matrix, Subspace, kernel, matmul, row_reduce
-from .verma import ModuleRep, maximal_vectors
+from .verma import ModuleRep, cartan_diagonal, maximal_vectors
 
 LINE_BUDGET = 10 ** 4
 
@@ -234,8 +244,82 @@ class SimplicityVerdict:
                 f"probabilistic={self.probabilistic})")
 
 
+def _top_coordinate(M):
+    """The coordinate t with M.highest_vector a multiple of e_t, when no
+    other basis vector has the weight of e_t; None otherwise.
+
+    The weight is read off the diagonal Cartan action, so M must carry
+    every unit E(i,i) with diagonal matrices.
+    """
+    hv = M.highest_vector
+    if hv is None or not _has_cartan(M):
+        return None
+    support = np.flatnonzero(hv)
+    diag = cartan_diagonal(M)
+    if len(support) != 1 or diag is None:
+        return None
+    t = int(support[0])
+    if np.count_nonzero((diag == diag[:, t, None]).all(axis=0)) != 1:
+        return None
+    return t
+
+
+def dual_core(M):
+    """The sum of all proper graded submodules of M, as a Subspace, when
+    the dual-spin certificate applies; None when it does not.
+
+    It applies when M.highest_vector generates M and spans a weight space
+    T = F e_t of its own (_top_coordinate).  A graded submodule N is the
+    sum of its intersections with the weight spaces, so N contains T, and
+    then all of M, or lies in W, the span of the other basis vectors.
+    The proper submodules are
+    therefore exactly the submodules inside W, and their sum core(W) =
+    {v : a v in W for every a in u(g)} is the annihilator of the spin of
+    the coordinate form e_t under the transposed action.  Transposing a
+    homogeneous unit keeps its parity, so that spin is an ordinary graded
+    spin.
+    """
+    t = _top_coordinate(M)
+    if t is None:
+        return None
+    dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
+                     M.parity)
+    forms = spin(dual, dual.basis_vector(t))
+    if forms.dim == M.dim:
+        return Subspace(M.field, M.dim)
+    return kernel(M.field, forms.basis_rows())
+
+
 def is_simple(M, line_budget=LINE_BUDGET, seed=0):
-    """Graded simplicity by spinning every maximal-vector line."""
+    """Graded simplicity, certified by dual_core where it applies.
+
+    M is simple iff core(W) = 0.  Otherwise the witness is a homogeneous
+    maximal vector of core(W): the first basis row of the first
+    maximal-vector piece that meets it.  Modules that dual_core declines
+    go through _is_simple_by_lines.
+    """
+    core = dual_core(M)
+    if core is None:
+        return _is_simple_by_lines(M, line_budget, seed)
+    if not core.dim:
+        return SimplicityVerdict(True)
+    for fingerprint, sub, par in _candidate_spaces(M):
+        meet = sub.intersect(core)
+        if meet.dim:
+            return SimplicityVerdict(False, witness=meet.basis[0],
+                                     witness_fingerprint=fingerprint,
+                                     witness_parity=par)
+    raise NoMaximalVector("the maximal submodule has no maximal vector")
+
+
+def _is_simple_by_lines(M, line_budget=LINE_BUDGET, seed=0):
+    """Graded simplicity by spinning every maximal-vector line.
+
+    Every nonzero graded submodule contains a homogeneous maximal vector,
+    so M is simple iff every such line spins to all of M.  A piece with
+    more lines than line_budget is sampled, and the verdict is then
+    flagged probabilistic.
+    """
     rng = random.Random(seed)
     spaces = _candidate_spaces(M)
     if not spaces:
@@ -303,9 +387,22 @@ def restrict_module(M, sub):
 def simple_head(M, line_budget=LINE_BUDGET, seed=0):
     """The unique simple quotient, with the submodule it quotients by.
 
-    Iteratively collects spins of non-generating maximal vectors into a
-    radical part R and quotients, until the quotient is simple.  Returns
-    (R: GradedSubmodule of M, head: ModuleRep).
+    Where dual_core applies, R is core(W), the unique maximal graded
+    submodule, and the head is M / R.  Other modules go through
+    _simple_head_by_lines.  Returns (R: GradedSubmodule of M, head:
+    ModuleRep).
+    """
+    core = dual_core(M)
+    if core is None:
+        return _simple_head_by_lines(M, line_budget, seed)
+    R = GradedSubmodule(M, core)
+    return R, quotient_module(M, R)[0]
+
+
+def _simple_head_by_lines(M, line_budget=LINE_BUDGET, seed=0):
+    """simple_head by peeling: iteratively collects spins of
+    non-generating maximal vectors into a radical part R and quotients,
+    until the quotient is simple.
     """
     rng = random.Random(seed)
     R = GradedSubmodule(M)

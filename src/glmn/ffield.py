@@ -111,9 +111,15 @@ def is_irreducible(poly, p):
 
 
 def default_modulus(p, k):
-    """Lexicographically least irreducible monic degree-k polynomial."""
+    """Lexicographically least irreducible monic degree-k polynomial.
+
+    For k > 1 a polynomial with constant term 0 is divisible by x, so
+    those candidates are skipped without an irreducibility test.
+    """
     for tail in itertools.product(range(p), repeat=k):
         poly = list(tail) + [1]
+        if k > 1 and not tail[0]:
+            continue
         if is_irreducible(poly, p):
             return poly
     raise NonIrreducibleModulus(f"no irreducible polynomial of degree {k} over F_{p}")

@@ -22,8 +22,8 @@ from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse
 from .verma import ModuleRep, build_baby_verma, build_induced, induced_hom
-from .analysis import (_candidate_spaces, _line_representatives, is_simple,
-                       simple_head, spin)
+from .analysis import (_candidate_spaces, _line_representatives, _top_coordinate,
+                       is_simple, simple_head, spin)
 
 
 class CharacterDecomposition:
@@ -341,6 +341,34 @@ def dot_action(rs, word, lam):
     return Weight(f, [f.sub(int(c), int(r)) for c, r in zip(mu.coords, rs.rho)])
 
 
+def _unique_maximal_by_sampling(Z, R, line_budget, seed, samples):
+    """(radical_absorbs_all, outside_vectors_generate) for a module that
+    dual_core declines: the spin of every maximal-vector line, and of the
+    homogeneous parts of `samples` random vectors outside R.
+    """
+    f = Z.field
+    rng = random.Random(seed)
+    total = R.total()
+    absorbed = True
+    for fp, sub, par in _candidate_spaces(Z):
+        reps, _ = _line_representatives(f, sub, line_budget, rng)
+        for v in reps:
+            s = spin(Z, v)
+            if s.dim < Z.dim and total.reduce(s.basis_rows()).any():
+                absorbed = False
+    outside_generate = True
+    for _ in range(samples):
+        v = np.array([rng.randrange(f.q) for _ in range(Z.dim)], dtype=np.int64)
+        if not v.any() or total.contains(v):
+            continue
+        comps = [np.where(Z.parity == par, v, 0) for par in (0, 1)]
+        comps = [c for c in comps if c.any() and not total.contains(c)]
+        for c in comps:
+            if spin(Z, c).dim < Z.dim:
+                outside_generate = False
+    return absorbed, outside_generate
+
+
 def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
     """Cor 5.18-style scan for a standard Levi character.
 
@@ -382,26 +410,14 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
             "isomorphism": rank == Z.dim,
             "heads_match": bool(heads_match),
         })
-    # Prop 5.17: unique maximal submodule behavior
-    rng = random.Random(seed)
-    total = R.total()
-    absorbed = True
-    for fp, sub, par in _candidate_spaces(Z):
-        reps, _ = _line_representatives(f, sub, line_budget, rng)
-        for v in reps:
-            s = spin(Z, v)
-            if s.dim < Z.dim and total.reduce(s.basis_rows()).any():
-                absorbed = False
-    outside_generate = True
-    for _ in range(samples):
-        v = np.array([rng.randrange(f.q) for _ in range(Z.dim)], dtype=np.int64)
-        if not v.any() or total.contains(v):
-            continue
-        comps = [np.where(Z.parity == par, v, 0) for par in (0, 1)]
-        comps = [c for c in comps if c.any() and not total.contains(c)]
-        for c in comps:
-            if spin(Z, c).dim < Z.dim:
-                outside_generate = False
+    # Prop 5.17: unique maximal submodule behavior.  Where simple_head
+    # took the dual-spin route, R is core(W), which contains every proper
+    # submodule: every proper spin lies in R, and every vector outside R
+    # generates Z.
+    absorbed = outside_generate = True
+    if _top_coordinate(Z) is None:
+        absorbed, outside_generate = _unique_maximal_by_sampling(
+            Z, R, line_budget, seed, samples)
     report["radical_dim"] = R.dim
     report["head_dim"] = headZ.dim
     report["radical_absorbs_all"] = absorbed

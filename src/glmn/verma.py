@@ -446,6 +446,18 @@ def f1_direct(Z):
     return _scalar_at_highest(Z, w)
 
 
+def cartan_diagonal(M):
+    """The (d, dim) array whose column c holds the eigenvalues of the
+    Cartan units E(1,1), ..., E(d,d) at basis vector c, or None when some
+    Cartan matrix has an off-diagonal entry.  Every unit E(i,i) must act.
+    """
+    hmats = M.matrices(M.algebra.diag_units)
+    diag = np.diagonal(hmats, axis1=1, axis2=2)
+    if np.count_nonzero(hmats) != np.count_nonzero(diag):
+        return None
+    return diag
+
+
 def maximal_vectors(M):
     """Weight lines annihilated by all positive root vectors.
 
@@ -460,14 +472,12 @@ def maximal_vectors(M):
     weight) read at each basis row's pivot, gives every piece.  Raises
     NotWeightBasis when a Cartan matrix has an off-diagonal entry.
     """
-    alg = M.algebra
-    rs = alg.root_system()
+    rs = M.algebra.root_system()
     field = M.field
     e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in M.units]
     stacked = M.matrices(e_units).reshape(len(e_units) * M.dim, M.dim)
-    hmats = M.matrices(alg.diag_units)
-    diag = np.diagonal(hmats, axis1=1, axis2=2)
-    if np.count_nonzero(hmats) != np.count_nonzero(diag):
+    diag = cartan_diagonal(M)
+    if diag is None:
         raise NotWeightBasis("a Cartan matrix is not diagonal in the module's basis")
     ker = kernel(field, stacked)
     keys = list(zip(M.parity.tolist(), map(tuple, diag.T.tolist())))

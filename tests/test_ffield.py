@@ -188,3 +188,32 @@ def test_default_modulus_is_lex_least():
     assert not is_irreducible([0, 0, 1], 5)
     assert not is_irreducible([0, 4, 1], 5)
     assert not is_irreducible([1, 0, 1], 5)
+
+
+def scan_modulus(p, k):
+    """The full lexicographic scan: every monic degree-k candidate in turn,
+    x-divisible ones included, until one is irreducible."""
+    from glmn.ffield import is_irreducible
+    for tail in itertools.product(range(p), repeat=k):
+        poly = list(tail) + [1]
+        if is_irreducible(poly, p):
+            return poly
+    raise AssertionError("no irreducible polynomial")
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_default_modulus_matches_full_scan(p):
+    k = 1
+    while p ** k <= 30_000:
+        assert list(default_modulus(p, k)) == scan_modulus(p, k), (p, k)
+        k += 1
+
+
+def test_default_modulus_of_degree_seven_is_fast():
+    # F_{7^7}: the full scan tests the 7^6 candidates divisible by x first
+    import time
+    from glmn.ffield import is_irreducible
+    start = time.perf_counter()
+    modulus = default_modulus(7, 7)
+    assert time.perf_counter() - start < 1.0
+    assert len(modulus) == 8 and is_irreducible(modulus, 7)
