@@ -15,12 +15,13 @@ modules (a larger top weight space, or no highest vector, as after
 restrict_module) go through the line route: spin every maximal-vector
 line, and peel heads one proper spin at a time.
 
-Generating candidates of the line route come from two sources.  Modules with a full Cartan
-action, diagonal in their basis, use weight-space maximal vectors.
-Modules over a nilpotent subalgebra of strictly upper or lower triangular
-units have a single one-dimensional simple module, on which a unit x acts
-by the scalar chi(x); its isotypic socle (the joint kernel of the shifted
-actions) plays the role of the maximal-vector space.
+The line route's generating candidates come from two sources.  Modules
+with a full Cartan action, diagonal in their basis, use weight-space
+maximal vectors.  Modules over a nilpotent subalgebra of strictly upper
+or lower triangular units have a single one-dimensional simple module, on
+which a unit x acts by the scalar chi(x); its isotypic socle (the joint
+kernel of the shifted actions) plays the role of the maximal-vector
+space.
 """
 
 from __future__ import annotations
@@ -271,13 +272,12 @@ def dual_core(M):
     It applies when M.highest_vector generates M and spans a weight space
     T = F e_t of its own (_top_coordinate).  A graded submodule N is the
     sum of its intersections with the weight spaces, so N contains T, and
-    then all of M, or lies in W, the span of the other basis vectors.
-    The proper submodules are
-    therefore exactly the submodules inside W, and their sum core(W) =
-    {v : a v in W for every a in u(g)} is the annihilator of the spin of
-    the coordinate form e_t under the transposed action.  Transposing a
-    homogeneous unit keeps its parity, so that spin is an ordinary graded
-    spin.
+    then all of M, or lies in W, the span of the other basis vectors.  The
+    proper submodules are therefore exactly the submodules inside W, and
+    their sum core(W) = {v : a v in W for every a in u(g)} is the
+    annihilator of the spin of the coordinate form e_t under the
+    transposed action.  Transposing a homogeneous unit keeps its parity,
+    so that spin is an ordinary graded spin.
     """
     t = _top_coordinate(M)
     if t is None:
@@ -285,8 +285,6 @@ def dual_core(M):
     dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
                      M.parity)
     forms = spin(dual, dual.basis_vector(t))
-    if forms.dim == M.dim:
-        return Subspace(M.field, M.dim)
     return kernel(M.field, forms.basis_rows())
 
 

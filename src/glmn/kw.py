@@ -375,7 +375,11 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
     For each simple even root alpha with chi(f_alpha) nonzero, checks
     that f_alpha^(a+1) v is maximal of weight (s_alpha . lambda) and that
     the induced map from the baby Verma at that weight is an isomorphism;
-    also certifies unique-maximal-submodule behavior of Z^chi(lambda).
+    also certifies unique-maximal-submodule behavior of Z^chi(lambda)
+    (Prop 5.17).  Where simple_head took the dual-spin route, its R is
+    core(W), which contains every proper submodule, so both checks hold
+    by that certificate; otherwise they spin every maximal-vector line
+    and `samples` random vectors outside R.
     """
     from .algebra import classify_character
     rs = algebra.root_system()
@@ -410,10 +414,6 @@ def levi_scan(algebra, chi, lam, line_budget=10 ** 4, seed=0, samples=10):
             "isomorphism": rank == Z.dim,
             "heads_match": bool(heads_match),
         })
-    # Prop 5.17: unique maximal submodule behavior.  Where simple_head
-    # took the dual-spin route, R is core(W), which contains every proper
-    # submodule: every proper spin lies in R, and every vector outside R
-    # generates Z.
     absorbed = outside_generate = True
     if _top_coordinate(Z) is None:
         absorbed, outside_generate = _unique_maximal_by_sampling(
