@@ -18,10 +18,8 @@ import os
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from sympy import isprime
 
 from . import __version__
 from .algebra import (Character, Weight, build_algebra, classify_character,
@@ -30,7 +28,7 @@ from .analysis import (composition_series, frobenius_gram, is_simple,
                        regular_module, shifted_joint_kernel)
 from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
-from .ffield import make_field
+from .ffield import isprime, make_field
 from .kw import kw_verify, levi_scan
 from .verma import (build_baby_verma, build_graded_verma,
                     build_simple_g0_module, f1_direct, f_direct, f_formula)
@@ -253,6 +251,9 @@ def _run_scan(cfg, algebra, chi, weights, graded):
                 task_seed(cfg["seed"], "oracle"), graded)
     coords = [tuple(int(c) for c in lam.coords) for lam in weights]
     if cfg["jobs"] > 1 and len(coords) > 1:
+        # imported here: loading concurrent.futures.process pulls in
+        # multiprocessing, which a jobs = 1 run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg["jobs"],
                                  initializer=_init_scan_worker,
                                  initargs=initargs) as pool:

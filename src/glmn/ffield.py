@@ -8,6 +8,13 @@ matrices can be processed without Python loops.  Over a prime field
 arithmetic mod p.  Extension fields (k > 1) use base-p digit tables for
 addition and discrete log/exp tables for multiplication; inverses, powers
 and the Frobenius use those tables for every k.
+
+Primality of p and the prime factors of k and q - 1 come from two exact
+helpers on small integers: `isprime` is the Miller-Rabin test with the 13
+prime bases 2, ..., 41, deterministic for n below psi_13 =
+3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all of
+them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+Math. Comp. 86 (2017)); `_prime_factors` is trial division.
 """
 
 from __future__ import annotations
@@ -15,9 +22,63 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from sympy import factorint, isprime
 
 from .errors import CompositeP, NonIrreducibleModulus, PTooSmall
+
+
+# ---------------------------------------------------------------------------
+# primality and factors of small integers
+# ---------------------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
+
+
+def isprime(n):
+    """Primality of an integer, exact for every n.
+
+    Below psi_13 the strong-pseudoprime test to the bases 2, ..., 41 is
+    exact; from psi_13 on the answer comes from sympy.
+    """
+    n = int(n)
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        from sympy import isprime as sympy_isprime
+        return bool(sympy_isprime(n))
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, increasing, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +161,7 @@ def is_irreducible(poly, p):
                        itertools.zip_longest(xq, x, fillvalue=0)])
     if diff:
         return False
-    for r in factorint(k):
+    for r in _prime_factors(k):
         xd = _poly_powmod(x, p ** (k // r), poly, p)
         diff = [(a - b) % p for a, b in
                 itertools.zip_longest(xd, x, fillvalue=0)]
@@ -174,7 +235,7 @@ class Field:
         if q == 2:
             gen = 1
         else:
-            primes = list(factorint(q - 1))
+            primes = _prime_factors(q - 1)
             gen = None
             for cand in range(2, q):
                 if self._order_is_full(cand, primes):

@@ -12,7 +12,8 @@ Over a prime field a matrix product is one float64 BLAS product of the
 residues reduced mod p.  It is exact while every partial sum stays below
 2^53, that is while inner * (p - 1)^2 < 2^53; longer inner dimensions are
 split into blocks that meet this bound.  Extension fields multiply column
-by column through the field's tables.
+by column through the field's tables, each column touching only the rows
+of the left factor that are nonzero in it.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def matmul(field, a, b):
         return _matmul_mod(a, b, field.p)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for t in np.flatnonzero(a.any(axis=0) & b.any(axis=1)):
-        out = field.add(out, field.mul(a[:, t, None], b[None, t, :]))
+        rows = np.flatnonzero(a[:, t])
+        out[rows] = field.add(out[rows],
+                              field.mul(a[rows, t, None], b[None, t, :]))
     return out
 
 

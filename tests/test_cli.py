@@ -84,9 +84,12 @@ class TestExitCodes:
         {"dim_budget": None},
         {"line_budget": True},
         {"p": 6},
+        {"p": 2047},
+        {"p": 561},
         {"tasks": "verma-scan"},
     ], ids=["array", "field-degree-0", "jobs-str", "dim-budget-null",
-            "line-budget-bool", "p-composite", "tasks-str"])
+            "line-budget-bool", "p-composite", "p-strong-pseudoprime",
+            "p-carmichael", "tasks-str"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, raw):
         if isinstance(raw, dict):
             cfg = write_cfg(tmp_path, **raw)
@@ -95,6 +98,8 @@ class TestExitCodes:
             cfg.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
         assert code == 2 and "error" in err
+        if "p" in raw:
+            assert "not prime" in err
 
 
 class TestDeterminism:

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+import sympy
+
+from glmn.errors import CompositeP
 from glmn.ffield import (Field, FieldElement, make_field, default_modulus,
-                         artin_schreier_roots)
+                         artin_schreier_roots, isprime, _prime_factors)
 
 
 def poly_mul_mod(p, modulus, a, b):
@@ -217,3 +220,58 @@ def test_default_modulus_of_degree_seven_is_fast():
     modulus = default_modulus(7, 7)
     assert time.perf_counter() - start < 1.0
     assert len(modulus) == 8 and is_irreducible(modulus, 7)
+
+
+# ---------------------------------------------------------------------------
+# primality and factors of small integers, with sympy as the oracle
+
+# psi_1 ... psi_12: the least strong pseudoprime to all of the first t prime
+# bases (psi_7 = psi_8, psi_9 = psi_10 = psi_11)
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161]
+PSI_13 = 3317044064679887385961981
+
+
+def test_isprime_matches_sympy_below_ten_to_the_five():
+    assert [n for n in range(-3, 10 ** 5)
+            if isprime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_are_composite(n):
+    assert not sympy.isprime(n)
+    assert isprime(n) is False
+
+
+def test_isprime_defers_to_sympy_from_psi_13_on(monkeypatch):
+    mersenne_89 = 2 ** 89 - 1
+    below = PSI_13 - 2
+    want_below = sympy.isprime(below)
+    calls = []
+
+    def oracle(n, _isprime=sympy.isprime):
+        calls.append(n)
+        return _isprime(n)
+
+    monkeypatch.setattr(sympy, "isprime", oracle)
+    assert isprime(below) is want_below
+    assert isprime(STRONG_PSEUDOPRIMES[-1]) is False
+    assert calls == []
+    # psi_13 is a strong pseudoprime to every base 2, ..., 41
+    assert isprime(PSI_13) is False
+    assert isprime(mersenne_89) is True
+    assert calls == [PSI_13, mersenne_89]
+
+
+def test_prime_factors_match_sympy():
+    assert [n for n in range(1, 10 ** 5 + 1)
+            if _prime_factors(n) != sorted(sympy.factorint(n))] == []
+
+
+@pytest.mark.parametrize("p", [561, 2047])
+def test_make_field_rejects_pseudoprime_p(p):
+    with pytest.raises(CompositeP):
+        make_field(p)

@@ -1,9 +1,16 @@
-"""Every name a glmn module imports is used in that module.
+"""The import graph of glmn.
 
-The package's __init__.py is left out: it imports to re-export.
+Every name a glmn module imports is used in that module (the package's
+__init__.py is left out: it imports to re-export), and a fresh interpreter
+that imports glmn.cli, or runs a jobs = 1 config, loads neither sympy nor
+the process pool.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +42,29 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nfrom sys import argv, path\nprint(path)\n"
     assert unused_imports(source) == [(1, "os"), (2, "argv")]
+
+
+HEAVY = ("sympy", "multiprocessing", "concurrent.futures")
+
+
+def heavy_modules_after(code):
+    """The HEAVY modules loaded once a fresh interpreter has run code."""
+    probe = code + f"\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GLMN_")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_import_loads_no_sympy_and_no_pool():
+    assert heavy_modules_after("import sys\nimport glmn.cli") == "[]"
+
+
+def test_jobs_one_run_loads_no_sympy_and_no_pool(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "m": 1, "n": 1, "jobs": 1, "seed": 0,
+                               "tasks": ["verma-scan", "kw-verify"]}))
+    code = ("import sys\nfrom glmn.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg)!r}]) == 0")
+    assert heavy_modules_after(code) == "[]"

@@ -177,6 +177,26 @@ def test_matmul_matches_column_loop(name, data):
     assert np.array_equal(got, t_matmul(F, a, b))
 
 
+@pytest.mark.parametrize("k", [2, 5])
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_extension_matmul_of_block_sparse_factors(k, data):
+    # rows and inner columns each carry a block label (a parity, say) and
+    # the left factor vanishes off the matching blocks, so every inner
+    # column has zero rows that the product must skip without error
+    F = make_field(5, k)
+    n, inner, m = (data.draw(st.integers(1, 8)) for _ in range(3))
+    elems = st.integers(0, F.q - 1)
+    labels = st.integers(0, data.draw(st.integers(1, 3)))
+    a = data.draw(hnp.arrays(np.int64, (n, inner), elements=elems))
+    b = data.draw(hnp.arrays(np.int64, (inner, m), elements=elems))
+    row_block = data.draw(hnp.arrays(np.int64, n, elements=labels))
+    col_block = data.draw(hnp.arrays(np.int64, inner, elements=labels))
+    a[row_block[:, None] != col_block[None, :]] = 0
+    b[data.draw(hnp.arrays(bool, inner))] = 0
+    assert np.array_equal(matmul(F, a, b), t_matmul(F, a, b))
+
+
 # blocks of two: float64 products for the prime below 2^26, int64 products
 # for 2^31 - 1, where one product alone passes 2^53
 BLOCK_PRIMES = [prevprime(2 ** 26), 2 ** 31 - 1]
