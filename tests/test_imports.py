@@ -49,7 +49,8 @@ HEAVY = ("sympy", "multiprocessing", "concurrent.futures")
 
 def heavy_modules_after(code):
     """The HEAVY modules loaded once a fresh interpreter has run code."""
-    probe = code + f"\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    probe = (f"import sys\n{code}\n"
+             f"print([m for m in {HEAVY!r} if m in sys.modules])")
     env = {k: v for k, v in os.environ.items() if not k.startswith("GLMN_")}
     env["PYTHONPATH"] = str(SRC.parent)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -58,13 +59,13 @@ def heavy_modules_after(code):
 
 
 def test_import_loads_no_sympy_and_no_pool():
-    assert heavy_modules_after("import sys\nimport glmn.cli") == "[]"
+    assert heavy_modules_after("import glmn.cli") == "[]"
 
 
 def test_jobs_one_run_loads_no_sympy_and_no_pool(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 5, "m": 1, "n": 1, "jobs": 1, "seed": 0,
                                "tasks": ["verma-scan", "kw-verify"]}))
-    code = ("import sys\nfrom glmn.cli import main\n"
+    code = ("from glmn.cli import main\n"
             f"assert main(['run', '--config', {str(cfg)!r}]) == 0")
     assert heavy_modules_after(code) == "[]"
