@@ -13,7 +13,9 @@ baby Verma, even-part, graded and Levi Verma built here, and every
 quotient of one, qualifies when its top weight space is a line.  Other
 modules (a larger top weight space, or no highest vector, as after
 restrict_module) go through the line route: spin every maximal-vector
-line, and peel heads one proper spin at a time.
+line, and peel heads one proper spin at a time.  The line route is
+exhaustive or refused: a maximal-vector piece with more than LINE_BUDGET
+lines raises BudgetExceeded, so no verdict rests on a sample.
 
 The line route's generating candidates come from two sources.  Modules
 with a full Cartan action, diagonal in their basis, use weight-space
@@ -27,7 +29,6 @@ space.
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
@@ -200,49 +201,48 @@ def _candidate_spaces(M):
             for par, part in shifted_joint_kernel(M).split(M.parity.tolist())]
 
 
-def _line_representatives(field, sub, line_budget, rng):
-    """One vector per line of a Subspace, exhaustive when the projective
-    count fits the budget, otherwise a seeded sample.
+def _line_representatives(field, sub):
+    """One vector per line of a Subspace, every line of it.
 
-    Returns (list of vectors, probabilistic flag).
+    Raises BudgetExceeded, before building a coefficient row, when the
+    projective count exceeds LINE_BUDGET (read at call time).
     """
     d = sub.dim
     q = field.q
+    lines = (q ** d - 1) // (q - 1)
+    if lines > LINE_BUDGET:
+        raise BudgetExceeded(
+            f"a maximal-vector space of dimension {d} over F_{q} has {lines} "
+            f"lines, more than the line budget {LINE_BUDGET}")
     coeffs = []
-    # a single line is never sampled
-    sampled = d > 1 and (q ** d - 1) // (q - 1) > line_budget
-    if not sampled:
-        for lead in range(d):
-            for tail in itertools.product(range(q), repeat=d - 1 - lead):
-                coeffs.append((0,) * lead + (1,) + tail)
-    else:
-        for _ in range(64):
-            c = [rng.randrange(q) for _ in range(d)]
-            coeffs.append(c if any(c) else [1] + c[1:])
+    for lead in range(d):
+        for tail in itertools.product(range(q), repeat=d - 1 - lead):
+            coeffs.append((0,) * lead + (1,) + tail)
     coeffs = np.array(coeffs, dtype=np.int64).reshape(-1, d)
-    return list(matmul(field, coeffs, sub.basis)), sampled
+    return list(matmul(field, coeffs, sub.basis))
 
 
 class SimplicityVerdict:
     """Outcome of the graded simplicity oracle."""
 
-    __slots__ = ("simple", "witness", "witness_fingerprint", "witness_parity",
-                 "probabilistic")
+    __slots__ = ("simple", "witness", "witness_fingerprint", "witness_parity")
+
+    # every verdict is exhaustive; the constant stays because the
+    # benchmark's tracer (perfbench/spans.py) reads it
+    probabilistic = False
 
     def __init__(self, simple, witness=None, witness_fingerprint=None,
-                 witness_parity=None, probabilistic=False):
+                 witness_parity=None):
         self.simple = simple
         self.witness = witness
         self.witness_fingerprint = witness_fingerprint
         self.witness_parity = witness_parity
-        self.probabilistic = probabilistic
 
     def __bool__(self):
         return self.simple
 
     def __repr__(self):
-        return (f"SimplicityVerdict(simple={self.simple}, "
-                f"probabilistic={self.probabilistic})")
+        return f"SimplicityVerdict(simple={self.simple})"
 
 
 def _top_coordinate(M):
@@ -288,7 +288,7 @@ def dual_core(M):
     return kernel(M.field, forms.basis_rows())
 
 
-def is_simple(M, line_budget=LINE_BUDGET, seed=0):
+def is_simple(M):
     """Graded simplicity, certified by dual_core where it applies.
 
     M is simple iff core(W) = 0.  Otherwise the witness is a homogeneous
@@ -298,7 +298,7 @@ def is_simple(M, line_budget=LINE_BUDGET, seed=0):
     """
     core = dual_core(M)
     if core is None:
-        return _is_simple_by_lines(M, line_budget, seed)
+        return _is_simple_by_lines(M)
     if not core.dim:
         return SimplicityVerdict(True)
     for fingerprint, sub, par in _candidate_spaces(M):
@@ -310,29 +310,23 @@ def is_simple(M, line_budget=LINE_BUDGET, seed=0):
     raise NoMaximalVector("the maximal submodule has no maximal vector")
 
 
-def _is_simple_by_lines(M, line_budget=LINE_BUDGET, seed=0):
+def _is_simple_by_lines(M):
     """Graded simplicity by spinning every maximal-vector line.
 
     Every nonzero graded submodule contains a homogeneous maximal vector,
     so M is simple iff every such line spins to all of M.  A piece with
-    more lines than line_budget is sampled, and the verdict is then
-    flagged probabilistic.
+    more lines than LINE_BUDGET raises BudgetExceeded.
     """
-    rng = random.Random(seed)
     spaces = _candidate_spaces(M)
     if not spaces:
         raise NoMaximalVector("module has no generating candidates")
-    probabilistic = False
     for fingerprint, sub, par in spaces:
-        reps, sampled = _line_representatives(M.field, sub, line_budget, rng)
-        probabilistic = probabilistic or sampled
-        for v in reps:
+        for v in _line_representatives(M.field, sub):
             if spin(M, v).dim < M.dim:
                 return SimplicityVerdict(False, witness=v,
                                          witness_fingerprint=fingerprint,
-                                         witness_parity=par,
-                                         probabilistic=probabilistic)
-    return SimplicityVerdict(True, probabilistic=probabilistic)
+                                         witness_parity=par)
+    return SimplicityVerdict(True)
 
 
 def quotient_module(M, sub):
@@ -382,7 +376,7 @@ def restrict_module(M, sub):
     return R, basis
 
 
-def simple_head(M, line_budget=LINE_BUDGET, seed=0):
+def simple_head(M):
     """The unique simple quotient, with the submodule it quotients by.
 
     Where dual_core applies, R is core(W), the unique maximal graded
@@ -392,17 +386,16 @@ def simple_head(M, line_budget=LINE_BUDGET, seed=0):
     """
     core = dual_core(M)
     if core is None:
-        return _simple_head_by_lines(M, line_budget, seed)
+        return _simple_head_by_lines(M)
     R = GradedSubmodule(M, core)
     return R, quotient_module(M, R)[0]
 
 
-def _simple_head_by_lines(M, line_budget=LINE_BUDGET, seed=0):
+def _simple_head_by_lines(M):
     """simple_head by peeling: iteratively collects spins of
     non-generating maximal vectors into a radical part R and quotients,
     until the quotient is simple.
     """
-    rng = random.Random(seed)
     R = GradedSubmodule(M)
     while True:
         Q, proj, lift = quotient_module(M, R)
@@ -410,8 +403,7 @@ def _simple_head_by_lines(M, line_budget=LINE_BUDGET, seed=0):
             raise NoMaximalVector("module shrank to zero while peeling")
         grew = False
         for fingerprint, subspace, par in _candidate_spaces(Q):
-            reps, _ = _line_representatives(Q.field, subspace, line_budget, rng)
-            for v in reps:
+            for v in _line_representatives(Q.field, subspace):
                 s = spin(Q, v)
                 if s.dim < Q.dim:
                     bigger = R.add_rows(lift(s.basis_rows()))
@@ -440,7 +432,7 @@ class CompositionSeries:
         return f"CompositionSeries(factors={self.factors})"
 
 
-def composition_series(M, line_budget=LINE_BUDGET, seed=0):
+def composition_series(M):
     """Peel simple heads until nothing is left.
 
     factors records (dim, fingerprint) per simple factor, top first;
@@ -452,7 +444,7 @@ def composition_series(M, line_budget=LINE_BUDGET, seed=0):
     # rows of the current module's basis expressed in M's coordinates
     embed = np.eye(M.dim, dtype=np.int64)
     while current.dim:
-        R, head = simple_head(current, line_budget, seed)
+        R, head = simple_head(current)
         fps = sorted({fp for fp, _, _ in _candidate_spaces(head)})
         factors.append((head.dim, tuple(fps)))
         rows_local = R.basis_rows()

@@ -44,13 +44,6 @@ DEFAULTS = {
     "seed": 0,
     "jobs": 1,
     "dim_budget": 2000,
-    "line_budget": 10 ** 4,
-}
-
-ENV_OVERRIDES = {
-    "GLMN_JOBS": ("jobs", int),
-    "GLMN_DIM_BUDGET": ("dim_budget", int),
-    "GLMN_LINE_BUDGET": ("line_budget", int),
 }
 
 _CHI_KEY = re.compile(r"^E\((\d+),(\d+)\)$")
@@ -78,9 +71,12 @@ def _is_int(value):
 def validate_config(raw):
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
+    unknown = sorted(set(raw) - set(DEFAULTS) - {"p", "m", "n"})
+    if unknown:
+        raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
     cfg = dict(DEFAULTS)
     cfg.update(raw)
-    for key in ("p", "m", "n", "field_degree", "jobs", "dim_budget", "line_budget"):
+    for key in ("p", "m", "n", "field_degree", "jobs", "dim_budget"):
         if not _is_int(cfg.get(key)):
             raise ConfigInvalid(f"config needs integer '{key}'")
     if cfg["p"] < 5:
@@ -101,12 +97,6 @@ def validate_config(raw):
     lam = cfg["lambda"]
     if lam != "scan-all-X" and not isinstance(lam, list):
         raise ConfigInvalid("lambda must be 'scan-all-X' or a coordinate list")
-    for env, (key, conv) in ENV_OVERRIDES.items():
-        if env in os.environ:
-            try:
-                cfg[key] = conv(os.environ[env])
-            except ValueError:
-                raise ConfigInvalid(f"bad value for {env}") from None
     return cfg
 
 
@@ -190,13 +180,11 @@ def check_dim_budget(algebra, cfg):
 _WORKER = {}
 
 
-def _init_scan_worker(p, k, m, n, chi_values, line_budget, seed, graded):
+def _init_scan_worker(p, k, m, n, chi_values, graded):
     field = make_field(p, k)
     algebra = build_algebra(m, n, field)
     _WORKER["algebra"] = algebra
     _WORKER["chi"] = Character(algebra, chi_values)
-    _WORKER["line_budget"] = line_budget
-    _WORKER["seed"] = seed
     _WORKER["graded"] = graded
 
 
@@ -235,20 +223,13 @@ def _scan_one(coords):
         row["_f0_idx"] = sp.f0.idx
         row["_fd_idx"] = fd.idx
     row["_ff_idx"] = sp.f_formula.idx
-    if oracle_ok:
-        verdict = is_simple(Z, _WORKER["line_budget"], _WORKER["seed"])
-        row["oracle_simple"] = bool(verdict.simple)
-        row["probabilistic"] = bool(verdict.probabilistic)
-    else:
-        row["oracle_simple"] = None
-        row["probabilistic"] = False
+    row["oracle_simple"] = bool(is_simple(Z)) if oracle_ok else None
     return row
 
 
 def _run_scan(cfg, algebra, chi, weights, graded):
     initargs = (algebra.field.p, algebra.field.k, algebra.m, algebra.n,
-                dict(chi.values), cfg["line_budget"],
-                task_seed(cfg["seed"], "oracle"), graded)
+                dict(chi.values), graded)
     coords = [tuple(int(c) for c in lam.coords) for lam in weights]
     if cfg["jobs"] > 1 and len(coords) > 1:
         # imported here: loading concurrent.futures.process pulls in
@@ -409,6 +390,7 @@ def frobenius_task(cfg, algebra, chi, weights):
 
 
 def regular_task(cfg, algebra, chi, weights):
+    check_dim_budget(algebra, cfg)
     sub = _nminus_units(algebra)
     left = regular_module(algebra, sub, chi, side="left")
     right = regular_module(algebra, sub, chi, side="right")
@@ -417,8 +399,7 @@ def regular_task(cfg, algebra, chi, weights):
     tl = shifted_joint_kernel(left)
     tr = shifted_joint_kernel(right)
     same_line = tl.dim == 1 == tr.dim and bool((tl.basis == tr.basis).all())
-    series = composition_series(left, cfg["line_budget"],
-                                task_seed(cfg["seed"], "regular"))
+    series = composition_series(left)
     factor_dims = [d for d, _ in series.factors]
     uniform = len({fp for _, fp in series.factors}) <= 1
     passed = same_line and sum(factor_dims) == left.dim and uniform
@@ -442,8 +423,7 @@ def kw_task(cfg, algebra, chi, weights):
     reports = []
     passed = True
     for lam in _sample_weights(cfg, weights, "kw"):
-        rep = kw_verify(algebra, chi, lam, cfg["line_budget"],
-                        task_seed(cfg["seed"], "kw-oracle"))
+        rep = kw_verify(algebra, chi, lam)
         rep["lambda"] = format_weight(algebra.field, lam)
         passed = passed and rep["induced_simple"] and rep["chi_l_nilpotent"]
         reports.append(rep)
@@ -455,7 +435,7 @@ def levi_task(cfg, algebra, chi, weights):
     reports = []
     passed = True
     for lam in _sample_weights(cfg, weights, "levi"):
-        rep = levi_scan(algebra, chi, lam, cfg["line_budget"],
+        rep = levi_scan(algebra, chi, lam,
                         task_seed(cfg["seed"], "levi-oracle"))
         rep["lambda"] = format_weight(algebra.field, lam)
         ok = (rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
@@ -544,7 +524,7 @@ def _emit_table(report, stream):
 def make_report(cfg, algebra, results):
     field = algebra.field
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "library_version": __version__,
         # jobs only controls parallelism; identical results either way
         "config": {k: cfg[k] for k in sorted(cfg) if k != "jobs"},
@@ -630,7 +610,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--dim-budget", type=int, default=None)
-        p.add_argument("--line-budget", type=int, default=None)
         p.add_argument("--dump-module", default=None,
                        help="write the baby Verma at the first weight here")
         p.add_argument("--dump-element", default=None,
@@ -650,7 +629,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        for key in ("seed", "jobs", "dim_budget", "line_budget"):
+        for key in ("seed", "jobs", "dim_budget"):
             flag = getattr(args, key)
             if flag is not None:
                 cfg[key] = flag

@@ -261,7 +261,7 @@ def test_criterion_10_standard_levi_suite():
     alg2, chi2, weights = weight_variety(alg, chi)
     ok = True
     for lam in sample_weights(weights, 10, seed=80):
-        rep = levi_scan(alg2, chi2, lam, seed=81, samples=20)
+        rep = levi_scan(alg2, chi2, lam, seed=81)
         for entry in rep["alphas"]:
             ok = ok and entry["rank"] == 20 and entry["isomorphism"]
             ok = ok and entry["heads_match"]

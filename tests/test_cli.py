@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from glmn import analysis
 from glmn.cli import main
 
 
@@ -68,7 +69,9 @@ class TestExitCodes:
                                         "--dim-budget", "10"])
         assert code == 2
 
-    @pytest.mark.parametrize("task", ["verma-scan", "frobenius-check"])
+    @pytest.mark.parametrize("task", [
+        "verma-scan", "graded-verma-scan", "kw-verify", "levi-scan",
+        "frobenius-check", "regular-module-check"])
     def test_every_task_over_dim_budget_exits_two(self, tmp_path, capsys, task):
         # gl(2|1) at p=5: Vermas and u(n^-) both have dimension 20
         cfg = write_cfg(tmp_path, m=2, n=1, tasks=[task])
@@ -76,6 +79,13 @@ class TestExitCodes:
                                         "--dim-budget", "10"])
         assert code == 2 and err.startswith("error:") and "20" in err
 
+    def test_line_budget_exceeded_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the regular module has no highest vector, so its series takes the
+        # line route, and a budget of 0 lines refuses even a single line
+        monkeypatch.setattr(analysis, "LINE_BUDGET", 0)
+        cfg = write_cfg(tmp_path, tasks=["regular-module-check"])
+        code, _, err = run_cli(capsys, ["run", "--config", cfg])
+        assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("raw", [
         [{"p": 5, "m": 1, "n": 1}],
@@ -83,12 +93,15 @@ class TestExitCodes:
         {"jobs": "x"},
         {"dim_budget": None},
         {"line_budget": True},
+        {"line_budget": 10000},
+        {"dim_bugdet": 10},
         {"p": 6},
         {"p": 2047},
         {"p": 561},
         {"tasks": "verma-scan"},
     ], ids=["array", "field-degree-0", "jobs-str", "dim-budget-null",
-            "line-budget-bool", "p-composite", "p-strong-pseudoprime",
+            "line-budget-bool", "line-budget-removed", "misspelt-key",
+            "p-composite", "p-strong-pseudoprime",
             "p-carmichael", "tasks-str"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, raw):
         if isinstance(raw, dict):
@@ -114,14 +127,6 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, ["scan", "--config", cfg])
         _, out2, _ = run_cli(capsys, ["scan", "--config", cfg])
         assert out1 == out2
-
-    def test_env_override_does_not_change_report(self, tmp_path, capsys,
-                                                 monkeypatch):
-        cfg = write_cfg(tmp_path)
-        _, base, _ = run_cli(capsys, ["scan", "--config", cfg])
-        monkeypatch.setenv("GLMN_JOBS", "2")
-        _, out, _ = run_cli(capsys, ["scan", "--config", cfg])
-        assert out == base
 
 
 class TestFormatsAndOutputs:

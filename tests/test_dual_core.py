@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glmn import analysis
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import (_candidate_spaces, _is_simple_by_lines,
                            _simple_head_by_lines, _top_coordinate, dual_core,
                            is_simple, quotient_module, simple_head, spin)
+from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
@@ -172,15 +174,27 @@ def _doubled(M):
 
 
 @pytest.mark.parametrize("m,n,lam", [(1, 1, [1, 3]), (2, 1, [1, 0, 2])])
-def test_sampled_lines_give_the_exhaustive_verdict(m, n, lam):
-    """The sampling branch of the line route: the top weight of M + M has
-    a 2-dimensional maximal-vector piece with q + 1 = 6 lines, more than a
-    line budget of 5, so 64 sampled lines decide."""
+def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
+    """Every maximal-vector piece of M + M is doubled, so each has at least
+    q + 1 = 6 lines.  Within the line budget every line is spun, and M + 0
+    is a proper submodule; over a budget of 5 lines is_simple and
+    simple_head refuse before spinning anything."""
     alg = algebra(m, n)
     D = _doubled(build_baby_verma(alg, Character(alg, {}), Weight(F5, lam)))
     assert dual_core(D) is None
-    assert max(sub.dim for _, sub, _ in _candidate_spaces(D)) >= 2
-    exhaustive = is_simple(D)
-    sampled = is_simple(D, line_budget=5, seed=3)
-    assert not exhaustive.probabilistic and sampled.probabilistic
-    assert sampled.simple == exhaustive.simple
+    assert min(sub.dim for _, sub, _ in _candidate_spaces(D)) >= 2
+    verdict = is_simple(D)
+    assert not verdict.simple and spin(D, verdict.witness).dim < D.dim
+    spins = []
+
+    def counting_spin(M, w):
+        spins.append(M.dim)
+        return spin(M, w)
+
+    monkeypatch.setattr(analysis, "LINE_BUDGET", 5)
+    monkeypatch.setattr(analysis, "spin", counting_spin)
+    with pytest.raises(BudgetExceeded):
+        is_simple(D)
+    with pytest.raises(BudgetExceeded):
+        simple_head(D)
+    assert spins == []

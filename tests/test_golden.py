@@ -11,14 +11,13 @@ regenerate the files with
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 import tempfile
 
 import pytest
 
-from glmn.cli import ENV_OVERRIDES, main
+from glmn.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -66,9 +65,7 @@ def run_config(name, workdir):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_report_matches_golden(name, tmp_path, monkeypatch):
-    for env in ENV_OVERRIDES:
-        monkeypatch.delenv(env, raising=False)
+def test_report_matches_golden(name, tmp_path):
     report, element = run_config(name, tmp_path)
     assert report == (GOLDEN / f"{name}.json").read_text()
     if element is not None:
@@ -78,8 +75,6 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    for env in ENV_OVERRIDES:
-        os.environ.pop(env, None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CONFIGS):

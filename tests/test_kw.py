@@ -164,6 +164,19 @@ class TestLeviScan:
         assert len(rep["alphas"]) == 1
         assert heads == [20, 20]
 
+    def test_sampled_outside_vectors_are_flagged(self, monkeypatch):
+        # with the top coordinate hidden, Prop 5.17 is checked by spinning
+        # every maximal-vector line and random vectors outside R
+        alg = build_algebra(2, 1, F)
+        chi = Character(alg, {(2, 1): 1})
+        lam = Weight(F, [0, 0, 0])
+        rep = levi_scan(alg, chi, lam, seed=3)
+        assert rep["radical_dim"] == 10 and not rep["probabilistic"]
+        monkeypatch.setattr(kw, "_top_coordinate", lambda M: None)
+        rep = levi_scan(alg, chi, lam, seed=3)
+        assert rep["probabilistic"]
+        assert rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
+
     def test_rejects_non_levi_chi(self):
         alg = build_algebra(1, 1, F)
         chi = Character(alg, {(1, 1): 1})
