@@ -79,7 +79,8 @@ class TestExitCodes:
                                         "--dim-budget", "10"])
         assert code == 2 and err.startswith("error:") and "20" in err
 
-    def test_line_budget_exceeded_exits_two(self, tmp_path, capsys, monkeypatch):
+    def test_line_budget_exceeded_exits_two(self, tmp_path, capsys,
+                                            monkeypatch):
         # the regular module has no highest vector, so its series takes the
         # line route, and a budget of 0 lines refuses even a single line
         monkeypatch.setattr(analysis, "LINE_BUDGET", 0)
