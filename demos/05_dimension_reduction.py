@@ -34,7 +34,7 @@ for key in ("dim_m_prime", "predicted_dim", "dim_m", "induced_simple",
 # Standard Levi form: chi supported on f-vectors of simple even roots.
 chi_levi = Character(alg, {(2, 1): 1})
 lam = Weight(F, [3, 1, 2])
-scan = levi_scan(alg, chi_levi, lam, seed=1)
+scan = levi_scan(alg, chi_levi, lam)
 entry = scan["alphas"][0]
 print(f"\nstandard Levi chi(E21)=1 at lambda = (3,1,2):")
 print(f"  a = lambda(h_alpha) = {entry['a']}; "

@@ -5,25 +5,28 @@ graded submodules, graded simplicity, simple heads, composition series,
 regular modules of nilpotent subalgebras, joint-kernel trivial submodules
 and the Frobenius form.
 
-Simplicity and simple heads are certified by one dual spin (dual_core)
-when a module is generated by a highest vector whose weight occurs at no
-other basis vector: the annihilator of the spin of that coordinate form
-under the transposed action is the sum of all proper submodules.  Every
-baby Verma, even-part, graded and Levi Verma built here, and every
-quotient of one, qualifies when its top weight space is a line.  Other
-modules (a larger top weight space, or no highest vector, as after
-restrict_module) go through the line route: spin every maximal-vector
-line, and peel heads one proper spin at a time.  The line route is
-exhaustive or refused: a maximal-vector piece with more than LINE_BUDGET
-lines raises BudgetExceeded, so no verdict rests on a sample.
+Simplicity and simple heads have one route, dual_core: a simple graded
+submodule S of the dual module M* (the transposed action), whose
+annihilator R is a maximal graded submodule of M with M/R simple.  When a
+module is generated by a highest vector whose weight occurs at no other
+basis vector, S is the spin of that coordinate form, and R is the sum of
+all proper submodules (the certificate).  Every baby Verma, even-part,
+graded and Levi Verma built here, and every quotient of one, qualifies
+when its top weight space is a line.  Other modules (a larger top weight
+space, or no highest vector, as after restrict_module) descend: S starts
+as M*, and becomes the first spin of a generating-candidate line inside S
+that is smaller than S, until none is.  The descent is exhaustive or
+refused: a candidate piece with more than LINE_BUDGET lines raises
+BudgetExceeded, so no verdict rests on a sample.
 
-The line route's generating candidates come from two sources.  Modules
-with a full Cartan action, diagonal in their basis, use weight-space
-maximal vectors.  Modules over a nilpotent subalgebra of strictly upper
-or lower triangular units have a single one-dimensional simple module, on
-which a unit x acts by the scalar chi(x); its isotypic socle (the joint
-kernel of the shifted actions) plays the role of the maximal-vector
-space.
+The generating candidates come from two sources.  Modules with a full
+Cartan action, diagonal in their basis, use weight-space maximal vectors.
+Modules over a nilpotent subalgebra of strictly upper or lower triangular
+units have a single one-dimensional simple module, on which a unit x acts
+by the scalar chi(x); its isotypic socle (the joint kernel of the shifted
+actions) plays the role of the maximal-vector space.  In both cases the
+units that define the candidates act nilpotently, on M and on M*, so every
+nonzero graded submodule contains a candidate line.
 """
 
 from __future__ import annotations
@@ -266,39 +269,72 @@ def _top_coordinate(M):
 
 
 def dual_core(M):
-    """The sum of all proper graded submodules of M, as a Subspace, when
-    the dual-spin certificate applies; None when it does not.
+    """(R, S): a maximal graded submodule R of M with M/R simple, as a
+    Subspace, and the simple graded submodule S of the dual module M*
+    whose annihilator R is.
 
-    It applies when M.highest_vector generates M and spans a weight space
-    T = F e_t of its own (_top_coordinate).  A graded submodule N is the
-    sum of its intersections with the weight spaces, so N contains T, and
-    then all of M, or lies in W, the span of the other basis vectors.  The
-    proper submodules are therefore exactly the submodules inside W, and
-    their sum core(W) = {v : a v in W for every a in u(g)} is the
-    annihilator of the spin of the coordinate form e_t under the
-    transposed action.  Transposing a homogeneous unit keeps its parity,
-    so that spin is an ordinary graded spin.
+    M* is S.module: the transposed action.  Transposing a homogeneous unit
+    keeps its parity, so spins in M* are ordinary graded spins, and
+    (M/R)* is S, so M/R is simple because S is.
+
+    Certificate: when M.highest_vector generates M and spans a weight
+    space T = F e_t of its own (_top_coordinate), S is the spin of the
+    coordinate form e_t.  A graded submodule N is the sum of its
+    intersections with the weight spaces, so N contains T, and then all of
+    M, or lies in W, the span of the other basis vectors.  R is therefore
+    core(W) = {v : a v in W for every a in u(g)}, the sum of all proper
+    submodules.
+
+    Descent: otherwise S starts as M*.  The lines of each candidate piece
+    of M* that lie in S are spun, S becomes the first spin smaller than S,
+    and this repeats until no line in S spins smaller.  Every nonzero
+    submodule of S contains a candidate line, so the final S is simple.
+    When M is local, S is the only simple submodule of M* and R the unique
+    maximal submodule of M.
     """
-    t = _top_coordinate(M)
-    if t is None:
-        return None
     dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
                      M.parity)
-    forms = spin(dual, dual.basis_vector(t))
-    return kernel(M.field, forms.basis_rows())
+    t = _top_coordinate(M)
+    if t is not None:
+        S = spin(dual, dual.basis_vector(t))
+    else:
+        pieces = [sub for _, sub, _ in _candidate_spaces(dual)]
+        S = GradedSubmodule(dual, Subspace(dual.field, dual.dim,
+                                           np.eye(dual.dim, dtype=np.int64)))
+        while (smaller := _smaller_spin(dual, pieces, S)) is not None:
+            S = smaller
+    return kernel(M.field, S.basis_rows()), S
+
+
+def _smaller_spin(M, pieces, S):
+    """The first spin of a line of a piece inside S that is smaller than S;
+    None when every such line spins to S.
+
+    While S is all of M the pieces are used as they are.
+    """
+    lines = 0
+    for sub in pieces:
+        if S.dim < M.dim:
+            sub = sub.intersect(S.space)
+            if not sub.dim:
+                continue
+        for v in _line_representatives(M.field, sub):
+            lines += 1
+            smaller = spin(M, v)
+            if smaller.dim < S.dim:
+                return smaller
+    if not lines:
+        raise NoMaximalVector("a submodule has no generating candidate line")
+    return None
 
 
 def is_simple(M):
-    """Graded simplicity, certified by dual_core where it applies.
+    """Graded simplicity: M is simple iff dual_core's R is 0.
 
-    M is simple iff core(W) = 0.  Otherwise the witness is a homogeneous
-    maximal vector of core(W): the first basis row of the first
-    maximal-vector piece that meets it.  Modules that dual_core declines
-    go through _is_simple_by_lines.
+    Otherwise the witness is a homogeneous maximal vector of R: the first
+    basis row of the first maximal-vector piece that meets it.
     """
-    core = dual_core(M)
-    if core is None:
-        return _is_simple_by_lines(M)
+    core, _ = dual_core(M)
     if not core.dim:
         return SimplicityVerdict(True)
     for fingerprint, sub, par in _candidate_spaces(M):
@@ -308,25 +344,6 @@ def is_simple(M):
                                      witness_fingerprint=fingerprint,
                                      witness_parity=par)
     raise NoMaximalVector("the maximal submodule has no maximal vector")
-
-
-def _is_simple_by_lines(M):
-    """Graded simplicity by spinning every maximal-vector line.
-
-    Every nonzero graded submodule contains a homogeneous maximal vector,
-    so M is simple iff every such line spins to all of M.  A piece with
-    more lines than LINE_BUDGET raises BudgetExceeded.
-    """
-    spaces = _candidate_spaces(M)
-    if not spaces:
-        raise NoMaximalVector("module has no generating candidates")
-    for fingerprint, sub, par in spaces:
-        for v in _line_representatives(M.field, sub):
-            if spin(M, v).dim < M.dim:
-                return SimplicityVerdict(False, witness=v,
-                                         witness_fingerprint=fingerprint,
-                                         witness_parity=par)
-    return SimplicityVerdict(True)
 
 
 def quotient_module(M, sub):
@@ -377,46 +394,14 @@ def restrict_module(M, sub):
 
 
 def simple_head(M):
-    """The unique simple quotient, with the submodule it quotients by.
+    """The simple quotient M / R of dual_core, with R.
 
-    Where dual_core applies, R is core(W), the unique maximal graded
-    submodule, and the head is M / R.  Other modules go through
-    _simple_head_by_lines.  Returns (R: GradedSubmodule of M, head:
-    ModuleRep).
+    Where the certificate applies, R is the unique maximal graded
+    submodule.  Returns (R: GradedSubmodule of M, head: ModuleRep).
     """
-    core = dual_core(M)
-    if core is None:
-        return _simple_head_by_lines(M)
+    core, _ = dual_core(M)
     R = GradedSubmodule(M, core)
     return R, quotient_module(M, R)[0]
-
-
-def _simple_head_by_lines(M):
-    """simple_head by peeling: iteratively collects spins of
-    non-generating maximal vectors into a radical part R and quotients,
-    until the quotient is simple.
-    """
-    R = GradedSubmodule(M)
-    while True:
-        Q, proj, lift = quotient_module(M, R)
-        if Q.dim == 0:
-            raise NoMaximalVector("module shrank to zero while peeling")
-        grew = False
-        for fingerprint, subspace, par in _candidate_spaces(Q):
-            for v in _line_representatives(Q.field, subspace):
-                s = spin(Q, v)
-                if s.dim < Q.dim:
-                    bigger = R.add_rows(lift(s.basis_rows()))
-                    if bigger.dim > R.dim:
-                        # grow one proper spin at a time: the quotient and
-                        # the lift become stale as soon as R changes
-                        R = bigger
-                        grew = True
-                        break
-            if grew:
-                break
-        if not grew:
-            return R, Q
 
 
 class CompositionSeries:

@@ -134,5 +134,5 @@ class ConfigInvalid(GlmnError):
 
 
 class BudgetExceeded(GlmnError):
-    """A budget (module dimension, dim u(sub), lines of a maximal-vector
-    piece) would be exceeded; the CLI exits with code 2."""
+    """A budget (module dimension, dim u(sub), lines of a generating-candidate
+    piece of a dual module) would be exceeded; the CLI exits with code 2."""

@@ -11,8 +11,6 @@ character conjugation.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from .algebra import Character, Weight, reflect
@@ -22,8 +20,9 @@ from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse
 from .verma import ModuleRep, build_baby_verma, build_induced, induced_hom
-from .analysis import (_candidate_spaces, _line_representatives, _top_coordinate,
-                       is_simple, simple_head, spin)
+from .analysis import (GradedSubmodule, _candidate_spaces, _line_representatives,
+                       _top_coordinate, dual_core, is_simple, quotient_module,
+                       simple_head, spin)
 
 
 class CharacterDecomposition:
@@ -340,51 +339,32 @@ def dot_action(rs, word, lam):
     return Weight(f, [f.sub(int(c), int(r)) for c, r in zip(mu.coords, rs.rho)])
 
 
-# random vectors outside R whose spins _unique_maximal_by_sampling checks
-OUTSIDE_SAMPLES = 10
+def _is_local(S):
+    """Prop 5.17 for the module M whose dual_core gave S: whether M has a
+    unique maximal submodule.
 
-
-def _unique_maximal_by_sampling(Z, R, seed):
-    """(radical_absorbs_all, outside_vectors_generate) for a module that
-    dual_core declines: the spin of every maximal-vector line, and of the
-    homogeneous parts of OUTSIDE_SAMPLES random vectors outside R.  The
-    second check rests on that sample.
+    That holds iff S is the only simple submodule of M* (S.module), iff
+    every line of every candidate piece of M* spins to a submodule that
+    contains S: every nonzero submodule of M* contains such a line.
     """
-    f = Z.field
-    rng = random.Random(seed)
-    total = R.total()
-    absorbed = True
-    for fp, sub, par in _candidate_spaces(Z):
-        for v in _line_representatives(f, sub):
-            s = spin(Z, v)
-            if s.dim < Z.dim and total.reduce(s.basis_rows()).any():
-                absorbed = False
-    outside_generate = True
-    for _ in range(OUTSIDE_SAMPLES):
-        v = np.array([rng.randrange(f.q) for _ in range(Z.dim)], dtype=np.int64)
-        if not v.any() or total.contains(v):
-            continue
-        comps = [np.where(Z.parity == par, v, 0) for par in (0, 1)]
-        comps = [c for c in comps if c.any() and not total.contains(c)]
-        for c in comps:
-            if spin(Z, c).dim < Z.dim:
-                outside_generate = False
-    return absorbed, outside_generate
+    dual = S.module
+    return all(S.space <= spin(dual, v).space
+               for _, sub, _ in _candidate_spaces(dual)
+               for v in _line_representatives(dual.field, sub))
 
 
-def levi_scan(algebra, chi, lam, seed=0):
+def levi_scan(algebra, chi, lam):
     """Cor 5.18-style scan for a standard Levi character.
 
     For each simple even root alpha with chi(f_alpha) nonzero, checks
     that f_alpha^(a+1) v is maximal of weight (s_alpha . lambda) and that
     the induced map from the baby Verma at that weight is an isomorphism;
-    also certifies unique-maximal-submodule behavior of Z^chi(lambda)
-    (Prop 5.17).  Where simple_head took the dual-spin route, its R is
-    core(W), which contains every proper submodule, so both checks hold
-    by that certificate; otherwise they spin every maximal-vector line
-    and OUTSIDE_SAMPLES random vectors outside R, drawn from `seed`, and
-    the report's "probabilistic" is true: outside_vectors_generate then
-    rests on that sample.
+    also decides whether Z^chi(lambda) has a unique maximal submodule
+    (Prop 5.17), exactly: radical_absorbs_all and outside_vectors_generate
+    both hold iff it does.  Where dual_core took the certificate, its R
+    contains every proper submodule, so both hold with no further spin;
+    otherwise _is_local spins every line of every candidate piece of the
+    dual module.
     """
     from .algebra import classify_character
     rs = algebra.root_system()
@@ -394,7 +374,9 @@ def levi_scan(algebra, chi, lam, seed=0):
     if not cc.standard_levi:
         raise NotStandardLevi("chi is not in standard Levi form")
     Z = build_baby_verma(algebra, chi, lam)
-    R, headZ = simple_head(Z)
+    core, S = dual_core(Z)
+    R = GradedSubmodule(Z, core)
+    headZ = quotient_module(Z, R)[0]
     fpZ = sorted(fp for fp, _, _ in _candidate_spaces(headZ))
     report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
     for alpha in cc.levi_set:
@@ -419,15 +401,11 @@ def levi_scan(algebra, chi, lam, seed=0):
             "isomorphism": rank == Z.dim,
             "heads_match": bool(heads_match),
         })
-    absorbed = outside_generate = True
-    sampled = _top_coordinate(Z) is None
-    if sampled:
-        absorbed, outside_generate = _unique_maximal_by_sampling(Z, R, seed)
+    local = _top_coordinate(Z) is not None or _is_local(S)
     report["radical_dim"] = R.dim
     report["head_dim"] = headZ.dim
-    report["radical_absorbs_all"] = absorbed
-    report["outside_vectors_generate"] = outside_generate
-    report["probabilistic"] = sampled
+    report["radical_absorbs_all"] = local
+    report["outside_vectors_generate"] = local
     return report
 
 

@@ -1,0 +1,93 @@
+"""The line route, kept as the oracle of analysis.dual_core.
+
+is_simple_by_lines spins every maximal-vector line of M, and
+simple_head_by_lines peels one proper spin at a time until the quotient is
+simple; series_factors_by_lines peels such heads down a composition
+series.  is_local_by_dual_spins decides whether M has a unique maximal
+submodule from the smallest of all dual spins.  They share spin,
+quotient_module, restrict_module and the candidate lines with the
+library, and no descent or certificate.
+"""
+
+from collections import Counter
+
+from glmn.analysis import (GradedSubmodule, SimplicityVerdict,
+                           _candidate_spaces, _line_representatives,
+                           quotient_module, restrict_module, spin)
+from glmn.errors import NoMaximalVector
+from glmn.verma import ModuleRep
+
+
+def is_simple_by_lines(M):
+    """Graded simplicity by spinning every maximal-vector line.
+
+    Every nonzero graded submodule contains a homogeneous maximal vector,
+    so M is simple iff every such line spins to all of M.
+    """
+    spaces = _candidate_spaces(M)
+    if not spaces:
+        raise NoMaximalVector("module has no generating candidates")
+    for fingerprint, sub, par in spaces:
+        for v in _line_representatives(M.field, sub):
+            if spin(M, v).dim < M.dim:
+                return SimplicityVerdict(False, witness=v,
+                                         witness_fingerprint=fingerprint,
+                                         witness_parity=par)
+    return SimplicityVerdict(True)
+
+
+def simple_head_by_lines(M):
+    """(R, M/R) with M/R simple, by peeling: collects spins of
+    non-generating maximal vectors into R one at a time and quotients,
+    until the quotient is simple.
+    """
+    R = GradedSubmodule(M)
+    while True:
+        Q, proj, lift = quotient_module(M, R)
+        if Q.dim == 0:
+            raise NoMaximalVector("module shrank to zero while peeling")
+        grew = False
+        for fingerprint, subspace, par in _candidate_spaces(Q):
+            for v in _line_representatives(Q.field, subspace):
+                s = spin(Q, v)
+                if s.dim < Q.dim:
+                    bigger = R.add_rows(lift(s.basis_rows()))
+                    if bigger.dim > R.dim:
+                        # grow one proper spin at a time: the quotient and
+                        # the lift become stale as soon as R changes
+                        R = bigger
+                        grew = True
+                        break
+            if grew:
+                break
+        if not grew:
+            return R, Q
+
+
+def series_factors_by_lines(M):
+    """The multiset of (dim, fingerprints) of the composition factors,
+    peeling simple_head_by_lines heads off the radical."""
+    factors = Counter()
+    while M.dim:
+        R, head = simple_head_by_lines(M)
+        factors[head.dim, tuple(sorted({fp for fp, _, _ in _candidate_spaces(head)}))] += 1
+        if R.dim == 0:
+            break
+        M, _ = restrict_module(M, R)
+    return factors
+
+
+def is_local_by_dual_spins(M):
+    """Whether M has a unique maximal submodule: whether every line of
+    every candidate piece of M* spins to a submodule that contains the
+    smallest of those spins.
+
+    The minimal spins are the simple submodules of M*, since each contains
+    a candidate line, and M is local iff M* has only one.
+    """
+    dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
+                     M.parity)
+    spins = [spin(dual, v).space for _, sub, _ in _candidate_spaces(dual)
+             for v in _line_representatives(dual.field, sub)]
+    smallest = min(spins, key=lambda space: space.dim)
+    return all(smallest <= space for space in spins)

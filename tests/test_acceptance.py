@@ -43,7 +43,7 @@ def test_criterion_01_structure_suite():
         alg = build_algebra(m, n, F)
         rec, passed = structure_task({"seed": 11}, alg, Character(alg, {}), [])
         ok = ok and passed and rec["all_pass"]
-        ok = ok and rec["checked"]["supertrace"] == 100
+        ok = ok and rec["checked"]["supertrace"] == len(alg.units) ** 2
         ok = ok and rec["checked"]["ad_p_power"] >= 50
     announce(1, ok, "anticommutativity/Jacobi/restrictedness/supertrace "
                     "for gl(1|1), gl(2|1), gl(2|2) at p=5")
@@ -261,7 +261,7 @@ def test_criterion_10_standard_levi_suite():
     alg2, chi2, weights = weight_variety(alg, chi)
     ok = True
     for lam in sample_weights(weights, 10, seed=80):
-        rep = levi_scan(alg2, chi2, lam, seed=81)
+        rep = levi_scan(alg2, chi2, lam)
         for entry in rep["alphas"]:
             ok = ok and entry["rank"] == 20 and entry["isomorphism"]
             ok = ok and entry["heads_match"]

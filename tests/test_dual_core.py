@@ -1,26 +1,33 @@
-"""The dual-spin certificate against the line-peeling route.
+"""dual_core against the line route, kept as an oracle in _line_oracle.
 
-is_simple and simple_head take dual_core's route whenever a module's
-highest vector generates it and spans a weight space of its own.  The
-oracle is the route this replaced, called directly: _is_simple_by_lines
-spins every maximal-vector line, and _simple_head_by_lines peels proper
-spins until the quotient is simple.  The unique maximal submodule has one
-canonical basis, so both routes must give the same R array and the same
-head actions.  The certificate rests on the highest vector generating the
-module, which is checked here for every builder output and its quotients.
+is_simple and simple_head take dual_core's certificate whenever a module's
+highest vector generates it and spans a weight space of its own, and its
+descent otherwise.  The oracle is the route this replaced:
+is_simple_by_lines spins every maximal-vector line, and
+simple_head_by_lines peels proper spins until the quotient is simple.  The
+unique maximal submodule of a local module has one canonical basis, so
+both routes must give the same R array there; on every module they must
+give the same verdict and the same composition factors.  The certificate
+rests on the highest vector generating the module, which is checked here
+for every builder output and its quotients.
 """
 
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glmn import analysis
+from _line_oracle import (is_local_by_dual_spins, is_simple_by_lines,
+                          series_factors_by_lines, simple_head_by_lines)
+from test_weight_split import _series_restrictions
+
+from glmn import analysis, kw
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (_candidate_spaces, _is_simple_by_lines,
-                           _simple_head_by_lines, _top_coordinate, dual_core,
-                           is_simple, quotient_module, simple_head, spin)
+from glmn.analysis import (_candidate_spaces, _top_coordinate,
+                           composition_series, dual_core, is_simple,
+                           quotient_module, regular_module, simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
@@ -35,6 +42,7 @@ SETTINGS = {
     "gl11-F5-chi0": (1, 1, {}),
     "gl21-F5-chi0": (2, 1, {}),
     "gl21-F5-E21": (2, 1, {(2, 1): 1}),
+    "gl21-F5-E21x2": (2, 1, {(2, 1): 2}),
     "gl21-F5^5-diag": (2, 1, {(1, 1): 1, (2, 2): 1, (3, 3): 1}),
     "gl11-F5^5-E11": (1, 1, {(1, 1): 1}),
 }
@@ -95,15 +103,15 @@ def assert_witness(M, verdict, core):
 
 
 def assert_routes_agree(M):
-    core = dual_core(M)
-    assert core is not None, "the dual route declined"
-    got, want = is_simple(M), _is_simple_by_lines(M)
+    assert _top_coordinate(M) is not None, "the certificate declined"
+    core, _ = dual_core(M)
+    got, want = is_simple(M), is_simple_by_lines(M)
     assert got.simple == want.simple == (core.dim == 0)
     assert not got.probabilistic and not want.probabilistic
     if not got.simple:
         assert_witness(M, got, core)
     R, head = simple_head(M)
-    R_lines, head_lines = _simple_head_by_lines(M)
+    R_lines, head_lines = simple_head_by_lines(M)
     assert np.array_equal(R.basis_rows(), R_lines.basis_rows())
     assert R.space.pivots == R_lines.space.pivots
     assert np.array_equal(head.actions, head_lines.actions)
@@ -126,7 +134,7 @@ def test_dual_route_matches_line_peeling(name, kind, data):
 def test_gl22_dual_route_matches_line_peeling(lam, core_dim):
     alg = algebra(2, 2)
     Z = build_baby_verma(alg, Character(alg, {}), Weight(F5, lam))
-    assert Z.dim == 400 and dual_core(Z).dim == core_dim
+    assert Z.dim == 400 and dual_core(Z)[0].dim == core_dim
     assert_routes_agree(Z)
 
 
@@ -161,7 +169,7 @@ def test_gl31_top_weight_space_declines(lam):
     alg = algebra(3, 1)
     Z = build_baby_verma(alg, Character(alg, {}), Weight(F5, lam))
     assert Z.highest_vector is not None
-    assert _top_coordinate(Z) is None and dual_core(Z) is None
+    assert _top_coordinate(Z) is None
 
 
 def _doubled(M):
@@ -175,13 +183,13 @@ def _doubled(M):
 
 @pytest.mark.parametrize("m,n,lam", [(1, 1, [1, 3]), (2, 1, [1, 0, 2])])
 def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
-    """Every maximal-vector piece of M + M is doubled, so each has at least
-    q + 1 = 6 lines.  Within the line budget every line is spun, and M + 0
-    is a proper submodule; over a budget of 5 lines is_simple and
+    """Every maximal-vector piece of M + M, and of its dual, is doubled, so
+    each has at least q + 1 = 6 lines.  Within the line budget the descent
+    finds a proper submodule; over a budget of 5 lines is_simple and
     simple_head refuse before spinning anything."""
     alg = algebra(m, n)
     D = _doubled(build_baby_verma(alg, Character(alg, {}), Weight(F5, lam)))
-    assert dual_core(D) is None
+    assert _top_coordinate(D) is None
     assert min(sub.dim for _, sub, _ in _candidate_spaces(D)) >= 2
     verdict = is_simple(D)
     assert not verdict.simple and spin(D, verdict.witness).dim < D.dim
@@ -198,3 +206,60 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
     with pytest.raises(BudgetExceeded):
         simple_head(D)
     assert spins == []
+
+
+@pytest.mark.parametrize("m,n,lam", [(1, 1, [1, 3]), (1, 1, [2, 3]),
+                                     (2, 1, [1, 0, 2])])
+def test_doubled_module_has_a_simple_head_and_is_not_local(m, n, lam):
+    """M + M has the simple head M / rad M and two maximal submodules, so
+    the Prop 5.17 check is false on it and true on M."""
+    alg = algebra(m, n)
+    M = build_baby_verma(alg, Character(alg, {}), Weight(F5, lam))
+    D = _doubled(M)
+    R, head = simple_head(D)
+    assert R.dim + head.dim == D.dim and is_simple_by_lines(head).simple
+    assert head.dim == simple_head(M)[1].dim
+    assert not kw._is_local(dual_core(D)[1]) and not is_local_by_dual_spins(D)
+    assert kw._is_local(dual_core(M)[1]) and is_local_by_dual_spins(M)
+
+
+def assert_descent_matches_lines(M):
+    """Equal verdicts, equal R where M is local and equal composition
+    factors; the Prop 5.17 check agrees with the oracle's locality."""
+    assert _top_coordinate(M) is None, "the certificate applied"
+    got, want = is_simple(M), is_simple_by_lines(M)
+    assert got.simple == want.simple
+    core, S = dual_core(M)
+    if not got.simple:
+        assert_witness(M, got, core)
+    R, head = simple_head(M)
+    assert is_simple_by_lines(head).simple
+    local = is_local_by_dual_spins(M)
+    assert kw._is_local(S) == local
+    if local:
+        assert R.space == simple_head_by_lines(M)[0].space
+    assert Counter(composition_series(M).factors) == series_factors_by_lines(M)
+
+
+# the settings whose baby Vermas' series restrictions go through the descent
+SERIES_SETTINGS = ["gl11-F5-chi0", "gl21-F5-chi0", "gl21-F5-E21", "gl21-F5-E21x2"]
+
+
+@pytest.mark.parametrize("name", SERIES_SETTINGS)
+@DUAL_SETTINGS
+@given(data=st.data())
+def test_descent_matches_line_route_on_series_restrictions(name, data):
+    alg, chi, weights = setting(name)
+    t = data.draw(st.integers(0, len(weights) - 1), label="weight")
+    for M in _series_restrictions(alg, chi, weights[t]):
+        assert_descent_matches_lines(M)
+
+
+@pytest.mark.parametrize("m,n,chi", [(1, 1, {}), (2, 1, {}),
+                                     (2, 1, {(2, 1): 2})])
+def test_descent_matches_line_route_on_regular_modules(m, n, chi):
+    alg = algebra(m, n)
+    rs = alg.root_system()
+    M = regular_module(alg, [rs.f_unit(r) for r in rs.positive],
+                       Character(alg, chi))
+    assert_descent_matches_lines(M)

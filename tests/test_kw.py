@@ -10,7 +10,7 @@ by evaluating chi on explicitly conjugated matrix units.
 import numpy as np
 import pytest
 
-from glmn import kw
+from glmn import analysis, kw
 from glmn.ffield import make_field
 from glmn.linalg import Matrix, inverse
 from glmn.algebra import build_algebra, Character, Weight, weight_variety
@@ -139,7 +139,7 @@ class TestLeviScan:
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         lam = Weight(F, [3, 1, 2])
-        rep = levi_scan(alg, chi, lam, seed=3)
+        rep = levi_scan(alg, chi, lam)
         assert rep["I"] == [(1, 2)]
         entry = rep["alphas"][0]
         assert entry["a"] == F.sub(3, 1)
@@ -149,33 +149,46 @@ class TestLeviScan:
         assert rep["outside_vectors_generate"]
 
     def test_one_alpha_takes_two_simple_heads(self, monkeypatch):
-        # the head of Z is found once per weight, the source's once per alpha
+        # the head of Z is found once per weight, the source's once per
+        # alpha: one dual_core each
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         heads = []
-        real_simple_head = kw.simple_head
+        real_dual_core = analysis.dual_core
 
-        def counting_simple_head(M, *args):
+        def counting_dual_core(M):
             heads.append(M.dim)
-            return real_simple_head(M, *args)
+            return real_dual_core(M)
 
-        monkeypatch.setattr(kw, "simple_head", counting_simple_head)
-        rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]), seed=3)
+        monkeypatch.setattr(analysis, "dual_core", counting_dual_core)
+        monkeypatch.setattr(kw, "dual_core", counting_dual_core)
+        rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]))
         assert len(rep["alphas"]) == 1
         assert heads == [20, 20]
 
-    def test_sampled_outside_vectors_are_flagged(self, monkeypatch):
-        # with the top coordinate hidden, Prop 5.17 is checked by spinning
-        # every maximal-vector line and random vectors outside R
+    def test_descent_report_equals_the_certified_one(self, monkeypatch):
+        # with the top coordinate hidden, Z takes the descent and Prop 5.17
+        # spins every line of the dual pieces; the report must not change
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         lam = Weight(F, [0, 0, 0])
-        rep = levi_scan(alg, chi, lam, seed=3)
-        assert rep["radical_dim"] == 10 and not rep["probabilistic"]
+        rep = levi_scan(alg, chi, lam)
+        assert rep["radical_dim"] == 10
+        lines = []
+        real_is_local = kw._is_local
+
+        def counting_is_local(S):
+            lines.append(S.dim)
+            return real_is_local(S)
+
+        monkeypatch.setattr(analysis, "_top_coordinate", lambda M: None)
         monkeypatch.setattr(kw, "_top_coordinate", lambda M: None)
-        rep = levi_scan(alg, chi, lam, seed=3)
-        assert rep["probabilistic"]
-        assert rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
+        monkeypatch.setattr(kw, "_is_local", counting_is_local)
+        descended = levi_scan(alg, chi, lam)
+        assert lines == [10]
+        assert list(descended) == list(rep)
+        for key in rep:
+            assert descended[key] == rep[key], key
 
     def test_rejects_non_levi_chi(self):
         alg = build_algebra(1, 1, F)

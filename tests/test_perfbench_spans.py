@@ -12,7 +12,7 @@ import importlib
 from pathlib import Path
 
 from glmn.algebra import Character, Weight, build_algebra
-from glmn.analysis import dual_core, is_simple, regular_module
+from glmn.analysis import _top_coordinate, is_simple, regular_module
 from glmn.ffield import make_field
 from glmn.verma import build_baby_verma
 
@@ -43,8 +43,8 @@ def test_is_simple_hook_counts_no_sampled_verdict():
     verma = build_baby_verma(alg, chi, Weight(alg.field, [1, 3]))
     rs = alg.root_system()
     regular = regular_module(alg, [rs.f_unit(r) for r in rs.positive], chi)
-    # the Verma takes the dual-spin route, the regular module the line route
-    assert dual_core(verma) is not None and dual_core(regular) is None
+    # the Verma takes the dual-spin certificate, the regular module the descent
+    assert _top_coordinate(verma) is not None and _top_coordinate(regular) is None
     for M in (verma, regular):
         hook(tracer, (M,), is_simple(M), ["analysis.is_simple"])
     assert tracer.counts["analysis.sampled_verdicts"] == 0
