@@ -5,9 +5,13 @@ encoding of the coefficient vector of the residue representative.  All
 arithmetic works elementwise on numpy arrays of element indices, so
 matrices can be processed without Python loops.  Over a prime field
 (k == 1) an index is its residue, and add, neg, sub and mul are integer
-arithmetic mod p.  Extension fields (k > 1) use base-p digit tables for
-addition and discrete log/exp tables for multiplication; inverses, powers
-and the Frobenius use those tables for every k.
+arithmetic mod p.  Extension fields (k > 1) add and subtract base-p digits
+and multiply through discrete log/exp tables; inverses, powers and the
+Frobenius use those tables for every k.  The table `regular` holds the
+F_p-matrix of multiplication by each element (its regular representation),
+so that linalg multiplies matrices over F_{p^k} as one F_p product.  The
+tables have q = p^k rows: make_field refuses q > 7^7 (BudgetExceeded, exit
+code 2 in the CLI) before it builds anything.
 
 Primality of p and the prime factors of k and q - 1 come from two exact
 helpers on small integers: `isprime` is the Miller-Rabin test with the 13
@@ -23,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .errors import CompositeP, NonIrreducibleModulus, PTooSmall
+from .errors import BudgetExceeded, CompositeP, NonIrreducibleModulus, PTooSmall
 
 
 # ---------------------------------------------------------------------------
@@ -200,66 +204,59 @@ class Field:
         self.modulus = tuple(modulus)
         self._ppow = p ** np.arange(k, dtype=np.int64)
         idx = np.arange(self.q, dtype=np.int64)
-        # digits[a] = little-endian base-p coefficient vector of element a
-        self.digits = (idx[:, None] // self._ppow[None, :]) % p
+        # regular[i, b] = digits of x^i b, row i of the F_p-matrix of
+        # multiplication by b; digits[b] = regular[0, b], little-endian base p
+        self.regular = np.zeros((k, self.q, k), dtype=np.min_scalar_type(p - 1))
+        self.digits = self.regular[0]
+        for d, w in enumerate(self._ppow):
+            self.digits[:, d] = idx // w % p
         self._build_log_tables()
-        # Frobenius x -> x^p as a table
-        self.frob_table = self._pow_table(p)
-        pinv = pow(p, -1, self.q - 1) if self.q > 2 else 1
-        self.frob_inv_table = self._pow_table(pinv)
+        for i in range(1, k):  # x^i g^j = g^(j + i log x): in log order, a rotation
+            self.regular[i, self.exp_table] = self.digits[
+                np.roll(self.exp_table, -i * int(self.log_table[p]))]
+        self.frob_table = self.power(idx, p)
 
     # -- construction of log/exp tables -------------------------------------
 
-    def _scalar_mul_poly(self, a, b):
-        pa = [int(c) for c in self.digits[a]]
-        pb = [int(c) for c in self.digits[b]]
-        prod = _poly_mulmod(_poly_trim(pa), _poly_trim(pb), list(self.modulus), self.p)
-        prod = prod + [0] * (self.k - len(prod))
-        return int(np.dot(np.array(prod, dtype=np.int64), self._ppow))
+    def _mul_matrix(self, a):
+        """The F_p-matrix M of multiplication by a: digits(ya) = digits(y) @ M."""
+        X = np.eye(self.k, k=1, dtype=np.int64)  # multiplication by x
+        X[-1] = -np.array(self.modulus[:-1]) % self.p
+        M, P = np.zeros_like(X), np.eye(self.k, dtype=np.int64)
+        for c in self.digits[a]:
+            M, P = (M + int(c) * P) % self.p, P @ X % self.p
+        return M
 
-    def _order_is_full(self, g, prime_factors):
-        for r in prime_factors:
-            e = (self.q - 1) // r
-            acc, base = 1, g
-            while e:
-                if e & 1:
-                    acc = self._scalar_mul_poly(acc, base)
-                base = self._scalar_mul_poly(base, base)
-                e >>= 1
-            if acc == 1:
-                return False
-        return True
+    def _matpow(self, M, e):
+        out = np.eye(self.k, dtype=np.int64)
+        while e:
+            if e & 1:
+                out = out @ M % self.p
+            M, e = M @ M % self.p, e >> 1
+        return out
 
     def _build_log_tables(self):
-        q = self.q
-        if q == 2:
-            gen = 1
-        else:
-            primes = _prime_factors(q - 1)
-            gen = None
-            for cand in range(2, q):
-                if self._order_is_full(cand, primes):
-                    gen = cand
-                    break
-            assert gen is not None
-        self.generator = gen
-        exp = np.empty(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._scalar_mul_poly(cur, gen)
-        assert cur == 1, "generator order mismatch"
-        self.exp_table = exp
-        self.log_table = log
+        """exp[i] = g^i and log[g^i] = i (log[0] = -1) for the least generator g.
 
-    def _pow_table(self, e):
-        q = self.q
-        tab = np.zeros(q, dtype=np.int64)
-        nz = np.arange(1, q)
-        tab[nz] = self.exp_table[(self.log_table[nz] * (e % (q - 1))) % (q - 1)]
-        return tab
+        The digit rows of g^0 .. g^(s-1) times the F_p-matrix of
+        multiplication by g^n are those of g^n .. g^(n+s-1): the exp table
+        doubles, by blocks of at most 2^16 rows to bound the temporaries.
+        """
+        q, p, one = self.q, self.p, np.eye(self.k, dtype=np.int64)
+        primes = _prime_factors(q - 1)
+        self.generator = next(g for g in range(1, q) if not any(np.array_equal(
+            self._matpow(self._mul_matrix(g), (q - 1) // r), one) for r in primes))
+        exp, Mg = np.empty(q - 1, dtype=np.int64), self._mul_matrix(self.generator)
+        exp[0], n = 1, 1
+        while n < q - 1:
+            s = min(n, q - 1 - n, 1 << 16)
+            rows = self.digits[exp[:s]] @ self._matpow(Mg, n)
+            rows %= p
+            exp[n:n + s] = rows @ self._ppow
+            n += s
+        self.exp_table = exp
+        self.log_table = np.full(q, -1, dtype=np.int64)
+        self.log_table[exp] = np.arange(q - 1)
 
     # -- vectorized arithmetic on element indices ----------------------------
 
@@ -272,8 +269,8 @@ class Field:
                 return (a + b) % self.p
             out = (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
         else:
-            out = ((self.digits[np.asarray(a, dtype=np.int64)]
-                    + self.digits[np.asarray(b, dtype=np.int64)]) % self.p) @ self._ppow
+            out = (np.add(self.digits[np.asarray(a, dtype=np.int64)], self.digits[
+                np.asarray(b, dtype=np.int64)], dtype=np.int64) % self.p) @ self._ppow
         return out if out.ndim else int(out)
 
     def neg(self, a):
@@ -282,7 +279,7 @@ class Field:
                 return -a % self.p
             out = -np.asarray(a, dtype=np.int64) % self.p
         else:
-            out = ((-self.digits[np.asarray(a, dtype=np.int64)]) % self.p) @ self._ppow
+            out = ((self.p - self.digits[np.asarray(a, dtype=np.int64)]) % self.p) @ self._ppow
         return out if out.ndim else int(out)
 
     def sub(self, a, b):
@@ -290,8 +287,10 @@ class Field:
             if type(a) is int and type(b) is int:
                 return (a - b) % self.p
             out = (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
-            return out if out.ndim else int(out)
-        return self.add(a, self.neg(b))
+        else:
+            out = (np.subtract(self.digits[np.asarray(a, dtype=np.int64)], self.digits[
+                np.asarray(b, dtype=np.int64)], dtype=np.int64) % self.p) @ self._ppow
+        return out if out.ndim else int(out)
 
     def mul(self, a, b):
         if self.k == 1:
@@ -330,8 +329,7 @@ class Field:
         return out if out.ndim else int(out)
 
     def frob_inv(self, a):
-        out = self.frob_inv_table[np.asarray(a, dtype=np.int64)]
-        return out if out.ndim else int(out)
+        return self.power(a, self.p ** (self.k - 1))
 
     def from_int(self, c):
         """The image of the integer c under the prime-subfield embedding."""
@@ -482,13 +480,18 @@ class FieldElement:
 
 _field_cache = {}
 
+# F_{7^7}, forced by a semisimple chi at p = 7, has ~60 MB of tables; the
+# F_{11^11} forced at p = 11 would have 2.9e11 entries in each table
+FIELD_BUDGET = 7 ** 7
+
 
 def make_field(p, k=1, modulus=None):
     """Construct F_{p^k}.
 
     A deterministic default modulus (the lexicographically least monic
     irreducible) is used when none is given, so identical (p, k) always
-    yield identical element encodings.
+    yield identical element encodings.  Raises BudgetExceeded when
+    p^k > FIELD_BUDGET, before the modulus is sought or any table built.
     """
     p = int(p)
     k = int(k)
@@ -498,6 +501,8 @@ def make_field(p, k=1, modulus=None):
         raise PTooSmall(f"p must be at least 5, got {p}")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
+    if p ** k > FIELD_BUDGET:
+        raise BudgetExceeded(f"field size q = {p}^{k} = {p ** k} exceeds 7^7 = {FIELD_BUDGET}")
     if modulus is None:
         key = (p, k)
         if key in _field_cache:

@@ -11,9 +11,11 @@ rref on the residual once and merges the new pivot rows into the basis.
 Over a prime field a matrix product is one float64 BLAS product of the
 residues reduced mod p.  It is exact while every partial sum stays below
 2^53, that is while inner * (p - 1)^2 < 2^53; longer inner dimensions are
-split into blocks that meet this bound.  Extension fields multiply column
-by column through the field's tables, each column touching only the rows
-of the left factor that are nonzero in it.
+split into blocks that meet this bound.  F_{p^K} is a K-dimensional
+F_p-algebra, so over an extension field the product is one such F_p
+product of K-times-larger matrices: the base-p digits of one factor
+against the regular representation (the F_p-matrices of multiplication)
+of the other, the smaller, factor.
 """
 
 from __future__ import annotations
@@ -89,12 +91,12 @@ _INT64_EXACT = 2 ** 63
 
 
 def _matmul_mod(a, b, p):
-    """(a @ b) % p, exactly, for int64 arrays with entries in [0, p).
+    """(a @ b) % p, exactly, for integer arrays with entries in [0, p).
 
     Each block of the inner dimension is one BLAS product in float64,
-    short enough that its sums stay below 2^53.  A prime too large for a
-    single float64 product, (p - 1)^2 >= 2^53, takes int64 blocks under
-    2^63 instead.
+    short enough that its sums stay below 2^53, reduced mod p in int64.  A
+    prime too large for a single float64 product, (p - 1)^2 >= 2^53, takes
+    int64 blocks under 2^63 instead.
     """
     step = (p - 1) ** 2
     if step < _FLOAT_EXACT:
@@ -105,26 +107,32 @@ def _matmul_mod(a, b, p):
         raise ValueError(f"p = {p} is too large for exact int64 products")
     inner = a.shape[1]
     if inner <= block:
-        return (a.astype(dtype) @ b.astype(dtype) % p).astype(np.int64)
+        return (a.astype(dtype, copy=False)
+                @ b.astype(dtype, copy=False)).astype(np.int64, copy=False) % p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, inner, block):
-        part = a[:, s:s + block].astype(dtype) @ b[s:s + block].astype(dtype)
-        out = (out + (part % p).astype(np.int64)) % p
+        part = (a[:, s:s + block].astype(dtype, copy=False)
+                @ b[s:s + block].astype(dtype, copy=False))
+        out = (out + part.astype(np.int64, copy=False) % p) % p
     return out
 
 
 def matmul(field, a, b):
-    """Matrix product on raw index arrays."""
+    """Matrix product on raw index arrays; over F_{p^K} one F_p product with
+    digits(xy) = digits(x) @ regular[:, y], regular on the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.k == 1:
         return _matmul_mod(a, b, field.p)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for t in np.flatnonzero(a.any(axis=0) & b.any(axis=1)):
-        rows = np.flatnonzero(a[:, t])
-        out[rows] = field.add(out[rows],
-                              field.mul(a[rows, t, None], b[None, t, :]))
-    return out
+    swap = b.size > a.size  # then (ab)^T = b^T a^T puts regular on a
+    if swap:
+        a, b = b.T, a.T
+    (n, inner), m, K = a.shape, b.shape[1], field.k
+    right = np.take(field.regular, b, axis=1).transpose(1, 0, 2, 3)
+    out = _matmul_mod(np.take(field.digits, a, axis=0).reshape(n, inner * K),
+                      right.reshape(inner * K, m * K), field.p)
+    out = out.reshape(n, m, K) @ field._ppow
+    return np.ascontiguousarray(out.T) if swap else out
 
 
 def matvec(field, a, v):

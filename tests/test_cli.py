@@ -3,6 +3,7 @@ config validation, output formats and dump files."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -78,6 +79,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["run", "--config", cfg,
                                         "--dim-budget", "10"])
         assert code == 2 and err.startswith("error:") and "20" in err
+
+    def test_field_over_budget_exits_two(self, tmp_path, capsys):
+        # at p = 11 a semisimple chi asks for F_{11^11}; the field budget
+        # refuses it before the modulus search and before any table
+        cfg = write_cfg(tmp_path, p=11, m=2, n=1, tasks=["graded-verma-scan"],
+                        chi={"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1})
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, ["run", "--config", cfg])
+        assert time.perf_counter() - start < 10
+        assert code == 2 and err.startswith("error:")
+        assert f"q = 11^11 = {11 ** 11}" in err and f"7^7 = {7 ** 7}" in err
 
     def test_line_budget_exceeded_exits_two(self, tmp_path, capsys,
                                             monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 import sympy
 
-from glmn.errors import CompositeP
+from glmn import ffield
+from glmn.errors import BudgetExceeded, CompositeP
 from glmn.ffield import (Field, FieldElement, make_field, default_modulus,
                          artin_schreier_roots, isprime, _prime_factors)
 
@@ -275,3 +276,25 @@ def test_prime_factors_match_sympy():
 def test_make_field_rejects_pseudoprime_p(p):
     with pytest.raises(CompositeP):
         make_field(p)
+
+
+@pytest.mark.parametrize("p,k", [(5, 10), (11, 11), (823547, 1), (907, 3)])
+def test_field_over_budget_raises_before_any_work(p, k, monkeypatch):
+    # neither the modulus search nor the tables may run
+    def refuse(*args):
+        raise AssertionError("work started on a field over the budget")
+    monkeypatch.setattr(ffield, "default_modulus", refuse)
+    monkeypatch.setattr(ffield, "is_irreducible", refuse)
+    monkeypatch.setattr(ffield, "Field", refuse)
+    with pytest.raises(BudgetExceeded, match=rf"q = {p}\^{k} = {p ** k} .*7\^7"):
+        make_field(p, k)
+    with pytest.raises(BudgetExceeded):
+        make_field(p, k, modulus=[1] * k + [1])
+
+
+def test_field_budget_admits_fields_up_to_it(monkeypatch):
+    # the fields are not built: Field is replaced by a stub
+    assert ffield.FIELD_BUDGET == 7 ** 7
+    monkeypatch.setattr(ffield, "Field", lambda p, k, modulus: (p, k))
+    for p, k in ((7, 7), (823541, 1), (907, 2)):  # 823541: largest prime below 7^7
+        assert make_field(p, k, modulus=default_modulus(p, k)) == (p, k)

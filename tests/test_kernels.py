@@ -1,11 +1,14 @@
-"""Differential tests of the prime-field kernels.
+"""Differential tests of the field and matrix kernels.
 
 Over F_p, Field.add/neg/sub/mul are integer arithmetic mod p and
-linalg.matmul is one BLAS product mod p; Subspace inserts rows into its
+linalg.matmul is one BLAS product mod p; over F_{p^K} the product is one
+F_p product through the regular representation, and the log/exp tables
+are built by blocks of F_p-matrix products.  Subspace inserts rows into its
 echelon form.  The oracles below are the table formulas (base-p digits,
-log/exp tables) and the column-by-column product they replaced, and a
-row reduction written on top of those formulas.  Every case must agree
-exactly, on prime fields and on F_25 (where the tables are still used).
+log/exp tables), the column-by-column product and the per-element
+log/exp loop that these replaced, and a row reduction written on top of
+those formulas.  Every case must agree exactly, on prime fields and on
+extension fields up to F_{5^5}.
 """
 
 import numpy as np
@@ -14,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from sympy import prevprime
 
-from glmn.ffield import make_field
+from glmn.ffield import _poly_mulmod, _poly_trim, make_field
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
 
 FIELDS = {"F5": make_field(5), "F7": make_field(7), "F11": make_field(11),
-          "F25": make_field(5, 2)}
+          "F25": make_field(5, 2), "F49": make_field(7, 2),
+          "F125": make_field(5, 3), "F3125": make_field(5, 5)}
 
 KERNEL_SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -26,13 +30,16 @@ KERNEL_SETTINGS = settings(max_examples=30, deadline=None)
 # ---------------------------------------------------------------------------
 # table oracles
 
+def t_digits(F, a):
+    return F.digits[np.asarray(a, dtype=np.int64)].astype(np.int64)
+
+
 def t_add(F, a, b):
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    return ((F.digits[a] + F.digits[b]) % F.p) @ F._ppow
+    return ((t_digits(F, a) + t_digits(F, b)) % F.p) @ F._ppow
 
 
 def t_neg(F, a):
-    return ((-F.digits[np.asarray(a, dtype=np.int64)]) % F.p) @ F._ppow
+    return ((-t_digits(F, a)) % F.p) @ F._ppow
 
 
 def t_sub(F, a, b):
@@ -55,6 +62,21 @@ def t_matmul(F, a, b):
     for t in range(a.shape[1]):
         out = t_add(F, out, t_mul(F, a[:, t][:, None], b[t, :][None, :]))
     return out
+
+
+def t_exp_log(F):
+    """The log/exp tables of F's generator, one polynomial product a step."""
+    mod = list(F.modulus)
+    gen = _poly_trim([int(c) for c in F.digits[F.generator]])
+    exp = np.empty(F.q - 1, dtype=np.int64)
+    log = np.full(F.q, -1, dtype=np.int64)
+    cur = [1]
+    for i in range(F.q - 1):
+        exp[i] = sum(c * F.p ** j for j, c in enumerate(cur))
+        log[exp[i]] = i
+        cur = _poly_mulmod(cur, gen, mod, F.p)
+    assert cur == [1], "generator order mismatch"
+    return exp, log
 
 
 def t_rref(F, arr):
@@ -161,6 +183,30 @@ def test_scalar_ops_return_ints_and_match_tables(name, scalar):
                 assert type(got) is int and got == int(want)
 
 
+@pytest.mark.parametrize("p,k", [(5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (11, 2)])
+def test_log_tables_match_element_loop(p, k):
+    F = make_field(p, k)
+    exp, log = t_exp_log(F)
+    assert np.array_equal(F.exp_table, exp)
+    assert np.array_equal(F.log_table, log)
+
+
+def test_frob_inv_inverts_frob_on_every_element():
+    F = make_field(5, 3)
+    a = np.arange(F.q)
+    assert np.array_equal(F.frob_inv(F.frob(a)), a)
+    assert np.array_equal(F.frob(F.frob_inv(a)), a)
+    assert all(F.frob_inv(F.frob(x)) == x for x in range(F.q))
+
+
+def test_regular_representation_multiplies_digits():
+    # digits(a b) = digits(a) @ regular[b] mod p, on every pair of F_125
+    F = make_field(5, 3)
+    a, b = np.divmod(np.arange(F.q ** 2), F.q)
+    prod = np.einsum("ni,ind->nd", t_digits(F, a), F.regular[:, b].astype(np.int64))
+    assert np.array_equal(prod % F.p @ F._ppow, t_mul(F, a, b))
+
+
 # ---------------------------------------------------------------------------
 # L1: products
 
@@ -194,6 +240,36 @@ def test_extension_matmul_of_block_sparse_factors(k, data):
     col_block = data.draw(hnp.arrays(np.int64, inner, elements=labels))
     a[row_block[:, None] != col_block[None, :]] = 0
     b[data.draw(hnp.arrays(bool, inner))] = 0
+    assert np.array_equal(matmul(F, a, b), t_matmul(F, a, b))
+
+
+@field_names
+@pytest.mark.parametrize("n,k,m", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0),
+                                   (0, 5, 0), (2, 3, 4), (4, 3, 2), (1, 1, 1)])
+def test_matmul_of_empty_and_zero_factors(name, n, k, m):
+    F = FIELDS[name]
+    rng = np.random.default_rng(n * 100 + k * 10 + m)
+    zero_a, zero_b = np.zeros((n, k), np.int64), np.zeros((k, m), np.int64)
+    full_a, full_b = rng.integers(0, F.q, (n, k)), rng.integers(0, F.q, (k, m))
+    for a, b in ((zero_a, zero_b), (zero_a, full_b), (full_a, zero_b), (full_a, full_b)):
+        got = matmul(F, a, b)
+        assert got.shape == (n, m) and got.dtype == np.int64
+        assert np.array_equal(got, t_matmul(F, a, b))
+
+
+@pytest.mark.parametrize("name", ["F25", "F125", "F3125"])
+@pytest.mark.parametrize("n,k,m", [(4, 20, 18), (18, 20, 4), (6, 6, 6), (9, 2, 10),
+                                   (10, 2, 9), (1, 7, 1), (7, 1, 7)])
+def test_matmul_on_either_side_of_the_size_choice(name, n, k, m):
+    # the regular representation goes on b when b.size <= a.size and on a
+    # otherwise; these shapes fall on both sides and on the tie, each dense
+    # and at about 20% density
+    F = FIELDS[name]
+    rng = np.random.default_rng(n * k * m)
+    a, b = rng.integers(0, F.q, (n, k)), rng.integers(0, F.q, (k, m))
+    assert np.array_equal(matmul(F, a, b), t_matmul(F, a, b))
+    a[rng.random(a.shape) > 0.2] = 0
+    b[rng.random(b.shape) > 0.2] = 0
     assert np.array_equal(matmul(F, a, b), t_matmul(F, a, b))
 
 
