@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from sympy import prevprime
+from sympy import prevprime, primefactors
 
 from glmn.ffield import _poly_mulmod, _poly_trim, make_field
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
@@ -75,7 +75,7 @@ def t_exp_log(F):
         exp[i] = sum(c * F.p ** j for j, c in enumerate(cur))
         log[exp[i]] = i
         cur = _poly_mulmod(cur, gen, mod, F.p)
-    assert cur == [1], "generator order mismatch"
+    assert cur == [1] and np.all(log[1:] >= 0), "generator order mismatch"
     return exp, log
 
 
@@ -189,6 +189,9 @@ def test_log_tables_match_element_loop(p, k):
     exp, log = t_exp_log(F)
     assert np.array_equal(F.exp_table, exp)
     assert np.array_equal(F.log_table, log)
+    # the generator is the least element of full order
+    assert all(any(F.power(g, (F.q - 1) // r) == 1 for r in primefactors(F.q - 1))
+               for g in range(1, F.generator))
 
 
 def test_frob_inv_inverts_frob_on_every_element():
@@ -196,7 +199,6 @@ def test_frob_inv_inverts_frob_on_every_element():
     a = np.arange(F.q)
     assert np.array_equal(F.frob_inv(F.frob(a)), a)
     assert np.array_equal(F.frob(F.frob_inv(a)), a)
-    assert all(F.frob_inv(F.frob(x)) == x for x in range(F.q))
 
 
 def test_regular_representation_multiplies_digits():
