@@ -13,11 +13,10 @@ from .algebra import (SuperAlgebra, Character, Weight, Root, RootSystem,
 from .enveloping import (PBWMonomial, PBWElement, ReductionContext,
                          reduction_context, normalize, multiply, ad_action,
                          hc_gamma, monomial_weight)
-from .verma import (ModuleRep, BabyVerma, GradedBabyVerma,
-                    SimplicityPolynomials, build_baby_verma,
-                    build_even_verma, build_simple_g0_module,
-                    build_graded_verma, f_direct, f_formula, f1_direct,
-                    maximal_vectors, induced_hom)
+from .verma import (ModuleRep, SimplicityPolynomials, induce,
+                    build_baby_verma, build_even_verma,
+                    build_simple_g0_module, build_graded_verma, f_direct,
+                    f_formula, f1_direct, maximal_vectors, induced_hom)
 from .analysis import (GradedSubmodule, CompositionSeries, spin, is_simple,
                        simple_head, composition_series, regular_module,
                        trivial_submodules, frobenius_gram)

@@ -32,6 +32,7 @@ nonzero graded submodule contains a candidate line.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -369,15 +370,11 @@ def quotient_module(M, sub):
     m, U = len(free), len(M.units)
     cols = M.stacked_action[:, free].reshape(U, M.dim, m)
     blocks = proj(cols.transpose(0, 2, 1).reshape(U * m, M.dim)).reshape(U, m, m)
+    hv = None if M.highest_vector is None else proj(M.highest_vector)
     Q = ModuleRep(M.algebra, M.chi, M.units,
                   np.ascontiguousarray(blocks.transpose(0, 2, 1)), M.parity[free],
-                  highest_vector=None)
-    if M.highest_vector is not None:
-        hv = proj(M.highest_vector)
-        if hv.any():
-            Q.highest_vector = hv
-    if getattr(M, "lam", None) is not None:
-        Q.lam = M.lam
+                  highest_vector=hv if hv is not None and hv.any() else None,
+                  lam=M.lam)
     return Q, proj, lift
 
 
@@ -490,9 +487,8 @@ def regular_module(algebra, sub_units, chi, side="left"):
                 assert exps in index, "product left the subalgebra"
                 mat[index[exps], t] = f.add(int(mat[index[exps], t]), c)
     parity = np.array([ctx.mono_parity(m) for m in monos], dtype=np.int64)
-    M = ModuleRep(algebra, chi, sub_units, actions, parity, labels=monos)
-    M.ctx = ctx
-    return M
+    return ModuleRep(algebra, chi, sub_units, actions, parity, labels=monos,
+                     ctx=ctx)
 
 
 def frobenius_gram(algebra, sub_units, chi, dim_budget=4096):
@@ -502,11 +498,12 @@ def frobenius_gram(algebra, sub_units, chi, dim_budget=4096):
     exponents maximal in a*b.  Returns (Matrix, nondegenerate flag).
     """
     _check_closed(algebra, sub_units)
-    ctx, positions, monos = sub_enveloping_basis(algebra, chi, sub_units)
-    f = ctx.field
-    dim = len(monos)
+    ctx = reduction_context(algebra, chi)
+    dim = math.prod(ctx.caps[pos] for pos in set(_sub_positions(ctx, sub_units)))
     if dim > dim_budget:
         raise BudgetExceeded(f"dim u(sub) = {dim} > {dim_budget}")
+    ctx, positions, monos = sub_enveloping_basis(algebra, chi, sub_units)
+    f = ctx.field
     top = tuple(ctx.caps[pos] - 1 if pos in positions else 0
                 for pos in range(ctx.ngens))
     gram = np.zeros((dim, dim), dtype=np.int64)

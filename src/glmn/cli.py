@@ -101,18 +101,15 @@ def validate_config(raw):
 
 
 def element_index(field, value):
-    """A field element from an integer or a coefficient list."""
-    if isinstance(value, int):
+    """A field element from an integer or a list of integer coefficients."""
+    if _is_int(value):
         return value % field.p
-    if isinstance(value, list):
-        if len(value) > field.k:
-            raise ConfigInvalid(f"coefficient list {value} too long for k={field.k}")
-        idx = 0
-    else:
-        raise ConfigInvalid(f"field element must be int or list, got {value!r}")
-    for c, w in zip(value, field._ppow):
-        idx += (c % field.p) * int(w)
-    return idx
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise ConfigInvalid(
+            f"field element must be an int or a list of ints, got {value!r}")
+    if len(value) > field.k:
+        raise ConfigInvalid(f"coefficient list {value} too long for k={field.k}")
+    return sum((c % field.p) * int(w) for c, w in zip(value, field._ppow))
 
 
 def parse_chi(algebra, spec):
@@ -157,17 +154,17 @@ def build_setting(cfg):
     return algebra, chi, [weight]
 
 
-def predicted_verma_dim(algebra):
-    rs = algebra.root_system()
-    p = algebra.field.p
-    dim = 1
-    for r in rs.positive:
-        dim *= 2 if r.parity else p
-    return dim
+# the tasks whose modules are baby Vermas, or as large as one
+DIM_BUDGET_TASKS = ("verma-scan", "graded-verma-scan", "kw-verify",
+                    "levi-scan", "regular-module-check")
 
 
-def check_dim_budget(algebra, cfg):
-    dim = predicted_verma_dim(algebra)
+def check_dim_budget(cfg):
+    """Refuse a config whose baby Vermas, of dimension p^(even positive
+    roots) 2^(odd positive roots), exceed dim_budget; read off the config
+    alone, before the field or the weight variety is built."""
+    m, n = cfg["m"], cfg["n"]
+    dim = cfg["p"] ** ((m * (m - 1) + n * (n - 1)) // 2) * 2 ** (m * n)
     if dim > cfg["dim_budget"]:
         raise BudgetExceeded(
             f"predicted module dimension {dim} exceeds dim_budget "
@@ -267,7 +264,6 @@ def _fit_constant(field, pairs):
 
 
 def verma_scan_task(cfg, algebra, chi, weights, graded=False):
-    check_dim_budget(algebra, cfg)
     field = algebra.field
     semisimple = classify_character(algebra.root_system(), chi).semisimple
     rows = _run_scan(cfg, algebra, chi, weights, graded)
@@ -381,7 +377,6 @@ def frobenius_task(cfg, algebra, chi, weights):
 
 
 def regular_task(cfg, algebra, chi, weights):
-    check_dim_budget(algebra, cfg)
     sub = _nminus_units(algebra)
     left = regular_module(algebra, sub, chi, side="left")
     right = regular_module(algebra, sub, chi, side="right")
@@ -410,7 +405,6 @@ def _sample_weights(cfg, weights, label, count=5):
 
 
 def kw_task(cfg, algebra, chi, weights):
-    check_dim_budget(algebra, cfg)
     reports = []
     passed = True
     for lam in _sample_weights(cfg, weights, "kw"):
@@ -422,7 +416,6 @@ def kw_task(cfg, algebra, chi, weights):
 
 
 def levi_task(cfg, algebra, chi, weights):
-    check_dim_budget(algebra, cfg)
     reports = []
     passed = True
     for lam in _sample_weights(cfg, weights, "levi"):
@@ -542,6 +535,8 @@ def dump_module(module, stream):
 # entry points
 
 def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None):
+    if dump_module_path or any(t in DIM_BUDGET_TASKS for t in tasks):
+        check_dim_budget(cfg)
     algebra, chi, weights = build_setting(cfg)
     results = []
     for name in tasks:
@@ -549,7 +544,6 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
         results.append((name, rec, passed))
     report = make_report(cfg, algebra, results)
     if dump_module_path:
-        check_dim_budget(algebra, cfg)
         Z = build_baby_verma(algebra, chi, weights[0])
         with open(dump_module_path, "w") as fh:
             dump_module(Z, fh)

@@ -214,7 +214,6 @@ class Field:
         for i in range(1, k):  # x^i g^j = g^(j + i log x): in log order, a rotation
             self.regular[i, self.exp_table] = self.digits[
                 np.roll(self.exp_table, -i * int(self.log_table[p]))]
-        self.frob_table = self.power(idx, p)
 
     # -- construction of log/exp tables -------------------------------------
 
@@ -325,8 +324,7 @@ class Field:
         return out if out.ndim else int(out)
 
     def frob(self, a):
-        out = self.frob_table[np.asarray(a, dtype=np.int64)]
-        return out if out.ndim else int(out)
+        return self.power(a, self.p)
 
     def frob_inv(self, a):
         return self.power(a, self.p ** (self.k - 1))
@@ -519,18 +517,24 @@ def make_field(p, k=1, modulus=None):
 
 
 def artin_schreier_roots(field, c):
-    """All x in the field with x^p - x = c.
+    """All x in the field with x^p - x = c, in increasing index order.
 
     Returns a list of FieldElements; it is either empty or a full coset of
-    the prime subfield (exactly p roots).
+    the prime subfield (exactly p roots).  x -> x^p - x is F_p-linear with
+    kernel F_p, so one solution of the K x K system over F_p on the digits
+    of x gives them all: the coset runs over the lowest digit.
     """
+    from .linalg import solve
     if isinstance(c, FieldElement):
         if c.field is not field:
             raise ValueError("element of a different field")
         c = c.idx
-    else:
-        c = int(c)
-    vals = field.sub(field.frob_table, np.arange(field.q, dtype=np.int64))
-    roots = np.nonzero(vals == c)[0]
-    assert len(roots) in (0, field.p)
-    return [FieldElement(field, int(r)) for r in roots]
+    p = field.p
+    basis = field._ppow  # the indices of 1, x, ..., x^(K-1)
+    images = field.digits[field.sub(field.frob(basis), basis)].astype(np.int64)
+    try:
+        x = solve(make_field(p), images.T, field.digits[int(c)].astype(np.int64))
+    except ValueError:
+        return []
+    low = int(x[1:] @ basis[1:])
+    return [FieldElement(field, low + r) for r in range(p)]

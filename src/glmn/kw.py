@@ -14,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Character, Weight, reflect
-from .enveloping import reduction_context
 from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse
-from .verma import ModuleRep, build_baby_verma, build_induced, induced_hom
+from .verma import build_baby_verma, induce, induced_hom, weight_line
 from .analysis import (GradedSubmodule, _candidate_spaces, _line_representatives,
                        _top_coordinate, dual_core, is_simple, quotient_module,
                        simple_head, spin)
@@ -244,20 +243,12 @@ def build_levi_verma(algebra, chi, lam, phi):
     rs = algebra.root_system()
     phi_keys = {r.key for r in phi}
     levi_roots = [r for r in rs.positive if r.key not in phi_keys]
-    order = levi_roots + [r for r in rs.positive if r.key in phi_keys]
-    ctx = reduction_context(algebra, chi, f_order=order)
-    inner = {}
-    for i in range(algebra.d):
-        inner[ctx.nf + i] = np.array([[lam.value(i + 1)]], dtype=np.int64)
-    Z = build_induced(ctx, levi_roots, 1, [0], inner)
     units = list(algebra.diag_units)
     for r in levi_roots:
         units.append(rs.e_unit(r))
         units.append(rs.f_unit(r))
-    M = ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity,
-                  labels=Z.labels, highest_vector=Z.highest_vector)
-    M.lam = lam
-    return M
+    return induce(algebra, chi, levi_roots, weight_line(algebra, chi, lam),
+                  units=units)
 
 
 def build_kw_module(algebra, chi, M_prime, phi):
@@ -266,25 +257,9 @@ def build_kw_module(algebra, chi, M_prime, phi):
     The nilradical acts by zero on M_prime; the basis is (monomials in
     the Phi' negative root vectors) x (basis of M_prime).
     """
-    rs = algebra.root_system()
-    phi_keys = {r.key for r in phi}
-    levi_roots = [r for r in rs.positive if r.key not in phi_keys]
-    order = list(phi) + levi_roots
-    ctx = reduction_context(algebra, chi, f_order=order)
-    inner = {}
-    for t, r in enumerate(ctx.f_order):
-        if t >= len(phi):
-            inner[t] = M_prime.matrix(rs.f_unit(r))
-    for i in range(algebra.d):
-        inner[ctx.nf + i] = M_prime.matrix((i + 1, i + 1))
-    for t, r in enumerate(ctx.e_order):
-        if r.key not in phi_keys:
-            inner[ctx.nf + ctx.nh + t] = M_prime.matrix(rs.e_unit(r))
-        # Phi' positive root vectors span N, which kills M_prime
-    Z = build_induced(ctx, list(phi), M_prime.dim, list(M_prime.parity),
-                      inner, inner_highest=M_prime.highest_vector)
-    Z.lam = getattr(M_prime, "lam", None)
-    return Z
+    # the Phi' positive root vectors span N, which is not among the units
+    # of M_prime and so kills it
+    return induce(algebra, chi, phi, M_prime)
 
 
 def kw_verify(algebra, chi, lam):
@@ -311,7 +286,6 @@ def kw_verify(algebra, chi, lam):
             chi_l_nilpotent = False
     ZL = build_levi_verma(algebra, chi, lam, ld.phi_prime)
     _, M_prime = simple_head(ZL)
-    M_prime.lam = lam
     M = build_kw_module(algebra, chi, M_prime, ld.phi_prime)
     predicted = (p ** ld.n_even) * (2 ** ld.n_odd) * M_prime.dim
     if M.dim != predicted:

@@ -1,11 +1,14 @@
 """Baby Verma modules and their graded relatives as explicit matrices.
 
 Every module here is a ModuleRep: one (U, dim, dim) array of action
-matrices, a parity per basis vector, and the character chi.  Baby Vermas,
-even-part Vermas and graded baby Vermas are all produced by one induced
-construction: pick a set of "free" negative root vectors whose monomials
-form the basis, and evaluate the straightened tail of each product on an
-inner module (a one-dimensional weight line, or a g_0bar-module).
+matrices, a parity per basis vector, and the character chi.  Every
+induced module comes from one entry point, induce(algebra, chi,
+free_roots, inner): u(g, chi) tensored with a ModuleRep inner over the
+subalgebra of inner's units and the root vectors outside f_alpha, alpha in
+free_roots.  The free monomials times inner's basis form the basis.  The
+baby Verma Z^chi(lambda) and the even-part Verma induce from the weight
+line of lambda, and the graded baby Verma Z^chi(M) from a g_0bar-module M;
+the Levi Verma and the Kac-Weisfeiler module of kw induce the same way.
 
 The straightening does not depend on the inner module.  Each shared
 ReductionContext keeps an induction plan per number of free roots: for
@@ -47,9 +50,11 @@ class ModuleRep:
     """
 
     def __init__(self, algebra, chi, units, actions, parity, labels=None,
-                 highest_vector=None):
+                 highest_vector=None, lam=None, ctx=None):
         """actions is the (U, dim, dim) array, or a mapping from each unit
-        to its Matrix or index array, stacked here in the order of units."""
+        to its Matrix or index array, stacked here in the order of units.
+        lam is the highest weight, and ctx the ReductionContext whose f
+        order the labels' monomials follow, where either is known."""
         self.algebra = algebra
         self.field = algebra.field
         self.chi = chi
@@ -68,6 +73,8 @@ class ModuleRep:
         if highest_vector is not None:
             highest_vector = np.asarray(highest_vector, dtype=np.int64)
         self.highest_vector = highest_vector
+        self.lam = lam
+        self.ctx = ctx
 
     def matrix(self, unit):
         return self.actions[self._index[tuple(unit)]]
@@ -162,31 +169,6 @@ class ModuleRep:
         return f"ModuleRep(dim={self.dim} over {self.algebra!r})"
 
 
-class InducedModule(ModuleRep):
-    """A module built by inducing along a free set of negative roots."""
-
-    def __init__(self, ctx, **kw):
-        super().__init__(ctx.algebra, ctx.chi, ctx.algebra.units, **kw)
-        self.ctx = ctx
-
-
-class BabyVerma(InducedModule):
-    """Z^chi(lambda): induced from the weight line of a Borel."""
-
-    def __init__(self, ctx, lam=None, **kw):
-        super().__init__(ctx, **kw)
-        self.lam = lam
-
-
-class GradedBabyVerma(InducedModule):
-    """Z^chi(M): induced from a g_0bar-module M with g_1 acting by zero."""
-
-    def __init__(self, ctx, M=None, **kw):
-        super().__init__(ctx, **kw)
-        self.M = M
-        self.lam = getattr(M, "lam", None)
-
-
 class SimplicityPolynomials:
     """The values f(lambda), f0, f1 at one weight."""
 
@@ -268,7 +250,7 @@ def _tail_matrix(field, tail, start, inner_actions, inner_dim):
 
 
 def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
-                  klass=InducedModule, inner_highest=None, **extra):
+                  inner_highest=None):
     """Induced module on the basis (free f-monomials) x (inner basis).
 
     free_roots must be a prefix of ctx.f_order.  inner_actions maps a
@@ -308,8 +290,41 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
         hv[:d] = np.asarray(inner_highest, dtype=np.int64)
     else:
         hv[0] = 1
-    return klass(ctx, actions=actions, parity=parity, labels=labels,
-                 highest_vector=hv, **extra)
+    return ModuleRep(ctx.algebra, ctx.chi, ctx.algebra.units, actions, parity,
+                     labels=labels, highest_vector=hv, ctx=ctx)
+
+
+def induce(algebra, chi, free_roots, inner, units=None):
+    """u(g, chi) tensored with the ModuleRep inner over the subalgebra
+    spanned by every generator but f_alpha, alpha in free_roots.
+
+    The f block is free_roots followed by the other positive roots in
+    canonical order.  Each unit of inner acts through its matrix and every
+    other generator past the free block by zero.  The result carries
+    inner's highest weight and highest vector, and acts by every unit of
+    algebra, or by units when given.
+    """
+    keys = {r.key for r in free_roots}
+    order = list(free_roots) + [r for r in algebra.root_system().positive
+                                if r.key not in keys]
+    ctx = reduction_context(algebra, chi, f_order=order)
+    nfree = len(free_roots)
+    acting = {pos: inner.matrix(u) for pos, u in enumerate(ctx.units)
+              if pos >= nfree and u in inner.units}
+    Z = build_induced(ctx, free_roots, inner.dim, inner.parity, acting,
+                      inner_highest=inner.highest_vector)
+    actions = Z.actions if units is None else Z.matrices(units)
+    return ModuleRep(algebra, chi, Z.units if units is None else units, actions,
+                     Z.parity, labels=Z.labels, highest_vector=Z.highest_vector,
+                     lam=inner.lam, ctx=ctx)
+
+
+def weight_line(algebra, chi, lam):
+    """The one-dimensional module of the Cartan units, E(i,i) acting by
+    lambda(i)."""
+    values = [[[lam.value(i)]] for i in range(1, algebra.d + 1)]
+    return ModuleRep(algebra, chi, algebra.diag_units, values, [0],
+                     highest_vector=[1], lam=lam)
 
 
 def build_baby_verma(algebra, chi, lam):
@@ -317,14 +332,9 @@ def build_baby_verma(algebra, chi, lam):
     _check_borel(chi)
     if not weight_in_variety(algebra, chi, lam):
         raise LambdaNotInX(f"{lam!r} not in the weight variety of chi")
-    ctx = reduction_context(algebra, chi)
-    nfree = ctx.nf
-    inner = {}
-    for i in range(algebra.d):
-        inner[nfree + i] = np.array([[lam.value(i + 1)]], dtype=np.int64)
     # e generators absent: they annihilate the highest line
-    Z = build_induced(ctx, ctx.f_order, 1, [0], inner, klass=BabyVerma, lam=lam)
-    return Z
+    return induce(algebra, chi, algebra.root_system().positive,
+                  weight_line(algebra, chi, lam))
 
 
 def build_even_verma(algebra, chi, lam):
@@ -333,17 +343,8 @@ def build_even_verma(algebra, chi, lam):
     Returned as a ModuleRep whose acting units are the even units only.
     """
     _check_borel(chi)
-    rs = algebra.root_system()
-    order = rs.positive_even + rs.positive_odd
-    ctx = reduction_context(algebra, chi, f_order=order)
-    inner = {}
-    for i in range(algebra.d):
-        inner[ctx.nf + i] = np.array([[lam.value(i + 1)]], dtype=np.int64)
-    Z = build_induced(ctx, rs.positive_even, 1, [0], inner)
-    M = ModuleRep(algebra, chi, algebra.even_units, Z.matrices(algebra.even_units),
-                  Z.parity, labels=Z.labels, highest_vector=Z.highest_vector)
-    M.lam = lam
-    return M
+    return induce(algebra, chi, algebra.root_system().positive_even,
+                  weight_line(algebra, chi, lam), units=algebra.even_units)
 
 
 def _is_g0_module(M):
@@ -359,10 +360,7 @@ def build_simple_g0_module(algebra, chi, lam):
     Constructed as the simple head of the even-part baby Verma.
     """
     from .analysis import simple_head
-    Z = build_even_verma(algebra, chi, lam)
-    _, M = simple_head(Z)
-    M.lam = lam
-    return M
+    return simple_head(build_even_verma(algebra, chi, lam))[1]
 
 
 def build_graded_verma(algebra, chi, M):
@@ -370,32 +368,22 @@ def build_graded_verma(algebra, chi, M):
     _check_borel(chi)
     if not _is_g0_module(M):
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
-    rs = algebra.root_system()
-    order = rs.positive_odd + rs.positive_even
-    ctx = reduction_context(algebra, chi, f_order=order)
-    nfree = len(rs.positive_odd)
-    inner = {}
-    for t, r in enumerate(ctx.f_order):
-        if t >= nfree:
-            inner[t] = M.matrix(rs.f_unit(r))
-    for i in range(algebra.d):
-        inner[ctx.nf + i] = M.matrix((i + 1, i + 1))
-    for t, r in enumerate(ctx.e_order):
-        if r.parity == 0:
-            inner[ctx.nf + ctx.nh + t] = M.matrix(rs.e_unit(r))
-        # odd positive root vectors (g_1) act by zero on M
-    inner_parity = list(M.parity)
-    return build_induced(ctx, rs.positive_odd, M.dim, inner_parity, inner,
-                         klass=GradedBabyVerma, M=M,
-                         inner_highest=M.highest_vector)
+    # odd positive root vectors (g_1) are not units of M: they act by zero
+    return induce(algebra, chi, algebra.root_system().positive_odd, M)
 
 
-def _scalar_at_highest(Z, result):
-    hv = Z.highest_vector
+def _top_coefficient(Z, roots):
+    """The coefficient of v in e-word f-word v, each word running over
+    roots in order with exponents cap - 1 (p - 1 even, 1 odd)."""
+    rs = Z.algebra.root_system()
     f = Z.field
+    caps = [(2 if r.parity else f.p) - 1 for r in roots]
+    hv = Z.highest_vector
+    w = Z.apply_word([(rs.f_unit(r), e) for r, e in zip(roots, caps)], hv)
+    w = Z.apply_word([(rs.e_unit(r), e) for r, e in zip(roots, caps)], w)
     t = int(np.nonzero(hv)[0][0])
-    c = f.mul(int(result[t]), f.inv(int(hv[t])))
-    if (result != f.mul(c, hv)).any():
+    c = f.mul(int(w[t]), f.inv(int(hv[t])))
+    if (w != f.mul(c, hv)).any():
         raise NonScalarResult("image is not proportional to the highest vector")
     return FieldElement(f, c)
 
@@ -407,14 +395,7 @@ def f_direct(Z):
     (both over the positive roots in ascending height order, exponents
     pbar - 1), to the highest vector and returns the coefficient of v.
     """
-    rs = Z.algebra.root_system()
-    p = Z.field.p
-    v = Z.highest_vector
-    fword = [(rs.f_unit(r), (2 if r.parity else p) - 1) for r in rs.positive]
-    eword = [(rs.e_unit(r), (2 if r.parity else p) - 1) for r in rs.positive]
-    w = Z.apply_word(fword, v)
-    w = Z.apply_word(eword, w)
-    return _scalar_at_highest(Z, w)
+    return _top_coefficient(Z, Z.algebra.root_system().positive)
 
 
 def f_formula(rs, lam):
@@ -437,13 +418,7 @@ def f_formula(rs, lam):
 
 def f1_direct(Z):
     """Coefficient of v in e_1...e_l f_1...f_l v over the odd roots."""
-    rs = Z.algebra.root_system()
-    v = Z.highest_vector
-    fword = [(rs.f_unit(r), 1) for r in rs.positive_odd]
-    eword = [(rs.e_unit(r), 1) for r in rs.positive_odd]
-    w = Z.apply_word(fword, v)
-    w = Z.apply_word(eword, w)
-    return _scalar_at_highest(Z, w)
+    return _top_coefficient(Z, Z.algebra.root_system().positive_odd)
 
 
 def cartan_diagonal(M):

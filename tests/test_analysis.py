@@ -20,9 +20,15 @@ from glmn.analysis import (GradedSubmodule, spin, is_simple, simple_head,
                            restrict_module, trivial_submodules,
                            regular_module, frobenius_gram,
                            shifted_joint_kernel)
-from glmn.errors import ZeroVector, NotClosed, ShiftInconsistent
+from glmn import analysis
+from glmn.errors import (BudgetExceeded, ZeroVector, NotClosed,
+                         ShiftInconsistent)
 
 F = make_field(5)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called before the budget check")
 
 
 def brute_graded_simple(M):
@@ -196,6 +202,16 @@ class TestUnipotentAlgebra:
             alg = build_algebra(m, n, F)
             G, nondeg = frobenius_gram(alg, sub, Character(alg, {}))
             assert nondeg
+
+    def test_frobenius_gram_refuses_before_listing_monomials(self, monkeypatch):
+        # gl(3|2): u(n^-) has dimension 5^4 * 2^6 = 40,000, refused from the
+        # caps before any monomial of u(sub) is listed
+        alg = build_algebra(3, 2, F)
+        rs = alg.root_system()
+        sub = [rs.f_unit(r) for r in rs.positive]
+        monkeypatch.setattr(analysis, "sub_enveloping_basis", _must_not_run)
+        with pytest.raises(BudgetExceeded, match="40000"):
+            frobenius_gram(alg, sub, Character(alg, {}))
 
     def test_shifted_kernel_matches_trivial_for_zero_chi(self):
         alg = build_algebra(2, 1, F)

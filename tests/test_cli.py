@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from glmn import analysis
+from glmn import analysis, cli
 from glmn.cli import main
 
 
@@ -80,6 +80,27 @@ class TestExitCodes:
                                         "--dim-budget", "10"])
         assert code == 2 and err.startswith("error:") and "20" in err
 
+    @pytest.mark.parametrize("task", [
+        "verma-scan", "graded-verma-scan", "kw-verify", "levi-scan",
+        "regular-module-check", "--dump-module"])
+    def test_dim_budget_refuses_before_the_weight_variety(self, tmp_path, capsys,
+                                                         monkeypatch, task):
+        # gl(5|4) at p = 5: Vermas of dimension 5^16 2^20; X is never built
+        def must_not_run(*args):
+            raise AssertionError("weight variety built before the budget check")
+
+        monkeypatch.setattr(cli, "weight_variety", must_not_run)
+        dump = task == "--dump-module"
+        cfg = write_cfg(tmp_path, m=5, n=4,
+                        tasks=["structure-check"] if dump else [task])
+        argv = ["run", "--config", cfg]
+        if dump:
+            argv += ["--dump-module", str(tmp_path / "mod.txt")]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err == (f"error: predicted module dimension {5 ** 16 * 2 ** 20} "
+                       "exceeds dim_budget 2000\n")
+
     def test_field_over_budget_exits_two(self, tmp_path, capsys):
         # at p = 11 a semisimple chi asks for F_{11^11}; the field budget
         # refuses it before the modulus search and before any table
@@ -112,10 +133,15 @@ class TestExitCodes:
         {"p": 2047},
         {"p": 561},
         {"tasks": "verma-scan"},
+        {"lambda": [[1.5], 0]},
+        {"lambda": [True, 0]},
+        {"chi": {"E(1,1)": [0.5]}},
+        {"lambda": [[[1]], 0]},
     ], ids=["array", "field-degree-0", "jobs-str", "dim-budget-null",
             "line-budget-bool", "line-budget-removed", "misspelt-key",
             "p-composite", "p-strong-pseudoprime",
-            "p-carmichael", "tasks-str"])
+            "p-carmichael", "tasks-str", "lambda-float-entry",
+            "lambda-bool", "chi-float-entry", "lambda-nested-list"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, raw):
         if isinstance(raw, dict):
             cfg = write_cfg(tmp_path, **raw)

@@ -6,9 +6,10 @@ F_p product through the regular representation, and the log/exp tables
 are built by blocks of F_p-matrix products.  Subspace inserts rows into its
 echelon form.  The oracles below are the table formulas (base-p digits,
 log/exp tables), the column-by-column product and the per-element
-log/exp loop that these replaced, and a row reduction written on top of
-those formulas.  Every case must agree exactly, on prime fields and on
-extension fields up to F_{5^5}.
+log/exp loop that these replaced, a row reduction written on top of
+those formulas, and the scan of x^p - x over all q elements that the
+linear Artin-Schreier solve replaced.  Every case must agree exactly, on
+prime fields and on extension fields up to F_{5^5}.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from sympy import prevprime, primefactors
 
-from glmn.ffield import _poly_mulmod, _poly_trim, make_field
+from glmn.ffield import (_poly_mulmod, _poly_trim, artin_schreier_roots,
+                         make_field)
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
 
 FIELDS = {"F5": make_field(5), "F7": make_field(7), "F11": make_field(11),
@@ -192,6 +194,22 @@ def test_log_tables_match_element_loop(p, k):
     # the generator is the least element of full order
     assert all(any(F.power(g, (F.q - 1) // r) == 1 for r in primefactors(F.q - 1))
                for g in range(1, F.generator))
+
+
+def t_artin_schreier(F):
+    """The roots of x^p - x = c for every c, by evaluating on all q elements."""
+    xs = np.arange(F.q)
+    log = F.log_table[xs]
+    xp = np.where(log >= 0, F.exp_table[log * F.p % (F.q - 1)], 0)
+    vals = t_sub(F, xp, xs)
+    return [np.flatnonzero(vals == c).tolist() for c in range(F.q)]
+
+
+@field_names
+def test_artin_schreier_roots_match_scan(name):
+    F = FIELDS[name]
+    for c, want in enumerate(t_artin_schreier(F)):
+        assert [x.idx for x in artin_schreier_roots(F, c)] == want
 
 
 def test_frob_inv_inverts_frob_on_every_element():
