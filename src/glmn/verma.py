@@ -308,9 +308,8 @@ def induce(algebra, chi, free_roots, inner, units=None):
     order = list(free_roots) + [r for r in algebra.root_system().positive
                                 if r.key not in keys]
     ctx = reduction_context(algebra, chi, f_order=order)
-    nfree = len(free_roots)
     acting = {pos: inner.matrix(u) for pos, u in enumerate(ctx.units)
-              if pos >= nfree and u in inner.units}
+              if u in inner.units}
     Z = build_induced(ctx, free_roots, inner.dim, inner.parity, acting,
                       inner_highest=inner.highest_vector)
     actions = Z.actions if units is None else Z.matrices(units)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glmn import cli, kw, verma
+from glmn.analysis import simple_head
 from glmn.algebra import Character, build_algebra, weight_variety
 from glmn.enveloping import (PBWElement, ReductionContext, multiply,
                              reduction_context)
@@ -144,6 +145,30 @@ def test_builders_match_oracle(name, data):
             assert np.array_equal(Z.matrix(u), mat), u
         assert np.array_equal(Z.parity, parity)
         assert Z.labels == labels
+
+
+def test_every_build_carries_its_weight_and_context():
+    alg, chi, weights = setting("gl21-F5-E21")
+    rs = alg.root_system()
+    lam = weights[3]
+    phi = kw.levi_data(rs, chi).phi_prime
+    levi = [r for r in rs.positive if r not in phi]
+    Z = verma.build_baby_verma(alg, chi, lam)
+    E = verma.build_even_verma(alg, chi, lam)
+    M = verma.build_simple_g0_module(alg, chi, lam)
+    G = verma.build_graded_verma(alg, chi, M)
+    L = kw.build_levi_verma(alg, chi, lam, phi)
+    head = simple_head(L)[1]
+    K = kw.build_kw_module(alg, chi, head, phi)
+    assert all(X.lam is lam for X in (Z, E, M, G, L, head, K))
+    for X, free in ((Z, rs.positive), (E, rs.positive_even),
+                    (G, rs.positive_odd), (L, levi), (K, phi)):
+        rest = [r for r in rs.positive if r not in free]
+        assert X.ctx is reduction_context(alg, chi, list(free) + rest)
+    assert E.units == alg.even_units
+    assert sorted(L.units) == sorted(alg.diag_units + [
+        u for r in levi for u in (rs.e_unit(r), rs.f_unit(r))])
+    assert Z.units == G.units == K.units == alg.units
 
 
 class TestContextCache:
