@@ -41,11 +41,6 @@ class SuperAlgebra:
             (u, v): tuple(self.bracket_units(*u, *v))
             for u in self.units for v in self.units
         }
-        # p-th matrix power of each even unit: E(i,i) is idempotent,
-        # off-diagonal even units square to zero
-        self.pmap_table = {
-            (i, j): ((i, j) if i == j else None) for (i, j) in self.even_units
-        }
         self._root_system = None
         # enveloping.reduction_context: (chi values, f_order keys) -> context
         self._contexts = {}
@@ -81,6 +76,17 @@ class SuperAlgebra:
         if l == i:
             comps[(k, j)] = comps.get((k, j), 0) - sign
         return [(c % self.field.p, u) for u, c in sorted(comps.items()) if c % self.field.p]
+
+    def bracket_escape(self, xs, ys, inside):
+        """The first (x, y, unit) with unit in [x, y] outside `inside`, for
+        x in xs and y in ys in turn; None when every bracket stays inside.
+        The bracket table lists only units with a nonzero coefficient."""
+        for x in xs:
+            for y in ys:
+                for _, unit in self.bracket_table[(x, y)]:
+                    if unit not in inside:
+                        return x, y, unit
+        return None
 
     def bracket(self, x, y):
         """Super bracket of homogeneous Matrix elements."""

@@ -452,11 +452,9 @@ def _sub_positions(ctx, sub_units):
 
 def _check_closed(algebra, sub_units):
     have = {tuple(u) for u in sub_units}
-    for x in have:
-        for y in have:
-            for c, unit in algebra.bracket_table[(x, y)]:
-                if c and unit not in have:
-                    raise NotClosed(f"[{x}, {y}] leaves the span (unit {unit})")
+    hit = algebra.bracket_escape(have, have, have)
+    if hit:
+        raise NotClosed("[{}, {}] leaves the span (unit {})".format(*hit))
 
 
 def sub_enveloping_basis(algebra, chi, sub_units):

@@ -228,11 +228,14 @@ def _run_scan(cfg, algebra, chi, weights, graded):
     initargs = (algebra.field.p, algebra.field.k, algebra.m, algebra.n,
                 dict(chi.values), graded)
     coords = [tuple(int(c) for c in lam.coords) for lam in weights]
-    if cfg["jobs"] > 1 and len(coords) > 1:
+    # a fork pool starts all its workers at once: never more than the
+    # weights or the CPUs
+    workers = min(cfg["jobs"], len(coords), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: loading concurrent.futures.process pulls in
-        # multiprocessing, which a jobs = 1 run never needs
+        # multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg["jobs"],
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_scan_worker,
                                  initargs=initargs) as pool:
             rows = list(pool.map(_scan_one, coords, chunksize=8))

@@ -86,105 +86,62 @@ def _prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, little-endian)
+# F_p-matrices: the companion matrix and Rabin's irreducibility test
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
+def _companion(poly, p):
+    """The F_p-matrix X of multiplication by x modulo the monic poly.
+
+    digits(yx) = digits(y) @ X: row i is x^(i+1), the last row reduces
+    x^k by poly.  The minimal polynomial of X is poly, so h(X) = 0 exactly
+    when poly divides h.
+    """
+    X = np.eye(len(poly) - 1, k=1, dtype=np.int64)
+    X[-1] = [-int(c) % p for c in poly[:-1]]
+    return X
 
 
-def _poly_mulmod(a, b, mod, p):
-    """a*b reduced mod the monic polynomial `mod`, coefficients mod p."""
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_modred(res, mod, p)
-
-
-def _poly_modred(a, mod, p):
-    a = [c % p for c in a]
-    k = len(mod) - 1
-    for i in range(len(a) - 1, k - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(k + 1):
-                a[i - k + j] = (a[i - k + j] - c * mod[j]) % p
-    return _poly_trim(a[:k])
-
-
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_modred(base, mod, p)
+def _matpow(M, e, p):
+    """M^e mod p for a square int64 array over F_p, by repeated squaring."""
+    out = np.eye(len(M), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_rem(a, b, p):
-    """Remainder of a by b over F_p (b nonzero)."""
-    a = _poly_trim([c % p for c in a])
-    lead_inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = (a[-1] * lead_inv) % p
-        shift = len(a) - len(b)
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
+            out = out @ M % p
+        M, e = M @ M % p, e >> 1
+    return out
 
 
 def is_irreducible(poly, p):
-    """Irreducibility of a monic polynomial over F_p.
+    """Irreducibility of a monic polynomial f over F_p, by Rabin's test.
 
-    Uses the standard criterion: x^(p^k) == x mod f, and
-    gcd(x^(p^(k/r)) - x, f) = 1 for every prime r dividing k.
+    The test runs on the companion matrix C of f, of degree k.  C^(p^k) = C
+    says that f divides x^(p^k) - x, so F_p[C] is a product of fields
+    F_{p^d} with d | k, in which u is a unit iff u^(p^k - 1) = I.  f is
+    then irreducible iff C^(p^(k/r)) - C is a unit for every prime r | k
+    (Rabin, "Probabilistic algorithms in finite fields", SIAM J. Comput.
+    9 (1980)).
     """
     poly = list(poly)
     k = len(poly) - 1
     if k < 1 or poly[-1] != 1:
         return False
-    x = _poly_modred([0, 1], poly, p)
-    xq = _poly_powmod(x, p ** k, poly, p)
-    diff = _poly_trim([(a - b) % p for a, b in
-                       itertools.zip_longest(xq, x, fillvalue=0)])
-    if diff:
+    C, one = _companion(poly, p), np.eye(k, dtype=np.int64)
+    if not np.array_equal(_matpow(C, p ** k, p), C):
         return False
-    for r in _prime_factors(k):
-        xd = _poly_powmod(x, p ** (k // r), poly, p)
-        diff = [(a - b) % p for a, b in
-                itertools.zip_longest(xd, x, fillvalue=0)]
-        g = _poly_gcd(diff, poly, p)
-        if len(g) != 1:
-            return False
-    return True
+    return all(np.array_equal(_matpow((_matpow(C, p ** (k // r), p) - C) % p,
+                                      p ** k - 1, p), one)
+               for r in _prime_factors(k))
 
 
 def default_modulus(p, k):
     """Lexicographically least irreducible monic degree-k polynomial.
 
-    For k > 1 a polynomial with constant term 0 is divisible by x, so
-    those candidates are skipped without an irreducibility test.
+    For k > 1 a polynomial with constant term 0 is divisible by x, so the
+    constant term runs from 1.
     """
-    for tail in itertools.product(range(p), repeat=k):
+    for tail in itertools.product(range(1 if k > 1 else 0, p),
+                                  *[range(p)] * (k - 1)):
         poly = list(tail) + [1]
-        if k > 1 and not tail[0]:
-            continue
         if is_irreducible(poly, p):
             return poly
     raise NonIrreducibleModulus(f"no irreducible polynomial of degree {k} over F_{p}")
@@ -219,20 +176,11 @@ class Field:
 
     def _mul_matrix(self, a):
         """The F_p-matrix M of multiplication by a: digits(ya) = digits(y) @ M."""
-        X = np.eye(self.k, k=1, dtype=np.int64)  # multiplication by x
-        X[-1] = -np.array(self.modulus[:-1]) % self.p
+        X = _companion(self.modulus, self.p)
         M, P = np.zeros_like(X), np.eye(self.k, dtype=np.int64)
         for c in self.digits[a]:
             M, P = (M + int(c) * P) % self.p, P @ X % self.p
         return M
-
-    def _matpow(self, M, e):
-        out = np.eye(self.k, dtype=np.int64)
-        while e:
-            if e & 1:
-                out = out @ M % self.p
-            M, e = M @ M % self.p, e >> 1
-        return out
 
     def _build_log_tables(self):
         """exp[i] = g^i and log[g^i] = i (log[0] = -1) for the least generator g.
@@ -244,12 +192,12 @@ class Field:
         q, p, one = self.q, self.p, np.eye(self.k, dtype=np.int64)
         primes = _prime_factors(q - 1)
         self.generator = next(g for g in range(1, q) if not any(np.array_equal(
-            self._matpow(self._mul_matrix(g), (q - 1) // r), one) for r in primes))
+            _matpow(self._mul_matrix(g), (q - 1) // r, p), one) for r in primes))
         exp, Mg = np.empty(q - 1, dtype=np.int64), self._mul_matrix(self.generator)
         exp[0], n = 1, 1
         while n < q - 1:
             s = min(n, q - 1 - n, 1 << 16)
-            rows = self.digits[exp[:s]] @ self._matpow(Mg, n)
+            rows = self.digits[exp[:s]] @ _matpow(Mg, n, p)
             rows %= p
             exp[n:n + s] = rows @ self._ppow
             n += s

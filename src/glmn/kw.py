@@ -65,15 +65,10 @@ def phi_prime_roots(rs, chi):
 
 
 def chi_on_coroot(rs, chi, root):
-    f = rs.algebra.field
-    acc = 0
-    for t, c in enumerate(rs.coroot_diag(root)):
-        v = chi.value((t + 1, t + 1))
-        if c == 1:
-            acc = f.add(acc, v)
-        elif c == -1:
-            acc = f.sub(acc, v)
-    return acc
+    """chi(h_alpha): the coroot value of chi's diagonal values."""
+    alg = rs.algebra
+    diag = Weight(alg.field, [chi.value(u) for u in alg.diag_units])
+    return rs.weight_on_coroot(diag, root)
 
 
 def _check_normalized(rs, chi):
@@ -109,21 +104,12 @@ def levi_data(rs, chi):
         levi_prime.append(rs.f_unit(r))
     nilradical = [rs.e_unit(r) for r in phi]
     parabolic = levi_prime + nilradical
-    # closure of l'
-    lp = set(levi_prime)
-    for x in levi_prime:
-        for y in levi_prime:
-            for c, unit in alg.bracket_table[(x, y)]:
-                if c and unit not in lp:
-                    raise ClosureFailure(f"l' not closed at [{x}, {y}]")
-    # N an ideal of P
-    nset = set(nilradical)
-    pset = set(parabolic)
-    for x in parabolic:
-        for y in nilradical:
-            for c, unit in alg.bracket_table[(x, y)]:
-                if c and unit not in nset:
-                    raise ClosureFailure(f"N not an ideal at [{x}, {y}]")
+    hit = alg.bracket_escape(levi_prime, levi_prime, set(levi_prime))
+    if hit:
+        raise ClosureFailure("l' not closed at [{}, {}]".format(*hit))
+    hit = alg.bracket_escape(parabolic, nilradical, set(nilradical))
+    if hit:
+        raise ClosureFailure("N not an ideal at [{}, {}]".format(*hit))
     # l = [l', l'] as a span inside the algebra
     f = alg.field
     rows = []
@@ -223,19 +209,13 @@ def _certify_prefix(rs, prefix, levi_pos):
     """Prefixes of -Phi' are bracket-closed and normalized by Phi+ of l."""
     alg = rs.algebra
     prefix_units = {rs.f_unit(r) for r in prefix}
-    for x in prefix_units:
-        for y in prefix_units:
-            for c, unit in alg.bracket_table[(x, y)]:
-                if c and unit not in prefix_units:
-                    raise ClosureFailure(
-                        f"prefix not closed: [{x}, {y}] hits {unit}")
-    for r in levi_pos:
-        unit = rs.e_unit(r)
-        for x in prefix_units:
-            for c, u2 in alg.bracket_table[(unit, x)]:
-                if c and u2 not in prefix_units:
-                    raise ClosureFailure(
-                        f"prefix not normalized: [{unit}, {x}] hits {u2}")
+    hit = alg.bracket_escape(prefix_units, prefix_units, prefix_units)
+    if hit:
+        raise ClosureFailure("prefix not closed: [{}, {}] hits {}".format(*hit))
+    hit = alg.bracket_escape([rs.e_unit(r) for r in levi_pos], prefix_units,
+                             prefix_units)
+    if hit:
+        raise ClosureFailure("prefix not normalized: [{}, {}] hits {}".format(*hit))
 
 
 def build_levi_verma(algebra, chi, lam, phi):

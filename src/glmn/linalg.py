@@ -241,29 +241,6 @@ def inverse(m):
     return Matrix(m.field, aug[:, n:])
 
 
-def minimal_polynomial(field, a):
-    """Monic minimal polynomial of a square index array.
-
-    Returned as a coefficient list c[0] + c[1] x + ... + x^deg, found as
-    the first linear dependency among the flattened powers I, A, A^2, ...
-    """
-    n = a.shape[0]
-    powers = [np.eye(n, dtype=np.int64).reshape(-1)]
-    span = Subspace(field, n * n, powers[0][None, :])
-    cur = np.eye(n, dtype=np.int64)
-    while True:
-        cur = matmul(field, cur, a)
-        flat = cur.reshape(-1)
-        if span.contains(flat):
-            # solve for coefficients on the recorded powers
-            stacked = np.array(powers, dtype=np.int64).T
-            sol = solve(field, stacked, flat)
-            coeffs = [field.neg(int(c)) for c in sol] + [1]
-            return coeffs
-        powers.append(flat)
-        span = span.add_vectors(flat)
-
-
 def solve(field, a, b):
     """One solution x of A x = b (A as index array, b a vector).
 
@@ -281,15 +258,6 @@ def solve(field, a, b):
     return x
 
 
-def poly_roots(field, coeffs):
-    """All roots in the field of a polynomial given by coefficient list."""
-    xs = np.arange(field.q, dtype=np.int64)
-    acc = np.full(field.q, coeffs[-1] % field.q, dtype=np.int64)
-    for c in reversed(coeffs[:-1]):
-        acc = field.add(field.mul(acc, xs), int(c))
-    return [int(x) for x in xs[acc == 0]]
-
-
 def eigenspaces(field, a):
     """Eigenvalues and eigenvector kernels of a square index array.
 
@@ -297,19 +265,28 @@ def eigenspaces(field, a):
     kernel Subspace of a - eig*I) and complete says whether the
     eigenspaces together span the whole space.  The eigenvalues are the
     roots in the field of the minimal polynomial; an empty matrix has none.
+
+    The kernel of the columns a^n, ..., a, I (flattened) holds the
+    coefficients, highest degree first, of the polynomials of degree <= n
+    that annihilate a.  The last row of its canonical basis has the
+    rightmost pivot, so it is the monic one of least degree: the minimal
+    polynomial.  One Horner pass over all q elements finds its roots.
     """
     n = a.shape[0]
     if n == 0:
         return [], True
-    coeffs = minimal_polynomial(field, a)
-    pairs = []
-    total = 0
-    for lam in poly_roots(field, coeffs):
-        shifted = field.sub(a, lam * np.eye(n, dtype=np.int64))
-        ker = kernel(field, shifted)
-        pairs.append((lam, ker))
-        total += ker.dim
-    return pairs, total == n
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n):
+        powers.append(matmul(field, powers[-1], a))
+    stacked = np.stack(powers[::-1], axis=-1).reshape(n * n, n + 1)
+    minpoly = kernel(field, stacked).basis[-1]
+    xs = np.arange(field.q, dtype=np.int64)
+    acc = np.zeros(field.q, dtype=np.int64)
+    for c in minpoly:
+        acc = field.add(field.mul(acc, xs), int(c))
+    pairs = [(lam, kernel(field, field.sub(a, lam * np.eye(n, dtype=np.int64))))
+             for lam in np.flatnonzero(acc == 0).tolist()]
+    return pairs, sum(ker.dim for _, ker in pairs) == n
 
 
 class Subspace:

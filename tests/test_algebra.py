@@ -37,6 +37,25 @@ class TestBracket:
                 expect = super_commutator(alg, x, y, alg.parity(*u), alg.parity(*v))
                 assert alg.bracket(x, y) == expect
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+    def test_bracket_escape_matches_supercommutator(self, m, n):
+        # the first (x, y) in iteration order whose supercommutator has a
+        # nonzero entry outside the subset, and that entry's unit
+        alg = build_algebra(m, n, F)
+        rng = random.Random(m + n)
+        for _ in range(40):
+            inside = rng.sample(alg.units, rng.randrange(1, alg.dim))
+            want = None
+            for x, y in itertools.product(inside, inside):
+                br = super_commutator(alg, alg.unit_matrix(*x), alg.unit_matrix(*y),
+                                      alg.parity(*x), alg.parity(*y))
+                out = [u for u in alg.units
+                       if br.data[u[0] - 1, u[1] - 1] % 5 and u not in inside]
+                if out:
+                    want = (x, y, out[0])
+                    break
+            assert alg.bracket_escape(inside, inside, set(inside)) == want
+
     def test_super_anticommutativity(self):
         # [x, y] = -(-1)^{p(x)p(y)} [y, x]
         alg = build_algebra(2, 1, F)

@@ -161,6 +161,41 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "2"])
         assert out1 == out2
 
+    @pytest.mark.parametrize("cpus,want", [(None, []), (1, []), (8, [8]),
+                                           (64, [25]), ("real", None)])
+    def test_pool_never_exceeds_weights_or_cpus(self, tmp_path, capsys,
+                                                monkeypatch, cpus, want):
+        # the pool is a serial fake: no process is started
+        import concurrent.futures
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        if cpus != "real":
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = write_cfg(tmp_path)  # gl(1|1) at p = 5: 25 weights
+        _, serial, _ = run_cli(capsys, ["scan", "--config", cfg])
+        code, out, _ = run_cli(capsys, ["scan", "--config", cfg,
+                                        "--jobs", "1000000"])
+        assert code == 0 and out == serial
+        if want is None:
+            assert all(w <= min(os.cpu_count() or 1, 25) for w in seen)
+        else:
+            assert seen == want
+
     def test_repeat_runs_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         _, out1, _ = run_cli(capsys, ["scan", "--config", cfg])

@@ -213,6 +213,34 @@ def test_default_modulus_matches_full_scan(p):
         k += 1
 
 
+def gauss_count(p, k):
+    """The number of monic irreducible polynomials of degree k over F_p:
+    (1/k) sum over d | k of mu(d) p^(k/d)."""
+    def mobius(d):
+        factors = sympy.factorint(d)
+        return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+    return sum(mobius(d) * p ** (k // d) for d in sympy.divisors(k)) // k
+
+
+@pytest.mark.parametrize("p,k", [(5, k) for k in range(1, 6)]
+                         + [(7, k) for k in range(1, 5)])
+def test_irreducible_count_is_gauss_count(p, k):
+    from glmn.ffield import is_irreducible
+    accepted = sum(is_irreducible(list(tail) + [1], p)
+                   for tail in itertools.product(range(p), repeat=k))
+    assert accepted == gauss_count(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (5, 3), (7, 3), (11, 2)])
+def test_irreducible_matches_sympy(p, k):
+    from glmn.ffield import is_irreducible
+    x = sympy.Symbol("x")
+    for tail in itertools.product(range(p), repeat=k):
+        poly = list(tail) + [1]
+        want = sympy.Poly(list(reversed(poly)), x, modulus=p).is_irreducible
+        assert is_irreducible(poly, p) == want, poly
+
+
 def test_default_modulus_of_degree_seven_is_fast():
     # F_{7^7}: the full scan tests the 7^6 candidates divisible by x first
     import time

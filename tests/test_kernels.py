@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from sympy import prevprime, primefactors
 
-from glmn.ffield import (_poly_mulmod, _poly_trim, artin_schreier_roots,
-                         make_field)
+from glmn.ffield import artin_schreier_roots, make_field
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
 
 FIELDS = {"F5": make_field(5), "F7": make_field(7), "F11": make_field(11),
@@ -64,6 +63,38 @@ def t_matmul(F, a, b):
     for t in range(a.shape[1]):
         out = t_add(F, out, t_mul(F, a[:, t][:, None], b[t, :][None, :]))
     return out
+
+
+# schoolbook polynomials over F_p, little-endian coefficient lists, for the
+# log/exp oracle
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _poly_modred(a, mod, p):
+    """a reduced mod the monic polynomial `mod`, coefficients mod p."""
+    a = [c % p for c in a]
+    k = len(mod) - 1
+    for i in range(len(a) - 1, k - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(k + 1):
+                a[i - k + j] = (a[i - k + j] - c * mod[j]) % p
+    return _poly_trim(a[:k])
+
+
+def _poly_mulmod(a, b, mod, p):
+    """a*b reduced mod the monic polynomial `mod`, coefficients mod p."""
+    res = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            res[i + j] = (res[i + j] + ai * bj) % p
+    return _poly_modred(res, mod, p)
 
 
 def t_exp_log(F):

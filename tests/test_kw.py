@@ -19,8 +19,8 @@ from glmn.kw import (decompose_character, levi_data, order_phi_prime,
                      build_levi_verma, build_kw_module, kw_verify,
                      dot_action, levi_scan, conjugate_character,
                      normalize_character, phi_prime_roots, chi_on_coroot)
-from glmn.errors import (NotNormalized, NotStandardLevi, NotNormalizable,
-                         SingularG, OddInput)
+from glmn.errors import (ClosureFailure, NotNormalized, NotStandardLevi,
+                         NotNormalizable, SingularG, OddInput)
 
 F = make_field(5)
 
@@ -60,6 +60,29 @@ class TestPhiPrime:
         for r in rs.positive:
             expect = chi_on_coroot(rs, chi, r) != 0
             assert (r in phi) == expect
+
+    def test_chi_on_coroot_hand_values(self):
+        alg = build_algebra(2, 1, F)
+        rs = alg.root_system()
+        chi = Character(alg, {(1, 1): 1, (2, 2): 2, (3, 3): 3, (2, 1): 4})
+        # h = E11 - E22 for eps1-eps2 and E(i,i) + E33 for eps_i - delta_1;
+        # the value on E21 plays no part
+        assert {r.key: chi_on_coroot(rs, chi, r) for r in rs.positive} == \
+            {(1, 2): 4, (1, 3): 4, (2, 3): 0}
+
+    def test_certify_prefix_names_the_escaping_bracket(self):
+        alg = build_algebra(2, 1, F)
+        rs = alg.root_system()
+        by_f = {rs.f_unit(r): r for r in rs.positive}
+        by_e = {rs.e_unit(r): r for r in rs.positive}
+        # [E32, E21] = E31
+        with pytest.raises(ClosureFailure, match=r"^prefix not closed: .* hits \(3, 1\)$"):
+            kw._certify_prefix(rs, [by_f[(3, 2)], by_f[(2, 1)]], [])
+        # [E12, E31] = -E32
+        with pytest.raises(ClosureFailure, match=r"^prefix not normalized: "
+                           r"\[\(1, 2\), \(3, 1\)\] hits \(3, 2\)$"):
+            kw._certify_prefix(rs, [by_f[(3, 1)]], [by_e[(1, 2)]])
+        kw._certify_prefix(rs, [by_f[(3, 1)], by_f[(3, 2)]], [by_e[(1, 2)]])
 
     def test_order_covers_phi_prime_with_certificates(self):
         alg = build_algebra(2, 1, F)

@@ -12,11 +12,46 @@ import pytest
 from glmn.ffield import make_field
 from glmn.linalg import (Matrix, Subspace, matmul, matrix_power, matvec, rref,
                          row_reduce, kernel_arr, kernel_basis, inverse, solve,
-                         minimal_polynomial, poly_roots, eigenspaces)
+                         eigenspaces)
 
 
 F = make_field(5)
 F25 = make_field(5, 2)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Krylov minimal polynomial and the root scan that eigenspaces
+# used before it read the minimal polynomial off one kernel
+
+def minimal_polynomial(field, a):
+    """Monic minimal polynomial of a square index array.
+
+    Returned as a coefficient list c[0] + c[1] x + ... + x^deg, found as
+    the first linear dependency among the flattened powers I, A, A^2, ...
+    """
+    n = a.shape[0]
+    powers = [np.eye(n, dtype=np.int64).reshape(-1)]
+    span = Subspace(field, n * n, powers[0][None, :])
+    cur = np.eye(n, dtype=np.int64)
+    while True:
+        cur = matmul(field, cur, a)
+        flat = cur.reshape(-1)
+        if span.contains(flat):
+            # solve for coefficients on the recorded powers
+            stacked = np.array(powers, dtype=np.int64).T
+            sol = solve(field, stacked, flat)
+            return [field.neg(int(c)) for c in sol] + [1]
+        powers.append(flat)
+        span = span.add_vectors(flat)
+
+
+def poly_roots(field, coeffs):
+    """All roots in the field of a polynomial given by coefficient list."""
+    xs = np.arange(field.q, dtype=np.int64)
+    acc = np.full(field.q, coeffs[-1] % field.q, dtype=np.int64)
+    for c in reversed(coeffs[:-1]):
+        acc = field.add(field.mul(acc, xs), int(c))
+    return [int(x) for x in xs[acc == 0]]
 
 
 def rand_mat(field, rows, cols, rng):
@@ -189,8 +224,8 @@ class TestEigen:
 
 
 def minimal_polynomial_eigenspaces(field, a):
-    """eigenspaces by the general route for every matrix: the roots of the
-    minimal polynomial and the kernel of a - eig*I at each."""
+    """eigenspaces by the Krylov route: the roots of the oracle minimal
+    polynomial and the kernel of a - eig*I at each."""
     n = a.shape[0]
     pairs = []
     for lam in poly_roots(field, minimal_polynomial(field, a)):
@@ -209,7 +244,8 @@ def conjugate(field, a, rng):
 
 
 class TestEigenRoutes:
-    """eigenspaces, with its scalar shortcut, against the general route."""
+    """eigenspaces against the Krylov route: the roots of the oracle
+    minimal polynomial and the kernel of a - eig*I at each."""
 
     FIELDS = {"F5": F, "F5^5": make_field(5, 5)}
 
@@ -239,6 +275,17 @@ class TestEigenRoutes:
             diag = np.diag([(values[0] + 1) % field.q] + values)
             pairs, complete = self.check(field, conjugate(field, diag, rng))
             assert complete and len(pairs) > 1
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_random(self, name):
+        # minimal polynomials of every degree up to n, split or not
+        field = self.FIELDS[name]
+        rng = random.Random(13)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                a = rand_mat(field, n, n, rng).data
+                a[np.tril_indices(n, -1)] *= rng.randrange(2)
+                self.check(field, a)
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_not_split(self, name):
