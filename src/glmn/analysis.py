@@ -119,9 +119,16 @@ def _unit_images(M, rows):
     """The images u.v of every row v under every unit u, as rows.
 
     One product with the stacked action; the images of a row under all
-    units come out consecutively.
+    units come out consecutively.  A row that is a coordinate vector e_c
+    maps to column c of every unit, gathered with no arithmetic.
     """
-    return matmul(M.field, rows, M.stacked_action.T).reshape(-1, M.dim)
+    rows = np.asarray(rows, dtype=np.int64)
+    line = (np.count_nonzero(rows, axis=1) == 1) & (rows.max(axis=1, initial=0) == 1)
+    out = np.empty((len(rows), M.stacked_action.shape[0]), dtype=np.int64)
+    out[line] = M.stacked_action.T[rows[line].argmax(axis=1)]
+    if not line.all():
+        out[~line] = matmul(M.field, rows[~line], M.stacked_action.T)
+    return out.reshape(-1, M.dim)
 
 
 def spin(M, w):
@@ -143,7 +150,9 @@ def spin(M, w):
     added = sub.basis_rows()
     while len(added) and sub.dim < M.dim:
         grown = sub.add_rows(_unit_images(M, added))
-        added = grown.basis_rows()[~np.isin(grown.space.pivots, sub.space.pivots)]
+        old = np.zeros(M.dim, dtype=bool)
+        old[sub.space.pivots] = True
+        added = grown.basis_rows()[~old[grown.space.pivots]]
         sub = grown
     return sub
 
@@ -292,6 +301,11 @@ def dual_core(M):
     submodule of S contains a candidate line, so the final S is simple.
     When M is local, S is the only simple submodule of M* and R the unique
     maximal submodule of M.
+
+    R is read off S's echelon basis (Subspace.annihilator): when S is all
+    of M*, R is 0 with no elimination after the spin, and otherwise one
+    rref of the null rows.  The spin itself pivots every coordinate line
+    (a weight vector of a one-dimensional weight space, say) by assignment.
     """
     dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
                      M.parity)
@@ -304,7 +318,7 @@ def dual_core(M):
                                            np.eye(dual.dim, dtype=np.int64)))
         while (smaller := _smaller_spin(dual, pieces, S)) is not None:
             S = smaller
-    return kernel(M.field, S.basis_rows()), S
+    return S.space.annihilator(), S
 
 
 def _smaller_spin(M, pieces, S):

@@ -136,11 +136,12 @@ def is_irreducible(poly, p):
 def default_modulus(p, k):
     """Lexicographically least irreducible monic degree-k polynomial.
 
-    For k > 1 a polynomial with constant term 0 is divisible by x, so the
-    constant term runs from 1.
+    For k = 1 that is x.  For k > 1 a polynomial with constant term 0 is
+    divisible by x, so the constant term runs from 1.
     """
-    for tail in itertools.product(range(1 if k > 1 else 0, p),
-                                  *[range(p)] * (k - 1)):
+    if k == 1:
+        return [0, 1]
+    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         poly = list(tail) + [1]
         if is_irreducible(poly, p):
             return poly

@@ -2,11 +2,20 @@
 
 Matrices wrap a 2-D numpy array of field element indices.  Row reduction
 produces the canonical reduced row-echelon form, which makes Subspace
-comparison exact (equal subspaces have identical basis arrays).  Each
-pivot step of rref touches only the rows that are nonzero in the pivot
-column, so sparse matrices reduce fast.  A Subspace grows by whole blocks:
-add_vectors reduces all new rows against the basis in one product, runs
-rref on the residual once and merges the new pivot rows into the basis.
+comparison exact (equal subspaces have identical basis arrays).
+
+A row with one nonzero entry, at column c, is a coordinate line e_c (a
+weight vector of a one-dimensional weight space, say), and it pivots with
+no field arithmetic: it is the canonical row of pivot c, and clearing
+column c from other rows is an assignment.  rref peels such rows in bulk
+before its pivot loop, and Subspace.reduce and add_vectors clear
+coordinate basis rows and new pivots by assignment, so only the other rows
+go through a product.  Each pivot step of the loop touches only the rows
+that are nonzero in the pivot column, so sparse matrices reduce fast.  A
+Subspace grows by whole blocks: add_vectors reduces all new rows against
+the basis at once, runs rref on the residual once and merges the new pivot
+rows into the basis.  Subspace.annihilator reads the null space off the
+echelon basis, and kernel is rref followed by annihilator.
 
 Over a prime field a matrix product is one float64 BLAS product of the
 residues reduced mod p.  It is exact while every partial sum stays below
@@ -163,12 +172,53 @@ def matrix_power(field, a, e):
 def rref(field, arr):
     """Reduced row echelon form of a raw index array.
 
-    Returns (echelon array of the same shape, pivot column list).  Each
-    pivot step updates only the rows with a nonzero entry in the pivot
+    Returns (echelon array of the same shape, pivot column list).  A row
+    with one nonzero entry, at column c, spans the coordinate line e_c, so
+    e_c is the canonical row of pivot c and every other row is 0 at c.
+    Such rows are peeled first, with no field arithmetic: their columns are
+    cleared from the other rows by assignment, which may leave new
+    single-entry rows, and peeling repeats until none is left.  The rows
+    and columns left over go through the pivot loop (_eliminate), and the
+    two sets of pivot rows are merged by pivot.
+    """
+    a = np.array(arr, dtype=np.int64)
+    nz = a != 0
+    count = nz.sum(axis=1)
+    single = count == 1
+    if not single.any():
+        return _eliminate(field, a)
+    live = count > 1
+    line = np.zeros(a.shape[1], dtype=bool)
+    while single.any():
+        cols = nz[single].any(axis=0)
+        line |= cols
+        count -= nz[:, cols].sum(axis=1)
+        nz[:, cols] = False
+        single = live & (count == 1)
+        live &= count > 1
+    lines = np.flatnonzero(line)
+    out = np.zeros_like(a)
+    if not live.any():
+        out[np.arange(len(lines)), lines] = 1
+        return out, lines.tolist()
+    rest = np.flatnonzero(~line)
+    b, bpivots = _eliminate(field, a[live][:, rest])
+    pivots = np.concatenate((lines, rest[bpivots]))
+    top = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
+    top[np.arange(len(lines)), lines] = 1
+    top[len(lines):, rest] = b[:len(bpivots)]
+    order = np.argsort(pivots)
+    out[:len(pivots)] = top[order]
+    return out, pivots[order].tolist()
+
+
+def _eliminate(field, a):
+    """rref of the int64 array a, in place, by the pivot loop.
+
+    Each pivot step updates only the rows with a nonzero entry in the pivot
     column, so a sparse matrix (a stacked action, say) costs in proportion
     to its nonzeros in the pivot columns rather than to its full size.
     """
-    a = np.array(arr, dtype=np.int64)
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -200,23 +250,12 @@ def row_reduce(m):
 
 
 def kernel(field, arr):
-    """The right null space of a raw index array, as a Subspace.
-
-    Free column c of the echelon form gives the null vector with 1 at c and
-    minus column c at the pivots; the rref of these vectors is the
-    canonical basis, and its pivots come with it.
-    """
+    """The right null space of a raw index array, as a Subspace: the
+    annihilator of its row space."""
     arr = np.asarray(arr, dtype=np.int64)
-    ncols = arr.shape[1]
     a, pivots = rref(field, arr)
-    free = np.delete(np.arange(ncols), pivots)
-    if not len(free):
-        return Subspace(field, ncols)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.neg(a[:len(pivots)][:, free].T)
-    basis, kpivots = rref(field, basis)
-    return Subspace._echelon(field, ncols, basis, kpivots)
+    return Subspace._echelon(field, arr.shape[1], a[:len(pivots)],
+                             pivots).annihilator()
 
 
 def kernel_arr(field, arr):
@@ -289,6 +328,30 @@ def eigenspaces(field, a):
     return pairs, sum(ker.dim for _, ker in pairs) == n
 
 
+def _clear(field, rows, basis, pivots):
+    """rows minus, for each row b of an echelon basis with pivot c, the
+    entry of the row at c times b: rows reduced against the basis.
+
+    A basis row that is a coordinate line e_c only zeroes column c, by
+    assignment.  The other basis rows are zero at the coordinate pivots, so
+    they are subtracted afterwards in one product, from the rows that have
+    a nonzero entry at their pivots.
+    """
+    out = rows.copy()
+    if not len(pivots):
+        return out
+    pivots = np.asarray(pivots, dtype=np.int64)
+    line = np.count_nonzero(basis, axis=1) == 1
+    out[:, pivots[line]] = 0
+    if line.all():
+        return out
+    coef = rows[:, pivots[~line]]
+    hit = coef.any(axis=1)
+    if hit.any():
+        out[hit] = field.sub(out[hit], matmul(field, coef[hit], basis[~line]))
+    return out
+
+
 class Subspace:
     """A subspace of F^n given by a canonical (rref) basis."""
 
@@ -321,14 +384,11 @@ class Subspace:
 
         vec may also be a 2-D array, reduced row by row.  The basis is in
         reduced echelon form, so the coefficients of the projection are
-        the entries of vec at the pivot columns.
+        the entries of vec at the pivot columns (_clear).
         """
         v = np.asarray(vec, dtype=np.int64)
-        if not self.pivots:
-            return v.copy()
-        rows = v.reshape(-1, self.ambient)
-        proj = matmul(self.field, rows[:, self.pivots], self.basis)
-        return self.field.sub(rows, proj).reshape(v.shape)
+        return _clear(self.field, v.reshape(-1, self.ambient), self.basis,
+                      self.pivots).reshape(v.shape)
 
     def contains(self, vec):
         return not np.any(self.reduce(vec))
@@ -351,10 +411,10 @@ class Subspace:
     def add_vectors(self, rows):
         """The span of self and a block of rows, inserted all at once.
 
-        The rows are reduced against the basis in one product; the nonzero
-        residuals vanish at every pivot, and their own rref gives the new
-        pivot rows.  One more product clears the new pivot columns from the
-        old basis, and the two blocks are merged by pivot.
+        The rows are reduced against the basis; the nonzero residuals
+        vanish at every pivot, and their own rref gives the new pivot rows.
+        The new pivot columns are cleared from the old basis the same way,
+        and the two blocks are merged by pivot.
         """
         f = self.field
         res = self.reduce(np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient))
@@ -363,13 +423,31 @@ class Subspace:
             return self
         new, new_pivots = rref(f, res)
         new = new[:len(new_pivots)]
-        basis = self.basis
-        if self.pivots:
-            basis = f.sub(basis, matmul(f, basis[:, new_pivots], new))
+        basis = _clear(f, self.basis, new, new_pivots)
         pivots = self.pivots + new_pivots
         order = np.argsort(pivots)
         return Subspace._echelon(f, self.ambient, np.concatenate((basis, new))[order],
                                  sorted(pivots))
+
+    def annihilator(self):
+        """The subspace of vectors v with b . v = 0 for every basis row b.
+
+        Free column c gives the null vector with 1 at c and minus column c
+        of the basis at the pivots.  With no free column the annihilator is
+        0, and otherwise one rref of these vectors gives its canonical
+        basis; where the basis rows are coordinate lines, the null vectors
+        are too, and that rref does no arithmetic.
+        """
+        n = self.ambient
+        free = np.delete(np.arange(n), self.pivots)
+        if not len(free):
+            return Subspace(self.field, n)
+        rows = np.zeros((len(free), n), dtype=np.int64)
+        rows[np.arange(len(free)), free] = 1
+        if self.pivots:
+            rows[:, self.pivots] = self.field.neg(self.basis[:, free].T)
+        rows, pivots = rref(self.field, rows)
+        return Subspace._echelon(self.field, n, rows, pivots)
 
     def split(self, keys):
         """The pieces of a graded subspace, as (key, Subspace) sorted by key.

@@ -29,6 +29,7 @@ eigenvalues to solve for.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -39,6 +40,12 @@ from .errors import (ChiNotBorelCompatible, IntertwinerCheckFailed,
                      NotWeightBasis, ZeroVector)
 from .ffield import FieldElement
 from .linalg import Matrix, kernel, matmul, matrix_power, matvec
+
+
+# Entries of one product in ModuleRep's axiom checks: the units are
+# checked in chunks that stay below it, one unit per product in a large
+# module.
+AXIOM_PRODUCT_ENTRIES = 1 << 20
 
 
 class ModuleRep:
@@ -116,10 +123,15 @@ class ModuleRep:
     def _brackets_hold(self):
         """The supercommutator of every two units acts as their bracket.
 
-        For each left unit x one product with the units side by side gives
-        x y for every y, and one with the stacked units gives y x.  The
-        expected brackets are x's block of the (U, U, U) bracket
-        coefficients times the flattened units.  Memory stays O(U dim^2).
+        The left units x go in chunks C, as many as keep every product
+        below AXIOM_PRODUCT_ENTRIES entries.  One product of C's units,
+        stacked, with all units side by side gives x y for x in C and every
+        y, and one of all units, stacked, with C's side by side gives y x;
+        when C holds every unit, the first product already holds y x.  The
+        expected brackets are C's block of the (U, U, U) bracket
+        coefficients times the flattened units, one more product.  A module
+        whose units all fit one chunk takes two products in all; a large one
+        takes three per left unit.
         """
         alg = self.algebra
         f = self.field
@@ -138,30 +150,50 @@ class ModuleRep:
         side_by_side = stacked.reshape(U, n, n).transpose(1, 0, 2).reshape(n, U * n)
         flat = stacked.reshape(U, n * n)
         odd = np.array([alg.parity(*u) for u in units], dtype=bool)
-        for a in range(U):
-            x = stacked[a * n:(a + 1) * n]
-            xy = matmul(f, x, side_by_side).reshape(n, U, n).transpose(1, 0, 2)
-            yx = matmul(f, stacked, x).reshape(U, n, n)
-            if odd[a]:
-                # two odd units anticommute: [x, y] = x y + y x
-                yx[odd] = f.neg(yx[odd])
-            expect = matmul(f, coef[a], flat).reshape(U, n, n)
+        chunk = max(1, AXIOM_PRODUCT_ENTRIES // max(U * n * n, 1))
+        for s in range(0, U, chunk):
+            C = slice(s, min(s + chunk, U))
+            c = C.stop - s
+            rows = slice(s * n, C.stop * n)
+            xy = matmul(f, stacked[rows], side_by_side)
+            yx = xy if c == U else matmul(f, stacked, side_by_side[:, rows])
+            # [a, b] holds x_a x_b and x_b x_a for a in C and every b
+            xy = xy.reshape(c, n, U, n).transpose(0, 2, 1, 3)
+            yx = np.ascontiguousarray(yx.reshape(U, n, c, n).transpose(2, 0, 1, 3))
+            # two odd units anticommute: [x, y] = x y + y x
+            both = odd[C, None] & odd[None, :]
+            yx[both] = f.neg(yx[both])
+            expect = matmul(f, coef[C].reshape(c * U, U), flat).reshape(c, U, n, n)
             if not np.array_equal(f.sub(xy, yx), expect):
                 return False
         return True
 
     def _pth_powers_hold(self):
-        """x^p - x^[p] acts as chi(x)^p for every even unit x."""
+        """x^p - x^[p] acts as chi(x)^p for every even unit x.
+
+        The even units go in chunks, as many as keep a chunk's
+        block-diagonal matrix below AXIOM_PRODUCT_ENTRIES entries, and one
+        matrix_power of that matrix raises each of them to the p-th power.
+        x^[p] is x for a Cartan unit and 0 otherwise.
+        """
         f = self.field
-        p = f.p
-        for x, mat in zip(self.units, self.actions):
-            if self.algebra.parity(*x):
-                continue
-            expect = mat if x[0] == x[1] else np.zeros_like(mat)
-            scal = f.power(self.chi.value(x), p)
-            if scal:
-                expect = f.add(expect, f.mul(np.eye(self.dim, dtype=np.int64), scal))
-            if not np.array_equal(matrix_power(f, mat, p), expect):
+        p, n = f.p, self.dim
+        even = [t for t, x in enumerate(self.units) if not self.algebra.parity(*x)]
+        chunk = max(1, math.isqrt(AXIOM_PRODUCT_ENTRIES) // max(n, 1))
+        eye = np.eye(n, dtype=bool)
+        for s in range(0, len(even), chunk):
+            part = even[s:s + chunk]
+            c = len(part)
+            mats = self.actions[part]
+            block = np.zeros((c, n, c, n), dtype=np.int64)
+            block[np.arange(c), :, np.arange(c), :] = mats
+            power = matrix_power(f, block.reshape(c * n, c * n), p).reshape(c, n, c, n)
+            cartan = np.array([self.units[t][0] == self.units[t][1] for t in part])
+            scal = f.power(np.array([self.chi.value(self.units[t]) for t in part],
+                                    dtype=np.int64), p)
+            expect = f.add(np.where(cartan[:, None, None], mats, 0),
+                           np.where(eye, scal[:, None, None], 0))
+            if not np.array_equal(power[np.arange(c), :, np.arange(c), :], expect):
                 return False
         return True
 
@@ -483,10 +515,19 @@ def induced_hom(source, target, u):
     for i in range(1, alg.d + 1):
         if (target.act((i, i), u) != field.mul(source.lam.value(i), u)).any():
             raise NotMaximal(f"u is not a weight vector of weight lambda at E({i},{i})")
+    # the column of f_1^m_1 ... f_k^m_k v is f_i applied to that of its
+    # lexicographic predecessor m - e_i, i the first nonzero exponent
+    f_units = [rs.f_unit(r) for r in source.ctx.f_order]
     cols = np.zeros((target.dim, source.dim), dtype=np.int64)
+    done = {}
     for t, (mono, _) in enumerate(source.labels):
-        word = [(rs.f_unit(r), e) for r, e in zip(source.ctx.f_order, mono)]
-        cols[:, t] = target.apply_word(word, u)
+        i = next((i for i, e in enumerate(mono) if e), None)
+        if i is None:
+            cols[:, t] = u
+        else:
+            prev = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            cols[:, t] = target.act(f_units[i], cols[:, done[prev]])
+        done.setdefault(mono, t)
     for unit in source.units:
         lhs = matmul(field, cols, source.matrix(unit))
         rhs = matmul(field, target.matrix(unit), cols)

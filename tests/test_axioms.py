@@ -1,11 +1,16 @@
 """The batched ModuleRep.verify_axioms against the per-pair loop it replaced.
 
-verify_axioms checks every supercommutator with one product per left unit
-and reads the expected brackets off a bracket-coefficient block.  The
-oracle below forms each commutator [x, y] and each expected bracket as
-separate Matrix sums, pair by pair.  Both must give the same verdict on
-baby Vermas and even-part Vermas of gl(1|1) and gl(2|1), over F_5 and over
-F_{5^5}, intact and with action entries perturbed at random.
+verify_axioms takes every product x y of two units in one product and the
+expected brackets in one more, read off a bracket-coefficient block, and
+raises every even unit to the p-th power in one block-diagonal
+matrix_power.  Larger modules go in chunks of units that keep each product
+below verma.AXIOM_PRODUCT_ENTRIES entries, down to one unit per product.
+The oracle below forms each commutator [x, y] and each expected bracket as
+separate Matrix sums, pair by pair, and each p-th power on its own.  Both
+must give the same verdict on baby Vermas and even-part Vermas of gl(1|1)
+and gl(2|1), over F_5 and over F_{5^5}, intact and with action entries
+perturbed at random, in one chunk, in chunks of a few units and one unit at
+a time.
 """
 
 import functools
@@ -17,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from glmn.algebra import Character, build_algebra, weight_variety
 from glmn.ffield import make_field
 from glmn.linalg import Matrix
+from glmn import verma
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 
 
@@ -84,11 +90,7 @@ def perturbed(M, changes):
     return ModuleRep(M.algebra, M.chi, M.units, action, M.parity)
 
 
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-@pytest.mark.parametrize("name", sorted(SETTINGS))
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_batched_matches_oracle(name, builder, data):
+def check_against_oracle(name, builder, data):
     alg, chi, weights = setting(name)
     lam = data.draw(st.sampled_from(weights), label="lambda")
     M = BUILDERS[builder](alg, chi, lam)
@@ -106,3 +108,32 @@ def test_batched_matches_oracle(name, builder, data):
         changes.append((u, int(i), int(j), value))
     N = perturbed(M, changes)
     assert N.verify_axioms() == oracle_verify_axioms(N)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_matches_oracle(name, builder, data):
+    alg, chi, weights = setting(name)
+    M = BUILDERS[builder](alg, chi, weights[0])
+    U = len(M.units)
+    # every module here fits one chunk, so each check is one batch
+    assert U * U * M.dim ** 2 <= verma.AXIOM_PRODUCT_ENTRIES
+    check_against_oracle(name, builder, data)
+
+
+@pytest.mark.parametrize("chunk", ["one unit", "a few units"])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_chunked_matches_oracle(name, builder, chunk, data):
+    alg, chi, weights = setting(name)
+    M = BUILDERS[builder](alg, chi, weights[0])
+    # one entry admits one unit per product; 2 U dim^2 two left units and
+    # isqrt(2 U) even units per block-diagonal power
+    budget = 1 if chunk == "one unit" else 2 * len(M.units) * M.dim ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verma, "AXIOM_PRODUCT_ENTRIES", budget)
+        check_against_oracle(name, builder, data)

@@ -194,6 +194,16 @@ def test_default_modulus_is_lex_least():
     assert not is_irreducible([1, 0, 1], 5)
 
 
+@pytest.mark.parametrize("p", [5, 823541])
+def test_default_modulus_of_degree_one_is_x(p, monkeypatch):
+    # no candidate list: product(range(823541)) would copy the range
+    def no_product(*pools, **kw):
+        raise AssertionError("degree 1 needs no candidate scan")
+    monkeypatch.setattr(ffield.itertools, "product", no_product)
+    assert list(default_modulus(p, 1)) == [0, 1]
+    assert make_field(p).modulus == (0, 1)
+
+
 def scan_modulus(p, k):
     """The full lexicographic scan: every monic degree-k candidate in turn,
     x-divisible ones included, until one is irreducible."""

@@ -10,6 +10,12 @@ log/exp loop that these replaced, a row reduction written on top of
 those formulas, and the scan of x^p - x over all q elements that the
 linear Artin-Schreier solve replaced.  Every case must agree exactly, on
 prime fields and on extension fields up to F_{5^5}.
+
+rref, Subspace.reduce, add_vectors and annihilator pivot coordinate lines
+(rows with one nonzero entry) by assignment; their cases are drawn with
+such rows, including chains in which clearing one coordinate column leaves
+a new single-entry row, and on full, empty, coordinate and mixed
+subspaces.
 """
 
 import numpy as np
@@ -18,8 +24,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from sympy import prevprime, primefactors
 
+from glmn import analysis, linalg
+from glmn.algebra import Character, build_algebra, weight_variety
 from glmn.ffield import artin_schreier_roots, make_field
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
+from glmn.verma import build_graded_verma, build_simple_g0_module
 
 FIELDS = {"F5": make_field(5), "F7": make_field(7), "F11": make_field(11),
           "F25": make_field(5, 2), "F49": make_field(7, 2),
@@ -398,3 +407,139 @@ def test_subspace_ops_match_rref_of_stacked_basis(name, data):
     assert np.array_equal(both.basis, t_intersect(F, s, other))
     assert both.dim == s.dim + other.dim - total.dim
     assert both <= s and both <= other
+
+
+# ---------------------------------------------------------------------------
+# L1: coordinate lines
+
+LINE_FIELDS = pytest.mark.parametrize("name", ["F5", "F25", "F3125"])
+
+
+def line_seeded(data, F, cols):
+    """Rows with one nonzero entry, chains and random rows, shuffled.
+
+    A chain row is nonzero at some columns of earlier single-entry or chain
+    rows and at one column more, so clearing the earlier columns leaves it
+    with one nonzero entry.
+    """
+    nonzero = st.integers(1, F.q - 1)
+    rows, peeled = [], []
+    for c in data.draw(st.lists(st.integers(0, cols - 1), min_size=1,
+                                max_size=cols + 2), label="lines"):
+        row = np.zeros(cols, dtype=np.int64)
+        row[c] = data.draw(nonzero)
+        rows.append(row)
+        peeled.append(c)
+    for _ in range(data.draw(st.integers(0, cols), label="chain")):
+        row = np.zeros(cols, dtype=np.int64)
+        for c in data.draw(st.lists(st.sampled_from(peeled), min_size=1, max_size=3)):
+            row[c] = data.draw(nonzero)
+        c = data.draw(st.integers(0, cols - 1))
+        row[c] = data.draw(nonzero)
+        rows.append(row)
+        peeled.append(c)
+    extra = data.draw(st.integers(0, 2), label="random rows")
+    rows += list(data.draw(hnp.arrays(np.int64, (extra, cols),
+                                      elements=st.integers(0, F.q - 1))))
+    order = data.draw(st.permutations(range(len(rows))), label="order")
+    return np.array([rows[i] for i in order], dtype=np.int64).reshape(-1, cols)
+
+
+def test_rref_peels_a_chain_of_lines():
+    F = FIELDS["F3125"]
+    # e_0 clears row 1 to a multiple of e_1, which clears row 2 to one of e_2
+    a = np.array([[0, 7, 9, 0], [3, 0, 0, 0], [0, 0, 11, 4], [0, 0, 0, 0],
+                  [0, 2, 0, 0]], dtype=np.int64)
+    ech, pivots = rref(F, a)
+    want, want_pivots = t_rref(F, a)
+    assert pivots == want_pivots == [0, 1, 2, 3]
+    assert np.array_equal(ech, want)
+    assert np.array_equal(ech[:4], np.eye(4, dtype=np.int64))
+
+
+@LINE_FIELDS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_rref_of_line_seeded_rows_matches_oracle(name, data):
+    F = FIELDS[name]
+    a = line_seeded(data, F, data.draw(st.integers(1, 7), label="cols"))
+    ech, pivots = rref(F, a)
+    want, want_pivots = t_rref(F, a)
+    assert pivots == want_pivots and np.array_equal(ech, want)
+    assert np.array_equal(kernel_arr(F, a), t_kernel(F, a))
+
+
+def subspace_of(data, F, n, kind):
+    """A full, empty, coordinate or mixed subspace of F^n."""
+    if kind == "empty":
+        return Subspace(F, n)
+    if kind == "full":
+        # nonzero diagonal, anything above it: rank n
+        upper = np.triu(data.draw(hnp.arrays(np.int64, (n, n),
+                                             elements=st.integers(0, F.q - 1))), 1)
+        diag = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, F.q - 1)))
+        return Subspace(F, n, upper + np.diag(diag))
+    cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    rows = np.zeros((len(cols), n), dtype=np.int64)
+    rows[np.arange(len(cols)), cols] = data.draw(
+        hnp.arrays(np.int64, len(cols), elements=st.integers(1, F.q - 1)))
+    if kind == "mixed":
+        rows = np.vstack([rows, draw_matrix(data, F, cols=n)])
+    return Subspace(F, n, rows)
+
+
+@LINE_FIELDS
+@pytest.mark.parametrize("kind", ["empty", "full", "coordinate", "mixed"])
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_subspace_with_lines_matches_oracle(name, kind, data):
+    F = FIELDS[name]
+    n = data.draw(st.integers(1, 7), label="n")
+    s = subspace_of(data, F, n, kind)
+    assert np.array_equal(s.basis, t_span(F, s.basis, n))
+    rows = line_seeded(data, F, n) if data.draw(st.booleans()) else \
+        draw_matrix(data, F, cols=n)
+
+    want = rows.copy()
+    for ri, pc in enumerate(s.pivots):
+        want = t_sub(F, want, t_mul(F, want[:, pc][:, None], s.basis[ri][None, :]))
+    assert np.array_equal(s.reduce(rows), want)
+
+    grown = s.add_vectors(rows)
+    want = t_span(F, np.vstack([s.basis, rows]), n)
+    assert np.array_equal(grown.basis, want)
+    assert grown.pivots == [int(np.flatnonzero(r)[0]) for r in want]
+
+    ann = s.annihilator()
+    want = t_kernel(F, s.basis) if s.dim else np.eye(n, dtype=np.int64)
+    assert np.array_equal(ann.basis, want.reshape(-1, n))
+    assert ann.pivots == [int(np.flatnonzero(r)[0]) for r in ann.basis]
+    assert ann.dim == n - s.dim and not np.any(t_matmul(F, s.basis, ann.basis.T))
+
+
+def test_dual_core_of_a_simple_module_stops_eliminating_after_its_spin(monkeypatch):
+    """The certificate of a simple graded Verma over F_{5^5} spins the
+    whole dual module and reads R = 0 off it with no further rref."""
+    alg = build_algebra(2, 1, make_field(5))
+    alg, chi, weights = weight_variety(
+        alg, Character(alg, {(1, 1): 1, (2, 2): 1, (3, 3): 1}))
+    assert alg.field.q == 5 ** 5
+    Z = build_graded_verma(alg, chi, build_simple_g0_module(alg, chi, weights[0]))
+    events = []
+    rref_, spin_ = linalg.rref, analysis.spin
+
+    def counted_rref(field, arr):
+        events.append("rref")
+        return rref_(field, arr)
+
+    def marked_spin(M, w):
+        out = spin_(M, w)
+        events.append("spin")
+        return out
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(analysis, "spin", marked_spin)
+    R, S = analysis.dual_core(Z)
+    assert R.dim == 0 and S.dim == Z.dim
+    assert events.count("spin") == 1 and "rref" in events
+    assert events[-1] == "spin"

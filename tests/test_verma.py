@@ -226,6 +226,33 @@ class TestInducedHom:
         T, rank = induced_hom(source, Z, u)
         assert rank == 1  # f u = f^2 v = 0 kills the other column
 
+    def test_columns_match_words_on_levi_weights(self):
+        """Each column, built from its lexicographic predecessor, equals
+        the PBW word of its label applied to u: gl(2|1), chi(E21) = 1,
+        u = f_alpha^(a+1) v for every Levi root alpha and every weight."""
+        from glmn.algebra import classify_character
+        from glmn.kw import dot_action
+        alg = build_algebra(2, 1, F)
+        chi = Character(alg, {(2, 1): 1})
+        _, _, weights = weight_variety(alg, chi)
+        rs = alg.root_system()
+        levi = classify_character(rs, chi).levi_set
+        checked = 0
+        for lam in weights:
+            Z = build_baby_verma(alg, chi, lam)
+            for alpha in levi:
+                u = Z.highest_vector
+                for _ in range(int(rs.weight_on_coroot(lam, alpha)) + 1):
+                    u = Z.act(rs.f_unit(alpha), u)
+                source = build_baby_verma(alg, chi, dot_action(rs, [alpha], lam))
+                T, _ = induced_hom(source, Z, u)
+                words = np.array([Z.apply_word(
+                    [(rs.f_unit(r), e) for r, e in zip(source.ctx.f_order, mono)], u)
+                    for mono, _ in source.labels]).T
+                assert np.array_equal(T.data, words)
+                checked += 1
+        assert checked == len(weights) * len(levi) > 0
+
     def test_rejects_non_maximal(self):
         alg = build_algebra(1, 1, F)
         chi = Character(alg, {})

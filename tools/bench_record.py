@@ -16,8 +16,16 @@ better, whether the change's median stays within the metric's bound, and
 whether a gain holds: the change better in at least nine tenths of the
 pairs, and the medians further apart than the parent's quartile distance.
 It also records the run environment, the commits, the seeds and the failed
-and attempted counts.  Written to BENCH_<pr>.json at the root of the
-repository unless --out says otherwise.
+and attempted counts.
+
+When a directory also holds <workload>-seed<S>-trace1.json files, runs of
+perfbench/run.py --trace 1, the traced runs of both sides with the same
+workload and seed are paired the same way, and the record gains a
+per_layer section: for each workload and each per-layer metric of
+BENCHMARK.json, each side's value (the median over the paired seeds) and
+the change over the parent, so that cuts in call counts show beside the
+timings.  Written to BENCH_<pr>.json at the root of the repository unless
+--out says otherwise.
 """
 
 from __future__ import annotations
@@ -32,10 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_ONLY_ENV = ("commit", "seed", "loadavg_before", "loadavg_after")
 
 
-def load_runs(results_dir):
-    """{(workload, seed): result} for the --trace 0 results in a directory."""
+def load_runs(results_dir, trace=0):
+    """{(workload, seed): result} for the --trace results in a directory."""
     runs = {}
-    for path in sorted(Path(results_dir).glob("*-trace0.json")):
+    for path in sorted(Path(results_dir).glob(f"*-trace{trace}.json")):
         with open(path) as fh:
             result = json.load(fh)
         runs[result["workload"], result["seed"]] = result
@@ -72,6 +80,38 @@ def compare(metric, parent_values, change_values):
                  and abs(cm - pm) > parent["q3"] - parent["q1"]
                  and ((cm < pm) if lower else (cm > pm))),
     }
+
+
+def per_layer(benchmark, parent_runs, change_runs):
+    """The per-layer metrics of the paired traced runs, by workload.
+
+    A metric is recorded when every paired run of both sides has it.
+    """
+    keys = sorted(set(parent_runs) & set(change_runs))
+    sides = {"parent": parent_runs, "change": change_runs}
+    workloads = {}
+    for name in sorted({w for w, _ in keys}):
+        seeds = [s for w, s in keys if w == name]
+        metrics = {}
+        for metric in benchmark.get("per_layer", []):
+            key = metric["name"]
+            values = {side: [runs[name, s]["metrics"].get(key, {}).get("value")
+                             for s in seeds] for side, runs in sides.items()}
+            if any(v is None for vals in values.values() for v in vals):
+                continue
+            pm, cm = (statistics.median(values[side]) for side in sides)
+            metrics[key] = {"unit": metric["unit"], "better": metric["better"],
+                            "parent": pm, "change": cm,
+                            "change_over_parent": cm / pm if pm else None}
+        workloads[name] = {
+            "seeds": seeds,
+            "commits": {side: commit_of(runs[name, s] for s in seeds)
+                        for side, runs in sides.items()},
+            "all_correct": {side: all(runs[name, s]["correct"] for s in seeds)
+                            for side, runs in sides.items()},
+            "metrics": metrics,
+        }
+    return workloads
 
 
 def commit_of(runs):
@@ -111,7 +151,7 @@ def record(pr, parent_dir, change_dir, benchmark):
                      for side, runs in sides.items()},
             "metrics": metrics,
         }
-    return {
+    rec = {
         "pr": pr,
         "commits": {"parent": commit_of(parent_runs[k] for k in keys),
                     "change": commit_of(change_runs[k] for k in keys)},
@@ -120,6 +160,10 @@ def record(pr, parent_dir, change_dir, benchmark):
         "environment": env,
         "workloads": workloads,
     }
+    layers = per_layer(benchmark, load_runs(parent_dir, 1), load_runs(change_dir, 1))
+    if layers:
+        rec["per_layer"] = layers
+    return rec
 
 
 def main(argv=None):
