@@ -5,17 +5,13 @@ produces the canonical reduced row-echelon form, which makes Subspace
 comparison exact (equal subspaces have identical basis arrays).
 
 A row with one nonzero entry, at column c, is a coordinate line e_c (a
-weight vector of a one-dimensional weight space, say), and it pivots with
-no field arithmetic: it is the canonical row of pivot c, and clearing
-column c from other rows is an assignment.  rref peels such rows in bulk
-before its pivot loop, and Subspace.reduce and add_vectors clear
-coordinate basis rows and new pivots by assignment, so only the other rows
-go through a product.  Each pivot step of the loop touches only the rows
-that are nonzero in the pivot column, so sparse matrices reduce fast.  A
-Subspace grows by whole blocks: add_vectors reduces all new rows against
-the basis at once, runs rref on the residual once and merges the new pivot
-rows into the basis.  Subspace.annihilator reads the null space off the
-echelon basis, and kernel is rref followed by annihilator.
+weight vector of a one-dimensional weight space, say).  It pivots with no
+field arithmetic: it is the canonical row of pivot c, and clearing column
+c from other rows is an assignment.  rref peels such rows before its pivot
+loop, and Subspace.reduce and add_vectors clear such basis rows and new
+pivots by assignment, so only the other rows go through a product.  A
+Subspace grows by whole blocks, and Subspace.annihilator reads the null
+space off the echelon basis: kernel is rref followed by annihilator.
 
 Over a prime field a matrix product is one float64 BLAS product of the
 residues reduced mod p.  It is exact while every partial sum stays below
@@ -196,20 +192,20 @@ def rref(field, arr):
         nz[:, cols] = False
         single = live & (count == 1)
         live &= count > 1
-    lines = np.flatnonzero(line)
-    out = np.zeros_like(a)
+    lines, rest = np.flatnonzero(line), np.flatnonzero(~line)
+    # the output reuses a: the pivot rows, lines first, then sorted by pivot
     if not live.any():
-        out[np.arange(len(lines)), lines] = 1
-        return out, lines.tolist()
-    rest = np.flatnonzero(~line)
-    b, bpivots = _eliminate(field, a[live][:, rest])
+        a[:] = 0
+        a[np.arange(len(lines)), lines] = 1
+        return a, lines.tolist()
+    b, bpivots = _eliminate(field, a[np.ix_(live, rest)])
     pivots = np.concatenate((lines, rest[bpivots]))
-    top = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
-    top[np.arange(len(lines)), lines] = 1
-    top[len(lines):, rest] = b[:len(bpivots)]
     order = np.argsort(pivots)
-    out[:len(pivots)] = top[order]
-    return out, pivots[order].tolist()
+    a[:] = 0
+    a[np.arange(len(lines)), lines] = 1
+    a[len(lines):len(pivots), rest] = b[:len(bpivots)]
+    a[:len(pivots)] = a[order]
+    return a, pivots[order].tolist()
 
 
 def _eliminate(field, a):

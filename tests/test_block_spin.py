@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (GradedSubmodule, is_simple, quotient_module,
-                           restrict_module, spin)
+from glmn.analysis import (GradedSubmodule, _unit_images, is_simple,
+                           quotient_module, restrict_module, spin)
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
 from glmn.verma import build_baby_verma, build_even_verma
@@ -183,6 +183,19 @@ def test_spin_of_highest_vector_matches_oracle(name):
     even, odd = seq_spin(M, M.highest_vector)
     assert np.array_equal(sub.even_part.basis, even)
     assert np.array_equal(sub.odd_part.basis, odd)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+@SPIN_SETTINGS
+@given(data=st.data())
+def test_unit_images_match_per_unit_products(name, data):
+    """Coordinate vectors e_c are gathered, scaled ones and the rest are
+    multiplied; every image must equal u.v."""
+    M = module(name)
+    rows = np.array([data.draw(spin_vectors(M)) for _ in range(3)])
+    images = _unit_images(M, rows).reshape(len(rows), len(M.units), M.dim)
+    for v, got in zip(rows, images):
+        assert np.array_equal(got, [M.act(u, v) for u in M.units])
 
 
 def test_mixed_parity_rows_are_rejected():

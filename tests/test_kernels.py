@@ -490,7 +490,7 @@ def subspace_of(data, F, n, kind):
 
 @LINE_FIELDS
 @pytest.mark.parametrize("kind", ["empty", "full", "coordinate", "mixed"])
-@KERNEL_SETTINGS
+@settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_subspace_with_lines_matches_oracle(name, kind, data):
     F = FIELDS[name]
