@@ -193,16 +193,14 @@ def rref(field, arr):
         single = live & (count == 1)
         live &= count > 1
     lines, rest = np.flatnonzero(line), np.flatnonzero(~line)
+    b, bpivots = _eliminate(field, a[np.ix_(live, rest)]) if live.any() else (a, [])
     # the output reuses a: the pivot rows, lines first, then sorted by pivot
-    if not live.any():
-        a[:] = 0
-        a[np.arange(len(lines)), lines] = 1
-        return a, lines.tolist()
-    b, bpivots = _eliminate(field, a[np.ix_(live, rest)])
-    pivots = np.concatenate((lines, rest[bpivots]))
-    order = np.argsort(pivots)
     a[:] = 0
     a[np.arange(len(lines)), lines] = 1
+    if not bpivots:
+        return a, lines.tolist()
+    pivots = np.concatenate((lines, rest[bpivots]))
+    order = np.argsort(pivots)
     a[len(lines):len(pivots), rest] = b[:len(bpivots)]
     a[:len(pivots)] = a[order]
     return a, pivots[order].tolist()
@@ -334,8 +332,6 @@ def _clear(field, rows, basis, pivots):
     a nonzero entry at their pivots.
     """
     out = rows.copy()
-    if not len(pivots):
-        return out
     pivots = np.asarray(pivots, dtype=np.int64)
     line = np.count_nonzero(basis, axis=1) == 1
     out[:, pivots[line]] = 0
