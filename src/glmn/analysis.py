@@ -306,19 +306,39 @@ def dual_core(M):
     of M*, R is 0 with no elimination after the spin, and otherwise one
     rref of the null rows.  The spin itself pivots every coordinate line
     (a weight vector of a one-dimensional weight space, say) by assignment.
+    With diagonal Cartan matrices a root unit maps weight vectors to weight
+    vectors, so the certificate's S is the span of root-unit words on e_t:
+    the context keeps S's and R's bases by (root_key, t), as nonzeros.
     """
     dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
                      M.parity)
     t = _top_coordinate(M)
     if t is not None:
-        S = spin(dual, dual.basis_vector(t))
-    else:
-        pieces = [sub for _, sub, _ in _candidate_spaces(dual)]
-        S = GradedSubmodule(dual, Subspace(dual.field, dual.dim,
-                                           np.eye(dual.dim, dtype=np.int64)))
-        while (smaller := _smaller_spin(dual, pieces, S)) is not None:
-            S = smaller
+        memo, key = {} if M.root_key is None else M.ctx._cores, (M.root_key, t)
+        if key not in memo:
+            S = spin(dual, dual.basis_vector(t)).space
+            memo[key] = (_nonzeros(S), _nonzeros(S.annihilator()))
+        S, R = (_from_nonzeros(M.field, M.dim, z) for z in memo[key])
+        return R, GradedSubmodule(dual, S)
+    pieces = [sub for _, sub, _ in _candidate_spaces(dual)]
+    S = GradedSubmodule(dual, Subspace(dual.field, dual.dim,
+                                       np.eye(dual.dim, dtype=np.int64)))
+    while (smaller := _smaller_spin(dual, pieces, S)) is not None:
+        S = smaller
     return S.space.annihilator(), S
+
+
+def _nonzeros(space):
+    """(pivots, rows, columns, values) of a canonical basis, narrow dtypes."""
+    at, (rows, cols) = np.min_scalar_type(space.ambient), np.nonzero(space.basis)
+    return (np.array(space.pivots, dtype=at), rows.astype(at), cols.astype(at),
+            space.basis[rows, cols].astype(np.min_scalar_type(space.field.q - 1)))
+
+
+def _from_nonzeros(field, ambient, z):
+    basis = np.zeros((len(z[0]), ambient), dtype=np.int64)
+    basis[z[1], z[2]] = z[3]
+    return Subspace._echelon(field, ambient, basis, z[0].tolist())
 
 
 def _smaller_spin(M, pieces, S):

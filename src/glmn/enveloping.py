@@ -26,11 +26,13 @@ class ReductionContext:
 
     f_order, when given, lists the positive roots in the order their
     negative root vectors appear in the f block; the default is the
-    canonical positive order.  A memo table caches single-generator
-    straightening steps, and ``_plans`` caches the weight-free induction
-    plans of ``verma.build_induced``.  Library code obtains contexts from
-    ``reduction_context``, so one context and its caches serve every
-    weight of a given (algebra, chi, f_order).
+    canonical positive order.  Its caches are weight-free: ``_memo`` holds
+    single-generator straightening steps, ``_plans`` the induction plans of
+    ``verma.build_induced``, and ``_cores`` and ``_tops`` the certificate
+    bases of ``analysis.dual_core`` and the values of
+    ``verma._top_coefficient`` by module root_key.  Library code obtains
+    contexts from ``reduction_context``, so one context and its caches
+    serve every weight of a given (algebra, chi, f_order).
     """
 
     def __init__(self, algebra, chi, f_order=None):
@@ -66,6 +68,8 @@ class ReductionContext:
         self.half = f.inv(2 % p)
         self._memo = {}
         self._plans = {}
+        self._cores = {}
+        self._tops = {}
 
     def gen_parity(self, pos):
         return self.parities[pos]

@@ -101,14 +101,26 @@ def _companion(poly, p):
     return X
 
 
-def _matpow(M, e, p):
-    """M^e mod p for a square int64 array over F_p, by repeated squaring."""
-    out = np.eye(len(M), dtype=np.int64)
-    while e:
+def _power(a, e, mul):
+    """a^e for a square int64 array by repeated squaring with the product
+    mul, from a and not the identity and skipping the last, unused square:
+    a^5 takes three products.  The result never shares memory with a."""
+    assert a.shape[0] == a.shape[1] and e >= 0
+    if e == 0:
+        return np.eye(len(a), dtype=np.int64)
+    result, base = None, a
+    while True:
         if e & 1:
-            out = out @ M % p
-        M, e = M @ M % p, e >> 1
-    return out
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return result.copy() if result is a else result
+        base = mul(base, base)
+
+
+def _matpow(M, e, p):
+    """M^e mod p for a square int64 array over F_p."""
+    return _power(M, e, lambda x, y: x @ y % p)
 
 
 def is_irreducible(poly, p):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import FieldElement
+from .ffield import FieldElement, _power
 
 
 class Matrix:
@@ -145,24 +145,8 @@ def matvec(field, a, v):
 
 
 def matrix_power(field, a, e):
-    """a^e for a square index array, by repeated squaring.
-
-    The product starts from a rather than from the identity and the last
-    squaring, whose result nothing uses, is skipped: a^5 takes three
-    products.  The result never shares memory with a.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    assert a.shape[0] == a.shape[1] and e >= 0
-    if e == 0:
-        return np.eye(a.shape[0], dtype=np.int64)
-    result, base = None, a
-    while True:
-        if e & 1:
-            result = base if result is None else matmul(field, result, base)
-        e >>= 1
-        if not e:
-            return result.copy() if result is a else result
-        base = matmul(field, base, base)
+    """a^e for a square index array, by ffield._power's repeated squaring."""
+    return _power(np.asarray(a, dtype=np.int64), e, lambda x, y: matmul(field, x, y))
 
 
 def rref(field, arr):

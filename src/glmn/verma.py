@@ -53,11 +53,12 @@ class ModuleRep:
 
     The action is one (U, dim, dim) index array, actions, whose slice t is
     the matrix of units[t]; stacked_action is the same memory as one
-    (U * dim, dim) array.  The action is fixed once the module is built.
+    (U * dim, dim) array.  The action is read-only once the module is built,
+    so its root_key (see build_induced) never goes stale.
     """
 
     def __init__(self, algebra, chi, units, actions, parity, labels=None,
-                 highest_vector=None, lam=None, ctx=None):
+                 highest_vector=None, lam=None, ctx=None, root_key=None):
         """actions is the (U, dim, dim) array, or a mapping from each unit
         to its Matrix or index array, stacked here in the order of units.
         lam is the highest weight, and ctx the ReductionContext whose f
@@ -73,7 +74,9 @@ class ModuleRep:
             actions = [actions[u] for u in self.units]
             actions = [a if isinstance(a, np.ndarray) else a.data for a in actions]
         U, n = len(self.units), self.dim
+        # a view: freezing it leaves the caller's array writeable
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).reshape(U, n, n)
+        self.actions.flags.writeable = False
         self.stacked_action = self.actions.reshape(U * n, n)
         self._index = {u: t for t, u in enumerate(self.units)}
         self.labels = labels
@@ -82,6 +85,7 @@ class ModuleRep:
         self.highest_vector = highest_vector
         self.lam = lam
         self.ctx = ctx
+        self.root_key = root_key
 
     def matrix(self, unit):
         return self.actions[self._index[tuple(unit)]]
@@ -290,6 +294,10 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
     inner_dim index array, with missing positions acting by zero.
     inner_highest, when given, is the highest vector of the inner module
     in its own coordinates.
+    The result's root_key holds nfree, inner_dim, the parity, the blocks of
+    every unit but E(i,i) (bytes of the narrowest dtype holding q - 1) and
+    the units: with the plan it fixes every root-unit matrix, whatever the
+    weight.
     """
     f = ctx.field
     nfree = len(free_roots)
@@ -322,8 +330,12 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
         hv[:d] = np.asarray(inner_highest, dtype=np.int64)
     else:
         hv[0] = 1
-    return ModuleRep(ctx.algebra, ctx.chi, ctx.algebra.units, actions, parity,
-                     labels=labels, highest_vector=hv, ctx=ctx)
+    narrow, units = np.min_scalar_type(f.q - 1), ctx.algebra.units
+    root = np.array([i != j for i, j in units])[slots[:, 0]]
+    key = (nfree, d, parity.astype(narrow).tobytes(),
+           blocks[root].astype(narrow).tobytes(), tuple(units))
+    return ModuleRep(ctx.algebra, ctx.chi, units, actions, parity, labels=labels,
+                     highest_vector=hv, ctx=ctx, root_key=key)
 
 
 def induce(algebra, chi, free_roots, inner, units=None):
@@ -345,9 +357,10 @@ def induce(algebra, chi, free_roots, inner, units=None):
     Z = build_induced(ctx, free_roots, inner.dim, inner.parity, acting,
                       inner_highest=inner.highest_vector)
     actions = Z.actions if units is None else Z.matrices(units)
-    return ModuleRep(algebra, chi, Z.units if units is None else units, actions,
-                     Z.parity, labels=Z.labels, highest_vector=Z.highest_vector,
-                     lam=inner.lam, ctx=ctx)
+    units = Z.units if units is None else [tuple(u) for u in units]
+    return ModuleRep(algebra, chi, units, actions, Z.parity, labels=Z.labels,
+                     highest_vector=Z.highest_vector, lam=inner.lam, ctx=ctx,
+                     root_key=Z.root_key[:-1] + (tuple(units),))
 
 
 def weight_line(algebra, chi, lam):
@@ -405,18 +418,23 @@ def build_graded_verma(algebra, chi, M):
 
 def _top_coefficient(Z, roots):
     """The coefficient of v in e-word f-word v, each word running over
-    roots in order with exponents cap - 1 (p - 1 even, 1 odd)."""
+    roots in order with exponents cap - 1 (p - 1 even, 1 odd).  The words
+    hold no Cartan unit, so the context keeps c by (root_key, roots, v)."""
     rs = Z.algebra.root_system()
     f = Z.field
-    caps = [(2 if r.parity else f.p) - 1 for r in roots]
     hv = Z.highest_vector
-    w = Z.apply_word([(rs.f_unit(r), e) for r, e in zip(roots, caps)], hv)
-    w = Z.apply_word([(rs.e_unit(r), e) for r, e in zip(roots, caps)], w)
-    t = int(np.nonzero(hv)[0][0])
-    c = f.mul(int(w[t]), f.inv(int(hv[t])))
-    if (w != f.mul(c, hv)).any():
-        raise NonScalarResult("image is not proportional to the highest vector")
-    return FieldElement(f, c)
+    memo = {} if Z.root_key is None else Z.ctx._tops
+    key = (Z.root_key, tuple(r.key for r in roots), hv.tobytes())
+    if key not in memo:
+        caps = [(2 if r.parity else f.p) - 1 for r in roots]
+        w = Z.apply_word([(rs.f_unit(r), e) for r, e in zip(roots, caps)], hv)
+        w = Z.apply_word([(rs.e_unit(r), e) for r, e in zip(roots, caps)], w)
+        t = int(np.nonzero(hv)[0][0])
+        c = f.mul(int(w[t]), f.inv(int(hv[t])))
+        if (w != f.mul(c, hv)).any():
+            raise NonScalarResult("image is not proportional to the highest vector")
+        memo[key] = c
+    return FieldElement(f, memo[key])
 
 
 def f_direct(Z):

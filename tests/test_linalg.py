@@ -5,10 +5,12 @@ A v = 0, m(A) = 0, A v = lam v) or compares against an exhaustive count.
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from glmn import linalg
 from glmn.ffield import make_field
 from glmn.linalg import (Matrix, Subspace, matmul, matrix_power, matvec, rref,
                          row_reduce, kernel_arr, kernel_basis, inverse, solve,
@@ -92,6 +94,19 @@ class TestMatrixArithmetic:
             assert np.array_equal(got, acc), e
             assert not np.shares_memory(got, a), e
             acc = matmul(field, acc, a)
+
+    def test_matrix_power_skips_the_identity_and_the_last_square(self):
+        calls = []
+        real = linalg.matmul
+        a = rand_mat(F, 3, 3, random.Random(2)).data
+        with mock.patch.object(linalg, "matmul",
+                               lambda *args: calls.append(1) or real(*args)):
+            got = matrix_power(F, a, 5)
+        assert len(calls) == 3
+        want = a
+        for _ in range(4):
+            want = real(F, want, a)
+        assert np.array_equal(got, want)
 
 
 class TestRref:

@@ -1,10 +1,13 @@
-"""A module's highest weight, highest vector and context are set once.
+"""A module's highest weight, highest vector, context and root key are set
+once.
 
-ModuleRep.__init__ takes lam, highest_vector and ctx, and every builder
-passes them there: verma.induce for each induced module, quotient_module
-and regular_module for theirs.  Assigning one of these fields on another
-object after the fact fails this test; an object setting its own field
-(self.ctx in a ReductionContext, say) does not.
+ModuleRep.__init__ takes lam, highest_vector, ctx and root_key, and every
+builder passes them there: verma.build_induced and induce for each induced
+module, quotient_module and regular_module for theirs.  Assigning one of
+these fields on another object after the fact fails this test; an object
+setting its own field (self.ctx in a ReductionContext, say) does not.  A
+stale root_key would hand one module another's memoized spin, so the
+action it describes is read-only (tests/test_root_key.py).
 """
 
 import ast
@@ -13,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "glmn"
-FIELDS = {"lam", "ctx", "highest_vector"}
+FIELDS = {"lam", "ctx", "highest_vector", "root_key"}
 
 
 def _targets(target):
@@ -77,6 +80,8 @@ def test_detects_a_planted_assignment():
               "    Q.highest_vector, n = hv, 1\n"
               "    Q.lam = M.lam\n"
               "    setattr(Q, 'ctx', M.ctx)\n"
-              "    Q.labels = M.labels\n")
+              "    Q.labels = M.labels\n"
+              "    Q.root_key = M.root_key\n")
     assert field_assignments(source) == [(6, "lam"), (11, "highest_vector"),
-                                         (12, "lam"), (13, "ctx")]
+                                         (12, "lam"), (13, "ctx"),
+                                         (15, "root_key")]
