@@ -6,9 +6,9 @@ of free roots, the inner dimension, the parity and the acting units.
 dual_core's certificate (the spin of e_t in the dual) and _top_coefficient
 (e-word f-word v) read only the root-unit matrices, so the context keeps
 them per key and modules of different weights share them.  Here the
-memoized results are compared with fresh ones, computed after clearing
-the memos, on every gl(2|1) weight of three settings, and the spins and
-word evaluations of whole scans are counted.
+memoized results are compared with fresh ones, on keyless copies of the
+modules and after clearing the memos, on every gl(2|1) weight of three
+settings, and the spins and word evaluations of whole scans are counted.
 """
 
 import functools
@@ -20,9 +20,11 @@ import pytest
 from glmn import analysis, cli, verma
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import dual_core, is_simple, simple_head
+from glmn.enveloping import reduction_context
 from glmn.errors import NonScalarResult
 from glmn.ffield import make_field
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
+from glmn.linalg import Subspace
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
                         build_graded_verma, build_simple_g0_module, f1_direct,
                         f_direct)
@@ -64,6 +66,13 @@ def clear_memos(M):
     M.ctx._tops.clear()
 
 
+def keyless(M):
+    """M as a module without a root key, which reads no memo."""
+    return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
+                     labels=M.labels, highest_vector=M.highest_vector,
+                     lam=M.lam, ctx=M.ctx)
+
+
 def summary(M):
     """Everything read through the memos, as comparable plain values."""
     R, S = dual_core(M)
@@ -86,31 +95,28 @@ def summary(M):
 @functools.lru_cache(maxsize=None)
 def memoized_and_fresh(name):
     """(summaries read through a memo shared by the whole sweep, the same
-    read with the memos cleared before each module, the memo sizes)."""
+    read on copies without a key, which read no memo, the memo sizes)."""
     chi, builders = MODULES[name]
     alg, chi, weights = fresh_setting(chi)
     modules = [M for lam in weights for M in builders(alg, chi, lam)]
     memoized = [summary(M) for M in modules]
     contexts = {id(M.ctx): M.ctx for M in modules}.values()
     sizes = (sum(len(c._cores) for c in contexts), sum(len(c._tops) for c in contexts))
-    fresh = []
-    for M in modules:
-        clear_memos(M)
-        fresh.append(summary(M))
-    return memoized, fresh, sizes, len(modules)
+    return memoized, [summary(keyless(M)) for M in modules], sizes
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_memoized_results_equal_fresh_ones(name):
-    memoized, fresh, _, count = memoized_and_fresh(name)
-    assert count >= 125
+    memoized, fresh, _ = memoized_and_fresh(name)
+    assert len(memoized) >= 125
     for t, (got, want) in enumerate(zip(memoized, fresh)):
         assert got == want, t
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_memos_are_shared_across_weights(name):
-    _, _, (cores, tops), count = memoized_and_fresh(name)
+    memoized, _, (cores, tops) = memoized_and_fresh(name)
+    count = len(memoized)
     # the levi sweep has 125 weights but few distinct root actions too
     assert 0 < cores < count and 0 < tops < count
 
@@ -140,6 +146,37 @@ def test_equal_root_action_at_different_weights():
     assert first == second
 
 
+def test_units_top_coordinate_and_vector_are_part_of_the_key():
+    alg, chi, weights = fresh_setting(CHI0)
+    f, rs = alg.field, alg.root_system()
+    babies = [build_baby_verma(alg, chi, lam) for lam in weights]
+    # the even-part Verma is the same induction as the module below, on
+    # fewer acting units
+    full = verma.induce(alg, chi, rs.positive_even,
+                        verma.weight_line(alg, chi, weights[0]))
+    even = build_even_verma(alg, chi, weights[0])
+    # Z(lam) + Z(mu) from two weight lines whose coordinate sums differ, so
+    # neither top weight occurs in the other summand: equal actions, with
+    # the highest vector on the first or on the second line
+    lam = next(Z.lam for Z in babies if f_direct(Z).idx)
+    mu = next(Z.lam for Z in babies if not f_direct(Z).idx
+              and sum(Z.lam.coords) % 5 != sum(lam.coords) % 5)
+    ctx = reduction_context(alg, chi)
+    lines = {ctx.nf + i: np.diag([lam.value(i + 1), mu.value(i + 1)])
+             for i in range(alg.d)}
+    pair = [verma.build_induced(ctx, rs.positive, 2, [0, 0], lines, inner_highest=hv)
+            for hv in ([1, 0], [0, 1])]
+    assert full.root_key != even.root_key
+    assert pair[0].root_key == pair[1].root_key
+    assert [analysis._top_coordinate(M) for M in pair] == [0, 1]
+    assert [bool(f_direct(M).idx) for M in pair] == [True, False]
+    for M in [full, even] + pair:
+        assert summary(M) == summary(keyless(M))
+    # the parity alone separates keys too
+    odd = verma.build_induced(ctx, rs.positive, 2, [1, 1], lines)
+    assert odd.root_key != verma.build_induced(ctx, rs.positive, 2, [0, 0], lines).root_key
+
+
 def test_modules_outside_induce_have_no_key():
     alg, chi, weights = fresh_setting(CHI0)
     Z = next(Z for Z in (build_baby_verma(alg, chi, lam) for lam in weights)
@@ -153,6 +190,17 @@ def test_modules_outside_induce_have_no_key():
     cores = len(Z.ctx._cores)
     dual_core(Q)
     assert len(Z.ctx._cores) == cores
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_nonzeros_round_trip(k):
+    # ambient above 255 and q - 1 above 255 need wider index and value types
+    field = make_field(5, k)
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, field.q, size=(40, 300)) * (rng.random((40, 300)) < 0.1)
+    for space in (Subspace(field, 300, rows), Subspace(field, 300)):
+        back = analysis._from_nonzeros(field, 300, analysis._nonzeros(space))
+        assert back == space and back.pivots == space.pivots
 
 
 def test_action_is_read_only():
