@@ -335,10 +335,11 @@ def _nonzeros(space):
             space.basis[rows, cols].astype(np.min_scalar_type(space.field.q - 1)))
 
 
-def _from_nonzeros(field, ambient, z):
-    basis = np.zeros((len(z[0]), ambient), dtype=np.int64)
-    basis[z[1], z[2]] = z[3]
-    return Subspace._echelon(field, ambient, basis, z[0].tolist())
+def _from_nonzeros(field, ambient, nonzeros):
+    pivots, rows, cols, values = nonzeros
+    basis = np.zeros((len(pivots), ambient), dtype=np.int64)
+    basis[rows, cols] = values
+    return Subspace._echelon(field, ambient, basis, pivots.tolist())
 
 
 def _smaller_spin(M, pieces, S):
