@@ -17,8 +17,8 @@ from .verma import (ModuleRep, SimplicityPolynomials, induce,
                     build_baby_verma, build_even_verma,
                     build_simple_g0_module, build_graded_verma, f_direct,
                     f_formula, f1_direct, maximal_vectors, induced_hom)
-from .analysis import (GradedSubmodule, CompositionSeries, spin, is_simple,
-                       simple_head, composition_series, regular_module,
+from .analysis import (CompositionSeries, spin, is_simple, simple_head,
+                       composition_series, regular_module,
                        trivial_submodules, frobenius_gram)
 from .kw import (CharacterDecomposition, LeviData, decompose_character,
                  levi_data, order_phi_prime, kw_verify, dot_action,

@@ -3,21 +3,25 @@
 Everything here works on explicit action matrices: spinning vectors into
 graded submodules, graded simplicity, simple heads, composition series,
 regular modules of nilpotent subalgebras, joint-kernel trivial submodules
-and the Frobenius form.
+and the Frobenius form.  A graded submodule is its canonical Subspace of
+F^dim: spanned by parity-homogeneous rows, each basis row lies in the
+parity part of its pivot, and Subspace.split(M.parity) gives the parts.
 
 Simplicity and simple heads have one route, dual_core: a simple graded
-submodule S of the dual module M* (the transposed action), whose
-annihilator R is a maximal graded submodule of M with M/R simple.  When a
-module is generated by a highest vector whose weight occurs at no other
-basis vector, S is the spin of that coordinate form, and R is the sum of
-all proper submodules (the certificate).  Every baby Verma, even-part,
-graded and Levi Verma built here, and every quotient of one, qualifies
-when its top weight space is a line.  Other modules (a larger top weight
-space, or no highest vector, as after restrict_module) descend: S starts
-as M*, and becomes the first spin of a generating-candidate line inside S
-that is smaller than S, until none is.  The descent is exhaustive or
-refused: a candidate piece with more than LINE_BUDGET lines raises
-BudgetExceeded, so no verdict rests on a sample.
+submodule S of the dual module M* (dual_module, the transposed action),
+whose annihilator R is a maximal graded submodule of M with M/R simple.
+When a module is generated by a highest vector whose weight occurs at no
+other basis vector, S is the spin of that coordinate form, and R is the
+sum of all proper submodules (the certificate).  Every baby Verma,
+even-part, graded and Levi Verma built here, and every quotient of one,
+qualifies when its top weight space is a line.  Other modules (a larger
+top weight space, or no highest vector, as after restrict_module)
+descend: S starts as M*, and becomes the first spin of a
+generating-candidate line inside S that is smaller than S, until none is.
+The descent is exhaustive or refused: a candidate piece with more than
+LINE_BUDGET lines raises BudgetExceeded, so no verdict rests on a sample.
+M* is built only where it is spun: on the descent, and on a memo miss of
+the certificate.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -45,76 +49,6 @@ from .verma import ModuleRep, cartan_diagonal, maximal_vectors
 LINE_BUDGET = 10 ** 4
 
 
-class GradedSubmodule:
-    """A graded subspace of a module: one Subspace spanned by parity
-    homogeneous rows.
-
-    Such a span is the sum of its even and odd parts, so each row of its
-    canonical basis lies in one part, the one of its pivot, and the
-    canonical bases of the two parts are the basis rows with even and with
-    odd pivots (Subspace.split).
-    """
-
-    __slots__ = ("module", "space")
-
-    def __init__(self, module, space=None):
-        self.module = module
-        self.space = space if space is not None else Subspace(module.field, module.dim)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def total(self):
-        return self.space
-
-    def _part(self, par):
-        parts = dict(self.space.split(self.module.parity.tolist()))
-        return parts.get(par, Subspace(self.module.field, self.module.dim))
-
-    @property
-    def even_part(self):
-        return self._part(0)
-
-    @property
-    def odd_part(self):
-        return self._part(1)
-
-    def contains(self, vec):
-        return self.space.contains(vec)
-
-    def basis_rows(self):
-        """The canonical basis, in pivot order."""
-        return self.space.basis
-
-    def add_rows(self, rows):
-        """Smallest graded space containing self and homogeneous rows."""
-        M = self.module
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, M.dim)
-        nonzero = rows != 0
-        odd = (nonzero & (M.parity == 1)).any(axis=1)
-        even = (nonzero & (M.parity == 0)).any(axis=1)
-        assert not (odd & even).any(), "rows must be parity homogeneous"
-        return GradedSubmodule(M, self.space.add_vectors(rows))
-
-    def is_action_closed(self):
-        space = self.space
-        return not np.any(space.reduce(_unit_images(self.module, space.basis)))
-
-    def __repr__(self):
-        return (f"GradedSubmodule(even={self.even_part.dim}, "
-                f"odd={self.odd_part.dim} of dim {self.module.dim})")
-
-
-def _homogeneous_components(M, w):
-    comps = []
-    for par in (0, 1):
-        c = np.where(M.parity == par, w, 0)
-        if c.any():
-            comps.append(c)
-    return comps
-
-
 def _unit_images(M, rows):
     """The images u.v of every row v under every unit u, as rows.
 
@@ -132,29 +66,36 @@ def _unit_images(M, rows):
 
 
 def spin(M, w):
-    """Smallest graded submodule containing w.
+    """Smallest graded submodule containing w, as a Subspace of F^dim.
 
     w is split into its homogeneous components, and their span is grown in
     rounds.  Each round maps the basis rows the previous round added
     through every unit in one product and inserts all the images in one
     block; the images of homogeneous rows under homogeneous units are
-    homogeneous, so the span stays graded.  The added rows are the grown
-    basis rows whose pivots are new: they vanish at every old pivot, so
-    with the old space they span the new one.  Spinning stops when a round
-    adds nothing or the submodule is the whole module.
+    homogeneous, so the span stays graded, and each row of its canonical
+    basis lies in the parity part of its pivot (Subspace.split gives the
+    parts).  The added rows are the grown basis rows whose pivots are new:
+    they vanish at every old pivot, so with the old space they span the
+    new one.  Spinning stops when a round adds nothing or the submodule is
+    the whole module.
     """
     w = np.asarray(w, dtype=np.int64)
     if not w.any():
         raise ZeroVector("cannot spin the zero vector")
-    sub = GradedSubmodule(M).add_rows(_homogeneous_components(M, w))
-    added = sub.basis_rows()
-    while len(added) and sub.dim < M.dim:
-        grown = sub.add_rows(_unit_images(M, added))
+    sub = Subspace(M.field, M.dim)
+    rows = np.where(M.parity == np.array([[0], [1]]), w, 0)
+    while True:
+        nonzero = rows != 0
+        assert not ((nonzero & (M.parity == 0)).any(axis=1)
+                    & (nonzero & (M.parity == 1)).any(axis=1)).any(), \
+            "rows must be parity homogeneous"
+        grown = sub.add_vectors(rows)
         old = np.zeros(M.dim, dtype=bool)
-        old[sub.space.pivots] = True
-        added = grown.basis_rows()[~old[grown.space.pivots]]
-        sub = grown
-    return sub
+        old[sub.pivots] = True
+        added, sub = grown.basis[~old[grown.pivots]], grown
+        if not len(added) or sub.dim == M.dim:
+            return sub
+        rows = _unit_images(M, added)
 
 
 def _shifted_scalars(M):
@@ -278,14 +219,25 @@ def _top_coordinate(M):
     return t
 
 
-def dual_core(M):
-    """(R, S): a maximal graded submodule R of M with M/R simple, as a
-    Subspace, and the simple graded submodule S of the dual module M*
-    whose annihilator R is.
+def dual_module(M):
+    """M*, the dual module: the transposed action on the dual basis.
 
-    M* is S.module: the transposed action.  Transposing a homogeneous unit
-    keeps its parity, so spins in M* are ordinary graded spins, and
-    (M/R)* is S, so M/R is simple because S is.
+    Transposing a homogeneous unit keeps its parity, so spins in M* are
+    ordinary graded spins.  The action is copied (ModuleRep keeps it
+    contiguous), so callers build M* only where they spin in it.
+    """
+    return ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
+                     M.parity)
+
+
+def dual_core(M):
+    """(R, S): a maximal graded submodule R of M with M/R simple, and the
+    simple graded submodule S of the dual module M* whose annihilator R
+    is, both as Subspaces of F^dim.
+
+    (M/R)* is S, so M/R is simple because S is.  M* (dual_module) is
+    built only to spin in it: on the descent, and on a memo miss of the
+    certificate.
 
     Certificate: when M.highest_vector generates M and spans a weight
     space T = F e_t of its own (_top_coordinate), S is the spin of the
@@ -310,22 +262,20 @@ def dual_core(M):
     vectors, so the certificate's S is the span of root-unit words on e_t:
     the context keeps S's and R's bases by (root_key, t), as nonzeros.
     """
-    dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
-                     M.parity)
     t = _top_coordinate(M)
     if t is not None:
         memo, key = {} if M.root_key is None else M.ctx._cores, (M.root_key, t)
         if key not in memo:
-            S = spin(dual, dual.basis_vector(t)).space
+            S = spin(dual_module(M), M.basis_vector(t))
             memo[key] = (_nonzeros(S), _nonzeros(S.annihilator()))
         S, R = (_from_nonzeros(M.field, M.dim, z) for z in memo[key])
-        return R, GradedSubmodule(dual, S)
+        return R, S
+    dual = dual_module(M)
     pieces = [sub for _, sub, _ in _candidate_spaces(dual)]
-    S = GradedSubmodule(dual, Subspace(dual.field, dual.dim,
-                                       np.eye(dual.dim, dtype=np.int64)))
+    S = Subspace(M.field, M.dim, np.eye(M.dim, dtype=np.int64))
     while (smaller := _smaller_spin(dual, pieces, S)) is not None:
         S = smaller
-    return S.space.annihilator(), S
+    return S.annihilator(), S
 
 
 def _nonzeros(space):
@@ -351,7 +301,7 @@ def _smaller_spin(M, pieces, S):
     lines = 0
     for sub in pieces:
         if S.dim < M.dim:
-            sub = sub.intersect(S.space)
+            sub = sub.intersect(S)
             if not sub.dim:
                 continue
         for v in _line_representatives(M.field, sub):
@@ -383,16 +333,15 @@ def is_simple(M):
 
 
 def quotient_module(M, sub):
-    """The quotient of M by a graded submodule.
+    """The quotient of M by a graded submodule, a Subspace of F^dim.
 
     Returns (Q, proj, lift): proj maps ambient vectors to quotient
     coordinates and lift is a linear section.
     """
-    total = sub.total()
-    free = np.delete(np.arange(M.dim), total.pivots)
+    free = np.delete(np.arange(M.dim), sub.pivots)
 
     def proj(vec):
-        return total.reduce(vec)[..., free]
+        return sub.reduce(vec)[..., free]
 
     def lift(vec):
         vec = np.asarray(vec, dtype=np.int64)
@@ -414,14 +363,14 @@ def quotient_module(M, sub):
 
 
 def restrict_module(M, sub):
-    """M restricted to a graded submodule, with the embedding rows."""
-    space = sub.total()
-    basis, d = space.basis, space.dim
+    """M restricted to a graded submodule, a Subspace of F^dim, with the
+    embedding rows."""
+    basis, d = sub.basis, sub.dim
     # coords raises unless every image lies in the submodule; coeffs[t, i]
     # holds the coordinates of unit i's image of basis row t
-    coeffs = space.coords(_unit_images(M, basis)).reshape(d, len(M.units), d)
+    coeffs = sub.coords(_unit_images(M, basis)).reshape(d, len(M.units), d)
     R = ModuleRep(M.algebra, M.chi, M.units, coeffs.transpose(1, 2, 0),
-                  M.parity[space.pivots])
+                  M.parity[sub.pivots])
     return R, basis
 
 
@@ -429,15 +378,15 @@ def simple_head(M):
     """The simple quotient M / R of dual_core, with R.
 
     Where the certificate applies, R is the unique maximal graded
-    submodule.  Returns (R: GradedSubmodule of M, head: ModuleRep).
+    submodule.  Returns (R: Subspace of F^dim, head: ModuleRep).
     """
-    core, _ = dual_core(M)
-    R = GradedSubmodule(M, core)
+    R, _ = dual_core(M)
     return R, quotient_module(M, R)[0]
 
 
 class CompositionSeries:
-    """Descending chain of graded submodules with simple quotients."""
+    """Descending chain of graded submodules, Subspaces of F^dim, with
+    simple quotients."""
 
     __slots__ = ("chain", "factors")
 
@@ -453,7 +402,8 @@ def composition_series(M):
     """Peel simple heads until nothing is left.
 
     factors records (dim, fingerprint) per simple factor, top first;
-    chain records the corresponding graded submodules of M, descending.
+    chain records the corresponding graded submodules of M, as Subspaces
+    of F^dim, descending.
     """
     chain = []
     factors = []
@@ -464,13 +414,10 @@ def composition_series(M):
         R, head = simple_head(current)
         fps = sorted({fp for fp, _, _ in _candidate_spaces(head)})
         factors.append((head.dim, tuple(fps)))
-        rows_local = R.basis_rows()
         if R.dim == 0:
-            chain.append(GradedSubmodule(M))
+            chain.append(Subspace(M.field, M.dim))
             break
-        rows_global = matmul(M.field, rows_local, embed)
-        sub_global = GradedSubmodule(M).add_rows(rows_global)
-        chain.append(sub_global)
+        chain.append(Subspace(M.field, M.dim, matmul(M.field, R.basis, embed)))
         current, basis_local = restrict_module(current, R)
         embed = matmul(M.field, basis_local, embed)
     return CompositionSeries(chain, factors)

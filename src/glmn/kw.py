@@ -19,8 +19,8 @@ from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse
 from .verma import build_baby_verma, induce, induced_hom, weight_line
-from .analysis import (GradedSubmodule, _candidate_spaces, _line_representatives,
-                       _top_coordinate, dual_core, is_simple, quotient_module,
+from .analysis import (_candidate_spaces, _line_representatives, _top_coordinate,
+                       dual_core, dual_module, is_simple, quotient_module,
                        simple_head, spin)
 
 
@@ -293,16 +293,17 @@ def dot_action(rs, word, lam):
     return Weight(f, [f.sub(int(c), int(r)) for c, r in zip(mu.coords, rs.rho)])
 
 
-def _is_local(S):
-    """Prop 5.17 for the module M whose dual_core gave S: whether M has a
-    unique maximal submodule.
+def _is_local(M, S):
+    """Prop 5.17 for M, with S the simple submodule of M* that
+    dual_core(M) gave: whether M has a unique maximal submodule.
 
-    That holds iff S is the only simple submodule of M* (S.module), iff
-    every line of every candidate piece of M* spins to a submodule that
-    contains S: every nonzero submodule of M* contains such a line.
+    That holds iff S is the only simple submodule of M* (dual_module, built
+    here to spin in), iff every line of every candidate piece of M* spins
+    to a submodule that contains S: every nonzero submodule of M* contains
+    such a line.
     """
-    dual = S.module
-    return all(S.space <= spin(dual, v).space
+    dual = dual_module(M)
+    return all(S <= spin(dual, v)
                for _, sub, _ in _candidate_spaces(dual)
                for v in _line_representatives(dual.field, sub))
 
@@ -328,8 +329,7 @@ def levi_scan(algebra, chi, lam):
     if not cc.standard_levi:
         raise NotStandardLevi("chi is not in standard Levi form")
     Z = build_baby_verma(algebra, chi, lam)
-    core, S = dual_core(Z)
-    R = GradedSubmodule(Z, core)
+    R, S = dual_core(Z)
     headZ = quotient_module(Z, R)[0]
     fpZ = sorted(fp for fp, _, _ in _candidate_spaces(headZ))
     report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
@@ -355,7 +355,7 @@ def levi_scan(algebra, chi, lam):
             "isomorphism": rank == Z.dim,
             "heads_match": bool(heads_match),
         })
-    local = _top_coordinate(Z) is not None or _is_local(S)
+    local = _top_coordinate(Z) is not None or _is_local(Z, S)
     report["radical_dim"] = R.dim
     report["head_dim"] = headZ.dim
     report["radical_absorbs_all"] = local

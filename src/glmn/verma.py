@@ -474,10 +474,11 @@ def cartan_diagonal(M):
     """The (d, dim) array whose column c holds the eigenvalues of the
     Cartan units E(1,1), ..., E(d,d) at basis vector c, or None when some
     Cartan matrix has an off-diagonal entry.  Every unit E(i,i) must act.
+    Both are read from views of the action, which is not copied.
     """
-    hmats = M.matrices(M.algebra.diag_units)
-    diag = np.diagonal(hmats, axis1=1, axis2=2)
-    if np.count_nonzero(hmats) != np.count_nonzero(diag):
+    hmats = [M.matrix(u) for u in M.algebra.diag_units]
+    diag = np.array([np.diagonal(h) for h in hmats])
+    if sum(map(np.count_nonzero, hmats)) != np.count_nonzero(diag):
         return None
     return diag
 

@@ -11,11 +11,11 @@ library, and no descent or certificate.
 
 from collections import Counter
 
-from glmn.analysis import (GradedSubmodule, SimplicityVerdict,
-                           _candidate_spaces, _line_representatives,
+from glmn.analysis import (SimplicityVerdict, _candidate_spaces,
+                           _line_representatives, dual_module,
                            quotient_module, restrict_module, spin)
 from glmn.errors import NoMaximalVector
-from glmn.verma import ModuleRep
+from glmn.linalg import Subspace
 
 
 def is_simple_by_lines(M):
@@ -41,7 +41,7 @@ def simple_head_by_lines(M):
     non-generating maximal vectors into R one at a time and quotients,
     until the quotient is simple.
     """
-    R = GradedSubmodule(M)
+    R = Subspace(M.field, M.dim)
     while True:
         Q, proj, lift = quotient_module(M, R)
         if Q.dim == 0:
@@ -51,7 +51,7 @@ def simple_head_by_lines(M):
             for v in _line_representatives(Q.field, subspace):
                 s = spin(Q, v)
                 if s.dim < Q.dim:
-                    bigger = R.add_rows(lift(s.basis_rows()))
+                    bigger = R.add_vectors(lift(s.basis))
                     if bigger.dim > R.dim:
                         # grow one proper spin at a time: the quotient and
                         # the lift become stale as soon as R changes
@@ -85,9 +85,8 @@ def is_local_by_dual_spins(M):
     The minimal spins are the simple submodules of M*, since each contains
     a candidate line, and M is local iff M* has only one.
     """
-    dual = ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
-                     M.parity)
-    spins = [spin(dual, v).space for _, sub, _ in _candidate_spaces(dual)
+    dual = dual_module(M)
+    spins = [spin(dual, v) for _, sub, _ in _candidate_spaces(dual)
              for v in _line_representatives(dual.field, sub)]
     smallest = min(spins, key=lambda space: space.dim)
     return all(smallest <= space for space in spins)

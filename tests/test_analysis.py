@@ -15,7 +15,7 @@ from glmn.ffield import make_field
 from glmn.linalg import Subspace, matvec
 from glmn.algebra import build_algebra, Character, Weight
 from glmn.verma import build_baby_verma
-from glmn.analysis import (GradedSubmodule, spin, is_simple, simple_head,
+from glmn.analysis import (spin, is_simple, simple_head,
                            composition_series, quotient_module,
                            restrict_module, trivial_submodules,
                            regular_module, frobenius_gram,
@@ -23,6 +23,7 @@ from glmn.analysis import (GradedSubmodule, spin, is_simple, simple_head,
 from glmn import analysis
 from glmn.errors import (BudgetExceeded, ZeroVector, NotClosed,
                          ShiftInconsistent)
+from test_block_spin import is_action_closed
 
 F = make_field(5)
 
@@ -74,7 +75,7 @@ class TestSpin:
             c = np.where(Z.parity == par, w, 0)
             if c.any():
                 assert s.contains(c)
-        assert s.is_action_closed()
+        assert is_action_closed(Z, s)
 
     def test_spin_of_highest_vector_is_everything(self):
         alg = build_algebra(1, 1, F)
@@ -165,7 +166,7 @@ class TestHeadAndSeries:
         assert dims == sorted(dims, reverse=True)
         for c in cs.chain:
             if c.dim:
-                assert c.is_action_closed()
+                assert is_action_closed(Z, c)
 
     def test_regular_module_series_is_uniform(self):
         # u(N-, chi) with chi(E(2,1)) = 2: twenty 1-dimensional factors

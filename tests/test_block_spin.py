@@ -8,8 +8,9 @@ that pops one vector at a time, acts on it with each unit separately and
 inserts it alone.  The canonical echelon basis of a space is unique, so
 the two must agree exactly.  The block rref is checked on sparse matrices
 against the table oracle of test_kernels, and the block forms of
-quotient_module, restrict_module and is_action_closed against the
-per-vector loops they replaced.
+quotient_module and restrict_module against the per-vector loops they
+replaced; is_action_closed, the tests' closure check, against a
+per-vector loop too.
 """
 
 import bisect
@@ -20,11 +21,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (GradedSubmodule, _unit_images, is_simple,
-                           quotient_module, restrict_module, spin)
+from glmn.analysis import (_unit_images, is_simple, quotient_module,
+                           restrict_module, spin)
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
-from glmn.verma import build_baby_verma, build_even_verma
+from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 from test_kernels import FIELDS, KERNEL_SETTINGS, draw_matrix, t_kernel, t_rref
 
 F5 = make_field(5)
@@ -86,10 +87,23 @@ def seq_quotient_action(M, sub):
 
 def seq_restrict_action(M, sub):
     """Restricted action matrices built one basis vector at a time."""
-    space = Subspace(M.field, M.dim, sub.basis_rows())
+    space = Subspace(M.field, M.dim, sub.basis)
     return {u: np.array([space.coords(M.act(u, b)) for b in space.basis],
                         dtype=np.int64).T.reshape(space.dim, space.dim)
             for u in M.units}
+
+
+def parity_parts(M, sub):
+    """The (even, odd) canonical bases of a graded submodule; split raises
+    when a basis row leaves the parity part of its pivot."""
+    parts = dict(sub.split(M.parity.tolist()))
+    empty = np.zeros((0, M.dim), dtype=np.int64)
+    return tuple(parts[par].basis if par in parts else empty for par in (0, 1))
+
+
+def is_action_closed(M, space):
+    """Whether every unit maps the Subspace into itself."""
+    return not np.any(space.reduce(_unit_images(M, space.basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +183,10 @@ def test_spin_matches_per_vector_oracle(name, data):
     w = data.draw(spin_vectors(M))
     sub = spin(M, w)
     even, odd = seq_spin(M, w)
-    assert np.array_equal(sub.even_part.basis, even)
-    assert np.array_equal(sub.odd_part.basis, odd)
-    assert sub.is_action_closed()
+    got_even, got_odd = parity_parts(M, sub)
+    assert np.array_equal(got_even, even)
+    assert np.array_equal(got_odd, odd)
+    assert is_action_closed(M, sub)
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
@@ -179,10 +194,10 @@ def test_spin_of_highest_vector_matches_oracle(name):
     M = module(name)
     if M.highest_vector is None:
         pytest.skip("module without a highest vector")
-    sub = spin(M, M.highest_vector)
     even, odd = seq_spin(M, M.highest_vector)
-    assert np.array_equal(sub.even_part.basis, even)
-    assert np.array_equal(sub.odd_part.basis, odd)
+    got_even, got_odd = parity_parts(M, spin(M, M.highest_vector))
+    assert np.array_equal(got_even, even)
+    assert np.array_equal(got_odd, odd)
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
@@ -199,12 +214,12 @@ def test_unit_images_match_per_unit_products(name, data):
 
 
 def test_mixed_parity_rows_are_rejected():
-    M = module("gl11")
-    mixed = np.zeros(M.dim, dtype=np.int64)
-    mixed[np.flatnonzero(M.parity == 0)[0]] = 1
-    mixed[np.flatnonzero(M.parity == 1)[0]] = 1
+    # a unit that maps the even e_0 to e_0 + e_1, across both parities:
+    # the first round's image is not homogeneous
+    alg = module("gl11").algebra
+    M = ModuleRep(alg, Character(alg, {}), [(1, 1)], [[[1, 0], [1, 0]]], [0, 1])
     with pytest.raises(AssertionError, match="parity homogeneous"):
-        GradedSubmodule(M).add_rows(mixed)
+        spin(M, M.basis_vector(0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +296,18 @@ def test_restrict_action_matches_per_vector_loop():
 
 def test_restrict_rejects_a_space_that_is_not_a_submodule():
     Z = module("gl21")
-    line = GradedSubmodule(Z).add_rows(Z.highest_vector)
-    assert not line.is_action_closed()
+    line = Subspace(Z.field, Z.dim, [Z.highest_vector])
+    assert not is_action_closed(Z, line)
     with pytest.raises(ValueError, match="not in subspace"):
         restrict_module(Z, line)
 
 
 def test_is_action_closed_matches_per_vector_loop():
     Z, sub = _proper_submodule()
-    for grown in (sub, sub.add_rows(Z.highest_vector), GradedSubmodule(Z)):
-        tot = grown.total()
-        want = all(tot.contains(Z.act(u, row))
-                   for u in Z.units for row in tot.basis)
-        assert grown.is_action_closed() == want
+    for space in (sub, sub.add_vectors(Z.highest_vector), Subspace(Z.field, Z.dim)):
+        want = all(space.contains(Z.act(u, row))
+                   for u in Z.units for row in space.basis)
+        assert is_action_closed(Z, space) == want
 
 
 # ---------------------------------------------------------------------------

@@ -200,9 +200,9 @@ class TestLeviScan:
         lines = []
         real_is_local = kw._is_local
 
-        def counting_is_local(S):
+        def counting_is_local(M, S):
             lines.append(S.dim)
-            return real_is_local(S)
+            return real_is_local(M, S)
 
         monkeypatch.setattr(analysis, "_top_coordinate", lambda M: None)
         monkeypatch.setattr(kw, "_top_coordinate", lambda M: None)

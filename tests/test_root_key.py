@@ -8,9 +8,11 @@ dual_core's certificate (the spin of e_t in the dual) and _top_coefficient
 them per key and modules of different weights share them.  Here the
 memoized results are compared with fresh ones, on keyless copies of the
 modules and after clearing the memos, on every gl(2|1) weight of three
-settings, and the spins and word evaluations of whole scans are counted.
+settings, and the spins, dual builds and word evaluations of whole scans
+are counted.
 """
 
+import contextlib
 import functools
 from unittest import mock
 
@@ -79,7 +81,7 @@ def summary(M):
     verdict = is_simple(M)
     witness = None if verdict.witness is None else verdict.witness.tolist()
     out = {"R": (R.basis.tolist(), list(R.pivots)),
-           "S": (S.space.basis.tolist(), list(S.space.pivots)),
+           "S": (S.basis.tolist(), list(S.pivots)),
            "simple": verdict.simple, "witness": witness,
            "witness_key": (verdict.witness_fingerprint, verdict.witness_parity),
            "head_dim": simple_head(M)[1].dim}
@@ -182,9 +184,9 @@ def test_modules_outside_induce_have_no_key():
     Z = next(Z for Z in (build_baby_verma(alg, chi, lam) for lam in weights)
              if not is_simple(Z))
     R, _ = dual_core(Z)
-    Q, _, _ = analysis.quotient_module(Z, analysis.GradedSubmodule(Z, R))
-    sub = analysis.restrict_module(Z, analysis.GradedSubmodule(Z, R))[0]
-    dual = ModuleRep(alg, chi, Z.units, Z.actions.transpose(0, 2, 1), Z.parity)
+    Q, _, _ = analysis.quotient_module(Z, R)
+    sub = analysis.restrict_module(Z, R)[0]
+    dual = analysis.dual_module(Z)
     assert Z.root_key is not None
     assert Q.root_key is sub.root_key is dual.root_key is None
     cores = len(Z.ctx._cores)
@@ -217,11 +219,17 @@ def test_action_is_read_only():
         M.actions[0, 0, 0] = 1
 
 
-def count_scan(chi, graded):
-    """(spin calls, dual_core calls, apply_word calls, _top_coefficient
-    calls) over a whole gl(2|1) scan on fresh contexts."""
+COUNTED = {"spin": (analysis, "spin"), "dual_core": (analysis, "dual_core"),
+           "apply_word": (ModuleRep, "apply_word"),
+           "top": (verma, "_top_coefficient")}
+
+
+def count_scan(chi, graded, counted=COUNTED):
+    """The calls of each counted function (by default spin, dual_core,
+    apply_word and _top_coefficient) over a whole gl(2|1) scan on fresh
+    contexts."""
     alg, chi, weights = fresh_setting(chi)
-    counts = dict.fromkeys(("spin", "dual_core", "apply_word", "top"), 0)
+    counts = dict.fromkeys(counted, 0)
 
     def counting(owner, attr, key):
         real = getattr(owner, attr)
@@ -231,10 +239,9 @@ def count_scan(chi, graded):
             return real(*args, **kwargs)
         return mock.patch.object(owner, attr, counted)
 
-    with counting(analysis, "spin", "spin"), \
-            counting(analysis, "dual_core", "dual_core"), \
-            counting(ModuleRep, "apply_word", "apply_word"), \
-            counting(verma, "_top_coefficient", "top"):
+    with contextlib.ExitStack() as stack:
+        for key, (owner, attr) in counted.items():
+            stack.enter_context(counting(owner, attr, key))
         rows = cli._run_scan(dict(cli.DEFAULTS, seed=0), alg, chi, weights, graded)
     assert len(rows) == 125
     return counts
@@ -251,3 +258,14 @@ def test_graded_scan_spins_each_root_action_once():
 def test_chi0_scan_spins_each_root_action_once():
     counts = count_scan(CHI0, graded=False)
     assert counts == {"spin": 25, "dual_core": 125, "apply_word": 2 * 25, "top": 125}
+
+
+@pytest.mark.parametrize("chi,graded,spins,calls", [(DIAG, True, 30, 250),
+                                                    (CHI0, False, 25, 125)],
+                         ids=["diag-graded", "chi0"])
+def test_scans_build_the_dual_only_to_spin(chi, graded, spins, calls):
+    # a memo hit reads S and R without the dual module, so the dual is
+    # built once per certificate spin
+    counts = count_scan(chi, graded, dict(COUNTED, dual=(analysis, "dual_module")))
+    assert counts["dual_core"] == calls
+    assert counts["dual"] == counts["spin"] == spins
