@@ -1,9 +1,10 @@
 """Exact arithmetic in finite fields F_{p^k}.
 
 Elements are encoded as integers 0 .. p^k - 1, the little-endian base-p
-encoding of the coefficient vector of the residue representative.  All
+encoding of the coefficient vector of the residue representative.  The
 arithmetic works elementwise on numpy arrays of element indices, so
-matrices can be processed without Python loops.  Over a prime field
+matrices can be processed without Python loops, and in plain integers on
+Python int scalars, for every k, with int results.  Over a prime field
 (k == 1) an index is its residue, and add, neg, sub and mul are integer
 arithmetic mod p.  Extension fields (k > 1) add and subtract base-p digits
 and multiply through discrete log/exp tables; inverses, powers and the
@@ -218,15 +219,28 @@ class Field:
         self.log_table = np.full(q, -1, dtype=np.int64)
         self.log_table[exp] = np.arange(q - 1)
 
-    # -- vectorized arithmetic on element indices ----------------------------
+    # -- arithmetic on element indices ---------------------------------------
 
-    # Over F_p the index is the residue: add, neg, sub and mul reduce
-    # integer results mod p, with plain Python arithmetic for int scalars.
+    # Python int scalars take plain integer arithmetic for every k, with int
+    # results: add, neg and sub on base-p digits, mul, inv and power by one
+    # log lookup per operand and one exp lookup.  Arrays, numpy scalars and
+    # bools take the vectorized route.  Over F_p the index is the residue.
+
+    def _digitwise(self, a, b, sign):
+        """The index of digits(a) + sign * digits(b) mod p, for int indices."""
+        p = self.p
+        if self.k == 1:
+            return (a + sign * b) % p
+        out, w = 0, 1
+        while a or b:
+            (a, da), (b, db) = divmod(a, p), divmod(b, p)
+            out, w = out + (da + sign * db) % p * w, w * p
+        return out
 
     def add(self, a, b):
+        if type(a) is int and type(b) is int:
+            return self._digitwise(a, b, 1)
         if self.k == 1:
-            if type(a) is int and type(b) is int:
-                return (a + b) % self.p
             out = (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
         else:
             out = (np.add(self.digits[np.asarray(a, dtype=np.int64)], self.digits[
@@ -234,18 +248,18 @@ class Field:
         return out if out.ndim else int(out)
 
     def neg(self, a):
+        if type(a) is int:
+            return self._digitwise(0, a, -1)
         if self.k == 1:
-            if type(a) is int:
-                return -a % self.p
             out = -np.asarray(a, dtype=np.int64) % self.p
         else:
             out = ((self.p - self.digits[np.asarray(a, dtype=np.int64)]) % self.p) @ self._ppow
         return out if out.ndim else int(out)
 
     def sub(self, a, b):
+        if type(a) is int and type(b) is int:
+            return self._digitwise(a, b, -1)
         if self.k == 1:
-            if type(a) is int and type(b) is int:
-                return (a - b) % self.p
             out = (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
         else:
             out = (np.subtract(self.digits[np.asarray(a, dtype=np.int64)], self.digits[
@@ -253,9 +267,14 @@ class Field:
         return out if out.ndim else int(out)
 
     def mul(self, a, b):
-        if self.k == 1:
-            if type(a) is int and type(b) is int:
+        if type(a) is int and type(b) is int:
+            if self.k == 1:
                 return a * b % self.p
+            if not a or not b:
+                return 0
+            log = self.log_table
+            return self.exp_table.item((log.item(a) + log.item(b)) % (self.q - 1))
+        if self.k == 1:
             out = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64) % self.p
             return out if out.ndim else int(out)
         a = np.asarray(a, dtype=np.int64)
@@ -266,6 +285,10 @@ class Field:
         return prod if prod.ndim else int(prod)
 
     def inv(self, a):
+        if type(a) is int:
+            if not a:
+                raise ZeroDivisionError("inverse of zero in finite field")
+            return self.exp_table.item(-self.log_table.item(a) % (self.q - 1))
         a = np.asarray(a, dtype=np.int64)
         la = self.log_table[a]
         if np.any(la < 0):
@@ -274,6 +297,12 @@ class Field:
         return out if out.ndim else int(out)
 
     def power(self, a, e):
+        if type(a) is int:
+            if not a:
+                if e < 0:
+                    raise ZeroDivisionError("negative power of zero")
+                return 0 if e else 1
+            return self.exp_table.item(self.log_table.item(a) * e % (self.q - 1))
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
             out = np.ones_like(a)

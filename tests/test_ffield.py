@@ -3,9 +3,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from glmn import ffield
 from glmn.errors import BudgetExceeded, CompositeP
@@ -336,3 +338,75 @@ def test_field_budget_admits_fields_up_to_it(monkeypatch):
     monkeypatch.setattr(ffield, "Field", lambda p, k, modulus: (p, k))
     for p, k in ((7, 7), (823541, 1), (907, 2)):  # 823541: largest prime below 7^7
         assert make_field(p, k, modulus=default_modulus(p, k)) == (p, k)
+
+
+# ---------------------------------------------------------------------------
+# the int route of the scalar ops against the array route
+# ---------------------------------------------------------------------------
+
+# F_5, F_25, F_{5^5} (the graded scans' extension) and F_49
+ROUTE_FIELDS = [(5, 1), (5, 2), (5, 5), (7, 2)]
+ROUTE_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+def array_route(field, name, *args):
+    """The op on np.int64 arguments: the vectorized route, as the oracle."""
+    return getattr(field, name)(*(np.int64(x) for x in args))
+
+
+def int_route(field, name, *args):
+    out = getattr(field, name)(*args)
+    assert type(out) is int, (name, args, type(out))
+    return out
+
+
+@st.composite
+def field_and_elements(draw, n=2):
+    field = make_field(*draw(st.sampled_from(ROUTE_FIELDS)))
+    elements = st.one_of(st.sampled_from([0, 1, field.q - 1]),
+                         st.integers(0, field.q - 1))
+    return (field, *(draw(elements) for _ in range(n)))
+
+
+@ROUTE_SETTINGS
+@given(field_and_elements())
+def test_int_route_matches_array_route(case):
+    field, a, b = case
+    for name in ("add", "sub", "mul"):
+        assert int_route(field, name, a, b) == array_route(field, name, a, b), name
+    assert int_route(field, "neg", a) == array_route(field, "neg", a)
+    if a:
+        assert int_route(field, "inv", a) == array_route(field, "inv", a)
+
+
+@ROUTE_SETTINGS
+@given(field_and_elements(n=1), st.data())
+def test_int_power_matches_array_route(case, data):
+    field, a = case
+    q = field.q
+    e = data.draw(st.one_of(st.integers(-3 * q, -1), st.just(0),
+                            st.integers(1, q - 2), st.integers(q - 1, 3 * q)))
+    if a == 0 and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            field.power(a, e)
+        with pytest.raises(ZeroDivisionError):
+            field.power(np.int64(a), e)
+    else:
+        assert int_route(field, "power", a, e) == field.power(np.int64(a), e)
+
+
+@pytest.mark.parametrize("p,k", ROUTE_FIELDS)
+def test_int_route_on_zero_operands(p, k):
+    field = make_field(p, k)
+    for x in (0, 1, field.p, field.q - 1):
+        for name in ("add", "sub", "mul"):
+            assert int_route(field, name, 0, x) == array_route(field, name, 0, x)
+            assert int_route(field, name, x, 0) == array_route(field, name, x, 0)
+    assert int_route(field, "neg", 0) == 0
+    assert int_route(field, "power", 0, 0) == field.power(np.int64(0), 0) == 1
+    assert int_route(field, "power", 0, field.q - 1) == field.power(np.int64(0), field.q - 1) == 0
+    for zero in (0, np.int64(0)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            field.power(zero, -1)
