@@ -346,7 +346,7 @@ def test_field_budget_admits_fields_up_to_it(monkeypatch):
 
 # F_5, F_25, F_{5^5} (the graded scans' extension) and F_49
 ROUTE_FIELDS = [(5, 1), (5, 2), (5, 5), (7, 2)]
-ROUTE_SETTINGS = settings(max_examples=300, deadline=None)
+ROUTE_SETTINGS = settings(max_examples=100, deadline=None)
 
 
 def array_route(field, name, *args):
