@@ -44,6 +44,8 @@ class SuperAlgebra:
         self._root_system = None
         # enveloping.reduction_context: (chi values, f_order keys) -> context
         self._contexts = {}
+        # verma._axiom_table: tuple of acting units -> axiom-check table
+        self._axiom_tables = {}
 
     @property
     def dim(self):
@@ -273,9 +275,6 @@ class Character:
         """chi with all off-diagonal values dropped (semisimple part)."""
         return Character(self.algebra,
                          {u: v for u, v in self.values.items() if u[0] == u[1]})
-
-    def is_zero(self):
-        return not self.values
 
     def embed(self, new_algebra, emb):
         return Character(new_algebra,

@@ -76,7 +76,7 @@ def validate_config(raw):
         raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
     cfg = dict(DEFAULTS)
     cfg.update(raw)
-    for key in ("p", "m", "n", "field_degree", "jobs", "dim_budget"):
+    for key in ("p", "m", "n", "field_degree", "seed", "jobs", "dim_budget"):
         if not _is_int(cfg.get(key)):
             raise ConfigInvalid(f"config needs integer '{key}'")
     if cfg["p"] < 5:

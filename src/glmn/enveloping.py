@@ -28,11 +28,12 @@ class ReductionContext:
     negative root vectors appear in the f block; the default is the
     canonical positive order.  Its caches are weight-free: ``_memo`` holds
     single-generator straightening steps, ``_plans`` the induction plans of
-    ``verma.build_induced``, and ``_cores`` and ``_tops`` the certificate
+    ``verma.build_induced`` and ``_layouts`` its frames per plan and inner
+    parity (``verma._layout``), and ``_cores`` and ``_tops`` the certificate
     bases of ``analysis.dual_core`` and the values of
     ``verma._top_coefficient`` by module root_key.  Library code obtains
-    contexts from ``reduction_context``, so one context and its caches
-    serve every weight of a given (algebra, chi, f_order).
+    contexts from ``reduction_context``, so its caches serve every weight
+    of a given (algebra, chi, f_order).
     """
 
     def __init__(self, algebra, chi, f_order=None):
@@ -68,6 +69,7 @@ class ReductionContext:
         self.half = f.inv(2 % p)
         self._memo = {}
         self._plans = {}
+        self._layouts = {}
         self._cores = {}
         self._tops = {}
 
@@ -178,9 +180,6 @@ class PBWElement:
                 exps[ctx.unit_to_pos[(i, j)]] = 1
                 terms[tuple(exps)] = c
         return cls(ctx, terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def monomials(self):
         return [PBWMonomial(self.ctx, m) for m in sorted(self.terms)]

@@ -103,12 +103,13 @@ def _companion(poly, p):
 
 
 def _power(a, e, mul):
-    """a^e for a square int64 array by repeated squaring with the product
-    mul, from a and not the identity and skipping the last, unused square:
-    a^5 takes three products.  The result never shares memory with a."""
-    assert a.shape[0] == a.shape[1] and e >= 0
+    """a^e for an int64 (n, n) array, or for each matrix of a (..., n, n)
+    stack, by repeated squaring with the product mul, from a and not the
+    identity and skipping the last, unused square: a^5 takes three products
+    and a^0 is identities.  The result never shares memory with a."""
+    assert a.shape[-1] == a.shape[-2] and e >= 0
     if e == 0:
-        return np.eye(len(a), dtype=np.int64)
+        return np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
     result, base = None, a
     while True:
         if e & 1:

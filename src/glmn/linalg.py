@@ -81,9 +81,6 @@ class Matrix:
     def __hash__(self):
         return hash((id(self.field), self.data.shape, self.data.tobytes()))
 
-    def is_zero(self):
-        return not np.any(self.data)
-
     def power(self, e):
         return Matrix(self.field, matrix_power(self.field, self.data, e))
 
@@ -96,7 +93,7 @@ _INT64_EXACT = 2 ** 63
 
 
 def _matmul_mod(a, b, p):
-    """(a @ b) % p, exactly, for integer arrays with entries in [0, p).
+    """(a @ b) % p, exactly, for integer arrays (or stacks) in [0, p).
 
     Each block of the inner dimension is one BLAS product in float64,
     short enough that its sums stay below 2^53, reduced mod p in int64.  A
@@ -110,34 +107,36 @@ def _matmul_mod(a, b, p):
         dtype, block = np.int64, (_INT64_EXACT - 1) // step
     if block == 0:
         raise ValueError(f"p = {p} is too large for exact int64 products")
-    inner = a.shape[1]
+    inner = a.shape[-1]
     if inner <= block:
         return (a.astype(dtype, copy=False)
                 @ b.astype(dtype, copy=False)).astype(np.int64, copy=False) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = 0
     for s in range(0, inner, block):
-        part = (a[:, s:s + block].astype(dtype, copy=False)
-                @ b[s:s + block].astype(dtype, copy=False))
+        part = (a[..., s:s + block].astype(dtype, copy=False)
+                @ b[..., s:s + block, :].astype(dtype, copy=False))
         out = (out + part.astype(np.int64, copy=False) % p) % p
     return out
 
 
 def matmul(field, a, b):
-    """Matrix product on raw index arrays; over F_{p^K} one F_p product with
-    digits(xy) = digits(x) @ regular[:, y], regular on the smaller factor."""
+    """Matrix product on raw index arrays, or on stacks of them slice by
+    slice as np.matmul; over F_{p^K} one F_p product with digits(xy) =
+    digits(x) @ regular[:, y], regular on the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.k == 1:
         return _matmul_mod(a, b, field.p)
     swap = b.size > a.size  # then (ab)^T = b^T a^T puts regular on a
     if swap:
-        a, b = b.T, a.T
-    (n, inner), m, K = a.shape, b.shape[1], field.k
-    right = np.take(field.regular, b, axis=1).transpose(1, 0, 2, 3)
-    out = _matmul_mod(np.take(field.digits, a, axis=0).reshape(n, inner * K),
-                      right.reshape(inner * K, m * K), field.p)
-    out = out.reshape(n, m, K) @ field._ppow
-    return np.ascontiguousarray(out.T) if swap else out
+        a, b = b.swapaxes(-1, -2), a.swapaxes(-1, -2)
+    inner, m, K, nb = a.shape[-1], b.shape[-1], field.k, b.ndim
+    # (K, ..., inner, m, K) to (..., inner, K, m, K)
+    right = field.regular.take(b, axis=1).transpose(*range(1, nb), 0, nb, nb + 1)
+    out = _matmul_mod(field.digits.take(a, axis=0).reshape(*a.shape[:-1], inner * K),
+                      right.reshape(*b.shape[:-2], inner * K, m * K), field.p)
+    out = out.reshape(*out.shape[:-1], m, K) @ field._ppow
+    return np.ascontiguousarray(out.swapaxes(-1, -2)) if swap else out
 
 
 def matvec(field, a, v):
@@ -145,7 +144,7 @@ def matvec(field, a, v):
 
 
 def matrix_power(field, a, e):
-    """a^e for a square index array, by ffield._power's repeated squaring."""
+    """a^e for a square index array or a stack of them, by ffield._power."""
     return _power(np.asarray(a, dtype=np.int64), e, lambda x, y: matmul(field, x, y))
 
 

@@ -15,10 +15,10 @@ ReductionContext keeps an induction plan per number of free roots: for
 every acting unit u and free monomial m, the terms c * m' * t of u * m in
 normal form, with m' a free monomial and t the remaining tail, gathered
 into a coefficient matrix with one row per (u, m', m) block that some term
-reaches and one column per distinct tail.  Building a module multiplies
-out each distinct tail on the inner module once, stacks the results and
-forms every block in one product of the coefficient matrix with that
-stack.
+reaches and one column per distinct tail; a layout per inner parity and
+dimension holds the basis parity, labels and block positions.  A build
+multiplies out each distinct tail on the inner module once and forms every
+block in one product of the coefficient matrix with their stack.
 
 Every module built here has diagonal Cartan matrices, so its weight spaces
 are coordinate blocks: maximal vectors are one kernel of the e-actions,
@@ -29,7 +29,6 @@ eigenvalues to solve for.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import (ChiNotBorelCompatible, IntertwinerCheckFailed,
                      LambdaNotInX, NonScalarResult, NotG0Module, NotMaximal,
                      NotWeightBasis, ZeroVector)
 from .ffield import FieldElement
-from .linalg import Matrix, kernel, matmul, matrix_power, matvec
+from .linalg import Matrix, kernel, matmul, matrix_power, matvec, row_reduce
 
 
 # Entries of one product in ModuleRep's axiom checks: the units are
@@ -120,9 +119,9 @@ class ModuleRep:
 
     def _parity_blocks_hold(self):
         """A unit of parity s maps parity t to parity t + s."""
+        odd = _axiom_table(self.algebra, tuple(self.units))[0]
         shift = (self.parity[:, None] - self.parity[None, :]) % 2
-        unit_parity = np.array([self.algebra.parity(*u) for u in self.units])
-        return not np.any(self.actions[shift != unit_parity[:, None, None]])
+        return not np.any(self.actions[shift != odd[:, None, None]])
 
     def _brackets_hold(self):
         """The supercommutator of every two units acts as their bracket.
@@ -133,27 +132,19 @@ class ModuleRep:
         y, and one of all units, stacked, with C's side by side gives y x;
         when C holds every unit, the first product already holds y x.  The
         expected brackets are C's block of the (U, U, U) bracket
-        coefficients times the flattened units, one more product.  A module
-        whose units all fit one chunk takes two products in all; a large one
-        takes three per left unit.
+        coefficients of _axiom_table times the flattened units, one more
+        product.  A module whose units all fit one chunk takes two products
+        in all; a large one takes three per left unit.
         """
-        alg = self.algebra
         f = self.field
-        n, units = self.dim, self.units
-        U = len(units)
-        index = {u: t for t, u in enumerate(units)}
-        coef = np.zeros((U, U, U), dtype=np.int64)
-        for a, x in enumerate(units):
-            for b, y in enumerate(units):
-                # the units of one bracket are distinct, their coefficients nonzero
-                for c, unit in alg.bracket_table[(x, y)]:
-                    if unit not in index:
-                        return False
-                    coef[a, b, index[unit]] = c
+        n = self.dim
+        odd, coef, _, _ = _axiom_table(self.algebra, tuple(self.units))
+        if coef is None:
+            return False
+        U = len(odd)
         stacked = self.stacked_action
-        side_by_side = stacked.reshape(U, n, n).transpose(1, 0, 2).reshape(n, U * n)
+        side_by_side = self.actions.transpose(1, 0, 2).reshape(n, U * n)
         flat = stacked.reshape(U, n * n)
-        odd = np.array([alg.parity(*u) for u in units], dtype=bool)
         chunk = max(1, AXIOM_PRODUCT_ENTRIES // max(U * n * n, 1))
         for s in range(0, U, chunk):
             C = slice(s, min(s + chunk, U))
@@ -175,34 +166,50 @@ class ModuleRep:
     def _pth_powers_hold(self):
         """x^p - x^[p] acts as chi(x)^p for every even unit x.
 
-        The even units go in chunks, as many as keep a chunk's
-        block-diagonal matrix below AXIOM_PRODUCT_ENTRIES entries, and one
-        matrix_power of that matrix raises each of them to the p-th power.
-        x^[p] is x for a Cartan unit and 0 otherwise.
+        The even units go in chunks of c, as many as keep the (c, dim, dim)
+        stack of their matrices below AXIOM_PRODUCT_ENTRIES entries, and one
+        batched matrix_power raises the whole stack to the p-th power.  x^[p]
+        is x for a Cartan unit and 0 otherwise.
         """
         f = self.field
         p, n = f.p, self.dim
-        even = [t for t, x in enumerate(self.units) if not self.algebra.parity(*x)]
-        chunk = max(1, math.isqrt(AXIOM_PRODUCT_ENTRIES) // max(n, 1))
-        eye = np.eye(n, dtype=bool)
+        _, _, even, cartan = _axiom_table(self.algebra, tuple(self.units))
+        chunk = max(1, AXIOM_PRODUCT_ENTRIES // max(n * n, 1))
         for s in range(0, len(even), chunk):
             part = even[s:s + chunk]
-            c = len(part)
             mats = self.actions[part]
-            block = np.zeros((c, n, c, n), dtype=np.int64)
-            block[np.arange(c), :, np.arange(c), :] = mats
-            power = matrix_power(f, block.reshape(c * n, c * n), p).reshape(c, n, c, n)
-            cartan = np.array([self.units[t][0] == self.units[t][1] for t in part])
             scal = f.power(np.array([self.chi.value(self.units[t]) for t in part],
                                     dtype=np.int64), p)
-            expect = f.add(np.where(cartan[:, None, None], mats, 0),
-                           np.where(eye, scal[:, None, None], 0))
-            if not np.array_equal(power[np.arange(c), :, np.arange(c), :], expect):
+            # chi(x)^p times the identity: its index on the diagonal, 0 off it
+            expect = f.add(np.where(cartan[part, None, None], mats, 0),
+                           scal[:, None, None] * np.eye(n, dtype=np.int64))
+            if not np.array_equal(matrix_power(f, mats, p), expect):
                 return False
         return True
 
     def __repr__(self):
         return f"ModuleRep(dim={self.dim} over {self.algebra!r})"
+
+
+def _axiom_table(algebra, units):
+    """ModuleRep's axiom tables for the tuple units, kept in algebra._axiom_tables:
+    the odd mask, the (U, U, U) array whose [a, b, c] is the coefficient of
+    units[c] in [units[a], units[b]] (None when a bracket leaves the units),
+    the even indices and the Cartan mask."""
+    if units not in algebra._axiom_tables:
+        odd = np.array([algebra.parity(*u) for u in units], dtype=bool)
+        index = {u: t for t, u in enumerate(units)}
+        # the units of one bracket are distinct, their coefficients nonzero
+        terms = [(a, b, index.get(unit), c) for a, x in enumerate(units)
+                 for b, y in enumerate(units) for c, unit in algebra.bracket_table[x, y]]
+        coef = None
+        if all(t is not None for _, _, t, _ in terms):
+            coef = np.zeros((len(units),) * 3, dtype=np.int64)
+            for a, b, t, c in terms:
+                coef[a, b, t] = c
+        algebra._axiom_tables[units] = (odd, coef, np.flatnonzero(~odd),
+                                        np.array([i == j for i, j in units]))
+    return algebra._axiom_tables[units]
 
 
 class SimplicityPolynomials:
@@ -265,11 +272,11 @@ def _induction_plan(ctx, nfree):
 
 
 def _tail_matrix(field, tail, start, inner_actions, inner_dim):
-    """A tail acting on the inner module, None when it acts by zero.
+    """A tail acting on the inner module, as an inner_dim x inner_dim array.
 
     tail[t] is the exponent of the generator at position start + t.  The
     product runs over positions in order, so the rightmost generator of the
-    monomial acts first.
+    monomial acts first; it stops at the first factor that is zero.
     """
     mat = None
     for pos, e in enumerate(tail, start=start):
@@ -277,65 +284,67 @@ def _tail_matrix(field, tail, start, inner_actions, inner_dim):
             continue
         factor = inner_actions.get(pos)
         if factor is None:
-            return None
+            return np.zeros((inner_dim, inner_dim), dtype=np.int64)
         for _ in range(e):
             mat = factor if mat is None else matmul(field, mat, factor)
         if not mat.any():
-            return None
+            return mat
     return np.eye(inner_dim, dtype=np.int64) if mat is None else mat
 
 
+def _layout(ctx, nfree, d, inner_parity):
+    """build_induced's frame, kept in ctx._layouts by (nfree, d, inner parity
+    bytes): the read-only parity, the labels (free monomial, inner index) as
+    a tuple, the flat indices of the plan blocks' entries in the (U, dim,
+    dim) action, the root-unit block mask, root_key's parity bytes, units."""
+    inner_parity = np.asarray(inner_parity, dtype=np.int64)
+    key = (nfree, d, inner_parity.tobytes())
+    if key not in ctx._layouts:
+        free_monos, slots, _, _ = _induction_plan(ctx, nfree)
+        parity = np.add.outer([ctx.mono_parity(m) for m in free_monos],
+                              inner_parity).reshape(-1) % 2
+        parity.flags.writeable = False
+        dim, units = len(parity), tuple(ctx.algebra.units)
+        # block g fills rows of monomial slots[g, 1], columns of slots[g, 2]
+        rows, cols = (slots[:, 1:, None] * d + np.arange(d)).transpose(1, 0, 2)
+        scatter = (slots[:, 0, None, None] * dim + rows[:, :, None]) * dim + cols[:, None, :]
+        ctx._layouts[key] = (
+            parity, tuple((m, w) for m in free_monos for w in range(d)),
+            scatter.reshape(-1), np.array([i != j for i, j in units])[slots[:, 0]],
+            parity.astype(np.min_scalar_type(ctx.field.q - 1)).tobytes(), units)
+    return ctx._layouts[key]
+
+
 def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
-                  inner_highest=None):
+                  inner_highest=None, lam=None):
     """Induced module on the basis (free f-monomials) x (inner basis).
 
     free_roots must be a prefix of ctx.f_order.  inner_actions maps a
     generator position (at or past the free block) to an inner_dim x
     inner_dim index array, with missing positions acting by zero.
     inner_highest, when given, is the highest vector of the inner module
-    in its own coordinates.
+    in its own coordinates, and lam the highest weight of the result.  A
+    build is the tail stack, one product, one scatter (_layout) and the key.
     The result's root_key holds nfree, inner_dim, the parity, the blocks of
     every unit but E(i,i) (bytes of the narrowest dtype holding q - 1) and
     the units: with the plan it fixes every root-unit matrix, whatever the
     weight.
     """
     f = ctx.field
-    nfree = len(free_roots)
+    nfree, d = len(free_roots), inner_dim
     assert [r.key for r in ctx.f_order[:nfree]] == [r.key for r in free_roots]
-    free_monos, slots, tails, coef = _induction_plan(ctx, nfree)
-    d = inner_dim
-    dim = len(free_monos) * d
-    parity = np.zeros(dim, dtype=np.int64)
-    labels = []
-    for t, mono in enumerate(free_monos):
-        mp = sum(e for e, par in zip(mono, ctx.parities[:nfree]) if par) % 2
-        for w in range(d):
-            parity[t * d + w] = (mp + inner_parity[w]) % 2
-            labels.append((mono, w))
-
-    stack = np.zeros((len(tails), d * d), dtype=np.int64)
-    for s, tail in enumerate(tails):
-        mat = _tail_matrix(f, tail, nfree, inner_actions, d)
-        if mat is not None:
-            stack[s] = mat.reshape(-1)
-    blocks = matmul(f, coef, stack).reshape(-1, d, d)
-    # block g fills rows of monomial slots[g, 1], columns of slots[g, 2]
-    span = np.arange(d)
-    actions = np.zeros((len(ctx.algebra.units), dim, dim), dtype=np.int64)
-    actions[slots[:, 0, None, None],
-            (slots[:, 1, None] * d + span)[:, :, None],
-            (slots[:, 2, None] * d + span)[:, None, :]] = blocks
-    hv = np.zeros(dim, dtype=np.int64)
-    if inner_highest is not None:
-        hv[:d] = np.asarray(inner_highest, dtype=np.int64)
-    else:
-        hv[0] = 1
-    narrow, units = np.min_scalar_type(f.q - 1), ctx.algebra.units
-    root = np.array([i != j for i, j in units])[slots[:, 0]]
-    key = (nfree, d, parity.astype(narrow).tobytes(),
-           blocks[root].astype(narrow).tobytes(), tuple(units))
+    _, _, tails, coef = _induction_plan(ctx, nfree)
+    parity, labels, scatter, root, parity_bytes, units = _layout(ctx, nfree, d, inner_parity)
+    stack = [_tail_matrix(f, tail, nfree, inner_actions, d) for tail in tails]
+    blocks = matmul(f, coef, np.reshape(stack, (len(tails), d * d)))
+    actions = np.zeros((len(units), len(parity), len(parity)), dtype=np.int64)
+    actions.reshape(-1)[scatter] = blocks.reshape(-1)
+    hv = np.zeros(len(parity), dtype=np.int64)
+    hv[:d] = np.eye(1, d, dtype=np.int64)[0] if inner_highest is None else inner_highest
+    key = (nfree, d, parity_bytes,
+           blocks[root].astype(np.min_scalar_type(f.q - 1)).tobytes(), units)
     return ModuleRep(ctx.algebra, ctx.chi, units, actions, parity, labels=labels,
-                     highest_vector=hv, ctx=ctx, root_key=key)
+                     highest_vector=hv, lam=lam, ctx=ctx, root_key=key)
 
 
 def induce(algebra, chi, free_roots, inner, units=None):
@@ -345,8 +354,8 @@ def induce(algebra, chi, free_roots, inner, units=None):
     The f block is free_roots followed by the other positive roots in
     canonical order.  Each unit of inner acts through its matrix and every
     other generator past the free block by zero.  The result carries
-    inner's highest weight and highest vector, and acts by every unit of
-    algebra, or by units when given.
+    inner's highest weight and highest vector.  It is build_induced's
+    module unless units is given: then one acting by those units only.
     """
     keys = {r.key for r in free_roots}
     order = list(free_roots) + [r for r in algebra.root_system().positive
@@ -355,12 +364,13 @@ def induce(algebra, chi, free_roots, inner, units=None):
     acting = {pos: inner.matrix(u) for pos, u in enumerate(ctx.units)
               if u in inner.units}
     Z = build_induced(ctx, free_roots, inner.dim, inner.parity, acting,
-                      inner_highest=inner.highest_vector)
-    actions = Z.actions if units is None else Z.matrices(units)
-    units = Z.units if units is None else [tuple(u) for u in units]
-    return ModuleRep(algebra, chi, units, actions, Z.parity, labels=Z.labels,
+                      inner_highest=inner.highest_vector, lam=inner.lam)
+    if units is None:
+        return Z
+    units = tuple(tuple(u) for u in units)
+    return ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
                      highest_vector=Z.highest_vector, lam=inner.lam, ctx=ctx,
-                     root_key=Z.root_key[:-1] + (tuple(units),))
+                     root_key=Z.root_key[:-1] + (units,))
 
 
 def weight_line(algebra, chi, lam):
@@ -391,13 +401,6 @@ def build_even_verma(algebra, chi, lam):
                   weight_line(algebra, chi, lam), units=algebra.even_units)
 
 
-def _is_g0_module(M):
-    alg = M.algebra
-    if sorted(M.units) != sorted(alg.even_units):
-        return False
-    return M.verify_axioms()
-
-
 def build_simple_g0_module(algebra, chi, lam):
     """The simple u(g_0bar, chi)-module of highest weight lambda.
 
@@ -410,7 +413,7 @@ def build_simple_g0_module(algebra, chi, lam):
 def build_graded_verma(algebra, chi, M):
     """Z^chi(M) = u(g) tensor M over g_0bar + g_1, with g_1 M = 0."""
     _check_borel(chi)
-    if not _is_g0_module(M):
+    if sorted(M.units) != sorted(algebra.even_units) or not M.verify_axioms():
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
     # odd positive root vectors (g_1) are not units of M: they act by zero
     return induce(algebra, chi, algebra.root_system().positive_odd, M)
@@ -517,7 +520,6 @@ def induced_hom(source, target, u):
     the target.  Returns (Matrix, rank); the intertwining property is
     checked on every acting unit.
     """
-    from .linalg import row_reduce
     alg = source.algebra
     rs = alg.root_system()
     field = source.field

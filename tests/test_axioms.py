@@ -1,16 +1,17 @@
 """The batched ModuleRep.verify_axioms against the per-pair loop it replaced.
 
 verify_axioms takes every product x y of two units in one product and the
-expected brackets in one more, read off a bracket-coefficient block, and
-raises every even unit to the p-th power in one block-diagonal
-matrix_power.  Larger modules go in chunks of units that keep each product
-below verma.AXIOM_PRODUCT_ENTRIES entries, down to one unit per product.
-The oracle below forms each commutator [x, y] and each expected bracket as
+expected brackets in one more, read off the bracket coefficients of
+verma._axiom_table, and raises the (c, dim, dim) stack of even units to the
+p-th power in one batched matrix_power.  Larger modules go in chunks of
+units that keep each product, or each stack, below
+verma.AXIOM_PRODUCT_ENTRIES entries, down to one unit per product.  The
+oracle below forms each commutator [x, y] and each expected bracket as
 separate Matrix sums, pair by pair, and each p-th power on its own.  Both
 must give the same verdict on baby Vermas and even-part Vermas of gl(1|1)
 and gl(2|1), over F_5 and over F_{5^5}, intact and with action entries
 perturbed at random, in one chunk, in chunks of a few units and one unit at
-a time.
+a time.  One wrong p-th power among the units of a chunk must be caught.
 """
 
 import functools
@@ -123,7 +124,8 @@ def test_batched_matches_oracle(name, builder, data):
     check_against_oracle(name, builder, data)
 
 
-@pytest.mark.parametrize("chunk", ["one unit", "a few units"])
+@pytest.mark.parametrize("chunk", ["one unit", "a few power units",
+                                   "a few bracket units"])
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 @settings(max_examples=8, deadline=None)
@@ -131,9 +133,37 @@ def test_batched_matches_oracle(name, builder, data):
 def test_chunked_matches_oracle(name, builder, chunk, data):
     alg, chi, weights = setting(name)
     M = BUILDERS[builder](alg, chi, weights[0])
-    # one entry admits one unit per product; 2 U dim^2 two left units and
-    # isqrt(2 U) even units per block-diagonal power
-    budget = 1 if chunk == "one unit" else 2 * len(M.units) * M.dim ** 2
+    # a bracket chunk of c left units takes c U dim^2 entries, a p-th power
+    # chunk of c even units c dim^2: one entry admits one unit per chunk of
+    # either check, 2 dim^2 two even units per power (and one left unit),
+    # 2 U dim^2 two left units (and every even unit in one power)
+    budget = {"one unit": 1, "a few power units": 2 * M.dim ** 2,
+              "a few bracket units": 2 * len(M.units) * M.dim ** 2}[chunk]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verma, "AXIOM_PRODUCT_ENTRIES", budget)
         check_against_oracle(name, builder, data)
+
+
+@pytest.mark.parametrize("chunk", ["every even unit", "two even units"])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("name", [n for n in sorted(SETTINGS) if n.startswith("gl21")])
+def test_one_wrong_pth_power_in_a_chunk_is_rejected(name, builder, chunk):
+    # x + I for an even root unit x: (x + I)^p = x^p + I, one identity off
+    # chi(x)^p; the other units of the chunk stay as they were.  gl(1|1)
+    # has no even root unit.
+    alg, chi, weights = setting(name)
+    M = BUILDERS[builder](alg, chi, weights[-1])
+    even = [u for u in M.units if not alg.parity(*u)]
+    assert len(even) == 5
+    budget = {"every even unit": len(even), "two even units": 2}[chunk] * M.dim ** 2
+    f = M.field
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verma, "AXIOM_PRODUCT_ENTRIES", budget)
+        assert M._pth_powers_hold()
+        for x in even:
+            if x[0] == x[1]:
+                continue
+            wrong = f.add(M.matrix(x), np.eye(M.dim, dtype=np.int64))
+            N = ModuleRep(alg, chi, M.units, {**dict(zip(M.units, M.actions)),
+                                              x: wrong}, M.parity)
+            assert not N._pth_powers_hold() and not oracle_verify_axioms(N)

@@ -125,6 +125,9 @@ class TestExitCodes:
         [{"p": 5, "m": 1, "n": 1}],
         {"field_degree": 0},
         {"jobs": "x"},
+        {"seed": 1.5},
+        {"seed": "x"},
+        {"seed": [1]},
         {"dim_budget": None},
         {"line_budget": True},
         {"line_budget": 10000},
@@ -137,7 +140,8 @@ class TestExitCodes:
         {"lambda": [True, 0]},
         {"chi": {"E(1,1)": [0.5]}},
         {"lambda": [[[1]], 0]},
-    ], ids=["array", "field-degree-0", "jobs-str", "dim-budget-null",
+    ], ids=["array", "field-degree-0", "jobs-str", "seed-float", "seed-str",
+            "seed-list", "dim-budget-null",
             "line-budget-bool", "line-budget-removed", "misspelt-key",
             "p-composite", "p-strong-pseudoprime",
             "p-carmichael", "tasks-str", "lambda-float-entry",

@@ -144,7 +144,8 @@ def test_builders_match_oracle(name, data):
         for u, mat in action.items():
             assert np.array_equal(Z.matrix(u), mat), u
         assert np.array_equal(Z.parity, parity)
-        assert Z.labels == labels
+        # the labels are the layout's tuple, shared by every build
+        assert Z.labels == tuple(labels)
 
 
 def test_every_build_carries_its_weight_and_context():

@@ -361,6 +361,74 @@ def test_blocked_inner_dimension_worst_case():
 
 
 # ---------------------------------------------------------------------------
+# L1: batched products and powers, against the 2-D result of each slice
+
+BATCH_FIELDS = pytest.mark.parametrize("name", ["F5", "F25", "F3125"])
+
+
+@BATCH_FIELDS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_batched_matmul_matches_each_slice(name, data):
+    # over F_{p^K} the regular representation goes on b unless b is the
+    # larger factor (swap), so both sides of that choice are drawn
+    F = FIELDS[name]
+    swap = data.draw(st.booleans(), label="swap")
+    c, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
+    small, large = sorted(data.draw(st.integers(1, 7)) for _ in range(2))
+    if swap and small == large:
+        large += 1
+    n, m = (small, large) if swap else (large, small)
+    elems = st.integers(0, F.q - 1)
+    a = data.draw(hnp.arrays(np.int64, (c, n, k), elements=elems))
+    b = data.draw(hnp.arrays(np.int64, (c, k, m), elements=elems))
+    assert (b.size > a.size) == swap
+    got = matmul(F, a, b)
+    assert got.shape == (c, n, m) and got.dtype == np.int64
+    for t in range(c):
+        assert np.array_equal(got[t], matmul(F, a[t], b[t]))
+
+
+@BATCH_FIELDS
+@pytest.mark.parametrize("e", [0, 1, 2, 5])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_matrix_power_matches_each_slice(name, e, data):
+    F = FIELDS[name]
+    c, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    a = data.draw(hnp.arrays(np.int64, (c, n, n), elements=st.integers(0, F.q - 1)))
+    got = linalg.matrix_power(F, a, e)
+    assert got.shape == a.shape and got.dtype == np.int64
+    assert not np.shares_memory(got, a)
+    for t in range(c):
+        assert np.array_equal(got[t], linalg.matrix_power(F, a[t], e))
+    if e == 0:
+        assert np.array_equal(got, np.broadcast_to(np.eye(n, dtype=np.int64), a.shape))
+        got[0, 0, 0] = 2  # a stack of its own, not a broadcast view
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_batched_blocked_inner_dimension_matches_each_slice(data):
+    # p = 7^7 allows about 13,300 float64 terms per block; the inner
+    # dimension runs past one block, with entries p - 1 weighted in
+    p = 823541
+    block = (2 ** 53 - 1) // (p - 1) ** 2
+    inner = block + data.draw(st.integers(1, 200), label="past one block")
+    c, n, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a, b = rng.integers(0, p, (c, n, inner)), rng.integers(0, p, (c, inner, m))
+    a[rng.random(a.shape) < 0.5] = p - 1
+    b[rng.random(b.shape) < 0.5] = p - 1
+    got = _matmul_mod(a, b, p)
+    assert got.shape == (c, n, m) and got.dtype == np.int64
+    for t in range(c):
+        assert np.array_equal(got[t], _matmul_mod(a[t], b[t], p))
+    want = (a[0].astype(object) @ b[0].astype(object)) % p
+    assert np.array_equal(got[0], want.astype(np.int64))
+
+
+# ---------------------------------------------------------------------------
 # L1: row reduction, kernels, subspaces
 
 @field_names
