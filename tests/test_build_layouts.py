@@ -8,14 +8,18 @@ table kept on the algebra per tuple of units.  Here a whole scan is
 counted, the shared arrays are checked to be read-only, modules built
 from a warm layout are compared with cold builds on a fresh algebra, and
 a table whose brackets leave the units must still fail the bracket check.
+structure-check reads super-anticommutativity off the table of all units;
+it is compared with the per-pair loop it replaced on perturbed tables.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmn import cli, verma
 from glmn.algebra import Character, build_algebra
 from glmn.ffield import make_field
+from glmn.cli import structure_task
 from glmn.verma import ModuleRep, build_baby_verma
 
 from test_root_key import CHI0, DIAG, MODULES, count_scan, fresh_setting
@@ -93,10 +97,47 @@ def test_units_whose_bracket_leaves_them_fail_the_bracket_check():
     assert verma._axiom_table(alg, tuple(alg.units))[1] is not None
 
 
-def test_unit_tables_follow_the_order_of_the_units():
+def test_unit_tables_are_made_once_per_order_of_the_units():
     alg, chi, weights = fresh_setting(CHI0)
     Z = build_baby_verma(alg, chi, weights[1])
     reordered = list(reversed(Z.units))
     N = ModuleRep(alg, chi, reordered, Z.matrices(reordered), Z.parity)
     assert Z.verify_axioms() and N.verify_axioms()
-    assert set(alg._axiom_tables) == {tuple(Z.units), tuple(reordered)}
+    tables = dict(alg._axiom_tables)
+    assert set(tables) == {tuple(Z.units), tuple(reordered)}
+    assert build_baby_verma(alg, chi, weights[2]).verify_axioms() and N.verify_axioms()
+    assert all(alg._axiom_tables[units] is table for units, table in tables.items())
+
+
+def oracle_anticommutes(alg, coef):
+    """[x, y] = -(-1)^{p(x)p(y)} [y, x] pair by pair, on coefficient dicts."""
+    f, units = alg.field, alg.units
+    for a, x in enumerate(units):
+        for b, y in enumerate(units):
+            sign = -1 if alg.parity(*x) and alg.parity(*y) else 1
+            lhs = {u: int(c) for u, c in zip(units, coef[a, b]) if c}
+            rhs = {u: int(c) if sign == -1 else f.neg(int(c))
+                   for u, c in zip(units, coef[b, a]) if c}
+            if lhs != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_structure_check_reads_anticommutativity_off_the_unit_table(m, n, data):
+    # the perturbed table stands in for the bracket coefficients, while
+    # Jacobi, the p-mapping and the supertrace read the intact bracket
+    # table and pass
+    alg = build_algebra(m, n, make_field(5))
+    U = len(alg.units)
+    odd, coef, even, cartan = verma._axiom_table(alg, tuple(alg.units))
+    coef = coef.copy()
+    for _ in range(data.draw(st.integers(0, 2), label="changes")):
+        a, b, c = (data.draw(st.integers(0, U - 1)) for _ in range(3))
+        coef[a, b, c] = data.draw(st.integers(0, 4), label="value")
+    alg._axiom_tables[tuple(alg.units)] = (odd, coef, even, cartan)
+    rec, passed = structure_task({"seed": 1}, alg, Character(alg, {}), [])
+    assert rec["checked"]["anticommutativity"] == U * U
+    assert passed == rec["all_pass"] == oracle_anticommutes(alg, coef)

@@ -96,10 +96,11 @@ class TestMatrixArithmetic:
             acc = matmul(field, acc, a)
 
     def test_matrix_power_skips_the_identity_and_the_last_square(self):
+        # matrix_power multiplies through matmul's kernel, _matmul
         calls = []
-        real = linalg.matmul
+        real = linalg._matmul
         a = rand_mat(F, 3, 3, random.Random(2)).data
-        with mock.patch.object(linalg, "matmul",
+        with mock.patch.object(linalg, "_matmul",
                                lambda *args: calls.append(1) or real(*args)):
             got = matrix_power(F, a, 5)
         assert len(calls) == 3
