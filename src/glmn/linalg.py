@@ -121,14 +121,14 @@ def _matmul_mod(a, b, p):
 
 def matmul(field, a, b):
     """Matrix product on raw index arrays, or on stacks of them slice by
-    slice as np.matmul (_matmul)."""
+    slice as np.matmul does; _matmul holds the code."""
     return _matmul(field, a, b)
 
 
 def _matmul(field, a, b):
-    """matmul's kernel, for matrix_power's stacks: perfbench's span on
-    matmul counts 2-D products.  Over F_{p^K} one F_p product with digits(xy)
-    = digits(x) @ regular[:, y], regular on the smaller factor."""
+    """matmul's kernel, which matrix_power calls on stacks: perfbench's span
+    on matmul counts 2-D products only.  Over F_{p^K} one F_p product with
+    digits(xy) = digits(x) @ regular[:, y], regular on the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.k == 1:

@@ -124,8 +124,7 @@ def test_batched_matches_oracle(name, builder, data):
     check_against_oracle(name, builder, data)
 
 
-@pytest.mark.parametrize("chunk", ["one unit", "a few power units",
-                                   "a few bracket units"])
+@pytest.mark.parametrize("chunk", ["one unit", "a few units", "a few power units"])
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 @settings(max_examples=8, deadline=None)
@@ -135,10 +134,10 @@ def test_chunked_matches_oracle(name, builder, chunk, data):
     M = BUILDERS[builder](alg, chi, weights[0])
     # a bracket chunk of c left units takes c U dim^2 entries, a p-th power
     # chunk of c even units c dim^2: one entry admits one unit per chunk of
-    # either check, 2 dim^2 two even units per power (and one left unit),
-    # 2 U dim^2 two left units (and every even unit in one power)
-    budget = {"one unit": 1, "a few power units": 2 * M.dim ** 2,
-              "a few bracket units": 2 * len(M.units) * M.dim ** 2}[chunk]
+    # either check, 2 U dim^2 two left units (and every even unit in one
+    # power), 2 dim^2 two even units per power (and one left unit)
+    budget = {"one unit": 1, "a few units": 2 * len(M.units) * M.dim ** 2,
+              "a few power units": 2 * M.dim ** 2}[chunk]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verma, "AXIOM_PRODUCT_ENTRIES", budget)
         check_against_oracle(name, builder, data)

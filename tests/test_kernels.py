@@ -9,7 +9,9 @@ log/exp tables), the column-by-column product and the per-element
 log/exp loop that these replaced, a row reduction written on top of
 those formulas, and the scan of x^p - x over all q elements that the
 linear Artin-Schreier solve replaced.  Every case must agree exactly, on
-prime fields and on extension fields up to F_{5^5}.
+prime fields and on extension fields up to F_{5^5}.  matmul, matrix_power
+and _matmul_mod also take stacks of matrices; each slice of a stacked
+result must equal the 2-D result on that slice.
 
 rref, Subspace.reduce, add_vectors and annihilator pivot coordinate lines
 (rows with one nonzero entry) by assignment; their cases are drawn with
