@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from glmn import cli, verma
 from glmn.algebra import Character, build_algebra
-from glmn.ffield import make_field
 from glmn.cli import structure_task
+from glmn.ffield import make_field
 from glmn.verma import ModuleRep, build_baby_verma
 
 from test_root_key import CHI0, DIAG, MODULES, count_scan, fresh_setting
