@@ -42,7 +42,8 @@ for values, label in [({}, "zero"),
     print(f"\nchi = {chi!r}: {classify_character(rs, chi)}")
 
 # The weight variety X of a nonzero semisimple character forces a field
-# extension; the library extends automatically and re-embeds chi.
+# extension; the library extends F_5 to F_{5^5} once, where chi keeps its
+# indices.
 chi = Character(alg, {(1, 1): 1, (2, 2): 1, (3, 3): 1})
 alg2, chi2, weights = weight_variety(alg, chi)
 print(f"\n|X| = {len(weights)} over F_{{5^{alg2.field.k}}} "

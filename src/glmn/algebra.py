@@ -276,10 +276,6 @@ class Character:
         return Character(self.algebra,
                          {u: v for u, v in self.values.items() if u[0] == u[1]})
 
-    def embed(self, new_algebra, emb):
-        return Character(new_algebra,
-                         {u: int(emb[v]) for u, v in self.values.items()})
-
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
 
@@ -420,29 +416,22 @@ def weight_variety(algebra, chi):
     """All weights lambda with lambda(h)^p - lambda(h) = chi(h)^p on the
     diagonal units.
 
-    Extends the scalar field (degree multiplied by p) as long as some
-    coordinate equation has no root; returns (algebra, chi, weights) over
-    the possibly extended field.
+    Where some coordinate equation has no root, the field is extended once,
+    F_p -> F_{p^p} (Field.extend), where every one has p; chi keeps its
+    indices.  Returns (algebra, chi, weights) over the possibly extended
+    field.
     """
-    while True:
-        field = algebra.field
-        per_coord = []
-        missing = False
-        for i in range(1, algebra.d + 1):
-            c = field.power(chi.value((i, i)), field.p)
-            roots = ffield.artin_schreier_roots(field, c)
-            if not roots:
-                missing = True
-                break
-            per_coord.append([r.idx for r in roots])
-        if not missing:
-            weights = [Weight(field, combo)
-                       for combo in itertools.product(*per_coord)]
-            return algebra, chi, weights
-        new_field, emb = field.extend()
-        new_algebra = SuperAlgebra(algebra.m, algebra.n, new_field)
-        chi = chi.embed(new_algebra, emb)
-        algebra = new_algebra
+    field = algebra.field
+    values = [field.power(chi.value((i, i)), field.p) for i in range(1, algebra.d + 1)]
+    roots = [ffield.artin_schreier_roots(field, c) for c in values]
+    if not all(roots):
+        field = field.extend()
+        algebra = SuperAlgebra(algebra.m, algebra.n, field)
+        chi = Character(algebra, chi.values)
+        roots = [ffield.artin_schreier_roots(field, c) for c in values]
+    weights = [Weight(field, combo) for combo in
+               itertools.product(*([r.idx for r in rs] for rs in roots))]
+    return algebra, chi, weights
 
 
 def weight_in_variety(algebra, chi, lam):

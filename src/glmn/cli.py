@@ -28,7 +28,7 @@ from .analysis import (composition_series, frobenius_gram, is_simple,
                        regular_module, shifted_joint_kernel)
 from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
-from .ffield import isprime, make_field
+from .ffield import check_field_budget, isprime, make_field
 from .kw import kw_verify, levi_scan
 from .verma import (_axiom_table, build_baby_verma, build_graded_verma,
                     build_simple_g0_module, f1_direct, f_direct, f_formula)
@@ -59,7 +59,7 @@ def load_config(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigInvalid(f"cannot read config: {exc}") from None
     return validate_config(raw)
 
@@ -81,12 +81,13 @@ def validate_config(raw):
             raise ConfigInvalid(f"config needs integer '{key}'")
     if cfg["p"] < 5:
         raise ConfigInvalid("p must be at least 5")
+    if cfg["field_degree"] < 1:
+        raise ConfigInvalid("field_degree must be at least 1")
+    check_field_budget(cfg["p"], cfg["field_degree"])
     if not isprime(cfg["p"]):
         raise ConfigInvalid(f"p = {cfg['p']} is not prime")
     if cfg["m"] < 1 or cfg["n"] < 1:
         raise ConfigInvalid("m and n must be positive")
-    if cfg["field_degree"] < 1:
-        raise ConfigInvalid("field_degree must be at least 1")
     if not isinstance(cfg["tasks"], list):
         raise ConfigInvalid("tasks must be a list of task names")
     for t in cfg["tasks"]:
@@ -162,13 +163,17 @@ DIM_BUDGET_TASKS = ("verma-scan", "graded-verma-scan", "kw-verify",
 def check_dim_budget(cfg):
     """Refuse a config whose baby Vermas, of dimension p^(even positive
     roots) 2^(odd positive roots), exceed dim_budget; read off the config
-    alone, before the field or the weight variety is built."""
-    m, n = cfg["m"], cfg["n"]
-    dim = cfg["p"] ** ((m * (m - 1) + n * (n - 1)) // 2) * 2 ** (m * n)
-    if dim > cfg["dim_budget"]:
-        raise BudgetExceeded(
-            f"predicted module dimension {dim} exceeds dim_budget "
-            f"{cfg['dim_budget']}")
+    alone, before the field or the weight variety is built.  p > 2, so the
+    dimension is at least 2 to the number of positive roots: it is taken
+    only below the budget's bit length, and shown only below 64 roots."""
+    p, m, n, budget = cfg["p"], cfg["m"], cfg["n"], cfg["dim_budget"]
+    even, odd = (m * (m - 1) + n * (n - 1)) // 2, m * n
+    if even + odd < budget.bit_length() and p ** even * 2 ** odd <= budget:
+        return
+    dim = (p ** even * 2 ** odd if even + odd < 64
+           else f"{p}^(m(m-1)/2 + n(n-1)/2) 2^(mn) at m = {m}, n = {n}")
+    raise BudgetExceeded(
+        f"predicted module dimension {dim} exceeds dim_budget {budget}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ Frobenius use those tables for every k.  The table `regular` holds the
 F_p-matrix of multiplication by each element (its regular representation),
 so that linalg multiplies matrices over F_{p^k} as one F_p product.  The
 tables have q = p^k rows: make_field refuses q > 7^7 (BudgetExceeded, exit
-code 2 in the CLI) before it builds anything.
+code 2 in the CLI) before it builds anything, and `check_field_budget`
+runs before any other check of p.  An Artin-Schreier equation over F_p has
+its roots in F_{p^p}, so `Field.extend` is the one step F_p -> F_{p^p}; an
+F_p index names the same element in both fields.
 
-Primality of p and the prime factors of k and q - 1 come from two exact
-helpers on small integers: `isprime` is the Miller-Rabin test with the 13
-prime bases 2, ..., 41, deterministic for n below psi_13 =
-3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all of
-them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 86 (2017)); `_prime_factors` is trial division.
+Primality of p and the prime factors of k and q - 1 come from trial
+division, `_prime_factors`: the numbers it sees are at most 7^7.
 """
 
 from __future__ import annotations
@@ -35,42 +34,6 @@ from .errors import BudgetExceeded, CompositeP, NonIrreducibleModulus, PTooSmall
 # primality and factors of small integers
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981  # psi_13
-
-
-def isprime(n):
-    """Primality of an integer, exact for every n.
-
-    Below psi_13 the strong-pseudoprime test to the bases 2, ..., 41 is
-    exact; from psi_13 on the answer comes from sympy.
-    """
-    n = int(n)
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    if n >= _MR_BOUND:
-        from sympy import isprime as sympy_isprime
-        return bool(sympy_isprime(n))
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_factors(n):
     """The distinct primes dividing n >= 1, increasing, by trial division."""
     primes = []
@@ -84,6 +47,11 @@ def _prime_factors(n):
     if n > 1:
         primes.append(n)
     return primes
+
+
+def isprime(n):
+    """Primality of an integer, by trial division."""
+    return n > 1 and _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -363,36 +331,11 @@ class Field:
     # -- extensions -----------------------------------------------------------
 
     def extend(self):
-        """The compositum step: F_{p^k} -> F_{p^{k*p}}.
-
-        Returns (new_field, embedding) where embedding is an int64 array
-        mapping old element indices to new ones.
-        """
-        new = make_field(self.p, self.k * self.p)
-        return new, embed(self, new)
-
-
-def embed(small, big):
-    """Embedding table of `small` into `big` (small.k must divide big.k)."""
-    if big.k % small.k != 0:
-        raise ValueError("no embedding: extension degree mismatch")
-    if small.k == 1:
-        emb = np.arange(small.q, dtype=np.int64)
-        return emb
-    # find the least root of small.modulus inside big
-    all_elems = np.arange(big.q, dtype=np.int64)
-    acc = np.zeros(big.q, dtype=np.int64)
-    for c in reversed(small.modulus):
-        acc = big.add(big.mul(acc, all_elems), big.from_int(c))
-    roots = np.nonzero(acc == 0)[0]
-    if len(roots) == 0:
-        raise ValueError("modulus has no root in the big field")
-    r = int(roots[0])
-    # old element with digits (c_0..c_{k-1}) maps to sum c_i r^i
-    emb = np.zeros(small.q, dtype=np.int64)
-    for i in reversed(range(small.k)):
-        emb = big.add(big.mul(emb, r), small.digits[:, i])
-    return emb
+        """F_p -> F_{p^p}, where every Artin-Schreier equation over F_p has
+        its roots; an F_p index names the same element in both fields.  From
+        k > 1 the step is over FIELD_BUDGET, since p^(2p) >= 5^10 > 7^7, and
+        raises BudgetExceeded."""
+        return make_field(self.p, self.k * self.p)
 
 
 class FieldElement:
@@ -474,6 +417,18 @@ _field_cache = {}
 FIELD_BUDGET = 7 ** 7
 
 
+def check_field_budget(p, k):
+    """Raise BudgetExceeded when q = p^k > FIELD_BUDGET, for k >= 1 (p < 2
+    is left to the caller's primality test).  q >= 2^(k (b - 1)) for p of b
+    bits, so q is computed only when that exponent is below the budget's
+    bit length, and shown only when it fits in 64 bits."""
+    bits = FIELD_BUDGET.bit_length()
+    if p < 2 or (k * (p.bit_length() - 1) < bits and p ** k <= FIELD_BUDGET):
+        return
+    q = f" = {p ** k}" if k * p.bit_length() <= 64 else ""
+    raise BudgetExceeded(f"field size q = {p}^{k}{q} exceeds 7^7 = {FIELD_BUDGET}")
+
+
 def make_field(p, k=1, modulus=None):
     """Construct F_{p^k}.
 
@@ -484,14 +439,13 @@ def make_field(p, k=1, modulus=None):
     """
     p = int(p)
     k = int(k)
-    if p < 2 or not isprime(p):
+    if k < 1:
+        raise ValueError("extension degree must be >= 1")
+    check_field_budget(p, k)
+    if not isprime(p):
         raise CompositeP(f"{p} is not prime")
     if p < 5:
         raise PTooSmall(f"p must be at least 5, got {p}")
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p ** k > FIELD_BUDGET:
-        raise BudgetExceeded(f"field size q = {p}^{k} = {p ** k} exceeds 7^7 = {FIELD_BUDGET}")
     if modulus is None:
         key = (p, k)
         if key in _field_cache:

@@ -175,14 +175,12 @@ def order_phi_prime(rs, chi):
     system, reflect the system, and repeat; certifies that each prefix
     of -Phi' is bracket-closed and normalized by the positive roots of l.
     """
-    alg = rs.algebra
     phi = _check_normalized(rs, chi)
     remaining = {r.key for r in phi}
     levi_pos = [r for r in rs.positive if r.key not in remaining]
     positives = list(rs.positive)
     order = []
     steps = []
-    seen = set()
     while remaining:
         delta = _simple_of(rs, positives)
         steps.append(([r.key for r in positives], [r.key for r in delta]))
@@ -194,9 +192,6 @@ def order_phi_prime(rs, chi):
                 f"remaining={sorted(remaining)}, "
                 f"delta={sorted(r.key for r in delta)}")
         alpha = candidates[0]
-        if alpha.key in seen:
-            raise OrderingStuck(f"root {alpha.key} repeated")
-        seen.add(alpha.key)
         order.append(alpha)
         remaining.discard(alpha.key)
         positives = _reflect_system(rs, alpha, positives)

@@ -89,32 +89,27 @@ class Matrix:
 
 
 _FLOAT_EXACT = 2 ** 53
-_INT64_EXACT = 2 ** 63
 
 
 def _matmul_mod(a, b, p):
     """(a @ b) % p, exactly, for integer arrays (or stacks) in [0, p).
 
     Each block of the inner dimension is one BLAS product in float64,
-    short enough that its sums stay below 2^53, reduced mod p in int64.  A
-    prime too large for a single float64 product, (p - 1)^2 >= 2^53, takes
-    int64 blocks under 2^63 instead.
+    short enough that its sums stay below 2^53, reduced mod p in int64.
+    Every field's p has (p - 1)^2 < 7^14 < 2^40, so a block holds at least
+    2^13 terms.
     """
     step = (p - 1) ** 2
-    if step < _FLOAT_EXACT:
-        dtype, block = np.float64, (_FLOAT_EXACT - 1) // step
-    else:
-        dtype, block = np.int64, (_INT64_EXACT - 1) // step
-    if block == 0:
-        raise ValueError(f"p = {p} is too large for exact int64 products")
+    assert step < _FLOAT_EXACT
+    block = (_FLOAT_EXACT - 1) // step
     inner = a.shape[-1]
     if inner <= block:
-        return (a.astype(dtype, copy=False)
-                @ b.astype(dtype, copy=False)).astype(np.int64, copy=False) % p
+        return (a.astype(np.float64, copy=False)
+                @ b.astype(np.float64, copy=False)).astype(np.int64, copy=False) % p
     out = 0
     for s in range(0, inner, block):
-        part = (a[..., s:s + block].astype(dtype, copy=False)
-                @ b[..., s:s + block, :].astype(dtype, copy=False))
+        part = (a[..., s:s + block].astype(np.float64, copy=False)
+                @ b[..., s:s + block, :].astype(np.float64, copy=False))
         out = (out + part.astype(np.int64, copy=False) % p) % p
     return out
 

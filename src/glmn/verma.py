@@ -58,20 +58,15 @@ class ModuleRep:
 
     def __init__(self, algebra, chi, units, actions, parity, labels=None,
                  highest_vector=None, lam=None, ctx=None, root_key=None):
-        """actions is the (U, dim, dim) array, or a mapping from each unit
-        to its Matrix or index array, stacked here in the order of units.
-        lam is the highest weight, and ctx the ReductionContext whose f
-        order the labels' monomials follow, where either is known."""
+        """actions is the (U, dim, dim) array, in the order of units.  lam
+        is the highest weight, and ctx the ReductionContext whose f order
+        the labels' monomials follow, where either is known."""
         self.algebra = algebra
         self.field = algebra.field
         self.chi = chi
         self.units = [tuple(u) for u in units]
         self.parity = np.asarray(parity, dtype=np.int64)
         self.dim = len(self.parity)
-        if hasattr(actions, "items"):
-            # each value is an index array or a Matrix wrapping one
-            actions = [actions[u] for u in self.units]
-            actions = [a if isinstance(a, np.ndarray) else a.data for a in actions]
         U, n = len(self.units), self.dim
         # a view: freezing it leaves the caller's array writeable
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).reshape(U, n, n)

@@ -85,9 +85,9 @@ def setting(name):
 
 def perturbed(M, changes):
     """A copy of M whose action has the entries (unit, row, col) -> value."""
-    action = {u: Matrix(M.field, M.matrix(u).copy()) for u in M.units}
+    action = M.actions.copy()
     for u, i, j, value in changes:
-        action[u].data[i, j] = value
+        action[M.units.index(u), i, j] = value
     return ModuleRep(M.algebra, M.chi, M.units, action, M.parity)
 
 
@@ -162,7 +162,7 @@ def test_one_wrong_pth_power_in_a_chunk_is_rejected(name, builder, chunk):
         for x in even:
             if x[0] == x[1]:
                 continue
-            wrong = f.add(M.matrix(x), np.eye(M.dim, dtype=np.int64))
-            N = ModuleRep(alg, chi, M.units, {**dict(zip(M.units, M.actions)),
-                                              x: wrong}, M.parity)
+            actions = M.actions.copy()
+            actions[M.units.index(x)] = f.add(M.matrix(x), np.eye(M.dim, dtype=np.int64))
+            N = ModuleRep(alg, chi, M.units, actions, M.parity)
             assert not N._pth_powers_hold() and not oracle_verify_axioms(N)

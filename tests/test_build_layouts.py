@@ -85,14 +85,14 @@ def test_units_whose_bracket_leaves_them_fail_the_bracket_check():
     # right, but [E(1,2), E(2,1)] = E(1,1) + E(2,2) is not among the units
     alg = build_algebra(1, 1, make_field(5))
     units = [(1, 2), (2, 1)]
-    action = {u: alg.unit_matrix(*u) for u in units}
+    action = [alg.unit_matrix(*u).data for u in units]
     M = ModuleRep(alg, Character(alg, {}), units, action, [0, 1])
     for _ in range(2):
         assert M._parity_blocks_hold() and M._pth_powers_hold()
         assert not M._brackets_hold() and not M.verify_axioms()
     assert verma._axiom_table(alg, tuple(units))[1] is None
     full = ModuleRep(alg, M.chi, alg.units,
-                     {u: alg.unit_matrix(*u) for u in alg.units}, [0, 1])
+                     [alg.unit_matrix(*u).data for u in alg.units], [0, 1])
     assert full.verify_axioms()
     assert verma._axiom_table(alg, tuple(alg.units))[1] is not None
 

@@ -9,6 +9,7 @@ import pytest
 
 from glmn import analysis, cli
 from glmn.cli import main
+from glmn.errors import BudgetExceeded
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -140,22 +141,51 @@ class TestExitCodes:
         {"lambda": [True, 0]},
         {"chi": {"E(1,1)": [0.5]}},
         {"lambda": [[[1]], 0]},
+        '{"p": 1%s, "m": 1, "n": 1}' % ("0" * 5000),
     ], ids=["array", "field-degree-0", "jobs-str", "seed-float", "seed-str",
             "seed-list", "dim-budget-null",
             "line-budget-bool", "line-budget-removed", "misspelt-key",
             "p-composite", "p-strong-pseudoprime",
             "p-carmichael", "tasks-str", "lambda-float-entry",
-            "lambda-bool", "chi-float-entry", "lambda-nested-list"])
+            "lambda-bool", "chi-float-entry", "lambda-nested-list",
+            "p-5001-digits"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, raw):
+        # a str is the config's text: json.dumps refuses an int of 5001 digits
         if isinstance(raw, dict):
             cfg = write_cfg(tmp_path, **raw)
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(raw))
+            cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
         assert code == 2 and "error" in err
-        if "p" in raw:
+        if isinstance(raw, dict) and "p" in raw:
             assert "not prime" in err
+
+    @pytest.mark.parametrize("raw", [
+        {"field_degree": 100000},
+        {"field_degree": 10 ** 9},
+        {"m": 100000},
+        {"n": 100000},
+        {"m": 10 ** 9, "n": 10 ** 9},
+    ], ids=["field-degree-1e5", "field-degree-1e9", "m-1e5", "n-1e5", "m-n-1e9"])
+    def test_large_config_values_exit_two_at_once(self, tmp_path, capsys, raw):
+        # the budgets take no power of an unbounded exponent and format no
+        # unbounded integer
+        cfg = write_cfg(tmp_path, **raw)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, ["run", "--config", cfg])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds" in err
+
+    def test_config_over_the_field_budget_takes_no_primality_test(
+            self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("primality tested on a field over the budget")
+        monkeypatch.setattr(cli, "isprime", refuse)
+        for p, k in ((823547, 1), (2 ** 89 - 1, 1), (5, 10 ** 9)):
+            with pytest.raises(BudgetExceeded, match="exceeds 7\\^7"):
+                cli.validate_config({"p": p, "m": 1, "n": 1, "field_degree": k})
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -121,24 +122,26 @@ class TestExtensionField:
 
 
 class TestEmbedding:
-    def test_embed_is_ring_homomorphism(self):
-        from glmn.ffield import embed
-        small = make_field(5, 2)
-        big = make_field(5, 4)
-        emb = embed(small, big)
-        for a in range(small.q):
-            for b in range(small.q):
-                assert emb[small.add(a, b)] == big.add(emb[a], emb[b])
-                assert emb[small.mul(a, b)] == big.mul(emb[a], emb[b])
-        assert emb[0] == 0 and emb[1] == 1
-
     def test_extend_multiplies_degree_by_p(self):
+        # F_5 -> F_{5^5} keeps the indices 0..4 of the prime field
         f = make_field(5, 1)
-        big, emb = f.extend()
+        big = f.extend()
         assert big.k == 5
-        for a in range(f.q):
-            for b in range(f.q):
-                assert emb[f.mul(a, b)] == big.mul(emb[a], emb[b])
+        a, b = np.meshgrid(np.arange(5), np.arange(5))
+        for op in ("add", "sub", "mul"):
+            assert np.array_equal(getattr(big, op)(a, b), getattr(f, op)(a, b))
+        assert np.array_equal(big.inv(np.arange(1, 5)), f.inv(np.arange(1, 5)))
+
+    def test_extend_from_an_extension_is_over_budget(self, monkeypatch):
+        # F_25 -> F_{5^10}: refused before any table is built
+        f = make_field(5, 2)
+
+        def refuse(*args):
+            raise AssertionError("work started on a field over the budget")
+        monkeypatch.setattr(ffield, "default_modulus", refuse)
+        monkeypatch.setattr(ffield, "Field", refuse)
+        with pytest.raises(BudgetExceeded, match=r"q = 5\^10 = 9765625 "):
+            f.extend()
 
 
 class TestArtinSchreier:
@@ -255,7 +258,6 @@ def test_irreducible_matches_sympy(p, k):
 
 def test_default_modulus_of_degree_seven_is_fast():
     # F_{7^7}: the full scan tests the 7^6 candidates divisible by x first
-    import time
     from glmn.ffield import is_irreducible
     start = time.perf_counter()
     modulus = default_modulus(7, 7)
@@ -266,14 +268,14 @@ def test_default_modulus_of_degree_seven_is_fast():
 # ---------------------------------------------------------------------------
 # primality and factors of small integers, with sympy as the oracle
 
-# psi_1 ... psi_12: the least strong pseudoprime to all of the first t prime
-# bases (psi_7 = psi_8, psi_9 = psi_10 = psi_11)
+# psi_1 ... psi_6 and psi_9 = psi_10 = psi_11: the least strong pseudoprime
+# to all of the first t prime bases.  psi_7 = psi_8 and psi_12 are over the
+# field budget, and their least prime factors, 10670053 and 399165290221,
+# are out of reach of a quick trial division
 STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747,
-                       3474749660383, 341550071728321, 3825123056546413051,
-                       318665857834031151167461]
+                       3474749660383, 3825123056546413051]
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
               321197185, 5394826801, 232250619601, 9746347772161]
-PSI_13 = 3317044064679887385961981
 
 
 def test_isprime_matches_sympy_below_ten_to_the_five():
@@ -285,26 +287,6 @@ def test_isprime_matches_sympy_below_ten_to_the_five():
 def test_pseudoprimes_are_composite(n):
     assert not sympy.isprime(n)
     assert isprime(n) is False
-
-
-def test_isprime_defers_to_sympy_from_psi_13_on(monkeypatch):
-    mersenne_89 = 2 ** 89 - 1
-    below = PSI_13 - 2
-    want_below = sympy.isprime(below)
-    calls = []
-
-    def oracle(n, _isprime=sympy.isprime):
-        calls.append(n)
-        return _isprime(n)
-
-    monkeypatch.setattr(sympy, "isprime", oracle)
-    assert isprime(below) is want_below
-    assert isprime(STRONG_PSEUDOPRIMES[-1]) is False
-    assert calls == []
-    # psi_13 is a strong pseudoprime to every base 2, ..., 41
-    assert isprime(PSI_13) is False
-    assert isprime(mersenne_89) is True
-    assert calls == [PSI_13, mersenne_89]
 
 
 def test_prime_factors_match_sympy():
@@ -330,6 +312,23 @@ def test_field_over_budget_raises_before_any_work(p, k, monkeypatch):
         make_field(p, k)
     with pytest.raises(BudgetExceeded):
         make_field(p, k, modulus=[1] * k + [1])
+
+
+@pytest.mark.parametrize("p,k,shown", [
+    (5, 100000, "q = 5^100000 exceeds"),
+    (5, 10 ** 9, "q = 5^1000000000 exceeds"),
+    (2 ** 89 - 1, 1, f"q = {2 ** 89 - 1}^1 exceeds"),
+    (2 ** 61 - 1, 1, f"q = {2 ** 61 - 1}^1 = {2 ** 61 - 1} exceeds")])
+def test_field_budget_takes_no_primality_test_and_no_large_power(
+        p, k, shown, monkeypatch):
+    def refuse(n):
+        raise AssertionError("primality tested on a field over the budget")
+    monkeypatch.setattr(ffield, "isprime", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        make_field(p, k)
+    assert time.perf_counter() - start < 1.0
+    assert shown in str(info.value)
 
 
 def test_field_budget_admits_fields_up_to_it(monkeypatch):

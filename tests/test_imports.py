@@ -2,8 +2,8 @@
 
 Every name a glmn module imports is used in that module (the package's
 __init__.py is left out: it imports to re-export), and a fresh interpreter
-that imports glmn.cli, or runs a jobs = 1 config, loads neither sympy nor
-the process pool.
+that imports glmn.cli, runs a jobs = 1 config or refuses a prime p over the
+field budget, loads neither sympy nor the process pool.
 """
 
 import ast
@@ -68,4 +68,13 @@ def test_jobs_one_run_loads_no_sympy_and_no_pool(tmp_path):
                                "tasks": ["verma-scan", "kw-verify"]}))
     code = ("from glmn.cli import main\n"
             f"assert main(['run', '--config', {str(cfg)!r}]) == 0")
+    assert heavy_modules_after(code) == "[]"
+
+
+def test_prime_over_the_field_budget_loads_no_sympy(tmp_path):
+    # 2^89 - 1 is prime: the field budget refuses it before any primality test
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 2 ** 89 - 1, "m": 1, "n": 1}))
+    code = ("from glmn.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg)!r}]) == 2")
     assert heavy_modules_after(code) == "[]"

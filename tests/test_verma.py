@@ -40,8 +40,8 @@ class TestVerifyAxioms:
         if scale:
             unit, c = scale
             action[unit] = action[unit].scale(c)
-        return ModuleRep(alg, Character(alg, chi or {}), alg.units, action,
-                         parity)
+        return ModuleRep(alg, Character(alg, chi or {}), alg.units,
+                         [action[u].data for u in alg.units], parity)
 
     def test_natural_module_passes(self):
         assert self._natural().verify_axioms()
@@ -91,9 +91,11 @@ class TestConstruction:
         alg = build_algebra(2, 1, F)
         Z = build_baby_verma(alg, Character(alg, {}), Weight(F, [1, 0, 2]))
         from_array = ModuleRep(alg, Z.chi, Z.units, Z.actions, Z.parity)
-        # a mapping is stacked in the order of units, whatever its own order
-        for action in ({u: Matrix(F, Z.matrix(u)) for u in reversed(Z.units)},
-                       {u: Z.matrix(u).copy() for u in Z.units}):
+        # a mapping is stacked by its caller in the order of units, whatever
+        # its own order, as a list of matrices or as one array
+        mapping = {u: Matrix(F, Z.matrix(u)) for u in reversed(Z.units)}
+        for action in ([mapping[u].data for u in Z.units],
+                       np.stack([mapping[u].data for u in Z.units])):
             from_mapping = ModuleRep(alg, Z.chi, Z.units, action, Z.parity)
             assert np.array_equal(from_mapping.actions, from_array.actions)
         assert np.array_equal(from_array.actions, Z.actions)
