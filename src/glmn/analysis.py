@@ -7,21 +7,15 @@ and the Frobenius form.  A graded submodule is its canonical Subspace of
 F^dim: spanned by parity-homogeneous rows, each basis row lies in the
 parity part of its pivot, and Subspace.split(M.parity) gives the parts.
 
-Simplicity and simple heads have one route, dual_core: a simple graded
-submodule S of the dual module M* (dual_module, the transposed action),
-whose annihilator R is a maximal graded submodule of M with M/R simple.
-When a module is generated by a highest vector whose weight occurs at no
-other basis vector, S is the spin of that coordinate form, and R is the
-sum of all proper submodules (the certificate).  Every baby Verma,
-even-part, graded and Levi Verma built here, and every quotient of one,
-qualifies when its top weight space is a line.  Other modules (a larger
-top weight space, or no highest vector, as after restrict_module)
-descend: S starts as M*, and becomes the first spin of a
-generating-candidate line inside S that is smaller than S, until none is.
-The descent is exhaustive or refused: a candidate piece with more than
-LINE_BUDGET lines raises BudgetExceeded, so no verdict rests on a sample.
-M* is built only where it is spun: on the descent, and on a memo miss of
-the certificate.
+Simplicity and simple heads have one route, dual_core: a maximal graded
+submodule R of M with M/R simple, the annihilator of a simple graded
+submodule S of the dual module M* (dual_module, the transposed action).
+S is the spin of a top coordinate form (the certificate, for modules
+generated by a highest vector whose weight occurs at no other basis
+vector), a line of M*'s socle (modules without Cartan units), or the end
+of a descent through spins of candidate lines.  The descent is exhaustive
+or refused: a candidate piece with more than LINE_BUDGET lines raises
+BudgetExceeded, so no verdict rests on a sample.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -231,13 +225,9 @@ def dual_module(M):
 
 
 def dual_core(M):
-    """(R, S): a maximal graded submodule R of M with M/R simple, and the
-    simple graded submodule S of the dual module M* whose annihilator R
-    is, both as Subspaces of F^dim.
-
-    (M/R)* is S, so M/R is simple because S is.  M* (dual_module) is
-    built only to spin in it: on the descent, and on a memo miss of the
-    certificate.
+    """R: a maximal graded submodule of M with M/R simple, a Subspace of
+    F^dim: the annihilator of a simple graded submodule S of M*, since
+    (M/R)* is S.  M* (dual_module) is built only to find S in it.
 
     Certificate: when M.highest_vector generates M and spans a weight
     space T = F e_t of its own (_top_coordinate), S is the spin of the
@@ -245,37 +235,41 @@ def dual_core(M):
     intersections with the weight spaces, so N contains T, and then all of
     M, or lies in W, the span of the other basis vectors.  R is therefore
     core(W) = {v : a v in W for every a in u(g)}, the sum of all proper
-    submodules.
+    submodules.  A root unit maps weight vectors to weight vectors, so S
+    is the span of root-unit words on e_t: the context keeps R by
+    (root_key, t), as nonzeros.
+
+    Socle: a module without Cartan units is a module over a nilpotent
+    subalgebra, whose one simple module is the line on which each unit x
+    acts by chi(x).  S is the line of the first homogeneous row of M*'s
+    shifted joint kernel: every such line is a simple submodule of M*, and
+    when M is local it is the only one.
 
     Descent: otherwise S starts as M*.  The lines of each candidate piece
     of M* that lie in S are spun, S becomes the first spin smaller than S,
     and this repeats until no line in S spins smaller.  Every nonzero
     submodule of S contains a candidate line, so the final S is simple.
-    When M is local, S is the only simple submodule of M* and R the unique
-    maximal submodule of M.
 
-    R is read off S's echelon basis (Subspace.annihilator): when S is all
-    of M*, R is 0 with no elimination after the spin, and otherwise one
-    rref of the null rows.  The spin itself pivots every coordinate line
-    (a weight vector of a one-dimensional weight space, say) by assignment.
-    With diagonal Cartan matrices a root unit maps weight vectors to weight
-    vectors, so the certificate's S is the span of root-unit words on e_t:
-    the context keeps S's and R's bases by (root_key, t), as nonzeros.
+    When M is local, S is the only simple submodule of M* on every route,
+    and R the unique maximal submodule of M.  R is read off S's echelon
+    basis (Subspace.annihilator): 0 with no elimination when S is all of
+    M*, and otherwise one rref of the null rows.
     """
     t = _top_coordinate(M)
     if t is not None:
         memo, key = {} if M.root_key is None else M.ctx._cores, (M.root_key, t)
         if key not in memo:
-            S = spin(dual_module(M), M.basis_vector(t))
-            memo[key] = (_nonzeros(S), _nonzeros(S.annihilator()))
-        S, R = (_from_nonzeros(M.field, M.dim, z) for z in memo[key])
-        return R, S
+            memo[key] = _nonzeros(spin(dual_module(M), M.basis_vector(t)).annihilator())
+        return _from_nonzeros(M.field, M.dim, memo[key])
     dual = dual_module(M)
     pieces = [sub for _, sub, _ in _candidate_spaces(dual)]
+    # with no piece at all, the descent raises NoMaximalVector
+    if pieces and not _has_cartan(M):
+        return Subspace(M.field, M.dim, pieces[0].basis[:1]).annihilator()
     S = Subspace(M.field, M.dim, np.eye(M.dim, dtype=np.int64))
     while (smaller := _smaller_spin(dual, pieces, S)) is not None:
         S = smaller
-    return S.annihilator(), S
+    return S.annihilator()
 
 
 def _nonzeros(space):
@@ -320,7 +314,7 @@ def is_simple(M):
     Otherwise the witness is a homogeneous maximal vector of R: the first
     basis row of the first maximal-vector piece that meets it.
     """
-    core, _ = dual_core(M)
+    core = dual_core(M)
     if not core.dim:
         return SimplicityVerdict(True)
     for fingerprint, sub, par in _candidate_spaces(M):
@@ -377,10 +371,11 @@ def restrict_module(M, sub):
 def simple_head(M):
     """The simple quotient M / R of dual_core, with R.
 
-    Where the certificate applies, R is the unique maximal graded
-    submodule.  Returns (R: Subspace of F^dim, head: ModuleRep).
+    Where the certificate applies, and on the socle route when M is local,
+    R is the unique maximal graded submodule.  Returns (R: Subspace of
+    F^dim, head: ModuleRep).
     """
-    R, _ = dual_core(M)
+    R = dual_core(M)
     return R, quotient_module(M, R)[0]
 
 

@@ -155,9 +155,9 @@ def build_setting(cfg):
     return algebra, chi, [weight]
 
 
-# the tasks whose modules are baby Vermas, or as large as one
+# the tasks whose modules are baby Vermas, or as large as one (u(n-))
 DIM_BUDGET_TASKS = ("verma-scan", "graded-verma-scan", "kw-verify",
-                    "levi-scan", "regular-module-check")
+                    "levi-scan", "frobenius-check", "regular-module-check")
 
 
 def check_dim_budget(cfg):

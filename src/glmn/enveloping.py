@@ -29,8 +29,8 @@ class ReductionContext:
     canonical positive order.  Its caches are weight-free: ``_memo`` holds
     single-generator straightening steps, ``_plans`` the induction plans of
     ``verma.build_induced`` and ``_layouts`` its frames per plan and inner
-    parity (``verma._layout``), and ``_cores`` and ``_tops`` the certificate
-    bases of ``analysis.dual_core`` and the values of
+    parity (``verma._layout``), and ``_cores`` and ``_tops`` the certificate's
+    R of ``analysis.dual_core`` and the values of
     ``verma._top_coefficient`` by module root_key.  Library code obtains
     contexts from ``reduction_context``, so its caches serve every weight
     of a given (algebra, chi, f_order).

@@ -64,16 +64,30 @@ def simple_head_by_lines(M):
             return R, Q
 
 
-def series_factors_by_lines(M):
+def series_factors_by_lines(M, memo=None):
     """The multiset of (dim, fingerprints) of the composition factors,
-    peeling simple_head_by_lines heads off the radical."""
-    factors = Counter()
+    peeling simple_head_by_lines heads off the radical.
+
+    memo, when given, is a dict that keeps the factors of every module
+    met, by its action and parity, so that calls on the restrictions of
+    one series share the peeling; the route is deterministic, so a hit
+    gives what peeling again would."""
+    memo = {} if memo is None else memo
+    met, heads, factors = [], [], Counter()
     while M.dim:
+        key = (M.actions.shape, M.actions.tobytes(), M.parity.tobytes())
+        if key in memo:
+            factors = memo[key].copy()
+            break
         R, head = simple_head_by_lines(M)
-        factors[head.dim, tuple(sorted({fp for fp, _, _ in _candidate_spaces(head)}))] += 1
+        met.append(key)
+        heads.append((head.dim, tuple(sorted({fp for fp, _, _ in _candidate_spaces(head)}))))
         if R.dim == 0:
             break
         M, _ = restrict_module(M, R)
+    for key, head in zip(reversed(met), reversed(heads)):
+        factors[head] += 1
+        memo[key] = factors.copy()
     return factors
 
 

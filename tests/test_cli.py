@@ -115,12 +115,14 @@ class TestExitCodes:
 
     def test_line_budget_exceeded_exits_two(self, tmp_path, capsys,
                                             monkeypatch):
-        # the regular module has no highest vector, so its series takes the
-        # line route, and a budget of 0 lines refuses even a single line
+        # the gl(3|1) baby Verma's top weight occurs at more than one basis
+        # vector, so it descends, and a budget of 0 lines refuses even a
+        # single line
         monkeypatch.setattr(analysis, "LINE_BUDGET", 0)
-        cfg = write_cfg(tmp_path, tasks=["regular-module-check"])
+        cfg = write_cfg(tmp_path, m=3, n=1, tasks=["verma-scan"],
+                        **{"lambda": [0, 4, 3, 1]})
         code, _, err = run_cli(capsys, ["run", "--config", cfg])
-        assert code == 2 and err.startswith("error:")
+        assert code == 2 and err.startswith("error:") and "line budget 0" in err
 
     @pytest.mark.parametrize("raw", [
         [{"p": 5, "m": 1, "n": 1}],
@@ -167,7 +169,9 @@ class TestExitCodes:
         {"m": 100000},
         {"n": 100000},
         {"m": 10 ** 9, "n": 10 ** 9},
-    ], ids=["field-degree-1e5", "field-degree-1e9", "m-1e5", "n-1e5", "m-n-1e9"])
+        {"m": 100000, "tasks": ["frobenius-check"]},
+    ], ids=["field-degree-1e5", "field-degree-1e9", "m-1e5", "n-1e5", "m-n-1e9",
+            "frobenius-m-1e5"])
     def test_large_config_values_exit_two_at_once(self, tmp_path, capsys, raw):
         # the budgets take no power of an unbounded exponent and format no
         # unbounded integer

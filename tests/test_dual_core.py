@@ -1,8 +1,9 @@
 """dual_core against the line route, kept as an oracle in _line_oracle.
 
 is_simple and simple_head take dual_core's certificate whenever a module's
-highest vector generates it and spans a weight space of its own, and its
-descent otherwise.  The oracle is the route this replaced:
+highest vector generates it and spans a weight space of its own, a line
+of the dual's socle on modules without Cartan units, and its descent
+otherwise.  The oracle is the route this replaced:
 is_simple_by_lines spins every maximal-vector line, and
 simple_head_by_lines peels proper spins until the quotient is simple.  The
 unique maximal submodule of a local module has one canonical basis, so
@@ -23,11 +24,12 @@ from _line_oracle import (is_local_by_dual_spins, is_simple_by_lines,
                           series_factors_by_lines, simple_head_by_lines)
 from test_weight_split import _series_restrictions
 
-from glmn import analysis, kw
+from glmn import analysis
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import (_candidate_spaces, _top_coordinate,
                            composition_series, dual_core, is_simple,
-                           quotient_module, regular_module, simple_head, spin)
+                           quotient_module, regular_module, restrict_module,
+                           simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
@@ -104,7 +106,7 @@ def assert_witness(M, verdict, core):
 
 def assert_routes_agree(M):
     assert _top_coordinate(M) is not None, "the certificate declined"
-    core, _ = dual_core(M)
+    core = dual_core(M)
     got, want = is_simple(M), is_simple_by_lines(M)
     assert got.simple == want.simple == (core.dim == 0)
     assert not got.probabilistic and not want.probabilistic
@@ -134,7 +136,7 @@ def test_dual_route_matches_line_peeling(name, kind, data):
 def test_gl22_dual_route_matches_line_peeling(lam, core_dim):
     alg = algebra(2, 2)
     Z = build_baby_verma(alg, Character(alg, {}), Weight(F5, lam))
-    assert Z.dim == 400 and dual_core(Z)[0].dim == core_dim
+    assert Z.dim == 400 and dual_core(Z).dim == core_dim
     assert_routes_agree(Z)
 
 
@@ -212,33 +214,29 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
                                      (2, 1, [1, 0, 2])])
 def test_doubled_module_has_a_simple_head_and_is_not_local(m, n, lam):
     """M + M has the simple head M / rad M and two maximal submodules, so
-    the Prop 5.17 check is false on it and true on M."""
+    the line oracle's locality is false on it and true on M."""
     alg = algebra(m, n)
     M = build_baby_verma(alg, Character(alg, {}), Weight(F5, lam))
     D = _doubled(M)
     R, head = simple_head(D)
     assert R.dim + head.dim == D.dim and is_simple_by_lines(head).simple
     assert head.dim == simple_head(M)[1].dim
-    assert not kw._is_local(D, dual_core(D)[1]) and not is_local_by_dual_spins(D)
-    assert kw._is_local(M, dual_core(M)[1]) and is_local_by_dual_spins(M)
+    assert not is_local_by_dual_spins(D) and is_local_by_dual_spins(M)
 
 
-def assert_descent_matches_lines(M):
-    """Equal verdicts, equal R where M is local and equal composition
-    factors; the Prop 5.17 check agrees with the oracle's locality."""
-    assert _top_coordinate(M) is None, "the certificate applied"
+def assert_matches_lines(M, memo=None):
+    """Equal verdicts, equal R where M is local (the oracle's locality),
+    and equal composition factors (memo: see series_factors_by_lines)."""
     got, want = is_simple(M), is_simple_by_lines(M)
     assert got.simple == want.simple
-    core, S = dual_core(M)
+    core = dual_core(M)
     if not got.simple:
         assert_witness(M, got, core)
     R, head = simple_head(M)
     assert is_simple_by_lines(head).simple
-    local = is_local_by_dual_spins(M)
-    assert kw._is_local(M, S) == local
-    if local:
+    if is_local_by_dual_spins(M):
         assert R == simple_head_by_lines(M)[0]
-    assert Counter(composition_series(M).factors) == series_factors_by_lines(M)
+    assert Counter(composition_series(M).factors) == series_factors_by_lines(M, memo)
 
 
 # the settings whose baby Vermas' series restrictions go through the descent
@@ -252,14 +250,31 @@ def test_descent_matches_line_route_on_series_restrictions(name, data):
     alg, chi, weights = setting(name)
     t = data.draw(st.integers(0, len(weights) - 1), label="weight")
     for M in _series_restrictions(alg, chi, weights[t]):
-        assert_descent_matches_lines(M)
+        assert _top_coordinate(M) is None, "the certificate applied"
+        assert_matches_lines(M)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("m,n,chi", [(1, 1, {}), (2, 1, {}),
                                      (2, 1, {(2, 1): 2})])
-def test_descent_matches_line_route_on_regular_modules(m, n, chi):
+def test_socle_route_matches_line_route_on_regular_modules(m, n, chi, side,
+                                                          monkeypatch):
+    """The regular module of u(n-, chi) and every restriction along its
+    composition series have no Cartan units, so they take the socle and
+    never descend."""
+    def no_descent(*args):
+        raise AssertionError("a module without Cartan units descended")
+
+    monkeypatch.setattr(analysis, "_smaller_spin", no_descent)
     alg = algebra(m, n)
     rs = alg.root_system()
     M = regular_module(alg, [rs.f_unit(r) for r in rs.positive],
-                       Character(alg, chi))
-    assert_descent_matches_lines(M)
+                       Character(alg, chi), side=side)
+    memo = {}
+    while True:
+        assert not analysis._has_cartan(M)
+        assert_matches_lines(M, memo)
+        R = dual_core(M)
+        if not R.dim:
+            break
+        M, _ = restrict_module(M, R)

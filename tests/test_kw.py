@@ -7,14 +7,22 @@ reduction is checked against the product count; conjugation is verified
 by evaluating chi on explicitly conjugated matrix units.
 """
 
+import contextlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _line_oracle import is_local_by_dual_spins, is_simple_by_lines
 from glmn import analysis, kw
+from glmn.cli import main
 from glmn.ffield import make_field
 from glmn.linalg import Matrix, inverse
 from glmn.algebra import build_algebra, Character, Weight, weight_variety
-from glmn.analysis import is_simple
+from glmn.analysis import SimplicityVerdict, is_simple
+from glmn.verma import build_baby_verma
 from glmn.kw import (decompose_character, levi_data, order_phi_prime,
                      build_levi_verma, build_kw_module, kw_verify,
                      dot_action, levi_scan, conjugate_character,
@@ -173,7 +181,7 @@ class TestLeviScan:
 
     def test_one_alpha_takes_two_simple_heads(self, monkeypatch):
         # the head of Z is found once per weight, the source's once per
-        # alpha: one dual_core each
+        # alpha, and Z_L's simplicity once per weight: one dual_core each
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         heads = []
@@ -187,31 +195,71 @@ class TestLeviScan:
         monkeypatch.setattr(kw, "dual_core", counting_dual_core)
         rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]))
         assert len(rep["alphas"]) == 1
-        assert heads == [20, 20]
+        assert heads == [20, 20, 5]
 
     def test_descent_report_equals_the_certified_one(self, monkeypatch):
-        # with the top coordinate hidden, Z takes the descent and Prop 5.17
-        # spins every line of the dual pieces; the report must not change
+        # with the top coordinate hidden, Z and Z_L take the descent; the
+        # report must not change, and its locality is the line oracle's
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         lam = Weight(F, [0, 0, 0])
         rep = levi_scan(alg, chi, lam)
         assert rep["radical_dim"] == 10
-        lines = []
-        real_is_local = kw._is_local
-
-        def counting_is_local(M, S):
-            lines.append(S.dim)
-            return real_is_local(M, S)
-
         monkeypatch.setattr(analysis, "_top_coordinate", lambda M: None)
-        monkeypatch.setattr(kw, "_top_coordinate", lambda M: None)
-        monkeypatch.setattr(kw, "_is_local", counting_is_local)
         descended = levi_scan(alg, chi, lam)
-        assert lines == [10]
         assert list(descended) == list(rep)
         for key in rep:
             assert descended[key] == rep[key], key
+        assert rep["radical_absorbs_all"] == is_local_by_dual_spins(
+            build_baby_verma(alg, chi, lam))
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["certified", "descended"])
+    @pytest.mark.parametrize("value", [1, 2])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_locality_matches_line_oracle(self, value, hidden, data):
+        """Prop 5.17 read off Z_L equals the oracle's locality of Z, also
+        when Z's R comes from the descent."""
+        alg = build_algebra(2, 1, F)
+        chi = Character(alg, {(2, 1): value})
+        _, _, weights = weight_variety(alg, chi)
+        lam = weights[data.draw(st.integers(0, len(weights) - 1), label="weight")]
+        hide = mock.patch.object(analysis, "_top_coordinate", lambda M: None)
+        with hide if hidden else contextlib.nullcontext():
+            rep = levi_scan(alg, chi, lam)
+        local = is_local_by_dual_spins(build_baby_verma(alg, chi, lam))
+        assert rep["radical_absorbs_all"] == rep["outside_vectors_generate"] == local
+
+    @pytest.mark.parametrize("m,n,chi,levi_keys,dim", [
+        (2, 2, {(2, 1): 1, (4, 3): 1}, {(1, 2), (3, 4)}, 25),
+        (3, 1, {(2, 1): 1, (3, 2): 1}, {(1, 2), (2, 3), (1, 3)}, 125)],
+        ids=["gl22-E21-E43", "gl31-E21-E32"])
+    @pytest.mark.parametrize("lam", [[0, 0, 0, 0], [1, 2, 3, 4]])
+    def test_levi_verma_is_simple(self, m, n, chi, levi_keys, dim, lam):
+        # chi is regular nilpotent on the Levi, whose positive roots are
+        # levi_keys; Z_L is induced over those alone
+        alg = build_algebra(m, n, F)
+        rs = alg.root_system()
+        phi = [r for r in rs.positive if r.key not in levi_keys]
+        ZL = build_levi_verma(alg, Character(alg, chi), Weight(F, lam), phi)
+        assert ZL.dim == dim
+        assert is_simple(ZL).simple and is_simple_by_lines(ZL).simple
+
+    def test_levi_verma_not_simple_is_refused(self, monkeypatch, tmp_path, capsys):
+        # no verdict is reported where Z_L is not simple: levi_scan raises,
+        # and the CLI exits 1 with one task-failed line
+        alg = build_algebra(2, 1, F)
+        chi = Character(alg, {(2, 1): 1})
+        monkeypatch.setattr(kw, "is_simple", lambda M: SimplicityVerdict(False))
+        with pytest.raises(NotStandardLevi, match=r"lambda = \[3, 1, 2\]"):
+            levi_scan(alg, chi, Weight(F, [3, 1, 2]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1},
+                                   "lambda": [3, 1, 2], "tasks": ["levi-scan"]}))
+        code = main(["levi", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("task failed:") and captured.err.count("\n") == 1
 
     def test_rejects_non_levi_chi(self):
         alg = build_algebra(1, 1, F)

@@ -77,11 +77,10 @@ def keyless(M):
 
 def summary(M):
     """Everything read through the memos, as comparable plain values."""
-    R, S = dual_core(M)
+    R = dual_core(M)
     verdict = is_simple(M)
     witness = None if verdict.witness is None else verdict.witness.tolist()
     out = {"R": (R.basis.tolist(), list(R.pivots)),
-           "S": (S.basis.tolist(), list(S.pivots)),
            "simple": verdict.simple, "witness": witness,
            "witness_key": (verdict.witness_fingerprint, verdict.witness_parity),
            "head_dim": simple_head(M)[1].dim}
@@ -183,7 +182,7 @@ def test_modules_outside_induce_have_no_key():
     alg, chi, weights = fresh_setting(CHI0)
     Z = next(Z for Z in (build_baby_verma(alg, chi, lam) for lam in weights)
              if not is_simple(Z))
-    R, _ = dual_core(Z)
+    R = dual_core(Z)
     Q, _, _ = analysis.quotient_module(Z, R)
     sub = analysis.restrict_module(Z, R)[0]
     dual = analysis.dual_module(Z)
