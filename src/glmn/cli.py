@@ -30,8 +30,9 @@ from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import check_field_budget, isprime, make_field
 from .kw import kw_verify, levi_scan
-from .verma import (_axiom_table, build_baby_verma, build_graded_verma,
-                    build_simple_g0_module, f1_direct, f_direct, f_formula)
+from .verma import (STACK_ENTRIES, _axiom_table, build_baby_verma,
+                    build_baby_vermas, build_graded_vermas,
+                    build_simple_g0_modules, f1_direct, f_direct, f_formula)
 
 TASKS = ("structure-check", "verma-scan", "graded-verma-scan", "kw-verify",
          "levi-scan", "frobenius-check", "regular-module-check")
@@ -176,66 +177,83 @@ def check_dim_budget(cfg):
         f"predicted module dimension {dim} exceeds dim_budget {budget}")
 
 
+def check_structure_budget(cfg):
+    """Refuse a structure-check whose (U, U, U) bracket table, U = (m + n)^2,
+    holds more entries than a dim_budget x dim_budget matrix; read off the
+    config alone, before the field or the algebra is built."""
+    d, budget = cfg["m"] + cfg["n"], cfg["dim_budget"]
+    if d ** 6 > budget ** 2:
+        entries = d ** 6 if d < 1024 else f"(m + n)^6 at m + n = {d}"
+        raise BudgetExceeded(f"structure-check's bracket table of {entries} entries "
+                             f"exceeds dim_budget^2 = {budget}^2")
+
+
 # ---------------------------------------------------------------------------
 # scan workers (top level so a process pool can pickle them)
 
 _WORKER = {}
 
 
-def _init_scan_worker(p, k, m, n, chi_values, graded):
+def _init_scan_worker(p, k, m, n, chi_values, graded, semisimple):
     field = make_field(p, k)
     algebra = build_algebra(m, n, field)
     _WORKER["algebra"] = algebra
     _WORKER["chi"] = Character(algebra, chi_values)
     _WORKER["graded"] = graded
+    _WORKER["semisimple"] = semisimple
 
 
-def _scan_one(coords):
-    algebra = _WORKER["algebra"]
-    chi = _WORKER["chi"]
+def _scan_chunk(chunk):
+    """The rows of a chunk of weights, in stages over the whole chunk: in a
+    graded scan the simple heads M of the even Vermas, then Z(M) with
+    f1_direct and the oracle; then the baby Vermas with f_direct (and the
+    oracle in a plain scan).  The oracle (is_simple) needs semisimple chi."""
+    algebra, chi, graded = _WORKER["algebra"], _WORKER["chi"], _WORKER["graded"]
     field = algebra.field
-    rs = algebra.root_system()
-    lam = Weight(field, coords)
-    sp = f_formula(rs, lam)
-    oracle_ok = classify_character(rs, chi).semisimple
-    row = {
-        "lambda": format_weight(field, lam),
-        "f_formula": coeffs_of(field, sp.f_formula.idx),
-        "f0": coeffs_of(field, sp.f0.idx),
-        "f1": coeffs_of(field, sp.f1.idx),
-    }
-    if _WORKER["graded"]:
-        M = build_simple_g0_module(algebra, chi, lam)
-        Z = build_graded_verma(algebra, chi, M)
-        f1d = f1_direct(Z)
-        row["dim_m"] = M.dim
-        row["dim_z"] = Z.dim
-        row["f1_direct"] = coeffs_of(field, f1d.idx)
-        fd = f_direct(build_baby_verma(algebra, chi, lam))
-        row["f_direct"] = coeffs_of(field, fd.idx)
-        row["_f1_idx"] = f1d.idx
-        row["_f0_idx"] = sp.f0.idx
-        row["_fd_idx"] = fd.idx
-    else:
-        Z = build_baby_verma(algebra, chi, lam)
+    lams = [Weight(field, coords) for coords in chunk]
+    rows = []
+    for lam in lams:
+        sp = f_formula(algebra.root_system(), lam)
+        rows.append({"lambda": format_weight(field, lam),
+                     "f_formula": coeffs_of(field, sp.f_formula.idx),
+                     "f0": coeffs_of(field, sp.f0.idx), "f1": coeffs_of(field, sp.f1.idx),
+                     "_f0_idx": sp.f0.idx, "_ff_idx": sp.f_formula.idx,
+                     "_f1_idx": None, "oracle_simple": None})
+    if graded:
+        Ms = build_simple_g0_modules(algebra, chi, lams)
+        for row, M, Z in zip(rows, Ms, build_graded_vermas(algebra, chi, Ms)):
+            f1d = f1_direct(Z)
+            row.update(dim_m=M.dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d.idx),
+                       _f1_idx=f1d.idx)
+            if _WORKER["semisimple"]:
+                row["oracle_simple"] = bool(is_simple(Z))
+        del Ms, M, Z  # the graded stage's modules go before the baby Vermas come
+    for row, Z in zip(rows, build_baby_vermas(algebra, chi, lams)):
         fd = f_direct(Z)
-        row["f_direct"] = coeffs_of(field, fd.idx)
-        row["dim_z"] = Z.dim
-        row["_f1_idx"] = None
-        row["_f0_idx"] = sp.f0.idx
-        row["_fd_idx"] = fd.idx
-    row["_ff_idx"] = sp.f_formula.idx
-    row["oracle_simple"] = bool(is_simple(Z)) if oracle_ok else None
-    return row
+        row.update(f_direct=coeffs_of(field, fd.idx), _fd_idx=fd.idx)
+        if not graded:
+            row["dim_z"] = Z.dim
+            if _WORKER["semisimple"]:
+                row["oracle_simple"] = bool(is_simple(Z))
+    return rows
 
 
-def _run_scan(cfg, algebra, chi, weights, graded):
+def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
+    """_scan_chunk's rows over chunks of as many weights as keep their baby
+    Vermas' actions within STACK_ENTRIES entries (at least one weight).
+    With jobs > 1 a process pool maps the chunks, at least one per worker.
+    semisimple, whether chi is, says whether the oracle runs."""
     initargs = (algebra.field.p, algebra.field.k, algebra.m, algebra.n,
-                dict(chi.values), graded)
+                dict(chi.values), graded, semisimple)
     coords = [tuple(int(c) for c in lam.coords) for lam in weights]
     # a fork pool starts all its workers at once: never more than the
     # weights or the CPUs
     workers = min(cfg["jobs"], len(coords), os.cpu_count() or 1)
+    rs = algebra.root_system()
+    dim = algebra.field.p ** len(rs.positive_even) * 2 ** len(rs.positive_odd)
+    size = max(1, min(STACK_ENTRIES // (len(algebra.units) * dim * dim),
+                      len(coords) // max(workers, 1)))
+    chunks = [coords[s:s + size] for s in range(0, len(coords), size)]
     if workers > 1:
         # imported here: loading concurrent.futures.process pulls in
         # multiprocessing, which a serial run never needs
@@ -243,11 +261,11 @@ def _run_scan(cfg, algebra, chi, weights, graded):
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_scan_worker,
                                  initargs=initargs) as pool:
-            rows = list(pool.map(_scan_one, coords, chunksize=8))
+            parts = list(pool.map(_scan_chunk, chunks))
     else:
         _init_scan_worker(*initargs)
-        rows = [_scan_one(c) for c in coords]
-    return rows
+        parts = [_scan_chunk(c) for c in chunks]
+    return [row for part in parts for row in part]
 
 
 def _fit_constant(field, pairs):
@@ -274,7 +292,7 @@ def _fit_constant(field, pairs):
 def verma_scan_task(cfg, algebra, chi, weights, graded=False):
     field = algebra.field
     semisimple = classify_character(algebra.root_system(), chi).semisimple
-    rows = _run_scan(cfg, algebra, chi, weights, graded)
+    rows = _run_scan(cfg, algebra, chi, weights, graded, semisimple)
     record = {"rows": [], "count": len(rows)}
     c_ok, c = _fit_constant(field, [(r["_fd_idx"], r["_ff_idx"]) for r in rows])
     record["c"] = coeffs_of(field, c) if c is not None else None
@@ -535,6 +553,8 @@ def dump_module(module, stream):
 def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None):
     if dump_module_path or any(t in DIM_BUDGET_TASKS for t in tasks):
         check_dim_budget(cfg)
+    if "structure-check" in tasks:
+        check_structure_budget(cfg)
     algebra, chi, weights = build_setting(cfg)
     results = []
     for name in tasks:

@@ -18,7 +18,11 @@ into a coefficient matrix with one row per (u, m', m) block that some term
 reaches and one column per distinct tail; a layout per inner parity and
 dimension holds the basis parity, labels and block positions.  A build
 multiplies out each distinct tail on the inner module once and forms every
-block in one product of the coefficient matrix with their stack.
+block in one product of the coefficient matrix with their stack.  The
+plural builders (build_baby_vermas, build_graded_vermas, ...) do this
+once for a whole stack of inner modules of one layout (_plan_blocks), and
+then build_induced places each module's blocks; axioms_hold checks the
+g_0bar-module axioms of a stack of modules in a few batched products.
 
 Every module built here has diagonal Cartan matrices, so its weight spaces
 are coordinate blocks: maximal vectors are one kernel of the e-actions,
@@ -38,13 +42,15 @@ from .errors import (ChiNotBorelCompatible, IntertwinerCheckFailed,
                      LambdaNotInX, NonScalarResult, NotG0Module, NotMaximal,
                      NotWeightBasis, ZeroVector)
 from .ffield import FieldElement
-from .linalg import Matrix, kernel, matmul, matrix_power, matvec, row_reduce
+from .linalg import (Matrix, _matmul, kernel, matmul, matrix_power, matvec,
+                     row_reduce)
 
 
-# Entries of one product in ModuleRep's axiom checks: the units are
-# checked in chunks that stay below it, one unit per product in a large
-# module.
-AXIOM_PRODUCT_ENTRIES = 1 << 20
+# Entries of one stack of matrices or one product of them: the axiom checks
+# go in chunks that stay below it (one unit per product in a large module),
+# a scan builds as many baby Vermas at once as keep their actions below it,
+# and structure-check refuses an algebra whose bracket table exceeds it.
+STACK_ENTRIES = 1 << 15
 
 
 class ModuleRep:
@@ -109,81 +115,93 @@ class ModuleRep:
 
     def verify_axioms(self):
         """Parity blocks, bracket compatibility and chi-reduction."""
-        return (self._parity_blocks_hold() and self._brackets_hold()
-                and self._pth_powers_hold())
-
-    def _parity_blocks_hold(self):
-        """A unit of parity s maps parity t to parity t + s."""
-        odd = _axiom_table(self.algebra, tuple(self.units))[0]
-        shift = (self.parity[:, None] - self.parity[None, :]) % 2
-        return not np.any(self.actions[shift != odd[:, None, None]])
-
-    def _brackets_hold(self):
-        """The supercommutator of every two units acts as their bracket.
-
-        The left units x go in chunks C, as many as keep every product
-        below AXIOM_PRODUCT_ENTRIES entries.  One product of C's units,
-        stacked, with all units side by side gives x y for x in C and every
-        y, and one of all units, stacked, with C's side by side gives y x;
-        when C holds every unit, the first product already holds y x.  The
-        expected brackets are C's block of the (U, U, U) bracket
-        coefficients of _axiom_table times the flattened units, one more
-        product.  A module whose units all fit one chunk takes two products
-        in all; a large one takes three per left unit.
-        """
-        f = self.field
-        n = self.dim
-        odd, coef, _, _ = _axiom_table(self.algebra, tuple(self.units))
-        if coef is None:
-            return False
-        U = len(odd)
-        stacked = self.stacked_action
-        side_by_side = self.actions.transpose(1, 0, 2).reshape(n, U * n)
-        flat = stacked.reshape(U, n * n)
-        chunk = max(1, AXIOM_PRODUCT_ENTRIES // max(U * n * n, 1))
-        for s in range(0, U, chunk):
-            C = slice(s, min(s + chunk, U))
-            c = C.stop - s
-            rows = slice(s * n, C.stop * n)
-            xy = matmul(f, stacked[rows], side_by_side)
-            yx = xy if c == U else matmul(f, stacked, side_by_side[:, rows])
-            # [a, b] holds x_a x_b and x_b x_a for a in C and every b
-            xy = xy.reshape(c, n, U, n).transpose(0, 2, 1, 3)
-            yx = np.ascontiguousarray(yx.reshape(U, n, c, n).transpose(2, 0, 1, 3))
-            # two odd units anticommute: [x, y] = x y + y x
-            both = odd[C, None] & odd[None, :]
-            yx[both] = f.neg(yx[both])
-            expect = matmul(f, coef[C].reshape(c * U, U), flat).reshape(c, U, n, n)
-            if not np.array_equal(f.sub(xy, yx), expect):
-                return False
-        return True
-
-    def _pth_powers_hold(self):
-        """x^p - x^[p] acts as chi(x)^p for every even unit x.
-
-        The even units go in chunks of c, as many as keep the (c, dim, dim)
-        stack of their matrices below AXIOM_PRODUCT_ENTRIES entries, and one
-        batched matrix_power raises the whole stack to the p-th power.  x^[p]
-        is x for a Cartan unit and 0 otherwise.
-        """
-        f = self.field
-        p, n = f.p, self.dim
-        _, _, even, cartan = _axiom_table(self.algebra, tuple(self.units))
-        chunk = max(1, AXIOM_PRODUCT_ENTRIES // max(n * n, 1))
-        for s in range(0, len(even), chunk):
-            part = even[s:s + chunk]
-            mats = self.actions[part]
-            scal = f.power(np.array([self.chi.value(self.units[t]) for t in part],
-                                    dtype=np.int64), p)
-            # chi(x)^p times the identity: its index on the diagonal, 0 off it
-            expect = f.add(np.where(cartan[part, None, None], mats, 0),
-                           scal[:, None, None] * np.eye(n, dtype=np.int64))
-            if not np.array_equal(matrix_power(f, mats, p), expect):
-                return False
-        return True
+        return bool(axioms_hold([self])[0])
 
     def __repr__(self):
         return f"ModuleRep(dim={self.dim} over {self.algebra!r})"
+
+
+def axioms_hold(modules):
+    """verify_axioms for modules that share algebra, chi, units and parity,
+    one bool each.  Each check reads the (B, U, dim, dim) stack of their
+    actions, with the field, units and parity of the first, M."""
+    M = modules[0]
+    assert all(N.chi.values == M.chi.values and N.units == M.units
+               and np.array_equal(N.parity, M.parity) for N in modules)
+    actions = np.stack([N.actions for N in modules])
+    return (_parity_blocks_hold(M, actions) & _brackets_hold(M, actions)
+            & _pth_powers_hold(M, actions))
+
+
+def _parity_blocks_hold(M, actions):
+    """A unit of parity s maps parity t to parity t + s."""
+    odd = _axiom_table(M.algebra, tuple(M.units))[0]
+    shift = (M.parity[:, None] - M.parity[None, :]) % 2
+    return ~actions[:, shift != odd[:, None, None]].any(axis=1)
+
+
+def _brackets_hold(M, actions):
+    """The supercommutator of every two units acts as their bracket.
+
+    The left units x go in chunks C, as many as keep every product of the
+    B modules below STACK_ENTRIES entries (one unit at least).  One batched
+    product of C's units, stacked, with all units side by side gives x y
+    for x in C and every y, and one of all units, stacked, with C's side by
+    side gives y x; when C holds every unit, the first product already
+    holds y x.  The expected brackets are C's block of the (U, U, U)
+    bracket coefficients of _axiom_table times every module's flattened
+    units, one more product: a stack of small modules takes two products.
+    """
+    f = M.field
+    odd, coef, _, _ = _axiom_table(M.algebra, tuple(M.units))
+    B, U, n, _ = actions.shape
+    if coef is None:
+        return np.zeros(B, dtype=bool)
+    stacked = actions.reshape(B, U * n, n)
+    side_by_side = actions.transpose(0, 2, 1, 3).reshape(B, n, U * n)
+    flat = actions.transpose(1, 0, 2, 3).reshape(U, B * n * n)
+    chunk = max(1, STACK_ENTRIES // max(B * U * n * n, 1))
+    ok = np.ones(B, dtype=bool)
+    for s in range(0, U, chunk):
+        C = slice(s, min(s + chunk, U))
+        c = C.stop - s
+        rows = slice(s * n, C.stop * n)
+        xy = _matmul(f, stacked[:, rows], side_by_side)
+        yx = xy if c == U else _matmul(f, stacked, side_by_side[:, :, rows])
+        # [m, a, b] holds x_a x_b and x_b x_a of module m, a in C, b any
+        xy = xy.reshape(B, c, n, U, n).transpose(0, 1, 3, 2, 4)
+        yx = np.ascontiguousarray(yx.reshape(B, U, n, c, n).transpose(0, 3, 1, 2, 4))
+        # two odd units anticommute: [x, y] = x y + y x
+        both = odd[C, None] & odd[None, :]
+        yx[:, both] = f.neg(yx[:, both])
+        expect = matmul(f, coef[C].reshape(c * U, U), flat)
+        ok &= (f.sub(xy, yx) == expect.reshape(c, U, B, n, n).transpose(2, 0, 1, 3, 4)
+               ).reshape(B, -1).all(axis=1)
+    return ok
+
+
+def _pth_powers_hold(M, actions):
+    """x^p - x^[p] acts as chi(x)^p for every even unit x.
+
+    The (module, even unit) pairs go in chunks whose stack of matrices stays
+    below STACK_ENTRIES entries, each raised to the p-th power in one
+    batched matrix_power.  x^[p] is x for a Cartan unit and 0 otherwise.
+    """
+    f = M.field
+    _, _, even, cartan = _axiom_table(M.algebra, tuple(M.units))
+    B, _, n, _ = actions.shape
+    scal = f.power(np.array([M.chi.value(u) for u in M.units], dtype=np.int64), f.p)
+    good = np.ones(B * len(even), dtype=bool)
+    chunk = max(1, STACK_ENTRIES // max(n * n, 1))
+    for s in range(0, len(good), chunk):
+        pair = np.arange(s, min(s + chunk, len(good)))
+        t = even[pair % len(even)]
+        mats = actions[pair // len(even), t]
+        # chi(x)^p times the identity: its index on the diagonal, 0 off it
+        expect = f.add(np.where(cartan[t, None, None], mats, 0),
+                       scal[t, None, None] * np.eye(n, dtype=np.int64))
+        good[pair] = (matrix_power(f, mats, f.p) == expect).reshape(len(pair), -1).all(axis=1)
+    return good.reshape(B, len(even)).all(axis=1)
 
 
 def _axiom_table(algebra, units):
@@ -266,12 +284,13 @@ def _induction_plan(ctx, nfree):
     return plan
 
 
-def _tail_matrix(field, tail, start, inner_actions, inner_dim):
-    """A tail acting on the inner module, as an inner_dim x inner_dim array.
+def _tail_matrix(field, tail, start, inner_actions, shape):
+    """A tail acting on a stack of inner modules, as a (B, d, d) array.
 
     tail[t] is the exponent of the generator at position start + t.  The
     product runs over positions in order, so the rightmost generator of the
-    monomial acts first; it stops at the first factor that is zero.
+    monomial acts first; it stops at the first factor that is zero on every
+    module.
     """
     mat = None
     for pos, e in enumerate(tail, start=start):
@@ -279,16 +298,16 @@ def _tail_matrix(field, tail, start, inner_actions, inner_dim):
             continue
         factor = inner_actions.get(pos)
         if factor is None:
-            return np.zeros((inner_dim, inner_dim), dtype=np.int64)
+            return np.zeros(shape, dtype=np.int64)
         for _ in range(e):
-            mat = factor if mat is None else matmul(field, mat, factor)
+            mat = factor if mat is None else _matmul(field, mat, factor)
         if not mat.any():
             return mat
-    return np.eye(inner_dim, dtype=np.int64) if mat is None else mat
+    return np.broadcast_to(np.eye(shape[-1], dtype=np.int64), shape) if mat is None else mat
 
 
 def _layout(ctx, nfree, d, inner_parity):
-    """build_induced's frame, kept in ctx._layouts by (nfree, d, inner parity
+    """A stacked build's frame, kept in ctx._layouts by (nfree, d, inner parity
     bytes): the read-only parity, the labels (free monomial, inner index) as
     a tuple, the flat indices of the plan blocks' entries in the (U, dim,
     dim) action, the root-unit block mask, root_key's parity bytes, units."""
@@ -310,8 +329,22 @@ def _layout(ctx, nfree, d, inner_parity):
     return ctx._layouts[key]
 
 
+def _plan_blocks(ctx, nfree, d, inner_actions, B):
+    """The (B, G, d * d) plan blocks of B inner modules of dimension d:
+    inner_actions maps a generator position (at or past the free block) to
+    the (B, d, d) stack of their matrices, with missing positions acting by
+    zero.  One tail pass multiplies every tail out on the stacks, and one
+    product of the plan's (G, tails) coefficient matrix with the (tails,
+    B * d * d) stack forms every block of every module."""
+    f = ctx.field
+    _, _, tails, coef = _induction_plan(ctx, nfree)
+    stack = [_tail_matrix(f, tail, nfree, inner_actions, (B, d, d)) for tail in tails]
+    blocks = matmul(f, coef, np.reshape(stack, (len(tails), B * d * d)))
+    return blocks.reshape(len(coef), B, d * d).swapaxes(0, 1)
+
+
 def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
-                  inner_highest=None, lam=None):
+                  inner_highest=None, lam=None, blocks=None):
     """Induced module on the basis (free f-monomials) x (inner basis).
 
     free_roots must be a prefix of ctx.f_order.  inner_actions maps a
@@ -319,7 +352,9 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
     inner_dim index array, with missing positions acting by zero.
     inner_highest, when given, is the highest vector of the inner module
     in its own coordinates, and lam the highest weight of the result.  A
-    build is the tail stack, one product, one scatter (_layout) and the key.
+    build is the plan blocks (_plan_blocks), one scatter (_layout) and the
+    key; blocks, when given, are those plan blocks, (G, inner_dim^2), taken
+    from a stacked build with other inner modules.
     The result's root_key holds nfree, inner_dim, the parity, the blocks of
     every unit but E(i,i) (bytes of the narrowest dtype holding q - 1) and
     the units: with the plan it fixes every root-unit matrix, whatever the
@@ -328,10 +363,10 @@ def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
     f = ctx.field
     nfree, d = len(free_roots), inner_dim
     assert [r.key for r in ctx.f_order[:nfree]] == [r.key for r in free_roots]
-    _, _, tails, coef = _induction_plan(ctx, nfree)
     parity, labels, scatter, root, parity_bytes, units = _layout(ctx, nfree, d, inner_parity)
-    stack = [_tail_matrix(f, tail, nfree, inner_actions, d) for tail in tails]
-    blocks = matmul(f, coef, np.reshape(stack, (len(tails), d * d)))
+    if blocks is None:
+        blocks = _plan_blocks(ctx, nfree, d, {pos: np.asarray(a)[None] for pos, a
+                                              in inner_actions.items()}, 1)[0]
     actions = np.zeros((len(units), len(parity), len(parity)), dtype=np.int64)
     actions.reshape(-1)[scatter] = blocks.reshape(-1)
     hv = np.zeros(len(parity), dtype=np.int64)
@@ -352,20 +387,31 @@ def induce(algebra, chi, free_roots, inner, units=None):
     inner's highest weight and highest vector.  It is build_induced's
     module unless units is given: then one acting by those units only.
     """
+    return _induce_all(algebra, chi, free_roots, [inner], units)[0]
+
+
+def _induce_all(algebra, chi, free_roots, inners, units=None):
+    """induce for each of inners, which share their units, dimension and
+    parity: the plan blocks of all of them in one stacked _plan_blocks,
+    then build_induced for each."""
     keys = {r.key for r in free_roots}
     order = list(free_roots) + [r for r in algebra.root_system().positive
                                 if r.key not in keys]
     ctx = reduction_context(algebra, chi, f_order=order)
-    acting = {pos: inner.matrix(u) for pos, u in enumerate(ctx.units)
-              if u in inner.units}
-    Z = build_induced(ctx, free_roots, inner.dim, inner.parity, acting,
-                      inner_highest=inner.highest_vector, lam=inner.lam)
+    first = inners[0]
+    acting = {pos: np.stack([M.matrix(u) for M in inners])
+              for pos, u in enumerate(ctx.units) if u in first._index}
+    blocks = _plan_blocks(ctx, len(free_roots), first.dim, acting, len(inners))
+    Zs = [build_induced(ctx, free_roots, first.dim, first.parity,
+                        {pos: a[b] for pos, a in acting.items()},
+                        inner_highest=M.highest_vector, lam=M.lam, blocks=blocks[b])
+          for b, M in enumerate(inners)]
     if units is None:
-        return Z
+        return Zs
     units = tuple(tuple(u) for u in units)
-    return ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
-                     highest_vector=Z.highest_vector, lam=inner.lam, ctx=ctx,
-                     root_key=Z.root_key[:-1] + (units,))
+    return [ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
+                      highest_vector=Z.highest_vector, lam=Z.lam, ctx=ctx,
+                      root_key=Z.root_key[:-1] + (units,)) for Z in Zs]
 
 
 def weight_line(algebra, chi, lam):
@@ -378,12 +424,18 @@ def weight_line(algebra, chi, lam):
 
 def build_baby_verma(algebra, chi, lam):
     """Z^chi(lambda) on the basis of negative-root PBW monomials."""
+    return build_baby_vermas(algebra, chi, [lam])[0]
+
+
+def build_baby_vermas(algebra, chi, lams):
+    """build_baby_verma at each lambda of lams, in one stacked build."""
     _check_borel(chi)
-    if not weight_in_variety(algebra, chi, lam):
-        raise LambdaNotInX(f"{lam!r} not in the weight variety of chi")
+    for lam in lams:
+        if not weight_in_variety(algebra, chi, lam):
+            raise LambdaNotInX(f"{lam!r} not in the weight variety of chi")
     # e generators absent: they annihilate the highest line
-    return induce(algebra, chi, algebra.root_system().positive,
-                  weight_line(algebra, chi, lam))
+    return _induce_all(algebra, chi, algebra.root_system().positive,
+                       [weight_line(algebra, chi, lam) for lam in lams])
 
 
 def build_even_verma(algebra, chi, lam):
@@ -391,9 +443,15 @@ def build_even_verma(algebra, chi, lam):
 
     Returned as a ModuleRep whose acting units are the even units only.
     """
+    return build_even_vermas(algebra, chi, [lam])[0]
+
+
+def build_even_vermas(algebra, chi, lams):
+    """build_even_verma at each lambda of lams, in one stacked build."""
     _check_borel(chi)
-    return induce(algebra, chi, algebra.root_system().positive_even,
-                  weight_line(algebra, chi, lam), units=algebra.even_units)
+    return _induce_all(algebra, chi, algebra.root_system().positive_even,
+                       [weight_line(algebra, chi, lam) for lam in lams],
+                       units=algebra.even_units)
 
 
 def build_simple_g0_module(algebra, chi, lam):
@@ -401,17 +459,36 @@ def build_simple_g0_module(algebra, chi, lam):
 
     Constructed as the simple head of the even-part baby Verma.
     """
+    return build_simple_g0_modules(algebra, chi, [lam])[0]
+
+
+def build_simple_g0_modules(algebra, chi, lams):
+    """build_simple_g0_module at each lambda of lams: the heads of one
+    stacked build of even Vermas."""
     from .analysis import simple_head
-    return simple_head(build_even_verma(algebra, chi, lam))[1]
+    return [simple_head(E)[1] for E in build_even_vermas(algebra, chi, lams)]
 
 
 def build_graded_verma(algebra, chi, M):
     """Z^chi(M) = u(g) tensor M over g_0bar + g_1, with g_1 M = 0."""
+    return build_graded_vermas(algebra, chi, [M])[0]
+
+
+def build_graded_vermas(algebra, chi, Ms):
+    """Every M of Ms grouped by layout (dim, parity, units), one axioms_hold
+    and one stacked build per group.  NotG0Module comes before any build if
+    any M fails, as it would one M at a time."""
     _check_borel(chi)
-    if sorted(M.units) != sorted(algebra.even_units) or not M.verify_axioms():
+    groups = {}
+    for M in Ms:
+        groups.setdefault((M.dim, M.parity.tobytes(), tuple(M.units)), []).append(M)
+    if any(sorted(units) != sorted(algebra.even_units) or not axioms_hold(group).all()
+           for (_, _, units), group in groups.items()):
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
     # odd positive root vectors (g_1) are not units of M: they act by zero
-    return induce(algebra, chi, algebra.root_system().positive_odd, M)
+    built = {id(M): Z for group in groups.values() for M, Z in zip(
+        group, _induce_all(algebra, chi, algebra.root_system().positive_odd, group))}
+    return [built[id(M)] for M in Ms]
 
 
 def _top_coefficient(Z, roots):

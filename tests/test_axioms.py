@@ -5,7 +5,7 @@ expected brackets in one more, read off the bracket coefficients of
 verma._axiom_table, and raises the (c, dim, dim) stack of even units to the
 p-th power in one batched matrix_power.  Larger modules go in chunks of
 units that keep each product, or each stack, below
-verma.AXIOM_PRODUCT_ENTRIES entries, down to one unit per product.  The
+verma.STACK_ENTRIES entries, down to one unit per product.  The
 oracle below forms each commutator [x, y] and each expected bracket as
 separate Matrix sums, pair by pair, and each p-th power on its own.  Both
 must give the same verdict on baby Vermas and even-part Vermas of gl(1|1)
@@ -120,7 +120,7 @@ def test_batched_matches_oracle(name, builder, data):
     M = BUILDERS[builder](alg, chi, weights[0])
     U = len(M.units)
     # every module here fits one chunk, so each check is one batch
-    assert U * U * M.dim ** 2 <= verma.AXIOM_PRODUCT_ENTRIES
+    assert U * U * M.dim ** 2 <= verma.STACK_ENTRIES
     check_against_oracle(name, builder, data)
 
 
@@ -139,7 +139,7 @@ def test_chunked_matches_oracle(name, builder, chunk, data):
     budget = {"one unit": 1, "a few units": 2 * len(M.units) * M.dim ** 2,
               "a few power units": 2 * M.dim ** 2}[chunk]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verma, "AXIOM_PRODUCT_ENTRIES", budget)
+        mp.setattr(verma, "STACK_ENTRIES", budget)
         check_against_oracle(name, builder, data)
 
 
@@ -157,12 +157,13 @@ def test_one_wrong_pth_power_in_a_chunk_is_rejected(name, builder, chunk):
     budget = {"every even unit": len(even), "two even units": 2}[chunk] * M.dim ** 2
     f = M.field
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verma, "AXIOM_PRODUCT_ENTRIES", budget)
-        assert M._pth_powers_hold()
+        mp.setattr(verma, "STACK_ENTRIES", budget)
+        assert verma._pth_powers_hold(M, M.actions[None])[0]
         for x in even:
             if x[0] == x[1]:
                 continue
             actions = M.actions.copy()
             actions[M.units.index(x)] = f.add(M.matrix(x), np.eye(M.dim, dtype=np.int64))
             N = ModuleRep(alg, chi, M.units, actions, M.parity)
-            assert not N._pth_powers_hold() and not oracle_verify_axioms(N)
+            assert not verma._pth_powers_hold(N, N.actions[None])[0]
+            assert not oracle_verify_axioms(N)

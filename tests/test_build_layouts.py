@@ -2,7 +2,7 @@
 
 build_induced takes the parity, labels, scatter indices and root mask of
 an induced module from a layout kept in the context per (number of free
-roots, inner dimension, inner parity), and ModuleRep's axiom checks read
+roots, inner dimension, inner parity), and the axiom checks read
 the parity mask, bracket coefficients and even and Cartan units from a
 table kept on the algebra per tuple of units.  Here a whole scan is
 counted, the shared arrays are checked to be read-only, modules built
@@ -11,6 +11,8 @@ a table whose brackets leave the units must still fail the bracket check.
 structure-check reads super-anticommutativity off the table of all units;
 it is compared with the per-pair loop it replaced on perturbed tables.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,11 +30,31 @@ from test_root_key import CHI0, DIAG, MODULES, count_scan, fresh_setting
 def test_graded_scan_makes_seven_layouts_and_one_unit_table():
     # the even-part and baby Vermas share one context (the even root comes
     # first in both f orders) with one layout each; the graded Vermas
-    # induce from five dimensions of M
-    counts = count_scan(DIAG, graded=True,
-                        counted={"build": (verma, "build_induced"),
-                                 "axioms": (ModuleRep, "verify_axioms")})
-    assert counts == {"build": 375, "axioms": 125}
+    # induce from five dimensions of M.  The scan goes in chunks of nine
+    # weights (9 units, dim 20: 9 * 9 * 20^2 <= STACK_ENTRIES): per chunk
+    # one stacked product of plan blocks for the even Vermas, one per layout
+    # of M for the graded Vermas, one for the baby Vermas, and one axiom
+    # check per layout of M.  Every module is still placed by its own
+    # build_induced, and every M is checked exactly once.
+    sizes = {"blocks": [], "axioms": []}
+    real_blocks, real_axioms = verma._plan_blocks, verma.axioms_hold
+
+    def blocks(ctx, nfree, d, acting, B):
+        sizes["blocks"].append(B)
+        return real_blocks(ctx, nfree, d, acting, B)
+
+    def axioms(modules):
+        sizes["axioms"].append(len(modules))
+        return real_axioms(modules)
+
+    with mock.patch.object(verma, "_plan_blocks", blocks), \
+            mock.patch.object(verma, "axioms_hold", axioms):
+        counts = count_scan(DIAG, graded=True,
+                            counted={"build": (verma, "build_induced")})
+    assert counts == {"build": 375}
+    assert sum(sizes["blocks"]) == 375 and sum(sizes["axioms"]) == 125
+    stacks = sizes["blocks"]
+    assert max(stacks) == 9 and len(stacks) == 2 * 14 + len(sizes["axioms"])
     alg = cli._WORKER["algebra"]
     assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 7
     assert list(alg._axiom_tables) == [tuple(alg.even_units)]
@@ -88,8 +110,9 @@ def test_units_whose_bracket_leaves_them_fail_the_bracket_check():
     action = [alg.unit_matrix(*u).data for u in units]
     M = ModuleRep(alg, Character(alg, {}), units, action, [0, 1])
     for _ in range(2):
-        assert M._parity_blocks_hold() and M._pth_powers_hold()
-        assert not M._brackets_hold() and not M.verify_axioms()
+        stack = M.actions[None]
+        assert verma._parity_blocks_hold(M, stack)[0] and verma._pth_powers_hold(M, stack)[0]
+        assert not verma._brackets_hold(M, stack)[0] and not M.verify_axioms()
     assert verma._axiom_table(alg, tuple(units))[1] is None
     full = ModuleRep(alg, M.chi, alg.units,
                      [alg.unit_matrix(*u).data for u in alg.units], [0, 1])

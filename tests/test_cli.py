@@ -170,8 +170,10 @@ class TestExitCodes:
         {"n": 100000},
         {"m": 10 ** 9, "n": 10 ** 9},
         {"m": 100000, "tasks": ["frobenius-check"]},
+        {"m": 100000, "tasks": ["structure-check"]},
+        {"m": 10 ** 9, "n": 10 ** 9, "tasks": ["structure-check"]},
     ], ids=["field-degree-1e5", "field-degree-1e9", "m-1e5", "n-1e5", "m-n-1e9",
-            "frobenius-m-1e5"])
+            "frobenius-m-1e5", "structure-m-1e5", "structure-m-n-1e9"])
     def test_large_config_values_exit_two_at_once(self, tmp_path, capsys, raw):
         # the budgets take no power of an unbounded exponent and format no
         # unbounded integer
@@ -181,6 +183,25 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("budget,code", [(63, 2), (64, 0)])
+    def test_structure_budget_refuses_before_the_algebra(self, tmp_path, capsys,
+                                                         monkeypatch, budget, code):
+        # gl(2|2): 16 units, a bracket table of 16^3 = 4096 = 64^2 entries
+        real = cli.build_algebra
+
+        def refused_first(*args):
+            assert code == 0, "algebra built before the structure budget check"
+            return real(*args)
+
+        monkeypatch.setattr(cli, "build_algebra", refused_first)
+        cfg = write_cfg(tmp_path, m=2, n=2, tasks=["structure-check"])
+        got, _, err = run_cli(capsys, ["run", "--config", cfg,
+                                       "--dim-budget", str(budget)])
+        assert got == code
+        if code:
+            assert err == ("error: structure-check's bracket table of 4096 entries "
+                           "exceeds dim_budget^2 = 63^2\n")
 
     def test_config_over_the_field_budget_takes_no_primality_test(
             self, monkeypatch):
@@ -198,6 +219,48 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "1"])
         _, out2, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "2"])
         assert out1 == out2
+        # the graded scan over F_{5^5}: 125 weights in chunks of nine, or of
+        # at most 62 per worker, in stages
+        cfg = write_cfg(tmp_path, m=2, n=1, tasks=["graded-verma-scan"],
+                        chi={"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1})
+        reports = [run_cli(capsys, ["run", "--config", cfg, "--jobs", jobs])
+                   for jobs in ("1", "2")]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    @pytest.mark.parametrize("jobs,chunks", [(1, [25]), (2, [12, 12, 1]),
+                                             (8, [3] * 8 + [1]), (25, [1] * 25)])
+    def test_pool_maps_at_least_one_chunk_per_worker(self, tmp_path, capsys,
+                                                     monkeypatch, jobs, chunks):
+        # gl(1|1) at p = 5: 25 weights, 4 units of dim 2, so one chunk
+        # holds all of them unless the pool needs more chunks
+        import concurrent.futures
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        real = cli._scan_chunk
+
+        def recording(chunk):
+            seen.append(len(chunk))
+            return real(chunk)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli, "_scan_chunk", recording)
+        cfg = write_cfg(tmp_path)
+        code, _, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", str(jobs)])
+        assert code == 0 and seen == chunks
 
     @pytest.mark.parametrize("cpus,want", [(None, []), (1, []), (8, [8]),
                                            (64, [25]), ("real", None)])

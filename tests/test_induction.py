@@ -212,7 +212,7 @@ class TestContextCache:
         chi = Character(alg, {})
         _, _, weights = weight_variety(alg, chi)
         cfg = dict(cli.DEFAULTS, seed=0)
-        rows = cli._run_scan(cfg, alg, chi, weights[:6], graded=True)
+        rows = cli._run_scan(cfg, alg, chi, weights[:6], graded=True, semisimple=True)
         assert len(rows) == 6
         assert len(built) == 2
         rs = built[0].rs

@@ -5,10 +5,14 @@ METHODS table, so renaming or moving one of those methods breaks the traced
 benchmark run with a KeyError.  Its is_simple hook reads the verdict's
 ``probabilistic``.  These tests read the tracer from the source (executing
 it in a fresh namespace, so nothing is written beside it) and check it
-against glmn.
+against glmn, and run the traced child on the graded workload's config.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from glmn.algebra import Character, Weight, build_algebra
@@ -17,6 +21,7 @@ from glmn.ffield import make_field
 from glmn.verma import build_baby_verma
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _spans_namespace():
@@ -48,3 +53,24 @@ def test_is_simple_hook_counts_no_sampled_verdict():
     for M in (verma, regular):
         hook(tracer, (M,), is_simple(M), ["analysis.is_simple"])
     assert tracer.counts["analysis.sampled_verdicts"] == 0
+
+
+def test_traced_graded_scan_exits_zero(tmp_path):
+    # the benchmark's traced run of its graded workload: every span hook must
+    # accept what glmn passes it (a 2-D matmul, one module from
+    # build_induced), or the child exits 1
+    config = tmp_path / "graded.json"
+    config.write_text(json.dumps({
+        "p": 5, "m": 2, "n": 1, "chi": {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1},
+        "lambda": "scan-all-X", "tasks": ["graded-verma-scan"], "seed": 1,
+        "jobs": 1}))
+    sidecar = tmp_path / "sidecar.json"
+    child = subprocess.run(
+        [sys.executable, str(SPANS.parent / "child.py"), str(SRC), str(config),
+         str(sidecar), "--trace"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["passed"]
+    trace = json.loads(sidecar.read_text())["trace"]
+    assert trace["calls"]["verma.build"] > 0 and trace["calls"]["linalg.matmul"] > 0

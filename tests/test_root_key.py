@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from glmn import analysis, cli, verma
-from glmn.algebra import Character, Weight, build_algebra, weight_variety
+from glmn.algebra import (Character, Weight, build_algebra, classify_character,
+                          weight_variety)
 from glmn.analysis import dual_core, is_simple, simple_head
 from glmn.enveloping import reduction_context
 from glmn.errors import NonScalarResult
@@ -241,7 +242,9 @@ def count_scan(chi, graded, counted=COUNTED):
     with contextlib.ExitStack() as stack:
         for key, (owner, attr) in counted.items():
             stack.enter_context(counting(owner, attr, key))
-        rows = cli._run_scan(dict(cli.DEFAULTS, seed=0), alg, chi, weights, graded)
+        semisimple = classify_character(alg.root_system(), chi).semisimple
+        rows = cli._run_scan(dict(cli.DEFAULTS, seed=0), alg, chi, weights, graded,
+                             semisimple)
     assert len(rows) == 125
     return counts
 

@@ -14,8 +14,8 @@ unless every config behaves as expected.
 
 Each child's address space is capped at MEMORY_CAP bytes, so a tree that
 builds a huge algebra before refusing it fails with a MemoryError instead
-of exhausting the machine (an unchecked ``frobenius-check`` at m = 100000
-grows past 7 GB within seconds).
+of exhausting the machine (an unchecked ``frobenius-check`` or
+``structure-check`` at m = 100000 grows past 7 GB within seconds).
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ CONFIGS = [
                          "tasks": ["regular-module-check"]}),
     ("frobenius-huge", 2, {"m": 100000, "n": 1, "lambda": "scan-all-X",
                            "tasks": ["frobenius-check"]}),
+    ("structure-huge", 2, {"m": 100000, "n": 1, "lambda": "scan-all-X",
+                           "tasks": ["structure-check"]}),
+    # 625 weights of dimension 400: one baby Verma's actions exceed the
+    # stacked-build budget, so the scan goes one weight per chunk
+    ("scan-gl22-chi0", 0, {"m": 2, "n": 2, "lambda": "scan-all-X",
+                           "tasks": ["verma-scan"]}),
 ]
 
 
