@@ -227,7 +227,6 @@ def _scan_chunk(chunk):
                        _f1_idx=f1d.idx)
             if _WORKER["semisimple"]:
                 row["oracle_simple"] = bool(is_simple(Z))
-        del Ms, M, Z  # the graded stage's modules go before the baby Vermas come
     for row, Z in zip(rows, build_baby_vermas(algebra, chi, lams)):
         fd = f_direct(Z)
         row.update(f_direct=coeffs_of(field, fd.idx), _fd_idx=fd.idx)

@@ -48,8 +48,9 @@ from .linalg import (Matrix, _matmul, kernel, matmul, matrix_power, matvec,
 
 # Entries of one stack of matrices or one product of them: the axiom checks
 # go in chunks that stay below it (one unit per product in a large module),
-# a scan builds as many baby Vermas at once as keep their actions below it,
-# and structure-check refuses an algebra whose bracket table exceeds it.
+# and a scan builds as many baby Vermas at once as keep their actions below
+# it.  It is as low as this so that a scan's peak memory stays near that of
+# one module at a time.
 STACK_ENTRIES = 1 << 15
 
 
@@ -307,7 +308,7 @@ def _tail_matrix(field, tail, start, inner_actions, shape):
 
 
 def _layout(ctx, nfree, d, inner_parity):
-    """A stacked build's frame, kept in ctx._layouts by (nfree, d, inner parity
+    """build_induced's frame, kept in ctx._layouts by (nfree, d, inner parity
     bytes): the read-only parity, the labels (free monomial, inner index) as
     a tuple, the flat indices of the plan blocks' entries in the (U, dim,
     dim) action, the root-unit block mask, root_key's parity bytes, units."""
