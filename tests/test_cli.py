@@ -219,8 +219,8 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "1"])
         _, out2, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "2"])
         assert out1 == out2
-        # the graded scan over F_{5^5}: 125 weights in chunks of nine, or of
-        # at most 62 per worker, in stages
+        # the graded scan over F_{5^5}: 125 weights in 14 chunks of at most
+        # nine, run in stages, serially or mapped over two workers
         cfg = write_cfg(tmp_path, m=2, n=1, tasks=["graded-verma-scan"],
                         chi={"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1})
         reports = [run_cli(capsys, ["run", "--config", cfg, "--jobs", jobs])

@@ -74,3 +74,6 @@ def test_traced_graded_scan_exits_zero(tmp_path):
     assert json.loads(child.stdout)["passed"]
     trace = json.loads(sidecar.read_text())["trace"]
     assert trace["calls"]["verma.build"] > 0 and trace["calls"]["linalg.matmul"] > 0
+    # the benchmark counts induced modules as build_induced calls: 125 each
+    # of even-part, graded and baby Vermas
+    assert trace["calls"]["verma.build_induced"] == 375
