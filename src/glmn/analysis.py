@@ -15,7 +15,8 @@ generated by a highest vector whose weight occurs at no other basis
 vector), a line of M*'s socle (modules without Cartan units), or the end
 of a descent through spins of candidate lines.  The descent is exhaustive
 or refused: a candidate piece with more than LINE_BUDGET lines raises
-BudgetExceeded, so no verdict rests on a sample.
+BudgetExceeded, so no verdict rests on a sample.  simple_heads takes one
+dual_core per group of modules sharing their root key and top coordinate.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -173,18 +174,14 @@ def _line_representatives(field, sub):
 class SimplicityVerdict:
     """Outcome of the graded simplicity oracle."""
 
-    __slots__ = ("simple", "witness", "witness_fingerprint", "witness_parity")
+    __slots__ = ("simple",)
 
     # every verdict is exhaustive; the constant stays because the
     # benchmark's tracer (perfbench/spans.py) reads it
     probabilistic = False
 
-    def __init__(self, simple, witness=None, witness_fingerprint=None,
-                 witness_parity=None):
+    def __init__(self, simple):
         self.simple = simple
-        self.witness = witness
-        self.witness_fingerprint = witness_fingerprint
-        self.witness_parity = witness_parity
 
     def __bool__(self):
         return self.simple
@@ -255,7 +252,11 @@ def dual_core(M):
     basis (Subspace.annihilator): 0 with no elimination when S is all of
     M*, and otherwise one rref of the null rows.
     """
-    t = _top_coordinate(M)
+    return _dual_core(M, _top_coordinate(M))
+
+
+def _dual_core(M, t):
+    """dual_core of M, whose _top_coordinate is t."""
     if t is not None:
         memo, key = {} if M.root_key is None else M.ctx._cores, (M.root_key, t)
         if key not in memo:
@@ -309,21 +310,8 @@ def _smaller_spin(M, pieces, S):
 
 
 def is_simple(M):
-    """Graded simplicity: M is simple iff dual_core's R is 0.
-
-    Otherwise the witness is a homogeneous maximal vector of R: the first
-    basis row of the first maximal-vector piece that meets it.
-    """
-    core = dual_core(M)
-    if not core.dim:
-        return SimplicityVerdict(True)
-    for fingerprint, sub, par in _candidate_spaces(M):
-        meet = sub.intersect(core)
-        if meet.dim:
-            return SimplicityVerdict(False, witness=meet.basis[0],
-                                     witness_fingerprint=fingerprint,
-                                     witness_parity=par)
-    raise NoMaximalVector("the maximal submodule has no maximal vector")
+    """Graded simplicity: M is simple iff dual_core's R is 0."""
+    return SimplicityVerdict(not dual_core(M).dim)
 
 
 def quotient_module(M, sub):
@@ -343,17 +331,24 @@ def quotient_module(M, sub):
         out[..., free] = vec
         return out
 
-    # column free[t] of an action matrix is the image of lift(e_t); its
-    # projection is column t of the quotient's matrix
-    m, U = len(free), len(M.units)
-    cols = M.stacked_action[:, free].reshape(U, M.dim, m)
-    blocks = proj(cols.transpose(0, 2, 1).reshape(U * m, M.dim)).reshape(U, m, m)
-    hv = None if M.highest_vector is None else proj(M.highest_vector)
-    Q = ModuleRep(M.algebra, M.chi, M.units,
-                  np.ascontiguousarray(blocks.transpose(0, 2, 1)), M.parity[free],
-                  highest_vector=hv if hv is not None and hv.any() else None,
-                  lam=M.lam)
-    return Q, proj, lift
+    return _quotients([M], sub)[0], proj, lift
+
+
+def _quotients(Ms, sub):
+    """Each module of Ms, which share units and dimension, over one graded
+    submodule sub, from one reduction of all their columns and highest
+    vectors: column free[t] of a unit's matrix, reduced, gives column t."""
+    M = Ms[0]
+    free = np.delete(np.arange(M.dim), sub.pivots)
+    B, U, m = len(Ms), len(M.units), len(free)
+    hvs = [np.zeros(M.dim, dtype=np.int64) if N.highest_vector is None
+           else N.highest_vector for N in Ms]
+    cols = np.stack([N.actions for N in Ms])[..., free].transpose(0, 1, 3, 2)
+    rows = sub.reduce(np.concatenate((cols.reshape(B * U * m, M.dim), hvs)))[:, free]
+    blocks = rows[:B * U * m].reshape(B, U, m, m).transpose(0, 1, 3, 2)
+    return [ModuleRep(M.algebra, M.chi, M.units, a, M.parity[free], lam=N.lam,
+                      highest_vector=hv if hv.any() else None)
+            for N, a, hv in zip(Ms, blocks, rows[B * U * m:].copy())]
 
 
 def restrict_module(M, sub):
@@ -369,14 +364,29 @@ def restrict_module(M, sub):
 
 
 def simple_head(M):
-    """The simple quotient M / R of dual_core, with R.
+    """The simple quotient M / R of dual_core, with R: simple_heads of the
+    stack of M alone.
 
     Where the certificate applies, and on the socle route when M is local,
     R is the unique maximal graded submodule.  Returns (R: Subspace of
     F^dim, head: ModuleRep).
     """
-    R = dual_core(M)
-    return R, quotient_module(M, R)[0]
+    return simple_heads([M])[0]
+
+
+def simple_heads(Ms):
+    """simple_head of each module of Ms, in order.  Modules that share their
+    context, root_key and _top_coordinate share R: each such group takes one
+    dual_core and one _quotients; any other module is a group of its own."""
+    groups, tops = {}, [_top_coordinate(M) for M in Ms]
+    for b, (M, t) in enumerate(zip(Ms, tops)):
+        key = b if t is None or M.root_key is None else (id(M.ctx), M.root_key, t)
+        groups.setdefault(key, []).append(b)
+    heads = {}
+    for idx in groups.values():
+        R = _dual_core(Ms[idx[0]], tops[idx[0]])
+        heads.update((b, (R, Q)) for b, Q in zip(idx, _quotients([Ms[b] for b in idx], R)))
+    return [heads[b] for b in range(len(Ms))]
 
 
 class CompositionSeries:

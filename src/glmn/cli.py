@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -30,9 +31,9 @@ from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import check_field_budget, isprime, make_field
 from .kw import kw_verify, levi_scan
-from .verma import (STACK_ENTRIES, _axiom_table, build_baby_verma,
-                    build_baby_vermas, build_graded_vermas,
-                    build_simple_g0_modules, f1_direct, f_direct, f_formula)
+from .verma import (_axiom_table, build_baby_verma, build_baby_vermas,
+                    build_graded_vermas, build_simple_g0_modules, f1_direct,
+                    f_direct, f_formulas)
 
 TASKS = ("structure-check", "verma-scan", "graded-verma-scan", "kw-verify",
          "levi-scan", "frobenius-check", "regular-module-check")
@@ -203,31 +204,32 @@ def _init_scan_worker(p, k, m, n, chi_values, graded, semisimple):
     _WORKER["semisimple"] = semisimple
 
 
-def _scan_chunk(chunk):
-    """The rows of a chunk of weights, in stages over the whole chunk: in a
-    graded scan the simple heads M of the even Vermas, then Z(M) with
-    f1_direct and the oracle; then the baby Vermas with f_direct (and the
-    oracle in a plain scan).  The oracle (is_simple) needs semisimple chi."""
+def _scan_share(share):
+    """The rows of a share of weights, in stages over all of it, each stacked
+    by its own modules' size: the formulas and report coefficients as array
+    operations; a graded scan's heads M, then Z(M) in M's layout order with
+    f1_direct and the oracle (is_simple, for semisimple chi); then the baby
+    Vermas with f_direct, and the oracle in a plain scan."""
     algebra, chi, graded = _WORKER["algebra"], _WORKER["chi"], _WORKER["graded"]
     field = algebra.field
-    lams = [Weight(field, coords) for coords in chunk]
-    rows = []
-    for lam in lams:
-        sp = f_formula(algebra.root_system(), lam)
-        rows.append({"lambda": format_weight(field, lam),
-                     "f_formula": coeffs_of(field, sp.f_formula.idx),
-                     "f0": coeffs_of(field, sp.f0.idx), "f1": coeffs_of(field, sp.f1.idx),
-                     "_f0_idx": sp.f0.idx, "_ff_idx": sp.f_formula.idx,
-                     "_f1_idx": None, "oracle_simple": None})
+    coords = np.array(share, dtype=np.int64).reshape(len(share), algebra.d)
+    lams = [Weight(field, c) for c in coords]
+    ff, f0, f1 = f_formulas(algebra.root_system(), coords)
+    cols = [field.digits[x].tolist() for x in (coords, ff, f0, f1)]
+    rows = [dict(zip(("lambda", "f_formula", "f0", "f1"), vals), _f0_idx=i, _ff_idx=j,
+                 _f1_idx=None, oracle_simple=None)
+            for *vals, i, j in zip(*cols, f0.tolist(), ff.tolist())]
+    flat = itertools.chain.from_iterable
     if graded:
         Ms = build_simple_g0_modules(algebra, chi, lams)
-        for row, M, Z in zip(rows, Ms, build_graded_vermas(algebra, chi, Ms)):
-            f1d = f1_direct(Z)
-            row.update(dim_m=M.dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d.idx),
-                       _f1_idx=f1d.idx)
+        order = sorted(range(len(Ms)), key=lambda t: (Ms[t].dim, Ms[t].parity.tobytes()))
+        for t, Z in zip(order, flat(build_graded_vermas(algebra, chi, [Ms[t] for t in order]))):
+            f1d = f1_direct(Z).idx
+            rows[t].update(dim_m=Ms[t].dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d),
+                           _f1_idx=f1d)
             if _WORKER["semisimple"]:
-                row["oracle_simple"] = bool(is_simple(Z))
-    for row, Z in zip(rows, build_baby_vermas(algebra, chi, lams)):
+                rows[t]["oracle_simple"] = bool(is_simple(Z))
+    for row, Z in zip(rows, flat(build_baby_vermas(algebra, chi, lams))):
         fd = f_direct(Z)
         row.update(f_direct=coeffs_of(field, fd.idx), _fd_idx=fd.idx)
         if not graded:
@@ -238,21 +240,16 @@ def _scan_chunk(chunk):
 
 
 def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
-    """_scan_chunk's rows over chunks of as many weights as keep their baby
-    Vermas' actions within STACK_ENTRIES entries (at least one weight).
-    With jobs > 1 a process pool maps the chunks, at least one per worker.
+    """_scan_share's rows: serially one share of all the weights, with jobs
+    > 1 a process pool maps one share of consecutive weights per worker.
     semisimple, whether chi is, says whether the oracle runs."""
     initargs = (algebra.field.p, algebra.field.k, algebra.m, algebra.n,
                 dict(chi.values), graded, semisimple)
     coords = [tuple(int(c) for c in lam.coords) for lam in weights]
     # a fork pool starts all its workers at once: never more than the
-    # weights or the CPUs
-    workers = min(cfg["jobs"], len(coords), os.cpu_count() or 1)
-    rs = algebra.root_system()
-    dim = algebra.field.p ** len(rs.positive_even) * 2 ** len(rs.positive_odd)
-    size = max(1, min(STACK_ENTRIES // (len(algebra.units) * dim * dim),
-                      len(coords) // max(workers, 1)))
-    chunks = [coords[s:s + size] for s in range(0, len(coords), size)]
+    # weights or the CPUs; jobs < 1 runs serially
+    workers = max(1, min(cfg["jobs"], len(coords), os.cpu_count() or 1))
+    shares = [s for s in np.array_split(coords, workers) if len(s)]
     if workers > 1:
         # imported here: loading concurrent.futures.process pulls in
         # multiprocessing, which a serial run never needs
@@ -260,10 +257,10 @@ def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_scan_worker,
                                  initargs=initargs) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
+            parts = list(pool.map(_scan_share, shares))
     else:
         _init_scan_worker(*initargs)
-        parts = [_scan_chunk(c) for c in chunks]
+        parts = [_scan_share(s) for s in shares]
     return [row for part in parts for row in part]
 
 
@@ -459,8 +456,11 @@ TASK_RUNNERS = {
 # report emission
 
 def emit(report, fmt, stream):
+    """report as json (json.dump's text, one write per 4096 chunks), csv or a table."""
     if fmt == "json":
-        json.dump(report, stream, sort_keys=True, indent=2)
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+        while block := "".join(itertools.islice(chunks, 4096)):
+            stream.write(block)
         stream.write("\n")
     elif fmt == "csv":
         _emit_csv(report, stream)

@@ -19,9 +19,9 @@ reaches and one column per distinct tail; a layout per inner parity and
 dimension holds the basis parity, labels and block positions.  A build
 multiplies out each distinct tail on the inner module once and forms every
 block in one product of the coefficient matrix with their stack.  The
-plural builders (build_baby_vermas, build_graded_vermas, ...) do this
-once for a whole stack of inner modules of one layout (_plan_blocks), and
-then build_induced places each module's blocks; axioms_hold checks the
+plural builders (build_baby_vermas, build_graded_vermas, ...) yield stacks
+of modules of one layout (_stacks), each from one _plan_blocks, with
+build_induced placing each module's blocks; axioms_hold checks the
 g_0bar-module axioms of a stack of modules in a few batched products.
 
 Every module built here has diagonal Cartan matrices, so its weight spaces
@@ -33,6 +33,7 @@ eigenvalues to solve for.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -48,9 +49,9 @@ from .linalg import (Matrix, _matmul, kernel, matmul, matrix_power, matvec,
 
 # Entries of one stack of matrices or one product of them: the axiom checks
 # go in chunks that stay below it (one unit per product in a large module),
-# and a scan builds as many baby Vermas at once as keep their actions below
-# it.  It is as low as this so that a scan's peak memory stays near that of
-# one module at a time.
+# and a stacked build (_stacks) makes as many modules at once as keep their
+# actions below it.  It is as low as this so that a scan's peak memory
+# stays near that of one module at a time.
 STACK_ENTRIES = 1 << 15
 
 
@@ -388,31 +389,42 @@ def induce(algebra, chi, free_roots, inner, units=None):
     inner's highest weight and highest vector.  It is build_induced's
     module unless units is given: then one acting by those units only.
     """
-    return _induce_all(algebra, chi, free_roots, [inner], units)[0]
+    return next(_induce_all(algebra, chi, free_roots, [inner], units))[0]
 
 
 def _induce_all(algebra, chi, free_roots, inners, units=None):
-    """induce for each of inners, which share their units, dimension and
-    parity: the plan blocks of all of them in one stacked _plan_blocks,
-    then build_induced for each."""
+    """induce for each of inners, an iterable of modules that share their
+    units, dimension and parity, yielding one list of modules per _stacks
+    stack: one stacked _plan_blocks, then build_induced places each."""
     keys = {r.key for r in free_roots}
     order = list(free_roots) + [r for r in algebra.root_system().positive
                                 if r.key not in keys]
-    ctx = reduction_context(algebra, chi, f_order=order)
-    first = inners[0]
-    acting = {pos: np.stack([M.matrix(u) for M in inners])
-              for pos, u in enumerate(ctx.units) if u in first._index}
-    blocks = _plan_blocks(ctx, len(free_roots), first.dim, acting, len(inners))
-    Zs = [build_induced(ctx, free_roots, first.dim, first.parity,
-                        {pos: a[b] for pos, a in acting.items()},
-                        inner_highest=M.highest_vector, lam=M.lam, blocks=blocks[b])
-          for b, M in enumerate(inners)]
-    if units is None:
-        return Zs
-    units = tuple(tuple(u) for u in units)
-    return [ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
+    ctx, nfree = reduction_context(algebra, chi, f_order=order), len(free_roots)
+    units = None if units is None else tuple(map(tuple, units))
+    for stack in _stacks(algebra, free_roots, inners):
+        first = stack[0]
+        acting = {pos: np.stack([M.matrix(u) for M in stack])
+                  for pos, u in enumerate(ctx.units) if u in first._index}
+        blocks = _plan_blocks(ctx, nfree, first.dim, acting, len(stack))
+        Zs = (build_induced(ctx, free_roots, first.dim, first.parity,
+                            {pos: a[b] for pos, a in acting.items()},
+                            inner_highest=M.highest_vector, lam=M.lam, blocks=blocks[b])
+              for b, M in enumerate(stack))
+        # no name keeps a stack alive while the next one is built
+        yield list(Zs) if units is None else [
+            ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
                       highest_vector=Z.highest_vector, lam=Z.lam, ctx=ctx,
                       root_key=Z.root_key[:-1] + (units,)) for Z in Zs]
+
+
+def _stacks(algebra, free_roots, inners):
+    """The iterable inners, taken as needed, in lists of as many as keep the
+    actions induced from them within STACK_ENTRIES entries, one at least."""
+    inners = iter(inners)
+    for first in inners:
+        dim = first.dim * math.prod(2 if r.parity else algebra.field.p for r in free_roots)
+        size = max(1, STACK_ENTRIES // (len(algebra.units) * dim * dim))
+        yield [first, *itertools.islice(inners, size - 1)]
 
 
 def weight_line(algebra, chi, lam):
@@ -425,18 +437,19 @@ def weight_line(algebra, chi, lam):
 
 def build_baby_verma(algebra, chi, lam):
     """Z^chi(lambda) on the basis of negative-root PBW monomials."""
-    return build_baby_vermas(algebra, chi, [lam])[0]
+    return next(build_baby_vermas(algebra, chi, [lam]))[0]
 
 
 def build_baby_vermas(algebra, chi, lams):
-    """build_baby_verma at each lambda of lams, in one stacked build."""
+    """build_baby_verma at each lambda of lams, in order: an iterator of
+    stacks (lists, _induce_all), each built once the last is consumed."""
     _check_borel(chi)
     for lam in lams:
         if not weight_in_variety(algebra, chi, lam):
             raise LambdaNotInX(f"{lam!r} not in the weight variety of chi")
     # e generators absent: they annihilate the highest line
     return _induce_all(algebra, chi, algebra.root_system().positive,
-                       [weight_line(algebra, chi, lam) for lam in lams])
+                       (weight_line(algebra, chi, lam) for lam in lams))
 
 
 def build_even_verma(algebra, chi, lam):
@@ -444,14 +457,14 @@ def build_even_verma(algebra, chi, lam):
 
     Returned as a ModuleRep whose acting units are the even units only.
     """
-    return build_even_vermas(algebra, chi, [lam])[0]
+    return next(build_even_vermas(algebra, chi, [lam]))[0]
 
 
 def build_even_vermas(algebra, chi, lams):
-    """build_even_verma at each lambda of lams, in one stacked build."""
+    """build_even_verma at each lambda of lams, in stacks as build_baby_vermas."""
     _check_borel(chi)
     return _induce_all(algebra, chi, algebra.root_system().positive_even,
-                       [weight_line(algebra, chi, lam) for lam in lams],
+                       (weight_line(algebra, chi, lam) for lam in lams),
                        units=algebra.even_units)
 
 
@@ -464,32 +477,35 @@ def build_simple_g0_module(algebra, chi, lam):
 
 
 def build_simple_g0_modules(algebra, chi, lams):
-    """build_simple_g0_module at each lambda of lams: the heads of one
-    stacked build of even Vermas."""
-    from .analysis import simple_head
-    return [simple_head(E)[1] for E in build_even_vermas(algebra, chi, lams)]
+    """build_simple_g0_module at each lambda of lams: simple_heads by stack."""
+    from .analysis import simple_heads
+    return [head for heads in map(simple_heads, build_even_vermas(algebra, chi, lams))
+            for _, head in heads]
 
 
 def build_graded_verma(algebra, chi, M):
     """Z^chi(M) = u(g) tensor M over g_0bar + g_1, with g_1 M = 0."""
-    return build_graded_vermas(algebra, chi, [M])[0]
+    return next(build_graded_vermas(algebra, chi, [M]))[0]
 
 
 def build_graded_vermas(algebra, chi, Ms):
-    """Every M of Ms grouped by layout (dim, parity, units), one axioms_hold
-    and one stacked build per group.  NotG0Module comes before any build if
-    any M fails, as it would one M at a time."""
+    """build_graded_verma at each M of Ms, in stacks as build_baby_vermas:
+    one axioms_hold per stack of Z(M) of each layout (dim, parity, units) of
+    M, all before any build (NotG0Module if one fails), then each run of Ms
+    of one layout stacked alone; Ms sorted by layout make the fewest."""
     _check_borel(chi)
+    # odd positive root vectors (g_1) are not units of M: they act by zero
+    odd = algebra.root_system().positive_odd
     groups = {}
     for M in Ms:
         groups.setdefault((M.dim, M.parity.tobytes(), tuple(M.units)), []).append(M)
-    if any(sorted(units) != sorted(algebra.even_units) or not axioms_hold(group).all()
+    if any(sorted(units) != sorted(algebra.even_units) or not all(
+            axioms_hold(stack).all() for stack in _stacks(algebra, odd, group))
            for (_, _, units), group in groups.items()):
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
-    # odd positive root vectors (g_1) are not units of M: they act by zero
-    built = {id(M): Z for group in groups.values() for M, Z in zip(
-        group, _induce_all(algebra, chi, algebra.root_system().positive_odd, group))}
-    return [built[id(M)] for M in Ms]
+    return itertools.chain.from_iterable(
+        _induce_all(algebra, chi, odd, list(run))
+        for _, run in itertools.groupby(Ms, key=lambda M: (M.dim, M.parity.tobytes())))
 
 
 def _top_coefficient(Z, roots):
@@ -525,20 +541,24 @@ def f_direct(Z):
 
 def f_formula(rs, lam):
     """The closed form of Thm 3.7 split into even and odd factors."""
+    values = f_formulas(rs, lam.coords[None])
+    return SimplicityPolynomials(*(FieldElement(rs.algebra.field, int(v[0])) for v in values))
+
+
+def f_formulas(rs, coords):
+    """f_formula at each row of coords, a (B, d) index array of weights, as
+    index arrays (f, f0, f1) from field-array operations: f0 is the product
+    of x^(p-1) - 1 over the even positive roots, f1 of x - 1 over the odd."""
     f = rs.algebra.field
-    p = f.p
-    f0 = 1
-    for r in rs.positive_even:
-        x = f.add(rs.weight_on_coroot(lam, r), rs.rho_value(r))
-        f0 = f.mul(f0, f.sub(f.power(x, p - 1), 1))
-    f1 = 1
-    for r in rs.positive_odd:
-        x = f.add(rs.weight_on_coroot(lam, r), rs.rho_value(r))
-        f1 = f.mul(f1, f.sub(x, 1))
-    return SimplicityPolynomials(
-        f_formula=FieldElement(f, f.mul(f0, f1)),
-        f0=FieldElement(f, f0),
-        f1=FieldElement(f, f1))
+    f0 = f1 = np.ones(len(coords), dtype=np.int64)
+    for r in rs.positive:
+        (i, j), sign = rs.e_unit(r), f.add if r.parity else f.sub
+        x = sign(f.add(coords[:, i - 1], rs.rho_value(r)), coords[:, j - 1])
+        if r.parity:
+            f1 = f.mul(f1, f.sub(x, 1))
+        else:
+            f0 = f.mul(f0, f.sub(f.power(x, f.p - 1), 1))
+    return f.mul(f0, f1), f0, f1
 
 
 def f1_direct(Z):

@@ -6,13 +6,15 @@ simple; series_factors_by_lines peels such heads down a composition
 series.  is_local_by_dual_spins decides whether M has a unique maximal
 submodule from the smallest of all dual spins.  They share spin,
 quotient_module, restrict_module and the candidate lines with the
-library, and no descent or certificate.
+library, and no descent or certificate.  witness finds a homogeneous
+maximal vector of dual_core's R, which the library's verdict does not
+carry.
 """
 
 from collections import Counter
 
 from glmn.analysis import (SimplicityVerdict, _candidate_spaces,
-                           _line_representatives, dual_module,
+                           _line_representatives, dual_core, dual_module,
                            quotient_module, restrict_module, spin)
 from glmn.errors import NoMaximalVector
 from glmn.linalg import Subspace
@@ -27,13 +29,26 @@ def is_simple_by_lines(M):
     spaces = _candidate_spaces(M)
     if not spaces:
         raise NoMaximalVector("module has no generating candidates")
-    for fingerprint, sub, par in spaces:
+    for _, sub, _ in spaces:
         for v in _line_representatives(M.field, sub):
             if spin(M, v).dim < M.dim:
-                return SimplicityVerdict(False, witness=v,
-                                         witness_fingerprint=fingerprint,
-                                         witness_parity=par)
+                return SimplicityVerdict(False)
     return SimplicityVerdict(True)
+
+
+def witness(M):
+    """(w, fingerprint, parity): a homogeneous maximal vector w of
+    dual_core's R, the first basis row of the first maximal-vector piece
+    that meets R, with the piece's fingerprint and parity; None when R is
+    0, that is when M is simple."""
+    core = dual_core(M)
+    if not core.dim:
+        return None
+    for fingerprint, sub, par in _candidate_spaces(M):
+        meet = sub.intersect(core)
+        if meet.dim:
+            return meet.basis[0], fingerprint, par
+    raise NoMaximalVector("the maximal submodule has no maximal vector")
 
 
 def simple_head_by_lines(M):

@@ -27,6 +27,7 @@ from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 from test_kernels import FIELDS, KERNEL_SETTINGS, draw_matrix, t_kernel, t_rref
+from _line_oracle import witness
 
 F5 = make_field(5)
 SPIN_SETTINGS = settings(max_examples=25, deadline=None)
@@ -128,7 +129,7 @@ def _quotient():
     Z = _verma(2, 1, [0, 0, 0])
     verdict = is_simple(Z)
     assert not verdict.simple
-    Q, _, _ = quotient_module(Z, spin(Z, verdict.witness))
+    Q, _, _ = quotient_module(Z, spin(Z, witness(Z)[0]))
     assert 0 < Q.dim < Z.dim
     return Q
 
@@ -274,7 +275,7 @@ def test_rref_and_kernel_of_sparse_matrices_match_oracle(name, data):
 
 def _proper_submodule():
     Z = module("gl21")
-    return Z, spin(Z, is_simple(Z).witness)
+    return Z, spin(Z, witness(Z)[0])
 
 
 def test_quotient_action_matches_per_vector_loop():

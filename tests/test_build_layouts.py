@@ -30,12 +30,16 @@ from test_root_key import CHI0, DIAG, MODULES, count_scan, fresh_setting
 def test_graded_scan_makes_seven_layouts_and_one_unit_table():
     # the even-part and baby Vermas share one context (the even root comes
     # first in both f orders) with one layout each; the graded Vermas
-    # induce from five dimensions of M.  The scan goes in chunks of nine
-    # weights (9 units, dim 20: 9 * 9 * 20^2 <= STACK_ENTRIES): per chunk
-    # one stacked product of plan blocks for the even Vermas, one per layout
-    # of M for the graded Vermas, one for the baby Vermas, and one axiom
-    # check per layout of M.  Every module is still placed by its own
-    # build_induced, and every M is checked exactly once.
+    # induce from five dimensions of M, 25 weights each.  The scan runs in
+    # stages over all 125 weights, each stacked by the size of the modules
+    # it builds (9 units, dim D: STACK_ENTRIES // (9 D^2) modules): one
+    # product of plan blocks for the 125 even Vermas (D = 5), the graded
+    # Vermas by layout of M (D = 4, 8, 12: one stack of 25 each; D = 16:
+    # 14 and 11; D = 20: 9, 9 and 7), the baby Vermas (D = 20) in 13
+    # stacks of nine and one of eight, and one axiom check per stack of
+    # graded Vermas, all before the first graded build.  Every module is
+    # still placed by its own build_induced, and every M is checked
+    # exactly once.
     sizes = {"blocks": [], "axioms": []}
     real_blocks, real_axioms = verma._plan_blocks, verma.axioms_hold
 
@@ -52,9 +56,9 @@ def test_graded_scan_makes_seven_layouts_and_one_unit_table():
         counts = count_scan(DIAG, graded=True,
                             counted={"build": (verma, "build_induced")})
     assert counts == {"build": 375}
-    assert sum(sizes["blocks"]) == 375 and sum(sizes["axioms"]) == 125
-    stacks = sizes["blocks"]
-    assert max(stacks) == 9 and len(stacks) == 2 * 14 + len(sizes["axioms"])
+    graded = [25, 25, 25, 14, 11, 9, 9, 7]
+    assert sizes["blocks"] == [125] + graded + [9] * 13 + [8]
+    assert sizes["axioms"] == graded
     alg = cli._WORKER["algebra"]
     assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 7
     assert list(alg._axiom_tables) == [tuple(alg.even_units)]

@@ -3,6 +3,8 @@ config validation, output formats and dump files."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -25,6 +27,31 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# A child that caps its address space, then runs the CLI and prints the
+# seconds main took: a tree whose budget check is missing then fails with a
+# MemoryError instead of growing until the machine kills the test run.
+CAPPED_RUN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from glmn.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def run_capped(argv):
+    """(exit code, seconds in main, stderr) of the CLI in a capped child."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", CAPPED_RUN, *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    seconds = float(child.stdout.split()[-1]) if child.stdout.strip() else None
+    return child.returncode, seconds, child.stderr
 
 
 class TestExitCodes:
@@ -176,11 +203,10 @@ class TestExitCodes:
             "frobenius-m-1e5", "structure-m-1e5", "structure-m-n-1e9"])
     def test_large_config_values_exit_two_at_once(self, tmp_path, capsys, raw):
         # the budgets take no power of an unbounded exponent and format no
-        # unbounded integer
+        # unbounded integer; the run is a child under a memory cap
         cfg = write_cfg(tmp_path, **raw)
-        start = time.perf_counter()
-        code, _, err = run_cli(capsys, ["run", "--config", cfg])
-        assert time.perf_counter() - start < 1.0
+        code, seconds, err = run_capped(["run", "--config", cfg])
+        assert seconds is not None and seconds < 1.0
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
         assert "exceeds" in err
 
@@ -227,12 +253,12 @@ class TestDeterminism:
                    for jobs in ("1", "2")]
         assert reports[0] == reports[1] and reports[0][0] == 0
 
-    @pytest.mark.parametrize("jobs,chunks", [(1, [25]), (2, [12, 12, 1]),
-                                             (8, [3] * 8 + [1]), (25, [1] * 25)])
+    @pytest.mark.parametrize("jobs,chunks", [(1, [25]), (2, [13, 12]),
+                                             (8, [4] + [3] * 7), (25, [1] * 25)])
     def test_pool_maps_at_least_one_chunk_per_worker(self, tmp_path, capsys,
                                                      monkeypatch, jobs, chunks):
-        # gl(1|1) at p = 5: 25 weights, 4 units of dim 2, so one chunk
-        # holds all of them unless the pool needs more chunks
+        # gl(1|1) at p = 5: 25 weights; a serial scan is one share of all of
+        # them, and a pool maps one share of consecutive weights per worker
         import concurrent.futures
         seen = []
 
@@ -249,15 +275,15 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        real = cli._scan_chunk
+        real = cli._scan_share
 
-        def recording(chunk):
-            seen.append(len(chunk))
-            return real(chunk)
+        def recording(share):
+            seen.append(len(share))
+            return real(share)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(cli, "_scan_chunk", recording)
+        monkeypatch.setattr(cli, "_scan_share", recording)
         cfg = write_cfg(tmp_path)
         code, _, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", str(jobs)])
         assert code == 0 and seen == chunks

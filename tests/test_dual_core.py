@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _line_oracle import (is_local_by_dual_spins, is_simple_by_lines,
-                          series_factors_by_lines, simple_head_by_lines)
+                          series_factors_by_lines, simple_head_by_lines,
+                          witness)
 from test_weight_split import _series_restrictions
 
 from glmn import analysis
@@ -93,12 +94,13 @@ def modules(name, kind, t):
     return BUILDERS[kind](alg, chi, weights[t])
 
 
-def assert_witness(M, verdict, core):
-    """A homogeneous maximal vector of the claimed piece, inside core(W)."""
-    w = verdict.witness
+def assert_witness(M, core):
+    """witness(M): a homogeneous maximal vector of the claimed piece, inside
+    core(W)."""
+    w, fingerprint, parity = witness(M)
     pieces = {fp: (sub, par) for fp, sub, par in _candidate_spaces(M)}
-    sub, par = pieces[verdict.witness_fingerprint]
-    assert par == verdict.witness_parity
+    sub, par = pieces[fingerprint]
+    assert par == parity
     assert w.any() and sub.contains(w) and core.contains(w)
     assert set(M.parity[w != 0].tolist()) == {par}
     assert spin(M, w).dim < M.dim
@@ -111,7 +113,7 @@ def assert_routes_agree(M):
     assert got.simple == want.simple == (core.dim == 0)
     assert not got.probabilistic and not want.probabilistic
     if not got.simple:
-        assert_witness(M, got, core)
+        assert_witness(M, core)
     R, head = simple_head(M)
     R_lines, head_lines = simple_head_by_lines(M)
     assert np.array_equal(R.basis, R_lines.basis)
@@ -194,7 +196,7 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
     assert _top_coordinate(D) is None
     assert min(sub.dim for _, sub, _ in _candidate_spaces(D)) >= 2
     verdict = is_simple(D)
-    assert not verdict.simple and spin(D, verdict.witness).dim < D.dim
+    assert not verdict.simple and spin(D, witness(D)[0]).dim < D.dim
     spins = []
 
     def counting_spin(M, w):
@@ -231,7 +233,7 @@ def assert_matches_lines(M, memo=None):
     assert got.simple == want.simple
     core = dual_core(M)
     if not got.simple:
-        assert_witness(M, got, core)
+        assert_witness(M, core)
     R, head = simple_head(M)
     assert is_simple_by_lines(head).simple
     if is_local_by_dual_spins(M):

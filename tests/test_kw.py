@@ -181,18 +181,18 @@ class TestLeviScan:
 
     def test_one_alpha_takes_two_simple_heads(self, monkeypatch):
         # the head of Z is found once per weight, the source's once per
-        # alpha, and Z_L's simplicity once per weight: one dual_core each
+        # alpha, and Z_L's simplicity once per weight: one dual_core each,
+        # which dual_core and simple_heads both reach through _dual_core
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         heads = []
-        real_dual_core = analysis.dual_core
+        real_dual_core = analysis._dual_core
 
-        def counting_dual_core(M):
+        def counting_dual_core(M, t):
             heads.append(M.dim)
-            return real_dual_core(M)
+            return real_dual_core(M, t)
 
-        monkeypatch.setattr(analysis, "dual_core", counting_dual_core)
-        monkeypatch.setattr(kw, "dual_core", counting_dual_core)
+        monkeypatch.setattr(analysis, "_dual_core", counting_dual_core)
         rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]))
         assert len(rep["alphas"]) == 1
         assert heads == [20, 20, 5]

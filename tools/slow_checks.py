@@ -43,8 +43,8 @@ CONFIGS = [
                            "tasks": ["frobenius-check"]}),
     ("structure-huge", 2, {"m": 100000, "n": 1, "lambda": "scan-all-X",
                            "tasks": ["structure-check"]}),
-    # 625 weights of dimension 400: one baby Verma's actions exceed the
-    # stacked-build budget, so the scan goes one weight per chunk
+    # 625 weights of dimension 400, in stages over all of them: one baby
+    # Verma's actions exceed the stacked-build budget, so each stack holds one
     ("scan-gl22-chi0", 0, {"m": 2, "n": 2, "lambda": "scan-all-X",
                            "tasks": ["verma-scan"]}),
 ]
