@@ -405,12 +405,12 @@ def _induce_all(algebra, chi, free_roots, inners, units=None):
         first = stack[0]
         acting = {pos: np.stack([M.matrix(u) for M in stack])
                   for pos, u in enumerate(ctx.units) if u in first._index}
-        blocks = _plan_blocks(ctx, nfree, first.dim, acting, len(stack))
+        # no name keeps built modules or plan blocks while the next stack builds
         Zs = (build_induced(ctx, free_roots, first.dim, first.parity,
                             {pos: a[b] for pos, a in acting.items()},
-                            inner_highest=M.highest_vector, lam=M.lam, blocks=blocks[b])
-              for b, M in enumerate(stack))
-        # no name keeps a stack alive while the next one is built
+                            inner_highest=M.highest_vector, lam=M.lam, blocks=block)
+              for b, (M, block) in enumerate(zip(stack, _plan_blocks(
+                  ctx, nfree, first.dim, acting, len(stack)))))
         yield list(Zs) if units is None else [
             ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
                       highest_vector=Z.highest_vector, lam=Z.lam, ctx=ctx,
