@@ -135,10 +135,6 @@ def coeffs_of(field, idx):
     return [int(c) for c in field.digits[idx]]
 
 
-def format_weight(field, lam):
-    return [coeffs_of(field, int(c)) for c in lam.coords]
-
-
 def build_setting(cfg):
     """(algebra, chi, weights) over the field the run executes in."""
     field = make_field(cfg["p"], cfg["field_degree"])
@@ -421,7 +417,7 @@ def kw_task(cfg, algebra, chi, weights):
     passed = True
     for lam in _sample_weights(cfg, weights, "kw"):
         rep = kw_verify(algebra, chi, lam)
-        rep["lambda"] = format_weight(algebra.field, lam)
+        rep["lambda"] = algebra.field.digits[lam.coords].tolist()
         passed = passed and rep["induced_simple"] and rep["chi_l_nilpotent"]
         reports.append(rep)
     return {"reports": reports}, passed
@@ -432,7 +428,7 @@ def levi_task(cfg, algebra, chi, weights):
     passed = True
     for lam in _sample_weights(cfg, weights, "levi"):
         rep = levi_scan(algebra, chi, lam)
-        rep["lambda"] = format_weight(algebra.field, lam)
+        rep["lambda"] = algebra.field.digits[lam.coords].tolist()
         ok = (rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
               and all(a["isomorphism"] and a["heads_match"]
                       for a in rep["alphas"]))

@@ -141,7 +141,11 @@ def _matmul(field, a, b):
 
 
 def matvec(field, a, v):
-    return matmul(field, a, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
+    """a v; for v with one nonzero entry, the column of a it scales, no product."""
+    v = np.asarray(v, dtype=np.int64)
+    if len(nz := np.flatnonzero(v)) == 1:
+        return field.mul(np.asarray(a, dtype=np.int64)[:, nz[0]], int(v[nz[0]]))
+    return matmul(field, a, v.reshape(-1, 1))[:, 0]
 
 
 def matrix_power(field, a, e):

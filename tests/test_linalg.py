@@ -69,6 +69,22 @@ class TestMatrixArithmetic:
             b = np.array([[rng.randrange(5) for _ in range(2)] for _ in range(4)])
             assert np.array_equal(matmul(F, a, b), (a @ b) % 5)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_matvec_equals_the_product_with_a_column(self, k):
+        # a vector with one nonzero entry takes the scaled column of a,
+        # any other the product
+        field = make_field(5, k)
+        rng = random.Random(k)
+        for n in (1, 2, 7):
+            a = rand_mat(field, n + 1, n, rng).data
+            for nonzeros in range(n + 1):
+                v = np.zeros(n, dtype=np.int64)
+                for t in rng.sample(range(n), nonzeros):
+                    v[t] = rng.randrange(1, field.q)
+                want = matmul(field, a, v.reshape(-1, 1))[:, 0]
+                got = matvec(field, a, v)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_associativity_over_extension(self):
         rng = random.Random(2)
         a = rand_mat(F25, 3, 3, rng)
