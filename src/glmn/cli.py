@@ -203,7 +203,7 @@ def _init_scan_worker(p, k, m, n, chi_values, graded, semisimple):
 def _scan_share(share):
     """The rows of a share of weights, in stages over all of it, each stacked
     by its own modules' size: the formulas and report coefficients as array
-    operations; a graded scan's heads M, then Z(M) in M's layout order with
+    operations; a graded scan's heads M, then Z(M) in order of dim M, with
     f1_direct and the oracle (is_simple, for semisimple chi); then the baby
     Vermas with f_direct, and the oracle in a plain scan."""
     algebra, chi, graded = _WORKER["algebra"], _WORKER["chi"], _WORKER["graded"]
@@ -218,7 +218,7 @@ def _scan_share(share):
     flat = itertools.chain.from_iterable
     if graded:
         Ms = build_simple_g0_modules(algebra, chi, lams)
-        order = sorted(range(len(Ms)), key=lambda t: (Ms[t].dim, Ms[t].parity.tobytes()))
+        order = sorted(range(len(Ms)), key=lambda t: Ms[t].dim)
         for t, Z in zip(order, flat(build_graded_vermas(algebra, chi, [Ms[t] for t in order]))):
             f1d = f1_direct(Z).idx
             rows[t].update(dim_m=Ms[t].dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d),
