@@ -38,7 +38,7 @@ import numpy as np
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
-from .linalg import Matrix, Subspace, kernel, matmul, row_reduce
+from .linalg import Matrix, Subspace, float_copy, kernel, matmul, row_reduce
 from .verma import ModuleRep, cartan_diagonal, maximal_vectors
 
 LINE_BUDGET = 10 ** 4
@@ -47,8 +47,8 @@ LINE_BUDGET = 10 ** 4
 def _unit_images(M, rows):
     """The images u.v of every row v under every unit u, as rows.
 
-    One product with the stacked action; the images of a row under all
-    units come out consecutively.  A row that is a coordinate vector e_c
+    One product with the stacked action or its float copy; the images of
+    a row under all units come out consecutively.  A coordinate vector e_c
     maps to column c of every unit, gathered with no arithmetic.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -56,7 +56,8 @@ def _unit_images(M, rows):
     out = np.empty((len(rows), M.stacked_action.shape[0]), dtype=np.int64)
     out[line] = M.stacked_action.T[rows[line].argmax(axis=1)]
     if not line.all():
-        out[~line] = matmul(M.field, rows[~line], M.stacked_action.T)
+        b = M.stacked_action.T if M._float_action is None else M._float_action
+        out[~line] = matmul(M.field, rows[~line], b)
     return out.reshape(-1, M.dim)
 
 
@@ -72,7 +73,8 @@ def spin(M, w):
     parts).  The added rows are the grown basis rows whose pivots are new:
     they vanish at every old pivot, so with the old space they span the
     new one.  Spinning stops when a round adds nothing or the submodule is
-    the whole module.
+    the whole module.  Over F_p the first round keeps a float_copy of the
+    stacked action on M, so later rounds and spins of M convert nothing.
     """
     w = np.asarray(w, dtype=np.int64)
     if not w.any():
@@ -90,6 +92,8 @@ def spin(M, w):
         added, sub = grown.basis[~old[grown.pivots]], grown
         if not len(added) or sub.dim == M.dim:
             return sub
+        if M._float_action is None and M.field.k == 1:
+            M._float_action = float_copy(M.field, M.stacked_action.T)
         rows = _unit_images(M, added)
 
 
@@ -210,15 +214,17 @@ def _top_coordinate(M):
     return t
 
 
-def dual_module(M):
-    """M*, the dual module: the transposed action on the dual basis.
+def dual_module(M, units=None):
+    """M*, the dual module of units (M's by default): the transposed action.
 
     Transposing a homogeneous unit keeps its parity, so spins in M* are
     ordinary graded spins.  The action is copied (ModuleRep keeps it
-    contiguous), so callers build M* only where they spin in it.
+    contiguous, spin adds a float copy), so callers build M* only where
+    they spin in it, of the units they need.
     """
-    return ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1),
-                     M.parity)
+    units = M.units if units is None else units
+    actions = M.actions if units == M.units else M.matrices(units)
+    return ModuleRep(M.algebra, M.chi, units, actions.transpose(0, 2, 1), M.parity)
 
 
 def dual_core(M):
@@ -232,9 +238,9 @@ def dual_core(M):
     intersections with the weight spaces, so N contains T, and then all of
     M, or lies in W, the span of the other basis vectors.  R is therefore
     core(W) = {v : a v in W for every a in u(g)}, the sum of all proper
-    submodules.  A root unit maps weight vectors to weight vectors, so S
-    is the span of root-unit words on e_t: the context keeps R by
-    (root_key, t), as nonzeros.
+    submodules.  A root unit maps weight vectors to weight vectors and a
+    Cartan unit scales them, so S is the spin of e_t in the dual of the
+    root units alone: the context keeps R by (root_key, t), as nonzeros.
 
     Socle: a module without Cartan units is a module over a nilpotent
     subalgebra, whose one simple module is the line on which each unit x
@@ -256,11 +262,12 @@ def dual_core(M):
 
 
 def _dual_core(M, t):
-    """dual_core of M, whose _top_coordinate is t."""
+    """dual_core of M, top coordinate t; a certificate spins in the root-unit dual."""
     if t is not None:
         memo, key = {} if M.root_key is None else M.ctx._cores, (M.root_key, t)
         if key not in memo:
-            memo[key] = _nonzeros(spin(dual_module(M), M.basis_vector(t)).annihilator())
+            roots = [u for u in M.units if u[0] != u[1]]
+            memo[key] = _nonzeros(spin(dual_module(M, roots), M.basis_vector(t)).annihilator())
         return _from_nonzeros(M.field, M.dim, memo[key])
     dual = dual_module(M)
     pieces = [sub for _, sub, _ in _candidate_spaces(dual)]

@@ -14,13 +14,14 @@ Subspace grows by whole blocks, and Subspace.annihilator reads the null
 space off the echelon basis: kernel is rref followed by annihilator.
 
 Over a prime field a matrix product is one float64 BLAS product of the
-residues reduced mod p.  It is exact while every partial sum stays below
-2^53, that is while inner * (p - 1)^2 < 2^53; longer inner dimensions are
-split into blocks that meet this bound.  F_{p^K} is a K-dimensional
-F_p-algebra, so over an extension field the product is one such F_p
-product of K-times-larger matrices: the base-p digits of one factor
-against the regular representation (the F_p-matrices of multiplication)
-of the other, the smaller, factor.
+residues reduced mod p, exact while every partial sum stays below 2^53:
+longer inner dimensions are split into blocks that meet this bound.  A
+right factor of many products is converted once, by float_copy, to float32
+when inner * (p - 1)^2 < 2^24, which keeps the sums exact.  F_{p^K} is a
+K-dimensional F_p-algebra, so over an extension field the product is one
+such F_p product of K-times-larger matrices: the base-p digits of one
+factor against the regular representation (the F_p-matrices of
+multiplication) of the other, the smaller, factor.
 """
 
 from __future__ import annotations
@@ -91,21 +92,28 @@ class Matrix:
 _FLOAT_EXACT = 2 ** 53
 
 
+def float_copy(field, b):
+    """b, an F_p index array, as a right factor of _matmul_mod: float32 when
+    its inner dimension n has n (p - 1)^2 < 2^24, and float64 otherwise."""
+    exact32 = b.shape[-2] * (field.p - 1) ** 2 < 2 ** 24
+    return np.ascontiguousarray(b, dtype=np.float32 if exact32 else np.float64)
+
+
 def _matmul_mod(a, b, p):
     """(a @ b) % p, exactly, for integer arrays (or stacks) in [0, p).
 
-    Each block of the inner dimension is one BLAS product in float64,
-    short enough that its sums stay below 2^53, reduced mod p in int64.
-    Every field's p has (p - 1)^2 < 7^14 < 2^40, so a block holds at least
-    2^13 terms.
+    Each block of the inner dimension is one BLAS product in float64, or in
+    float32 when b is a float_copy that chose it, short enough that its sums
+    stay below 2^53, reduced mod p in int64.  Every field's p has
+    (p - 1)^2 < 7^14 < 2^40, so a block holds at least 2^13 terms.
     """
     step = (p - 1) ** 2
     assert step < _FLOAT_EXACT
     block = (_FLOAT_EXACT - 1) // step
     inner = a.shape[-1]
     if inner <= block:
-        return (a.astype(np.float64, copy=False)
-                @ b.astype(np.float64, copy=False)).astype(np.int64, copy=False) % p
+        ft = np.float32 if b.dtype == np.float32 else np.float64
+        return (a.astype(ft, copy=False) @ b.astype(ft, copy=False)).astype(np.int64) % p
     out = 0
     for s in range(0, inner, block):
         part = (a[..., s:s + block].astype(np.float64, copy=False)
@@ -125,9 +133,9 @@ def _matmul(field, a, b):
     on matmul counts 2-D products only.  Over F_{p^K} one F_p product with
     digits(xy) = digits(x) @ regular[:, y], regular on the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     if field.k == 1:
-        return _matmul_mod(a, b, field.p)
+        return _matmul_mod(a, np.asarray(b), field.p)
+    b = np.asarray(b, dtype=np.int64)
     swap = b.size > a.size  # then (ab)^T = b^T a^T puts regular on a
     if swap:
         a, b = b.swapaxes(-1, -2), a.swapaxes(-1, -2)

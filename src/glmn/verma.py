@@ -88,6 +88,7 @@ class ModuleRep:
         self.lam = lam
         self.ctx = ctx
         self.root_key = root_key
+        self._float_action = None  # analysis.spin keeps its float copy here
 
     def matrix(self, unit):
         return self.actions[self._index[tuple(unit)]]

@@ -10,7 +10,9 @@ the two must agree exactly.  The block rref is checked on sparse matrices
 against the table oracle of test_kernels, and the block forms of
 quotient_module and restrict_module against the per-vector loops they
 replaced; is_action_closed, the tests' closure check, against a
-per-vector loop too.
+per-vector loop too.  Over F_p spin keeps a float copy of the action on the
+spun module; unit images with and without it must agree, and only spin
+may leave one on a module.
 """
 
 import bisect
@@ -21,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (_unit_images, is_simple, quotient_module,
-                           restrict_module, spin)
+from glmn.analysis import (_unit_images, composition_series, dual_core,
+                           is_simple, quotient_module, restrict_module, spin)
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
@@ -30,6 +32,7 @@ from test_kernels import FIELDS, KERNEL_SETTINGS, draw_matrix, t_kernel, t_rref
 from _line_oracle import witness
 
 F5 = make_field(5)
+F7 = make_field(7)
 SPIN_SETTINGS = settings(max_examples=25, deadline=None)
 
 
@@ -139,6 +142,7 @@ MODULES = {
     "gl11-simple": lambda: _verma(1, 1, [1, 3]),
     "gl21": lambda: _verma(2, 1, [0, 0, 0]),
     "gl21-levi": lambda: _verma(2, 1, [1, 0, 2], chi={(2, 1): 1}),
+    "gl21-F7": lambda: _verma(2, 1, [3, 1, 5], field=F7),
     "gl21-ext": _extended_verma,
     "gl21-quotient": _quotient,
 }
@@ -201,17 +205,28 @@ def test_spin_of_highest_vector_matches_oracle(name):
     assert np.array_equal(got_odd, odd)
 
 
+def unspun(M):
+    """M as a new module, without the float copy that spin keeps."""
+    return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
+                     highest_vector=M.highest_vector)
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 @SPIN_SETTINGS
 @given(data=st.data())
 def test_unit_images_match_per_unit_products(name, data):
     """Coordinate vectors e_c are gathered, scaled ones and the rest are
-    multiplied; every image must equal u.v."""
-    M = module(name)
+    multiplied: by the int action, and over F_p, once M has been spun, by
+    the float copy kept on M; every image must equal u.v."""
+    M = unspun(module(name))
     rows = np.array([data.draw(spin_vectors(M)) for _ in range(3)])
-    images = _unit_images(M, rows).reshape(len(rows), len(M.units), M.dim)
-    for v, got in zip(rows, images):
-        assert np.array_equal(got, [M.act(u, v) for u in M.units])
+    want = [[M.act(u, v) for u in M.units] for v in rows]
+    for kept in (False, True):
+        if kept:
+            spin(M, M.basis_vector(0))
+        assert (M._float_action is not None) == (kept and M.field.k == 1)
+        images = _unit_images(M, rows).reshape(len(rows), len(M.units), M.dim)
+        assert np.array_equal(images, want)
 
 
 def test_mixed_parity_rows_are_rejected():
@@ -309,6 +324,41 @@ def test_is_action_closed_matches_per_vector_loop():
         want = all(space.contains(Z.act(u, row))
                    for u in Z.units for row in space.basis)
         assert is_action_closed(Z, space) == want
+
+
+# ---------------------------------------------------------------------------
+# the float copy of the action: made by spin, kept on the spun module only
+
+def test_spin_keeps_one_float_copy_on_the_spun_module():
+    Z = unspun(module("gl21"))
+    assert Z._float_action is None
+    sub = spin(Z, witness(Z)[0])
+    copy = Z._float_action
+    assert copy.dtype == np.float32 and copy.flags.c_contiguous
+    assert np.array_equal(copy, Z.stacked_action.T)
+    spin(Z, Z.highest_vector)
+    assert Z._float_action is copy
+    # restriction, quotient and series read a copy but keep none
+    fresh = unspun(Z)
+    restrict_module(fresh, sub)
+    quotient_module(fresh, sub)
+    dual_core(fresh)
+    composition_series(fresh)
+    assert fresh._float_action is None
+
+
+@pytest.mark.parametrize("p,ftype", [(5, np.float32), (4093, np.float64)])
+def test_float_copy_type_follows_dimension_and_p(p, ftype):
+    # gl(1|1) baby Vermas have dimension 2: 2 (p - 1)^2 >= 2^24 at p = 4093
+    Z = _verma(1, 1, [1, 3], field=make_field(p))
+    spin(Z, Z.basis_vector(0))
+    assert Z._float_action.dtype == ftype
+
+
+def test_extension_fields_keep_no_float_copy():
+    M = unspun(module("gl21-ext"))
+    spin(M, M.basis_vector(0))
+    assert M._float_action is None
 
 
 # ---------------------------------------------------------------------------

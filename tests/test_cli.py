@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, determinism across parallelism,
-config validation, output formats and dump files."""
+config validation, output formats and dump files, and the exit hook that
+glmn.cli registers (reports of a fresh interpreter, which runs it, against
+in-process ones)."""
 
 import json
 import os
@@ -409,3 +411,55 @@ class TestSubcommands:
         rec = json.loads(out)["tasks"][0]["record"]
         assert rec["trivial_dim_left"] == rec["trivial_dim_right"] == 1
         assert rec["v_left_equals_v_right"]
+
+
+def run_python(*args):
+    """A fresh interpreter with glmn on its path; its completed process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def read_dir(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+class TestExitHook:
+    """glmn.cli registers gc.freeze with atexit at import, once, so that a
+    run's exit skips collecting the import heap."""
+
+    def test_later_exit_handlers_see_the_heap_frozen(self):
+        # atexit runs its handlers last registered first
+        code = ("import atexit, gc\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                "import glmn.cli\n"
+                "print(gc.get_freeze_count())\n")
+        assert run_python("-c", code).stdout.split() == ["0", "True"]
+
+    def test_only_the_cli_registers_a_handler(self):
+        code = ("import atexit, numpy\n"
+                "n = atexit._ncallbacks()\n"
+                "import glmn, glmn.analysis, glmn.kw, glmn.verma\n"
+                "print(atexit._ncallbacks() - n)\n"
+                "import glmn.cli\n"
+                "print(atexit._ncallbacks() - n)\n")
+        assert run_python("-c", code).stdout.split() == ["0", "1"]
+
+    @pytest.mark.parametrize("entry", ["main", "module", "module-jobs-2"])
+    def test_reports_of_a_fresh_interpreter_match_in_process(self, tmp_path,
+                                                             capsys, entry):
+        cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(2,1)": 1},
+                        tasks=["verma-scan", "levi-scan"])
+        argv = ["run", "--config", cfg]
+        code, want, _ = run_cli(capsys, argv)
+        assert code == 0
+        main(argv + ["--out", str(tmp_path / "want")])
+        start = (["-c", "import sys; from glmn.cli import main; sys.exit(main())"]
+                 if entry == "main" else ["-m", "glmn.cli"])
+        jobs = ["--jobs", "2"] if entry.endswith("jobs-2") else []
+        assert run_python(*start, *argv, *jobs).stdout == want
+        run_python(*start, *argv, *jobs, "--out", str(tmp_path / "got"))
+        files = read_dir(tmp_path / "want")
+        assert len(files) == 3 and read_dir(tmp_path / "got") == files

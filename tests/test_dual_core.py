@@ -10,7 +10,10 @@ unique maximal submodule of a local module has one canonical basis, so
 both routes must give the same R array there; on every module they must
 give the same verdict and the same composition factors.  The certificate
 rests on the highest vector generating the module, which is checked here
-for every builder output and its quotients.
+for every builder output and its quotients.  Its spin runs in the dual of
+the root units alone, checked against the dual of every unit; and R, on
+every route, against the int path, with every product taken in int64
+instead of by float BLAS.
 """
 
 import functools
@@ -25,12 +28,12 @@ from _line_oracle import (is_local_by_dual_spins, is_simple_by_lines,
                           witness)
 from test_weight_split import _series_restrictions
 
-from glmn import analysis
+from glmn import analysis, linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import (_candidate_spaces, _top_coordinate,
-                           composition_series, dual_core, is_simple,
-                           quotient_module, regular_module, restrict_module,
-                           simple_head, spin)
+                           composition_series, dual_core, dual_module,
+                           is_simple, quotient_module, regular_module,
+                           restrict_module, simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
@@ -280,3 +283,86 @@ def test_socle_route_matches_line_route_on_regular_modules(m, n, chi, side,
         if not R.dim:
             break
         M, _ = restrict_module(M, R)
+
+
+# ---------------------------------------------------------------------------
+# the float products against the int path, and the root-unit dual
+
+def int_matmul_mod(a, b, p):
+    """(a @ b) % p in int64, exact while inner * (p - 1)^2 < 2^63."""
+    return (np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64)) % p
+
+
+def unkeyed(M):
+    """M as a new module with no root_key, so dual_core reads no memo."""
+    return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
+                     highest_vector=M.highest_vector)
+
+
+def core_by_both_paths(M):
+    """dual_core of new copies of M, which share no memo and no float copy:
+    by float BLAS products, and with _matmul_mod replaced by int64 ones."""
+    got = dual_core(unkeyed(M))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_matmul_mod", int_matmul_mod)
+        want = dual_core(unkeyed(M))
+    return got, want
+
+
+@pytest.mark.parametrize("name,kind", CASES)
+@DUAL_SETTINGS
+@given(data=st.data())
+def test_dual_core_matches_the_int_path(name, kind, data):
+    _, _, weights = setting(name)
+    t = data.draw(st.integers(0, len(weights) - 1), label="weight")
+    for M in modules(name, kind, t):
+        got, want = core_by_both_paths(M)
+        assert got == want and got.pivots == want.pivots
+
+
+@pytest.mark.parametrize("name", SERIES_SETTINGS)
+@DUAL_SETTINGS
+@given(data=st.data())
+def test_descent_matches_the_int_path(name, data):
+    alg, chi, weights = setting(name)
+    t = data.draw(st.integers(0, len(weights) - 1), label="weight")
+    for M in _series_restrictions(alg, chi, weights[t]):
+        assert _top_coordinate(M) is None, "the certificate applied"
+        got, want = core_by_both_paths(M)
+        assert got == want and got.pivots == want.pivots
+
+
+@pytest.mark.parametrize("name", ["gl21-F5-chi0", "gl21-F5^5-diag"])
+def test_root_unit_dual_gives_the_core_of_every_unit(name):
+    """The certificate spins e_t in the dual of the root units; the dual of
+    every unit, Cartan units included, must give the same R, on every
+    gl(2|1) baby and graded Verma whose top coordinate is certified."""
+    alg, chi, weights = setting(name)
+    certified = 0
+    for lam in weights:
+        for M in (build_baby_verma(alg, chi, lam),
+                  *_graded(alg, chi, lam)[1:]):
+            t = _top_coordinate(M)
+            if t is None:
+                continue
+            certified += 1
+            R = spin(dual_module(M), M.basis_vector(t)).annihilator()
+            assert dual_core(M) == R
+            roots = [u for u in M.units if u[0] != u[1]]
+            assert spin(dual_module(M, roots), M.basis_vector(t)).annihilator() == R
+    assert certified == 2 * len(weights)
+
+
+def test_certificate_spins_in_the_dual_of_the_root_units(monkeypatch):
+    alg, chi, weights = setting("gl21-F5-chi0")
+    M = unkeyed(build_baby_verma(alg, chi, weights[0]))
+    assert _top_coordinate(M) is not None
+    spun = []
+
+    def recording_spin(N, w):
+        spun.append(N.units)
+        return spin(N, w)
+
+    monkeypatch.setattr(analysis, "spin", recording_spin)
+    dual_core(M)
+    assert spun == [[u for u in M.units if u[0] != u[1]]] and len(spun[0]) == 6

@@ -11,7 +11,10 @@ those formulas, and the scan of x^p - x over all q elements that the
 linear Artin-Schreier solve replaced.  Every case must agree exactly, on
 prime fields and on extension fields up to F_{5^5}.  matmul, matrix_power
 and _matmul_mod also take stacks of matrices; each slice of a stacked
-result must equal the 2-D result on that slice.
+result must equal the 2-D result on that slice.  _matmul_mod's products
+with float_copy right factors, float32 or float64, are checked against
+Python-int dot products at the boundary between the two types and past
+one float64 block.
 
 rref, Subspace.reduce, add_vectors and annihilator pivot coordinate lines
 (rows with one nonzero entry) by assignment; their cases are drawn with
@@ -360,6 +363,57 @@ def test_blocked_inner_dimension_worst_case():
         a = np.full((2, 11), p - 1, dtype=np.int64)
         want = (11 * (p - 1) ** 2) % p
         assert np.all(_matmul_mod(a, a.T, p) == want)
+
+
+# float_copy makes a right factor float32 while inner * (p - 1)^2 < 2^24,
+# and _matmul_mod then multiplies in float32.  At p = 4093, (p - 1)^2 =
+# 16,744,464 lies just below 2^24, so inner dimension 1 is float32 and 2 is
+# float64; 4092^2 + 4091^2 is odd and past 2^24, where float32 would round
+# it.  Products with the copy must equal those with the index array.
+FLOAT_BOUNDARY_P = 4093
+
+
+@pytest.mark.parametrize("inner,ftype", [(1, np.float32), (2, np.float64)])
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_float_copy_boundary_is_exact(inner, ftype, data):
+    p = FLOAT_BOUNDARY_P
+    n, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    elems = st.one_of(st.integers(0, p - 1), st.sampled_from([p - 1, p - 2]))
+    a = data.draw(hnp.arrays(np.int64, (n, inner), elements=elems))
+    b = data.draw(hnp.arrays(np.int64, (inner, m), elements=elems))
+    want = ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+    copy = linalg.float_copy(make_field(p), b)
+    assert copy.dtype == ftype and copy.flags.c_contiguous
+    for right in (b, copy):
+        got = _matmul_mod(a, right, p)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_float_copy_boundary_worst_case():
+    p, F = FLOAT_BOUNDARY_P, make_field(FLOAT_BOUNDARY_P)
+    a = np.array([[p - 1, p - 2]], dtype=np.int64)
+    assert (p - 1) ** 2 < 2 ** 24 < (p - 1) ** 2 + (p - 2) ** 2
+    for right in (a.T, linalg.float_copy(F, a.T)):
+        assert _matmul_mod(a, right, p)[0, 0] == ((p - 1) ** 2 + (p - 2) ** 2) % p
+    one = a[:, :1]
+    assert linalg.float_copy(F, one.T).dtype == np.float32
+    assert _matmul_mod(one, linalg.float_copy(F, one.T), p)[0, 0] == (p - 1) ** 2 % p
+
+
+def test_float_copy_past_one_float64_block_is_exact():
+    # inner dimension 20,000 at p near 8 * 10^5: two float64 blocks
+    p = prevprime(8 * 10 ** 5)
+    assert 20_000 > (2 ** 53 - 1) // (p - 1) ** 2
+    rng = np.random.default_rng(2701)
+    a, b = rng.integers(0, p, (2, 20_000)), rng.integers(0, p, (20_000, 3))
+    a[:, ::2] = p - 1
+    b[::3] = p - 1
+    want = ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+    copy = linalg.float_copy(make_field(p), b)
+    assert copy.dtype == np.float64
+    assert np.array_equal(_matmul_mod(a, b, p), want)
+    assert np.array_equal(_matmul_mod(a, copy, p), want)
 
 
 # ---------------------------------------------------------------------------
