@@ -218,9 +218,8 @@ def dual_module(M, units=None):
     """M*, the dual module of units (M's by default): the transposed action.
 
     Transposing a homogeneous unit keeps its parity, so spins in M* are
-    ordinary graded spins.  The action is copied (ModuleRep keeps it
-    contiguous, spin adds a float copy), so callers build M* only where
-    they spin in it, of the units they need.
+    ordinary graded spins.  M* copies the action, and a spin adds a float
+    copy: build it only to spin in it, of the units the spin needs.
     """
     units = M.units if units is None else units
     actions = M.actions if units == M.units else M.matrices(units)

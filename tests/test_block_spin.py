@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from glmn import linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import (_unit_images, composition_series, dual_core,
                            is_simple, quotient_module, restrict_module, spin)
@@ -345,6 +346,20 @@ def test_spin_keeps_one_float_copy_on_the_spun_module():
     dual_core(fresh)
     composition_series(fresh)
     assert fresh._float_action is None
+
+
+def test_spin_multiplies_by_the_copy_itself(monkeypatch):
+    # linalg.matmul hands the kept copy to _matmul_mod unconverted
+    Z = unspun(module("gl21"))
+    rights, kernel = [], linalg._matmul_mod
+
+    def recording(a, b, p):
+        rights.append(b)
+        return kernel(a, b, p)
+
+    monkeypatch.setattr(linalg, "_matmul_mod", recording)
+    spin(Z, np.where(Z.parity == 0, 1, 0))
+    assert any(b is Z._float_action for b in rights)
 
 
 @pytest.mark.parametrize("p,ftype", [(5, np.float32), (4093, np.float64)])
