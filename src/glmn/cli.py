@@ -30,12 +30,12 @@ import numpy as np
 from . import __version__
 from .algebra import (Character, Weight, build_algebra, classify_character,
                       weight_in_variety, weight_variety)
-from .analysis import (composition_series, frobenius_gram, is_simple,
+from .analysis import (composition_series, dual_cores, frobenius_gram,
                        regular_module, shifted_joint_kernel)
 from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import check_field_budget, isprime, make_field
-from .kw import kw_verify, levi_scan
+from .kw import kw_verify, levi_scans
 from .verma import (_axiom_table, build_baby_verma, build_baby_vermas,
                     build_graded_vermas, build_simple_g0_modules, f1_direct,
                     f_direct, f_formulas)
@@ -211,7 +211,7 @@ def _scan_share(share):
     """The rows of a share of weights, in stages over all of it, each stacked
     by its own modules' size: the formulas and report coefficients as array
     operations; a graded scan's heads M, then Z(M) in order of dim M, with
-    f1_direct and the oracle (is_simple, for semisimple chi); then the baby
+    f1_direct and the oracle (dual_cores by stack, for semisimple chi); then the baby
     Vermas with f_direct, and the oracle in a plain scan."""
     algebra, chi, graded = _WORKER["algebra"], _WORKER["chi"], _WORKER["graded"]
     field = algebra.field
@@ -222,24 +222,37 @@ def _scan_share(share):
     rows = [dict(zip(("lambda", "f_formula", "f0", "f1"), vals), _f0_idx=i, _ff_idx=j,
                  _f1_idx=None, oracle_simple=None)
             for *vals, i, j in zip(*cols, f0.tolist(), ff.tolist())]
-    flat = itertools.chain.from_iterable
+    oracle = _WORKER["semisimple"]
     if graded:
         Ms = build_simple_g0_modules(algebra, chi, lams)
         order = sorted(range(len(Ms)), key=lambda t: Ms[t].dim)
-        for t, Z in zip(order, flat(build_graded_vermas(algebra, chi, [Ms[t] for t in order]))):
+        stacks = build_graded_vermas(algebra, chi, [Ms[t] for t in order])
+        for Z, simple, t in _with_verdicts(stacks, oracle, order):
             f1d = f1_direct(Z).idx
             rows[t].update(dim_m=Ms[t].dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d),
-                           _f1_idx=f1d)
-            if _WORKER["semisimple"]:
-                rows[t]["oracle_simple"] = bool(is_simple(Z))
-    for row, Z in zip(rows, flat(build_baby_vermas(algebra, chi, lams))):
+                           _f1_idx=f1d, oracle_simple=simple)
+            del Z
+    stacks = build_baby_vermas(algebra, chi, lams)
+    for Z, simple, row in _with_verdicts(stacks, oracle and not graded, rows):
         fd = f_direct(Z)
         row.update(f_direct=coeffs_of(field, fd.idx), _fd_idx=fd.idx)
         if not graded:
-            row["dim_z"] = Z.dim
-            if _WORKER["semisimple"]:
-                row["oracle_simple"] = bool(is_simple(Z))
+            row.update(dim_z=Z.dim, oracle_simple=simple)
+        del Z
     return rows
+
+
+def _with_verdicts(stacks, oracle, items):
+    """(module, verdict, item) for each module of the stacks and item of
+    items, in order: with oracle, whether the module is simple, one
+    dual_cores per stack; None otherwise.  The verdicts are taken when the
+    stack is, so no name may keep a module, here or in the caller, once the
+    next one is asked for."""
+    items = iter(items)
+    for stack in stacks:
+        yield from zip(stack, [not R.dim for R in dual_cores(stack)] if oracle
+                       else [None] * len(stack), items)
+        del stack
 
 
 def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
@@ -431,16 +444,15 @@ def kw_task(cfg, algebra, chi, weights):
 
 
 def levi_task(cfg, algebra, chi, weights):
-    reports = []
+    lams = _sample_weights(cfg, weights, "levi")
+    reports = levi_scans(algebra, chi, lams)
     passed = True
-    for lam in _sample_weights(cfg, weights, "levi"):
-        rep = levi_scan(algebra, chi, lam)
+    for lam, rep in zip(lams, reports):
         rep["lambda"] = algebra.field.digits[lam.coords].tolist()
         ok = (rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
               and all(a["isomorphism"] and a["heads_match"]
                       for a in rep["alphas"]))
         passed = passed and ok
-        reports.append(rep)
     return {"reports": reports}, passed
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Character, Weight, reflect
-from .errors import (ClosureFailure, NotNormalized, NotNormalizable,
+from .errors import (ClosureFailure, GlmnError, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse
-from .verma import build_baby_verma, induce, induced_hom, weight_line
-from .analysis import (_candidate_spaces, dual_core, is_simple, quotient_module,
-                       simple_head)
+from .verma import (_induce_all, build_baby_vermas, induce, induced_hom,
+                    weight_line)
+from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
+                       simple_heads)
 
 
 class CharacterDecomposition:
@@ -214,6 +215,11 @@ def _certify_prefix(rs, prefix, levi_pos):
 
 def build_levi_verma(algebra, chi, lam, phi):
     """The baby Verma of l' at lambda: induced over the roots outside Phi'."""
+    return next(build_levi_vermas(algebra, chi, [lam], phi))[0]
+
+
+def build_levi_vermas(algebra, chi, lams, phi):
+    """build_levi_verma at each lambda of lams, in stacks (verma._induce_all)."""
     rs = algebra.root_system()
     phi_keys = {r.key for r in phi}
     levi_roots = [r for r in rs.positive if r.key not in phi_keys]
@@ -221,8 +227,8 @@ def build_levi_verma(algebra, chi, lam, phi):
     for r in levi_roots:
         units.append(rs.e_unit(r))
         units.append(rs.f_unit(r))
-    return induce(algebra, chi, levi_roots, weight_line(algebra, chi, lam),
-                  units=units)
+    return _induce_all(algebra, chi, levi_roots,
+                       (weight_line(algebra, chi, lam) for lam in lams), units=units)
 
 
 def build_kw_module(algebra, chi, M_prime, phi):
@@ -288,7 +294,13 @@ def dot_action(rs, word, lam):
 
 
 def levi_scan(algebra, chi, lam):
-    """Cor 5.18-style scan for a standard Levi character.
+    """The Levi scan at one weight: levi_scans at [lam]."""
+    return levi_scans(algebra, chi, [lam])[0]
+
+
+def levi_scans(algebra, chi, lams):
+    """Cor 5.18-style scan for a standard Levi character, one report per
+    weight of lams, in order.
 
     For each simple even root alpha with chi(f_alpha) nonzero, checks
     that f_alpha^(a+1) v is maximal of weight (s_alpha . lambda) and that
@@ -310,7 +322,26 @@ def levi_scan(algebra, chi, lam):
     Z / rad Z is simple.  That simplicity is checked, not assumed: where
     Z_L(lambda) is not simple, NotStandardLevi is raised rather than a
     verdict reported.
+
+    The weights go in stages: one build_baby_vermas of every Z(lambda) and
+    Z(s_alpha . lambda) and one _induce_all of every Z_L(lambda); one
+    simple_heads of all the Z's and one dual_cores of all the Z_L's, each
+    spinning its certificates in lockstep; then each weight's report, with
+    its maximal vectors and induced_hom.  When a stage raises, the weights
+    run again one at a time, so the error raised is that of the first
+    weight in order that fails, as from levi_scan at each weight in turn.
     """
+    try:
+        return _levi_stages(algebra, chi, lams)
+    except GlmnError:
+        if len(lams) > 1:
+            for lam in lams:
+                _levi_stages(algebra, chi, [lam])
+        raise
+
+
+def _levi_stages(algebra, chi, lams):
+    """levi_scans' stages, raising at the first failure of any weight."""
     from .algebra import classify_character
     rs = algebra.root_system()
     f = algebra.field
@@ -318,46 +349,51 @@ def levi_scan(algebra, chi, lam):
     cc = classify_character(rs, chi)
     if not cc.standard_levi:
         raise NotStandardLevi("chi is not in standard Levi form")
-    Z = build_baby_verma(algebra, chi, lam)
-    R = dual_core(Z)
-    headZ = quotient_module(Z, R)[0]
-    fpZ = sorted(fp for fp, _, _ in _candidate_spaces(headZ))
-    report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
-    for alpha in cc.levi_set:
-        a = rs.weight_on_coroot(lam, alpha)
-        if f.power(a, p) != a:
-            raise NotStandardLevi("lambda(h_alpha) not in the prime field")
-        a = int(a)  # prime-subfield elements are the indices 0..p-1
-        u = Z.highest_vector
-        for _ in range(a + 1):
-            u = Z.act(rs.f_unit(alpha), u)
-        mu = dot_action(rs, [alpha], lam)
-        source = build_baby_verma(algebra, chi, mu)
-        T, rank = induced_hom(source, Z, u)
-        _, headS = simple_head(source)
-        fpS = sorted(fp for fp, _, _ in _candidate_spaces(headS))
-        heads_match = (headZ.dim == headS.dim and fpZ == fpS)
-        report["alphas"].append({
-            "alpha": alpha.key,
-            "a": a,
-            "weight": [int(c) for c in mu.coords],
-            "rank": int(rank),
-            "isomorphism": rank == Z.dim,
-            "heads_match": bool(heads_match),
-        })
+    alphas, n = cc.levi_set, len(lams)
+    mus = [dot_action(rs, [alpha], lam) for lam in lams for alpha in alphas]
+    Zs = [Z for stack in build_baby_vermas(algebra, chi, list(lams) + mus) for Z in stack]
     # the positive roots outside ZPhi_I: those with a simple root outside I
     levi = {r.key for r in cc.levi_set}
     phi = [r for r in rs.positive
            if any((k, k + 1) not in levi for k in range(r.i, r.j))]
-    if not is_simple(build_levi_verma(algebra, chi, lam, phi)):
-        raise NotStandardLevi(
-            f"Z_L(lambda) is not simple at lambda = {[int(c) for c in lam.coords]}, "
-            "so Prop 5.17 is not decided there")
-    report["radical_dim"] = R.dim
-    report["head_dim"] = headZ.dim
-    report["radical_absorbs_all"] = True
-    report["outside_vectors_generate"] = True
-    return report
+    ZLs = [Z for stack in build_levi_vermas(algebra, chi, lams, phi) for Z in stack]
+    heads = simple_heads(Zs)
+    cores = dual_cores(ZLs)
+    fps = [sorted(fp for fp, _, _ in _candidate_spaces(head)) for _, head in heads]
+    reports = []
+    for w, lam in enumerate(lams):
+        Z, (R, headZ) = Zs[w], heads[w]
+        report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
+        for j, alpha in enumerate(alphas):
+            a = rs.weight_on_coroot(lam, alpha)
+            if f.power(a, p) != a:
+                raise NotStandardLevi("lambda(h_alpha) not in the prime field")
+            a = int(a)  # prime-subfield elements are the indices 0..p-1
+            u = Z.highest_vector
+            for _ in range(a + 1):
+                u = Z.act(rs.f_unit(alpha), u)
+            s = n + w * len(alphas) + j
+            T, rank = induced_hom(Zs[s], Z, u)
+            headS = heads[s][1]
+            heads_match = (headZ.dim == headS.dim and fps[w] == fps[s])
+            report["alphas"].append({
+                "alpha": alpha.key,
+                "a": a,
+                "weight": [int(c) for c in mus[w * len(alphas) + j].coords],
+                "rank": int(rank),
+                "isomorphism": rank == Z.dim,
+                "heads_match": bool(heads_match),
+            })
+        if cores[w].dim:
+            raise NotStandardLevi(
+                f"Z_L(lambda) is not simple at lambda = {[int(c) for c in lam.coords]}, "
+                "so Prop 5.17 is not decided there")
+        report["radical_dim"] = R.dim
+        report["head_dim"] = headZ.dim
+        report["radical_absorbs_all"] = True
+        report["outside_vectors_generate"] = True
+        reports.append(report)
+    return reports
 
 
 def conjugate_character(algebra, g, chi):

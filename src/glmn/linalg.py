@@ -123,19 +123,18 @@ def _matmul_mod(a, b, p):
 
 
 def matmul(field, a, b):
-    """Matrix product on raw index arrays, or on stacks of them slice by
-    slice as np.matmul does; _matmul holds the code.  Over F_p, b may be a
-    float_copy, which goes to _matmul_mod as it is."""
-    if field.k == 1 and isinstance(b, np.ndarray) and b.dtype.kind == "f":
-        return _matmul_mod(np.asarray(a, dtype=np.int64), b, field.p)
+    """Matrix product on raw index arrays, 2-D; _matmul holds the code."""
     return _matmul(field, a, b)
 
 
 def _matmul(field, a, b):
-    """matmul's kernel, which matrix_power calls on stacks: perfbench's span
-    on matmul counts 2-D products only.  Over F_{p^K} one F_p product with
+    """matmul's kernel, which stacked products call: perfbench's span on
+    matmul counts 2-D products only.  Over F_p, b may be a float_copy, which
+    goes to _matmul_mod as it is.  Over F_{p^K} one F_p product with
     digits(xy) = digits(x) @ regular[:, y], regular on the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
+    if field.k == 1 and isinstance(b, np.ndarray) and b.dtype.kind == "f":
+        return _matmul_mod(a, b, field.p)
     b = np.asarray(b, dtype=np.int64)
     if field.k == 1:
         return _matmul_mod(a, b, field.p)

@@ -257,33 +257,65 @@ def _induction_plan(ctx, nfree):
     monomial) * (tail), the tail covering positions nfree onwards.  Returns
     (free monomials, slots, tails, coef): slots is a (G, 3) array of the
     (unit, row monomial, column monomial) triples that some term reaches,
-    tails lists the distinct tails, and coef is the (G, len(tails)) array
-    of field indices whose entry [g, s] sums the coefficients of the terms
-    with slot g and tail s.  Units are given by their index in
+    sorted, tails lists the distinct tails, sorted, and coef is the (G,
+    len(tails)) array of field indices whose entry [g, s] is the coefficient
+    of the term with slot g and tail s.  Units are given by their index in
     algebra.units and monomials by their index in the free monomial list.
+
+    u * 1 is the generator u.  A longer monomial is m = f_i m', i its first
+    position with a nonzero exponent, and u f_i m' = (-1)^{|u||f_i|} f_i (u
+    m') + [u, f_i] m'.  A term n t of u m' (n free, t its tail) gives (f_i
+    n) t, where f_i n is straightened once per (i, n) and is a sum of free
+    monomials, since the free roots are closed under the bracket; [u, f_i]
+    m' is read off the columns of m' already built.
     """
     plan = ctx._plans.get(nfree)
     if plan is not None:
         return plan
-    f = ctx.field
+    f, alg = ctx.field, ctx.algebra
+    frees = ctx.units[:nfree]
+    assert not alg.bracket_escape(frees, frees, set(frees)), "free roots not closed"
     free_monos = [tuple(t) for t in
                   itertools.product(*[range(c) for c in ctx.caps[:nfree]])]
-    mono_index = {m: t for t, m in enumerate(free_monos)}
-    rest = ctx.zero_exps[nfree:]
-    slots, tails, coefs = {}, {}, {}
-    for ui, u in enumerate(ctx.algebra.units):
-        gen = PBWElement.generator(ctx, u)
-        for col, mono in enumerate(free_monos):
-            prod = multiply(ctx, gen, PBWElement(ctx, {mono + rest: 1}))
-            for exps, c in prod.terms.items():
-                g = slots.setdefault((ui, mono_index[exps[:nfree]], col), len(slots))
-                s = tails.setdefault(exps[nfree:], len(tails))
-                coefs[g, s] = f.add(coefs[g, s], c) if (g, s) in coefs else c
+    index = {m: t for t, m in enumerate(free_monos)}
+    units, rest = alg.units, ctx.zero_exps[nfree:]
+    unit_index = {u: t for t, u in enumerate(units)}
+    add, mul, f_times = f.add, f.mul, {}
+
+    def times_f(i, n):
+        prod = multiply(ctx, PBWElement.generator(ctx, frees[i]),
+                        PBWElement(ctx, {free_monos[n] + rest: 1}))
+        f_times[i, n] = [(index[e[:nfree]], c) for e, c in prod.terms.items()]
+        return f_times[i, n]
+
+    # cols[m][u]: {(row monomial, tail): coefficient} of u * m
+    cols = [[{(index[e[:nfree]], e[nfree:]): 1} for e in
+             (tuple(int(t == ctx.unit_to_pos[u]) for t in range(ctx.ngens)) for u in units)]]
+    for m in free_monos[1:]:
+        i = next(i for i, e in enumerate(m) if e)
+        prev = cols[index[m[:i] + (m[i] - 1,) + m[i + 1:]]]
+        col = []
+        for u, terms in zip(units, prev):
+            acc, odd = {}, alg.parity(*u) and ctx.parities[i]
+            for (n, t), c in terms.items():
+                c = f.neg(c) if odd else c
+                for n2, c2 in f_times.get((i, n)) or times_f(i, n):
+                    acc[n2, t] = add(acc[n2, t], mul(c, c2)) if (n2, t) in acc else mul(c, c2)
+            for cw, w in alg.bracket_table[(u, frees[i])]:
+                for key, c in prev[unit_index[w]].items():
+                    acc[key] = add(acc[key], mul(cw, c)) if key in acc else mul(cw, c)
+            col.append({key: c for key, c in acc.items() if c})
+        cols.append(col)
+    terms = sorted((ui, n, col, t, c) for col, units_terms in enumerate(cols)
+                   for ui, d in enumerate(units_terms) for (n, t), c in d.items())
+    slots = sorted({term[:3] for term in terms})
+    tails = sorted({term[3] for term in terms})
+    slot_index, tail_index = {g: t for t, g in enumerate(slots)}, {s: t for t, s in enumerate(tails)}
     coef = np.zeros((len(slots), len(tails)), dtype=np.int64)
-    for (g, s), c in coefs.items():
-        coef[g, s] = c
-    slots = np.array(list(slots), dtype=np.int64).reshape(-1, 3)
-    plan = ctx._plans[nfree] = (free_monos, slots, list(tails), coef)
+    for ui, n, col, t, c in terms:
+        coef[slot_index[ui, n, col], tail_index[t]] = c
+    slots = np.array(slots, dtype=np.int64).reshape(-1, 3)
+    plan = ctx._plans[nfree] = (free_monos, slots, tails, coef)
     return plan
 
 
@@ -631,25 +663,36 @@ def induced_hom(source, target, u):
         if (target.act((i, i), u) != field.mul(source.lam.value(i), u)).any():
             raise NotMaximal(f"u is not a weight vector of weight lambda at E({i},{i})")
     # the column of f_1^m_1 ... f_k^m_k v is f_i applied to that of its
-    # lexicographic predecessor m - e_i, i the first nonzero exponent
+    # lexicographic predecessor m - e_i, i the first nonzero exponent: one
+    # product per (degree, i), a degree layer after the one before
     f_units = [rs.f_unit(r) for r in source.ctx.f_order]
     cols = np.zeros((target.dim, source.dim), dtype=np.int64)
-    done = {}
+    index, steps = {}, {}
     for t, (mono, _) in enumerate(source.labels):
+        index.setdefault(mono, t)
+    for mono, t in index.items():
         i = next((i for i, e in enumerate(mono) if e), None)
         if i is None:
             cols[:, t] = u
         else:
-            prev = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            cols[:, t] = target.act(f_units[i], cols[:, done[prev]])
-        done.setdefault(mono, t)
-    for unit in source.units:
-        lhs = matmul(field, cols, source.matrix(unit))
-        rhs = matmul(field, target.matrix(unit), cols)
-        if hom_parity and alg.parity(*unit):
-            rhs = field.neg(rhs)
-        if not np.array_equal(lhs, rhs):
-            raise IntertwinerCheckFailed(f"map does not intertwine E{unit}")
+            prev = index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
+            steps.setdefault((sum(mono), i), []).append((t, prev))
+    for (_, i), pairs in sorted(steps.items()):
+        ts, prevs = zip(*pairs)
+        cols[:, ts] = matmul(field, target.matrix(f_units[i]), cols[:, prevs])
+    # the units in chunks whose products stay within STACK_ENTRIES entries,
+    # all of them at once in a small module: two stacked products each
+    chunk = max(1, STACK_ENTRIES // (target.dim * source.dim))
+    for s in range(0, len(source.units), chunk):
+        units = source.units[s:s + chunk]
+        lhs = _matmul(field, cols, source.matrices(units))
+        rhs = _matmul(field, target.matrices(units), cols)
+        if hom_parity:
+            odd = np.array([alg.parity(*unit) for unit in units], dtype=bool)
+            rhs[odd] = field.neg(rhs[odd])
+        bad = (lhs != rhs).reshape(len(units), -1).any(axis=1)
+        if bad.any():
+            raise IntertwinerCheckFailed(f"map does not intertwine E{units[bad.argmax()]}")
     T = Matrix(field, cols)
     _, rank = row_reduce(T)
     return T, rank

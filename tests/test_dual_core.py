@@ -358,11 +358,12 @@ def test_certificate_spins_in_the_dual_of_the_root_units(monkeypatch):
     M = unkeyed(build_baby_verma(alg, chi, weights[0]))
     assert _top_coordinate(M) is not None
     spun = []
+    real = analysis._spin_stack
 
-    def recording_spin(N, w):
-        spun.append(N.units)
-        return spin(N, w)
+    def recording_spin(Ms, ws):
+        spun.extend(N.units for N in Ms)
+        return real(Ms, ws)
 
-    monkeypatch.setattr(analysis, "spin", recording_spin)
+    monkeypatch.setattr(analysis, "_spin_stack", recording_spin)
     dual_core(M)
     assert spun == [[u for u in M.units if u[0] != u[1]]] and len(spun[0]) == 6

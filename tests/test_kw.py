@@ -19,16 +19,16 @@ from _line_oracle import is_local_by_dual_spins, is_simple_by_lines
 from glmn import analysis, kw
 from glmn.cli import main
 from glmn.ffield import make_field
-from glmn.linalg import Matrix, inverse
+from glmn.linalg import Matrix, Subspace, inverse
 from glmn.algebra import build_algebra, Character, Weight, weight_variety
 from glmn.analysis import SimplicityVerdict, is_simple
 from glmn.verma import build_baby_verma
 from glmn.kw import (decompose_character, levi_data, order_phi_prime,
                      build_levi_verma, build_kw_module, kw_verify,
-                     dot_action, levi_scan, conjugate_character,
+                     dot_action, levi_scan, levi_scans, conjugate_character,
                      normalize_character, phi_prime_roots, chi_on_coroot)
-from glmn.errors import (ClosureFailure, NotNormalized, NotStandardLevi,
-                         NotNormalizable, SingularG, OddInput)
+from glmn.errors import (ClosureFailure, IntertwinerCheckFailed, NoMaximalVector,
+                         NotNormalized, NotStandardLevi, NotNormalizable, SingularG, OddInput)
 
 F = make_field(5)
 
@@ -180,22 +180,23 @@ class TestLeviScan:
         assert rep["outside_vectors_generate"]
 
     def test_one_alpha_takes_two_simple_heads(self, monkeypatch):
-        # the head of Z is found once per weight, the source's once per
-        # alpha, and Z_L's simplicity once per weight: one dual_core each,
-        # which dual_core and simple_heads both reach through _dual_core
+        # the heads of Z and of the source (one alpha) come from one
+        # _dual_cores pass, which simple_heads makes, and Z_L's simplicity
+        # from another, which dual_cores makes: one R per module, one pass
+        # per stage
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
-        heads = []
-        real_dual_core = analysis._dual_core
+        passes = []
+        real_dual_cores = analysis._dual_cores
 
-        def counting_dual_core(M, t):
-            heads.append(M.dim)
-            return real_dual_core(M, t)
+        def counting_dual_cores(Ms, tops):
+            passes.append([M.dim for M in Ms])
+            return real_dual_cores(Ms, tops)
 
-        monkeypatch.setattr(analysis, "_dual_core", counting_dual_core)
+        monkeypatch.setattr(analysis, "_dual_cores", counting_dual_cores)
         rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]))
         assert len(rep["alphas"]) == 1
-        assert heads == [20, 20, 5]
+        assert passes == [[20, 20], [5]]
 
     def test_descent_report_equals_the_certified_one(self, monkeypatch):
         # with the top coordinate hidden, Z and Z_L take the descent; the
@@ -250,7 +251,9 @@ class TestLeviScan:
         # and the CLI exits 1 with one task-failed line
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
-        monkeypatch.setattr(kw, "is_simple", lambda M: SimplicityVerdict(False))
+        # every Z_L verdict comes from one dual_cores pass: report a nonzero R
+        monkeypatch.setattr(kw, "dual_cores", lambda Ms: [
+            Subspace(M.field, M.dim, M.basis_vector(0)[None]) for M in Ms])
         with pytest.raises(NotStandardLevi, match=r"lambda = \[3, 1, 2\]"):
             levi_scan(alg, chi, Weight(F, [3, 1, 2]))
         cfg = tmp_path / "cfg.json"
@@ -260,6 +263,71 @@ class TestLeviScan:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("task failed:") and captured.err.count("\n") == 1
+
+    def test_staged_reports_equal_one_weight_at_a_time(self):
+        # all 125 gl(2|1) weights at chi(E21) = 1, staged on one algebra and
+        # one weight at a time on a fresh one, whose memos start empty
+        alg = build_algebra(2, 1, F)
+        _, chi, weights = weight_variety(alg, Character(alg, {(2, 1): 1}))
+        assert len(weights) == 125
+        staged = levi_scans(alg, chi, weights)
+        alg1 = build_algebra(2, 1, F)
+        chi1 = Character(alg1, {(2, 1): 1})
+        assert staged == [levi_scan(alg1, chi1, Weight(F, lam.coords)) for lam in weights]
+        assert sum(len(r["alphas"]) for r in staged) == 125
+
+    @pytest.mark.parametrize("fail_zl,fail_hom,fail_head,first,want", [
+        ((40, 90), (), (), 40, NotStandardLevi),
+        ((90,), (70,), (), 70, IntertwinerCheckFailed),
+        ((30,), (70,), (), 30, NotStandardLevi),
+        ((), (3, 124), (), 3, IntertwinerCheckFailed),
+        ((), (70,), (100,), 70, IntertwinerCheckFailed),
+        ((), (), (5, 100), 5, NoMaximalVector),
+        # weight 70's source is Z(s_alpha . lambda) at weight 90's lambda
+        ((), (75,), (90,), 70, NoMaximalVector)])
+    def test_staged_error_is_the_first_weights(self, monkeypatch, fail_zl, fail_hom,
+                                               fail_head, first, want):
+        """levi_scans raises what levi_scan raises at the first weight, in
+        order, whose check fails: an R of Z_L made nonzero, an induced map
+        made to fail its intertwiner check, or a head of Z(lambda) made to
+        have no maximal vector, which the staged scan meets in an earlier
+        stage than the other two."""
+        alg = build_algebra(2, 1, F)
+        _, chi, weights = weight_variety(alg, Character(alg, {(2, 1): 1}))
+        keys = [tuple(lam.coords.tolist()) for lam in weights]
+        bad_zl, bad_hom = {keys[t] for t in fail_zl}, {keys[t] for t in fail_hom}
+        bad_head = {keys[t] for t in fail_head}
+        real_cores, real_hom, real_spaces = kw.dual_cores, kw.induced_hom, kw._candidate_spaces
+
+        def cores(Ms):
+            return [Subspace(M.field, M.dim, M.basis_vector(0)[None])
+                    if tuple(M.lam.coords.tolist()) in bad_zl else R
+                    for M, R in zip(Ms, real_cores(Ms))]
+
+        def hom(source, target, u):
+            if tuple(target.lam.coords.tolist()) in bad_hom:
+                raise IntertwinerCheckFailed(f"at {[int(c) for c in target.lam.coords]}")
+            return real_hom(source, target, u)
+
+        def spaces(M):
+            if tuple(M.lam.coords.tolist()) in bad_head:
+                raise NoMaximalVector(f"at {[int(c) for c in M.lam.coords]}")
+            return real_spaces(M)
+
+        monkeypatch.setattr(kw, "dual_cores", cores)
+        monkeypatch.setattr(kw, "induced_hom", hom)
+        monkeypatch.setattr(kw, "_candidate_spaces", spaces)
+        errors = []
+        for run in (lambda: levi_scans(alg, chi, weights),
+                    lambda: [levi_scan(alg, chi, lam) for lam in weights]):
+            with pytest.raises((NotStandardLevi, IntertwinerCheckFailed,
+                                NoMaximalVector)) as info:
+                run()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is want
+        lam = weights[first] if first in fail_zl + fail_hom + fail_head else weights[fail_head[0]]
+        assert str([int(c) for c in lam.coords]) in errors[0][1]
 
     def test_rejects_non_levi_chi(self):
         alg = build_algebra(1, 1, F)

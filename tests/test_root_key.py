@@ -138,10 +138,11 @@ def test_equal_root_action_at_different_weights():
     assert np.array_equal(Z1.matrices(roots), Z2.matrices(roots))
     assert not np.array_equal(Z1.matrices(cartan), Z2.matrices(cartan))
     spins = []
-    real_spin = analysis.spin
-    with mock.patch.object(analysis, "spin",
-                           lambda *a: spins.append(1) or real_spin(*a)):
+    real_spin = analysis._spin_stack
+    with mock.patch.object(analysis, "_spin_stack",
+                           lambda Ms, ws: spins.extend(Ms) or real_spin(Ms, ws)):
         first, second = summary(Z1), summary(Z2)
+    # one module spun: the dual of Z1's root units
     assert len(spins) == 1
     clear_memos(Z2)
     assert second == summary(Z2)
@@ -221,16 +222,18 @@ def test_action_is_read_only():
         M.actions[0, 0, 0] = 1
 
 
-# dual_core and simple_heads both reach R through _dual_core
-COUNTED = {"spin": (analysis, "spin"), "dual_core": (analysis, "_dual_core"),
+# every R is read through _dual_cores, and every spin, lockstep or alone, is
+# made by _spin_stack: both take a list of modules, and each module counts
+COUNTED = {"spin": (analysis, "_spin_stack"), "dual_core": (analysis, "_dual_cores"),
            "apply_word": (ModuleRep, "apply_word"),
            "top": (verma, "_top_coefficient")}
+PER_MODULE = {"spin", "dual_core"}
 
 
 def count_scan(chi, graded, counted=COUNTED):
-    """The calls of each counted function (by default spin, dual_core,
-    apply_word and _top_coefficient) over a whole gl(2|1) scan on fresh
-    contexts."""
+    """The modules spun and the modules whose R is read, and the calls of
+    each other counted function (by default apply_word and
+    _top_coefficient), over a whole gl(2|1) scan on fresh contexts."""
     alg, chi, weights = fresh_setting(chi)
     counts = dict.fromkeys(counted, 0)
 
@@ -238,7 +241,7 @@ def count_scan(chi, graded, counted=COUNTED):
         real = getattr(owner, attr)
 
         def counted(*args, **kwargs):
-            counts[key] += 1
+            counts[key] += len(args[0]) if key in PER_MODULE else 1
             return real(*args, **kwargs)
         return mock.patch.object(owner, attr, counted)
 

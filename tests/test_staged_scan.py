@@ -3,7 +3,8 @@
 A scan runs in stages over each worker's whole share of weights: the
 closed formulas of every weight as field-array operations (f_formulas),
 the even Vermas, their simple heads grouped by (root_key, top coordinate)
-(simple_heads: one dual_core and one stacked quotient per group), the
+(simple_heads: one R per group, all from one _dual_cores pass, and one
+stacked quotient per group), the
 g_0bar axiom check of every M, and then the graded and baby Vermas, built
 and consumed one stack at a time.  Here the grouped heads must equal
 simple_head taken one module at a time, the array formulas the scalar
@@ -56,16 +57,17 @@ def test_grouped_heads_equal_one_at_a_time(name):
     assert len(Es) == 125
     groups = {(id(E.ctx), E.root_key, analysis._top_coordinate(E)) for E in Es}
     assert 1 < len(groups) < len(Es)
-    cores = []
-    real = analysis._dual_core
+    passes = []
+    real = analysis._dual_cores
 
-    def counting(M, t):
-        cores.append(M)
-        return real(M, t)
+    def counting(Ms, tops):
+        passes.append(len(Ms))
+        return real(Ms, tops)
 
-    with mock.patch.object(analysis, "_dual_core", counting):
+    with mock.patch.object(analysis, "_dual_cores", counting):
         grouped = simple_heads(Es)
-    assert len(cores) == len(groups)
+    # one pass, one R per group
+    assert passes == [len(groups)]
     for E, got in zip(Es, grouped):
         assert_same_head(got, simple_head(E))
         # a module without a key reads no memo and is a group of its own
