@@ -38,28 +38,11 @@ import numpy as np
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
-from .linalg import (Matrix, Subspace, _matmul, float_copy, kernel, matmul,
-                     row_reduce)
+from .linalg import (Matrix, Subspace, _first, _insert, _matmul, float_copy,
+                     kernel, matmul, row_reduce)
 from .verma import STACK_ENTRIES, ModuleRep, cartan_diagonal, maximal_vectors
 
 LINE_BUDGET = 10 ** 4
-
-
-def _unit_images(M, rows):
-    """The images u.v of every row v under every unit u, as rows.
-
-    One product with the stacked action or its float copy; the images of
-    a row under all units come out consecutively.  A coordinate vector e_c
-    maps to column c of every unit, gathered with no arithmetic.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    line = (np.count_nonzero(rows, axis=1) == 1) & (rows.max(axis=1, initial=0) == 1)
-    out = np.empty((len(rows), M.stacked_action.shape[0]), dtype=np.int64)
-    out[line] = M.stacked_action.T[rows[line].argmax(axis=1)]
-    if not line.all():
-        b = M.stacked_action.T if M._float_action is None else M._float_action
-        out[~line] = matmul(M.field, rows[~line], b)
-    return out.reshape(-1, M.dim)
 
 
 def spin(M, w):
@@ -71,17 +54,16 @@ def spin(M, w):
 def _spins(Ms, ws):
     """spin(M, w) for each module M of Ms and vector w of ws, in lockstep.
 
-    Consecutive modules of one dimension and unit count go in stacks, as
-    many as keep their actions within STACK_ENTRIES entries (one at least)
-    as verma._stacks cuts them, taken from the iterables as the stacks need
-    them.  Over F_{p^K} an entry counts K times, for the K digits each
-    product expands it into.  Each round of a stack makes one product of the rows
-    every module added last round with the stacked actions, and one
-    echelon insert of all the images (_insert).  A module drops out of the
-    stack once it is full or a round adds nothing to it.  Each result is
-    the canonical Subspace of the span, so equal to a spin of the module
-    alone.  Over F_p a stack of one multiplies by a float_copy kept on M,
-    so later spins of M convert nothing; a larger stack converts once.
+    Consecutive modules of one dimension and unit count form stacks, cut as
+    verma._stacks cuts them (an entry over F_{p^K} counts K times, for its
+    digits).  w is split into its homogeneous components; homogeneous units
+    keep rows homogeneous, so each span stays graded (Subspace.split gives
+    its parts).  A round maps the rows each module added last round through
+    its units (_images) and inserts all the images at once (_insert); the
+    added rows vanish at every old pivot, so with the old span they span
+    the new one.  A module drops out once it is full or a round adds
+    nothing to it, with the canonical Subspace of its span.  Over F_p the
+    float_copy of each module's action is kept on it.
     """
     out = []
     for (d, U, k), run in itertools.groupby(
@@ -93,33 +75,17 @@ def _spins(Ms, ws):
 
 
 def _spin_stack(Ms, ws):
-    """The spins of one stack of _spins; see there.
-
-    The span of module b is its echelon form: row c of E[b] is the basis
-    row with pivot c where piv[b, c], and zero elsewhere, and line[b, c]
-    marks a pivot row that is the coordinate line e_c.  w is split into its
-    homogeneous components, and the images of homogeneous rows under
-    homogeneous units are homogeneous, so every span stays graded and each
-    basis row lies in the parity part of its pivot (Subspace.split).  The
-    rows a round adds vanish at every old pivot, so with the old span they
-    span the new one, and only their images are taken next (_images).
-    """
-    M, B, d = Ms[0], len(Ms), Ms[0].dim
-    f = M.field
+    """The spins of one stack of _spins; E, piv and line as _insert holds them."""
+    B, d, f = len(Ms), Ms[0].dim, Ms[0].field
     w = np.array(ws, dtype=np.int64)
     if not w.any(axis=1).all():
         raise ZeroVector("cannot spin the zero vector")
-    parity = np.array([N.parity for N in Ms])
-    if f.k > 1:
-        right = np.array([N.stacked_action.T for N in Ms])
-    elif B > 1:
-        right = float_copy(f, np.array([N.stacked_action.T for N in Ms]))
-    else:
+    for M in Ms if f.k == 1 else []:
         if M._float_action is None:
             M._float_action = float_copy(f, M.stacked_action.T)
-        right = M._float_action
-    E = np.zeros((B, d, d), dtype=np.int64)
-    piv, line = np.zeros((B, d), dtype=bool), np.zeros((B, d), dtype=bool)
+    right = [M.stacked_action.T if f.k > 1 else M._float_action for M in Ms]
+    right, parity = right[0] if B == 1 else np.array(right), np.array([M.parity for M in Ms])
+    E, piv, line = np.zeros((B, d, d), dtype=np.int64), *np.zeros((2, B, d), dtype=bool)
     live, out = np.arange(B), [None] * B
     rows = np.where(parity[:, None] == np.array([[0], [1]]), w[:, None], 0)
     while True:
@@ -133,124 +99,26 @@ def _spin_stack(Ms, ws):
             out[live[b]] = Subspace._echelon(f, d, E[b, piv[b]], np.flatnonzero(piv[b]).tolist())
         if done.all():
             return out
-        if done.any():
-            keep = ~done
-            E, piv, line, live = E[keep], piv[keep], line[keep], live[keep]
-            parity, added = parity[keep], added[keep]
-            right = right[keep] if right.ndim == 3 else right
+        E, piv, line, live, parity, added = (a[~done] for a in (E, piv, line, live, parity, added))
+        right = right[~done] if B > 1 else right
         rows = _images(f, added, right)
 
 
 def _images(f, rows, right):
-    """The images of the rows of each module of a stack under its units,
-    (B, n * U, d) for the (B, n, d) rows: rows times right, the modules'
-    stacked actions transposed (one 2-D array for a stack of one).  A
-    coordinate line e_c maps to row c of right, gathered with no arithmetic,
-    and only the other rows are multiplied (_rows_times)."""
+    """The (B, n * U, d) images of the (B, n, d) rows of a stack under each
+    module's units: rows times right, the stacked actions transposed (2-D
+    for a stack of one).  A coordinate line e_c is row c of right, gathered;
+    the other rows take one stacked product."""
     B, n, d = rows.shape
     count = np.count_nonzero(rows, axis=2)
     line = (count == 1) & (rows.max(axis=2, initial=0) == 1)
     out = np.zeros((B, n, right.shape[-1]), dtype=np.int64)
     b, j = np.nonzero(line)
     out[b, j] = (right if right.ndim == 3 else right[None])[b, rows[b, j].argmax(axis=1)]
-    at, product = _rows_times(f, rows, (count > 0) & ~line, right)
-    out[at] = product
+    # padded with lines and zero rows, whose products are their images too
+    at = _first((count > 0) & ~line)
+    out[at] = _matmul(f, rows[at], right)
     return out.reshape(B, -1, d)
-
-
-def _rows_times(f, a, rows, b):
-    """(at, product): a[at] is the rows of each module of the stack a that
-    rows marks, first, padded to one count per module with unmarked rows,
-    and product is a[at][m] times b[m] (times b when b is 2-D), one
-    stacked product."""
-    n = int(rows.sum(axis=1).max(initial=0))
-    at = np.arange(len(a))[:, None], np.argsort(~rows, axis=1, kind="stable")[:, :n]
-    return at, _matmul(f, a[at], b)
-
-
-def _nonzero_rows(rows):
-    """The (B, R, d) stack rows with zero rows dropped: each module's
-    nonzero rows in order, padded with zero rows to the largest count."""
-    nonzero = rows.any(axis=2)
-    pick = np.argsort(~nonzero, axis=1, kind="stable")[:, :int(nonzero.sum(axis=1).max())]
-    return rows[np.arange(len(rows))[:, None], pick]
-
-
-def _insert(f, E, piv, line, rows):
-    """Insert each block rows[b] into the echelon form (E[b], piv[b],
-    line[b]) of _spin_stack, in place; returns the rows added, (B, n, d)
-    with zero rows after the n_b of module b.
-
-    The rows are reduced against the old basis: a line e_c clears column c
-    by assignment, and the other basis rows, which vanish at the line
-    pivots, are subtracted in one stacked product from the rows that meet
-    their pivots.  The residuals then go to echelon form across the stack,
-    the old basis rows alongside so that new pivot columns are cleared from
-    them too.  First, as in linalg.rref, residuals that are coordinate lines
-    pivot with no arithmetic, one per column of a module, and their columns
-    are cleared by assignment, until none is left.  Then one column step at
-    a time, each module whose residuals have a nonzero entry in the column
-    takes the first as the new pivot row, scaled to 1 there, and clears
-    the column from its other rows.  A column can be reached only where a
-    residual or a new pivot row has a nonzero entry, so the steps skip
-    every other column.  The rows no step takes end at zero.
-    """
-    full = piv & ~line
-    k = int(full.sum(axis=1).max())
-    order = np.argsort(~full, axis=1, kind="stable")[:, :k]
-    real = np.take_along_axis(full, order, axis=1)
-    old = E[np.arange(len(E))[:, None], order] * real[:, :, None]
-    coef = np.take_along_axis(rows, order[:, None], axis=2)
-    at, product = _rows_times(f, coef, coef.any(axis=2), old)
-    rows[at] = f.sub(rows[at], product)
-    rows *= ~line[:, None]
-    # the old basis rows first, never taken
-    rows = _nonzero_rows(rows)
-    (B, R, d), res = rows.shape, np.concatenate((old, rows), axis=1)
-    taken = np.zeros((B, k + R), dtype=bool)
-    taken[:, :k] = True
-    pcol = np.zeros((B, k + R), dtype=np.int64)
-    while (single := (np.count_nonzero(res[:, k:], axis=2) == 1) & ~taken[:, k:]).any():
-        b, r = np.nonzero(single)
-        r += k
-        c = (res[b, r] != 0).argmax(axis=1)
-        by = np.lexsort((r, c, b))
-        b, r, c = b[by], r[by], c[by]
-        first = np.r_[True, (b[1:] != b[:-1]) | (c[1:] != c[:-1])]
-        b, r, c = b[first], r[first], c[first]
-        res[b, :, c] = 0
-        res[b, r, c] = 1
-        taken[b, r], pcol[b, r] = True, c
-    reach = res[:, k:][~taken[:, k:]].any(axis=0)
-    for c in range(d):
-        if not reach[c]:
-            continue
-        col = res[:, :, c]
-        hit = col != 0
-        free = hit & ~taken
-        bs = np.flatnonzero(free.any(axis=1))
-        if not len(bs):
-            continue
-        r = free[bs].argmax(axis=1)
-        prow = f.mul(res[bs, r, c:], f.inv(col[bs, r])[:, None])
-        hb, hr = np.nonzero(hit[bs])
-        other = hr != r[hb]
-        hb, hr = hb[other], hr[other]
-        res[bs[hb], hr, c:] = f.sub(res[bs[hb], hr, c:],
-                                    f.mul(col[bs[hb], hr][:, None], prow[hb]))
-        res[bs, r, c:] = prow
-        taken[bs, r], pcol[bs, r] = True, c
-        reach[c:] |= prow.any(axis=0)
-    bi, ri = np.nonzero(real)
-    at = order[bi, ri]
-    E[bi, at], line[bi, at] = res[bi, ri], np.count_nonzero(res[bi, ri], axis=1) == 1
-    new = taken[:, k:]
-    bi, ri = np.nonzero(new)
-    at, added = pcol[:, k:][bi, ri], res[:, k:][bi, ri]
-    E[bi, at], piv[bi, at], line[bi, at] = added, True, np.count_nonzero(added, axis=1) == 1
-    n = int(new.sum(axis=1).max())
-    pick = np.argsort(~new, axis=1, kind="stable")[:, :n]
-    return res[:, k:][np.arange(B)[:, None], pick]
 
 
 def _shifted_scalars(M):
@@ -537,7 +405,8 @@ def restrict_module(M, sub):
     basis, d = sub.basis, sub.dim
     # coords raises unless every image lies in the submodule; coeffs[t, i]
     # holds the coordinates of unit i's image of basis row t
-    coeffs = sub.coords(_unit_images(M, basis)).reshape(d, len(M.units), d)
+    right = M.stacked_action.T if M._float_action is None else M._float_action
+    coeffs = sub.coords(_images(M.field, basis[None], right)[0]).reshape(d, len(M.units), d)
     R = ModuleRep(M.algebra, M.chi, M.units, coeffs.transpose(1, 2, 0),
                   M.parity[sub.pivots])
     return R, basis
@@ -557,8 +426,8 @@ def simple_head(M):
 def simple_heads(Ms):
     """simple_head of each module of Ms, in order.  Modules that share their
     context, root_key and _top_coordinate share R: each such group takes one
-    R, all of them from one _dual_cores pass, and one _quotients; any other
-    module is a group of its own."""
+    R, all from one _dual_cores pass, and one _quotients; any other module
+    is a group of its own."""
     groups, tops = {}, [_top_coordinate(M) for M in Ms]
     for b, (M, t) in enumerate(zip(Ms, tops)):
         key = b if t is None or M.root_key is None else (id(M.ctx), M.root_key, t)

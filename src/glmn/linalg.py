@@ -342,6 +342,65 @@ def _clear(field, rows, basis, pivots):
     return out
 
 
+def _first(mask):
+    """The index pair that picks, in each module of a (B, R, ...) stack, the
+    rows mask (B, R) marks, in order, padded with others to one count."""
+    n = int(mask.sum(axis=1).max(initial=0))
+    return np.arange(len(mask))[:, None], np.argsort(~mask, axis=1, kind="stable")[:, :n]
+
+
+def _insert(field, E, piv, line, rows):
+    """Insert the (B, R, d) rows into B echelon forms of subspaces of F^d,
+    rows[b] into the one of E[b], in place, and return the rows each one
+    added, (B, n, d), padded with zero rows; rows is overwritten.  Row c of
+    E[b] is the basis row with pivot c where piv[b, c], zero elsewhere, and
+    line[b, c] marks the coordinate lines e_c among them.
+
+    The rows are reduced against each basis: a line e_c zeroes column c,
+    and the other basis rows, zero at the line pivots, take one stacked
+    product with the rows that meet their pivots.  The residuals then go to
+    echelon form beside those basis rows, which so lose the new pivot
+    columns: as in rref, residual lines pivot first, their columns cleared
+    by assignment; then, one column step at a time across the stack, each
+    module with a residual nonzero in the column takes the first one,
+    scaled to 1 there, and clears the column from its other rows.
+    """
+    f, full = field, piv & ~line
+    at = _first(full)
+    real = full[at]
+    old, k = E[at] * real[:, :, None], len(at[1][0])
+    coef = np.take_along_axis(rows, at[1][:, None], axis=2)
+    hit = _first(coef.any(axis=2))
+    rows[hit] = f.sub(rows[hit], _matmul(f, coef[hit], old))
+    rows *= ~line[:, None]
+    rows = rows[_first(rows.any(axis=2))]
+    (B, R, d), res = rows.shape, np.concatenate((old, rows), axis=1)
+    taken, pcol = np.zeros((B, k + R), dtype=bool), np.zeros((B, k + R), dtype=np.int64)
+    taken[:, :k], pcol[:, :k] = real, at[1]
+    while (single := (np.count_nonzero(res[:, k:], axis=2) == 1) & ~taken[:, k:]).any():
+        b, r = np.nonzero(single)
+        owner = np.full((B, d), -1)
+        owner[b, (res[b, r + k] != 0).argmax(axis=1)] = r + k
+        b, c = np.nonzero(owner >= 0)
+        r = owner[b, c]
+        res[b, :, c], res[b, r, c], taken[b, r], pcol[b, r] = 0, 1, True, c
+    reach = res[:, k:][~taken[:, k:]].any(axis=0)
+    for c in (c for c in range(d) if reach[c]):
+        hit = res[:, :, c] != 0
+        bs = np.flatnonzero((hit & ~taken).any(axis=1))
+        if len(bs):
+            r = (hit[bs] & ~taken[bs]).argmax(axis=1)
+            prow = f.mul(res[bs, r, c:], f.inv(res[bs, r, c])[:, None])
+            hb, hr = np.nonzero(hit[bs])
+            res[bs[hb], hr, c:] = f.sub(res[bs[hb], hr, c:], f.mul(res[bs[hb], hr, c, None], prow[hb]))
+            res[bs, r, c:], taken[bs, r], pcol[bs, r] = prow, True, c
+            reach[c:] |= prow.any(axis=0)
+    bi, ri = np.nonzero(taken)
+    c = pcol[bi, ri]
+    E[bi, c], piv[bi, c], line[bi, c] = res[bi, ri], True, np.count_nonzero(res[bi, ri], axis=1) == 1
+    return res[:, k:][_first(taken[:, k:])]
+
+
 class Subspace:
     """A subspace of F^n given by a canonical (rref) basis."""
 
@@ -399,25 +458,14 @@ class Subspace:
         return self.add_vectors(other.basis)
 
     def add_vectors(self, rows):
-        """The span of self and a block of rows, inserted all at once.
-
-        The rows are reduced against the basis; the nonzero residuals
-        vanish at every pivot, and their own rref gives the new pivot rows.
-        The new pivot columns are cleared from the old basis the same way,
-        and the two blocks are merged by pivot.
-        """
-        f = self.field
-        res = self.reduce(np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient))
-        res = res[res.any(axis=1)]
-        if not len(res):
-            return self
-        new, new_pivots = rref(f, res)
-        new = new[:len(new_pivots)]
-        basis = _clear(f, self.basis, new, new_pivots)
-        pivots = self.pivots + new_pivots
-        order = np.argsort(pivots)
-        return Subspace._echelon(f, self.ambient, np.concatenate((basis, new))[order],
-                                 sorted(pivots))
+        """The span of self and a block of rows, inserted all at once by
+        _insert."""
+        n, f = self.ambient, self.field
+        E, piv = np.zeros((1, n, n), dtype=np.int64), np.zeros((1, n), dtype=bool)
+        E[0, self.pivots], piv[0, self.pivots] = self.basis, True
+        _insert(f, E, piv, piv & (np.count_nonzero(E, axis=2) == 1),
+                np.array(rows, dtype=np.int64).reshape(1, -1, n))
+        return Subspace._echelon(f, n, E[0, piv[0]], np.flatnonzero(piv[0]).tolist())
 
     def annihilator(self):
         """The subspace of vectors v with b . v = 0 for every basis row b.

@@ -280,14 +280,7 @@ def _induction_plan(ctx, nfree):
     index = {m: t for t, m in enumerate(free_monos)}
     units, rest = alg.units, ctx.zero_exps[nfree:]
     unit_index = {u: t for t, u in enumerate(units)}
-    add, mul, f_times = f.add, f.mul, {}
-
-    def times_f(i, n):
-        prod = multiply(ctx, PBWElement.generator(ctx, frees[i]),
-                        PBWElement(ctx, {free_monos[n] + rest: 1}))
-        f_times[i, n] = [(index[e[:nfree]], c) for e, c in prod.terms.items()]
-        return f_times[i, n]
-
+    add, mul, f_times = f.add, f.mul, {}  # f_times[i, n]: the terms of f_i n
     # cols[m][u]: {(row monomial, tail): coefficient} of u * m
     cols = [[{(index[e[:nfree]], e[nfree:]): 1} for e in
              (tuple(int(t == ctx.unit_to_pos[u]) for t in range(ctx.ngens)) for u in units)]]
@@ -298,8 +291,12 @@ def _induction_plan(ctx, nfree):
         for u, terms in zip(units, prev):
             acc, odd = {}, alg.parity(*u) and ctx.parities[i]
             for (n, t), c in terms.items():
+                if (i, n) not in f_times:
+                    prod = multiply(ctx, PBWElement.generator(ctx, frees[i]),
+                                    PBWElement(ctx, {free_monos[n] + rest: 1}))
+                    f_times[i, n] = [(index[e[:nfree]], c2) for e, c2 in prod.terms.items()]
                 c = f.neg(c) if odd else c
-                for n2, c2 in f_times.get((i, n)) or times_f(i, n):
+                for n2, c2 in f_times[i, n]:
                     acc[n2, t] = add(acc[n2, t], mul(c, c2)) if (n2, t) in acc else mul(c, c2)
             for cw, w in alg.bracket_table[(u, frees[i])]:
                 for key, c in prev[unit_index[w]].items():
@@ -667,9 +664,7 @@ def induced_hom(source, target, u):
     # product per (degree, i), a degree layer after the one before
     f_units = [rs.f_unit(r) for r in source.ctx.f_order]
     cols = np.zeros((target.dim, source.dim), dtype=np.int64)
-    index, steps = {}, {}
-    for t, (mono, _) in enumerate(source.labels):
-        index.setdefault(mono, t)
+    index, steps = {mono: t for t, (mono, _) in enumerate(source.labels)}, {}
     for mono, t in index.items():
         i = next((i for i, e in enumerate(mono) if e), None)
         if i is None:

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 from glmn import linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (_unit_images, composition_series, dual_core,
+from glmn.analysis import (_images, composition_series, dual_core,
                            is_simple, quotient_module, restrict_module, spin)
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
@@ -106,9 +106,16 @@ def parity_parts(M, sub):
     return tuple(parts[par].basis if par in parts else empty for par in (0, 1))
 
 
+def unit_images(M, rows):
+    """The images u.v of the rows v under every unit u (_images of the
+    stack of M alone), by the float copy where spin kept one on M."""
+    right = M.stacked_action.T if M._float_action is None else M._float_action
+    return _images(M.field, np.asarray(rows, dtype=np.int64)[None], right)[0]
+
+
 def is_action_closed(M, space):
     """Whether every unit maps the Subspace into itself."""
-    return not np.any(space.reduce(_unit_images(M, space.basis)))
+    return not np.any(space.reduce(unit_images(M, space.basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,7 @@ def test_unit_images_match_per_unit_products(name, data):
         if kept:
             spin(M, M.basis_vector(0))
         assert (M._float_action is not None) == (kept and M.field.k == 1)
-        images = _unit_images(M, rows).reshape(len(rows), len(M.units), M.dim)
+        images = unit_images(M, rows).reshape(len(rows), len(M.units), M.dim)
         assert np.array_equal(images, want)
 
 

@@ -78,3 +78,25 @@ def test_prime_over_the_field_budget_loads_no_sympy(tmp_path):
     code = ("from glmn.cli import main\n"
             f"assert main(['run', '--config', {str(cfg)!r}]) == 2")
     assert heavy_modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize("config", [
+    {"p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1}, "lambda": "scan-all-X",
+     "tasks": ["levi-scan"]},
+    {"p": 5, "m": 2, "n": 1, "chi": {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1},
+     "lambda": "scan-all-X", "tasks": ["graded-verma-scan"]}],
+    ids=["levi-gl21", "graded-gl21-ext"])
+def test_benchmark_configs_load_no_masked_arrays_and_no_pool(tmp_path, config):
+    # the benchmark's two gated configs, run as its children run them: the
+    # first np.unique, np.isin or np.setdiff1d imports numpy.ma, which costs
+    # a run's set-up time and heap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, seed=1, jobs=1)))
+    probe = ("import sys\nfrom glmn.cli import main\n"
+             f"assert main(['run', '--config', {str(cfg)!r}]) == 0\n"
+             "print([m for m in ('numpy.ma', 'multiprocessing') if m in sys.modules])")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GLMN_")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -6,7 +6,10 @@ context.  The oracle below is the construction it replaced: for every
 unit and free monomial a fresh product u * (monomial), then each term's
 tail applied to every inner basis vector, rightmost generator first.
 Every builder's calls to build_induced are recorded and rebuilt by the
-oracle on a context constructed directly, outside the cache.
+oracle on a context constructed directly, outside the cache.  The plan
+itself, which derives u * f_i m' from the columns of m', is compared with
+the PBW product of every unit and free monomial (_plan_oracle), on the
+contexts of the baby, even, graded, Levi and Kac-Weisfeiler builds.
 """
 
 import functools
@@ -17,9 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _plan_oracle import pbw_plan
+
 from glmn import cli, kw, verma
 from glmn.analysis import simple_head
-from glmn.algebra import Character, build_algebra, weight_variety
+from glmn.algebra import (Character, build_algebra, classify_character,
+                          weight_variety)
+from glmn.errors import GlmnError
 from glmn.enveloping import (PBWElement, ReductionContext, multiply,
                              reduction_context)
 from glmn.ffield import make_field
@@ -235,3 +242,48 @@ def test_second_build_reuses_the_coefficient_matrix():
         second = verma.build_induced(ctx, ctx.f_order, 1, [0], inner)
     assert ctx._plans[ctx.nf] is plan and plan[3] is coef
     assert np.array_equal(second.stacked_action, first.stacked_action)
+
+
+PLAN_SETTINGS = [(1, 1, {}), (1, 1, {(1, 1): 1}), (2, 1, {}), (2, 1, {(2, 1): 1}),
+                 (2, 1, {(1, 1): 1, (2, 2): 1, (3, 3): 1}), (2, 2, {}),
+                 (2, 2, {(2, 1): 1, (4, 3): 1}), (3, 1, {}), (3, 1, {(2, 1): 1})]
+
+
+def plan_root_sets(alg, chi):
+    """The free roots of each build in alg at chi: baby, even and graded
+    Vermas; for a standard Levi chi the Levi Verma of levi_scans; where
+    levi_data applies the Kac-Weisfeiler module and the Levi Verma of
+    kw_verify."""
+    rs = alg.root_system()
+    sets = {"baby": rs.positive, "even": rs.positive_even, "graded": rs.positive_odd}
+    cc = classify_character(rs, chi)
+    if cc.standard_levi:
+        levi = {r.key for r in cc.levi_set}
+        sets["levi"] = [r for r in rs.positive
+                        if all((k, k + 1) in levi for k in range(r.i, r.j))]
+    try:
+        phi = kw.levi_data(rs, chi).phi_prime
+    except GlmnError:
+        return sets
+    keys = {r.key for r in phi}
+    sets.update({"kw": phi, "kw-levi": [r for r in rs.positive if r.key not in keys]})
+    return sets
+
+
+@pytest.mark.parametrize("m,n,chi", PLAN_SETTINGS,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_derived_plan_equals_the_pbw_products(m, n, chi):
+    alg, chi, _ = weight_variety(build_algebra(m, n, make_field(5)),
+                                 Character(build_algebra(m, n, make_field(5)), chi))
+    rs = alg.root_system()
+    sets = plan_root_sets(alg, chi)
+    assert {"baby", "even", "graded"} <= set(sets)
+    for name, roots in sets.items():
+        keys = {r.key for r in roots}
+        order = list(roots) + [r for r in rs.positive if r.key not in keys]
+        # a context outside the cache, so both plans are made here
+        ctx = ReductionContext(alg, chi, order)
+        got = verma._induction_plan(ctx, len(roots))
+        want = pbw_plan(ReductionContext(alg, chi, order), len(roots))
+        assert got[0] == want[0] and got[2] == want[2], name
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3]), name

@@ -5,7 +5,8 @@ METHODS table, so renaming or moving one of those methods breaks the traced
 benchmark run with a KeyError.  Its is_simple hook reads the verdict's
 ``probabilistic``.  These tests read the tracer from the source (executing
 it in a fresh namespace, so nothing is written beside it) and check it
-against glmn, and run the traced child on the graded workload's config.
+against glmn, and run the traced child on the configs of the graded and
+the levi workloads.
 """
 
 import importlib
@@ -77,3 +78,26 @@ def test_traced_graded_scan_exits_zero(tmp_path):
     # the benchmark counts induced modules as build_induced calls: 125 each
     # of even-part, graded and baby Vermas
     assert trace["calls"]["verma.build_induced"] == 375
+
+
+def test_traced_levi_scan_exits_zero(tmp_path):
+    # the benchmark's traced run of its levi workload: the staged scan passes
+    # the span hooks stacked products through _matmul only, and spins the
+    # certificates without analysis.spin, which the descent still calls
+    config = tmp_path / "levi.json"
+    config.write_text(json.dumps({
+        "p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1}, "lambda": "scan-all-X",
+        "tasks": ["levi-scan"], "seed": 1, "jobs": 1}))
+    sidecar = tmp_path / "sidecar.json"
+    child = subprocess.run(
+        [sys.executable, str(SPANS.parent / "child.py"), str(SRC), str(config),
+         str(sidecar), "--trace"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["passed"] and len(report["tasks"][0]["record"]["reports"]) == 5
+    trace = json.loads(sidecar.read_text())["trace"]
+    assert trace["calls"]["kw.levi_scans"] == 1 and trace["calls"]["linalg.matmul"] > 0
+    # five weights of one alpha each: Z(lambda), Z(s_alpha . lambda), Z_L(lambda)
+    assert trace["calls"]["verma.build_induced"] == 15
