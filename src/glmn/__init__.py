@@ -22,4 +22,5 @@ from .analysis import (CompositionSeries, spin, is_simple, simple_head,
                        trivial_submodules, frobenius_gram)
 from .kw import (CharacterDecomposition, LeviData, decompose_character,
                  levi_data, order_phi_prime, kw_verify, dot_action,
-                 levi_scan, conjugate_character, normalize_character)
+                 levi_scan, levi_scans, conjugate_character,
+                 normalize_character)

@@ -15,8 +15,10 @@ generated by a highest vector whose weight occurs at no other basis
 vector), a line of M*'s socle (modules without Cartan units), or the end
 of a descent through spins of candidate lines.  The descent is exhaustive
 or refused: a candidate piece with more than LINE_BUDGET lines raises
-BudgetExceeded, so no verdict rests on a sample.  simple_heads takes one
-dual_core per group of modules sharing their root key and top coordinate.
+BudgetExceeded, so no verdict rests on a sample.  dual_cores takes the R
+of many modules at once, spinning their certificates in lockstep (_spins),
+and simple_heads one R per group of modules sharing their root key and
+top coordinate.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -264,6 +266,7 @@ def dual_core(M):
     submodules.  A root unit maps weight vectors to weight vectors and a
     Cartan unit scales them, so S is the spin of e_t in the dual of the
     root units alone: the context keeps R by (root_key, t), as nonzeros.
+    dual_cores spins the certificates of many modules in lockstep.
 
     Socle: a module without Cartan units is a module over a nilpotent
     subalgebra, whose one simple module is the line on which each unit x

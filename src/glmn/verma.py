@@ -13,9 +13,10 @@ the Levi Verma and the Kac-Weisfeiler module of kw induce the same way.
 The straightening does not depend on the inner module.  Each shared
 ReductionContext keeps an induction plan per number of free roots: for
 every acting unit u and free monomial m, the terms c * m' * t of u * m in
-normal form, with m' a free monomial and t the remaining tail, gathered
-into a coefficient matrix with one row per (u, m', m) block that some term
-reaches and one column per distinct tail; a layout per inner parity and
+normal form, with m' a free monomial and t the remaining tail, each column
+derived from a shorter monomial's, gathered into a coefficient matrix
+with one row per (u, m', m) block that some term reaches and one column
+per distinct tail; a layout per inner parity and
 dimension holds the basis parity, labels and block positions.  A build
 multiplies out each distinct tail on the inner module once and forms every
 block in one product of the coefficient matrix with their stack.  The
