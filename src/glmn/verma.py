@@ -293,9 +293,13 @@ def _induction_plan(ctx, nfree):
             acc, odd = {}, alg.parity(*u) and ctx.parities[i]
             for (n, t), c in terms.items():
                 if (i, n) not in f_times:
-                    prod = multiply(ctx, PBWElement.generator(ctx, frees[i]),
-                                    PBWElement(ctx, {free_monos[n] + rest: 1}))
-                    f_times[i, n] = [(index[e[:nfree]], c2) for e, c2 in prod.terms.items()]
+                    e = free_monos[n]
+                    # f_i n is a monomial when no generator of n precedes f_i
+                    prod = ({e[:i] + (e[i] + 1,) + e[i + 1:] + rest: 1}
+                            if not any(e[:i]) and e[i] + 1 < ctx.caps[i] else
+                            multiply(ctx, PBWElement.generator(ctx, frees[i]),
+                                     PBWElement(ctx, {e + rest: 1})).terms)
+                    f_times[i, n] = [(index[e[:nfree]], c2) for e, c2 in prod.items()]
                 c = f.neg(c) if odd else c
                 for n2, c2 in f_times[i, n]:
                     acc[n2, t] = add(acc[n2, t], mul(c, c2)) if (n2, t) in acc else mul(c, c2)
