@@ -114,12 +114,14 @@ def _images(f, rows, right):
     B, n, d = rows.shape
     count = np.count_nonzero(rows, axis=2)
     line = (count == 1) & (rows.max(axis=2, initial=0) == 1)
-    out = np.zeros((B, n, right.shape[-1]), dtype=np.int64)
+    out = np.empty((B, n, right.shape[-1]), dtype=np.int64)
+    out[count == 0] = 0
     b, j = np.nonzero(line)
     out[b, j] = (right if right.ndim == 3 else right[None])[b, rows[b, j].argmax(axis=1)]
     # padded with lines and zero rows, whose products are their images too
     at = _first((count > 0) & ~line)
-    out[at] = _matmul(f, rows[at], right)
+    if at[1].size:
+        out[at] = _matmul(f, rows[at], right)
     return out.reshape(B, -1, d)
 
 

@@ -371,7 +371,8 @@ def _insert(field, E, piv, line, rows):
     old, k = E[at] * real[:, :, None], len(at[1][0])
     coef = np.take_along_axis(rows, at[1][:, None], axis=2)
     hit = _first(coef.any(axis=2))
-    rows[hit] = f.sub(rows[hit], _matmul(f, coef[hit], old))
+    if hit[1].size:
+        rows[hit] = f.sub(rows[hit], _matmul(f, coef[hit], old))
     rows *= ~line[:, None]
     rows = rows[_first(rows.any(axis=2))]
     (B, R, d), res = rows.shape, np.concatenate((old, rows), axis=1)
