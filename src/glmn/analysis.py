@@ -82,9 +82,10 @@ def _spin_stack(Ms, ws):
     w = np.array(ws, dtype=np.int64)
     if not w.any(axis=1).all():
         raise ZeroVector("cannot spin the zero vector")
-    for M in Ms if f.k == 1 else []:
-        if M._float_action is None:
-            M._float_action = float_copy(f, M.stacked_action.T)
+    if f.k == 1:
+        for M in Ms:
+            if M._float_action is None:
+                M._float_action = float_copy(f, M.stacked_action.T)
     right = [M.stacked_action.T if f.k > 1 else M._float_action for M in Ms]
     right, parity = right[0] if B == 1 else np.array(right), np.array([M.parity for M in Ms])
     E, piv, line = np.zeros((B, d, d), dtype=np.int64), *np.zeros((2, B, d), dtype=bool)

@@ -19,7 +19,7 @@ from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import _spins, dual_module, spin
 from glmn.ffield import make_field
 from glmn.verma import build_baby_verma, build_even_verma
-from test_block_spin import parity_parts, seq_spin, spin_vectors
+from test_block_spin import parity_parts, seq_spin, spin_vectors, unspun
 
 from _line_oracle import witness
 
@@ -49,12 +49,6 @@ def stack_of(name):
     return out
 
 
-def fresh(M):
-    """M without a float copy, so a spin makes its own."""
-    return analysis.ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
-                              highest_vector=M.highest_vector)
-
-
 @pytest.mark.parametrize("name", ["F5", "F5-levi", "F7", "F5^5"])
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
@@ -63,9 +57,9 @@ def test_lockstep_equals_one_at_a_time(name, data):
     order = data.draw(st.permutations(range(len(Ms))), label="order")
     Ms = [Ms[t] for t in order]
     ws = [data.draw(spin_vectors(M)) for M in Ms]
-    together = _spins([fresh(M) for M in Ms], ws)
+    together = _spins([unspun(M) for M in Ms], ws)
     for M, w, S in zip(Ms, ws, together):
-        alone = spin(fresh(M), w)
+        alone = spin(unspun(M), w)
         assert np.array_equal(S.basis, alone.basis) and S.pivots == alone.pivots
     # the per-vector oracle on a few of them
     for M, w, S in list(zip(Ms, ws, together))[:4]:
@@ -84,12 +78,12 @@ def test_whole_and_proper_spins_in_one_stack():
     whole, proper = _spins(Ms, ws)
     assert whole.dim == simple.dim and 0 < proper.dim < reducible.dim
     for M, w, S in zip(Ms, ws, (whole, proper)):
-        alone = spin(fresh(M), w)
+        alone = spin(unspun(M), w)
         assert np.array_equal(S.basis, alone.basis) and S.pivots == alone.pivots
     # and a proper submodule of a module, from a maximal vector of it
     Z = reducible
     sub, = _spins([Z], [witness(Z)[0]])
-    assert 0 < sub.dim < Z.dim and sub == spin(fresh(Z), witness(Z)[0])
+    assert 0 < sub.dim < Z.dim and sub == spin(unspun(Z), witness(Z)[0])
 
 
 @pytest.mark.parametrize("entries,sizes", [(1, [1] * 30), (4800, [2] * 15),
@@ -109,8 +103,8 @@ def test_groups_cut_by_stack_entries(monkeypatch, entries, sizes):
 
     monkeypatch.setattr(analysis, "STACK_ENTRIES", entries)
     monkeypatch.setattr(analysis, "_spin_stack", recording)
-    together = _spins([fresh(M) for M in Ms], ws)
+    together = _spins([unspun(M) for M in Ms], ws)
     assert cut == sizes
     for M, w, S in zip(Ms, ws, together):
-        alone = real([fresh(M)], [w])[0]
+        alone = real([unspun(M)], [w])[0]
         assert np.array_equal(S.basis, alone.basis) and S.pivots == alone.pivots
