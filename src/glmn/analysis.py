@@ -42,7 +42,8 @@ from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
 from .linalg import (Matrix, Subspace, _first, _insert, _matmul, float_copy,
                      kernel, matmul, row_reduce)
-from .verma import STACK_ENTRIES, ModuleRep, cartan_diagonal, maximal_vectors
+from .verma import (STACK_ENTRIES, ModuleRep, _pbw_layers, cartan_diagonal,
+                    maximal_vectors)
 
 LINE_BUDGET = 10 ** 4
 
@@ -536,23 +537,21 @@ def frobenius_gram(algebra, sub_units, chi, dim_budget=4096):
     """Gram matrix of the top-coefficient form on u(sub, chi).
 
     The form sends (a, b) to the coefficient of the monomial with all
-    exponents maximal in a*b.  Returns (Matrix, nondegenerate flag).
+    exponents maximal in a*b.  Returns (Matrix, nondegenerate flag).  Row a
+    is the top row of a's left action, read off the left regular module.
     """
     _check_closed(algebra, sub_units)
     ctx = reduction_context(algebra, chi)
     dim = math.prod(ctx.caps[pos] for pos in set(_sub_positions(ctx, sub_units)))
     if dim > dim_budget:
         raise BudgetExceeded(f"dim u(sub) = {dim} > {dim_budget}")
-    ctx, positions, monos = sub_enveloping_basis(algebra, chi, sub_units)
-    f = ctx.field
-    top = tuple(ctx.caps[pos] - 1 if pos in positions else 0
-                for pos in range(ctx.ngens))
+    L = regular_module(algebra, sub_units, chi)
+    top = max(range(dim), key=lambda t: sum(L.labels[t]))
     gram = np.zeros((dim, dim), dtype=np.int64)
-    elts = [PBWElement(ctx, {m: 1}) for m in monos]
-    for a in range(dim):
-        for b in range(dim):
-            prod = multiply(ctx, elts[a], elts[b])
-            gram[a, b] = prod.terms.get(top, 0)
-    G = Matrix(f, gram)
+    one, layers = _pbw_layers(L.labels, last=True)
+    gram[one, top] = 1
+    for i, ts, prevs in layers:
+        gram[ts] = matmul(ctx.field, gram[prevs], L.matrix(ctx.units[i]))
+    G = Matrix(ctx.field, gram)
     _, rank = row_reduce(G)
     return G, rank == dim

@@ -256,11 +256,11 @@ def _with_verdicts(stacks, oracle, items):
 
 
 def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
-    """_scan_share's rows: serially one share of all the weights, with jobs
-    > 1 a process pool maps one share of consecutive weights per worker.
-    semisimple, whether chi is, says whether the oracle runs."""
-    initargs = (algebra.field.p, algebra.field.k, algebra.m, algebra.n,
-                dict(chi.values), graded, semisimple)
+    """_scan_share's rows: serially one share of all the weights, on the
+    algebra and chi given, so that a later scan on them finds their plans
+    and certificates; with jobs > 1 a process pool maps one share of
+    consecutive weights per worker.  semisimple, whether chi is, says
+    whether the oracle runs."""
     coords = [tuple(int(c) for c in lam.coords) for lam in weights]
     # a fork pool starts all its workers at once: never more than the
     # weights or the CPUs; jobs < 1 runs serially
@@ -272,10 +272,12 @@ def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_scan_worker,
-                                 initargs=initargs) as pool:
+                                 initargs=(algebra.field.p, algebra.field.k,
+                                           algebra.m, algebra.n, dict(chi.values),
+                                           graded, semisimple)) as pool:
             parts = list(pool.map(_scan_share, shares))
     else:
-        _init_scan_worker(*initargs)
+        _WORKER.update(algebra=algebra, chi=chi, graded=graded, semisimple=semisimple)
         parts = [_scan_share(s) for s in shares]
     return [row for part in parts for row in part]
 

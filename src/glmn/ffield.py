@@ -206,34 +206,29 @@ class Field:
             out, w = out + (da + sign * db) % p * w, w * p
         return out
 
+    def _combine(self, ufunc, a, b):
+        """np.add or np.subtract of digits(a) and digits(b) mod p, for arrays."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self.k == 1:
+            out = ufunc(a, b) % self.p
+        else:
+            out = (ufunc(self.digits[a], self.digits[b], dtype=np.int64) % self.p) @ self._ppow
+        return out if out.ndim else int(out)
+
     def add(self, a, b):
         if type(a) is int and type(b) is int:
             return self._digitwise(a, b, 1)
-        if self.k == 1:
-            out = (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
-        else:
-            out = (np.add(self.digits[np.asarray(a, dtype=np.int64)], self.digits[
-                np.asarray(b, dtype=np.int64)], dtype=np.int64) % self.p) @ self._ppow
-        return out if out.ndim else int(out)
+        return self._combine(np.add, a, b)
 
     def neg(self, a):
         if type(a) is int:
             return self._digitwise(0, a, -1)
-        if self.k == 1:
-            out = -np.asarray(a, dtype=np.int64) % self.p
-        else:
-            out = ((self.p - self.digits[np.asarray(a, dtype=np.int64)]) % self.p) @ self._ppow
-        return out if out.ndim else int(out)
+        return self._combine(np.subtract, 0, a)
 
     def sub(self, a, b):
         if type(a) is int and type(b) is int:
             return self._digitwise(a, b, -1)
-        if self.k == 1:
-            out = (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
-        else:
-            out = (np.subtract(self.digits[np.asarray(a, dtype=np.int64)], self.digits[
-                np.asarray(b, dtype=np.int64)], dtype=np.int64) % self.p) @ self._ppow
-        return out if out.ndim else int(out)
+        return self._combine(np.subtract, a, b)
 
     def mul(self, a, b):
         if type(a) is int and type(b) is int:

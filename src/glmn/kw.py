@@ -17,7 +17,7 @@ from .algebra import Character, Weight, reflect
 from .errors import (ClosureFailure, GlmnError, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
-from .linalg import Matrix, Subspace, eigenspaces, inverse
+from .linalg import Matrix, Subspace, eigenspaces, inverse, matmul
 from .verma import (_induce_all, build_baby_vermas, induce, induced_hom,
                     weight_line)
 from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
@@ -253,17 +253,11 @@ def kw_verify(algebra, chi, lam):
     p = algebra.field.p
     dec = decompose_character(rs, chi)
     ld = levi_data(rs, chi)
-    # chi restricted to l = [l', l'] must be nilpotent: its diagonal
-    # component pairs to zero with chi
-    f = algebra.field
-    chi_l_nilpotent = True
-    for row in ld.levi.basis:
-        acc = 0
-        for t, (i, j) in enumerate(algebra.units):
-            if i == j and row[t]:
-                acc = f.add(acc, f.mul(int(row[t]), chi.value((i, i))))
-        if acc:
-            chi_l_nilpotent = False
+    # chi restricted to l = [l', l'] must be nilpotent: the diagonal
+    # component of each basis row pairs to zero with chi (an empty l is)
+    cartan = [algebra.units.index(u) for u in algebra.diag_units]
+    chi_h = np.array([[chi.value(u)] for u in algebra.diag_units], dtype=np.int64)
+    chi_l_nilpotent = not matmul(algebra.field, ld.levi.basis[:, cartan], chi_h).any()
     ZL = build_levi_verma(algebra, chi, lam, ld.phi_prime)
     _, M_prime = simple_head(ZL)
     M = build_kw_module(algebra, chi, M_prime, ld.phi_prime)

@@ -641,6 +641,22 @@ def maximal_vectors(M):
             for (par, vals), sub in ker.split(keys)]
 
 
+def _pbw_layers(monos, last=False):
+    """(one, layers): the position of 1 among the PBW monomials monos, and
+    (i, ts, prevs) per (degree, i) in that order.  Each m_t of a layer is
+    x_i m_prev, i its first nonzero position, or with last, m_prev x_i, i
+    its last: its column (row) under an action is x_i's matrix times (after)
+    that of m_prev, one product per layer, a degree after the one before."""
+    index = {m: t for t, m in enumerate(monos)}
+    steps = {}
+    for m, t in index.items():
+        if nonzero := [i for i, e in enumerate(m) if e]:
+            i = nonzero[-1] if last else nonzero[0]
+            steps.setdefault((sum(m), i), []).append((t, index[m[:i] + (m[i] - 1,) + m[i + 1:]]))
+    one = index[(0,) * len(monos[0])]
+    return one, [(i, *map(list, zip(*pairs))) for (_, i), pairs in sorted(steps.items())]
+
+
 def induced_hom(source, target, u):
     """The u(g, chi)-homomorphism Z^chi(mu) -> target sending v to u.
 
@@ -664,21 +680,11 @@ def induced_hom(source, target, u):
     for i in range(1, alg.d + 1):
         if (target.act((i, i), u) != field.mul(source.lam.value(i), u)).any():
             raise NotMaximal(f"u is not a weight vector of weight lambda at E({i},{i})")
-    # the column of f_1^m_1 ... f_k^m_k v is f_i applied to that of its
-    # lexicographic predecessor m - e_i, i the first nonzero exponent: one
-    # product per (degree, i), a degree layer after the one before
     f_units = [rs.f_unit(r) for r in source.ctx.f_order]
     cols = np.zeros((target.dim, source.dim), dtype=np.int64)
-    index, steps = {mono: t for t, (mono, _) in enumerate(source.labels)}, {}
-    for mono, t in index.items():
-        i = next((i for i, e in enumerate(mono) if e), None)
-        if i is None:
-            cols[:, t] = u
-        else:
-            prev = index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
-            steps.setdefault((sum(mono), i), []).append((t, prev))
-    for (_, i), pairs in sorted(steps.items()):
-        ts, prevs = zip(*pairs)
+    one, layers = _pbw_layers([mono for mono, _ in source.labels])
+    cols[:, one] = u
+    for i, ts, prevs in layers:
         cols[:, ts] = matmul(field, target.matrix(f_units[i]), cols[:, prevs])
     # the units in chunks whose products stay within STACK_ENTRIES entries,
     # all of them at once in a small module: two stacked products each

@@ -20,10 +20,11 @@ from glmn.analysis import (spin, is_simple, simple_head,
                            restrict_module, trivial_submodules,
                            regular_module, frobenius_gram,
                            shifted_joint_kernel)
-from glmn import analysis
+from glmn import analysis, enveloping
 from glmn.errors import (BudgetExceeded, ZeroVector, NotClosed,
                          ShiftInconsistent)
 from test_block_spin import is_action_closed
+from _gram_oracle import pbw_gram
 from _line_oracle import witness
 
 F = make_field(5)
@@ -31,6 +32,10 @@ F = make_field(5)
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("called before the budget check")
+
+
+def _must_not_multiply(*args, **kwargs):
+    raise AssertionError("a PBW product outside regular_module")
 
 
 def brute_graded_simple(M):
@@ -215,6 +220,39 @@ class TestUnipotentAlgebra:
         monkeypatch.setattr(analysis, "sub_enveloping_basis", _must_not_run)
         with pytest.raises(BudgetExceeded, match="40000"):
             frobenius_gram(alg, sub, Character(alg, {}))
+
+    @pytest.mark.parametrize("m, n, chi, sub", [
+        (1, 1, {}, None),
+        (2, 1, {}, None),
+        (2, 1, {(2, 1): 2}, None),
+        (2, 2, {}, None),
+        (2, 2, {(2, 1): 1, (4, 3): 1}, None),
+        (1, 1, {}, [(1, 1), (2, 2), (2, 1)]),  # the Borel subalgebra
+    ])
+    def test_frobenius_gram_equals_the_pbw_products(self, m, n, chi, sub):
+        alg = build_algebra(m, n, F)
+        rs = alg.root_system()
+        sub = sub or [rs.f_unit(r) for r in rs.positive]
+        G, nondeg = frobenius_gram(alg, sub, Character(alg, chi))
+        assert np.array_equal(G.data, pbw_gram(alg, sub, Character(alg, chi)))
+        assert nondeg
+
+    def test_frobenius_gram_makes_no_product_of_its_own(self, monkeypatch):
+        # every PBW product is straightened by regular_module: once the left
+        # module is built, a call of multiply fails the test
+        alg = build_algebra(2, 1, F)
+        real, built = analysis.regular_module, []
+
+        def left_module_then_no_products(*args, **kwargs):
+            M = real(*args, **kwargs)
+            built.append(M)
+            monkeypatch.setattr(analysis, "multiply", _must_not_multiply)
+            monkeypatch.setattr(enveloping, "multiply", _must_not_multiply)
+            return M
+
+        monkeypatch.setattr(analysis, "regular_module", left_module_then_no_products)
+        G, nondeg = frobenius_gram(alg, [(2, 1), (3, 2), (3, 1)], Character(alg, {}))
+        assert nondeg and G.rows == 20 and len(built) == 1
 
     def test_shifted_kernel_matches_trivial_for_zero_chi(self):
         alg = build_algebra(2, 1, F)

@@ -401,6 +401,14 @@ class TestSubcommands:
         assert rep["alphas"][0]["isomorphism"]
         assert rep["radical_absorbs_all"]
 
+    def test_frobenius_gl22(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, m=2, n=2, **{"lambda": [0, 0, 0, 0]},
+                        tasks=["frobenius-check"])
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+        assert code == 0
+        rec = json.loads(out)["tasks"][0]["record"]
+        assert rec["nondegenerate"] is True and rec["gram_dim"] == 400
+
     def test_regular_module_check_with_chi_on_nminus(self, tmp_path, capsys):
         """chi(E21) = 1 shifts the socle off the joint kernel of the raw
         actions; the shifted socles of both regular modules are one line."""

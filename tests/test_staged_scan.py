@@ -23,11 +23,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from glmn import analysis, cli, verma
-from glmn.algebra import classify_character
+from glmn import analysis, cli, enveloping, verma
+from glmn.algebra import Character, build_algebra, classify_character, weight_variety
 from glmn.analysis import simple_head, simple_heads
 from glmn.errors import NotG0Module
-from glmn.ffield import FieldElement
+from glmn.ffield import FieldElement, make_field
 from glmn.verma import (ModuleRep, build_even_vermas, build_graded_vermas,
                         build_simple_g0_modules, f_formula, f_formulas)
 
@@ -135,6 +135,32 @@ def test_jobs_below_one_scan_serially(jobs, tmp_path, capsys):
     outs = [(cli.main(["scan", "--config", str(path), "--jobs", j]), capsys.readouterr().out)
             for j in ("1", jobs)]
     assert outs[0] == outs[1] and json.loads(outs[1][1])["tasks"][0]["record"]["count"] == 25
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_a_second_serial_scan_on_one_algebra_straightens_no_plan(graded):
+    # the serial scan runs on the algebra it is given, so the plans the first
+    # scan straightened serve the second
+    alg = build_algebra(2, 1, make_field(5))
+    alg, chi, weights = weight_variety(alg, Character(alg, {}))
+    semisimple = classify_character(alg.root_system(), chi).semisimple
+    real, made = enveloping.multiply, []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    reports, products = [], []
+    for _ in range(2):
+        with mock.patch.object(enveloping, "multiply", counted), \
+                mock.patch.object(verma, "multiply", counted), \
+                mock.patch.object(analysis, "multiply", counted):
+            reports.append(cli._run_scan(dict(cli.DEFAULTS, seed=0), alg, chi, weights,
+                                         graded, semisimple))
+        products.append(len(made))
+        made.clear()
+    assert products[0] > 0 and products[1] == 0
+    assert len(reports[1]) == 125 and reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("where", ["first", "last"])

@@ -39,6 +39,10 @@ CONFIGS = [
                                    "tasks": ["levi-scan"]}),
     ("regular-gl22", 0, {"m": 2, "n": 2, "lambda": [0, 0, 0, 0],
                          "tasks": ["regular-module-check"]}),
+    # u(n-) of dimension 5^3 * 2^3 = 1,000: its Gram read off the left
+    # regular module
+    ("frobenius-gl31", 0, {"m": 3, "n": 1, "lambda": [0, 0, 0, 0],
+                           "tasks": ["frobenius-check"]}),
     ("frobenius-huge", 2, {"m": 100000, "n": 1, "lambda": "scan-all-X",
                            "tasks": ["frobenius-check"]}),
     ("structure-huge", 2, {"m": 100000, "n": 1, "lambda": "scan-all-X",
