@@ -61,10 +61,10 @@ def _spins(Ms, ws):
     verma._stacks cuts them (an entry over F_{p^K} counts K times, for its
     digits).  w is split into its homogeneous components; homogeneous units
     keep rows homogeneous, so each span stays graded (Subspace.split gives
-    its parts).  A round maps the rows each module added last round through
-    its units (_images) and inserts all the images at once (_insert); the
-    added rows vanish at every old pivot, so with the old span they span
-    the new one.  A module drops out once it is full or a round adds
+    its parts).  A round maps the rows each module added last round, its
+    basis rows at the pivots it gained, through its units (_images) and
+    inserts all the images at once (_insert); the added rows vanish at
+    every old pivot, so with the old span they span the new one.  A module drops out once it is full or a round adds
     nothing to it, with the canonical Subspace of its span.  Over F_p the
     float_copy of each module's action is kept on it.
     """
@@ -97,15 +97,16 @@ def _spin_stack(Ms, ws):
         assert not ((nonzero & (par == 0)).any(axis=2)
                     & (nonzero & (par == 1)).any(axis=2)).any(), \
             "rows must be parity homogeneous"
-        added = _insert(f, E, piv, line, rows)
-        done = ~added.any(axis=(1, 2)) | piv.all(axis=1)
+        new = _insert(f, E, piv, line, rows)
+        done = ~new.any(axis=1) | piv.all(axis=1)
         for b in np.flatnonzero(done):
             out[live[b]] = Subspace._echelon(f, d, E[b, piv[b]], np.flatnonzero(piv[b]).tolist())
         if done.all():
             return out
-        E, piv, line, live, parity, added = (a[~done] for a in (E, piv, line, live, parity, added))
+        E, piv, line, live, parity, new = (a[~done] for a in (E, piv, line, live, parity, new))
         right = right[~done] if B > 1 else right
-        rows = _images(f, added, right)
+        at = _first(new)
+        rows = _images(f, E[at] * new[at][:, :, None], right)
 
 
 def _images(f, rows, right):

@@ -4,13 +4,16 @@ Matrices wrap a 2-D numpy array of field element indices.  Row reduction
 produces the canonical reduced row-echelon form, which makes Subspace
 comparison exact (equal subspaces have identical basis arrays).
 
-A row with one nonzero entry, at column c, is a coordinate line e_c (a
-weight vector of a one-dimensional weight space, say).  It pivots with no
-field arithmetic: it is the canonical row of pivot c, and clearing column
-c from other rows is an assignment.  rref peels such rows before its pivot
-loop, and Subspace.reduce and add_vectors clear such basis rows and new
-pivots by assignment, so only the other rows go through a product.  A
-Subspace grows by whole blocks, and Subspace.annihilator reads the null
+Every echelon form is built by one insert (_insert) of a block of rows
+into echelon bases: rref inserts into the empty basis, Subspace.add_vectors
+into its own, and the lockstep spins into a stack of bases at once.  A row
+with one nonzero entry, at column c, is a coordinate line e_c (a weight
+vector of a one-dimensional weight space, say).  It pivots with no field
+arithmetic: it is the canonical row of pivot c, and clearing column c from
+other rows is an assignment.  The insert peels such rows before its
+column steps, and reducing rows against a basis (_reduce, which
+Subspace.reduce shares) clears the line basis rows by assignment, so only
+the other rows go through a product.  Subspace.annihilator reads the null
 space off the echelon basis: kernel is rref followed by annihilator.
 
 Over a prime field a matrix product is one float64 BLAS product of the
@@ -166,73 +169,19 @@ def matrix_power(field, a, e):
 def rref(field, arr):
     """Reduced row echelon form of a raw index array.
 
-    Returns (echelon array of the same shape, pivot column list).  A row
-    with one nonzero entry, at column c, spans the coordinate line e_c, so
-    e_c is the canonical row of pivot c and every other row is 0 at c.
-    Such rows are peeled first, with no field arithmetic: their columns are
-    cleared from the other rows by assignment, which may leave new
-    single-entry rows, and peeling repeats until none is left.  The rows
-    and columns left over go through the pivot loop (_eliminate), and the
-    two sets of pivot rows are merged by pivot.
+    Returns (echelon array of the same shape, pivot column list): the rows
+    of arr inserted into the empty subspace (_insert), in pivot order,
+    padded with zero rows.  arr is not changed.
     """
-    a = np.array(arr, dtype=np.int64)
-    nz = a != 0
-    count = nz.sum(axis=1)
-    single = count == 1
-    if not single.any():
-        return _eliminate(field, a)
-    live = count > 1
-    line = np.zeros(a.shape[1], dtype=bool)
-    while single.any():
-        cols = nz[single].any(axis=0)
-        line |= cols
-        count -= nz[:, cols].sum(axis=1)
-        nz[:, cols] = False
-        single = live & (count == 1)
-        live &= count > 1
-    lines, rest = np.flatnonzero(line), np.flatnonzero(~line)
-    b, bpivots = _eliminate(field, a[np.ix_(live, rest)]) if live.any() else (a, [])
-    # the output reuses a: the pivot rows, lines first, then sorted by pivot
-    a[:] = 0
-    a[np.arange(len(lines)), lines] = 1
-    if not bpivots:
-        return a, lines.tolist()
-    pivots = np.concatenate((lines, rest[bpivots]))
-    order = np.argsort(pivots)
-    a[len(lines):len(pivots), rest] = b[:len(bpivots)]
-    a[:len(pivots)] = a[order]
-    return a, pivots[order].tolist()
-
-
-def _eliminate(field, a):
-    """rref of the int64 array a, in place, by the pivot loop.
-
-    Each pivot step updates only the rows with a nonzero entry in the pivot
-    column, so a sparse matrix (a stacked action, say) costs in proportion
-    to its nonzeros in the pivot columns rather than to its full size.
-    """
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = field.mul(a[r], field.inv(int(a[r, c])))
-        # row r vanishes left of c: earlier columns are pivots or were zero
-        rows = np.flatnonzero(a[:, c])
-        rows = rows[rows != r]
-        if len(rows):
-            a[rows, c:] = field.sub(a[rows, c:],
-                                    field.mul(a[rows, c][:, None], a[r, c:][None, :]))
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    a = np.asarray(arr, dtype=np.int64)
+    d = a.shape[1]
+    E, piv = np.zeros((1, d, d), dtype=np.int64), np.zeros((1, d), dtype=bool)
+    _insert(field, E, piv, piv.copy(), a[None])
+    pivots = np.flatnonzero(piv[0])
+    out = np.zeros(a.shape, dtype=np.int64)
+    # mode="clip" lets take write into out directly, with no temporary
+    np.take(E[0], pivots, axis=0, out=out[:len(pivots)], mode="clip")
+    return out, pivots.tolist()
 
 
 def row_reduce(m):
@@ -320,26 +269,24 @@ def eigenspaces(field, a):
     return pairs, sum(ker.dim for _, ker in pairs) == n
 
 
-def _clear(field, rows, basis, pivots):
-    """rows minus, for each row b of an echelon basis with pivot c, the
-    entry of the row at c times b: rows reduced against the basis.
+def _reduce(field, rows, basis, cols, line):
+    """Reduce the (B, R, d) rows, in place, against B echelon bases: take
+    from each row, for each basis row with pivot c, the row's entry at c
+    times that basis row.
 
     A basis row that is a coordinate line e_c only zeroes column c, by
-    assignment.  The other basis rows are zero at the coordinate pivots, so
-    they are subtracted afterwards in one product, from the rows that have
-    a nonzero entry at their pivots.
+    assignment; line (B, d) marks those columns.  The other basis rows,
+    (B, k, d) with pivot columns cols (B, k), padded with zero rows, are
+    zero at the line pivots, so they are subtracted in one stacked product
+    from the rows that meet their pivots.
     """
-    out = rows.copy()
-    pivots = np.asarray(pivots, dtype=np.int64)
-    line = np.count_nonzero(basis, axis=1) == 1
-    out[:, pivots[line]] = 0
-    if line.all():
-        return out
-    coef = rows[:, pivots[~line]]
-    hit = coef.any(axis=1)
-    if hit.any():
-        out[hit] = field.sub(out[hit], matmul(field, coef[hit], basis[~line]))
-    return out
+    if cols.shape[1]:
+        coef = np.take_along_axis(rows, cols[:, None], axis=2)
+        hit = _first(coef.any(axis=2))
+        if hit[1].size:
+            rows[hit] = field.sub(rows[hit], _matmul(field, coef[hit], basis))
+    if line.any():
+        rows *= ~line[:, None]
 
 
 def _first(mask):
@@ -351,55 +298,68 @@ def _first(mask):
 
 def _insert(field, E, piv, line, rows):
     """Insert the (B, R, d) rows into B echelon forms of subspaces of F^d,
-    rows[b] into the one of E[b], in place, and return the rows each one
-    added, (B, n, d), padded with zero rows; rows is overwritten.  Row c of
-    E[b] is the basis row with pivot c where piv[b, c], zero elsewhere, and
-    line[b, c] marks the coordinate lines e_c among them.
+    rows[b] into the one of E[b], in place, and return the (B, d) mask of
+    the pivots each one gained.  Row c of E[b] is the basis row with pivot
+    c where piv[b, c], zero elsewhere, and line[b, c] marks the coordinate
+    lines e_c among them.  rows is reduced against the bases in place
+    (_reduce), so an empty basis leaves it as it is.
 
-    The rows are reduced against each basis: a line e_c zeroes column c,
-    and the other basis rows, zero at the line pivots, take one stacked
-    product with the rows that meet their pivots.  The residuals then go to
-    echelon form beside those basis rows, which so lose the new pivot
-    columns: as in rref, residual lines pivot first, their columns cleared
-    by assignment; then, one column step at a time across the stack, each
-    module with a residual nonzero in the column takes the first one,
-    scaled to 1 there, and clears the column from its other rows.
+    The residuals then go to echelon form beside the other basis rows,
+    which so lose the new pivot columns.  A residual with one nonzero
+    entry, at column c, is the line e_c: it pivots with no arithmetic, and
+    column c leaves the other rows, which may leave new single-entry rows.
+    This peel runs on the nonzero pattern of the live rows, which shrink
+    as rows become lines or vanish.  The live rows, without the line
+    columns, are then copied once beside the basis rows, and one column
+    step at a time across the stack, each module with a live nonzero in
+    the column takes the first one, scaled to 1 there, and clears the
+    column from its other rows.
     """
-    f, full = field, piv & ~line
+    f, (B, R, d) = field, rows.shape
+    full, was = piv & ~line, piv.copy()
     at = _first(full)
-    real = full[at]
-    old, k = E[at] * real[:, :, None], len(at[1][0])
-    coef = np.take_along_axis(rows, at[1][:, None], axis=2)
-    hit = _first(coef.any(axis=2))
-    if hit[1].size:
-        rows[hit] = f.sub(rows[hit], _matmul(f, coef[hit], old))
-    rows *= ~line[:, None]
-    rows = rows[_first(rows.any(axis=2))]
-    (B, R, d), res = rows.shape, np.concatenate((old, rows), axis=1)
-    taken, pcol = np.zeros((B, k + R), dtype=bool), np.zeros((B, k + R), dtype=np.int64)
-    taken[:, :k], pcol[:, :k] = real, at[1]
-    while (single := (np.count_nonzero(res[:, k:], axis=2) == 1) & ~taken[:, k:]).any():
-        b, r = np.nonzero(single)
-        owner = np.full((B, d), -1)
-        owner[b, (res[b, r + k] != 0).argmax(axis=1)] = r + k
-        b, c = np.nonzero(owner >= 0)
-        r = owner[b, c]
-        res[b, :, c], res[b, r, c], taken[b, r], pcol[b, r] = 0, 1, True, c
-    reach = res[:, k:][~taken[:, k:]].any(axis=0)
-    for c in (c for c in range(d) if reach[c]):
+    old, k = E[at] * full[at][:, :, None], len(at[1][0])
+    _reduce(f, rows, old, at[1], line)
+    pat = rows != 0
+    count = pat.sum(axis=2)
+    b, r = np.nonzero(count)
+    pat, count, new = pat[b, r], count[b, r], np.zeros((B, d), dtype=bool)
+    while (one := count == 1).any():
+        new[b[one], pat[one].argmax(axis=1)] = True
+        live = count > 1
+        b, r, pat = b[live], r[live], pat[live]
+        drop = pat & new[b]
+        count = count[live] - drop.sum(axis=1)
+        pat ^= drop
+    live = count > 0
+    b, r, keep = b[live], r[live], np.flatnonzero(~new.all(axis=0))
+    pos = np.arange(len(b)) - np.searchsorted(b, b)
+    res = np.zeros((B, k + pos.max(initial=-1) + 1, len(keep)), dtype=np.int64)
+    res[:, :k] = old[:, :, keep]
+    res[b, k + pos] = rows[b[:, None], r[:, None], keep]
+    res *= ~new[:, None, keep]
+    taken, pcol = np.zeros(res.shape[:2], dtype=bool), np.zeros(res.shape[:2], dtype=np.int64)
+    taken[:, :k], pcol[:, :k] = full[at], np.searchsorted(keep, at[1])
+    reach = res[:, k:].any(axis=(0, 1))
+    for c in (c for c in range(len(keep)) if reach[c]):
         hit = res[:, :, c] != 0
-        bs = np.flatnonzero((hit & ~taken).any(axis=1))
+        free = hit & ~taken
+        bs = np.flatnonzero(free.any(axis=1))
         if len(bs):
-            r = (hit[bs] & ~taken[bs]).argmax(axis=1)
+            r = free[bs].argmax(axis=1)
             prow = f.mul(res[bs, r, c:], f.inv(res[bs, r, c])[:, None])
             hb, hr = np.nonzero(hit[bs])
-            res[bs[hb], hr, c:] = f.sub(res[bs[hb], hr, c:], f.mul(res[bs[hb], hr, c, None], prow[hb]))
+            sub = res[bs[hb], hr, c:]
+            res[bs[hb], hr, c:] = f.sub(sub, f.mul(sub[:, :1], prow[hb]))
             res[bs, r, c:], taken[bs, r], pcol[bs, r] = prow, True, c
             reach[c:] |= prow.any(axis=0)
     bi, ri = np.nonzero(taken)
-    c = pcol[bi, ri]
-    E[bi, c], piv[bi, c], line[bi, c] = res[bi, ri], True, np.count_nonzero(res[bi, ri], axis=1) == 1
-    return res[:, k:][_first(taken[:, k:])]
+    c, b, cl = keep[pcol[bi, ri]], *np.nonzero(new)
+    E[bi, c] = 0
+    E[bi[:, None], c[:, None], keep], E[b, cl, cl] = res[bi, ri], 1
+    piv[bi, c], piv[b, cl], line[b, cl] = True, True, True
+    line[bi, c] = np.count_nonzero(E[bi, c], axis=1) == 1
+    return piv & ~was
 
 
 class Subspace:
@@ -434,11 +394,16 @@ class Subspace:
 
         vec may also be a 2-D array, reduced row by row.  The basis is in
         reduced echelon form, so the coefficients of the projection are
-        the entries of vec at the pivot columns (_clear).
+        the entries of vec at the pivot columns (_reduce).
         """
-        v = np.asarray(vec, dtype=np.int64)
-        return _clear(self.field, v.reshape(-1, self.ambient), self.basis,
-                      self.pivots).reshape(v.shape)
+        v = np.array(vec, dtype=np.int64)
+        pivots = np.array(self.pivots, dtype=np.int64)
+        lines = np.count_nonzero(self.basis, axis=1) == 1
+        at_line = np.zeros((1, self.ambient), dtype=bool)
+        at_line[0, pivots[lines]] = True
+        _reduce(self.field, v.reshape(1, -1, self.ambient), self.basis[None, ~lines],
+                pivots[None, ~lines], at_line)
+        return v
 
     def contains(self, vec):
         return not np.any(self.reduce(vec))

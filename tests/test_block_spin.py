@@ -29,7 +29,8 @@ from glmn.analysis import (_images, composition_series, dual_core,
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
-from test_kernels import FIELDS, KERNEL_SETTINGS, draw_matrix, t_kernel, t_rref
+from test_kernels import (FIELDS, KERNEL_SETTINGS, draw_matrix, line_seeded, t_kernel,
+                          t_rref)
 from _line_oracle import witness
 
 F5 = make_field(5)
@@ -256,7 +257,8 @@ def test_add_vectors_matches_per_row_insertion(name, data):
     F = FIELDS[name]
     n = data.draw(st.integers(1, 7))
     s = Subspace(F, n, draw_matrix(data, F, cols=n))
-    rows = draw_matrix(data, F, cols=n)
+    rows = line_seeded(data, F, n) if data.draw(st.booleans()) else \
+        draw_matrix(data, F, cols=n)
     grown = s.add_vectors(rows)
     basis, pivots = seq_add_vectors(F, s.basis, s.pivots, rows)
     assert np.array_equal(grown.basis, basis)
@@ -265,8 +267,9 @@ def test_add_vectors_matches_per_row_insertion(name, data):
 
 @st.composite
 def sparse_matrices(draw, q, max_side=14):
-    """Matrices with at least 80% zeros and at least one zero column."""
-    r = draw(st.integers(1, max_side))
+    """Matrices with at least 80% zeros and at least one zero column, some
+    of them as tall as a stacked action of up to four units."""
+    r = draw(st.integers(1, max_side)) * draw(st.integers(1, 4), label="units")
     c = draw(st.integers(2, max_side))
     zero_cols = draw(st.sets(st.integers(0, c - 1), min_size=1, max_size=c))
     live = [j for j in range(c) if j not in zero_cols]

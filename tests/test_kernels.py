@@ -23,6 +23,8 @@ a new single-entry row, and on full, empty, coordinate and mixed
 subspaces.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +32,11 @@ from hypothesis.extra import numpy as hnp
 from sympy import prevprime, primefactors
 
 from glmn import analysis, linalg
-from glmn.algebra import Character, build_algebra, weight_variety
+from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.ffield import artin_schreier_roots, make_field
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
-from glmn.verma import build_graded_verma, build_simple_g0_module
+from glmn.verma import build_baby_verma, build_graded_verma, build_simple_g0_module
+from _rref_oracle import peel_rref
 
 FIELDS = {"F5": make_field(5), "F7": make_field(7), "F11": make_field(11),
           "F25": make_field(5, 2), "F49": make_field(7, 2),
@@ -149,8 +152,8 @@ def t_rref(F, arr):
 
 def t_span(F, rows, ambient):
     """Canonical basis of the span of rows, by the table oracle."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, ambient)
-    a, pivots = t_rref(F, rows)
+    rows = np.asarray(rows, dtype=np.int64)
+    a, pivots = t_rref(F, rows.reshape(-1, ambient) if ambient else rows.reshape(0, 0))
     return a[:len(pivots)]
 
 
@@ -493,9 +496,11 @@ def test_batched_blocked_inner_dimension_matches_each_slice(data):
 def test_rref_and_kernel_match_oracle(name, data):
     F = FIELDS[name]
     a = draw_matrix(data, F)
+    before = a.copy()
     ech, pivots = rref(F, a)
     want, want_pivots = t_rref(F, a)
     assert pivots == want_pivots and np.array_equal(ech, want)
+    assert np.array_equal(a, before)
     ker = kernel_arr(F, a)
     assert np.array_equal(ker, t_kernel(F, a))
     assert ker.shape == (a.shape[1] - len(pivots), a.shape[1])
@@ -540,12 +545,20 @@ LINE_FIELDS = pytest.mark.parametrize("name", ["F5", "F25", "F3125"])
 
 
 def line_seeded(data, F, cols):
-    """Rows with one nonzero entry, chains and random rows, shuffled.
+    """Rows with one nonzero entry, chains and random rows, shuffled, or
+    placed among zero rows as in a tall stacked action; or all zero.
 
     A chain row is nonzero at some columns of earlier single-entry or chain
     rows and at one column more, so clearing the earlier columns leaves it
-    with one nonzero entry.
+    with one nonzero entry.  The stacked shape spreads the rows over blocks
+    of cols rows, one block per unit, and zeroes some columns throughout.
+    The all-zero shape may have no rows, and is the only one with no
+    columns.
     """
+    shape = data.draw(st.sampled_from(["shuffled", "stacked", "zero"]), label="shape")
+    if shape == "zero" or cols == 0:
+        return np.zeros((data.draw(st.integers(0, 2 * cols + 2), label="rows"), cols),
+                        dtype=np.int64)
     nonzero = st.integers(1, F.q - 1)
     rows, peeled = [], []
     for c in data.draw(st.lists(st.integers(0, cols - 1), min_size=1,
@@ -566,7 +579,17 @@ def line_seeded(data, F, cols):
     rows += list(data.draw(hnp.arrays(np.int64, (extra, cols),
                                       elements=st.integers(0, F.q - 1))))
     order = data.draw(st.permutations(range(len(rows))), label="order")
-    return np.array([rows[i] for i in order], dtype=np.int64).reshape(-1, cols)
+    a = np.array([rows[i] for i in order], dtype=np.int64).reshape(-1, cols)
+    if shape == "shuffled":
+        return a
+    units = max(data.draw(st.integers(2, 6), label="units"), -(-len(a) // cols))
+    slots = data.draw(st.lists(st.integers(0, units * cols - 1), min_size=len(a),
+                               max_size=len(a), unique=True), label="slots")
+    out = np.zeros((units * cols, cols), dtype=np.int64)
+    out[slots] = a
+    out[:, data.draw(st.lists(st.integers(0, cols - 1), max_size=cols - 1),
+                     label="zero columns")] = 0
+    return out
 
 
 def test_rref_peels_a_chain_of_lines():
@@ -581,15 +604,42 @@ def test_rref_peels_a_chain_of_lines():
     assert np.array_equal(ech[:4], np.eye(4, dtype=np.int64))
 
 
+def test_rref_of_a_tall_stacked_action_matches_the_peel_oracle():
+    """The stacked e-action of the gl(2|2) baby Verma with chi = 0 and
+    lambda = (1, 2, 3, 4): 2,400 x 400 over F_5, 910 rows of it with one
+    nonzero entry, too large for t_rref.  Its rref equals that of the peel
+    and pivot loop rref replaced, and the peak of the memory it allocates,
+    its output included, stays at most 10.5 MB: the output takes 7.68 MB,
+    so a second copy of every row would exceed it."""
+    F = make_field(5)
+    alg = build_algebra(2, 2, F)
+    Z = build_baby_verma(alg, Character(alg, {}), Weight(F, [1, 2, 3, 4]))
+    rs = alg.root_system()
+    e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in Z.units]
+    a = Z.matrices(e_units).reshape(len(e_units) * Z.dim, Z.dim)
+    assert a.shape == (2400, 400) and np.sum(np.count_nonzero(a, axis=1) == 1) == 910
+    tracemalloc.start()
+    try:
+        ech, pivots = rref(F, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want, want_pivots = peel_rref(F, a)
+    assert pivots == want_pivots and np.array_equal(ech, want)
+    assert peak <= 10.5e6
+
+
 @LINE_FIELDS
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_rref_of_line_seeded_rows_matches_oracle(name, data):
     F = FIELDS[name]
-    a = line_seeded(data, F, data.draw(st.integers(1, 7), label="cols"))
+    a = line_seeded(data, F, data.draw(st.integers(0, 7), label="cols"))
+    before = a.copy()
     ech, pivots = rref(F, a)
     want, want_pivots = t_rref(F, a)
     assert pivots == want_pivots and np.array_equal(ech, want)
+    assert np.array_equal(a, before)
     assert np.array_equal(kernel_arr(F, a), t_kernel(F, a))
 
 
