@@ -328,9 +328,8 @@ def _insert(field, E, piv, line, rows):
         new[b[one], pat[one].argmax(axis=1)] = True
         live = count > 1
         b, r, pat = b[live], r[live], pat[live]
-        drop = pat & new[b]
-        count = count[live] - drop.sum(axis=1)
-        pat ^= drop
+        pat &= ~new[b]
+        count = pat.sum(axis=1)
     live = count > 0
     b, r, keep = b[live], r[live], np.flatnonzero(~new.all(axis=0))
     pos = np.arange(len(b)) - np.searchsorted(b, b)
