@@ -339,6 +339,7 @@ def _insert(field, E, piv, line, rows):
     res *= ~new[:, None, keep]
     taken, pcol = np.zeros(res.shape[:2], dtype=bool), np.zeros(res.shape[:2], dtype=np.int64)
     taken[:, :k], pcol[:, :k] = full[at], np.searchsorted(keep, at[1])
+    # a column step combines live rows only, so their nonzeros stay in these columns
     reach = res[:, k:].any(axis=(0, 1))
     for c in (c for c in range(len(keep)) if reach[c]):
         hit = res[:, :, c] != 0
@@ -351,7 +352,6 @@ def _insert(field, E, piv, line, rows):
             sub = res[bs[hb], hr, c:]
             res[bs[hb], hr, c:] = f.sub(sub, f.mul(sub[:, :1], prow[hb]))
             res[bs, r, c:], taken[bs, r], pcol[bs, r] = prow, True, c
-            reach[c:] |= prow.any(axis=0)
     bi, ri = np.nonzero(taken)
     c, b, cl = keep[pcol[bi, ri]], *np.nonzero(new)
     E[bi, c] = 0
