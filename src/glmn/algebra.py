@@ -37,6 +37,9 @@ class SuperAlgebra:
         self.even_units = [u for u in self.units if self.parity(*u) == 0]
         self.odd_units = [u for u in self.units if self.parity(*u) == 1]
         self.diag_units = [(i, i) for i in range(1, self.d + 1)]
+        # the d x d mask of odd entries: row and column on opposite sides of m
+        side = np.arange(self.d) >= m
+        self._odd = side[:, None] != side[None, :]
         self.bracket_table = {
             (u, v): tuple(self.bracket_units(*u, *v))
             for u in self.units for v in self.units
@@ -60,14 +63,10 @@ class SuperAlgebra:
         return mat
 
     def element_parity(self, x):
-        """Parity of a Matrix algebra element; None when mixed, 0 for zero."""
-        has = {0: False, 1: False}
-        for (i, j) in self.units:
-            if x.data[i - 1, j - 1]:
-                has[self.parity(i, j)] = True
-        if has[0] and has[1]:
-            return None
-        return 1 if has[1] else 0
+        """Parity of a Matrix algebra element; None when mixed, 0 for zero:
+        its nonzero entries counted on the odd mask and in all."""
+        odd, total = np.count_nonzero(x.data[self._odd]), np.count_nonzero(x.data)
+        return 0 if not odd else (1 if odd == total else None)
 
     def bracket_units(self, i, j, k, l):
         """[E(i,j), E(k,l)] as a list of (coefficient sign, unit) pairs."""

@@ -42,8 +42,8 @@ from .errors import (BudgetExceeded, NoMaximalVector, NotClosed,
                      ShiftInconsistent, ZeroVector)
 from .linalg import (Matrix, Subspace, _first, _insert, _matmul, float_copy,
                      kernel, matmul, row_reduce)
-from .verma import (STACK_ENTRIES, ModuleRep, _pbw_layers, cartan_diagonal,
-                    maximal_vectors)
+from .verma import (STACK_ENTRIES, ModuleRep, _axiom_table, _pbw_layers,
+                    cartan_diagonal, maximal_vectors)
 
 LINE_BUDGET = 10 ** 4
 
@@ -133,21 +133,18 @@ def _shifted_scalars(M):
     module of a nilpotent (strictly triangular) subalgebra.
 
     Raises ShiftInconsistent when chi does not vanish on brackets of the
-    subalgebra, in which case no one-dimensional module exists.
+    subalgebra, in which case no one-dimensional module exists: chi on the
+    bracket of every two units is one product of their rows of the bracket
+    coefficients (verma._axiom_table) with chi's values on the units.
     """
-    alg = M.algebra
-    f = M.field
-    chi = M.chi
-    for x in M.units:
-        assert x[0] != x[1], "nilpotent subalgebra expected"
-        for y in M.units:
-            acc = 0
-            for c, unit in alg.bracket_table[(x, y)]:
-                acc = f.add(acc, f.mul(c, chi.value(unit)))
-            if acc:
-                raise ShiftInconsistent(
-                    "chi does not vanish on the derived subalgebra; no "
-                    "one-dimensional module to shift by")
+    alg, chi = M.algebra, M.chi
+    assert all(i != j for i, j in M.units), "nilpotent subalgebra expected"
+    pos = [alg.units.index(u) for u in M.units]
+    coef = _axiom_table(alg, tuple(alg.units))[1][np.ix_(pos, pos)].reshape(-1, alg.dim)
+    if matmul(M.field, coef, np.array([[chi.value(u)] for u in alg.units])).any():
+        raise ShiftInconsistent(
+            "chi does not vanish on the derived subalgebra; no "
+            "one-dimensional module to shift by")
     return {x: chi.value(x) for x in M.units}
 
 
@@ -480,9 +477,9 @@ def composition_series(M):
         if R.dim == 0:
             chain.append(Subspace(M.field, M.dim))
             break
-        chain.append(Subspace(M.field, M.dim, matmul(M.field, R.basis, embed)))
         current, basis_local = restrict_module(current, R)
         embed = matmul(M.field, basis_local, embed)
+        chain.append(Subspace(M.field, M.dim, embed))
     return CompositionSeries(chain, factors)
 
 

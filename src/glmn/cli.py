@@ -354,14 +354,14 @@ def structure_task(cfg, algebra, chi, weights):
     both = (odd[:, None] & odd[None, :])[:, :, None]
     ok = np.array_equal(coef, np.where(both, swapped, f.neg(swapped)))
     checked["anticommutativity"] = len(alg.units) ** 2
-    units = alg.units
+    units, odd_units = alg.units, set(alg.odd_units)
     for x in units:
         for y in units:
             for z in units:
                 # (-1)^{p(x)p(z)} [x,[y,z]] + cyclic = 0
                 acc = {}
                 for (a, b, c3) in ((x, y, z), (y, z, x), (z, x, y)):
-                    sgn = -1 if alg.parity(*a) and alg.parity(*c3) else 1
+                    sgn = -1 if a in odd_units and c3 in odd_units else 1
                     for c1, u1 in alg.bracket_table[(b, c3)]:
                         for c2, u2 in alg.bracket_table[(a, u1)]:
                             v = f.mul(c1, c2)

@@ -18,8 +18,8 @@ from .errors import (ClosureFailure, GlmnError, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse, matmul
-from .verma import (_induce_all, build_baby_vermas, induce, induced_hom,
-                    weight_line)
+from .verma import (_axiom_table, _induce_all, build_baby_vermas, induce,
+                    induced_hom, weight_line)
 from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
                        simple_heads)
 
@@ -110,19 +110,10 @@ def levi_data(rs, chi):
     hit = alg.bracket_escape(parabolic, nilradical, set(nilradical))
     if hit:
         raise ClosureFailure("N not an ideal at [{}, {}]".format(*hit))
-    # l = [l', l'] as a span inside the algebra
-    f = alg.field
-    rows = []
-    for x in levi_prime:
-        for y in levi_prime:
-            vec = np.zeros(alg.dim, dtype=np.int64)
-            for c, unit in alg.bracket_table[(x, y)]:
-                pos = alg.units.index(unit)
-                vec[pos] = f.add(int(vec[pos]), c)
-            if vec.any():
-                rows.append(vec)
-    levi = Subspace(f, alg.dim, np.array(rows, dtype=np.int64)) if rows \
-        else Subspace(f, alg.dim)
+    # l = [l', l']: the span of the bracket coefficients of the l' pairs
+    pos = [alg.units.index(u) for u in levi_prime]
+    coef = _axiom_table(alg, tuple(alg.units))[1][np.ix_(pos, pos)]
+    levi = Subspace(alg.field, alg.dim, coef.reshape(-1, alg.dim))
     n_even = sum(1 for r in phi if r.parity == 0)
     n_odd = sum(1 for r in phi if r.parity == 1)
     return LeviData(phi, levi_prime, levi, parabolic, nilradical, n_even, n_odd)
@@ -406,18 +397,12 @@ def conjugate_character(algebra, g, chi):
         ginv = inverse(g)
     except ValueError:
         raise SingularG("g is not invertible") from None
-    values = {}
-    for (i, j) in algebra.even_units:
-        x = algebra.unit_matrix(i, j)
-        conj = (ginv @ x @ g).data
-        acc = 0
-        for (a, b) in algebra.even_units:
-            c = int(conj[a - 1, b - 1])
-            if c:
-                acc = f.add(acc, f.mul(c, chi.value((a, b))))
-        if acc:
-            values[(i, j)] = acc
-    return Character(algebra, values)
+    # chi(g^-1 E(i,j) g) is entry (i, j) of g^-T C g^T, C the avatar of chi
+    avatar = np.zeros((algebra.d, algebra.d), dtype=np.int64)
+    for (i, j), v in chi.values.items():
+        avatar[i - 1, j - 1] = v
+    conj = matmul(f, matmul(f, ginv.data.T, avatar), g.data.T)
+    return Character(algebra, {(i + 1, j + 1): conj[i, j] for i, j in zip(*np.nonzero(conj))})
 
 
 def normalize_character(algebra, chi):

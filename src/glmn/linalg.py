@@ -169,19 +169,23 @@ def matrix_power(field, a, e):
 def rref(field, arr):
     """Reduced row echelon form of a raw index array.
 
-    Returns (echelon array of the same shape, pivot column list): the rows
-    of arr inserted into the empty subspace (_insert), in pivot order,
-    padded with zero rows.  arr is not changed.
+    Returns (int64 echelon array of the same shape, pivot column list): the
+    rows of arr inserted into the empty subspace (_insert), in pivot order,
+    padded with zero rows.  arr is not changed, nor widened: an empty basis
+    only reads its nonzero pattern and copies its live rows.  The basis is
+    the top of the output, whose pivot rows then move up one at a time (a
+    wide arr takes a square buffer, copied down to its rows).
     """
-    a = np.asarray(arr, dtype=np.int64)
-    d = a.shape[1]
-    E, piv = np.zeros((1, d, d), dtype=np.int64), np.zeros((1, d), dtype=bool)
-    _insert(field, E, piv, piv.copy(), a[None])
+    a = np.asarray(arr)
+    n, d = a.shape
+    out, piv = np.zeros((max(n, d), d), dtype=np.int64), np.zeros((1, d), dtype=bool)
+    _insert(field, out[None, :d], piv, piv.copy(), a[None])
     pivots = np.flatnonzero(piv[0])
-    out = np.zeros(a.shape, dtype=np.int64)
-    # mode="clip" lets take write into out directly, with no temporary
-    np.take(E[0], pivots, axis=0, out=out[:len(pivots)], mode="clip")
-    return out, pivots.tolist()
+    # row c moves up to row t <= c, which no later pivot row is read from
+    for t, c in enumerate(pivots):
+        out[t] = out[c]
+    out[len(pivots):d] = 0
+    return (out if n >= d else out[:n].copy()), pivots.tolist()
 
 
 def row_reduce(m):
@@ -193,10 +197,8 @@ def row_reduce(m):
 def kernel(field, arr):
     """The right null space of a raw index array, as a Subspace: the
     annihilator of its row space."""
-    arr = np.asarray(arr, dtype=np.int64)
     a, pivots = rref(field, arr)
-    return Subspace._echelon(field, arr.shape[1], a[:len(pivots)],
-                             pivots).annihilator()
+    return Subspace._echelon(field, a.shape[1], a[:len(pivots)], pivots).annihilator()
 
 
 def kernel_arr(field, arr):

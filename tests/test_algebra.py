@@ -8,6 +8,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import _bracket_oracle
 
 from glmn.ffield import make_field
 from glmn.linalg import Matrix
@@ -18,6 +21,7 @@ from glmn.algebra import (SuperAlgebra, build_algebra, supertrace, p_power,
 from glmn.errors import InvalidSupport, OddReflectionOnWeight
 
 F = make_field(5)
+F25 = make_field(5, 2)
 
 
 def super_commutator(alg, x, y, px, py):
@@ -55,6 +59,25 @@ class TestBracket:
                     want = (x, y, out[0])
                     break
             assert alg.bracket_escape(inside, inside, set(inside)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_element_parity_matches_the_unit_walk(self, data):
+        # random zero, even, odd and mixed elements over F_5 and F_25
+        f = data.draw(st.sampled_from([F, F25]), label="field")
+        alg = build_algebra(*data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)])), f)
+        kind = data.draw(st.sampled_from([None, 0, 1, "zero"]), label="parity")
+        blocks = {None: [alg.even_units, alg.odd_units], 0: [alg.even_units],
+                  1: [alg.odd_units], "zero": []}[kind]
+        x = np.zeros((alg.d, alg.d), dtype=np.int64)
+        for units in blocks:
+            for (i, j) in units:
+                x[i - 1, j - 1] = data.draw(st.integers(0, f.q - 1))
+            i, j = data.draw(st.sampled_from(units), label="forced nonzero")
+            x[i - 1, j - 1] = data.draw(st.integers(1, f.q - 1))
+        x = Matrix(f, x)
+        want = 0 if kind == "zero" else kind
+        assert alg.element_parity(x) == _bracket_oracle.element_parity(alg, x) == want
 
     def test_super_anticommutativity(self):
         # [x, y] = -(-1)^{p(x)p(y)} [y, x]

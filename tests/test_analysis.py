@@ -7,9 +7,11 @@ checked by their defining identities.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, matvec
@@ -24,6 +26,7 @@ from glmn import analysis, enveloping
 from glmn.errors import (BudgetExceeded, ZeroVector, NotClosed,
                          ShiftInconsistent)
 from test_block_spin import is_action_closed
+from _bracket_oracle import outcome, shifted_scalars
 from _gram_oracle import pbw_gram
 from _line_oracle import witness
 
@@ -267,6 +270,27 @@ class TestUnipotentAlgebra:
                            Character(alg, {(3, 1): 1}))
         with pytest.raises(ShiftInconsistent):
             shifted_joint_kernel(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_shifted_scalars_match_the_bracket_walk(self, data):
+        # units of n- or n+ of gl(1|1) to gl(3|1) over F_5 and F_25, all or
+        # some, and chi on their even units; on gl(3|1) a value on E(3,1) =
+        # [E(3,2), E(2,1)] (or E(1,3) on n+) leaves no one-dimensional module.
+        # _shifted_scalars reads only the algebra, chi and the units of M
+        f = data.draw(st.sampled_from([F, make_field(5, 2)]), label="field")
+        alg = build_algebra(*data.draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1)])), f)
+        lower = data.draw(st.booleans(), label="n-")
+        units = [(i, j) for i, j in alg.units if (i > j if lower else i < j)]
+        if data.draw(st.booleans(), label="some units"):
+            units = data.draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+        entry = st.one_of(st.just(0), st.integers(1, f.q - 1))
+        values = {u: data.draw(entry) for u in units if alg.parity(*u) == 0}
+        M = SimpleNamespace(algebra=alg, field=f, units=units, chi=Character(alg, values))
+        got = outcome(analysis._shifted_scalars, M)
+        assert got == outcome(shifted_scalars, M)
+        if alg.d == 4 and alg.m == 3 and len(units) == 6 and values.get((3, 1) if lower else (1, 3)):
+            assert got is ShiftInconsistent
 
     def test_not_closed(self):
         alg = build_algebra(2, 1, F)

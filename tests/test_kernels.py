@@ -501,8 +501,14 @@ def test_rref_and_kernel_match_oracle(name, data):
     want, want_pivots = t_rref(F, a)
     assert pivots == want_pivots and np.array_equal(ech, want)
     assert np.array_equal(a, before)
+    # the same rows held narrow give the int64 result, without widening
+    narrow = a.astype(np.min_scalar_type(F.q - 1))
+    got, got_pivots = rref(F, narrow)
+    assert got.dtype == np.int64 and got_pivots == pivots and np.array_equal(got, ech)
+    assert np.array_equal(narrow, before)
     ker = kernel_arr(F, a)
     assert np.array_equal(ker, t_kernel(F, a))
+    assert np.array_equal(kernel_arr(F, narrow), ker)
     assert ker.shape == (a.shape[1] - len(pivots), a.shape[1])
     assert not np.any(t_matmul(F, a, ker.T))
 

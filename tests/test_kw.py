@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _bracket_oracle
 from _line_oracle import is_local_by_dual_spins, is_simple_by_lines
 from glmn import analysis, kw
 from glmn.cli import main
@@ -112,6 +113,19 @@ class TestPhiPrime:
         assert (ld.n_even, ld.n_odd) == (0, 2)
         assert (1, 2) in ld.levi_prime and (2, 1) in ld.levi_prime
         assert sorted(ld.nilradical) == [(1, 3), (2, 3)]
+        # l = [l', l'] is the span of the bracket walk over l', for this chi
+        # over F_5 and over the field weight_variety extends to, and for the
+        # other normalized chi of this file
+        ext, chi_ext, _ = weight_variety(alg, chi)
+        cases = [(alg, chi.values), (ext, chi_ext.values)] + [
+            (build_algebra(m, n, F), values) for m, n, values in [
+                (1, 1, {(1, 1): 1}), (2, 1, {}), (2, 1, {(2, 1): 1}),
+                (2, 1, {(1, 1): 1, (2, 2): 1, (3, 3): 4}),
+                (2, 1, {(1, 1): 2, (2, 2): 2, (2, 1): 3}),
+                (2, 2, {(2, 1): 1, (4, 3): 1}), (3, 1, {(2, 1): 1, (3, 2): 1})]]
+        for alg_, values in cases:
+            ld = levi_data(alg_.root_system(), Character(alg_, values))
+            assert ld.levi == _bracket_oracle.bracket_span(alg_, ld.levi_prime)
 
 
 class TestReduction:
@@ -357,6 +371,34 @@ class TestConjugation:
                 acc = F.add(acc, F.mul(int(conj.data[a - 1, b - 1]),
                                        chi.value((a, b))))
             assert new.value((i, j)) == acc
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("q", [5, 25, 7])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_conjugation_matches_the_triple_products(self, m, n, q, data):
+        # random chi and g, as a Matrix or a pair of blocks, singular or with
+        # an odd entry now and then: the same Character or the same error
+        f = make_field(5, 2) if q == 25 else make_field(q)
+        alg = build_algebra(m, n, f)
+        entry = st.integers(0, f.q - 1)
+        chi = Character(alg, {u: data.draw(entry) for u in alg.even_units})
+        g = np.zeros((alg.d, alg.d), dtype=np.int64)
+        for i, j in alg.even_units:
+            g[i - 1, j - 1] = data.draw(entry)
+        g[np.diag_indices(alg.d)] = [data.draw(st.integers(1, f.q - 1)) for _ in range(alg.d)]
+        form = data.draw(st.sampled_from(["matrix", "blocks", "singular", "odd"]))
+        if form == "singular":
+            g[data.draw(st.integers(0, alg.d - 1))] = 0
+        if form == "odd":
+            i, j = data.draw(st.sampled_from(alg.odd_units))
+            g[i - 1, j - 1] = data.draw(st.integers(1, f.q - 1))
+        g = (g[:m, :m], g[m:, m:]) if form == "blocks" else Matrix(f, g)
+        want = _bracket_oracle.outcome(_bracket_oracle.conjugate_character, alg, g, chi)
+        got = _bracket_oracle.outcome(conjugate_character, alg, g, chi)
+        assert got == want
+        if form in ("singular", "odd"):
+            assert got is {"singular": SingularG, "odd": OddInput}[form]
 
     def test_orbit_is_invertible(self):
         alg = build_algebra(2, 1, F)

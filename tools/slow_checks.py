@@ -47,6 +47,9 @@ CONFIGS = [
                            "tasks": ["frobenius-check"]}),
     ("structure-huge", 2, {"m": 100000, "n": 1, "lambda": "scan-all-X",
                            "tasks": ["structure-check"]}),
+    # the largest algebra the structure budget admits: 12^6 <= 2000^2
+    ("structure-gl66", 0, {"m": 6, "n": 6, "lambda": [0] * 12,
+                           "tasks": ["structure-check"]}),
     # 625 weights of dimension 400, in stages over all of them: one baby
     # Verma's actions exceed the stacked-build budget, so each stack holds one
     ("scan-gl22-chi0", 0, {"m": 2, "n": 2, "lambda": "scan-all-X",
