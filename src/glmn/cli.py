@@ -49,7 +49,7 @@ DEFAULTS = {
     "lambda": "scan-all-X",
     "tasks": ["verma-scan"],
     "seed": 0,
-    "jobs": 1,
+    "jobs": 1,  # accepted and ignored: every scan runs serially
     "dim_budget": 2000,
 }
 
@@ -64,12 +64,16 @@ def task_seed(seed, label):
     return int.from_bytes(digest[:8], "big")
 
 
-def load_config(path):
+def load_config(path, **overrides):
+    """The config at path, each override that is not None put in place of
+    its key before the whole is validated."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigInvalid(f"cannot read config: {exc}") from None
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
     return validate_config(raw)
 
 
@@ -92,6 +96,8 @@ def validate_config(raw):
         raise ConfigInvalid("p must be at least 5")
     if cfg["field_degree"] < 1:
         raise ConfigInvalid("field_degree must be at least 1")
+    if cfg["dim_budget"] < 1:
+        raise ConfigInvalid("dim_budget must be at least 1")
     check_field_budget(cfg["p"], cfg["field_degree"])
     if not isprime(cfg["p"]):
         raise ConfigInvalid(f"p = {cfg['p']} is not prime")
@@ -193,47 +199,35 @@ def check_structure_budget(cfg):
 
 
 # ---------------------------------------------------------------------------
-# scan workers (top level so a process pool can pickle them)
+# scans
 
-_WORKER = {}
-
-
-def _init_scan_worker(p, k, m, n, chi_values, graded, semisimple):
-    field = make_field(p, k)
-    algebra = build_algebra(m, n, field)
-    _WORKER["algebra"] = algebra
-    _WORKER["chi"] = Character(algebra, chi_values)
-    _WORKER["graded"] = graded
-    _WORKER["semisimple"] = semisimple
-
-
-def _scan_share(share):
-    """The rows of a share of weights, in stages over all of it, each stacked
-    by its own modules' size: the formulas and report coefficients as array
-    operations; a graded scan's heads M, then Z(M) in order of dim M, with
-    f1_direct and the oracle (dual_cores by stack, for semisimple chi); then the baby
-    Vermas with f_direct, and the oracle in a plain scan."""
-    algebra, chi, graded = _WORKER["algebra"], _WORKER["chi"], _WORKER["graded"]
+def _run_scan(algebra, chi, weights, graded, semisimple):
+    """The rows of a scan of weights on the algebra and chi given, so that a
+    later scan on them finds their plans and certificates.  It runs in
+    stages over all the weights, each stacked by its own modules' size: the
+    formulas and report coefficients as array operations; a graded scan's
+    heads M, then Z(M) in order of dim M, with f1_direct and the oracle;
+    then the baby Vermas with f_direct, and the oracle in a plain scan.
+    semisimple, whether chi is, says whether the oracle (dual_cores by
+    stack) runs."""
     field = algebra.field
-    coords = np.array(share, dtype=np.int64).reshape(len(share), algebra.d)
-    lams = [Weight(field, c) for c in coords]
+    coords = np.array([lam.coords for lam in weights], dtype=np.int64).reshape(-1, algebra.d)
     ff, f0, f1 = f_formulas(algebra.root_system(), coords)
     cols = [field.digits[x].tolist() for x in (coords, ff, f0, f1)]
     rows = [dict(zip(("lambda", "f_formula", "f0", "f1"), vals), _f0_idx=i, _ff_idx=j,
                  _f1_idx=None, oracle_simple=None)
             for *vals, i, j in zip(*cols, f0.tolist(), ff.tolist())]
-    oracle = _WORKER["semisimple"]
     if graded:
-        Ms = build_simple_g0_modules(algebra, chi, lams)
+        Ms = build_simple_g0_modules(algebra, chi, weights)
         order = sorted(range(len(Ms)), key=lambda t: Ms[t].dim)
         stacks = build_graded_vermas(algebra, chi, [Ms[t] for t in order])
-        for Z, simple, t in _with_verdicts(stacks, oracle, order):
+        for Z, simple, t in _with_verdicts(stacks, semisimple, order):
             f1d = f1_direct(Z).idx
             rows[t].update(dim_m=Ms[t].dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d),
                            _f1_idx=f1d, oracle_simple=simple)
             del Z
-    stacks = build_baby_vermas(algebra, chi, lams)
-    for Z, simple, row in _with_verdicts(stacks, oracle and not graded, rows):
+    stacks = build_baby_vermas(algebra, chi, weights)
+    for Z, simple, row in _with_verdicts(stacks, semisimple and not graded, rows):
         fd = f_direct(Z)
         row.update(f_direct=coeffs_of(field, fd.idx), _fd_idx=fd.idx)
         if not graded:
@@ -253,33 +247,6 @@ def _with_verdicts(stacks, oracle, items):
         yield from zip(stack, [not R.dim for R in dual_cores(stack)] if oracle
                        else [None] * len(stack), items)
         del stack
-
-
-def _run_scan(cfg, algebra, chi, weights, graded, semisimple):
-    """_scan_share's rows: serially one share of all the weights, on the
-    algebra and chi given, so that a later scan on them finds their plans
-    and certificates; with jobs > 1 a process pool maps one share of
-    consecutive weights per worker.  semisimple, whether chi is, says
-    whether the oracle runs."""
-    coords = [tuple(int(c) for c in lam.coords) for lam in weights]
-    # a fork pool starts all its workers at once: never more than the
-    # weights or the CPUs; jobs < 1 runs serially
-    workers = max(1, min(cfg["jobs"], len(coords), os.cpu_count() or 1))
-    shares = [s for s in np.array_split(coords, workers) if len(s)]
-    if workers > 1:
-        # imported here: loading concurrent.futures.process pulls in
-        # multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_scan_worker,
-                                 initargs=(algebra.field.p, algebra.field.k,
-                                           algebra.m, algebra.n, dict(chi.values),
-                                           graded, semisimple)) as pool:
-            parts = list(pool.map(_scan_share, shares))
-    else:
-        _WORKER.update(algebra=algebra, chi=chi, graded=graded, semisimple=semisimple)
-        parts = [_scan_share(s) for s in shares]
-    return [row for part in parts for row in part]
 
 
 def _fit_constant(field, pairs):
@@ -306,7 +273,7 @@ def _fit_constant(field, pairs):
 def verma_scan_task(cfg, algebra, chi, weights, graded=False):
     field = algebra.field
     semisimple = classify_character(algebra.root_system(), chi).semisimple
-    rows = _run_scan(cfg, algebra, chi, weights, graded, semisimple)
+    rows = _run_scan(algebra, chi, weights, graded, semisimple)
     record = {"rows": [], "count": len(rows)}
     c_ok, c = _fit_constant(field, [(r["_fd_idx"], r["_ff_idx"]) for r in rows])
     record["c"] = coeffs_of(field, c) if c is not None else None
@@ -541,7 +508,7 @@ def make_report(cfg, algebra, results):
     return {
         "schema_version": 3,
         "library_version": __version__,
-        # jobs only controls parallelism; identical results either way
+        # jobs is accepted and has no effect, so the report leaves it out
         "config": {k: cfg[k] for k in sorted(cfg) if k != "jobs"},
         "field": {"p": field.p, "k": field.k,
                   "modulus": [int(c) for c in field.modulus]},
@@ -626,7 +593,6 @@ def build_parser():
         p.add_argument("--format", default="json",
                        choices=("json", "csv", "table"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--dim-budget", type=int, default=None)
         p.add_argument("--dump-module", default=None,
                        help="write the baby Verma at the first weight here")
@@ -646,11 +612,7 @@ COMMAND_TASKS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        for key in ("seed", "jobs", "dim_budget"):
-            flag = getattr(args, key)
-            if flag is not None:
-                cfg[key] = flag
+        cfg = load_config(args.config, seed=args.seed, dim_budget=args.dim_budget)
         tasks = COMMAND_TASKS.get(args.command, cfg["tasks"])
         return _execute(cfg, tasks, args.format, args.out,
                         args.dump_module, args.dump_element)

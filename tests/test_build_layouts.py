@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glmn import cli, verma
+from glmn import verma
 from glmn.algebra import Character, build_algebra
 from glmn.cli import structure_task
 from glmn.ffield import make_field
@@ -51,15 +51,16 @@ def test_graded_scan_makes_seven_layouts_and_one_unit_table():
         sizes["axioms"].append(len(modules))
         return real_axioms(modules)
 
+    setting = fresh_setting(DIAG)
     with mock.patch.object(verma, "_plan_blocks", blocks), \
             mock.patch.object(verma, "axioms_hold", axioms):
-        counts = count_scan(DIAG, graded=True,
+        counts = count_scan(DIAG, graded=True, setting=setting,
                             counted={"build": (verma, "build_induced")})
     assert counts == {"build": 375}
     graded = [25, 25, 25, 14, 11, 9, 9, 7]
     assert sizes["blocks"] == [125] + graded + [9] * 13 + [8]
     assert sizes["axioms"] == graded
-    alg = cli._WORKER["algebra"]
+    alg = setting[0]
     assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 7
     assert list(alg._axiom_tables) == [tuple(alg.even_units)]
 

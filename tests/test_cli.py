@@ -1,7 +1,7 @@
-"""End-to-end CLI behavior: exit codes, determinism across parallelism,
-config validation, output formats and dump files, and the exit hook that
-glmn.cli registers (reports of a fresh interpreter, which runs it, against
-in-process ones)."""
+"""End-to-end CLI behavior: exit codes, determinism, config validation
+(also of the configs the benchmark and the slow checks write), output
+formats and dump files, and the exit hook that glmn.cli registers (reports
+of a fresh interpreter, which runs it, against in-process ones)."""
 
 import json
 import os
@@ -14,6 +14,8 @@ import pytest
 from glmn import analysis, cli
 from glmn.cli import main
 from glmn.errors import BudgetExceeded
+
+from _tools import slow_checks, workloads
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -231,6 +233,43 @@ class TestExitCodes:
             assert err == ("error: structure-check's bracket table of 4096 entries "
                            "exceeds dim_budget^2 = 63^2\n")
 
+    @pytest.mark.parametrize("budget", [0, -2000])
+    def test_dim_budget_below_one_exits_two(self, tmp_path, capsys, budget):
+        # structure-check squares the budget, so a negative one would pass as
+        # its absolute value; the flag is put in the config before it is
+        # validated, so both routes are refused alike
+        plain = write_cfg(tmp_path, tasks=["structure-check"])
+        keyed = write_cfg(tmp_path, "keyed.json", tasks=["structure-check"],
+                          dim_budget=budget)
+        for argv in (["run", "--config", keyed],
+                     ["check", "--config", plain, "--dim-budget", str(budget)]):
+            assert run_cli(capsys, argv) == (
+                2, "", "error: dim_budget must be at least 1\n")
+
+    def test_flags_override_the_config_before_it_is_validated(self, tmp_path,
+                                                             capsys):
+        cfg = write_cfg(tmp_path, seed=None, dim_budget=-1)
+        code, out, _ = run_cli(capsys, ["scan", "--config", cfg, "--seed", "7",
+                                        "--dim-budget", "2000"])
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 7
+
+    def test_jobs_flag_is_unknown(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--config", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,config", [
+        *((name, workloads.make_config(name, 1)) for name in workloads.WORKLOADS),
+        *((name, {**slow_checks.BASE, **overrides})
+          for name, _, overrides in slow_checks.CONFIGS)])
+    def test_configs_the_tools_write_are_valid(self, name, config):
+        # the benchmark writes jobs: 1 into every config, so the key stays
+        # in the schema
+        cli.validate_config(config)
+
     def test_config_over_the_field_budget_takes_no_primality_test(
             self, monkeypatch):
         def refuse(n):
@@ -243,87 +282,15 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_jobs_do_not_change_report(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path)
-        _, out1, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "1"])
-        _, out2, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", "2"])
-        assert out1 == out2
-        # the graded scan over F_{5^5}: 125 weights in 14 chunks of at most
-        # nine, run in stages, serially or mapped over two workers
-        cfg = write_cfg(tmp_path, m=2, n=1, tasks=["graded-verma-scan"],
-                        chi={"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1})
-        reports = [run_cli(capsys, ["run", "--config", cfg, "--jobs", jobs])
-                   for jobs in ("1", "2")]
-        assert reports[0] == reports[1] and reports[0][0] == 0
-
-    @pytest.mark.parametrize("jobs,chunks", [(1, [25]), (2, [13, 12]),
-                                             (8, [4] + [3] * 7), (25, [1] * 25)])
-    def test_pool_maps_at_least_one_chunk_per_worker(self, tmp_path, capsys,
-                                                     monkeypatch, jobs, chunks):
-        # gl(1|1) at p = 5: 25 weights; a serial scan is one share of all of
-        # them, and a pool maps one share of consecutive weights per worker
-        import concurrent.futures
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        real = cli._scan_share
-
-        def recording(share):
-            seen.append(len(share))
-            return real(share)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(cli, "_scan_share", recording)
-        cfg = write_cfg(tmp_path)
-        code, _, _ = run_cli(capsys, ["scan", "--config", cfg, "--jobs", str(jobs)])
-        assert code == 0 and seen == chunks
-
-    @pytest.mark.parametrize("cpus,want", [(None, []), (1, []), (8, [8]),
-                                           (64, [25]), ("real", None)])
-    def test_pool_never_exceeds_weights_or_cpus(self, tmp_path, capsys,
-                                                monkeypatch, cpus, want):
-        # the pool is a serial fake: no process is started
-        import concurrent.futures
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
-                seen.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        if cpus != "real":
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cfg = write_cfg(tmp_path)  # gl(1|1) at p = 5: 25 weights
-        _, serial, _ = run_cli(capsys, ["scan", "--config", cfg])
-        code, out, _ = run_cli(capsys, ["scan", "--config", cfg,
-                                        "--jobs", "1000000"])
-        assert code == 0 and out == serial
-        if want is None:
-            assert all(w <= min(os.cpu_count() or 1, 25) for w in seen)
-        else:
-            assert seen == want
+        # the graded scan over F_{5^5}: 125 weights in stages; jobs is
+        # accepted and has no effect, and the report leaves it out
+        chi = {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1}
+        reports = [run_cli(capsys, ["run", "--config", write_cfg(
+                       tmp_path, m=2, n=1, tasks=["graded-verma-scan"], chi=chi,
+                       **jobs)])
+                   for jobs in ({}, {"jobs": 1}, {"jobs": 8})]
+        assert reports[0][0] == 0 and json.loads(reports[0][1])["passed"] is True
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_repeat_runs_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -455,7 +422,7 @@ class TestExitHook:
                 "print(atexit._ncallbacks() - n)\n")
         assert run_python("-c", code).stdout.split() == ["0", "1"]
 
-    @pytest.mark.parametrize("entry", ["main", "module", "module-jobs-2"])
+    @pytest.mark.parametrize("entry", ["main", "module"])
     def test_reports_of_a_fresh_interpreter_match_in_process(self, tmp_path,
                                                              capsys, entry):
         cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(2,1)": 1},
@@ -466,8 +433,7 @@ class TestExitHook:
         main(argv + ["--out", str(tmp_path / "want")])
         start = (["-c", "import sys; from glmn.cli import main; sys.exit(main())"]
                  if entry == "main" else ["-m", "glmn.cli"])
-        jobs = ["--jobs", "2"] if entry.endswith("jobs-2") else []
-        assert run_python(*start, *argv, *jobs).stdout == want
-        run_python(*start, *argv, *jobs, "--out", str(tmp_path / "got"))
+        assert run_python(*start, *argv).stdout == want
+        run_python(*start, *argv, "--out", str(tmp_path / "got"))
         files = read_dir(tmp_path / "want")
         assert len(files) == 3 and read_dir(tmp_path / "got") == files

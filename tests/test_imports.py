@@ -2,8 +2,9 @@
 
 Every name a glmn module imports is used in that module (the package's
 __init__.py is left out: it imports to re-export), and a fresh interpreter
-that imports glmn.cli, runs a jobs = 1 config or refuses a prime p over the
-field budget, loads neither sympy nor the process pool.
+that imports glmn.cli, runs a config or refuses a prime p over the field
+budget, loads neither sympy nor a process pool; nor does one that runs the
+benchmark's gated configs, as perfbench.workloads.make_config writes them.
 """
 
 import ast
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from _tools import workloads
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "glmn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -80,21 +83,17 @@ def test_prime_over_the_field_budget_loads_no_sympy(tmp_path):
     assert heavy_modules_after(code) == "[]"
 
 
-@pytest.mark.parametrize("config", [
-    {"p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1}, "lambda": "scan-all-X",
-     "tasks": ["levi-scan"]},
-    {"p": 5, "m": 2, "n": 1, "chi": {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1},
-     "lambda": "scan-all-X", "tasks": ["graded-verma-scan"]}],
-    ids=["levi-gl21", "graded-gl21-ext"])
-def test_benchmark_configs_load_no_masked_arrays_and_no_pool(tmp_path, config):
+@pytest.mark.parametrize("name", ["levi-gl21", "graded-gl21-ext"])
+def test_benchmark_configs_load_no_masked_arrays_and_no_pool(tmp_path, name):
     # the benchmark's two gated configs, run as its children run them: the
     # first np.unique, np.isin or np.setdiff1d imports numpy.ma, which costs
     # a run's set-up time and heap
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(config, seed=1, jobs=1)))
+    cfg.write_text(json.dumps(workloads.make_config(name, 1)))
     probe = ("import sys\nfrom glmn.cli import main\n"
              f"assert main(['run', '--config', {str(cfg)!r}]) == 0\n"
-             "print([m for m in ('numpy.ma', 'multiprocessing') if m in sys.modules])")
+             "print([m for m in ('numpy.ma', 'multiprocessing', "
+             "'concurrent.futures.process') if m in sys.modules])")
     env = {k: v for k, v in os.environ.items() if not k.startswith("GLMN_")}
     env["PYTHONPATH"] = str(SRC.parent)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

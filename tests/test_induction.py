@@ -218,8 +218,7 @@ class TestContextCache:
         alg = build_algebra(2, 1, make_field(5))
         chi = Character(alg, {})
         _, _, weights = weight_variety(alg, chi)
-        cfg = dict(cli.DEFAULTS, seed=0)
-        rows = cli._run_scan(cfg, alg, chi, weights[:6], graded=True, semisimple=True)
+        rows = cli._run_scan(alg, chi, weights[:6], graded=True, semisimple=True)
         assert len(rows) == 6
         assert len(built) == 2
         rs = built[0].rs

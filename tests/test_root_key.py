@@ -230,11 +230,12 @@ COUNTED = {"spin": (analysis, "_spin_stack"), "dual_core": (analysis, "_dual_cor
 PER_MODULE = {"spin", "dual_core"}
 
 
-def count_scan(chi, graded, counted=COUNTED):
+def count_scan(chi, graded, counted=COUNTED, setting=None):
     """The modules spun and the modules whose R is read, and the calls of
     each other counted function (by default apply_word and
-    _top_coefficient), over a whole gl(2|1) scan on fresh contexts."""
-    alg, chi, weights = fresh_setting(chi)
+    _top_coefficient), over a whole gl(2|1) scan on fresh contexts, or on
+    setting, fresh_setting(chi)'s (algebra, chi, weights), if given."""
+    alg, chi, weights = setting or fresh_setting(chi)
     counts = dict.fromkeys(counted, 0)
 
     def counting(owner, attr, key):
@@ -249,8 +250,7 @@ def count_scan(chi, graded, counted=COUNTED):
         for key, (owner, attr) in counted.items():
             stack.enter_context(counting(owner, attr, key))
         semisimple = classify_character(alg.root_system(), chi).semisimple
-        rows = cli._run_scan(dict(cli.DEFAULTS, seed=0), alg, chi, weights, graded,
-                             semisimple)
+        rows = cli._run_scan(alg, chi, weights, graded, semisimple)
     assert len(rows) == 125
     return counts
 
