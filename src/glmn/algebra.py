@@ -40,6 +40,8 @@ class SuperAlgebra:
         # the d x d mask of odd entries: row and column on opposite sides of m
         side = np.arange(self.d) >= m
         self._odd = side[:, None] != side[None, :]
+        # the sign of each diagonal entry in the supertrace: 1, then -1 below m
+        self.str_signs = np.where(side, field.p - 1, 1)
         self.bracket_table = {
             (u, v): tuple(self.bracket_units(*u, *v))
             for u in self.units for v in self.units
@@ -126,12 +128,7 @@ def build_algebra(m, n, field):
 def supertrace(algebra, x):
     """str(A) = tr(upper-left m block) - tr(lower-right n block)."""
     f = algebra.field
-    acc = 0
-    for i in range(algebra.m):
-        acc = f.add(acc, int(x.data[i, i]))
-    for i in range(algebra.m, algebra.d):
-        acc = f.sub(acc, int(x.data[i, i]))
-    return FieldElement(f, acc)
+    return FieldElement(f, matmul(f, algebra.str_signs[None, :], x.data.diagonal()[:, None]).item())
 
 
 def p_power(algebra, x):
@@ -293,10 +290,8 @@ class Weight:
 
     def __init__(self, field, coords):
         self.field = field
-        arr = []
-        for c in coords:
-            arr.append(c.idx if isinstance(c, FieldElement) else int(c))
-        self.coords = np.array(arr, dtype=np.int64)
+        self.coords = np.array([c.idx if isinstance(c, FieldElement) else int(c)
+                                for c in coords], dtype=np.int64)
 
     def value(self, i):
         return int(self.coords[i - 1])
@@ -411,14 +406,14 @@ def classify_character(rs, chi):
                           standard_levi, levi_set)
 
 
-def weight_variety(algebra, chi):
+def weight_variety(algebra, chi, enumerate_weights=True):
     """All weights lambda with lambda(h)^p - lambda(h) = chi(h)^p on the
     diagonal units.
 
     Where some coordinate equation has no root, the field is extended once,
     F_p -> F_{p^p} (Field.extend), where every one has p; chi keeps its
     indices.  Returns (algebra, chi, weights) over the possibly extended
-    field.
+    field; weights is [] unless enumerate_weights.
     """
     field = algebra.field
     values = [field.power(chi.value((i, i)), field.p) for i in range(1, algebra.d + 1)]
@@ -428,16 +423,14 @@ def weight_variety(algebra, chi):
         algebra = SuperAlgebra(algebra.m, algebra.n, field)
         chi = Character(algebra, chi.values)
         roots = [ffield.artin_schreier_roots(field, c) for c in values]
-    weights = [Weight(field, combo) for combo in
-               itertools.product(*([r.idx for r in rs] for rs in roots))]
+    weights = [Weight(field, combo) for combo in itertools.product(
+        *([r.idx for r in rs] for rs in roots))] if enumerate_weights else []
     return algebra, chi, weights
 
 
-def weight_in_variety(algebra, chi, lam):
-    """Check lambda_i^p - lambda_i = chi(E(i,i))^p for every i."""
-    f = algebra.field
-    for i in range(1, algebra.d + 1):
-        lhs = f.sub(f.power(lam.value(i), f.p), lam.value(i))
-        if lhs != f.power(chi.value((i, i)), f.p):
-            return False
-    return True
+def weights_in_variety(algebra, chi, lams):
+    """Whether each weight of lams lies in X^chi, lambda_i^p - lambda_i =
+    chi(E(i,i))^p for every i: one bool array over their stacked coordinates."""
+    f, coords = algebra.field, np.array([lam.coords for lam in lams]).reshape(-1, algebra.d)
+    chi_p = f.power(np.array([chi.value(u) for u in algebra.diag_units], dtype=np.int64), f.p)
+    return (f.sub(f.power(coords, f.p), coords) == chi_p).all(axis=1)

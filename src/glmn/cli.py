@@ -29,14 +29,15 @@ import numpy as np
 
 from . import __version__
 from .algebra import (Character, Weight, build_algebra, classify_character,
-                      weight_in_variety, weight_variety)
+                      weights_in_variety, weight_variety)
 from .analysis import (composition_series, dual_cores, frobenius_gram,
                        regular_module, shifted_joint_kernel)
 from .enveloping import normalize, reduction_context
 from .errors import BudgetExceeded, ConfigInvalid, GlmnError
 from .ffield import check_field_budget, isprime, make_field
 from .kw import kw_verify, levi_scans
-from .verma import (_axiom_table, build_baby_verma, build_baby_vermas,
+from .linalg import matmul, matrix_power
+from .verma import (STACK_ENTRIES, _axiom_table, build_baby_verma, build_baby_vermas,
                     build_graded_vermas, build_simple_g0_modules, f1_direct,
                     f_direct, f_formulas)
 
@@ -149,26 +150,27 @@ def coeffs_of(field, idx):
 
 
 def build_setting(cfg):
-    """(algebra, chi, weights) over the field the run executes in."""
+    """(algebra, chi, weights) over the field the run executes in; the
+    weights of X^chi are enumerated only for a task of cfg that reads them."""
     field = make_field(cfg["p"], cfg["field_degree"])
     algebra = build_algebra(cfg["m"], cfg["n"], field)
     chi = parse_chi(algebra, cfg["chi"])
     lam = cfg["lambda"]
     if lam == "scan-all-X":
-        algebra, chi, weights = weight_variety(algebra, chi)
-        return algebra, chi, weights
+        return weight_variety(algebra, chi, any(t in WEIGHT_TASKS for t in cfg["tasks"]))
     coords = [element_index(field, c) for c in lam]
     if len(coords) != algebra.d:
         raise ConfigInvalid(f"lambda needs {algebra.d} coordinates")
     weight = Weight(field, coords)
-    if not weight_in_variety(algebra, chi, weight):
+    if not weights_in_variety(algebra, chi, [weight])[0]:
         raise ConfigInvalid("lambda does not lie in the weight variety of chi")
     return algebra, chi, [weight]
 
 
+# the tasks that read the weights of X^chi
+WEIGHT_TASKS = ("verma-scan", "graded-verma-scan", "kw-verify", "levi-scan")
 # the tasks whose modules are baby Vermas, or as large as one (u(n-))
-DIM_BUDGET_TASKS = ("verma-scan", "graded-verma-scan", "kw-verify",
-                    "levi-scan", "frobenius-check", "regular-module-check")
+DIM_BUDGET_TASKS = WEIGHT_TASKS + ("frobenius-check", "regular-module-check")
 
 
 def check_dim_budget(cfg):
@@ -187,15 +189,14 @@ def check_dim_budget(cfg):
         f"predicted module dimension {dim} exceeds dim_budget {budget}")
 
 
-def check_structure_budget(cfg):
-    """Refuse a structure-check whose (U, U, U) bracket table, U = (m + n)^2,
-    holds more entries than a dim_budget x dim_budget matrix; read off the
-    config alone, before the field or the algebra is built."""
+def check_table_budget(cfg, power, table):
+    """Refuse a config whose table of (m + n)^power entries holds more than a
+    dim_budget x dim_budget matrix; read off the config alone, before the
+    field or the algebra is built."""
     d, budget = cfg["m"] + cfg["n"], cfg["dim_budget"]
-    if d ** 6 > budget ** 2:
-        entries = d ** 6 if d < 1024 else f"(m + n)^6 at m + n = {d}"
-        raise BudgetExceeded(f"structure-check's bracket table of {entries} entries "
-                             f"exceeds dim_budget^2 = {budget}^2")
+    if d ** power > budget ** 2:
+        entries = d ** power if d < 1024 else f"(m + n)^{power} at m + n = {d}"
+        raise BudgetExceeded(f"{table} of {entries} entries exceeds dim_budget^2 = {budget}^2")
 
 
 # ---------------------------------------------------------------------------
@@ -307,57 +308,66 @@ def verma_scan_task(cfg, algebra, chi, weights, graded=False):
 # other tasks
 
 def structure_task(cfg, algebra, chi, weights):
-    """Super anticommutativity, Jacobi, restrictedness, supertrace checks."""
-    from .algebra import supertrace
-    alg = algebra
-    f = alg.field
-    rng = random.Random(task_seed(cfg["seed"], "structure"))
-    checked = {"anticommutativity": 0, "jacobi": 0, "ad_p_power": 0,
-               "supertrace": 0}
-    # [x, y] = -(-1)^{p(x)p(y)} [y, x], on the bracket coefficients of
-    # every pair of units at once
-    odd, coef, _, _ = _axiom_table(alg, tuple(alg.units))
+    """Super anticommutativity, Jacobi, ad(x)^p = ad(x^[p]) and str [x, y] =
+    0, all read off the (U, U, U) bracket coefficients of the units."""
+    f, U, d = algebra.field, len(algebra.units), algebra.d
+    odd, coef, even, _ = _axiom_table(algebra, tuple(algebra.units))
+    # [x, y] = -(-1)^{p(x)p(y)} [y, x], on every pair of units at once
     swapped = coef.transpose(1, 0, 2)
-    both = (odd[:, None] & odd[None, :])[:, :, None]
-    ok = np.array_equal(coef, np.where(both, swapped, f.neg(swapped)))
-    checked["anticommutativity"] = len(alg.units) ** 2
-    units, odd_units = alg.units, set(alg.odd_units)
-    for x in units:
-        for y in units:
-            for z in units:
-                # (-1)^{p(x)p(z)} [x,[y,z]] + cyclic = 0
-                acc = {}
-                for (a, b, c3) in ((x, y, z), (y, z, x), (z, x, y)):
-                    sgn = -1 if a in odd_units and c3 in odd_units else 1
-                    for c1, u1 in alg.bracket_table[(b, c3)]:
-                        for c2, u2 in alg.bracket_table[(a, u1)]:
-                            v = f.mul(c1, c2)
-                            if sgn == -1:
-                                v = f.neg(v)
-                            acc[u2] = f.add(acc.get(u2, 0), v)
-                ok = ok and not any(acc.values())
-                checked["jacobi"] += 1
-    from .algebra import p_power
-    from .linalg import Matrix
-    # ad(x)^p = ad(x^[p]) is not linear in x, so 50 random x join the units
-    even_samples = [alg.unit_matrix(*u) for u in alg.even_units]
-    for _ in range(50):
-        m_ = np.zeros((alg.d, alg.d), dtype=np.int64)
-        for (i, j) in alg.even_units:
-            m_[i - 1, j - 1] = rng.randrange(f.q)
-        even_samples.append(Matrix(f, m_))
-    for xmat in even_samples:
-        adx = alg.ad_matrix(xmat)
-        adp = alg.ad_matrix(p_power(alg, xmat))
-        ok = ok and adx.power(f.p) == adp
-        checked["ad_p_power"] += 1
-    # str([a, b]) = 0 is bilinear, so every pair of matrix units decides it
-    for x in alg.units:
-        for y in alg.units:
-            ok = ok and supertrace(alg, alg.bracket(alg.unit_matrix(*x),
-                                                    alg.unit_matrix(*y))).idx == 0
-            checked["supertrace"] += 1
+    ok = np.array_equal(coef, np.where((odd[:, None] & odd[None, :])[:, :, None],
+                                       swapped, f.neg(swapped)))
+    # ad(x)^p = ad(x^[p]) is not linear in x, so 50 random x join the even units
+    rng = random.Random(task_seed(cfg["seed"], "structure"))
+    xs = np.zeros((len(even) + 50, U), dtype=np.int64)
+    xs[:, even] = np.vstack([np.eye(len(even), dtype=np.int64),
+                             [[rng.randrange(f.q) for _ in even] for _ in range(50)]])
+    # str [x, y] = 0 is bilinear: the table's diagonal columns times str's signs
+    ok = (ok and _jacobi_holds(f, odd, coef) and _ad_powers_hold(algebra, coef, xs)
+          and not matmul(f, coef[:, :, ::d + 1].reshape(U * U, d),
+                         algebra.str_signs[:, None]).any())
+    checked = dict(anticommutativity=U * U, jacobi=U ** 3, ad_p_power=len(xs), supertrace=U * U)
     return {"checked": checked, "sampled": ["ad_p_power"], "all_pass": ok}, ok
+
+
+def _jacobi_holds(f, odd, coef):
+    """(-1)^{p(x)p(z)} [x, [y, z]] + cyclic = 0 for every triple of units.
+    A term [a, [b, c]] is nonzero only through a unit u of [b, c] with [a, u]
+    != 0, found among the table's nonzeros sorted by u; it is added (on base-p
+    digits) to the three triples that hold (a, b, c) in cyclic order."""
+    U = len(coef)
+    b, c, u = np.nonzero(coef)  # u in [b, c]
+    ru, ra, rw = np.nonzero(coef.transpose(1, 0, 2))  # w in [a, u], by u
+    lo, hi = np.searchsorted(ru, u), np.searchsorted(ru, u, side="right")
+    i = np.repeat(np.arange(len(u)), hi - lo)  # each u in [b, c] meets
+    j = np.arange(len(i)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)  # each [a, u]
+    a, b, c, u, w = ra[j], b[i], c[i], u[i], rw[j]
+    v = f.mul(coef[b, c, u], coef[a, u, w])
+    v = np.where(odd[a] & odd[c], f.neg(v), v)
+    keys = np.concatenate([((x * U + y) * U + z) * U + w
+                           for x, y, z in ((a, b, c), (c, a, b), (b, c, a))])
+    triples, group = np.unique(keys, return_inverse=True)
+    sums = np.zeros((len(triples), f.k), dtype=np.int64)
+    np.add.at(sums, group, f.digits[np.tile(v, 3)])
+    return not (sums % f.p).any()
+
+
+def _ad_powers_hold(algebra, coef, xs):
+    """ad(x)^p = ad(x^[p]) for each row x of xs, an even element on the unit
+    basis: ad(x) transposed is x times the table reshaped to (U, U * U), on
+    its nonzero columns, in chunks of rows whose ad stays below STACK_ENTRIES."""
+    f, U, d = algebra.field, len(coef), algebra.d
+    xps = matrix_power(f, xs.reshape(-1, d, d), f.p).reshape(-1, U)
+    cols = np.flatnonzero(coef.reshape(U, U * U).any(axis=0))
+    table = coef.reshape(U, U * U)[:, cols]
+    chunk = max(1, STACK_ENTRIES // (U * U))
+    for s in range(0, len(xs), chunk):
+        ads = np.zeros((2, len(xs[s:s + chunk]), U * U), dtype=np.int64)
+        ads[:, :, cols] = matmul(f, np.concatenate([xs[s:s + chunk], xps[s:s + chunk]]),
+                                 table).reshape(2, -1, len(cols))
+        ads = ads.reshape(2, -1, U, U)
+        if not np.array_equal(matrix_power(f, ads[0], f.p), ads[1]):
+            return False
+    return True
 
 
 def _nminus_units(algebra):
@@ -537,15 +547,16 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
     if dump_module_path or any(t in DIM_BUDGET_TASKS for t in tasks):
         check_dim_budget(cfg)
     if "structure-check" in tasks:
-        check_structure_budget(cfg)
-    algebra, chi, weights = build_setting(cfg)
+        check_table_budget(cfg, 6, "structure-check's bracket table")
+    check_table_budget(cfg, 4, "the algebra's bracket table")
+    algebra, chi, weights = build_setting(dict(cfg, tasks=tasks))
     results = []
     for name in tasks:
         rec, passed = TASK_RUNNERS[name](cfg, algebra, chi, weights)
         results.append((name, rec, passed))
     report = make_report(cfg, algebra, results)
     if dump_module_path:
-        Z = build_baby_verma(algebra, chi, weights[0])
+        Z = build_baby_verma(algebra, chi, (weights or weight_variety(algebra, chi)[2])[0])
         with open(dump_module_path, "w") as fh:
             dump_module(Z, fh)
     if dump_element_path:

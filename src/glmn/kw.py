@@ -19,7 +19,7 @@ from .errors import (ClosureFailure, GlmnError, NotNormalized, NotNormalizable,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse, matmul
 from .verma import (_axiom_table, _induce_all, build_baby_vermas, induce,
-                    induced_hom, weight_line)
+                    induced_hom, weight_lines)
 from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
                        simple_heads)
 
@@ -214,12 +214,9 @@ def build_levi_vermas(algebra, chi, lams, phi):
     rs = algebra.root_system()
     phi_keys = {r.key for r in phi}
     levi_roots = [r for r in rs.positive if r.key not in phi_keys]
-    units = list(algebra.diag_units)
-    for r in levi_roots:
-        units.append(rs.e_unit(r))
-        units.append(rs.f_unit(r))
-    return _induce_all(algebra, chi, levi_roots,
-                       (weight_line(algebra, chi, lam) for lam in lams), units=units)
+    units = algebra.diag_units + [u for r in levi_roots for u in (rs.e_unit(r), rs.f_unit(r))]
+    return _induce_all(algebra, chi, levi_roots, weight_lines(algebra, chi, lams),
+                       units=units)
 
 
 def build_kw_module(algebra, chi, M_prime, phi):

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .algebra import Weight, weight_in_variety
+from .algebra import Weight, weights_in_variety
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import (ChiNotBorelCompatible, IntertwinerCheckFailed,
                      LambdaNotInX, NonScalarResult, NotG0Module, NotMaximal,
@@ -462,12 +462,15 @@ def _stacks(algebra, free_roots, inners):
         yield [first, *itertools.islice(inners, size - 1)]
 
 
-def weight_line(algebra, chi, lam):
+def weight_lines(algebra, chi, lams):
     """The one-dimensional module of the Cartan units, E(i,i) acting by
-    lambda(i)."""
-    values = [[[lam.value(i)]] for i in range(1, algebra.d + 1)]
-    return ModuleRep(algebra, chi, algebra.diag_units, values, [0],
-                     highest_vector=[1], lam=lam)
+    lambda(i), for each lambda of lams in order, once all of them are checked
+    to lie in X^chi (LambdaNotInX names the first that does not)."""
+    lams = list(lams)
+    if lams and not (inside := weights_in_variety(algebra, chi, lams)).all():
+        raise LambdaNotInX(f"{lams[int(np.argmin(inside))]!r} not in the weight variety of chi")
+    return (ModuleRep(algebra, chi, algebra.diag_units, [[[c]] for c in lam.coords.tolist()],
+                      [0], highest_vector=[1], lam=lam) for lam in lams)
 
 
 def build_baby_verma(algebra, chi, lam):
@@ -479,12 +482,9 @@ def build_baby_vermas(algebra, chi, lams):
     """build_baby_verma at each lambda of lams, in order: an iterator of
     stacks (lists, _induce_all), each built once the last is consumed."""
     _check_borel(chi)
-    for lam in lams:
-        if not weight_in_variety(algebra, chi, lam):
-            raise LambdaNotInX(f"{lam!r} not in the weight variety of chi")
     # e generators absent: they annihilate the highest line
     return _induce_all(algebra, chi, algebra.root_system().positive,
-                       (weight_line(algebra, chi, lam) for lam in lams))
+                       weight_lines(algebra, chi, lams))
 
 
 def build_even_verma(algebra, chi, lam):
@@ -499,8 +499,7 @@ def build_even_vermas(algebra, chi, lams):
     """build_even_verma at each lambda of lams, in stacks as build_baby_vermas."""
     _check_borel(chi)
     return _induce_all(algebra, chi, algebra.root_system().positive_even,
-                       (weight_line(algebra, chi, lam) for lam in lams),
-                       units=algebra.even_units)
+                       weight_lines(algebra, chi, lams), units=algebra.even_units)
 
 
 def build_simple_g0_module(algebra, chi, lam):

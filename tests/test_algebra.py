@@ -17,7 +17,7 @@ from glmn.linalg import Matrix
 from glmn.algebra import (SuperAlgebra, build_algebra, supertrace, p_power,
                           Character, Weight, reflect, weyl_move_to_simple,
                           classify_character, weight_variety,
-                          weight_in_variety)
+                          weights_in_variety)
 from glmn.errors import InvalidSupport, OddReflectionOnWeight
 
 F = make_field(5)
@@ -246,7 +246,7 @@ class TestWeightVariety:
         alg2, chi2, weights = weight_variety(alg, Character(alg, {}))
         assert alg2.field is F
         assert len(weights) == 25
-        assert all(weight_in_variety(alg2, chi2, w) for w in weights)
+        assert weights_in_variety(alg2, chi2, weights).all()
 
     def test_nonzero_chi_forces_extension(self):
         alg = build_algebra(1, 1, F)
@@ -254,13 +254,16 @@ class TestWeightVariety:
         alg2, chi2, weights = weight_variety(alg, chi)
         assert alg2.field.k == 5
         assert len(weights) == 25
+        assert weights_in_variety(alg2, chi2, weights).all()
         for w in weights:
-            assert weight_in_variety(alg2, chi2, w)
             # first coordinate solves an Artin-Schreier equation with c != 0,
             # so it cannot lie in the prime subfield
             assert w.value(1) >= 5
 
     def test_variety_membership_is_exact(self):
         alg = build_algebra(1, 1, F)
-        chi = Character(alg, {})
-        assert weight_in_variety(alg, chi, Weight(F, [2, 3]))
+        lams = [Weight(F, [2, 3]), Weight(F, [0, 4])]
+        assert weights_in_variety(alg, Character(alg, {}), lams).tolist() == [True, True]
+        # 2^5 - 2 = 0 != 1^5 over F_5; 0 and 4 solve x^5 - x = 0 only
+        chi = Character(alg, {(1, 1): 1})
+        assert weights_in_variety(alg, chi, lams).tolist() == [False, False]

@@ -8,8 +8,9 @@ table kept on the algebra per tuple of units.  Here a whole scan is
 counted, the shared arrays are checked to be read-only, modules built
 from a warm layout are compared with cold builds on a fresh algebra, and
 a table whose brackets leave the units must still fail the bracket check.
-structure-check reads super-anticommutativity off the table of all units;
-it is compared with the per-pair loop it replaced on perturbed tables.
+structure-check reads all four of its identities off the table of all
+units; on intact and perturbed tables each is compared with the walk it
+replaced (tests/_bracket_oracle.py).
 """
 
 from unittest import mock
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glmn import verma
+import _bracket_oracle as oracle
+from glmn import cli, verma
 from glmn.algebra import Character, build_algebra
 from glmn.cli import structure_task
 from glmn.ffield import make_field
@@ -137,35 +139,57 @@ def test_unit_tables_are_made_once_per_order_of_the_units():
     assert all(alg._axiom_tables[units] is table for units, table in tables.items())
 
 
-def oracle_anticommutes(alg, coef):
-    """[x, y] = -(-1)^{p(x)p(y)} [y, x] pair by pair, on coefficient dicts."""
-    f, units = alg.field, alg.units
-    for a, x in enumerate(units):
-        for b, y in enumerate(units):
-            sign = -1 if alg.parity(*x) and alg.parity(*y) else 1
-            lhs = {u: int(c) for u, c in zip(units, coef[a, b]) if c}
-            rhs = {u: int(c) if sign == -1 else f.neg(int(c))
-                   for u, c in zip(units, coef[b, a]) if c}
-            if lhs != rhs:
-                return False
-    return True
+def perturbed(alg, data, symmetric):
+    """A copy of the unit table of alg with up to three entries changed; with
+    symmetric, each change to [x, y], x != y, is mirrored on [y, x], so that
+    only a change to some [x, x] can break anticommutativity."""
+    f, U = alg.field, len(alg.units)
+    odd, coef, _, _ = verma._axiom_table(alg, tuple(alg.units))
+    coef = coef.copy()
+    for _ in range(data.draw(st.integers(0, 3), label="changes")):
+        a, b, c = (data.draw(st.integers(0, U - 1)) for _ in range(3))
+        coef[a, b, c] = data.draw(st.integers(0, f.q - 1), label="value")
+        if symmetric and a != b:
+            coef[b, a, c] = coef[a, b, c] if odd[a] and odd[b] else f.neg(int(coef[a, b, c]))
+    return coef
+
+
+def install(alg, coef):
+    odd, _, even, cartan = verma._axiom_table(alg, tuple(alg.units))
+    alg._axiom_tables[tuple(alg.units)] = (odd, coef, even, cartan)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_structure_check_reads_anticommutativity_off_the_unit_table(m, n, data):
-    # the perturbed table stands in for the bracket coefficients, while
-    # Jacobi, the p-mapping and the supertrace read the intact bracket
-    # table and pass
+    # the perturbed table stands in for the bracket coefficients, and every
+    # identity, anticommutativity with the others, is read off it
     alg = build_algebra(m, n, make_field(5))
     U = len(alg.units)
-    odd, coef, even, cartan = verma._axiom_table(alg, tuple(alg.units))
-    coef = coef.copy()
-    for _ in range(data.draw(st.integers(0, 2), label="changes")):
-        a, b, c = (data.draw(st.integers(0, U - 1)) for _ in range(3))
-        coef[a, b, c] = data.draw(st.integers(0, 4), label="value")
-    alg._axiom_tables[tuple(alg.units)] = (odd, coef, even, cartan)
+    coef = perturbed(alg, data, symmetric=False)
+    install(alg, coef)
     rec, passed = structure_task({"seed": 1}, alg, Character(alg, {}), [])
     assert rec["checked"]["anticommutativity"] == U * U
-    assert passed == rec["all_pass"] == oracle_anticommutes(alg, coef)
+    assert passed == rec["all_pass"] == oracle.structure_record(alg, coef, 1)["all_pass"]
+
+
+@pytest.mark.parametrize("m,n,q", [(1, 1, 5), (2, 1, 5), (2, 2, 5),
+                                   (1, 1, 25), (2, 1, 25), (2, 2, 25)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_structure_identities_match_the_walks(m, n, q, data):
+    # each identity of the array forms against its walk over the same
+    # table, intact (no changes) or perturbed, and the whole record
+    alg = build_algebra(m, n, make_field(5, 2 if q == 25 else 1))
+    f, seed = alg.field, data.draw(st.integers(0, 20), label="seed")
+    coef = perturbed(alg, data, symmetric=data.draw(st.booleans(), label="symmetric"))
+    odd = verma._axiom_table(alg, tuple(alg.units))[0]
+    table = oracle.coefficient_table(alg, coef)
+    samples = oracle.ad_samples(alg, seed)
+    xs = np.array([x.data.reshape(-1) for x in samples])
+    assert cli._jacobi_holds(f, odd, coef) == oracle.jacobi_holds(alg, table)
+    assert cli._ad_powers_hold(alg, coef, xs) == oracle.ad_powers_hold(alg, table, samples)
+    install(alg, coef)
+    rec, passed = structure_task({"seed": seed}, alg, Character(alg, {}), [])
+    assert rec == oracle.structure_record(alg, coef, seed) and passed == rec["all_pass"]

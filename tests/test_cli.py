@@ -7,11 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
 
-from glmn import analysis, cli
+from glmn import algebra, analysis, cli
 from glmn.cli import main
 from glmn.errors import BudgetExceeded
 
@@ -232,6 +233,52 @@ class TestExitCodes:
         if code:
             assert err == ("error: structure-check's bracket table of 4096 entries "
                            "exceeds dim_budget^2 = 63^2\n")
+
+    def test_empty_task_list_is_refused_before_the_algebra(self):
+        # gl(100|1) builds a bracket table of 101^4 entries; with no task it
+        # took no budget and ran out of memory in the capped child
+        cfg = {"p": 5, "m": 100, "n": 1, "lambda": [0] * 101, "tasks": []}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            code, _, err = run_capped(["run", "--config", path])
+        assert (code, err) == (2, "error: the algebra's bracket table of 104060401 "
+                                  "entries exceeds dim_budget^2 = 2000^2\n")
+
+    @pytest.mark.parametrize("budget,code", [(3, 2), (4, 0)])
+    def test_algebra_budget_bounds_every_config(self, tmp_path, capsys, budget, code):
+        # gl(1|1): (1 + 1)^4 = 16 = 4^2 entries
+        cfg = write_cfg(tmp_path, tasks=[], dim_budget=budget)
+        got, out, err = run_cli(capsys, ["run", "--config", cfg])
+        assert got == code
+        assert json.loads(out)["passed"] if code == 0 else err == (
+            "error: the algebra's bracket table of 16 entries exceeds dim_budget^2 = 3^2\n")
+
+    @pytest.mark.parametrize("tasks", [["structure-check"], ["frobenius-check"],
+                                       ["regular-module-check"], []])
+    @pytest.mark.parametrize("chi,k", [({}, 1), ({"E(1,1)": 1, "E(2,2)": 1}, 5)])
+    def test_tasks_that_read_no_weight_build_none(self, tmp_path, capsys,
+                                                  monkeypatch, tasks, chi, k):
+        # X^chi is enumerated for the scans, kw-verify and levi-scan only;
+        # the field is extended all the same
+        def must_not_run(*args):
+            raise AssertionError("a weight of X^chi built for no task")
+
+        monkeypatch.setattr(algebra, "Weight", must_not_run)
+        cfg = write_cfg(tmp_path, m=1, n=1, chi=chi, tasks=tasks)
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+        report = json.loads(out)
+        assert code == 0 and report["passed"] and report["field"]["k"] == k
+
+    def test_dump_module_reads_the_first_weight_of_any_config(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, m=1, n=1, chi={"E(1,1)": 1}, tasks=["structure-check"])
+        dumps = []
+        for argv in (["run", "--config", cfg], ["scan", "--config", cfg]):
+            mod = tmp_path / "mod.txt"
+            assert run_cli(capsys, argv + ["--dump-module", str(mod)])[0] == 0
+            dumps.append(mod.read_text())
+        assert dumps[0] == dumps[1] and dumps[0].startswith("dim 2\n")
 
     @pytest.mark.parametrize("budget", [0, -2000])
     def test_dim_budget_below_one_exits_two(self, tmp_path, capsys, budget):

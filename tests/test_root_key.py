@@ -158,7 +158,7 @@ def test_units_top_coordinate_and_vector_are_part_of_the_key():
     # the even-part Verma is the same induction as the module below, on
     # fewer acting units
     full = verma.induce(alg, chi, rs.positive_even,
-                        verma.weight_line(alg, chi, weights[0]))
+                        next(verma.weight_lines(alg, chi, weights[:1])))
     even = build_even_verma(alg, chi, weights[0])
     # Z(lam) + Z(mu) from two weight lines whose coordinate sums differ, so
     # neither top weight occurs in the other summand: equal actions, with

@@ -7,11 +7,12 @@ and the frozen closed formula for gl(2|1).
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from glmn import verma
+from glmn import kw, verma
 from glmn.ffield import make_field
 from glmn.linalg import Matrix
 from glmn.algebra import (build_algebra, Character, Weight, reflect,
@@ -128,6 +129,26 @@ class TestConstruction:
         bad = Weight(alg2.field, [0, 0])  # 0^p - 0 != 1
         with pytest.raises(LambdaNotInX):
             build_baby_verma(alg2, chi2, bad)
+
+    def test_every_builder_rejects_lambda_outside_variety(self):
+        # chi = diag(1,1,1) on gl(2|1) extends the field to F_{5^5}, where
+        # lambda = 0 misses X^chi; the even and Levi Vermas took it before
+        alg = build_algebra(2, 1, F)
+        alg2, chi2, weights = weight_variety(
+            alg, Character(alg, {(1, 1): 1, (2, 2): 1, (3, 3): 1}))
+        zero = Weight(alg2.field, [0, 0, 0])
+        phi = alg2.root_system().positive_odd
+        for build in (build_baby_verma, build_even_verma,
+                      lambda a, c, lam: kw.build_levi_verma(a, c, lam, phi)):
+            with pytest.raises(LambdaNotInX):
+                build(alg2, chi2, zero)
+        # the plural builders check every lambda before they build, and name
+        # the first one outside X^chi
+        other = Weight(alg2.field, [1, 0, 0])
+        for build in (verma.build_baby_vermas, verma.build_even_vermas,
+                      lambda a, c, lams: kw.build_levi_vermas(a, c, lams, phi)):
+            with pytest.raises(LambdaNotInX, match=re.escape(repr(zero))):
+                build(alg2, chi2, [weights[0], zero, other])
 
 
 class TestSimplicityPolynomials:
