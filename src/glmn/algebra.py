@@ -127,8 +127,8 @@ def build_algebra(m, n, field):
 
 def supertrace(algebra, x):
     """str(A) = tr(upper-left m block) - tr(lower-right n block)."""
-    f = algebra.field
-    return FieldElement(f, matmul(f, algebra.str_signs[None, :], x.data.diagonal()[:, None]).item())
+    f, diag = algebra.field, x.data.diagonal()[:, None]
+    return FieldElement(f, matmul(f, algebra.str_signs[None, :], diag).item())
 
 
 def p_power(algebra, x):

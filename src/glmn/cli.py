@@ -338,8 +338,8 @@ def _jacobi_holds(f, odd, coef):
     b, c, u = np.nonzero(coef)  # u in [b, c]
     ru, ra, rw = np.nonzero(coef.transpose(1, 0, 2))  # w in [a, u], by u
     lo, hi = np.searchsorted(ru, u), np.searchsorted(ru, u, side="right")
-    i = np.repeat(np.arange(len(u)), hi - lo)  # each u in [b, c] meets
-    j = np.arange(len(i)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)  # each [a, u]
+    i = np.repeat(np.arange(len(u)), hi - lo)  # i: a u in [b, c], as often as
+    j = np.arange(len(i)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)  # j: each w in [a, u]
     a, b, c, u, w = ra[j], b[i], c[i], u[i], rw[j]
     v = f.mul(coef[b, c, u], coef[a, u, w])
     v = np.where(odd[a] & odd[c], f.neg(v), v)
@@ -353,17 +353,17 @@ def _jacobi_holds(f, odd, coef):
 
 def _ad_powers_hold(algebra, coef, xs):
     """ad(x)^p = ad(x^[p]) for each row x of xs, an even element on the unit
-    basis: ad(x) transposed is x times the table reshaped to (U, U * U), on
-    its nonzero columns, in chunks of rows whose ad stays below STACK_ENTRIES."""
+    basis: the transpose of ad(x) is x times the table reshaped to (U, U * U),
+    on its nonzero columns, in chunks of rows whose ad stays below STACK_ENTRIES."""
     f, U, d = algebra.field, len(coef), algebra.d
     xps = matrix_power(f, xs.reshape(-1, d, d), f.p).reshape(-1, U)
     cols = np.flatnonzero(coef.reshape(U, U * U).any(axis=0))
     table = coef.reshape(U, U * U)[:, cols]
     chunk = max(1, STACK_ENTRIES // (U * U))
     for s in range(0, len(xs), chunk):
-        ads = np.zeros((2, len(xs[s:s + chunk]), U * U), dtype=np.int64)
-        ads[:, :, cols] = matmul(f, np.concatenate([xs[s:s + chunk], xps[s:s + chunk]]),
-                                 table).reshape(2, -1, len(cols))
+        x = np.concatenate([xs[s:s + chunk], xps[s:s + chunk]])
+        ads = np.zeros((len(x), U * U), dtype=np.int64)
+        ads[:, cols] = matmul(f, x, table)
         ads = ads.reshape(2, -1, U, U)
         if not np.array_equal(matrix_power(f, ads[0], f.p), ads[1]):
             return False

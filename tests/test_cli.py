@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 
 import pytest
@@ -234,15 +233,11 @@ class TestExitCodes:
             assert err == ("error: structure-check's bracket table of 4096 entries "
                            "exceeds dim_budget^2 = 63^2\n")
 
-    def test_empty_task_list_is_refused_before_the_algebra(self):
-        # gl(100|1) builds a bracket table of 101^4 entries; with no task it
-        # took no budget and ran out of memory in the capped child
-        cfg = {"p": 5, "m": 100, "n": 1, "lambda": [0] * 101, "tasks": []}
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "cfg.json")
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
-            code, _, err = run_capped(["run", "--config", path])
+    def test_empty_task_list_is_refused_before_the_algebra(self, tmp_path):
+        # gl(100|1) would build a bracket table of 101^4 entries; a config
+        # with no task must meet that budget too, or the capped child fails
+        cfg = write_cfg(tmp_path, m=100, n=1, tasks=[], **{"lambda": [0] * 101})
+        code, _, err = run_capped(["run", "--config", cfg])
         assert (code, err) == (2, "error: the algebra's bracket table of 104060401 "
                                   "entries exceeds dim_budget^2 = 2000^2\n")
 

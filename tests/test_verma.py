@@ -132,7 +132,7 @@ class TestConstruction:
 
     def test_every_builder_rejects_lambda_outside_variety(self):
         # chi = diag(1,1,1) on gl(2|1) extends the field to F_{5^5}, where
-        # lambda = 0 misses X^chi; the even and Levi Vermas took it before
+        # lambda = 0 misses X^chi: each builder refuses it
         alg = build_algebra(2, 1, F)
         alg2, chi2, weights = weight_variety(
             alg, Character(alg, {(1, 1): 1, (2, 2): 1, (3, 3): 1}))

@@ -50,16 +50,16 @@ CONFIGS = [
     # the largest algebra the structure budget admits: 12^6 <= 2000^2
     ("structure-gl66", 0, {"m": 6, "n": 6, "lambda": [0] * 12,
                            "tasks": ["structure-check"]}),
+    # 625 weights of dimension 400, in stages over all of them: one baby
+    # Verma's actions exceed the stacked-build budget, so each stack holds one
+    ("scan-gl22-chi0", 0, {"m": 2, "n": 2, "lambda": "scan-all-X",
+                           "tasks": ["verma-scan"]}),
     # within the structure budget (10^6 <= 2000^2); X holds 5^10 weights,
     # which no task of this config reads
     ("structure-gl55-X", 0, {"m": 5, "n": 5, "lambda": "scan-all-X",
                              "tasks": ["structure-check"]}),
     # no task, so only the budget of the algebra's own bracket table applies
     ("empty-huge", 2, {"m": 100, "n": 1, "lambda": [0] * 101, "tasks": []}),
-    # 625 weights of dimension 400, in stages over all of them: one baby
-    # Verma's actions exceed the stacked-build budget, so each stack holds one
-    ("scan-gl22-chi0", 0, {"m": 2, "n": 2, "lambda": "scan-all-X",
-                           "tasks": ["verma-scan"]}),
 ]
 
 
