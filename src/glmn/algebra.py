@@ -406,14 +406,14 @@ def classify_character(rs, chi):
                           standard_levi, levi_set)
 
 
-def weight_variety(algebra, chi, enumerate_weights=True):
+def weight_variety(algebra, chi, count=None):
     """All weights lambda with lambda(h)^p - lambda(h) = chi(h)^p on the
-    diagonal units.
+    diagonal units, or the first count of them.
 
     Where some coordinate equation has no root, the field is extended once,
     F_p -> F_{p^p} (Field.extend), where every one has p; chi keeps its
     indices.  Returns (algebra, chi, weights) over the possibly extended
-    field; weights is [] unless enumerate_weights.
+    field; the weights are listed only as far as they are asked for.
     """
     field = algebra.field
     values = [field.power(chi.value((i, i)), field.p) for i in range(1, algebra.d + 1)]
@@ -423,8 +423,8 @@ def weight_variety(algebra, chi, enumerate_weights=True):
         algebra = SuperAlgebra(algebra.m, algebra.n, field)
         chi = Character(algebra, chi.values)
         roots = [ffield.artin_schreier_roots(field, c) for c in values]
-    weights = [Weight(field, combo) for combo in itertools.product(
-        *([r.idx for r in rs] for rs in roots))] if enumerate_weights else []
+    weights = [Weight(field, combo) for combo in itertools.islice(itertools.product(
+        *([r.idx for r in rs] for rs in roots)), count)]
     return algebra, chi, weights
 
 

@@ -157,7 +157,8 @@ def build_setting(cfg):
     chi = parse_chi(algebra, cfg["chi"])
     lam = cfg["lambda"]
     if lam == "scan-all-X":
-        return weight_variety(algebra, chi, any(t in WEIGHT_TASKS for t in cfg["tasks"]))
+        reads = any(t in WEIGHT_TASKS for t in cfg["tasks"])
+        return weight_variety(algebra, chi, None if reads else 0)
     coords = [element_index(field, c) for c in lam]
     if len(coords) != algebra.d:
         raise ConfigInvalid(f"lambda needs {algebra.d} coordinates")
@@ -173,30 +174,36 @@ WEIGHT_TASKS = ("verma-scan", "graded-verma-scan", "kw-verify", "levi-scan")
 DIM_BUDGET_TASKS = WEIGHT_TASKS + ("frobenius-check", "regular-module-check")
 
 
-def check_dim_budget(cfg):
-    """Refuse a config whose baby Vermas, of dimension p^(even positive
-    roots) 2^(odd positive roots), exceed dim_budget; read off the config
-    alone, before the field or the weight variety is built.  p > 2, so the
-    dimension is at least 2 to the number of positive roots: it is taken
-    only below the budget's bit length, and shown only below 64 roots."""
+def check_budgets(cfg, tasks, dump_module=False, dump_element=False):
+    """Refuse the config at the first budget it exceeds, read off the config
+    alone before the field is built, in this order: the dimension D =
+    p^(even positive roots) 2^(odd positive roots) of its baby Vermas
+    against dim_budget, for a task that builds one or --dump-module; then,
+    against dim_budget^2, the (m + n)^6 entries of structure-check's bracket
+    table, the (m + n)^4 of the algebra's, the weight table of X^chi (p^(m +
+    n) weights, as each coordinate has p Artin-Schreier roots in the field
+    of the run, of m + n coordinates) for a task that reads every weight,
+    and dim u(g, chi) = D^2 p^(m + n) for --dump-element.  A power is
+    taken only where a bound on its bit length does not decide the check."""
     p, m, n, budget = cfg["p"], cfg["m"], cfg["n"], cfg["dim_budget"]
-    even, odd = (m * (m - 1) + n * (n - 1)) // 2, m * n
-    if even + odd < budget.bit_length() and p ** even * 2 ** odd <= budget:
-        return
-    dim = (p ** even * 2 ** odd if even + odd < 64
-           else f"{p}^(m(m-1)/2 + n(n-1)/2) 2^(mn) at m = {m}, n = {n}")
-    raise BudgetExceeded(
-        f"predicted module dimension {dim} exceeds dim_budget {budget}")
-
-
-def check_table_budget(cfg, power, table):
-    """Refuse a config whose table of (m + n)^power entries holds more than a
-    dim_budget x dim_budget matrix; read off the config alone, before the
-    field or the algebra is built."""
-    d, budget = cfg["m"] + cfg["n"], cfg["dim_budget"]
-    if d ** power > budget ** 2:
-        entries = d ** power if d < 1024 else f"(m + n)^{power} at m + n = {d}"
-        raise BudgetExceeded(f"{table} of {entries} entries exceeds dim_budget^2 = {budget}^2")
+    d, even, odd = m + n, (m * (m - 1) + n * (n - 1)) // 2, m * n
+    D = p ** even * 2 ** odd if even + odd < max(64, budget.bit_length()) else None
+    if (dump_module or any(t in DIM_BUDGET_TASKS for t in tasks)) and (D is None or D > budget):
+        dim = D if even + odd < 64 else f"{p}^(m(m-1)/2 + n(n-1)/2) 2^(mn) at m = {m}, n = {n}"
+        raise BudgetExceeded(f"predicted module dimension {dim} exceeds dim_budget {budget}")
+    for power, table in [(6, "structure-check's bracket table")] * ("structure-check" in tasks) + [
+            (4, "the algebra's bracket table")]:
+        if d ** power > budget ** 2:
+            entries = d ** power if d < 1024 else f"(m + n)^{power} at m + n = {d}"
+            raise BudgetExceeded(f"{table} of {entries} entries exceeds dim_budget^2 = {budget}^2")
+    over = d * (p.bit_length() - 1) >= 2 * budget.bit_length()  # p^d > dim_budget^2
+    if (cfg["lambda"] == "scan-all-X" and any(t in WEIGHT_TASKS for t in tasks)
+            and (over or p ** d * d > budget ** 2)):
+        raise BudgetExceeded(f"the weight table of X^chi of {p}^{d} x {d} entries "
+                             f"exceeds dim_budget^2 = {budget}^2")
+    if dump_element and (D is None or over or D * D * p ** d > budget ** 2):
+        raise BudgetExceeded(f"dim u(g, chi) = D^2 {p}^{d} with D = {D or f'{p}^{even} 2^{odd}'} "
+                             f"exceeds dim_budget^2 = {budget}^2")
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +319,11 @@ def structure_task(cfg, algebra, chi, weights):
     0, all read off the (U, U, U) bracket coefficients of the units."""
     f, U, d = algebra.field, len(algebra.units), algebra.d
     odd, coef, even, _ = _axiom_table(algebra, tuple(algebra.units))
-    # [x, y] = -(-1)^{p(x)p(y)} [y, x], on every pair of units at once
-    swapped = coef.transpose(1, 0, 2)
-    ok = np.array_equal(coef, np.where((odd[:, None] & odd[None, :])[:, :, None],
-                                       swapped, f.neg(swapped)))
+    # [x, y] = -(-1)^{p(x)p(y)} [y, x] at each nonzero (a, b, c); a zero whose
+    # mirror is nonzero fails there, so no zero needs a look
+    a, b, c = np.nonzero(coef)
+    v = coef[a, b, c]
+    ok = np.array_equal(coef[b, a, c], np.where(odd[a] & odd[b], v, f.neg(v)))
     # ad(x)^p = ad(x^[p]) is not linear in x, so 50 random x join the even units
     rng = random.Random(task_seed(cfg["seed"], "structure"))
     xs = np.zeros((len(even) + 50, U), dtype=np.int64)
@@ -544,11 +552,7 @@ def dump_module(module, stream):
 # entry points
 
 def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None):
-    if dump_module_path or any(t in DIM_BUDGET_TASKS for t in tasks):
-        check_dim_budget(cfg)
-    if "structure-check" in tasks:
-        check_table_budget(cfg, 6, "structure-check's bracket table")
-    check_table_budget(cfg, 4, "the algebra's bracket table")
+    check_budgets(cfg, tasks, dump_module_path, dump_element_path)
     algebra, chi, weights = build_setting(dict(cfg, tasks=tasks))
     results = []
     for name in tasks:
@@ -556,7 +560,7 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
         results.append((name, rec, passed))
     report = make_report(cfg, algebra, results)
     if dump_module_path:
-        Z = build_baby_verma(algebra, chi, (weights or weight_variety(algebra, chi)[2])[0])
+        Z = build_baby_verma(algebra, chi, (weights or weight_variety(algebra, chi, 1)[2])[0])
         with open(dump_module_path, "w") as fh:
             dump_module(Z, fh)
     if dump_element_path:

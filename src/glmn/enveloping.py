@@ -28,8 +28,8 @@ class ReductionContext:
     negative root vectors appear in the f block; the default is the
     canonical positive order.  Its caches are weight-free: ``_memo`` holds
     single-generator straightening steps, ``_plans`` the induction plans of
-    ``verma.build_induced`` and ``_layouts`` its frames per plan and inner
-    parity (``verma._layout``), and ``_cores`` and ``_tops`` the certificate's
+    ``verma.build_induced`` and ``_layouts`` its frames per plan, inner parity
+    and acting units (``verma._layout``), and ``_cores`` and ``_tops`` the certificate's
     R of ``analysis.dual_core`` and the values of
     ``verma._top_coefficient`` by module root_key.  Library code obtains
     contexts from ``reduction_context``, so its caches serve every weight

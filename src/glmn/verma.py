@@ -12,18 +12,18 @@ the Levi Verma and the Kac-Weisfeiler module of kw induce the same way.
 
 The straightening does not depend on the inner module.  Each shared
 ReductionContext keeps an induction plan per number of free roots: for
-every acting unit u and free monomial m, the terms c * m' * t of u * m in
-normal form, with m' a free monomial and t the remaining tail, each column
+every unit u and free monomial m, the terms c * m' * t of u * m in normal
+form, with m' a free monomial and t the remaining tail, each column
 derived from a shorter monomial's, gathered into a coefficient matrix
 with one row per (u, m', m) block that some term reaches and one column
-per distinct tail; a layout per inner parity and
-dimension holds the basis parity, labels and block positions.  A build
-multiplies out each distinct tail on the inner module once and forms every
-block in one product of the coefficient matrix with their stack.  The
-plural builders (build_baby_vermas, build_graded_vermas, ...) yield stacks
-of modules of one layout (_stacks), each from one _plan_blocks, with
-build_induced placing each module's blocks; axioms_hold checks the
-g_0bar-module axioms of a stack of modules in a few batched products.
+per distinct tail.  A layout per inner dimension, inner parity and acting
+units holds the basis parity, labels, block positions and the plan rows of
+those units.  The builders (build_baby_vermas, build_graded_vermas, ...)
+yield stacks of modules of one layout (_stacks): one _plan_blocks
+multiplies each tail out on the stack's inner modules once and forms
+every block in one product, and build_induced places each module once,
+over the units it acts by.  axioms_hold checks the g_0bar-module axioms
+of a stack of modules in a few batched products.
 
 Every module built here has diagonal Cartan matrices, so its weight spaces
 are coordinate blocks: maximal vectors are one kernel of the e-actions,
@@ -33,6 +33,7 @@ eigenvalues to solve for.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -343,75 +344,76 @@ def _tail_matrix(field, tail, start, inner_actions, shape):
     return np.broadcast_to(np.eye(shape[-1], dtype=np.int64), shape) if mat is None else mat
 
 
-def _layout(ctx, nfree, d, inner_parity):
-    """build_induced's frame, kept in ctx._layouts by (nfree, d, inner parity
-    bytes): the read-only parity, the labels (free monomial, inner index) as
-    a tuple, the flat indices of the plan blocks' entries in the (U, dim,
-    dim) action, the root-unit block mask, root_key's parity bytes, units."""
+Layout = collections.namedtuple(
+    "Layout", "parity labels nfree d units scatter root key tails coef")
+
+
+def _layout(ctx, nfree, d, inner_parity, units):
+    """The Layout of modules induced from inner modules of dimension d and
+    parity inner_parity over the first nfree roots of the f order, acting
+    by the tuple units in that order, kept in ctx._layouts by (nfree, d,
+    inner parity bytes, units): the read-only parity, the labels (free
+    monomial, inner index) as a tuple, the flat indices of the plan blocks
+    of units' slots in the (len(units), dim, dim) action, their root-unit
+    mask, root_key's prefix (nfree, d, parity bytes), and the rows of the
+    plan's coefficient matrix for those slots (coef) with the tails they
+    reach (tails), so a build multiplies out only what the module acts by."""
     inner_parity = np.asarray(inner_parity, dtype=np.int64)
-    key = (nfree, d, inner_parity.tobytes())
+    key = (nfree, d, inner_parity.tobytes(), units)
     if key not in ctx._layouts:
-        free_monos, slots, _, _ = _induction_plan(ctx, nfree)
+        free_monos, slots, tails, coef = _induction_plan(ctx, nfree)
         parity = np.add.outer([ctx.mono_parity(m) for m in free_monos],
                               inner_parity).reshape(-1) % 2
         parity.flags.writeable = False
-        dim, units = len(parity), tuple(ctx.algebra.units)
+        dim, where = len(parity), np.full(len(ctx.algebra.units), -1)
+        where[[ctx.algebra.units.index(u) for u in units]] = np.arange(len(units))
+        g = np.flatnonzero(where[slots[:, 0]] >= 0)
+        reached = np.flatnonzero(coef[g].any(axis=0))
+        at = where[slots[g, 0]]
         # block g fills rows of monomial slots[g, 1], columns of slots[g, 2]
-        rows, cols = (slots[:, 1:, None] * d + np.arange(d)).transpose(1, 0, 2)
-        scatter = (slots[:, 0, None, None] * dim + rows[:, :, None]) * dim + cols[:, None, :]
-        ctx._layouts[key] = (
-            parity, tuple((m, w) for m in free_monos for w in range(d)),
-            scatter.reshape(-1), np.array([i != j for i, j in units])[slots[:, 0]],
-            parity.astype(np.min_scalar_type(ctx.field.q - 1)).tobytes(), units)
+        rows, cols = (slots[g, 1:, None] * d + np.arange(d)).swapaxes(0, 1)
+        scatter = (at[:, None, None] * dim + rows[:, :, None]) * dim + cols[:, None, :]
+        ctx._layouts[key] = Layout(
+            parity, tuple((m, w) for m in free_monos for w in range(d)), nfree, d, units,
+            scatter.reshape(-1), np.array([i != j for i, j in units])[at],
+            (nfree, d, parity.astype(np.min_scalar_type(ctx.field.q - 1)).tobytes()),
+            [tails[t] for t in reached], coef[np.ix_(g, reached)])
     return ctx._layouts[key]
 
 
-def _plan_blocks(ctx, nfree, d, inner_actions, B):
-    """The (B, G, d * d) plan blocks of B inner modules of dimension d:
-    inner_actions maps a generator position (at or past the free block) to
-    the (B, d, d) stack of their matrices, with missing positions acting by
-    zero.  One tail pass multiplies every tail out on the stacks, and one
-    product of the plan's (G, tails) coefficient matrix with the (tails,
-    B * d * d) stack forms every block of every module."""
-    f = ctx.field
-    _, _, tails, coef = _induction_plan(ctx, nfree)
-    stack = [_tail_matrix(f, tail, nfree, inner_actions, (B, d, d)) for tail in tails]
-    blocks = matmul(f, coef, np.reshape(stack, (len(tails), B * d * d)))
-    return blocks.reshape(len(coef), B, d * d).swapaxes(0, 1)
+def _plan_blocks(ctx, layout, inner_actions, B):
+    """The (B, G, d * d) plan blocks of B inner modules under layout, G its
+    slots: inner_actions maps a generator position (at or past the free
+    block) to the (B, d, d) stack of their matrices, with missing positions
+    acting by zero.  One tail pass multiplies every tail of the layout out
+    on the stacks, and one product of its (G, tails) coefficient matrix with
+    the (tails, B * d * d) stack forms every block of every module."""
+    f, d, tails = ctx.field, layout.d, layout.tails
+    stack = [_tail_matrix(f, tail, layout.nfree, inner_actions, (B, d, d)) for tail in tails]
+    blocks = matmul(f, layout.coef, np.reshape(stack, (len(tails), B * d * d)))
+    return blocks.reshape(len(layout.coef), B, d * d).swapaxes(0, 1)
 
 
-def build_induced(ctx, free_roots, inner_dim, inner_parity, inner_actions,
-                  inner_highest=None, lam=None, blocks=None):
-    """Induced module on the basis (free f-monomials) x (inner basis).
+def build_induced(ctx, layout, blocks, inner_highest=None, lam=None):
+    """The module of layout with the (G, inner dim^2) plan blocks blocks of
+    one _plan_blocks, placed by one scatter over the layout's units.
 
-    free_roots must be a prefix of ctx.f_order.  inner_actions maps a
-    generator position (at or past the free block) to an inner_dim x
-    inner_dim index array, with missing positions acting by zero.
-    inner_highest, when given, is the highest vector of the inner module
-    in its own coordinates, and lam the highest weight of the result.  A
-    build is the plan blocks (_plan_blocks), one scatter (_layout) and the
-    key; blocks, when given, are those plan blocks, (G, inner_dim^2), taken
-    from a stacked build with other inner modules.
-    The result's root_key holds nfree, inner_dim, the parity, the blocks of
-    every unit but E(i,i) (bytes of the narrowest dtype holding q - 1) and
-    the units: with the plan it fixes every root-unit matrix, whatever the
-    weight.
+    inner_highest, when given, is the inner module's highest vector in its
+    own coordinates, and lam the result's highest weight.  Its root_key is
+    the layout's key, the blocks of its units but E(i,i) (bytes of the
+    narrowest dtype holding q - 1) and the units: with the plan it fixes
+    every acting root-unit matrix, all that the certificate and
+    _top_coefficient read, whatever the weight.
     """
-    f = ctx.field
-    nfree, d = len(free_roots), inner_dim
-    assert [r.key for r in ctx.f_order[:nfree]] == [r.key for r in free_roots]
-    parity, labels, scatter, root, parity_bytes, units = _layout(ctx, nfree, d, inner_parity)
-    if blocks is None:
-        blocks = _plan_blocks(ctx, nfree, d, {pos: np.asarray(a)[None] for pos, a
-                                              in inner_actions.items()}, 1)[0]
-    actions = np.zeros((len(units), len(parity), len(parity)), dtype=np.int64)
-    actions.reshape(-1)[scatter] = blocks.reshape(-1)
-    hv = np.zeros(len(parity), dtype=np.int64)
+    dim, d = len(layout.parity), layout.d
+    actions = np.zeros((len(layout.units), dim, dim), dtype=np.int64)
+    actions.reshape(-1)[layout.scatter] = blocks.reshape(-1)
+    hv = np.zeros(dim, dtype=np.int64)
     hv[:d] = np.eye(1, d, dtype=np.int64)[0] if inner_highest is None else inner_highest
-    key = (nfree, d, parity_bytes,
-           blocks[root].astype(np.min_scalar_type(f.q - 1)).tobytes(), units)
-    return ModuleRep(ctx.algebra, ctx.chi, units, actions, parity, labels=labels,
-                     highest_vector=hv, lam=lam, ctx=ctx, root_key=key)
+    key = layout.key + (blocks[layout.root].astype(np.min_scalar_type(ctx.field.q - 1)).tobytes(),
+                        layout.units)
+    return ModuleRep(ctx.algebra, ctx.chi, layout.units, actions, layout.parity,
+                     labels=layout.labels, highest_vector=hv, lam=lam, ctx=ctx, root_key=key)
 
 
 def induce(algebra, chi, free_roots, inner, units=None):
@@ -421,45 +423,40 @@ def induce(algebra, chi, free_roots, inner, units=None):
     The f block is free_roots followed by the other positive roots in
     canonical order.  Each unit of inner acts through its matrix and every
     other generator past the free block by zero.  The result carries
-    inner's highest weight and highest vector.  It is build_induced's
-    module unless units is given: then one acting by those units only.
+    inner's highest weight and highest vector.  It acts by every unit of
+    the algebra, or by units, in that order, where given.
     """
     return next(_induce_all(algebra, chi, free_roots, [inner], units))[0]
 
 
 def _induce_all(algebra, chi, free_roots, inners, units=None):
-    """induce for each of inners, an iterable of modules that share their
-    units, dimension and parity, yielding one list of modules per _stacks
-    stack: one stacked _plan_blocks, then build_induced places each."""
+    """induce for each of inners, an iterable of modules, yielding one list
+    of modules per _stacks stack (inner modules of one layout): one
+    stacked _plan_blocks of the stack's layout, then build_induced places
+    each module once, over the acting units alone."""
     keys = {r.key for r in free_roots}
     order = list(free_roots) + [r for r in algebra.root_system().positive
                                 if r.key not in keys]
     ctx, nfree = reduction_context(algebra, chi, f_order=order), len(free_roots)
-    units = None if units is None else tuple(map(tuple, units))
+    units = tuple(map(tuple, algebra.units if units is None else units))
     for stack in _stacks(algebra, free_roots, inners):
-        first = stack[0]
+        layout = _layout(ctx, nfree, stack[0].dim, stack[0].parity, units)
         acting = {pos: np.stack([M.matrix(u) for M in stack])
-                  for pos, u in enumerate(ctx.units) if u in first._index}
+                  for pos, u in enumerate(ctx.units) if u in stack[0]._index}
         # no name keeps built modules or plan blocks while the next stack builds
-        Zs = (build_induced(ctx, free_roots, first.dim, first.parity,
-                            {pos: a[b] for pos, a in acting.items()},
-                            inner_highest=M.highest_vector, lam=M.lam, blocks=block)
-              for b, (M, block) in enumerate(zip(stack, _plan_blocks(
-                  ctx, nfree, first.dim, acting, len(stack)))))
-        yield list(Zs) if units is None else [
-            ModuleRep(algebra, chi, units, Z.matrices(units), Z.parity, labels=Z.labels,
-                      highest_vector=Z.highest_vector, lam=Z.lam, ctx=ctx,
-                      root_key=Z.root_key[:-1] + (units,)) for Z in Zs]
+        yield [build_induced(ctx, layout, block, M.highest_vector, M.lam)
+               for M, block in zip(stack, _plan_blocks(ctx, layout, acting, len(stack)))]
 
 
 def _stacks(algebra, free_roots, inners):
-    """The iterable inners, taken as needed, in lists of as many as keep the
-    actions induced from them within STACK_ENTRIES entries, one at least."""
-    inners = iter(inners)
-    for first in inners:
-        dim = first.dim * math.prod(2 if r.parity else algebra.field.p for r in free_roots)
-        size = max(1, STACK_ENTRIES // (len(algebra.units) * dim * dim))
-        yield [first, *itertools.islice(inners, size - 1)]
+    """The iterable inners, taken as needed, in lists of consecutive modules
+    of one layout (dim, parity, units), as many as keep the actions induced
+    from them within STACK_ENTRIES entries, one at least."""
+    grow = math.prod(2 if r.parity else algebra.field.p for r in free_roots)
+    for _, run in itertools.groupby(inners, lambda M: (M.dim, M.parity.tobytes(), M.units)):
+        for first in run:
+            size = max(1, STACK_ENTRIES // (len(algebra.units) * (first.dim * grow) ** 2))
+            yield [first, *itertools.islice(run, size - 1)]
 
 
 def weight_lines(algebra, chi, lams):
@@ -537,9 +534,7 @@ def build_graded_vermas(algebra, chi, Ms):
             axioms_hold(stack).all() for stack in _stacks(algebra, odd, group))
            for (_, _, units), group in groups.items()):
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
-    return itertools.chain.from_iterable(
-        _induce_all(algebra, chi, odd, list(run))
-        for _, run in itertools.groupby(Ms, key=lambda M: (M.dim, M.parity.tobytes())))
+    return _induce_all(algebra, chi, odd, Ms)
 
 
 def _top_coefficient(Z, roots):

@@ -1,8 +1,10 @@
 """The weight-free caches of module building and of the axiom checks.
 
 build_induced takes the parity, labels, scatter indices and root mask of
-an induced module from a layout kept in the context per (number of free
-roots, inner dimension, inner parity), and the axiom checks read
+an induced module, and _plan_blocks the plan rows and tails of its units,
+from a layout kept in the context per (number of free roots, inner
+dimension, inner parity, acting units): a layout per unit set, which
+places each module once over the units it acts by.  The axiom checks read
 the parity mask, bracket coefficients and even and Cartan units from a
 table kept on the algebra per tuple of units.  Here a whole scan is
 counted, the shared arrays are checked to be read-only, modules built
@@ -40,14 +42,14 @@ def test_graded_scan_makes_seven_layouts_and_one_unit_table():
     # 14 and 11; D = 20: 9, 9 and 7), the baby Vermas (D = 20) in 13
     # stacks of nine and one of eight, and one axiom check per stack of
     # graded Vermas, all before the first graded build.  Every module is
-    # still placed by its own build_induced, and every M is checked
-    # exactly once.
+    # placed once by its own build_induced, the even Vermas over the even
+    # units alone, and every M is checked exactly once.
     sizes = {"blocks": [], "axioms": []}
     real_blocks, real_axioms = verma._plan_blocks, verma.axioms_hold
 
-    def blocks(ctx, nfree, d, acting, B):
+    def blocks(ctx, layout, acting, B):
         sizes["blocks"].append(B)
-        return real_blocks(ctx, nfree, d, acting, B)
+        return real_blocks(ctx, layout, acting, B)
 
     def axioms(modules):
         sizes["axioms"].append(len(modules))
@@ -80,10 +82,10 @@ def test_layouts_are_shared_and_read_only(name):
     for ctx in {id(M.ctx): M.ctx for M in first}.values():
         for parity, labels, *_ in ctx._layouts.values():
             assert not parity.flags.writeable and isinstance(labels, tuple)
-    # modules of one layout, (nfree, inner dim, parity) in one context,
-    # hold the layout's arrays, not copies
+    # modules of one layout, (nfree, inner dim, parity, units) in one
+    # context, hold the layout's arrays, not copies
     shared = [(M, N) for M in first for N in second
-              if M.ctx is N.ctx and M.root_key[:3] == N.root_key[:3]]
+              if M.ctx is N.ctx and M.root_key[:3] == N.root_key[:3] and M.units == N.units]
     assert shared
     for M, N in shared:
         assert M.parity is N.parity and M.labels is N.labels

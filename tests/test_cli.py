@@ -241,6 +241,59 @@ class TestExitCodes:
         assert (code, err) == (2, "error: the algebra's bracket table of 104060401 "
                                   "entries exceeds dim_budget^2 = 2000^2\n")
 
+    @pytest.mark.parametrize("task", ["verma-scan", "graded-verma-scan", "kw-verify",
+                                      "levi-scan"])
+    def test_weight_tasks_over_the_weight_budget_exit_two(self, tmp_path, task):
+        # gl(1|1) at p = 10007: X holds 10007^2 weights, every one read or
+        # sampled; a scan takes about 1.5 KB per weight, so the capped child
+        # of a tree without the budget fails with a MemoryError
+        cfg = write_cfg(tmp_path, p=10007, tasks=[task])
+        code, _, err = run_capped(["run", "--config", cfg])
+        assert (code, err) == (2, "error: the weight table of X^chi of 10007^2 x 2 entries "
+                                  "exceeds dim_budget^2 = 2000^2\n")
+
+    def test_weight_budget_reads_the_config_alone(self):
+        # 1409^2 * 2 <= 2000^2 < 1423^2 * 2, and a given lambda reads no table
+        def budget(p, **overrides):
+            cfg = cli.validate_config({"p": p, "m": 1, "n": 1, **overrides})
+            cli.check_budgets(cfg, cfg["tasks"])
+
+        budget(1409)
+        budget(1423, **{"lambda": [0, 0]})
+        budget(1423, tasks=["structure-check"])
+        with pytest.raises(BudgetExceeded, match="1423\\^2 x 2 entries"):
+            budget(1423)
+
+    def test_dump_module_takes_the_first_weight_without_x(self, tmp_path):
+        # X of gl(1|1) at p = 10007 is not listed for the first weight
+        cfg = write_cfg(tmp_path, p=10007, tasks=[])
+        mod = tmp_path / "mod.txt"
+        code, _, err = run_capped(["run", "--config", cfg, "--dump-module", str(mod)])
+        assert (code, err) == (0, "")
+        assert mod.read_text().startswith("dim 2\nparity 0 1\n")
+
+    def test_dump_element_over_the_element_budget_exits_two(self, tmp_path):
+        # u(gl(3|1), 0) has dimension 1000^2 5^4; straightening its top
+        # element ran out of a 2 GB address space after a minute
+        cfg = write_cfg(tmp_path, m=3, n=1, tasks=[])
+        code, _, err = run_capped(["run", "--config", cfg, "--dump-element",
+                                   str(tmp_path / "elt.txt")])
+        assert (code, err) == (2, "error: dim u(g, chi) = D^2 5^4 with D = 1000 "
+                                  "exceeds dim_budget^2 = 2000^2\n")
+
+    @pytest.mark.parametrize("m,n,budget,refused", [(2, 1, 2000, False), (2, 2, 2000, True),
+                                                    (2, 2, 10000, False), (5, 4, 2000, True)])
+    def test_element_budget_is_d_squared_times_p_to_the_m_plus_n(self, m, n, budget, refused):
+        # gl(2|1): 20^2 5^3 = 50,000; gl(2|2): 400^2 5^4 = 10^8; gl(5|4): D
+        # itself exceeds the budget
+        cfg = cli.validate_config({"p": 5, "m": m, "n": n, "tasks": [], "dim_budget": budget})
+        if refused:
+            with pytest.raises(BudgetExceeded, match="dim u\\(g, chi\\)"):
+                cli.check_budgets(cfg, [], dump_element=True)
+        else:
+            cli.check_budgets(cfg, [], dump_element=True)
+        cli.check_budgets(cfg, [])
+
     @pytest.mark.parametrize("budget,code", [(3, 2), (4, 0)])
     def test_algebra_budget_bounds_every_config(self, tmp_path, capsys, budget, code):
         # gl(1|1): (1 + 1)^4 = 16 = 4^2 entries

@@ -1,12 +1,12 @@
 """The cached induction plan against a per-build straightening oracle, and
 the shared ReductionContext cache.
 
-build_induced evaluates a weight-free plan, straightened once per
-context.  The oracle below is the construction it replaced: for every
-unit and free monomial a fresh product u * (monomial), then each term's
-tail applied to every inner basis vector, rightmost generator first.
-Every builder's calls to build_induced are recorded and rebuilt by the
-oracle on a context constructed directly, outside the cache.  The plan
+build_induced places a weight-free plan, straightened once per context.
+The oracle below is the construction it replaced: for every unit and free
+monomial a fresh product u * (monomial), then each term's tail applied to
+every inner basis vector, rightmost generator first.  Every builder's
+module is rebuilt by the oracle from its inner module on a context
+constructed directly, outside the cache, and compared on its units.  The plan
 itself, which derives u * f_i m' from the columns of m', is compared with
 the PBW product of every unit and free monomial (_plan_oracle), on the
 contexts of the baby, even, graded, Levi and Kac-Weisfeiler builds.
@@ -115,23 +115,14 @@ def oracle_context(ctx):
 
 
 def build_all(alg, chi, lam):
-    """Every builder at lam; returns the recorded build_induced calls."""
-    real = verma.build_induced
-    calls = []
-
-    def recorder(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((args, result))
-        return result
-
-    with mock.patch.object(verma, "build_induced", recorder):
-        verma.build_baby_verma(alg, chi, lam)
-        E = verma.build_even_verma(alg, chi, lam)
-        verma.build_graded_verma(alg, chi, E)
-        phi = kw.levi_data(alg.root_system(), chi).phi_prime
-        L = kw.build_levi_verma(alg, chi, lam, phi)
-        kw.build_kw_module(alg, chi, L, phi)
-    return calls
+    """Every builder at lam, as (inner module, induced module) pairs."""
+    line = next(verma.weight_lines(alg, chi, [lam]))
+    E = verma.build_even_verma(alg, chi, lam)
+    phi = kw.levi_data(alg.root_system(), chi).phi_prime
+    L = kw.build_levi_verma(alg, chi, lam, phi)
+    return [(line, verma.build_baby_verma(alg, chi, lam)), (line, E),
+            (E, verma.build_graded_verma(alg, chi, E)), (line, L),
+            (L, kw.build_kw_module(alg, chi, L, phi))]
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))
@@ -140,16 +131,20 @@ def build_all(alg, chi, lam):
 def test_builders_match_oracle(name, data):
     alg, chi, weights = setting(name)
     lam = data.draw(st.sampled_from(weights), label="lambda")
-    calls = build_all(alg, chi, lam)
-    assert len(calls) == 5
-    for (ctx, free_roots, inner_dim, inner_parity, inner_actions), Z in calls:
+    pairs = build_all(alg, chi, lam)
+    assert len(pairs) == 5
+    for inner, Z in pairs:
+        ctx = Z.ctx
         assert ctx is reduction_context(alg, chi, ctx.f_order)
+        nfree = len(Z.labels[0][0])
+        inner_actions = {pos: inner.matrix(u) for pos, u in enumerate(ctx.units)
+                         if pos >= nfree and u in inner.units}
         action, parity, labels = oracle_induced(
-            oracle_context(ctx), free_roots, inner_dim, inner_parity,
+            oracle_context(ctx), ctx.f_order[:nfree], inner.dim, inner.parity,
             inner_actions)
-        assert sorted(Z.units) == sorted(action)
-        for u, mat in action.items():
-            assert np.array_equal(Z.matrix(u), mat), u
+        assert set(Z.units) <= set(action)
+        for u in Z.units:
+            assert np.array_equal(Z.matrix(u), action[u]), u
         assert np.array_equal(Z.parity, parity)
         # the labels are the layout's tuple, shared by every build
         assert Z.labels == tuple(labels)
@@ -228,17 +223,18 @@ class TestContextCache:
 
 
 def test_second_build_reuses_the_coefficient_matrix():
-    # a context outside the cache starts with no plan
-    alg, chi, weights = setting("gl21-F5^5-diag")
-    ctx = ReductionContext(alg, chi)
-    inner = {ctx.nf + i: np.array([[weights[0].value(i + 1)]], dtype=np.int64)
-             for i in range(alg.d)}
-    first = verma.build_induced(ctx, ctx.f_order, 1, [0], inner)
+    # a new algebra has no context yet, so its first build makes the plan
+    m, n, chi = SETTINGS["gl21-F5^5-diag"]
+    alg = build_algebra(m, n, make_field(5))
+    alg, chi, weights = weight_variety(alg, Character(alg, chi))
+    line = next(verma.weight_lines(alg, chi, weights[:1]))
+    first = verma.induce(alg, chi, alg.root_system().positive, line)
+    ctx = first.ctx
     plan = ctx._plans[ctx.nf]
     coef = plan[3]
     with mock.patch.object(verma, "multiply",
                            side_effect=AssertionError("straightened again")):
-        second = verma.build_induced(ctx, ctx.f_order, 1, [0], inner)
+        second = verma.induce(alg, chi, alg.root_system().positive, line)
     assert ctx._plans[ctx.nf] is plan and plan[3] is coef
     assert np.array_equal(second.stacked_action, first.stacked_action)
 

@@ -1,8 +1,8 @@
 """Induced modules' root keys and the two memos they index.
 
 Every module built by verma.build_induced carries a root_key: the blocks
-of its root-unit matrices in the context's induction plan, with the number
-of free roots, the inner dimension, the parity and the acting units.
+of its acting root-unit matrices in the context's induction plan, with the
+number of free roots, the inner dimension, the parity and the acting units.
 dual_core's certificate (the spin of e_t in the dual) and _top_coefficient
 (e-word f-word v) read only the root-unit matrices, so the context keeps
 them per key and modules of different weights share them.  Here the
@@ -25,7 +25,6 @@ from glmn import analysis, cli, verma
 from glmn.algebra import (Character, Weight, build_algebra, classify_character,
                           weight_variety)
 from glmn.analysis import dual_core, is_simple, simple_head
-from glmn.enveloping import reduction_context
 from glmn.errors import NonScalarResult
 from glmn.ffield import make_field
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
@@ -166,11 +165,12 @@ def test_units_top_coordinate_and_vector_are_part_of_the_key():
     lam = next(Z.lam for Z in babies if f_direct(Z).idx)
     mu = next(Z.lam for Z in babies if not f_direct(Z).idx
               and sum(Z.lam.coords) % 5 != sum(lam.coords) % 5)
-    ctx = reduction_context(alg, chi)
-    lines = {ctx.nf + i: np.diag([lam.value(i + 1), mu.value(i + 1)])
-             for i in range(alg.d)}
-    pair = [verma.build_induced(ctx, rs.positive, 2, [0, 0], lines, inner_highest=hv)
-            for hv in ([1, 0], [0, 1])]
+    lines = [np.diag([lam.value(i), mu.value(i)]) for i in range(1, alg.d + 1)]
+
+    def induced(parity, hv=None):
+        inner = ModuleRep(alg, chi, alg.diag_units, lines, parity, highest_vector=hv)
+        return verma.induce(alg, chi, rs.positive, inner)
+    pair = [induced([0, 0], hv) for hv in ([1, 0], [0, 1])]
     assert full.root_key != even.root_key
     assert pair[0].root_key == pair[1].root_key
     assert [analysis._top_coordinate(M) for M in pair] == [0, 1]
@@ -178,8 +178,7 @@ def test_units_top_coordinate_and_vector_are_part_of_the_key():
     for M in [full, even] + pair:
         assert summary(M) == summary(keyless(M))
     # the parity alone separates keys too
-    odd = verma.build_induced(ctx, rs.positive, 2, [1, 1], lines)
-    assert odd.root_key != verma.build_induced(ctx, rs.positive, 2, [0, 0], lines).root_key
+    assert induced([1, 1]).root_key != induced([0, 0]).root_key
 
 
 def test_modules_outside_induce_have_no_key():

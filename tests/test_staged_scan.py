@@ -169,10 +169,10 @@ def test_a_corrupt_m_in_any_layout_stops_the_scan_before_any_graded_build(dim, w
         Ms[t] = corrupted(Ms[t], "p-th power")
         return Ms
 
-    def blocks(ctx, nfree, d, acting, B):
-        if nfree == len(alg.root_system().positive_odd):
+    def blocks(ctx, layout, acting, B):
+        if layout.nfree == len(alg.root_system().positive_odd):
             graded_builds.append(B)
-        return real_blocks(ctx, nfree, d, acting, B)
+        return real_blocks(ctx, layout, acting, B)
 
     semisimple = classify_character(alg.root_system(), chi).semisimple
     with mock.patch.object(cli, "build_simple_g0_modules", corrupt_heads), \

@@ -60,6 +60,9 @@ CONFIGS = [
                              "tasks": ["structure-check"]}),
     # no task, so only the budget of the algebra's own bracket table applies
     ("empty-huge", 2, {"m": 100, "n": 1, "lambda": [0] * 101, "tasks": []}),
+    # X of gl(1|1) holds 10007^2 weights of 2 coordinates, above 2000^2
+    ("scan-gl11-p10007", 2, {"m": 1, "n": 1, "p": 10007, "lambda": "scan-all-X",
+                             "tasks": ["verma-scan"]}),
 ]
 
 
