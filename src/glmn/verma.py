@@ -684,15 +684,15 @@ def induced_hom(source, target, u):
     # all of them at once in a small module: two stacked products each
     chunk = max(1, STACK_ENTRIES // (target.dim * source.dim))
     for s in range(0, len(source.units), chunk):
-        units = source.units[s:s + chunk]
-        lhs = _matmul(field, cols, source.matrices(units))
-        rhs = _matmul(field, target.matrices(units), cols)
+        batch = source.units[s:s + chunk]
+        lhs = _matmul(field, cols, source.matrices(batch))
+        rhs = _matmul(field, target.matrices(batch), cols)
         if hom_parity:
-            odd = np.array([alg.parity(*unit) for unit in units], dtype=bool)
+            odd = np.array([alg.parity(*unit) for unit in batch], dtype=bool)
             rhs[odd] = field.neg(rhs[odd])
-        bad = (lhs != rhs).reshape(len(units), -1).any(axis=1)
+        bad = (lhs != rhs).reshape(len(batch), -1).any(axis=1)
         if bad.any():
-            raise IntertwinerCheckFailed(f"map does not intertwine E{units[bad.argmax()]}")
+            raise IntertwinerCheckFailed(f"map does not intertwine E{batch[bad.argmax()]}")
     T = Matrix(field, cols)
     _, rank = row_reduce(T)
     return T, rank
