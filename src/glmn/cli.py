@@ -145,10 +145,6 @@ def parse_chi(algebra, spec):
         raise ConfigInvalid(str(exc)) from None
 
 
-def coeffs_of(field, idx):
-    return [int(c) for c in field.digits[idx]]
-
-
 def build_setting(cfg):
     """(algebra, chi, weights) over the field the run executes in; the
     weights of X^chi are enumerated only for a task of cfg that reads them."""
@@ -210,38 +206,32 @@ def check_budgets(cfg, tasks, dump_module=False, dump_element=False):
 # scans
 
 def _run_scan(algebra, chi, weights, graded, semisimple):
-    """The rows of a scan of weights on the algebra and chi given, so that a
-    later scan on them finds their plans and certificates.  It runs in
-    stages over all the weights, each stacked by its own modules' size: the
-    formulas and report coefficients as array operations; a graded scan's
-    heads M, then Z(M) in order of dim M, with f1_direct and the oracle;
-    then the baby Vermas with f_direct, and the oracle in a plain scan.
-    semisimple, whether chi is, says whether the oracle (dual_cores by
-    stack) runs."""
-    field = algebra.field
-    coords = np.array([lam.coords for lam in weights], dtype=np.int64).reshape(-1, algebra.d)
-    ff, f0, f1 = f_formulas(algebra.root_system(), coords)
-    cols = [field.digits[x].tolist() for x in (coords, ff, f0, f1)]
-    rows = [dict(zip(("lambda", "f_formula", "f0", "f1"), vals), _f0_idx=i, _ff_idx=j,
-                 _f1_idx=None, oracle_simple=None)
-            for *vals, i, j in zip(*cols, f0.tolist(), ff.tolist())]
+    """The columns of a scan of weights, on the algebra and chi given so that
+    a later scan on them finds their plans and certificates: f_direct, dim_z
+    and oracle_simple per weight, and dim_m and f1_direct when graded (the
+    f's as index arrays).  Each weight's module is built once, stacked by
+    size: a plain scan's baby Verma Z(lambda), a graded scan's Z(M) in order
+    of dim M after the heads M.  Z(M) gives f_direct: v -> 1 (x) v_M is a
+    module map Z(lambda) -> Z(M) (n+_0 kills v_M, g_1 acts on M by 0) and
+    1 (x) v_M != 0, so e^top f^top v = f(lambda) v gives the same scalar
+    there.  The oracle (dual_cores by stack: whether Z is simple) runs for
+    semisimple chi; oracle_simple is None otherwise."""
+    n = len(weights)
+    cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": [0] * n, "oracle_simple": [None] * n}
     if graded:
         Ms = build_simple_g0_modules(algebra, chi, weights)
-        order = sorted(range(len(Ms)), key=lambda t: Ms[t].dim)
+        order = sorted(range(n), key=lambda t: Ms[t].dim)
         stacks = build_graded_vermas(algebra, chi, [Ms[t] for t in order])
-        for Z, simple, t in _with_verdicts(stacks, semisimple, order):
-            f1d = f1_direct(Z).idx
-            rows[t].update(dim_m=Ms[t].dim, dim_z=Z.dim, f1_direct=coeffs_of(field, f1d),
-                           _f1_idx=f1d, oracle_simple=simple)
-            del Z
-    stacks = build_baby_vermas(algebra, chi, weights)
-    for Z, simple, row in _with_verdicts(stacks, semisimple and not graded, rows):
-        fd = f_direct(Z)
-        row.update(f_direct=coeffs_of(field, fd.idx), _fd_idx=fd.idx)
-        if not graded:
-            row.update(dim_z=Z.dim, oracle_simple=simple)
+        cols.update(dim_m=[M.dim for M in Ms], f1_direct=np.zeros(n, dtype=np.int64))
+    else:
+        order, stacks = range(n), build_baby_vermas(algebra, chi, weights)
+    fd, dim_z, oracle = cols["f_direct"], cols["dim_z"], cols["oracle_simple"]
+    for Z, simple, t in _with_verdicts(stacks, semisimple, order):
+        fd[t], dim_z[t], oracle[t] = f_direct(Z).idx, Z.dim, simple
+        if graded:
+            cols["f1_direct"][t] = f1_direct(Z).idx
         del Z
-    return rows
+    return cols
 
 
 def _with_verdicts(stacks, oracle, items):
@@ -257,57 +247,43 @@ def _with_verdicts(stacks, oracle, items):
         del stack
 
 
-def _fit_constant(field, pairs):
-    """Fit lhs = c * rhs across all pairs.
-
-    Returns (consistent, c).  c is None when every pair is (0, 0), in
-    which case the data does not pin down a constant but nothing is
-    contradicted either.
-    """
-    c = None
-    for lhs, rhs in pairs:
-        if rhs == 0:
-            if lhs != 0:
-                return False, None
-            continue
-        this = field.mul(lhs, field.inv(rhs))
-        if c is None:
-            c = this
-        elif c != this:
-            return False, None
-    return True, c
+def _fit_constant(field, lhs, rhs):
+    """(consistent, c) fitting lhs = c * rhs across two index arrays: c is
+    None when rhs is 0 everywhere, where no constant is pinned down, and
+    consistent is False where lhs is nonzero at a zero of rhs or two ratios
+    differ."""
+    nz = rhs != 0
+    ratios = field.mul(lhs[nz], field.inv(rhs[nz]))
+    if lhs[~nz].any() or (ratios != ratios[:1]).any():
+        return False, None
+    return True, int(ratios[0]) if len(ratios) else None
 
 
 def verma_scan_task(cfg, algebra, chi, weights, graded=False):
-    field = algebra.field
-    semisimple = classify_character(algebra.root_system(), chi).semisimple
-    rows = _run_scan(algebra, chi, weights, graded, semisimple)
-    record = {"rows": [], "count": len(rows)}
-    c_ok, c = _fit_constant(field, [(r["_fd_idx"], r["_ff_idx"]) for r in rows])
-    record["c"] = coeffs_of(field, c) if c is not None else None
+    """The scan's report, built from _run_scan's columns and the closed
+    formulas (f_formulas) as array operations.  c fits f_direct = c *
+    f_formula and, graded, c_prime fits f1_direct * f0 = c' * f_direct; both
+    fits are claims for semisimple chi alone.  Where the oracle ran, a row
+    agrees when the direct value (f1_direct for Z(M), f_direct for
+    Z(lambda)) is nonzero exactly when the module is simple."""
+    field, rs = algebra.field, algebra.root_system()
+    semisimple = classify_character(rs, chi).semisimple
+    coords = np.array([lam.coords for lam in weights], dtype=np.int64).reshape(-1, algebra.d)
+    ff, f0, f1 = f_formulas(rs, coords)
+    scan = _run_scan(algebra, chi, weights, graded, semisimple)
+    fd, oracle = scan["f_direct"], scan["oracle_simple"]
+    direct = scan["f1_direct"] if graded else fd
+    agreement = [s is None or s == bool(x) for s, x in zip(oracle, direct.tolist())]
+    fits = {"c": _fit_constant(field, fd, ff)}
     if graded:
-        cp_ok, cp = _fit_constant(field, [(field.mul(r["_f1_idx"], r["_f0_idx"]),
-                                           r["_fd_idx"]) for r in rows])
-        record["c_prime"] = coeffs_of(field, cp) if cp is not None else None
-    # the closed formula and its constant are claims for semisimple chi
-    passed = c_ok if semisimple else True
-    simple_count = 0
-    for r in rows:
-        direct = r["_f1_idx"] if graded else r["_fd_idx"]
-        agree = True
-        if r["oracle_simple"] is not None:
-            agree = (direct != 0) == r["oracle_simple"]
-            if r["oracle_simple"]:
-                simple_count += 1
-        r["agreement"] = agree
-        passed = passed and agree
-        for k in list(r):
-            if k.startswith("_"):
-                del r[k]
-        record["rows"].append(r)
-    record["simple_count"] = simple_count
-    if graded and semisimple:
-        passed = passed and cp_ok
+        fits["c_prime"] = _fit_constant(field, field.mul(scan["f1_direct"], f0), fd)
+    passed = all(agreement) and (not semisimple or all(ok for ok, _ in fits.values()))
+    cols = {"lambda": coords, "f_formula": ff, "f0": f0, "f1": f1, **scan, "agreement": agreement}
+    cols = {k: field.digits[v].tolist() if isinstance(v, np.ndarray) else v
+            for k, v in cols.items()}
+    record = {"rows": [dict(zip(cols, vals)) for vals in zip(*cols.values())],
+              "count": len(weights), "simple_count": oracle.count(True)}
+    record.update((k, None if c is None else field.coeffs(c)) for k, (_, c) in fits.items())
     return record, passed
 
 

@@ -31,16 +31,15 @@ from glmn.verma import ModuleRep, build_baby_verma
 from test_root_key import CHI0, DIAG, MODULES, count_scan, fresh_setting
 
 
-def test_graded_scan_makes_seven_layouts_and_one_unit_table():
-    # the even-part and baby Vermas share one context (the even root comes
-    # first in both f orders) with one layout each; the graded Vermas
-    # induce from five dimensions of M, 25 weights each.  The scan runs in
-    # stages over all 125 weights, each stacked by the size of the modules
-    # it builds (9 units, dim D: STACK_ENTRIES // (9 D^2) modules): one
+def test_graded_scan_makes_six_layouts_and_one_unit_table():
+    # the even-part Vermas have one layout in their context; the graded
+    # Vermas induce from five dimensions of M, 25 weights each, and no baby
+    # Verma is built: f_direct is read off Z(M).  The scan runs in stages
+    # over all 125 weights, each stacked by the size of the modules it
+    # builds (9 units, dim D: STACK_ENTRIES // (9 D^2) modules): one
     # product of plan blocks for the 125 even Vermas (D = 5), the graded
     # Vermas by layout of M (D = 4, 8, 12: one stack of 25 each; D = 16:
-    # 14 and 11; D = 20: 9, 9 and 7), the baby Vermas (D = 20) in 13
-    # stacks of nine and one of eight, and one axiom check per stack of
+    # 14 and 11; D = 20: 9, 9 and 7), and one axiom check per stack of
     # graded Vermas, all before the first graded build.  Every module is
     # placed once by its own build_induced, the even Vermas over the even
     # units alone, and every M is checked exactly once.
@@ -60,12 +59,12 @@ def test_graded_scan_makes_seven_layouts_and_one_unit_table():
             mock.patch.object(verma, "axioms_hold", axioms):
         counts = count_scan(DIAG, graded=True, setting=setting,
                             counted={"build": (verma, "build_induced")})
-    assert counts == {"build": 375}
+    assert counts == {"build": 250}
     graded = [25, 25, 25, 14, 11, 9, 9, 7]
-    assert sizes["blocks"] == [125] + graded + [9] * 13 + [8]
+    assert sizes["blocks"] == [125] + graded
     assert sizes["axioms"] == graded
     alg = setting[0]
-    assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 7
+    assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 6
     assert list(alg._axiom_tables) == [tuple(alg.even_units)]
 
 

@@ -199,9 +199,9 @@ class TestContextCache:
         assert ctx2 is not base and ctx2.algebra is alg2
 
     def test_graded_scan_builds_two_contexts(self, monkeypatch):
-        # baby, even-part and graded Vermas straighten in three f orders;
-        # in gl(2|1) the even-part order (even roots first) is the
-        # canonical one, so the scan needs two contexts, not three per weight
+        # even-part and graded Vermas straighten in two f orders; in gl(2|1)
+        # the even-part order (even roots first) is the canonical one, and
+        # the scan needs one context per order, not one per weight
         built = []
         real_init = ReductionContext.__init__
 
@@ -213,8 +213,8 @@ class TestContextCache:
         alg = build_algebra(2, 1, make_field(5))
         chi = Character(alg, {})
         _, _, weights = weight_variety(alg, chi)
-        rows = cli._run_scan(alg, chi, weights[:6], graded=True, semisimple=True)
-        assert len(rows) == 6
+        cols = cli._run_scan(alg, chi, weights[:6], graded=True, semisimple=True)
+        assert all(len(col) == 6 for col in cols.values())
         assert len(built) == 2
         rs = built[0].rs
         assert sorted(tuple(r.key for r in c.f_order) for c in built) == \

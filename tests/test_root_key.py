@@ -249,17 +249,17 @@ def count_scan(chi, graded, counted=COUNTED, setting=None):
         for key, (owner, attr) in counted.items():
             stack.enter_context(counting(owner, attr, key))
         semisimple = classify_character(alg.root_system(), chi).semisimple
-        rows = cli._run_scan(alg, chi, weights, graded, semisimple)
-    assert len(rows) == 125
+        cols = cli._run_scan(alg, chi, weights, graded, semisimple)
+    assert all(len(col) == 125 for col in cols.values())
     return counts
 
 
 def test_graded_scan_spins_each_root_action_once():
     # lambda_i = r + c_i with r a root of x^5 - x - 1: 5 distinct even
-    # Vermas, 25 graded and 25 baby Vermas once the Cartan units are set
-    # aside; the 125 even Vermas' heads take one R per distinct even Verma,
-    # and each of the 125 oracle verdicts one; each top coefficient applies
-    # two words
+    # Vermas and 25 graded Vermas once the Cartan units are set aside; the
+    # 125 even Vermas' heads take one R per distinct even Verma, and each of
+    # the 125 oracle verdicts one; f_direct and f1_direct are both read off
+    # each graded Verma, and each top coefficient applies two words
     counts = count_scan(DIAG, graded=True)
     assert counts == {"spin": 30, "dual_core": 5 + 125, "apply_word": 2 * 50, "top": 250}
 

@@ -5,13 +5,17 @@ closed formulas of every weight as field-array operations (f_formulas),
 the even Vermas, their simple heads grouped by (root_key, top coordinate)
 (simple_heads: one R per group, all from one _dual_cores pass, and one
 stacked quotient per group), the
-g_0bar axiom check of every M, and then the graded and baby Vermas, built
-and consumed one stack at a time.  Here the grouped heads must equal
+g_0bar axiom check of every M, and then the graded Vermas Z(M) of a graded
+scan, or the baby Vermas of a plain one, built and consumed one stack at a
+time.  Here the grouped heads must equal
 simple_head taken one module at a time, the array formulas the scalar
 closed form at every weight, the staged reports must pass, a corrupt M in
 any layout must stop the scan before any graded
 Verma is built, and the scan's heap peak must stay near that of the scan
-in chunks of nine weights that the stages replaced.
+in chunks of nine weights that the stages replaced.  f_direct and
+f1_direct read off each Z(M) of a graded scan must equal those of
+Z(lambda) and Z(M) built alone, and the array fit of c and c' the loop
+over weights it replaced.
 """
 
 import json
@@ -22,14 +26,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmn import analysis, cli, enveloping, verma
 from glmn.algebra import Character, build_algebra, classify_character, weight_variety
 from glmn.analysis import simple_head, simple_heads
 from glmn.errors import NotG0Module
 from glmn.ffield import FieldElement, make_field
-from glmn.verma import (ModuleRep, build_even_vermas, build_graded_vermas,
-                        build_simple_g0_modules, f_formula, f_formulas)
+from glmn.verma import (ModuleRep, build_baby_verma, build_even_vermas,
+                        build_graded_verma, build_graded_vermas,
+                        build_simple_g0_module, build_simple_g0_modules,
+                        f1_direct, f_direct, f_formula, f_formulas)
 
 from test_stacked import SETTINGS, corrupted, setting
 
@@ -147,7 +154,9 @@ def test_a_second_serial_scan_on_one_algebra_straightens_no_plan(graded):
         products.append(len(made))
         made.clear()
     assert products[0] > 0 and products[1] == 0
-    assert len(reports[1]) == 125 and reports[1] == reports[0]
+    assert list(reports[1]) == list(reports[0])
+    for key, col in reports[1].items():
+        assert len(col) == 125 and np.array_equal(col, reports[0][key]), key
 
 
 @pytest.mark.parametrize("where", ["first", "last"])
@@ -180,6 +189,78 @@ def test_a_corrupt_m_in_any_layout_stops_the_scan_before_any_graded_build(dim, w
             pytest.raises(NotG0Module):
         cli._run_scan(alg, chi, weights, True, semisimple)
     assert graded_builds == []
+
+
+# (m, n, chi, weights scanned) of the graded scans below; diag(1, ..., 1)
+# extends F_5 to F_{5^5}.  Every 26th of the 625 gl(2|2) weights gives 25
+# with f_direct nonzero at 4 and M of every dimension 1, 4, 9, 16, 25
+ALL, DIAG = slice(None), {(i, i): 1 for i in range(1, 4)}
+READ_OFF = {
+    "gl11-chi0": (1, 1, {}, ALL), "gl21-chi0": (2, 1, {}, ALL),
+    "gl12-chi0": (1, 2, {}, ALL), "gl21-E21": (2, 1, {(2, 1): 1}, ALL),
+    "gl11-diag": (1, 1, {(1, 1): 1, (2, 2): 1}, ALL), "gl21-diag": (2, 1, DIAG, ALL),
+    "gl12-diag": (1, 2, DIAG, ALL), "gl22-chi0-25": (2, 2, {}, slice(None, None, 26)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_OFF))
+def test_f_read_off_the_graded_verma_equals_the_baby_vermas(name):
+    # a graded scan builds no baby Verma: its f_direct is read off Z(M),
+    # the image of Z(lambda) under v -> 1 (x) v_M.  At every weight it must
+    # equal f_direct of Z(lambda) and its f1_direct that of Z(M) built
+    # alone, both on a fresh algebra whose contexts share no memo with the
+    # scan; NonScalarResult, the one way the two could part, must not occur
+    m, n, chi, scanned = READ_OFF[name]
+    alg = build_algebra(m, n, make_field(5))
+    alg, chi_, weights = weight_variety(alg, Character(alg, chi))
+    weights = weights[scanned]
+    semisimple = classify_character(alg.root_system(), chi_).semisimple
+    cols = cli._run_scan(alg, chi_, weights, True, semisimple)
+    ref = build_algebra(m, n, make_field(5))
+    ref, ref_chi, ref_weights = weight_variety(ref, Character(ref, chi))
+    ref_weights = ref_weights[scanned]
+    assert len(ref_weights) == len(weights) == len(cols["f_direct"])
+    for t, lam in enumerate(ref_weights):
+        assert np.array_equal(lam.coords, weights[t].coords)
+        Z = build_baby_verma(ref, ref_chi, lam)
+        assert cols["f_direct"][t] == f_direct(Z).idx, (name, t)
+        Z = build_graded_verma(ref, ref_chi, build_simple_g0_module(ref, ref_chi, lam))
+        assert cols["f1_direct"][t] == f1_direct(Z).idx, (name, t)
+
+
+def fit_constant_by_pairs(field, pairs):
+    """The per-weight loop _fit_constant replaced: (consistent, c) for
+    lhs = c * rhs over the pairs, c None when every rhs is 0."""
+    c = None
+    for lhs, rhs in pairs:
+        if rhs == 0:
+            if lhs != 0:
+                return False, None
+            continue
+        this = field.mul(lhs, field.inv(rhs))
+        if c is None:
+            c = this
+        elif c != this:
+            return False, None
+    return True, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([1, 2]), data=st.data())
+def test_fit_constant_equals_the_loop_over_pairs(k, data):
+    # rhs with zeros, and lhs either c * rhs with some entries changed or
+    # drawn at random, so every branch of the fit is reached
+    field = make_field(5, k)
+    size = data.draw(st.integers(0, 8))
+    elems = st.integers(0, field.q - 1)
+    rhs = np.array(data.draw(st.lists(elems, min_size=size, max_size=size)), dtype=np.int64)
+    lhs = field.mul(np.full(size, data.draw(elems), dtype=np.int64), rhs)
+    if size:
+        for t in data.draw(st.lists(st.integers(0, size - 1), max_size=2)):
+            lhs[t] = data.draw(elems)
+    got = cli._fit_constant(field, lhs, rhs)
+    assert got == fit_constant_by_pairs(field, zip(lhs.tolist(), rhs.tolist()))
+    assert got[1] is None or type(got[1]) is int
 
 
 def test_graded_vermas_in_any_order_equal_the_layout_order():

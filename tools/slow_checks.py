@@ -63,6 +63,13 @@ CONFIGS = [
     # X of gl(1|1) holds 10007^2 weights of 2 coordinates, above 2000^2
     ("scan-gl11-p10007", 2, {"m": 1, "n": 1, "p": 10007, "lambda": "scan-all-X",
                              "tasks": ["verma-scan"]}),
+    # 625 graded Vermas Z(M), f_direct read off each: no baby Verma of dim
+    # 400 is built
+    ("graded-gl22-chi0", 0, {"m": 2, "n": 2, "lambda": "scan-all-X",
+                             "tasks": ["graded-verma-scan"]}),
+    # one weight whose Z(M) is far smaller than its baby Verma of dim 1,000
+    ("graded-gl31-lam0431", 0, {"m": 3, "n": 1, "lambda": [0, 4, 3, 1],
+                                "tasks": ["graded-verma-scan"]}),
 ]
 
 
