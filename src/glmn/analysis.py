@@ -17,8 +17,7 @@ of a descent through spins of candidate lines.  The descent is exhaustive
 or refused: a candidate piece with more than LINE_BUDGET lines raises
 BudgetExceeded, so no verdict rests on a sample.  dual_cores takes the R
 of many modules at once, spinning their certificates in lockstep (_spins),
-and simple_heads one R per group of modules sharing their root key and
-top coordinate.
+and simple_heads their quotients by those R.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -267,8 +266,8 @@ def dual_core(M):
     core(W) = {v : a v in W for every a in u(g)}, the sum of all proper
     submodules.  A root unit maps weight vectors to weight vectors and a
     Cartan unit scales them, so S is the spin of e_t in the dual of the
-    root units alone: the context keeps R by (root_key, t), as nonzeros.
-    dual_cores spins the certificates of many modules in lockstep.
+    root units alone.  dual_cores spins the certificates of many modules in
+    lockstep.
 
     Socle: a module without Cartan units is a module over a nilpotent
     subalgebra, whose one simple module is the line on which each unit x
@@ -290,27 +289,15 @@ def dual_core(M):
 
 
 def dual_cores(Ms):
-    """dual_core of each module of Ms, from one _dual_cores pass."""
-    return _dual_cores(Ms, [_top_coordinate(M) for M in Ms])
-
-
-def _dual_cores(Ms, tops):
-    """dual_core of each module of Ms, whose top coordinates are tops.  The
-    certificates the memo lacks, one per (memo, root_key, t), spin in their
+    """dual_core of each module of Ms.  The certificates spin in their
     root-unit duals in lockstep, one _spins call building each dual as its
     stack needs it; every other module takes the socle or the descent."""
-    memos = [{} if M.root_key is None else M.ctx._cores for M in Ms]
-    todo = {}
-    for b, (M, t, memo) in enumerate(zip(Ms, tops, memos)):
-        if t is not None and (M.root_key, t) not in memo:
-            todo.setdefault((id(memo), M.root_key, t), b)
-    todo = list(todo.values())
+    tops = [_top_coordinate(M) for M in Ms]
+    todo = [b for b, t in enumerate(tops) if t is not None]
     duals = (dual_module(Ms[b], [u for u in Ms[b].units if u[0] != u[1]]) for b in todo)
-    for b, S in zip(todo, _spins(duals, (Ms[b].basis_vector(tops[b]) for b in todo))):
-        memos[b][Ms[b].root_key, tops[b]] = _nonzeros(S.annihilator())
-    return [_uncertified_core(M) if t is None else
-            _from_nonzeros(M.field, M.dim, memo[M.root_key, t])
-            for M, t, memo in zip(Ms, tops, memos)]
+    spun = _spins(duals, (Ms[b].basis_vector(tops[b]) for b in todo))
+    cores = dict(zip(todo, (S.annihilator() for S in spun)))
+    return [cores[b] if b in cores else _uncertified_core(M) for b, M in enumerate(Ms)]
 
 
 def _uncertified_core(M):
@@ -324,20 +311,6 @@ def _uncertified_core(M):
     while (smaller := _smaller_spin(dual, pieces, S)) is not None:
         S = smaller
     return S.annihilator()
-
-
-def _nonzeros(space):
-    """(pivots, rows, columns, values) of a canonical basis, narrow dtypes."""
-    at, (rows, cols) = np.min_scalar_type(space.ambient), np.nonzero(space.basis)
-    return (np.array(space.pivots, dtype=at), rows.astype(at), cols.astype(at),
-            space.basis[rows, cols].astype(np.min_scalar_type(space.field.q - 1)))
-
-
-def _from_nonzeros(field, ambient, nonzeros):
-    pivots, rows, cols, values = nonzeros
-    basis = np.zeros((len(pivots), ambient), dtype=np.int64)
-    basis[rows, cols] = values
-    return Subspace._echelon(field, ambient, basis, pivots.tolist())
 
 
 def _smaller_spin(M, pieces, S):
@@ -384,24 +357,21 @@ def quotient_module(M, sub):
         out[..., free] = vec
         return out
 
-    return _quotients([M], sub)[0], proj, lift
+    return _quotient(M, sub), proj, lift
 
 
-def _quotients(Ms, sub):
-    """Each module of Ms, which share units and dimension, over one graded
-    submodule sub, from one reduction of all their columns and highest
-    vectors: column free[t] of a unit's matrix, reduced, gives column t."""
-    M = Ms[0]
+def _quotient(M, sub):
+    """M over a graded submodule sub, from one reduction of all its columns
+    and its highest vector: column free[t] of a unit's matrix, reduced,
+    gives column t."""
     free = np.delete(np.arange(M.dim), sub.pivots)
-    B, U, m = len(Ms), len(M.units), len(free)
-    hvs = [np.zeros(M.dim, dtype=np.int64) if N.highest_vector is None
-           else N.highest_vector for N in Ms]
-    cols = np.stack([N.actions for N in Ms])[..., free].transpose(0, 1, 3, 2)
-    rows = sub.reduce(np.concatenate((cols.reshape(B * U * m, M.dim), hvs)))[:, free]
-    blocks = rows[:B * U * m].reshape(B, U, m, m).transpose(0, 1, 3, 2)
-    return [ModuleRep(M.algebra, M.chi, M.units, a, M.parity[free], lam=N.lam,
-                      highest_vector=hv if hv.any() else None)
-            for N, a, hv in zip(Ms, blocks, rows[B * U * m:].copy())]
+    U, m = len(M.units), len(free)
+    hv = np.zeros(M.dim, dtype=np.int64) if M.highest_vector is None else M.highest_vector
+    cols = M.actions[..., free].transpose(0, 2, 1).reshape(U * m, M.dim)
+    rows = sub.reduce(np.vstack((cols, hv)))[:, free]
+    hv = rows[-1].copy()
+    return ModuleRep(M.algebra, M.chi, M.units, rows[:-1].reshape(U, m, m).transpose(0, 2, 1),
+                     M.parity[free], lam=M.lam, highest_vector=hv if hv.any() else None)
 
 
 def restrict_module(M, sub):
@@ -429,19 +399,9 @@ def simple_head(M):
 
 
 def simple_heads(Ms):
-    """simple_head of each module of Ms, in order.  Modules that share their
-    context, root_key and _top_coordinate share R: each such group takes one
-    R, all from one _dual_cores pass, and one _quotients; any other module
-    is a group of its own."""
-    groups, tops = {}, [_top_coordinate(M) for M in Ms]
-    for b, (M, t) in enumerate(zip(Ms, tops)):
-        key = b if t is None or M.root_key is None else (id(M.ctx), M.root_key, t)
-        groups.setdefault(key, []).append(b)
-    groups = list(groups.values())
-    heads = {}
-    for idx, R in zip(groups, _dual_cores([Ms[g[0]] for g in groups], [tops[g[0]] for g in groups])):
-        heads.update((b, (R, Q)) for b, Q in zip(idx, _quotients([Ms[b] for b in idx], R)))
-    return [heads[b] for b in range(len(Ms))]
+    """simple_head of each module of Ms, in order: their R from one
+    dual_cores pass, and one _quotient per module."""
+    return [(R, _quotient(M, R)) for M, R in zip(Ms, dual_cores(Ms))]
 
 
 class CompositionSeries:

@@ -207,16 +207,24 @@ def check_budgets(cfg, tasks, dump_module=False, dump_element=False):
 
 def _run_scan(algebra, chi, weights, graded, semisimple):
     """The columns of a scan of weights, on the algebra and chi given so that
-    a later scan on them finds their plans and certificates: f_direct, dim_z
-    and oracle_simple per weight, and dim_m and f1_direct when graded (the
-    f's as index arrays).  Each weight's module is built once, stacked by
-    size: a plain scan's baby Verma Z(lambda), a graded scan's Z(M) in order
-    of dim M after the heads M.  Z(M) gives f_direct: v -> 1 (x) v_M is a
-    module map Z(lambda) -> Z(M) (n+_0 kills v_M, g_1 acts on M by 0) and
-    1 (x) v_M != 0, so e^top f^top v = f(lambda) v gives the same scalar
-    there.  The oracle (dual_cores by stack: whether Z is simple) runs for
-    semisimple chi; oracle_simple is None otherwise."""
-    n = len(weights)
+    a later scan on them finds their plans: f_direct, dim_z and oracle_simple
+    per weight, and dim_m and f1_direct when graded (the f's as index arrays).
+
+    The supertrace sigma = (1, ..., 1 | -1, ..., -1) kills every bracket, so
+    for c in F_p, k_{c sigma} (E(i,i) acting by c sigma_i, root vectors by
+    0) is a u(g, 0)-module, lambda + c sigma lies in X^chi with lambda, and
+    tensoring with k_{c sigma} twists Z^chi(lambda), M(lambda) and Z^chi(M)
+    into those of lambda + c sigma on the same root-unit matrices, all that
+    the columns read.  So only the first weight of each orbit, in the given
+    order, is built (_twist_orbits); one index array copies its columns to
+    the rest.  Each module is built once, stacked by size: a plain scan's
+    Z(lambda), a graded scan's Z(M) in order of dim M after the heads M.
+    f_direct is read off Z(M): v -> 1 (x) v_M is a nonzero module map
+    Z(lambda) -> Z(M) (n+_0 kills v_M, g_1 acts on M by 0).  The oracle
+    (dual_cores by stack: whether Z is simple) runs for semisimple chi;
+    oracle_simple is None otherwise."""
+    first, orbit = _twist_orbits(algebra, weights)
+    n, weights = len(first), [weights[t] for t in first.tolist()]
     cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": [0] * n, "oracle_simple": [None] * n}
     if graded:
         Ms = build_simple_g0_modules(algebra, chi, weights)
@@ -231,7 +239,23 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
         if graded:
             cols["f1_direct"][t] = f1_direct(Z).idx
         del Z
-    return cols
+    return {k: v[orbit] if isinstance(v, np.ndarray) else np.array(v, dtype=object)[orbit].tolist()
+            for k, v in cols.items()}
+
+
+def _twist_orbits(algebra, weights):
+    """(first, orbit): the index of the first weight, in order, of each twist
+    orbit {lambda + c sigma} of weights, keyed lambda - c sigma with c the F_p
+    digit (index mod p) of lambda_1, and each weight's position in first."""
+    f, n = algebra.field, len(weights)
+    coords = np.array([lam.coords for lam in weights], dtype=np.int64).reshape(n, algebra.d)
+    keys = f.sub(coords, f.mul(coords[:, :1] % f.p, algebra.str_signs))
+    order = np.lexsort((np.arange(n), *keys.T))  # by key, then by index
+    head = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
+    rep = np.empty(n, dtype=np.int64)  # the first weight of each weight's orbit
+    rep[order] = order[head][np.cumsum(head) - 1]
+    is_first = rep == np.arange(n)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
 
 
 def _with_verdicts(stacks, oracle, items):
@@ -527,8 +551,27 @@ def dump_module(module, stream):
 # ---------------------------------------------------------------------------
 # entry points
 
+def check_output_paths(out, dump_module_path=None, dump_element_path=None):
+    """Refuse, before any task runs, an --out whose nearest existing path is
+    no writable directory, and a dump file that is a directory or whose
+    directory is no writable directory."""
+    for flag, path in (("--out", out), ("--dump-module", dump_module_path),
+                       ("--dump-element", dump_element_path)):
+        if not path:
+            continue
+        at = os.path.abspath(path)
+        parent = at if flag == "--out" else os.path.dirname(at)
+        while flag == "--out" and not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if (not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK)
+                or flag != "--out" and os.path.isdir(at)):
+            kind = "a directory" if flag == "--out" else "a file"
+            raise ConfigInvalid(f"{flag} {path} cannot be written as {kind}")
+
+
 def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None):
     check_budgets(cfg, tasks, dump_module_path, dump_element_path)
+    check_output_paths(out, dump_module_path, dump_element_path)
     algebra, chi, weights = build_setting(dict(cfg, tasks=tasks))
     results = []
     for name in tasks:

@@ -9,8 +9,8 @@ picking up the super sign and a bracket term, and reduces exponents with
 x^p = x^[p] + chi(x)^p for even x and x^2 = (1/2)[x, x] for odd x.
 
 Straightening depends only on (algebra, chi, f_order), never on a weight,
-so ``reduction_context`` keeps one context, with its memo, per such triple
-on the algebra and every weight of a scan shares it.
+so ``reduction_context`` keeps one context, with its weight-free caches,
+per such triple on the algebra and every weight of a scan shares it.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ class ReductionContext:
     canonical positive order.  Its caches are weight-free: ``_memo`` holds
     single-generator straightening steps, ``_plans`` the induction plans of
     ``verma.build_induced`` and ``_layouts`` its frames per plan, inner parity
-    and acting units (``verma._layout``), and ``_cores`` and ``_tops`` the certificate's
-    R of ``analysis.dual_core`` and the values of
-    ``verma._top_coefficient`` by module root_key.  Library code obtains
-    contexts from ``reduction_context``, so its caches serve every weight
-    of a given (algebra, chi, f_order).
+    and acting units (``verma._layout``).  Library code obtains contexts
+    from ``reduction_context``, so its caches serve every weight of a given
+    (algebra, chi, f_order).
     """
 
     def __init__(self, algebra, chi, f_order=None):
@@ -70,8 +68,6 @@ class ReductionContext:
         self._memo = {}
         self._plans = {}
         self._layouts = {}
-        self._cores = {}
-        self._tops = {}
 
     def gen_parity(self, pos):
         return self.parities[pos]

@@ -62,12 +62,11 @@ class ModuleRep:
 
     The action is one (U, dim, dim) index array, actions, whose slice t is
     the matrix of units[t]; stacked_action is the same memory as one
-    (U * dim, dim) array.  The action is read-only once the module is built,
-    so its root_key (see build_induced) never goes stale.
+    (U * dim, dim) array.  The action is read-only once the module is built.
     """
 
     def __init__(self, algebra, chi, units, actions, parity, labels=None,
-                 highest_vector=None, lam=None, ctx=None, root_key=None):
+                 highest_vector=None, lam=None, ctx=None):
         """actions is the (U, dim, dim) array, in the order of units.  lam
         is the highest weight, and ctx the ReductionContext whose f order
         the labels' monomials follow, where either is known."""
@@ -89,7 +88,6 @@ class ModuleRep:
         self.highest_vector = highest_vector
         self.lam = lam
         self.ctx = ctx
-        self.root_key = root_key
         self._float_action = None  # analysis.spin keeps its float copy here
 
     def matrix(self, unit):
@@ -345,7 +343,7 @@ def _tail_matrix(field, tail, start, inner_actions, shape):
 
 
 Layout = collections.namedtuple(
-    "Layout", "parity labels nfree d units scatter root key tails coef")
+    "Layout", "parity labels nfree d units scatter tails coef")
 
 
 def _layout(ctx, nfree, d, inner_parity, units):
@@ -354,10 +352,10 @@ def _layout(ctx, nfree, d, inner_parity, units):
     by the tuple units in that order, kept in ctx._layouts by (nfree, d,
     inner parity bytes, units): the read-only parity, the labels (free
     monomial, inner index) as a tuple, the flat indices of the plan blocks
-    of units' slots in the (len(units), dim, dim) action, their root-unit
-    mask, root_key's prefix (nfree, d, parity bytes), and the rows of the
-    plan's coefficient matrix for those slots (coef) with the tails they
-    reach (tails), so a build multiplies out only what the module acts by."""
+    of units' slots in the (len(units), dim, dim) action, and the rows of
+    the plan's coefficient matrix for those slots (coef) with the tails
+    they reach (tails), so a build multiplies out only what the module acts
+    by."""
     inner_parity = np.asarray(inner_parity, dtype=np.int64)
     key = (nfree, d, inner_parity.tobytes(), units)
     if key not in ctx._layouts:
@@ -375,9 +373,7 @@ def _layout(ctx, nfree, d, inner_parity, units):
         scatter = (at[:, None, None] * dim + rows[:, :, None]) * dim + cols[:, None, :]
         ctx._layouts[key] = Layout(
             parity, tuple((m, w) for m in free_monos for w in range(d)), nfree, d, units,
-            scatter.reshape(-1), np.array([i != j for i, j in units])[at],
-            (nfree, d, parity.astype(np.min_scalar_type(ctx.field.q - 1)).tobytes()),
-            [tails[t] for t in reached], coef[np.ix_(g, reached)])
+            scatter.reshape(-1), [tails[t] for t in reached], coef[np.ix_(g, reached)])
     return ctx._layouts[key]
 
 
@@ -399,21 +395,15 @@ def build_induced(ctx, layout, blocks, inner_highest=None, lam=None):
     one _plan_blocks, placed by one scatter over the layout's units.
 
     inner_highest, when given, is the inner module's highest vector in its
-    own coordinates, and lam the result's highest weight.  Its root_key is
-    the layout's key, the blocks of its units but E(i,i) (bytes of the
-    narrowest dtype holding q - 1) and the units: with the plan it fixes
-    every acting root-unit matrix, all that the certificate and
-    _top_coefficient read, whatever the weight.
+    own coordinates, and lam the result's highest weight.
     """
     dim, d = len(layout.parity), layout.d
     actions = np.zeros((len(layout.units), dim, dim), dtype=np.int64)
     actions.reshape(-1)[layout.scatter] = blocks.reshape(-1)
     hv = np.zeros(dim, dtype=np.int64)
     hv[:d] = np.eye(1, d, dtype=np.int64)[0] if inner_highest is None else inner_highest
-    key = layout.key + (blocks[layout.root].astype(np.min_scalar_type(ctx.field.q - 1)).tobytes(),
-                        layout.units)
     return ModuleRep(ctx.algebra, ctx.chi, layout.units, actions, layout.parity,
-                     labels=layout.labels, highest_vector=hv, lam=lam, ctx=ctx, root_key=key)
+                     labels=layout.labels, highest_vector=hv, lam=lam, ctx=ctx)
 
 
 def induce(algebra, chi, free_roots, inner, units=None):
@@ -539,23 +529,16 @@ def build_graded_vermas(algebra, chi, Ms):
 
 def _top_coefficient(Z, roots):
     """The coefficient of v in e-word f-word v, each word running over
-    roots in order with exponents cap - 1 (p - 1 even, 1 odd).  The words
-    hold no Cartan unit, so the context keeps c by (root_key, roots, v)."""
-    rs = Z.algebra.root_system()
-    f = Z.field
-    hv = Z.highest_vector
-    memo = {} if Z.root_key is None else Z.ctx._tops
-    key = (Z.root_key, tuple(r.key for r in roots), hv.tobytes())
-    if key not in memo:
-        caps = [(2 if r.parity else f.p) - 1 for r in roots]
-        w = Z.apply_word([(rs.f_unit(r), e) for r, e in zip(roots, caps)], hv)
-        w = Z.apply_word([(rs.e_unit(r), e) for r, e in zip(roots, caps)], w)
-        t = int(np.nonzero(hv)[0][0])
-        c = f.mul(int(w[t]), f.inv(int(hv[t])))
-        if (w != f.mul(c, hv)).any():
-            raise NonScalarResult("image is not proportional to the highest vector")
-        memo[key] = c
-    return FieldElement(f, memo[key])
+    roots in order with exponents cap - 1 (p - 1 even, 1 odd)."""
+    rs, f, hv = Z.algebra.root_system(), Z.field, Z.highest_vector
+    caps = [(2 if r.parity else f.p) - 1 for r in roots]
+    w = Z.apply_word([(rs.f_unit(r), e) for r, e in zip(roots, caps)], hv)
+    w = Z.apply_word([(rs.e_unit(r), e) for r, e in zip(roots, caps)], w)
+    t = int(np.nonzero(hv)[0][0])
+    c = f.mul(int(w[t]), f.inv(int(hv[t])))
+    if (w != f.mul(c, hv)).any():
+        raise NonScalarResult("image is not proportional to the highest vector")
+    return FieldElement(f, c)
 
 
 def f_direct(Z):

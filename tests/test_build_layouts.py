@@ -26,23 +26,47 @@ from glmn import cli, verma
 from glmn.algebra import Character, build_algebra
 from glmn.cli import structure_task
 from glmn.ffield import make_field
-from glmn.verma import ModuleRep, build_baby_verma
+from glmn.analysis import simple_head
+from glmn.kw import build_kw_module, build_levi_verma, levi_data
+from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma, build_graded_verma,
+                        build_simple_g0_module)
 
-from test_root_key import CHI0, DIAG, MODULES, count_scan, fresh_setting
+from test_twist_orbits import CHI0, DIAG, count_scan, fresh_setting
+
+
+def _graded(alg, chi, lam):
+    E = build_even_verma(alg, chi, lam)
+    G = build_graded_verma(alg, chi, build_simple_g0_module(alg, chi, lam))
+    return [E, G, build_baby_verma(alg, chi, lam)]
+
+
+def _levi(alg, chi, lam):
+    phi = levi_data(alg.root_system(), chi).phi_prime
+    ZL = build_levi_verma(alg, chi, lam, phi)
+    K = build_kw_module(alg, chi, simple_head(ZL)[1], phi)
+    return [build_baby_verma(alg, chi, lam), ZL, K]
+
+
+# the modules built at one weight of gl(2|1), by chi
+MODULES = {
+    "chi0": (CHI0, lambda alg, chi, lam: [build_baby_verma(alg, chi, lam)]),
+    "diag": (DIAG, _graded),
+    "levi": ({(2, 1): 1}, _levi),
+}
 
 
 def test_graded_scan_makes_six_layouts_and_one_unit_table():
     # the even-part Vermas have one layout in their context; the graded
-    # Vermas induce from five dimensions of M, 25 weights each, and no baby
-    # Verma is built: f_direct is read off Z(M).  The scan runs in stages
-    # over all 125 weights, each stacked by the size of the modules it
-    # builds (9 units, dim D: STACK_ENTRIES // (9 D^2) modules): one
-    # product of plan blocks for the 125 even Vermas (D = 5), the graded
-    # Vermas by layout of M (D = 4, 8, 12: one stack of 25 each; D = 16:
-    # 14 and 11; D = 20: 9, 9 and 7), and one axiom check per stack of
-    # graded Vermas, all before the first graded build.  Every module is
-    # placed once by its own build_induced, the even Vermas over the even
-    # units alone, and every M is checked exactly once.
+    # Vermas induce from five dimensions of M, 25 weights and 5 twist
+    # orbits each, and no baby Verma is built: f_direct is read off Z(M).
+    # The scan runs in stages over the first weight of each of the 25
+    # orbits, each stacked by the size of the modules it builds (9 units,
+    # dim D: STACK_ENTRIES // (9 D^2) modules): one product of plan blocks
+    # for the 25 even Vermas (D = 5), the graded Vermas by layout of M (D =
+    # 4, 8, 12, 16, 20: one stack of 5 each), and one axiom check per
+    # stack of graded Vermas, all before the first graded build.  Every
+    # module is placed once by its own build_induced, the even Vermas over
+    # the even units alone, and every M is checked exactly once.
     sizes = {"blocks": [], "axioms": []}
     real_blocks, real_axioms = verma._plan_blocks, verma.axioms_hold
 
@@ -59,9 +83,9 @@ def test_graded_scan_makes_six_layouts_and_one_unit_table():
             mock.patch.object(verma, "axioms_hold", axioms):
         counts = count_scan(DIAG, graded=True, setting=setting,
                             counted={"build": (verma, "build_induced")})
-    assert counts == {"build": 250}
-    graded = [25, 25, 25, 14, 11, 9, 9, 7]
-    assert sizes["blocks"] == [125] + graded
+    assert counts == {"build": 50}
+    graded = [5, 5, 5, 5, 5]
+    assert sizes["blocks"] == [25] + graded
     assert sizes["axioms"] == graded
     alg = setting[0]
     assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 6
@@ -81,10 +105,10 @@ def test_layouts_are_shared_and_read_only(name):
     for ctx in {id(M.ctx): M.ctx for M in first}.values():
         for parity, labels, *_ in ctx._layouts.values():
             assert not parity.flags.writeable and isinstance(labels, tuple)
-    # modules of one layout, (nfree, inner dim, parity, units) in one
-    # context, hold the layout's arrays, not copies
-    shared = [(M, N) for M in first for N in second
-              if M.ctx is N.ctx and M.root_key[:3] == N.root_key[:3] and M.units == N.units]
+    # modules of one builder, (nfree, units) in one context, whose inner
+    # dimension and parity agree are of one layout: they hold its arrays,
+    # not copies
+    shared = [(M, N) for M, N in zip(first, second) if np.array_equal(M.parity, N.parity)]
     assert shared
     for M, N in shared:
         assert M.parity is N.parity and M.labels is N.labels
@@ -106,7 +130,6 @@ def test_warm_layout_builds_equal_cold_builds(name):
             assert np.array_equal(W.actions, C.actions)
             assert np.array_equal(W.parity, C.parity)
             assert W.labels == C.labels
-            assert W.root_key == C.root_key
             assert np.array_equal(W.highest_vector, C.highest_vector)
 
 

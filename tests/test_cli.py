@@ -356,6 +356,25 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,path,kind", [
+        ("--out", "file/out", "a directory"), ("--out", "file", "a directory"),
+        ("--dump-module", "missing/dir/m.txt", "a file"), ("--dump-module", ".", "a file"),
+        ("--dump-element", "file/e.txt", "a file")])
+    def test_unwritable_output_path_exits_two_before_any_task(self, tmp_path, capsys,
+                                                              monkeypatch, flag, path, kind):
+        # such a path used to end the run in a traceback once every task
+        # had run; now it is refused with one error line before the setting
+        # is built
+        (tmp_path / "file").write_text("")
+        cfg = write_cfg(tmp_path)
+
+        def refuse(cfg):
+            raise AssertionError("the setting was built")
+        monkeypatch.setattr(cli, "build_setting", refuse)
+        target = str(tmp_path / path)
+        code, out, err = run_cli(capsys, ["run", "--config", cfg, flag, target])
+        assert (code, out, err) == (2, "", f"error: {flag} {target} cannot be written as {kind}\n")
+
     @pytest.mark.parametrize("name,config", [
         *((name, workloads.make_config(name, 1)) for name in workloads.WORKLOADS),
         *((name, {**slow_checks.BASE, **overrides})

@@ -293,19 +293,19 @@ def int_matmul_mod(a, b, p):
     return (np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64)) % p
 
 
-def unkeyed(M):
-    """M as a new module with no root_key, so dual_core reads no memo."""
+def fresh_copy(M):
+    """M as a new module, which holds no float copy of the action yet."""
     return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
                      highest_vector=M.highest_vector)
 
 
 def core_by_both_paths(M):
-    """dual_core of new copies of M, which share no memo and no float copy:
+    """dual_core of new copies of M, which share no float copy:
     by float BLAS products, and with _matmul_mod replaced by int64 ones."""
-    got = dual_core(unkeyed(M))
+    got = dual_core(fresh_copy(M))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_matmul_mod", int_matmul_mod)
-        want = dual_core(unkeyed(M))
+        want = dual_core(fresh_copy(M))
     return got, want
 
 
@@ -355,7 +355,7 @@ def test_root_unit_dual_gives_the_core_of_every_unit(name):
 
 def test_certificate_spins_in_the_dual_of_the_root_units(monkeypatch):
     alg, chi, weights = setting("gl21-F5-chi0")
-    M = unkeyed(build_baby_verma(alg, chi, weights[0]))
+    M = fresh_copy(build_baby_verma(alg, chi, weights[0]))
     assert _top_coordinate(M) is not None
     spun = []
     real = analysis._spin_stack

@@ -195,19 +195,20 @@ class TestLeviScan:
 
     def test_one_alpha_takes_two_simple_heads(self, monkeypatch):
         # the heads of Z and of the source (one alpha) come from one
-        # _dual_cores pass, which simple_heads makes, and Z_L's simplicity
-        # from another, which dual_cores makes: one R per module, one pass
+        # dual_cores pass, which simple_heads makes, and Z_L's simplicity
+        # from another, which levi_scans makes: one R per module, one pass
         # per stage
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
         passes = []
-        real_dual_cores = analysis._dual_cores
+        real_dual_cores = analysis.dual_cores
 
-        def counting_dual_cores(Ms, tops):
+        def counting_dual_cores(Ms):
             passes.append([M.dim for M in Ms])
-            return real_dual_cores(Ms, tops)
+            return real_dual_cores(Ms)
 
-        monkeypatch.setattr(analysis, "_dual_cores", counting_dual_cores)
+        monkeypatch.setattr(analysis, "dual_cores", counting_dual_cores)
+        monkeypatch.setattr(kw, "dual_cores", counting_dual_cores)
         rep = levi_scan(alg, chi, Weight(F, [3, 1, 2]))
         assert len(rep["alphas"]) == 1
         assert passes == [[20, 20], [5]]

@@ -110,8 +110,6 @@ def test_every_builder_places_the_full_module_sliced(m, n, chi_name):
         assert Z.parity.tolist() == parity and Z.labels == tuple(labels), name
         assert np.array_equal(Z.highest_vector, hv), name
         assert Z.lam is inner.lam is lam, name
-        # the key reads the acting units' root blocks only
-        assert Z.root_key[-1] == tuple(map(tuple, units)), name
         del Z
     assert len(names) == 7
 
@@ -121,9 +119,9 @@ RUNS = {
     "graded-gl21-ext": ({"p": 5, "m": 2, "n": 1,
                          "chi": {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1},
                          "lambda": "scan-all-X", "tasks": ["graded-verma-scan"]},
-                        530, 250),
+                        150, 50),
     "levi-gl21": ({"p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1},
-                   "lambda": "scan-all-X", "tasks": ["levi-scan"]}, 52, 15),
+                   "lambda": "scan-all-X", "tasks": ["levi-scan"]}, 55, 15),
 }
 
 
@@ -131,7 +129,11 @@ RUNS = {
 def test_no_module_is_assembled_twice(name, monkeypatch):
     # a restricted module used to be placed over every unit and copied into
     # a second ModuleRep: 905 and 57 ModuleReps for these runs; the graded
-    # scan built its 125 baby Vermas too, besides Z(M): 780 and 375 builds
+    # scan built its 125 baby Vermas too, besides Z(M): 780 and 375 builds.
+    # The graded scan builds one weight per twist orbit: 25 weight lines,
+    # even Vermas, heads and Z(M), and the dual of each certificate spin.
+    # With no memo of certificates, each of the levi scan's 15 certificates
+    # builds its dual (52 ModuleReps when 3 of them were memo hits)
     raw, reps, builds = RUNS[name]
     counts = {"rep": 0, "build": 0}
     real_init, real_build = verma.ModuleRep.__init__, verma.build_induced

@@ -6,7 +6,7 @@ layout in one stacked build, and axioms_hold checks the g_0bar-module
 axioms of a whole stack of modules at once.  Here every module of a stacked
 build over all gl(2|1) weights, over F_5 and over F_{5^5}, must equal the
 one built alone (build_induced, checked against an oracle in
-test_induction.py): actions, parity, labels, highest vector and root_key.
+test_induction.py): actions, parity, labels and highest vector.
 axioms_hold must give each module of a stack the verdict of the per-pair
 oracle of test_axioms.py when one module, first, in the middle or last,
 has a wrong bracket or a wrong p-th power, with every left unit in one
@@ -46,7 +46,6 @@ def assert_same_module(Z, W):
     assert np.array_equal(Z.actions, W.actions)
     assert np.array_equal(Z.parity, W.parity) and Z.labels == W.labels
     assert np.array_equal(Z.highest_vector, W.highest_vector)
-    assert Z.root_key == W.root_key
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))

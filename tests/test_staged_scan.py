@@ -1,13 +1,12 @@
 """The scan's stages against the per-module paths they replaced.
 
-A scan runs in stages over all its weights: the
-closed formulas of every weight as field-array operations (f_formulas),
-the even Vermas, their simple heads grouped by (root_key, top coordinate)
-(simple_heads: one R per group, all from one _dual_cores pass, and one
-stacked quotient per group), the
-g_0bar axiom check of every M, and then the graded Vermas Z(M) of a graded
-scan, or the baby Vermas of a plain one, built and consumed one stack at a
-time.  Here the grouped heads must equal
+A scan runs in stages: the closed formulas of every weight as field-array
+operations (f_formulas), then, over the first weight of each twist orbit
+(tests/test_twist_orbits.py), the even Vermas, their simple heads
+(simple_heads: every R from one dual_cores pass, and one quotient per
+module), the g_0bar axiom check of every M, and then the graded Vermas
+Z(M) of a graded scan, or the baby Vermas of a plain one, built and
+consumed one stack at a time.  Here the heads of one pass must equal
 simple_head taken one module at a time, the array formulas the scalar
 closed form at every weight, the staged reports must pass, a corrupt M in
 any layout must stop the scan before any graded
@@ -41,12 +40,6 @@ from glmn.verma import (ModuleRep, build_baby_verma, build_even_vermas,
 from test_stacked import SETTINGS, corrupted, setting
 
 
-def keyless(M):
-    """M without its root key and context, so no group and no memo."""
-    return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
-                     highest_vector=M.highest_vector, lam=M.lam)
-
-
 def assert_same_head(got, want):
     (R, head), (R_want, head_want) = got, want
     assert np.array_equal(R.basis, R_want.basis) and R.pivots == R_want.pivots
@@ -54,7 +47,6 @@ def assert_same_head(got, want):
     assert np.array_equal(head.parity, head_want.parity)
     assert np.array_equal(head.highest_vector, head_want.highest_vector)
     assert head.units == head_want.units and head.lam == head_want.lam
-    assert head.root_key == head_want.root_key
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))
@@ -62,26 +54,22 @@ def test_grouped_heads_equal_one_at_a_time(name):
     alg, chi, weights = setting(name)
     Es = [E for stack in build_even_vermas(alg, chi, weights) for E in stack]
     assert len(Es) == 125
-    groups = {(id(E.ctx), E.root_key, analysis._top_coordinate(E)) for E in Es}
-    assert 1 < len(groups) < len(Es)
     passes = []
-    real = analysis._dual_cores
+    real = analysis.dual_cores
 
-    def counting(Ms, tops):
+    def counting(Ms):
         passes.append(len(Ms))
-        return real(Ms, tops)
+        return real(Ms)
 
-    with mock.patch.object(analysis, "_dual_cores", counting):
+    with mock.patch.object(analysis, "dual_cores", counting):
         grouped = simple_heads(Es)
-    # one pass, one R per group
-    assert passes == [len(groups)]
+    # one pass, one R per module
+    assert passes == [len(Es)]
     for E, got in zip(Es, grouped):
         assert_same_head(got, simple_head(E))
-        # a module without a key reads no memo and is a group of its own
-        assert_same_head(got, simple_head(keyless(E)))
-    # keyed and keyless modules mixed keep their order
-    mixed = [M for E in Es[:10] for M in (E, keyless(E))]
-    for got, want in zip(simple_heads(mixed), [g for g in grouped[:10] for _ in (0, 1)]):
+    # a module given twice keeps its place
+    twice = [E for E in Es[:10] for _ in (0, 1)]
+    for got, want in zip(simple_heads(twice), [g for g in grouped[:10] for _ in (0, 1)]):
         assert_same_head(got, want)
 
 
@@ -162,9 +150,10 @@ def test_a_second_serial_scan_on_one_algebra_straightens_no_plan(graded):
 @pytest.mark.parametrize("where", ["first", "last"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_a_corrupt_m_in_any_layout_stops_the_scan_before_any_graded_build(dim, where):
-    # the scan's heads with one M of the layout of this dimension given a
-    # wrong p-th power; the dimension-5 layout is checked in three stacks,
-    # and its last M sits in the third
+    # the scan's heads, one per twist orbit, with the first or the last M
+    # that the scan builds in the layout of this dimension given a wrong
+    # p-th power; every layout holds 5 of the 25 orbits and is checked in
+    # one stack
     alg, chi, weights = setting("F5^5-diag")
     real_heads = cli.build_simple_g0_modules
     graded_builds = []
@@ -173,7 +162,7 @@ def test_a_corrupt_m_in_any_layout_stops_the_scan_before_any_graded_build(dim, w
     def corrupt_heads(algebra, chi_, lams):
         Ms = real_heads(algebra, chi_, lams)
         idx = [t for t, M in enumerate(Ms) if M.dim == dim]
-        assert len(idx) == 25
+        assert len(lams) == 25 and len(idx) == 5
         t = idx[0] if where == "first" else idx[-1]
         Ms[t] = corrupted(Ms[t], "p-th power")
         return Ms
@@ -275,7 +264,7 @@ def test_graded_vermas_in_any_order_equal_the_layout_order():
     assert len(stacks) == 8 < len(unsorted)
     for t, Z in enumerate(Z for stack in unsorted for Z in stack):
         W = by_layout[t]
-        assert Z.lam == W.lam and Z.root_key == W.root_key
+        assert Z.lam == W.lam and Z.units == W.units
         assert np.array_equal(Z.actions, W.actions)
 
 

@@ -70,6 +70,10 @@ CONFIGS = [
     # one weight whose Z(M) is far smaller than its baby Verma of dim 1,000
     ("graded-gl31-lam0431", 0, {"m": 3, "n": 1, "lambda": [0, 4, 3, 1],
                                 "tasks": ["graded-verma-scan"]}),
+    # the prime axis: 2,401 weights of dimension 784 at p = 7, one built per
+    # twist orbit of 7
+    ("scan-gl22-p7", 0, {"m": 2, "n": 2, "p": 7, "lambda": "scan-all-X",
+                         "tasks": ["verma-scan"]}),
 ]
 
 
