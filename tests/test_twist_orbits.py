@@ -112,14 +112,6 @@ def test_orbit_columns_equal_every_weight_built(name, graded):
         assert np.array_equal(actions[t], actions[index[tuple(coords)]]), t
 
 
-def test_orbit_keys_take_the_first_weight_in_the_given_order():
-    alg, chi, weights = fresh_setting(CHI0)
-    reordered = weights[::-1]
-    first, orbit = cli._twist_orbits(alg, reordered)
-    assert first.tolist() == sorted(set(orbit_first(alg, reordered)))
-    assert np.array_equal(first[orbit], orbit_first(alg, reordered))
-
-
 def orbit_first(alg, weights):
     """For each weight, the index of the first weight of its orbit, by search."""
     f = alg.field
@@ -129,6 +121,14 @@ def orbit_first(alg, weights):
         orbit = {tuple(f.add(np.array(c), f.mul(k, alg.str_signs)).tolist()) for k in range(f.p)}
         out.append(next(s for s, other in enumerate(coords) if other in orbit))
     return np.array(out)
+
+
+def test_orbit_keys_take_the_first_weight_in_the_given_order():
+    alg, chi, weights = fresh_setting(CHI0)
+    reordered = weights[::-1]
+    first, orbit = cli._twist_orbits(alg, reordered)
+    assert first.tolist() == sorted(set(orbit_first(alg, reordered)))
+    assert np.array_equal(first[orbit], orbit_first(alg, reordered))
 
 
 @pytest.mark.parametrize("task,builds", [("verma-scan", 1), ("graded-verma-scan", 2)])
