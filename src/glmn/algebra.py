@@ -28,10 +28,7 @@ class SuperAlgebra:
             raise BadDims("block sizes must be at least 1")
         if field.p < 5:
             raise BadDims("field characteristic must be at least 5")
-        self.m = m
-        self.n = n
-        self.d = m + n
-        self.field = field
+        self.m, self.n, self.d, self.field = m, n, m + n, field
         self.units = [(i, j) for i in range(1, self.d + 1)
                       for j in range(1, self.d + 1)]
         self.even_units = [u for u in self.units if self.parity(*u) == 0]
@@ -42,10 +39,8 @@ class SuperAlgebra:
         self._odd = side[:, None] != side[None, :]
         # the sign of each diagonal entry in the supertrace: 1, then -1 below m
         self.str_signs = np.where(side, field.p - 1, 1)
-        self.bracket_table = {
-            (u, v): tuple(self.bracket_units(*u, *v))
-            for u in self.units for v in self.units
-        }
+        self.bracket_table = {(u, v): tuple(self.bracket_units(*u, *v))
+                              for u in self.units for v in self.units}
         self._root_system = None
         # enveloping.reduction_context: (chi values, f_order keys) -> context
         self._contexts = {}
@@ -145,11 +140,8 @@ class Root:
 
     def __init__(self, algebra, i, j):
         assert i != j
-        self.i = i
-        self.j = j
-        self.parity = algebra.parity(i, j)
-        self.height = j - i
-        self.positive = i < j
+        self.i, self.j, self.parity = i, j, algebra.parity(i, j)
+        self.height, self.positive = j - i, i < j
 
     @property
     def key(self):
@@ -312,6 +304,55 @@ class Weight:
         return "Weight(" + ",".join(self.field.format_index(c) for c in self.coords) + ")"
 
 
+class Rows(list):
+    """A read-only list of n items, made by items(start, stop) from the rows
+    of arrays as they are read, CHUNK at a time, so that no more are held at
+    once.  len, indexing, iteration and equality are those of the list of
+    the items: every list reader reads that list (and any Rows operand's)."""
+
+    CHUNK = 1024
+
+    def __init__(self, n, items):
+        super().__init__()
+        self.n, self.items = n, items
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        for start in range(0, self.n, self.CHUNK):
+            yield from self.items(start, start + self.CHUNK)
+
+    def __getitem__(self, t):
+        at = range(self.n)[t]
+        return self.items(at, at + 1)[0] if isinstance(at, int) else [self[i] for i in at]
+
+    def _read_only(self, *args):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+
+for _name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__mul__",
+              "__rmul__", "__contains__", "__reversed__", "__repr__", "count", "index", "copy"):
+    setattr(Rows, _name, lambda self, *args, _read=getattr(list, _name): _read(
+        list(self), *(list(a) if isinstance(a, Rows) else a for a in args)))
+
+
+class Weights(Rows):
+    """Weights held as the rows of one (N, d) index array, coords: a Weight
+    is made only for a row that is read, and a slice is Weights again."""
+
+    def __init__(self, field, coords):
+        super().__init__(len(coords), lambda i, j: [Weight(field, c) for c in coords[i:j]])
+        self.field, self.coords = field, coords
+
+    def __getitem__(self, t):
+        sliced = isinstance(t, slice)
+        return Weights(self.field, self.coords[t]) if sliced else super().__getitem__(t)
+
+
 def root_system(algebra):
     return algebra.root_system()
 
@@ -371,11 +412,9 @@ class CharacterClass:
 
     def __init__(self, semisimple, borel_vanishing, nplus_vanishing,
                  standard_levi, levi_set):
-        self.semisimple = semisimple
-        self.borel_vanishing = borel_vanishing
-        self.nplus_vanishing = nplus_vanishing
-        self.standard_levi = standard_levi
-        self.levi_set = levi_set
+        self.semisimple, self.borel_vanishing, self.nplus_vanishing = (
+            semisimple, borel_vanishing, nplus_vanishing)
+        self.standard_levi, self.levi_set = standard_levi, levi_set
 
     def __repr__(self):
         return (f"CharacterClass(semisimple={self.semisimple}, "
@@ -413,7 +452,8 @@ def weight_variety(algebra, chi, count=None):
     Where some coordinate equation has no root, the field is extended once,
     F_p -> F_{p^p} (Field.extend), where every one has p; chi keeps its
     indices.  Returns (algebra, chi, weights) over the possibly extended
-    field; the weights are listed only as far as they are asked for.
+    field, the weights as Weights on one index array, which lists them only
+    as far as they are asked for.
     """
     field = algebra.field
     values = [field.power(chi.value((i, i)), field.p) for i in range(1, algebra.d + 1)]
@@ -423,14 +463,16 @@ def weight_variety(algebra, chi, count=None):
         algebra = SuperAlgebra(algebra.m, algebra.n, field)
         chi = Character(algebra, chi.values)
         roots = [ffield.artin_schreier_roots(field, c) for c in values]
-    weights = [Weight(field, combo) for combo in itertools.islice(itertools.product(
-        *([r.idx for r in rs] for rs in roots)), count)]
-    return algebra, chi, weights
+    combos = itertools.islice(itertools.product(*([r.idx for r in rs] for rs in roots)), count)
+    coords = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64)
+    return algebra, chi, Weights(field, coords.reshape(-1, algebra.d))
 
 
 def weights_in_variety(algebra, chi, lams):
     """Whether each weight of lams lies in X^chi, lambda_i^p - lambda_i =
     chi(E(i,i))^p for every i: one bool array over their stacked coordinates."""
-    f, coords = algebra.field, np.array([lam.coords for lam in lams]).reshape(-1, algebra.d)
+    f = algebra.field
+    coords = lams.coords if isinstance(lams, Weights) else np.array(
+        [lam.coords for lam in lams], dtype=np.int64).reshape(-1, algebra.d)
     chi_p = f.power(np.array([chi.value(u) for u in algebra.diag_units], dtype=np.int64), f.p)
     return (f.sub(f.power(coords, f.p), coords) == chi_p).all(axis=1)

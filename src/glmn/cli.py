@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import hashlib
 import itertools
 import json
 import os
@@ -28,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import (Character, Weight, build_algebra, classify_character,
+from .algebra import (Character, Rows, Weights, build_algebra, classify_character,
                       weights_in_variety, weight_variety)
 from .analysis import (composition_series, dual_cores, frobenius_gram,
                        regular_module, shifted_joint_kernel)
@@ -60,7 +59,9 @@ _CHI_KEY = re.compile(r"^E\((\d+),(\d+)\)$")
 
 
 def task_seed(seed, label):
-    """Deterministic per-task seed derived from the config seed."""
+    """Deterministic per-task seed derived from the config seed.  hashlib is
+    imported here, so that a run that draws no seed never loads OpenSSL."""
+    import hashlib
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -146,8 +147,9 @@ def parse_chi(algebra, spec):
 
 
 def build_setting(cfg):
-    """(algebra, chi, weights) over the field the run executes in; the
-    weights of X^chi are enumerated only for a task of cfg that reads them."""
+    """(algebra, chi, weights) over the field the run executes in, the
+    weights as Weights; those of X^chi are enumerated only for a task of cfg
+    that reads them."""
     field = make_field(cfg["p"], cfg["field_degree"])
     algebra = build_algebra(cfg["m"], cfg["n"], field)
     chi = parse_chi(algebra, cfg["chi"])
@@ -158,10 +160,10 @@ def build_setting(cfg):
     coords = [element_index(field, c) for c in lam]
     if len(coords) != algebra.d:
         raise ConfigInvalid(f"lambda needs {algebra.d} coordinates")
-    weight = Weight(field, coords)
-    if not weights_in_variety(algebra, chi, [weight])[0]:
+    weights = Weights(field, np.array([coords], dtype=np.int64))
+    if not weights_in_variety(algebra, chi, weights)[0]:
         raise ConfigInvalid("lambda does not lie in the weight variety of chi")
-    return algebra, chi, [weight]
+    return algebra, chi, weights
 
 
 # the tasks that read the weights of X^chi
@@ -208,7 +210,8 @@ def check_budgets(cfg, tasks, dump_module=False, dump_element=False):
 def _run_scan(algebra, chi, weights, graded, semisimple):
     """The columns of a scan of weights, on the algebra and chi given so that
     a later scan on them finds their plans: f_direct, dim_z and oracle_simple
-    per weight, and dim_m and f1_direct when graded (the f's as index arrays).
+    per weight, and dim_m and f1_direct when graded, as arrays (the f's of
+    indices, oracle_simple of objects).
 
     The supertrace sigma = (1, ..., 1 | -1, ..., -1) kills every bracket, so
     for c in F_p, k_{c sigma} (E(i,i) acting by c sigma_i, root vectors by
@@ -225,12 +228,14 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
     oracle_simple is None otherwise."""
     first, orbit = _twist_orbits(algebra, weights)
     n, weights = len(first), [weights[t] for t in first.tolist()]
-    cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": [0] * n, "oracle_simple": [None] * n}
+    cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": np.zeros(n, dtype=np.int64),
+            "oracle_simple": np.full(n, None, dtype=object)}
     if graded:
         Ms = build_simple_g0_modules(algebra, chi, weights)
         order = sorted(range(n), key=lambda t: Ms[t].dim)
         stacks = build_graded_vermas(algebra, chi, [Ms[t] for t in order])
-        cols.update(dim_m=[M.dim for M in Ms], f1_direct=np.zeros(n, dtype=np.int64))
+        cols.update(dim_m=np.array([M.dim for M in Ms], dtype=np.int64),
+                    f1_direct=np.zeros(n, dtype=np.int64))
     else:
         order, stacks = range(n), build_baby_vermas(algebra, chi, weights)
     fd, dim_z, oracle = cols["f_direct"], cols["dim_z"], cols["oracle_simple"]
@@ -239,16 +244,14 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
         if graded:
             cols["f1_direct"][t] = f1_direct(Z).idx
         del Z
-    return {k: v[orbit] if isinstance(v, np.ndarray) else np.array(v, dtype=object)[orbit].tolist()
-            for k, v in cols.items()}
+    return {k: v[orbit] for k, v in cols.items()}
 
 
 def _twist_orbits(algebra, weights):
     """(first, orbit): the index of the first weight, in order, of each twist
     orbit {lambda + c sigma} of weights, keyed lambda - c sigma with c the F_p
     digit (index mod p) of lambda_1, and each weight's position in first."""
-    f, n = algebra.field, len(weights)
-    coords = np.array([lam.coords for lam in weights], dtype=np.int64).reshape(n, algebra.d)
+    f, n, coords = algebra.field, len(weights), weights.coords
     keys = f.sub(coords, f.mul(coords[:, :1] % f.p, algebra.str_signs))
     order = np.lexsort((np.arange(n), *keys.T))  # by key, then by index
     head = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
@@ -289,26 +292,38 @@ def verma_scan_task(cfg, algebra, chi, weights, graded=False):
     f_formula and, graded, c_prime fits f1_direct * f0 = c' * f_direct; both
     fits are claims for semisimple chi alone.  Where the oracle ran, a row
     agrees when the direct value (f1_direct for Z(M), f_direct for
-    Z(lambda)) is nonzero exactly when the module is simple."""
+    Z(lambda)) is nonzero exactly when the module is simple.  The rows stay
+    columns (Rows) until the report is written."""
     field, rs = algebra.field, algebra.root_system()
     semisimple = classify_character(rs, chi).semisimple
-    coords = np.array([lam.coords for lam in weights], dtype=np.int64).reshape(-1, algebra.d)
+    coords = weights.coords
     ff, f0, f1 = f_formulas(rs, coords)
     scan = _run_scan(algebra, chi, weights, graded, semisimple)
-    fd, oracle = scan["f_direct"], scan["oracle_simple"]
+    fd, oracle = scan["f_direct"], np.asarray(scan["oracle_simple"], dtype=object)
     direct = scan["f1_direct"] if graded else fd
-    agreement = [s is None or s == bool(x) for s, x in zip(oracle, direct.tolist())]
+    agreement = np.equal(oracle, None) | np.equal(oracle, direct != 0)
     fits = {"c": _fit_constant(field, fd, ff)}
     if graded:
         fits["c_prime"] = _fit_constant(field, field.mul(scan["f1_direct"], f0), fd)
-    passed = all(agreement) and (not semisimple or all(ok for ok, _ in fits.values()))
+    passed = bool(agreement.all()) and (not semisimple or all(ok for ok, _ in fits.values()))
     cols = {"lambda": coords, "f_formula": ff, "f0": f0, "f1": f1, **scan, "agreement": agreement}
-    cols = {k: field.digits[v].tolist() if isinstance(v, np.ndarray) else v
-            for k, v in cols.items()}
-    record = {"rows": [dict(zip(cols, vals)) for vals in zip(*cols.values())],
-              "count": len(weights), "simple_count": oracle.count(True)}
+    record = {"rows": scan_rows(field.digits, cols), "count": len(weights),
+              "simple_count": int(np.equal(oracle, True).sum())}
     record.update((k, None if c is None else field.coeffs(c)) for k, (_, c) in fits.items())
     return record, passed
+
+
+def scan_rows(digits, cols):
+    """A scan's report rows (Rows), each row dict built when it is read from
+    the columns, arrays of one entry per row; field indices as digit lists."""
+    cols = {k: np.asarray(v) for k, v in cols.items()}
+    index = ("lambda", "f_formula", "f0", "f1", "f_direct", "f1_direct")
+
+    def items(start, stop):
+        vals = [(digits[v[start:stop]] if k in index else v[start:stop]).tolist()
+                for k, v in cols.items()]
+        return [dict(zip(cols, row)) for row in zip(*vals)]
+    return Rows(len(cols["lambda"]), items)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +400,8 @@ def _nminus_units(algebra):
 
 def frobenius_task(cfg, algebra, chi, weights):
     sub = _nminus_units(algebra)
-    gram, nondegenerate = frobenius_gram(algebra, sub, chi,
-                                         dim_budget=cfg["dim_budget"])
-    return {"sub": sub, "gram_dim": gram.rows,
-            "nondegenerate": bool(nondegenerate)}, bool(nondegenerate)
+    gram, ok = frobenius_gram(algebra, sub, chi, dim_budget=cfg["dim_budget"])
+    return {"sub": sub, "gram_dim": gram.rows, "nondegenerate": bool(ok)}, bool(ok)
 
 
 def regular_task(cfg, algebra, chi, weights):
@@ -397,17 +410,14 @@ def regular_task(cfg, algebra, chi, weights):
     right = regular_module(algebra, sub, chi, side="right")
     # the socles of the shifted actions; with chi zero on n- they are the
     # trivial submodules
-    tl = shifted_joint_kernel(left)
-    tr = shifted_joint_kernel(right)
+    tl, tr = shifted_joint_kernel(left), shifted_joint_kernel(right)
     same_line = tl.dim == 1 == tr.dim and bool((tl.basis == tr.basis).all())
     series = composition_series(left)
     factor_dims = [d for d, _ in series.factors]
     uniform = len({fp for _, fp in series.factors}) <= 1
     passed = same_line and sum(factor_dims) == left.dim and uniform
-    return {"sub": sub, "dim": left.dim,
-            "trivial_dim_left": tl.dim, "trivial_dim_right": tr.dim,
-            "v_left_equals_v_right": same_line,
-            "factor_dims": factor_dims,
+    return {"sub": sub, "dim": left.dim, "trivial_dim_left": tl.dim, "trivial_dim_right": tr.dim,
+            "v_left_equals_v_right": same_line, "factor_dims": factor_dims,
             "factors_uniform": uniform}, passed
 
 
@@ -415,32 +425,25 @@ def _sample_weights(cfg, weights, label, count=5):
     if len(weights) <= count:
         return list(weights)
     rng = random.Random(task_seed(cfg["seed"], label))
-    idx = sorted(rng.sample(range(len(weights)), count))
-    return [weights[t] for t in idx]
+    return [weights[t] for t in sorted(rng.sample(range(len(weights)), count))]
 
 
 def kw_task(cfg, algebra, chi, weights):
-    reports = []
-    passed = True
-    for lam in _sample_weights(cfg, weights, "kw"):
-        rep = kw_verify(algebra, chi, lam)
+    lams = _sample_weights(cfg, weights, "kw")
+    reports = [kw_verify(algebra, chi, lam) for lam in lams]
+    for lam, rep in zip(lams, reports):
         rep["lambda"] = algebra.field.digits[lam.coords].tolist()
-        passed = passed and rep["induced_simple"] and rep["chi_l_nilpotent"]
-        reports.append(rep)
-    return {"reports": reports}, passed
+    return {"reports": reports}, all(r["induced_simple"] and r["chi_l_nilpotent"] for r in reports)
 
 
 def levi_task(cfg, algebra, chi, weights):
     lams = _sample_weights(cfg, weights, "levi")
     reports = levi_scans(algebra, chi, lams)
-    passed = True
     for lam, rep in zip(lams, reports):
         rep["lambda"] = algebra.field.digits[lam.coords].tolist()
-        ok = (rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
-              and all(a["isomorphism"] and a["heads_match"]
-                      for a in rep["alphas"]))
-        passed = passed and ok
-    return {"reports": reports}, passed
+    return {"reports": reports}, all(
+        r["radical_absorbs_all"] and r["outside_vectors_generate"]
+        and all(a["isomorphism"] and a["heads_match"] for a in r["alphas"]) for r in reports)
 
 
 TASK_RUNNERS = {
@@ -472,32 +475,19 @@ def emit(report, fmt, stream):
         raise ConfigInvalid(f"unknown format {fmt!r}")
 
 
-def _scan_rows(report):
-    for task in report["tasks"]:
-        rec = task["record"]
-        if "rows" in rec:
-            return task["task"], rec["rows"]
-    return None, []
-
-
 def _emit_csv(report, stream):
+    """The rows of the first scan of report, or each task's verdict."""
     import csv
-    name, rows = _scan_rows(report)
+    rows = next((t["record"]["rows"] for t in report["tasks"] if "rows" in t["record"]), [])
     writer = csv.writer(stream)
     if not rows:
         writer.writerow(["task", "passed"])
-        for task in report["tasks"]:
-            writer.writerow([task["task"], task["passed"]])
+        writer.writerows([task["task"], task["passed"]] for task in report["tasks"])
         return
-    header = ["lambda", "f_direct", "f_formula", "f0", "f1",
-              "oracle_simple", "agreement"]
+    header = ["lambda", "f_direct", "f_formula", "f0", "f1", "oracle_simple", "agreement"]
     writer.writerow(header)
-    for r in rows:
-        writer.writerow([
-            ";".join(str(c) for c in r["lambda"]),
-            str(r.get("f_direct")), str(r["f_formula"]),
-            str(r["f0"]), str(r["f1"]),
-            r["oracle_simple"], r["agreement"]])
+    # csv writes each column but lambda as str() of it, None as ""
+    writer.writerows([";".join(map(str, r["lambda"])), *(r[k] for k in header[1:])] for r in rows)
 
 
 def _emit_table(report, stream):
@@ -511,8 +501,7 @@ def _emit_table(report, stream):
         if "rows" in rec:
             stream.write(f"  rows: {rec['count']}  simple: "
                          f"{rec.get('simple_count')}  c: {rec.get('c')}\n")
-            header = f"  {'lambda':<28} {'f_direct':<12} {'f_formula':<12} verdict"
-            stream.write(header + "\n")
+            stream.write(f"  {'lambda':<28} {'f_direct':<12} {'f_formula':<12} verdict\n")
             for r in rec["rows"]:
                 lam = ",".join(str(c) for c in r["lambda"])
                 stream.write(f"  {lam:<28} {str(r.get('f_direct')):<12} "
@@ -551,27 +540,30 @@ def dump_module(module, stream):
 # ---------------------------------------------------------------------------
 # entry points
 
-def check_output_paths(out, dump_module_path=None, dump_element_path=None):
+def check_output_paths(out, dump_module_path=None, dump_element_path=None, reports=()):
     """Refuse, before any task runs, an --out whose nearest existing path is
-    no writable directory, and a dump file that is a directory or whose
-    directory is no writable directory."""
-    for flag, path in (("--out", out), ("--dump-module", dump_module_path),
-                       ("--dump-element", dump_element_path)):
+    no writable directory, a report file (of the names in reports) that is a
+    directory in it, and a dump file that is a directory or whose directory
+    is no writable directory."""
+    for flag, path, kind in [("--out", out, "a directory"),
+                             ("--dump-module", dump_module_path, "a file"),
+                             ("--dump-element", dump_element_path, "a file"),
+                             *(("--out", os.path.join(out, r), "a file") for r in reports if out)]:
         if not path:
             continue
         at = os.path.abspath(path)
-        parent = at if flag == "--out" else os.path.dirname(at)
+        parent = at if kind == "a directory" else os.path.dirname(at)
         while flag == "--out" and not os.path.exists(parent):
             parent = os.path.dirname(parent)
         if (not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK)
-                or flag != "--out" and os.path.isdir(at)):
-            kind = "a directory" if flag == "--out" else "a file"
+                or kind == "a file" and os.path.isdir(at)):
             raise ConfigInvalid(f"{flag} {path} cannot be written as {kind}")
 
 
 def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None):
     check_budgets(cfg, tasks, dump_module_path, dump_element_path)
-    check_output_paths(out, dump_module_path, dump_element_path)
+    check_output_paths(out, dump_module_path, dump_element_path,
+                       [f"{name}.{_ext(fmt)}" for name in (*tasks, "summary")])
     algebra, chi, weights = build_setting(dict(cfg, tasks=tasks))
     results = []
     for name in tasks:
@@ -585,21 +577,17 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
     if dump_element_path:
         ctx = reduction_context(algebra, chi)
         rs = algebra.root_system()
-        word = []
-        for r in rs.positive:
-            word += [rs.e_unit(r)] * (ctx.caps[ctx.unit_to_pos[rs.e_unit(r)]] - 1)
-        for r in rs.positive:
-            word += [rs.f_unit(r)] * (ctx.caps[ctx.unit_to_pos[rs.f_unit(r)]] - 1)
+        # every e-unit, then every f-unit, to its cap - 1
+        word = [u for unit in (rs.e_unit, rs.f_unit) for r in rs.positive
+                for u in [unit(r)] * (ctx.caps[ctx.unit_to_pos[unit(r)]] - 1)]
         with open(dump_element_path, "w") as fh:
             fh.write(normalize(ctx, word).dump() + "\n")
     if out:
         os.makedirs(out, exist_ok=True)
-        for name, rec, passed in results:
-            sub = make_report(cfg, algebra, [(name, rec, passed)])
+        for name, sub in [(r[0], make_report(cfg, algebra, [r])) for r in results] + [
+                ("summary", report)]:
             with open(os.path.join(out, f"{name}.{_ext(fmt)}"), "w") as fh:
                 emit(sub, fmt, fh)
-        with open(os.path.join(out, f"summary.{_ext(fmt)}"), "w") as fh:
-            emit(report, fmt, fh)
     else:
         emit(report, fmt, sys.stdout)
     return 0 if report["passed"] else 1

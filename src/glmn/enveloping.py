@@ -127,9 +127,6 @@ class PBWMonomial:
     def parity(self):
         return self.ctx.mono_parity(self.exps)
 
-    def degree(self):
-        return sum(self.exps)
-
     def __eq__(self, other):
         return (isinstance(other, PBWMonomial) and self.ctx is other.ctx
                 and self.exps == other.exps)
@@ -177,16 +174,9 @@ class PBWElement:
                 terms[tuple(exps)] = c
         return cls(ctx, terms)
 
-    def monomials(self):
-        return [PBWMonomial(self.ctx, m) for m in sorted(self.terms)]
-
     def items(self):
         return [(PBWMonomial(self.ctx, m), FieldElement(self.ctx.field, c))
                 for m, c in sorted(self.terms.items())]
-
-    def coefficient(self, mono):
-        exps = mono.exps if isinstance(mono, PBWMonomial) else tuple(mono)
-        return FieldElement(self.ctx.field, self.terms.get(exps, 0))
 
     @property
     def parity(self):

@@ -375,6 +375,34 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["run", "--config", cfg, flag, target])
         assert (code, out, err) == (2, "", f"error: {flag} {target} cannot be written as {kind}\n")
 
+    @pytest.mark.parametrize("fmt,name", [
+        ("json", "summary.json"), ("json", "verma-scan.json"), ("csv", "summary.csv"),
+        ("table", "verma-scan.txt")])
+    def test_report_file_that_is_a_directory_exits_two_before_any_task(
+            self, tmp_path, capsys, monkeypatch, fmt, name):
+        # such a report file used to end the run in an IsADirectoryError once
+        # every task had run; each name the tasks and the format will write
+        # is now checked before the setting is built
+        (tmp_path / "o" / name).mkdir(parents=True)
+        cfg = write_cfg(tmp_path)
+
+        def refuse(cfg):
+            raise AssertionError("the setting was built")
+        monkeypatch.setattr(cli, "build_setting", refuse)
+        target = str(tmp_path / "o")
+        code, out, err = run_cli(capsys, ["run", "--config", cfg, "--out", target,
+                                          "--format", fmt])
+        assert (code, out, err) == (
+            2, "", f"error: --out {os.path.join(target, name)} cannot be written as a file\n")
+
+    def test_report_names_of_another_format_or_task_leave_the_run_alone(self, tmp_path, capsys):
+        for name in ("summary.csv", "kw-verify.json", "summary"):
+            (tmp_path / "o" / name).mkdir(parents=True)
+        code, out, err = run_cli(capsys, ["run", "--config", write_cfg(tmp_path),
+                                          "--out", str(tmp_path / "o")])
+        assert (code, out, err) == (0, "", "")
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["passed"] is True
+
     @pytest.mark.parametrize("name,config", [
         *((name, workloads.make_config(name, 1)) for name in workloads.WORKLOADS),
         *((name, {**slow_checks.BASE, **overrides})

@@ -5,6 +5,8 @@ __init__.py is left out: it imports to re-export), and a fresh interpreter
 that imports glmn.cli, runs a config or refuses a prime p over the field
 budget, loads neither sympy nor a process pool; nor does one that runs the
 benchmark's gated configs, as perfbench.workloads.make_config writes them.
+OpenSSL (hashlib) is loaded only by a task that draws a seed (task_seed),
+whose values are pinned here.
 """
 
 import ast
@@ -48,12 +50,13 @@ def test_detects_an_unused_import():
 
 
 HEAVY = ("sympy", "multiprocessing", "concurrent.futures")
+OPENSSL = ("hashlib", "_hashlib")
 
 
-def heavy_modules_after(code):
-    """The HEAVY modules loaded once a fresh interpreter has run code."""
+def heavy_modules_after(code, heavy=HEAVY):
+    """The modules of heavy loaded once a fresh interpreter has run code."""
     probe = (f"import sys\n{code}\n"
-             f"print([m for m in {HEAVY!r} if m in sys.modules])")
+             f"print([m for m in {heavy!r} if m in sys.modules])")
     env = {k: v for k, v in os.environ.items() if not k.startswith("GLMN_")}
     env["PYTHONPATH"] = str(SRC.parent)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -99,3 +102,43 @@ def test_benchmark_configs_load_no_masked_arrays_and_no_pool(tmp_path, name):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_openssl():
+    assert heavy_modules_after("import glmn.cli", OPENSSL) == "[]"
+
+
+def test_graded_benchmark_config_loads_no_openssl(tmp_path):
+    # it draws no seed, so it never needs hashlib's 3.6 MB of libcrypto
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(workloads.make_config("graded-gl21-ext", 1)))
+    code = ("from glmn.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg)!r}]) == 0")
+    assert heavy_modules_after(code, OPENSSL) == "[]"
+
+
+def test_levi_benchmark_config_loads_openssl_only_in_its_task(tmp_path):
+    # the levi scan samples its weights by task_seed: hashlib is loaded then,
+    # and not by the import or the set-up before it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(workloads.make_config("levi-gl21", 1)))
+    code = ("from glmn import cli\n"
+            "runner, seen = cli.TASK_RUNNERS['levi-scan'], []\n"
+            "def levi(*args):\n"
+            f"    seen.append([m for m in {OPENSSL!r} if m in sys.modules])\n"
+            "    return runner(*args)\n"
+            "cli.TASK_RUNNERS['levi-scan'] = levi\n"
+            f"assert cli.main(['run', '--config', {str(cfg)!r}]) == 0\n"
+            "assert seen == [[]], seen")
+    assert heavy_modules_after(code, OPENSSL) == str(list(OPENSSL))
+
+
+@pytest.mark.parametrize("seed,label,value", [
+    (0, "structure", 4754898370274654213), (1, "levi", 14698749065569597492),
+    (3, "kw", 10509860370998334775), (7, "levi", 6474553887307760717),
+    (3601, "levi", 8735897328289440431)])
+def test_task_seeds_are_pinned(seed, label, value):
+    # the sampled weights and structure samples of every seeded report
+    # follow from these values
+    from glmn.cli import task_seed
+    assert task_seed(seed, label) == value
