@@ -4,7 +4,7 @@ Basis elements are the matrix units E(i,j) with 1-based indices; the
 parity of E(i,j) is odd exactly when i and j lie on opposite sides of m.
 The super bracket, supertrace, p-mapping, root system with heights and
 coroots, rho, reflections, character classification and the weight
-variety X all live here.
+variety X, held as Weights (a read-only Rows list), all live here.
 """
 
 from __future__ import annotations
