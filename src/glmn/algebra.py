@@ -28,7 +28,10 @@ class SuperAlgebra:
             raise BadDims("block sizes must be at least 1")
         if field.p < 5:
             raise BadDims("field characteristic must be at least 5")
-        self.m, self.n, self.d, self.field = m, n, m + n, field
+        self.m = m
+        self.n = n
+        self.d = m + n
+        self.field = field
         self.units = [(i, j) for i in range(1, self.d + 1)
                       for j in range(1, self.d + 1)]
         self.even_units = [u for u in self.units if self.parity(*u) == 0]
@@ -39,8 +42,10 @@ class SuperAlgebra:
         self._odd = side[:, None] != side[None, :]
         # the sign of each diagonal entry in the supertrace: 1, then -1 below m
         self.str_signs = np.where(side, field.p - 1, 1)
-        self.bracket_table = {(u, v): tuple(self.bracket_units(*u, *v))
-                              for u in self.units for v in self.units}
+        self.bracket_table = {
+            (u, v): tuple(self.bracket_units(*u, *v))
+            for u in self.units for v in self.units
+        }
         self._root_system = None
         # enveloping.reduction_context: (chi values, f_order keys) -> context
         self._contexts = {}
@@ -140,8 +145,11 @@ class Root:
 
     def __init__(self, algebra, i, j):
         assert i != j
-        self.i, self.j, self.parity = i, j, algebra.parity(i, j)
-        self.height, self.positive = j - i, i < j
+        self.i = i
+        self.j = j
+        self.parity = algebra.parity(i, j)
+        self.height = j - i
+        self.positive = i < j
 
     @property
     def key(self):
@@ -307,8 +315,8 @@ class Weight:
 class Rows(list):
     """A read-only list of n items, made by items(start, stop) from the rows
     of arrays as they are read, CHUNK at a time, so that no more are held at
-    once.  len, indexing, iteration and equality are those of the list of
-    the items: every list reader reads that list (and any Rows operand's)."""
+    once.  len, indexing and iteration are its own; every other list operator
+    and method, list + Rows too, reads the list of the items (and a Rows's)."""
 
     CHUNK = 1024
 
@@ -326,6 +334,10 @@ class Rows(list):
     def __getitem__(self, t):
         at = range(self.n)[t]
         return self.items(at, at + 1)[0] if isinstance(at, int) else [self[i] for i in at]
+
+    def __radd__(self, other):
+        # list + Rows: list's own concatenation would read no items
+        return other + list(self) if isinstance(other, list) else NotImplemented
 
     def _read_only(self, *args):
         raise TypeError(f"{type(self).__name__} is read-only")
@@ -412,9 +424,11 @@ class CharacterClass:
 
     def __init__(self, semisimple, borel_vanishing, nplus_vanishing,
                  standard_levi, levi_set):
-        self.semisimple, self.borel_vanishing, self.nplus_vanishing = (
-            semisimple, borel_vanishing, nplus_vanishing)
-        self.standard_levi, self.levi_set = standard_levi, levi_set
+        self.semisimple = semisimple
+        self.borel_vanishing = borel_vanishing
+        self.nplus_vanishing = nplus_vanishing
+        self.standard_levi = standard_levi
+        self.levi_set = levi_set
 
     def __repr__(self):
         return (f"CharacterClass(semisimple={self.semisimple}, "
@@ -471,8 +485,6 @@ def weight_variety(algebra, chi, count=None):
 def weights_in_variety(algebra, chi, lams):
     """Whether each weight of lams lies in X^chi, lambda_i^p - lambda_i =
     chi(E(i,i))^p for every i: one bool array over their stacked coordinates."""
-    f = algebra.field
-    coords = lams.coords if isinstance(lams, Weights) else np.array(
-        [lam.coords for lam in lams], dtype=np.int64).reshape(-1, algebra.d)
+    f, coords = algebra.field, np.array([lam.coords for lam in lams]).reshape(-1, algebra.d)
     chi_p = f.power(np.array([chi.value(u) for u in algebra.diag_units], dtype=np.int64), f.p)
     return (f.sub(f.power(coords, f.p), coords) == chi_p).all(axis=1)

@@ -299,7 +299,7 @@ def verma_scan_task(cfg, algebra, chi, weights, graded=False):
     coords = weights.coords
     ff, f0, f1 = f_formulas(rs, coords)
     scan = _run_scan(algebra, chi, weights, graded, semisimple)
-    fd, oracle = scan["f_direct"], np.asarray(scan["oracle_simple"], dtype=object)
+    fd, oracle = scan["f_direct"], scan["oracle_simple"]
     direct = scan["f1_direct"] if graded else fd
     agreement = np.equal(oracle, None) | np.equal(oracle, direct != 0)
     fits = {"c": _fit_constant(field, fd, ff)}
@@ -316,7 +316,6 @@ def verma_scan_task(cfg, algebra, chi, weights, graded=False):
 def scan_rows(digits, cols):
     """A scan's report rows (Rows), each row dict built when it is read from
     the columns, arrays of one entry per row; field indices as digit lists."""
-    cols = {k: np.asarray(v) for k, v in cols.items()}
     index = ("lambda", "f_formula", "f0", "f1", "f_direct", "f1_direct")
 
     def items(start, stop):
@@ -400,8 +399,10 @@ def _nminus_units(algebra):
 
 def frobenius_task(cfg, algebra, chi, weights):
     sub = _nminus_units(algebra)
-    gram, ok = frobenius_gram(algebra, sub, chi, dim_budget=cfg["dim_budget"])
-    return {"sub": sub, "gram_dim": gram.rows, "nondegenerate": bool(ok)}, bool(ok)
+    gram, nondegenerate = frobenius_gram(algebra, sub, chi,
+                                         dim_budget=cfg["dim_budget"])
+    return {"sub": sub, "gram_dim": gram.rows,
+            "nondegenerate": bool(nondegenerate)}, bool(nondegenerate)
 
 
 def regular_task(cfg, algebra, chi, weights):
@@ -410,14 +411,17 @@ def regular_task(cfg, algebra, chi, weights):
     right = regular_module(algebra, sub, chi, side="right")
     # the socles of the shifted actions; with chi zero on n- they are the
     # trivial submodules
-    tl, tr = shifted_joint_kernel(left), shifted_joint_kernel(right)
+    tl = shifted_joint_kernel(left)
+    tr = shifted_joint_kernel(right)
     same_line = tl.dim == 1 == tr.dim and bool((tl.basis == tr.basis).all())
     series = composition_series(left)
     factor_dims = [d for d, _ in series.factors]
     uniform = len({fp for _, fp in series.factors}) <= 1
     passed = same_line and sum(factor_dims) == left.dim and uniform
-    return {"sub": sub, "dim": left.dim, "trivial_dim_left": tl.dim, "trivial_dim_right": tr.dim,
-            "v_left_equals_v_right": same_line, "factor_dims": factor_dims,
+    return {"sub": sub, "dim": left.dim,
+            "trivial_dim_left": tl.dim, "trivial_dim_right": tr.dim,
+            "v_left_equals_v_right": same_line,
+            "factor_dims": factor_dims,
             "factors_uniform": uniform}, passed
 
 
@@ -425,25 +429,32 @@ def _sample_weights(cfg, weights, label, count=5):
     if len(weights) <= count:
         return list(weights)
     rng = random.Random(task_seed(cfg["seed"], label))
-    return [weights[t] for t in sorted(rng.sample(range(len(weights)), count))]
+    idx = sorted(rng.sample(range(len(weights)), count))
+    return [weights[t] for t in idx]
 
 
 def kw_task(cfg, algebra, chi, weights):
-    lams = _sample_weights(cfg, weights, "kw")
-    reports = [kw_verify(algebra, chi, lam) for lam in lams]
-    for lam, rep in zip(lams, reports):
+    reports = []
+    passed = True
+    for lam in _sample_weights(cfg, weights, "kw"):
+        rep = kw_verify(algebra, chi, lam)
         rep["lambda"] = algebra.field.digits[lam.coords].tolist()
-    return {"reports": reports}, all(r["induced_simple"] and r["chi_l_nilpotent"] for r in reports)
+        passed = passed and rep["induced_simple"] and rep["chi_l_nilpotent"]
+        reports.append(rep)
+    return {"reports": reports}, passed
 
 
 def levi_task(cfg, algebra, chi, weights):
     lams = _sample_weights(cfg, weights, "levi")
     reports = levi_scans(algebra, chi, lams)
+    passed = True
     for lam, rep in zip(lams, reports):
         rep["lambda"] = algebra.field.digits[lam.coords].tolist()
-    return {"reports": reports}, all(
-        r["radical_absorbs_all"] and r["outside_vectors_generate"]
-        and all(a["isomorphism"] and a["heads_match"] for a in r["alphas"]) for r in reports)
+        ok = (rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
+              and all(a["isomorphism"] and a["heads_match"]
+                      for a in rep["alphas"]))
+        passed = passed and ok
+    return {"reports": reports}, passed
 
 
 TASK_RUNNERS = {
@@ -475,19 +486,32 @@ def emit(report, fmt, stream):
         raise ConfigInvalid(f"unknown format {fmt!r}")
 
 
+def _scan_rows(report):
+    for task in report["tasks"]:
+        rec = task["record"]
+        if "rows" in rec:
+            return task["task"], rec["rows"]
+    return None, []
+
+
 def _emit_csv(report, stream):
-    """The rows of the first scan of report, or each task's verdict."""
     import csv
-    rows = next((t["record"]["rows"] for t in report["tasks"] if "rows" in t["record"]), [])
+    name, rows = _scan_rows(report)
     writer = csv.writer(stream)
     if not rows:
         writer.writerow(["task", "passed"])
-        writer.writerows([task["task"], task["passed"]] for task in report["tasks"])
+        for task in report["tasks"]:
+            writer.writerow([task["task"], task["passed"]])
         return
-    header = ["lambda", "f_direct", "f_formula", "f0", "f1", "oracle_simple", "agreement"]
+    header = ["lambda", "f_direct", "f_formula", "f0", "f1",
+              "oracle_simple", "agreement"]
     writer.writerow(header)
-    # csv writes each column but lambda as str() of it, None as ""
-    writer.writerows([";".join(map(str, r["lambda"])), *(r[k] for k in header[1:])] for r in rows)
+    for r in rows:
+        writer.writerow([
+            ";".join(str(c) for c in r["lambda"]),
+            str(r.get("f_direct")), str(r["f_formula"]),
+            str(r["f0"]), str(r["f1"]),
+            r["oracle_simple"], r["agreement"]])
 
 
 def _emit_table(report, stream):
@@ -501,7 +525,8 @@ def _emit_table(report, stream):
         if "rows" in rec:
             stream.write(f"  rows: {rec['count']}  simple: "
                          f"{rec.get('simple_count')}  c: {rec.get('c')}\n")
-            stream.write(f"  {'lambda':<28} {'f_direct':<12} {'f_formula':<12} verdict\n")
+            header = f"  {'lambda':<28} {'f_direct':<12} {'f_formula':<12} verdict"
+            stream.write(header + "\n")
             for r in rec["rows"]:
                 lam = ",".join(str(c) for c in r["lambda"])
                 stream.write(f"  {lam:<28} {str(r.get('f_direct')):<12} "
@@ -577,17 +602,21 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
     if dump_element_path:
         ctx = reduction_context(algebra, chi)
         rs = algebra.root_system()
-        # every e-unit, then every f-unit, to its cap - 1
-        word = [u for unit in (rs.e_unit, rs.f_unit) for r in rs.positive
-                for u in [unit(r)] * (ctx.caps[ctx.unit_to_pos[unit(r)]] - 1)]
+        word = []
+        for r in rs.positive:
+            word += [rs.e_unit(r)] * (ctx.caps[ctx.unit_to_pos[rs.e_unit(r)]] - 1)
+        for r in rs.positive:
+            word += [rs.f_unit(r)] * (ctx.caps[ctx.unit_to_pos[rs.f_unit(r)]] - 1)
         with open(dump_element_path, "w") as fh:
             fh.write(normalize(ctx, word).dump() + "\n")
     if out:
         os.makedirs(out, exist_ok=True)
-        for name, sub in [(r[0], make_report(cfg, algebra, [r])) for r in results] + [
-                ("summary", report)]:
+        for name, rec, passed in results:
+            sub = make_report(cfg, algebra, [(name, rec, passed)])
             with open(os.path.join(out, f"{name}.{_ext(fmt)}"), "w") as fh:
                 emit(sub, fmt, fh)
+        with open(os.path.join(out, f"summary.{_ext(fmt)}"), "w") as fh:
+            emit(report, fmt, fh)
     else:
         emit(report, fmt, sys.stdout)
     return 0 if report["passed"] else 1

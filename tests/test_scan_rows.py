@@ -122,6 +122,10 @@ def test_rows_read_like_the_list(name, task):
     assert full[-1] in rows and changed[-1] not in rows
     assert rows.index(full[-1]) == n - 1 and rows.count(full[0]) == 1
     assert list(reversed(rows)) == full[::-1] and rows + [] == full and repr(rows) == repr(full)
+    # a list on the left reads the rows too: list + Rows is not list's own concatenation
+    assert [] + rows == full and full[:1] + rows == full[:1] + full and rows + rows == full + full
+    with pytest.raises(TypeError):
+        () + rows
     # compact and indented JSON of the record
     assert json.dumps(rec) == json.dumps(dict(rec, rows=full))
     assert (json.dumps(rec, indent=2, sort_keys=True)
@@ -161,6 +165,7 @@ def test_weights_read_like_the_list_of_the_product(chi):
     assert weights[::-4] == listed[::-4] and weights[::-4].coords.shape == (32, 3)
     assert weights != listed[:-1] and weights != listed[::-1]
     assert listed[5] in weights and weights.index(listed[5]) == 5
+    assert [listed[0]] + weights == [listed[0]] + listed and [] + weights[3:9] == listed[3:9]
     with pytest.raises(TypeError, match="read-only"):
         weights.append(listed[0])
     for count, size in ((0, 0), (1, 1), (30, 30), (500, 125)):

@@ -56,12 +56,14 @@ def fresh_setting(chi, m=2, n=1):
 def scan_every_weight(alg, chi, weights, graded, semisimple):
     """_run_scan's columns with every weight's module built and decided."""
     n = len(weights)
-    cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": [0] * n, "oracle_simple": [None] * n}
+    cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": np.zeros(n, dtype=np.int64),
+            "oracle_simple": np.full(n, None, dtype=object)}
     if graded:
         Ms = build_simple_g0_modules(alg, chi, weights)
         order = sorted(range(n), key=lambda t: Ms[t].dim)
         stacks = build_graded_vermas(alg, chi, [Ms[t] for t in order])
-        cols.update(dim_m=[M.dim for M in Ms], f1_direct=np.zeros(n, dtype=np.int64))
+        cols.update(dim_m=np.array([M.dim for M in Ms], dtype=np.int64),
+                    f1_direct=np.zeros(n, dtype=np.int64))
     else:
         order, stacks = range(n), build_baby_vermas(alg, chi, weights)
     for Z, simple, t in cli._with_verdicts(stacks, semisimple, order):
