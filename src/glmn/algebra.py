@@ -3,13 +3,15 @@
 Basis elements are the matrix units E(i,j) with 1-based indices; the
 parity of E(i,j) is odd exactly when i and j lie on opposite sides of m.
 The super bracket, supertrace, p-mapping, root system with heights and
-coroots, rho, reflections, character classification and the weight
-variety X, held as Weights (a read-only Rows list), all live here.
+coroots, rho, reflections, character classification, the weight variety
+X (Weights, a read-only Rows list) and a scan's rows (ColumnRows), which
+write_json writes as JSON from their columns, all live here.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -350,6 +352,61 @@ for _name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__add
               "__rmul__", "__contains__", "__reversed__", "__repr__", "count", "index", "copy"):
     setattr(Rows, _name, lambda self, *args, _read=getattr(list, _name): _read(
         list(self), *(list(a) if isinstance(a, Rows) else a for a in args)))
+
+
+class ColumnRows(Rows):
+    """The rows of the arrays cols as dicts keyed as cols, the columns named
+    in indexed (of field indices) read as digit lists; write_json reads cols."""
+
+    def __init__(self, cols, digits, indexed):
+        super().__init__(len(next(iter(cols.values()))), self._items)
+        self.cols, self.digits, self.indexed = cols, digits, indexed
+
+    def column(self, key, start, stop):
+        v = self.cols[key][start:stop]
+        return self.digits[v] if key in self.indexed else v
+
+    def _items(self, start, stop):
+        vals = [self.column(k, start, stop).tolist() for k in self.cols]
+        return [dict(zip(self.cols, row)) for row in zip(*vals)]
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True, indent=2).encode
+_HOLE = "\x01"  # a leaf, or a ColumnRows, in the encoder's text: "\u0001"
+_LITERALS = {None: "null", False: "false", True: "true"}
+_object_leaves = np.frompyfunc(lambda x: _LITERALS[x] if x is None or type(x) is bool
+                               else x if type(x) is int else json.dumps(x), 1, 1)
+
+
+def write_json(obj, stream):
+    """json.dump(obj, stream, sort_keys=True, indent=2), each ColumnRows in
+    obj written from its columns, CHUNK rows a write, at the indent before
+    its placeholder (and key): each row is the encoder's text of the first
+    with a %s per leaf, filled as json writes: ints as they are, bools and
+    None as literals, other objects by json.dumps; other dtypes TypeError."""
+    found = []
+    def hollow(o):
+        if isinstance(o, ColumnRows):
+            return found.append(o) or _HOLE
+        if isinstance(o, dict):
+            return {k: hollow(v) for k, v in o.items()}
+        return [hollow(v) for v in o] if isinstance(o, (list, tuple)) else o
+    text = _ENCODE(hollow(obj)).split(_ENCODE(_HOLE))
+    stream.write(text[0])
+    for rows, before, after in zip(found, text, text[1:]):
+        keys, at = sorted(rows.cols), "\n  " + before[before.rfind("\n") + 1:].split('"')[0]
+        if bad := [rows.cols[k].dtype for k in keys if rows.cols[k].dtype.kind not in "iubO"]:
+            raise TypeError(f"no JSON leaves of dtype {bad[0]}")
+        first = {k: np.full(rows.column(k, 0, 1).shape[1:], _HOLE, object).tolist() for k in keys}
+        row = _ENCODE(first).replace("%", "%%").replace(_ENCODE(_HOLE), "%s").replace("\n", at)
+        for start in range(0, rows.n, rows.CHUNK):
+            n = min(rows.CHUNK, rows.n - start)
+            leaves = [rows.column(k, start, start + n).reshape(n, -1) for k in keys]
+            block = np.concatenate([v if v.dtype.kind in "iu" else _object_leaves(v.astype(object))
+                                    for v in leaves], axis=1, dtype=object).tolist()
+            stream.write(("," if start else "[") + at + f",{at}".join([row % tuple(r)
+                                                                       for r in block]))
+        stream.write((at[:-2] + "]" if rows.n else "[]") + after)
 
 
 class Weights(Rows):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import itertools
 import json
 import os
 import random
@@ -27,8 +26,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import (Character, Rows, Weights, build_algebra, classify_character,
-                      weights_in_variety, weight_variety)
+from .algebra import (Character, ColumnRows, Weights, build_algebra, classify_character,
+                      weights_in_variety, weight_variety, write_json)
 from .analysis import (composition_series, dual_cores, frobenius_gram,
                        regular_module, shifted_joint_kernel)
 from .enveloping import normalize, reduction_context
@@ -59,11 +58,16 @@ _CHI_KEY = re.compile(r"^E\((\d+),(\d+)\)$")
 
 
 def task_seed(seed, label):
-    """Deterministic per-task seed derived from the config seed.  hashlib is
-    imported here, so that a run that draws no seed never loads OpenSSL."""
-    import hashlib
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    """Deterministic per-task seed derived from the config seed.  SHA-256 is
+    CPython's own, as random.py's SHA-512 is: no run loads OpenSSL (hashlib)."""
+    try:
+        from _sha256 import sha256  # CPython 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            from hashlib import sha256
+    return int.from_bytes(sha256(f"{seed}:{label}".encode()).digest()[:8], "big")
 
 
 def load_config(path, **overrides):
@@ -293,7 +297,7 @@ def verma_scan_task(cfg, algebra, chi, weights, graded=False):
     fits are claims for semisimple chi alone.  Where the oracle ran, a row
     agrees when the direct value (f1_direct for Z(M), f_direct for
     Z(lambda)) is nonzero exactly when the module is simple.  The rows stay
-    columns (Rows) until the report is written."""
+    columns (ColumnRows) until the report is written."""
     field, rs = algebra.field, algebra.root_system()
     semisimple = classify_character(rs, chi).semisimple
     coords = weights.coords
@@ -307,22 +311,11 @@ def verma_scan_task(cfg, algebra, chi, weights, graded=False):
         fits["c_prime"] = _fit_constant(field, field.mul(scan["f1_direct"], f0), fd)
     passed = bool(agreement.all()) and (not semisimple or all(ok for ok, _ in fits.values()))
     cols = {"lambda": coords, "f_formula": ff, "f0": f0, "f1": f1, **scan, "agreement": agreement}
-    record = {"rows": scan_rows(field.digits, cols), "count": len(weights),
+    indexed = ("lambda", "f_formula", "f0", "f1", "f_direct", "f1_direct")
+    record = {"rows": ColumnRows(cols, field.digits, indexed), "count": len(weights),
               "simple_count": int(np.equal(oracle, True).sum())}
     record.update((k, None if c is None else field.coeffs(c)) for k, (_, c) in fits.items())
     return record, passed
-
-
-def scan_rows(digits, cols):
-    """A scan's report rows (Rows), each row dict built when it is read from
-    the columns, arrays of one entry per row; field indices as digit lists."""
-    index = ("lambda", "f_formula", "f0", "f1", "f_direct", "f1_direct")
-
-    def items(start, stop):
-        vals = [(digits[v[start:stop]] if k in index else v[start:stop]).tolist()
-                for k, v in cols.items()]
-        return [dict(zip(cols, row)) for row in zip(*vals)]
-    return Rows(len(cols["lambda"]), items)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +465,9 @@ TASK_RUNNERS = {
 # report emission
 
 def emit(report, fmt, stream):
-    """report as json (json.dump's text, one write per 4096 chunks), csv or a table."""
+    """report as json (json.dump's text, sorted keys, indent 2: write_json), csv or a table."""
     if fmt == "json":
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-        while block := "".join(itertools.islice(chunks, 4096)):
-            stream.write(block)
+        write_json(report, stream)
         stream.write("\n")
     elif fmt == "csv":
         _emit_csv(report, stream)
@@ -486,17 +477,9 @@ def emit(report, fmt, stream):
         raise ConfigInvalid(f"unknown format {fmt!r}")
 
 
-def _scan_rows(report):
-    for task in report["tasks"]:
-        rec = task["record"]
-        if "rows" in rec:
-            return task["task"], rec["rows"]
-    return None, []
-
-
 def _emit_csv(report, stream):
     import csv
-    name, rows = _scan_rows(report)
+    rows = next((t["record"]["rows"] for t in report["tasks"] if "rows" in t["record"]), [])
     writer = csv.writer(stream)
     if not rows:
         writer.writerow(["task", "passed"])

@@ -1,5 +1,6 @@
-"""The benchmark's workloads and the slow-check script, loaded from their
-files: neither perfbench/ nor tools/ is a package on the path."""
+"""The benchmark's workloads, the slow-check script and the report
+comparison, loaded from their files: neither perfbench/ nor tools/ is a
+package on the path."""
 
 import importlib.util
 from pathlib import Path
@@ -16,3 +17,4 @@ def _load(name, path):
 
 workloads = _load("perfbench_workloads", "perfbench/workloads.py")
 slow_checks = _load("slow_checks", "tools/slow_checks.py")
+report_diff = _load("report_diff", "tools/report_diff.py")

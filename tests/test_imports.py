@@ -5,13 +5,15 @@ __init__.py is left out: it imports to re-export), and a fresh interpreter
 that imports glmn.cli, runs a config or refuses a prime p over the field
 budget, loads neither sympy nor a process pool; nor does one that runs the
 benchmark's gated configs, as perfbench.workloads.make_config writes them.
-OpenSSL (hashlib) is loaded only by a task that draws a seed (task_seed),
-whose values are pinned here.
+No run loads OpenSSL (hashlib), not even one that draws a seed: task_seed,
+whose values are pinned here, takes SHA-256 from CPython's own module.
 """
 
 import ast
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -117,20 +119,45 @@ def test_graded_benchmark_config_loads_no_openssl(tmp_path):
     assert heavy_modules_after(code, OPENSSL) == "[]"
 
 
-def test_levi_benchmark_config_loads_openssl_only_in_its_task(tmp_path):
-    # the levi scan samples its weights by task_seed: hashlib is loaded then,
-    # and not by the import or the set-up before it
+# configs whose tasks draw a seed (task_seed): the gated levi-gl21, kw-verify's
+# weight sample over the 125 weights of gl(2|1) and structure-check's
+# random elements
+SEEDED = {"levi-gl21": workloads.make_config("levi-gl21", 1),
+          "kw-gl21": {"p": 5, "m": 2, "n": 1, "tasks": ["kw-verify"], "seed": 3},
+          "structure-gl21": {"p": 5, "m": 2, "n": 1, "tasks": ["structure-check"], "seed": 3}}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeded_configs_load_no_openssl(tmp_path, name):
+    # task_seed takes SHA-256 from CPython's own module, so the run neither
+    # imports hashlib nor maps OpenSSL's libcrypto
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(workloads.make_config("levi-gl21", 1)))
-    code = ("from glmn import cli\n"
-            "runner, seen = cli.TASK_RUNNERS['levi-scan'], []\n"
-            "def levi(*args):\n"
-            f"    seen.append([m for m in {OPENSSL!r} if m in sys.modules])\n"
-            "    return runner(*args)\n"
-            "cli.TASK_RUNNERS['levi-scan'] = levi\n"
-            f"assert cli.main(['run', '--config', {str(cfg)!r}]) == 0\n"
-            "assert seen == [[]], seen")
-    assert heavy_modules_after(code, OPENSSL) == str(list(OPENSSL))
+    cfg.write_text(json.dumps(SEEDED[name]))
+    probe = ("import sys\nfrom glmn import cli\n"
+             "seed, drawn = cli.task_seed, []\n"
+             "cli.task_seed = lambda *args: drawn.append(args) or seed(*args)\n"
+             f"assert cli.main(['run', '--config', {str(cfg)!r}]) == 0 and drawn\n"
+             "with open('/proc/self/maps') as fh:\n"
+             "    crypto = ['libcrypto'] * ('libcrypto' in fh.read())\n"
+             f"print([m for m in {OPENSSL!r} if m in sys.modules] + crypto)")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GLMN_")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_task_seed_is_the_head_of_sha256():
+    # hashlib is the oracle here only: 200 (seed, label) pairs, with seeds
+    # beyond 64 bits and below zero and labels beyond ASCII
+    rng = random.Random(39)
+    alphabet = "levikwstructure:-_ 0123456789λχ∂é日本🙂\u00ff\U0010ffff"
+    from glmn.cli import task_seed
+    for t in range(200):
+        seed = rng.choice([t, rng.randrange(-2 ** 70, 2 ** 70), rng.randrange(2 ** 300)])
+        label = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+        assert task_seed(seed, label) == int.from_bytes(digest[:8], "big"), (seed, label)
 
 
 @pytest.mark.parametrize("seed,label,value", [

@@ -10,14 +10,27 @@ weight; len, indexing and equality must be those of the list.  The weights
 of X are held the same way (algebra.Weights).  A gl(1|1) scan at p = 101
 must stay within a tracemalloc bound that the per-weight objects of the
 old code exceed.
+
+The JSON report writes a ColumnRows straight from its columns
+(algebra.write_json), making no row dict: on random column sets, in
+reports of two scan tasks, on stdout and in every --out file, its text must
+be json.JSONEncoder(sort_keys=True, indent=2)'s text of the report with
+each record's rows made a plain list of dicts.
 """
 
+import contextlib
+import io
 import itertools
 import json
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmn import algebra, cli
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
@@ -201,3 +214,102 @@ def test_a_scan_holds_its_columns_not_its_rows():
     assert isinstance(weights.coords, np.ndarray) and weights.coords.shape == (101 ** 2, 2)
     print(f"tracemalloc peak {peak / 1e6:.2f} MB")
     assert peak < SCAN_PEAK_BOUND, peak
+
+
+ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+# keys in and out of the scans' sort order, one with a % for the row template
+KEYS = ["lambda", "f_direct", "agreement", "oracle_simple", "dim_z", "f0", "100%", "χ", 'a"b']
+
+
+@st.composite
+def column_rows(draw):
+    """A ColumnRows of random columns: integer ones of shape (N,) and (N, d)
+    in three dtypes, index ones gathered through digits to (N, k) and (N, d,
+    k), bool ones, object ones of True, False and None, and object ones that
+    mix these with ints, a string and a float; N around CHUNK = 7."""
+    n = draw(st.sampled_from([0, 1, 6, 7, 8, 22]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, k = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    digits = rng.integers(0, 1409, size=(q, k))
+    cols, indexed = {}, []
+    for key in draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=6, unique=True)):
+        shape = (n, *draw(st.sampled_from([(), (1,), (3,)])))
+        kind = draw(st.sampled_from(["int64", "int8", "uint16", "index", "bool", "object",
+                                     "mixed"]))
+        if kind == "index":
+            indexed.append(key)
+            cols[key] = rng.integers(0, q, size=shape)
+        elif kind == "bool":
+            cols[key] = rng.integers(0, 2, size=shape).astype(bool)
+        elif kind == "object":
+            cols[key] = np.array([True, False, None], dtype=object)[rng.integers(0, 3, size=shape)]
+        elif kind == "mixed":
+            leaves = np.array([True, None, -3, 2 ** 70, "%s λ", 0.5], dtype=object)
+            cols[key] = leaves[rng.integers(0, len(leaves), size=shape)]
+        else:
+            info = np.iinfo(kind)
+            cols[key] = rng.integers(info.min, info.max, size=shape, dtype=kind, endpoint=True)
+    return algebra.ColumnRows(cols, digits, tuple(indexed))
+
+
+def listed_all(obj):
+    """obj with every Rows in it made a plain list."""
+    if isinstance(obj, dict):
+        return {k: listed_all(v) for k, v in obj.items()}
+    return [listed_all(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def written(obj):
+    stream = io.StringIO()
+    algebra.write_json(obj, stream)
+    return stream.getvalue()
+
+
+def run_outputs(cfg, out):
+    """stdout of a JSON run and, by name, the --out files of a second one."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(["run", "--config", cfg]) == 0
+    files = {"stdout": stdout.getvalue()}
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    files.update((p.name, p.read_text()) for p in sorted(out.iterdir()))
+    return files
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_written_rows_are_the_encoders_text_of_their_list(data):
+    tasks = {"verma-scan": data.draw(column_rows()), "graded-verma-scan": data.draw(column_rows())}
+
+    def runner(rows):
+        return lambda *args: ({"rows": rows, "count": len(rows), "c": None}, True)
+
+    def unread(rows):
+        # the same columns, whose row dicts may not be made
+        rows = algebra.ColumnRows(rows.cols, rows.digits, rows.indexed)
+        rows.items = lambda *args: pytest.fail("a row dict was made")
+        return rows
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(algebra.Rows, "CHUNK", 7):
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps({"p": 5, "m": 1, "n": 1, "lambda": [0, 0],
+                                   "tasks": sorted(tasks)}))
+        with mock.patch.dict(cli.TASK_RUNNERS, {t: runner(unread(r)) for t, r in tasks.items()}):
+            streamed = run_outputs(str(cfg), Path(tmp, "streamed"))
+        with mock.patch.dict(cli.TASK_RUNNERS, {t: runner(list(r)) for t, r in tasks.items()}), \
+                mock.patch.object(cli, "write_json", lambda obj, fh: fh.write(ENCODER.encode(obj))):
+            listed = run_outputs(str(cfg), Path(tmp, "listed"))
+        assert sorted(streamed) == ["graded-verma-scan.json", "stdout", "summary.json",
+                                    "verma-scan.json"]
+        assert streamed == listed
+        # the rows alone, and in a list within a list
+        first, second = tasks["verma-scan"], tasks["graded-verma-scan"]
+        for obj in (first, [1, {"x": [first, second]}]):
+            assert written(obj) == ENCODER.encode(listed_all(obj))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "complex128", "U3", "datetime64[s]"])
+def test_a_column_of_another_dtype_is_not_written(dtype):
+    rows = algebra.ColumnRows({"f": np.arange(3), "x": np.zeros(3, dtype=dtype)},
+                              np.zeros((3, 1), dtype=np.int64), ("f",))
+    with pytest.raises(TypeError, match=re.escape(f"no JSON leaves of dtype {np.dtype(dtype)}")):
+        written({"rows": rows})

@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Compare the scan reports of two source trees byte for byte.
+
+usage: python3 tools/report_diff.py PARENT_TREE [TREE]
+
+Runs each config of CONFIGS, a fixed matrix of 108 scans (gl(1|1), gl(2|1)
+and gl(1|2); p = 5 and 7; chi = 0, chi(E21) = 1 and chi = diag(1, ..., 1);
+verma-scan and graded-verma-scan; JSON, CSV and table output), as
+``python -m glmn.cli run --config FILE --format FMT`` with glmn imported from
+each tree's src (TREE defaults to the tree holding this script), once to
+stdout and once with ``--out DIR``.  Both trees run with the same config
+path, output directory and working directory, so that any path they print
+matches.  For each run it compares stdout, stderr, the exit code and every
+file under DIR; for each difference it prints the config, the output and
+the first differing byte.  Exits 1 if anything differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ALGEBRAS = {"gl11": (1, 1), "gl21": (2, 1), "gl12": (1, 2)}
+CHIS = {"chi0": lambda d: {}, "E21": lambda d: {"E(2,1)": 1},
+        "diag": lambda d: {f"E({i},{i})": 1 for i in range(1, d + 1)}}
+TASKS = ("verma-scan", "graded-verma-scan")
+FORMATS = ("json", "csv", "table")
+# (name, config, format); chi(E21) lies on an odd unit of gl(1|1), whose
+# configs exit 2 in both trees
+CONFIGS = [(f"{alg}-p{p}-{chi}-{task}-{fmt}",
+            {"p": p, "m": ALGEBRAS[alg][0], "n": ALGEBRAS[alg][1],
+             "chi": CHIS[chi](sum(ALGEBRAS[alg])), "tasks": [task], "seed": 1}, fmt)
+           for alg, p, chi, task, fmt in itertools.product(ALGEBRAS, (5, 7), CHIS, TASKS, FORMATS)]
+
+
+def outputs(tree, cfg, fmt, tmp, out):
+    """{output name: bytes} of one run of tree in the directory tmp: stdout,
+    stderr and the exit code, and with out each file written there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    path, out_dir = Path(tmp) / "cfg.json", Path(tmp) / "out"
+    path.write_text(json.dumps(cfg))
+    shutil.rmtree(out_dir, ignore_errors=True)
+    argv = [sys.executable, "-m", "glmn.cli", "run", "--config", str(path), "--format", fmt]
+    run = subprocess.run(argv + ["--out", str(out_dir)] * out, env=env, cwd=tmp,
+                         capture_output=True)
+    found = {"stdout": run.stdout, "stderr": run.stderr, "exit code": b"%d" % run.returncode}
+    if out and out_dir.is_dir():
+        found.update((f"--out {p.relative_to(out_dir)}", p.read_bytes())
+                     for p in sorted(out_dir.rglob("*")) if p.is_file())
+    return found
+
+
+def first_difference(a, b):
+    """The offset of the first byte where a and b differ (their common
+    length when one is a prefix of the other)."""
+    return next((t for t, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def differences(parent, tree, configs=CONFIGS):
+    """One line for each output of configs in which tree differs from parent."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for (name, cfg, fmt), out in itertools.product(configs, (False, True)):
+            before, after = (outputs(t, cfg, fmt, tmp, out) for t in (parent, tree))
+            for key in sorted(set(before) | set(after)):
+                a, b = before.get(key), after.get(key)
+                if a is None or b is None:
+                    yield f"{name} {'--out' if out else 'stdout'}: {key} only in one tree"
+                elif a != b:
+                    t = first_difference(a, b)
+                    yield (f"{name} {'--out' if out else 'stdout'}: {key} differs at byte {t}: "
+                           f"{a[t:t + 16]!r} != {b[t:t + 16]!r}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("tree", nargs="?", default=Path(__file__).resolve().parent.parent)
+    args = parser.parse_args(argv)
+    found = 0
+    for line in differences(args.parent, args.tree, CONFIGS):
+        print(line, flush=True)
+        found += 1
+    print(f"{len(CONFIGS)} configs, each to stdout and under --out: {found} differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
