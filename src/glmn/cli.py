@@ -221,16 +221,19 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
     for c in F_p, k_{c sigma} (E(i,i) acting by c sigma_i, root vectors by
     0) is a u(g, 0)-module, lambda + c sigma lies in X^chi with lambda, and
     tensoring with k_{c sigma} twists Z^chi(lambda), M(lambda) and Z^chi(M)
-    into those of lambda + c sigma on the same root-unit matrices, all that
-    the columns read.  So only the first weight of each orbit, in the given
-    order, is built (_twist_orbits); one index array copies its columns to
-    the rest.  Each module is built once, stacked by size: a plain scan's
+    into those of lambda + c sigma on the same root-unit matrices.  The unit
+    brackets lie in F_p, so with phi: x -> x^p and phi^e fixing chi, the
+    modules of phi^e lambda are those of lambda with every entry raised to
+    p^e: the same dims and verdicts, the f's raised.  So only the first
+    weight of each orbit, in the given order, is built (_twist_orbits); an
+    index array copies its columns to the rest, one power per shift raises
+    their f's.  Each module is built once, stacked by size: a plain scan's
     Z(lambda), a graded scan's Z(M) in order of dim M after the heads M.
     f_direct is read off Z(M): v -> 1 (x) v_M is a nonzero module map
     Z(lambda) -> Z(M) (n+_0 kills v_M, g_1 acts on M by 0).  The oracle
     (dual_cores by stack: whether Z is simple) runs for semisimple chi;
     oracle_simple is None otherwise."""
-    first, orbit = _twist_orbits(algebra, weights)
+    first, orbit, shifts = _twist_orbits(algebra, chi, weights)
     n, weights = len(first), [weights[t] for t in first.tolist()]
     cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": np.zeros(n, dtype=np.int64),
             "oracle_simple": np.full(n, None, dtype=object)}
@@ -248,21 +251,39 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
         if graded:
             cols["f1_direct"][t] = f1_direct(Z).idx
         del Z
-    return {k: v[orbit] for k, v in cols.items()}
+    out, fs = {k: v[orbit] for k, v in cols.items()}, ["f_direct", "f1_direct"][:1 + graded]
+    for power, at in shifts.items():
+        for k, v in zip(fs, algebra.field.power(np.stack([out[k][at] for k in fs]), power)):
+            out[k][at] = v
+    return out
 
 
-def _twist_orbits(algebra, weights):
-    """(first, orbit): the index of the first weight, in order, of each twist
-    orbit {lambda + c sigma} of weights, keyed lambda - c sigma with c the F_p
-    digit (index mod p) of lambda_1, and each weight's position in first."""
-    f, n, coords = algebra.field, len(weights), weights.coords
-    keys = f.sub(coords, f.mul(coords[:, :1] % f.p, algebra.str_signs))
-    order = np.lexsort((np.arange(n), *keys.T))  # by key, then by index
+def _twist_orbits(algebra, chi, weights):
+    """(first, orbit, shifts) for the orbits of weights under the twists by
+    c sigma (c in F_p) and phi^e, e the least divisor of K = [F : F_p] with
+    phi^e fixing chi: each orbit's first weight in order, each weight's
+    position in first, and {p^(je): the weights phi^(je) of their first, up
+    to a twist} for 0 < j < K/e.  A weight's key is the lexicographically
+    least over j of the twist keys mu - c sigma of mu = phi^(-je) lambda, c
+    the F_p digit (index mod p) of mu_1."""
+    f, n, mu = algebra.field, len(weights), weights.coords
+    e = next(e for e in range(1, f.k + 1) if not f.k % e and all(
+        f.power(v, f.p ** e) == v for v in chi.values.values()))
+    twist = lambda mu: f.sub(mu, f.mul(mu[:, :1] % f.p, algebra.str_signs))
+    keys, g, shift, rows = twist(mu), f.k // e, np.zeros(n, dtype=np.int64), np.arange(n)
+    for j in range(1, g):
+        mu = f.power(mu, f.p ** (f.k - e))  # phi^(-e)
+        key = twist(mu)
+        col = (key != keys).argmax(axis=1)  # the first column where they differ
+        less = key[rows, col] < keys[rows, col]
+        keys[less], shift[less] = key[less], j
+    order = np.lexsort((rows, *keys.T))  # by key, then by index
     head = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
     rep = np.empty(n, dtype=np.int64)  # the first weight of each weight's orbit
     rep[order] = order[head][np.cumsum(head) - 1]
-    is_first = rep == np.arange(n)
-    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
+    is_first = rep == rows
+    return (np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep],
+            {f.p ** (j * e): np.flatnonzero((shift - shift[rep]) % g == j) for j in range(1, g)})
 
 
 def _with_verdicts(stacks, oracle, items):

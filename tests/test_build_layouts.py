@@ -57,14 +57,15 @@ MODULES = {
 
 def test_graded_scan_makes_six_layouts_and_one_unit_table():
     # the even-part Vermas have one layout in their context; the graded
-    # Vermas induce from five dimensions of M, 25 weights and 5 twist
-    # orbits each, and no baby Verma is built: f_direct is read off Z(M).
-    # The scan runs in stages over the first weight of each of the 25
-    # orbits, each stacked by the size of the modules it builds (9 units,
-    # dim D: STACK_ENTRIES // (9 D^2) modules): one product of plan blocks
-    # for the 25 even Vermas (D = 5), the graded Vermas by layout of M (D =
-    # 4, 8, 12, 16, 20: one stack of 5 each), and one axiom check per
-    # stack of graded Vermas, all before the first graded build.  Every
+    # Vermas induce from five dimensions of M, 25 weights and one orbit of
+    # the twists and Frobenius each, and no baby Verma is built: f_direct
+    # is read off Z(M).  The scan runs in stages over the first weight of
+    # each of the 5 orbits, each stacked by the size of the modules it
+    # builds (9 units, dim D: STACK_ENTRIES // (9 D^2) modules): one
+    # product of plan blocks for the 5 even Vermas (D = 5), the graded
+    # Vermas by layout of M (D = 4, 8, 12, 16, 20: one stack of 1 each),
+    # and one axiom check per stack of graded Vermas, all before the first
+    # graded build.  Every
     # module is placed once by its own build_induced, the even Vermas over
     # the even units alone, and every M is checked exactly once.
     sizes = {"blocks": [], "axioms": []}
@@ -83,9 +84,9 @@ def test_graded_scan_makes_six_layouts_and_one_unit_table():
             mock.patch.object(verma, "axioms_hold", axioms):
         counts = count_scan(DIAG, graded=True, setting=setting,
                             counted={"build": (verma, "build_induced")})
-    assert counts == {"build": 50}
-    graded = [5, 5, 5, 5, 5]
-    assert sizes["blocks"] == [25] + graded
+    assert counts == {"build": 10}
+    graded = [1, 1, 1, 1, 1]
+    assert sizes["blocks"] == [5] + graded
     assert sizes["axioms"] == graded
     alg = setting[0]
     assert sum(len(ctx._layouts) for ctx in alg._contexts.values()) == 6

@@ -75,11 +75,11 @@ def test_traced_graded_scan_exits_zero(tmp_path):
     assert json.loads(child.stdout)["passed"]
     trace = json.loads(sidecar.read_text())["trace"]
     assert trace["calls"]["verma.build"] > 0 and trace["calls"]["linalg.matmul"] > 0
-    # the benchmark counts induced modules as build_induced calls: 25 each
-    # of even-part and graded Vermas, one per twist orbit of the 125
-    # weights; f_direct is read off the graded ones, so no baby Verma is
-    # built
-    assert trace["calls"]["verma.build_induced"] == 50
+    # the benchmark counts induced modules as build_induced calls: 5 each
+    # of even-part and graded Vermas, one per orbit of the 125 weights under
+    # the twists and Frobenius; f_direct is read off the graded ones, so no
+    # baby Verma is built
+    assert trace["calls"]["verma.build_induced"] == 10
 
 
 def test_traced_levi_scan_exits_zero(tmp_path):

@@ -119,7 +119,7 @@ RUNS = {
     "graded-gl21-ext": ({"p": 5, "m": 2, "n": 1,
                          "chi": {"E(1,1)": 1, "E(2,2)": 1, "E(3,3)": 1},
                          "lambda": "scan-all-X", "tasks": ["graded-verma-scan"]},
-                        150, 50),
+                        30, 10),
     "levi-gl21": ({"p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1},
                    "lambda": "scan-all-X", "tasks": ["levi-scan"]}, 55, 15),
 }
@@ -130,8 +130,10 @@ def test_no_module_is_assembled_twice(name, monkeypatch):
     # a restricted module used to be placed over every unit and copied into
     # a second ModuleRep: 905 and 57 ModuleReps for these runs; the graded
     # scan built its 125 baby Vermas too, besides Z(M): 780 and 375 builds.
-    # The graded scan builds one weight per twist orbit: 25 weight lines,
-    # even Vermas, heads and Z(M), and the dual of each certificate spin.
+    # The graded scan builds one weight per orbit of the twists and of
+    # Frobenius, 5 of 25 weights each: 5 weight lines, even Vermas, heads
+    # and Z(M), and the dual of each certificate spin (25 orbits and 150
+    # ModuleReps with the twists alone).
     # With no memo of certificates, each of the levi scan's 15 certificates
     # builds its dual (52 ModuleReps when 3 of them were memo hits)
     raw, reps, builds = RUNS[name]

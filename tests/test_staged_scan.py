@@ -1,10 +1,10 @@
 """The scan's stages against the per-module paths they replaced.
 
 A scan runs in stages: the closed formulas of every weight as field-array
-operations (f_formulas), then, over the first weight of each twist orbit
-(tests/test_twist_orbits.py), the even Vermas, their simple heads
-(simple_heads: every R from one dual_cores pass, and one quotient per
-module), the g_0bar axiom check of every M, and then the graded Vermas
+operations (f_formulas), then, over the first weight of each orbit of
+the twists and Frobenius (tests/test_twist_orbits.py), the even Vermas,
+their simple heads (simple_heads: every R from one dual_cores pass, and
+one quotient per module), the g_0bar axiom check of every M, and then the graded Vermas
 Z(M) of a graded scan, or the baby Vermas of a plain one, built and
 consumed one stack at a time.  Here the heads of one pass must equal
 simple_head taken one module at a time, the array formulas the scalar
@@ -150,10 +150,10 @@ def test_a_second_serial_scan_on_one_algebra_straightens_no_plan(graded):
 @pytest.mark.parametrize("where", ["first", "last"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_a_corrupt_m_in_any_layout_stops_the_scan_before_any_graded_build(dim, where):
-    # the scan's heads, one per twist orbit, with the first or the last M
-    # that the scan builds in the layout of this dimension given a wrong
-    # p-th power; every layout holds 5 of the 25 orbits and is checked in
-    # one stack
+    # the scan's heads, one per orbit of the twists and Frobenius, with the
+    # first or the last M that the scan builds in the layout of this
+    # dimension given a wrong p-th power; every layout holds one of the 5
+    # orbits, so first and last are one M, and is checked in one stack
     alg, chi, weights = setting("F5^5-diag")
     real_heads = cli.build_simple_g0_modules
     graded_builds = []
@@ -162,7 +162,7 @@ def test_a_corrupt_m_in_any_layout_stops_the_scan_before_any_graded_build(dim, w
     def corrupt_heads(algebra, chi_, lams):
         Ms = real_heads(algebra, chi_, lams)
         idx = [t for t, M in enumerate(Ms) if M.dim == dim]
-        assert len(lams) == 25 and len(idx) == 5
+        assert len(lams) == 5 and len(idx) == 1
         t = idx[0] if where == "first" else idx[-1]
         Ms[t] = corrupted(Ms[t], "p-th power")
         return Ms

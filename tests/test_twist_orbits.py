@@ -1,18 +1,27 @@
-"""One module per twist orbit: the scan against every weight built.
+"""One module per orbit of the twists: the scan against every weight built.
 
 sigma = (1, ..., 1 | -1, ..., -1) is the supertrace, which kills every
 bracket, so Z(lambda + c sigma) is Z(lambda) twisted by the line k_{c
 sigma} for c in F_p: the same root-unit matrices, the Cartan diagonal
-moved by c sigma.  cli._run_scan builds and decides only the first weight
-of each orbit and copies its columns to the rest.  Here the columns of
-every scan are compared, weight by weight, with those of the scan that
-built every weight (scan_every_weight, the code the orbits replaced), and
-so are the whole task records; the root-unit actions of Z(lambda) and
-Z(lambda + sigma) must be equal arrays at every weight.  gl(1|1), gl(2|1)
-and gl(1|2) are covered over F_5 at chi = 0, gl(2|1) at chi(E21) = 1, and
-the three over F_{5^5} at chi = diag(1, ..., 1), each by both scan tasks.
-An explicit one-weight lambda builds that weight alone, and a gl(2|1) scan
-places one module per orbit.
+moved by c sigma.  The brackets of the units lie in F_p, so where phi^e (phi:
+x -> x^p) fixes every value of chi, Z(phi^e lambda) is Z(lambda) with every
+entry raised to p^e.  cli._run_scan builds and decides only the first weight
+of each orbit of both and copies its columns to the rest, its f's raised.
+Here the columns of every scan are compared, weight by weight, with those
+of the scan that built every weight (scan_every_weight, the code the orbits
+replaced), and so are the whole task records; the root-unit actions of
+Z(lambda) and Z(lambda + sigma) must be equal arrays at every weight, and
+those of Z(phi lambda), and of Z(M(phi lambda)), the p-th powers of those at
+lambda where chi = diag(1, ..., 1).  gl(1|1), gl(2|1) and gl(1|2) are
+covered over F_5 at chi = 0, gl(2|1) at chi(E21) = 1, and the three over
+F_{5^5} at chi = diag(1, ..., 1), each by both scan tasks; so are three
+settings where phi does not fix chi or the field is given as an extension:
+gl(2|1) at chi = 0 over F_25 (e = 1), gl(1|1) over F_{5^4} at chi(E11) =
+chi(E22) = a in F_25, not in F_5 (e = 2) and gl(2|1) over F_{5^5} at chi =
+diag(1, 1, 1) with chi(E21) = x (e = 5), where phi moves no action as it
+moves the weight.  The orbit sizes and e are pinned and the orbits checked
+by search.  An explicit one-weight lambda builds that weight alone, and a
+gl(2|1) scan places one module per orbit.
 """
 
 import contextlib
@@ -36,14 +45,35 @@ from glmn.verma import (ModuleRep, build_baby_verma, build_baby_vermas,
 
 CHI0 = {}
 DIAG = {(1, 1): 1, (2, 2): 1, (3, 3): 1}
+# a in F_25, not in F_5, with a^4 = -1, as digits over F_{5^4}: a^5 = -a, so phi
+# moves chi but phi^2 fixes it, and fixes every weight of X^chi
+A = [4, 0, 3, 1]
 
-# (m, n, chi) over F_5; a diagonal chi extends the field to F_{5^5}
+
+def diag(d):
+    return {f"E({i},{i})": 1 for i in range(1, d + 1)}
+
+
+# name: (config over p = 5, weights per orbit, e); a diagonal chi over F_5
+# extends the field to F_{5^5}
 SETTINGS = {
-    "gl11-chi0": (1, 1, {}), "gl21-chi0": (2, 1, {}), "gl12-chi0": (1, 2, {}),
-    "gl21-E21": (2, 1, {(2, 1): 1}),
-    "gl11-diag": (1, 1, {(1, 1): 1, (2, 2): 1}), "gl21-diag": (2, 1, DIAG),
-    "gl12-diag": (1, 2, DIAG),
+    "gl11-chi0": ({"m": 1, "n": 1}, 5, 1), "gl21-chi0": ({"m": 2, "n": 1}, 5, 1),
+    "gl12-chi0": ({"m": 1, "n": 2}, 5, 1),
+    "gl21-E21": ({"m": 2, "n": 1, "chi": {"E(2,1)": 1}}, 5, 1),
+    "gl11-diag": ({"m": 1, "n": 1, "chi": diag(2)}, 25, 1),
+    "gl21-diag": ({"m": 2, "n": 1, "chi": diag(3)}, 25, 1),
+    "gl12-diag": ({"m": 1, "n": 2, "chi": diag(3)}, 25, 1),
+    "gl21-chi0-k2": ({"m": 2, "n": 1, "field_degree": 2}, 5, 1),
+    "gl11-a-k4": ({"m": 1, "n": 1, "field_degree": 4, "chi": {"E(1,1)": A, "E(2,2)": A}}, 5, 2),
+    "gl21-diag-E21x-k5": ({"m": 2, "n": 1, "field_degree": 5,
+                           "chi": {**diag(3), "E(2,1)": [0, 1]}}, 5, 5),
 }
+
+
+def setting(name):
+    """(algebra, chi, weights) of SETTINGS[name], read as a config is."""
+    cfg = dict(SETTINGS[name][0], p=5, tasks=["verma-scan"])
+    return cli.build_setting(cli.validate_config(cfg))
 
 
 def fresh_setting(chi, m=2, n=1):
@@ -84,16 +114,25 @@ def root_actions(alg, chi, weights, graded):
     return [Z.matrices(roots) for stack in stacks for Z in stack]
 
 
+def frobenius_image(weights, e):
+    """For each weight, the index of phi^e of it in weights (None if absent)."""
+    f = weights.field
+    index = {tuple(c): t for t, c in enumerate(weights.coords.tolist())}
+    return [index.get(tuple(c)) for c in f.power(weights.coords, f.p ** e).tolist()]
+
+
 @pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 def test_orbit_columns_equal_every_weight_built(name, graded):
-    m, n, chi = SETTINGS[name]
-    alg, chi, weights = fresh_setting(chi, m, n)
+    _, size, e = SETTINGS[name]
+    alg, chi, weights = setting(name)
     f = alg.field
     semisimple = classify_character(alg.root_system(), chi).semisimple
-    first, orbit = cli._twist_orbits(alg, weights)
-    # every orbit holds p weights of X
-    assert len(first) * 5 == len(weights) and np.bincount(orbit).tolist() == [5] * len(first)
+    first, orbit, shifts = cli._twist_orbits(alg, chi, weights)
+    # every orbit holds size weights of X, one shift for each power of phi^e
+    assert np.bincount(orbit).tolist() == [size] * len(first)
+    assert len(first) * size == len(weights)
+    assert list(shifts) == [5 ** (j * e) for j in range(1, f.k // e)]
     got = cli._run_scan(alg, chi, weights, graded, semisimple)
     want = scan_every_weight(alg, chi, weights, graded, semisimple)
     assert list(got) == list(want)
@@ -114,23 +153,69 @@ def test_orbit_columns_equal_every_weight_built(name, graded):
         assert np.array_equal(actions[t], actions[index[tuple(coords)]]), t
 
 
-def orbit_first(alg, weights):
-    """For each weight, the index of the first weight of its orbit, by search."""
+@pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
+@pytest.mark.parametrize("name", ["gl11-diag", "gl12-diag", "gl21-diag"])
+def test_frobenius_raises_the_root_actions(name, graded):
+    # chi = diag(1, ..., 1) is F_5-valued: Z(phi lambda), and Z(M(phi
+    # lambda)), act by the p-th powers of the entries at lambda
+    alg, chi, weights = setting(name)
+    actions = root_actions(alg, chi, weights, graded)
+    image = frobenius_image(weights, 1)
+    for t, s in enumerate(image):
+        assert np.array_equal(actions[s], alg.field.power(actions[t], 5)), t
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
+def test_frobenius_moves_no_action_where_it_moves_chi(graded):
+    # phi fixes chi's diagonal, so it maps X^chi to itself, but chi(E21) = x
+    # is no value of F_5: at no weight is Z(phi lambda) Z(lambda) raised to
+    # the p-th power, and the orbits are the twist orbits alone (e = 5)
+    alg, chi, weights = setting("gl21-diag-E21x-k5")
+    actions = root_actions(alg, chi, weights, graded)
+    image = frobenius_image(weights, 1)
+    assert None not in image
+    assert not any(np.array_equal(actions[s], alg.field.power(actions[t], 5))
+                   for t, s in enumerate(image))
+    first, orbit, shifts = cli._twist_orbits(alg, chi, weights)
+    assert shifts == {} and len(first) == 25
+
+
+def orbit_first(alg, weights, e):
+    """For each weight, the index of the first weight of its orbit under the
+    twists and phi^e, by search."""
     f = alg.field
-    coords = [tuple(lam.coords.tolist()) for lam in weights]
-    out = []
-    for c in coords:
-        orbit = {tuple(f.add(np.array(c), f.mul(k, alg.str_signs)).tolist()) for k in range(f.p)}
-        out.append(next(s for s, other in enumerate(coords) if other in orbit))
-    return np.array(out)
+    coords = [tuple(c) for c in weights.coords.tolist()]
+    first = {}
+    for s, c in enumerate(coords):
+        for j in range(f.k // e):
+            lam = f.power(np.array(c), f.p ** (j * e))
+            for k in range(f.p):
+                first.setdefault(tuple(f.add(lam, f.mul(k, alg.str_signs)).tolist()), s)
+    return np.array([first[c] for c in coords])
+
+
+def twist_keys(alg, mu):
+    """mu - c sigma, c the F_p digit of mu_1, for each row of mu."""
+    f = alg.field
+    return f.sub(mu, f.mul(mu[:, :1] % f.p, alg.str_signs))
 
 
 def test_orbit_keys_take_the_first_weight_in_the_given_order():
-    alg, chi, weights = fresh_setting(CHI0)
-    reordered = weights[::-1]
-    first, orbit = cli._twist_orbits(alg, reordered)
-    assert first.tolist() == sorted(set(orbit_first(alg, reordered)))
-    assert np.array_equal(first[orbit], orbit_first(alg, reordered))
+    for name in ("gl21-chi0", "gl21-diag", "gl11-a-k4"):
+        alg, chi, weights = setting(name)
+        reordered = weights[::-1]
+        first, orbit, shifts = cli._twist_orbits(alg, chi, reordered)
+        want = orbit_first(alg, reordered, SETTINGS[name][2])
+        assert first.tolist() == sorted(set(want)), name
+        assert np.array_equal(first[orbit], want), name
+        # each weight is phi^(je) of its orbit's first, up to a twist
+        power = np.ones(len(reordered), dtype=np.int64)
+        for x, at in shifts.items():
+            power[at] = x
+        coords = reordered.coords
+        raised = np.array([alg.field.power(coords[s], int(x))
+                           for s, x in zip(first[orbit], power)])
+        assert np.array_equal(twist_keys(alg, raised), twist_keys(alg, coords)), name
 
 
 @pytest.mark.parametrize("task,builds", [("verma-scan", 1), ("graded-verma-scan", 2)])
@@ -178,11 +263,12 @@ def count_scan(chi, graded, counted, setting=None):
     return counts
 
 
-@pytest.mark.parametrize("chi,graded,builds", [(CHI0, False, 25), (DIAG, True, 50)],
+@pytest.mark.parametrize("chi,graded,builds", [(CHI0, False, 25), (DIAG, True, 10)],
                          ids=["chi0", "diag-graded"])
 def test_a_scan_places_one_module_per_twist_orbit(chi, graded, builds):
-    # 125 weights in 25 orbits: one baby Verma each, or one even Verma and
-    # one Z(M) each, and one certificate spin per module
+    # 125 weights in 25 orbits at chi = 0, in 5 orbits of phi and the
+    # twists at chi = diag(1, 1, 1): one baby Verma each, or one even Verma
+    # and one Z(M) each, and one certificate spin per module
     counts = count_scan(chi, graded, {"build": (verma, "build_induced"),
                                       "spin": (analysis, "_spin_stack")})
     assert counts == {"build": builds, "spin": builds}

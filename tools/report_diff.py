@@ -5,7 +5,10 @@ usage: python3 tools/report_diff.py PARENT_TREE [TREE]
 
 Runs each config of CONFIGS, a fixed matrix of 108 scans (gl(1|1), gl(2|1)
 and gl(1|2); p = 5 and 7; chi = 0, chi(E21) = 1 and chi = diag(1, ..., 1);
-verma-scan and graded-verma-scan; JSON, CSV and table output), as
+verma-scan and graded-verma-scan; JSON, CSV and table output) and 18 more
+over fields given as extensions, with chi values outside F_p where the
+Frobenius x -> x^p does not fix chi (three settings, both scans, each
+output), 126 in all, as
 ``python -m glmn.cli run --config FILE --format FMT`` with glmn imported from
 each tree's src (TREE defaults to the tree holding this script), once to
 stdout and once with ``--out DIR``.  Both trees run with the same config
@@ -38,6 +41,19 @@ CONFIGS = [(f"{alg}-p{p}-{chi}-{task}-{fmt}",
             {"p": p, "m": ALGEBRAS[alg][0], "n": ALGEBRAS[alg][1],
              "chi": CHIS[chi](sum(ALGEBRAS[alg])), "tasks": [task], "seed": 1}, fmt)
            for alg, p, chi, task, fmt in itertools.product(ALGEBRAS, (5, 7), CHIS, TASKS, FORMATS)]
+# p = 5 over F_25, F_{5^4} and F_{5^5}: chi = 0; chi(E11) = chi(E22) = a with
+# a in F_25, a^4 = -1, fixed by phi^2 alone; chi = diag(1, 1, 1) with chi(E21)
+# = x, fixed by no power of phi below the fifth.  A value outside F_p is a
+# coefficient list, as a plain int is read mod p.
+EXTENSIONS = {
+    "gl21-q25-chi0": {"m": 2, "n": 1, "field_degree": 2, "chi": {}},
+    "gl11-q625-a": {"m": 1, "n": 1, "field_degree": 4,
+                    "chi": {"E(1,1)": [4, 0, 3, 1], "E(2,2)": [4, 0, 3, 1]}},
+    "gl21-q3125-diag-E21x": {"m": 2, "n": 1, "field_degree": 5,
+                             "chi": {**CHIS["diag"](3), "E(2,1)": [0, 1]}},
+}
+CONFIGS += [(f"{name}-{task}-{fmt}", {"p": 5, **cfg, "tasks": [task], "seed": 1}, fmt)
+            for (name, cfg), task, fmt in itertools.product(EXTENSIONS.items(), TASKS, FORMATS)]
 
 
 def outputs(tree, cfg, fmt, tmp, out):

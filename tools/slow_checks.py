@@ -83,6 +83,10 @@ CONFIGS = [
     # 1409^2 weights, each a report row, in 1409 twist orbits
     ("scan-gl11-p1409", 0, {"m": 1, "n": 1, "p": 1409, "lambda": "scan-all-X",
                             "tasks": ["verma-scan"]}),
+    # 625 weights over F_{5^5}, one Z(M) built per orbit of 25 under the
+    # twists and Frobenius, which here fixes chi
+    ("graded-gl22-diag", 0, {"m": 2, "n": 2, "chi": {f"E({i},{i})": 1 for i in range(1, 5)},
+                             "lambda": "scan-all-X", "tasks": ["graded-verma-scan"]}),
 ]
 
 
