@@ -222,17 +222,16 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
     0) is a u(g, 0)-module, lambda + c sigma lies in X^chi with lambda, and
     tensoring with k_{c sigma} twists Z^chi(lambda), M(lambda) and Z^chi(M)
     into those of lambda + c sigma on the same root-unit matrices.  The unit
-    brackets lie in F_p, so with phi: x -> x^p and phi^e fixing chi, the
+    brackets lie in F_p, so where phi^e (phi: x -> x^p) fixes chi, the
     modules of phi^e lambda are those of lambda with every entry raised to
-    p^e: the same dims and verdicts, the f's raised.  So only the first
-    weight of each orbit, in the given order, is built (_twist_orbits); an
-    index array copies its columns to the rest, one power per shift raises
-    their f's.  Each module is built once, stacked by size: a plain scan's
-    Z(lambda), a graded scan's Z(M) in order of dim M after the heads M.
-    f_direct is read off Z(M): v -> 1 (x) v_M is a nonzero module map
-    Z(lambda) -> Z(M) (n+_0 kills v_M, g_1 acts on M by 0).  The oracle
-    (dual_cores by stack: whether Z is simple) runs for semisimple chi;
-    oracle_simple is None otherwise."""
+    p^e.  So only the first weight of each orbit of both, in the given
+    order, is built (_twist_orbits); an index array copies its columns to
+    the rest, and one power per shift raises the f's.  Each module is built
+    once, stacked by size: a plain scan's Z(lambda), a graded scan's Z(M) in
+    order of dim M after the heads M.  f_direct is read off Z(M): v -> 1 (x)
+    v_M is a nonzero module map Z(lambda) -> Z(M) (n+_0 kills v_M, g_1 acts
+    on M by 0).  The oracle (dual_cores by stack: whether Z is simple) runs
+    for semisimple chi; oracle_simple is None otherwise."""
     first, orbit, shifts = _twist_orbits(algebra, chi, weights)
     n, weights = len(first), [weights[t] for t in first.tolist()]
     cols = {"f_direct": np.zeros(n, dtype=np.int64), "dim_z": np.zeros(n, dtype=np.int64),
@@ -261,11 +260,11 @@ def _run_scan(algebra, chi, weights, graded, semisimple):
 def _twist_orbits(algebra, chi, weights):
     """(first, orbit, shifts) for the orbits of weights under the twists by
     c sigma (c in F_p) and phi^e, e the least divisor of K = [F : F_p] with
-    phi^e fixing chi: each orbit's first weight in order, each weight's
-    position in first, and {p^(je): the weights phi^(je) of their first, up
-    to a twist} for 0 < j < K/e.  A weight's key is the lexicographically
-    least over j of the twist keys mu - c sigma of mu = phi^(-je) lambda, c
-    the F_p digit (index mod p) of mu_1."""
+    phi^e fixing chi: the index of each orbit's first weight, in order, each
+    weight's position in first, and {p^(je): the weights phi^(je) of their
+    first, up to a twist} for 0 < j < K/e.  A weight's key is the
+    lexicographically least over j of the twist keys mu - c sigma of mu =
+    phi^(-je) lambda, c the F_p digit (index mod p) of mu_1."""
     f, n, mu = algebra.field, len(weights), weights.coords
     e = next(e for e in range(1, f.k + 1) if not f.k % e and all(
         f.power(v, f.p ** e) == v for v in chi.values.values()))

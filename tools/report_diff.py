@@ -41,10 +41,10 @@ CONFIGS = [(f"{alg}-p{p}-{chi}-{task}-{fmt}",
             {"p": p, "m": ALGEBRAS[alg][0], "n": ALGEBRAS[alg][1],
              "chi": CHIS[chi](sum(ALGEBRAS[alg])), "tasks": [task], "seed": 1}, fmt)
            for alg, p, chi, task, fmt in itertools.product(ALGEBRAS, (5, 7), CHIS, TASKS, FORMATS)]
-# p = 5 over F_25, F_{5^4} and F_{5^5}: chi = 0; chi(E11) = chi(E22) = a with
-# a in F_25, a^4 = -1, fixed by phi^2 alone; chi = diag(1, 1, 1) with chi(E21)
-# = x, fixed by no power of phi below the fifth.  A value outside F_p is a
-# coefficient list, as a plain int is read mod p.
+# p = 5 over F_25, F_{5^4} and F_{5^5}: chi = 0; chi(E11) = chi(E22) = a
+# with a in F_25, a^4 = -1, fixed by phi^2 but not phi; chi = diag(1, 1, 1)
+# with chi(E21) = x, fixed by no power of phi below the fifth.  A value
+# outside F_p is a coefficient list, as a plain int is read mod p.
 EXTENSIONS = {
     "gl21-q25-chi0": {"m": 2, "n": 1, "field_degree": 2, "chi": {}},
     "gl11-q625-a": {"m": 1, "n": 1, "field_degree": 4,
