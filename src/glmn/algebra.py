@@ -4,14 +4,16 @@ Basis elements are the matrix units E(i,j) with 1-based indices; the
 parity of E(i,j) is odd exactly when i and j lie on opposite sides of m.
 The super bracket, supertrace, p-mapping, root system with heights and
 coroots, rho, reflections, character classification, the weight variety
-X (Weights, a read-only Rows list) and a scan's rows (ColumnRows), which
-write_json writes as JSON from their columns, all live here.
+X (Weights, a read-only sequence over one index array) and a scan's rows
+(ColumnRows, one over its columns, which write_json writes), all live here.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -314,17 +316,26 @@ class Weight:
         return "Weight(" + ",".join(self.field.format_index(c) for c in self.coords) + ")"
 
 
-class Rows(list):
-    """A read-only list of n items, made by items(start, stop) from the rows
-    of arrays as they are read, CHUNK at a time, so that no more are held at
-    once.  len, indexing and iteration are its own; every other list operator
-    and method, list + Rows too, reads the list of the items (and a Rows's)."""
+def _equal(self, other):
+    """self == other for a read-only sequence and a list or a sequence of
+    self's class: item by item, as list equality, building no list."""
+    if not isinstance(other, (list, type(self))):
+        return NotImplemented
+    return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class ColumnRows(Sequence):
+    """The rows of the arrays cols as read-only dicts keyed as cols, the
+    columns named in indexed (of field indices) read as digit lists, made as
+    they are read, CHUNK at a time, so that no more are held at once; a
+    slice is a list of them.  write_json reads cols."""
 
     CHUNK = 1024
+    __eq__ = _equal
 
-    def __init__(self, n, items):
-        super().__init__()
-        self.n, self.items = n, items
+    def __init__(self, cols, digits, indexed):
+        self.cols, self.digits, self.indexed = cols, digits, indexed
+        self.n = len(next(iter(cols.values())))
 
     def __len__(self):
         return self.n
@@ -337,36 +348,11 @@ class Rows(list):
         at = range(self.n)[t]
         return self.items(at, at + 1)[0] if isinstance(at, int) else [self[i] for i in at]
 
-    def __radd__(self, other):
-        # list + Rows: list's own concatenation would read no items
-        return other + list(self) if isinstance(other, list) else NotImplemented
-
-    def _read_only(self, *args):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-
-
-for _name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__mul__",
-              "__rmul__", "__contains__", "__reversed__", "__repr__", "count", "index", "copy"):
-    setattr(Rows, _name, lambda self, *args, _read=getattr(list, _name): _read(
-        list(self), *(list(a) if isinstance(a, Rows) else a for a in args)))
-
-
-class ColumnRows(Rows):
-    """The rows of the arrays cols as dicts keyed as cols, the columns named
-    in indexed (of field indices) read as digit lists; write_json reads cols."""
-
-    def __init__(self, cols, digits, indexed):
-        super().__init__(len(next(iter(cols.values()))), self._items)
-        self.cols, self.digits, self.indexed = cols, digits, indexed
-
     def column(self, key, start, stop):
         v = self.cols[key][start:stop]
         return self.digits[v] if key in self.indexed else v
 
-    def _items(self, start, stop):
+    def items(self, start, stop):
         vals = [self.column(k, start, stop).tolist() for k in self.cols]
         return [dict(zip(self.cols, row)) for row in zip(*vals)]
 
@@ -409,17 +395,20 @@ def write_json(obj, stream):
         stream.write((at[:-2] + "]" if rows.n else "[]") + after)
 
 
-class Weights(Rows):
-    """Weights held as the rows of one (N, d) index array, coords: a Weight
+class Weights(Sequence):
+    """Read-only weights, the rows of one (N, d) index array, coords: a Weight
     is made only for a row that is read, and a slice is Weights again."""
 
+    __eq__ = _equal
+
     def __init__(self, field, coords):
-        super().__init__(len(coords), lambda i, j: [Weight(field, c) for c in coords[i:j]])
         self.field, self.coords = field, coords
 
+    def __len__(self):
+        return len(self.coords)
+
     def __getitem__(self, t):
-        sliced = isinstance(t, slice)
-        return Weights(self.field, self.coords[t]) if sliced else super().__getitem__(t)
+        return (Weights if isinstance(t, slice) else Weight)(self.field, self.coords[t])
 
 
 def root_system(algebra):

@@ -499,22 +499,21 @@ def emit(report, fmt, stream):
 
 def _emit_csv(report, stream):
     import csv
-    rows = next((t["record"]["rows"] for t in report["tasks"] if "rows" in t["record"]), [])
+    scans = [t["record"]["rows"] for t in report["tasks"] if "rows" in t["record"]]
     writer = csv.writer(stream)
-    if not rows:
+    if not scans:
         writer.writerow(["task", "passed"])
         for task in report["tasks"]:
             writer.writerow([task["task"], task["passed"]])
         return
-    header = ["lambda", "f_direct", "f_formula", "f0", "f1",
-              "oracle_simple", "agreement"]
-    writer.writerow(header)
-    for r in rows:
-        writer.writerow([
-            ";".join(str(c) for c in r["lambda"]),
-            str(r.get("f_direct")), str(r["f_formula"]),
-            str(r["f0"]), str(r["f1"]),
-            r["oracle_simple"], r["agreement"]])
+    # one block, its header and its rows, per scan task in task order
+    for rows in scans:
+        writer.writerow(["lambda", "f_direct", "f_formula", "f0", "f1",
+                         "oracle_simple", "agreement"])
+        writer.writerows([";".join(str(c) for c in r["lambda"]),
+                          str(r.get("f_direct")), str(r["f_formula"]),
+                          str(r["f0"]), str(r["f1"]),
+                          r["oracle_simple"], r["agreement"]] for r in rows)
 
 
 def _emit_table(report, stream):

@@ -451,6 +451,18 @@ class TestFormatsAndOutputs:
         assert lines[0].startswith("lambda,")
         assert len(lines) == 26  # header + 25 weights
 
+    def test_csv_has_a_block_per_scan_task(self, tmp_path, capsys):
+        # each scan's block is the CSV of that task alone, in task order;
+        # a task without rows writes none
+        tasks = ["verma-scan", "structure-check", "graded-verma-scan"]
+        alone = [run_cli(capsys, ["run", "--config", write_cfg(tmp_path, f"{t}.json", tasks=[t]),
+                                  "--format", "csv"])[1] for t in (tasks[0], tasks[2])]
+        cfg = write_cfg(tmp_path, tasks=tasks)
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg, "--format", "csv"])
+        assert code == 0 and out == "".join(alone) and len(out.splitlines()) == 2 * 26
+        assert main(["run", "--config", cfg, "--format", "csv", "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "summary.csv").read_bytes() == out.encode()
+
     def test_table(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         code, out, _ = run_cli(capsys, ["scan", "--config", cfg,

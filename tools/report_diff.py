@@ -8,7 +8,8 @@ and gl(1|2); p = 5 and 7; chi = 0, chi(E21) = 1 and chi = diag(1, ..., 1);
 verma-scan and graded-verma-scan; JSON, CSV and table output) and 18 more
 over fields given as extensions, with chi values outside F_p where the
 Frobenius x -> x^p does not fix chi (three settings, both scans, each
-output), 126 in all, as
+output), and 6 that run both scans in one report (gl(2|1), p = 5, chi = 0
+and chi = diag(1, 1, 1), which runs over F_{5^5}; each output), 132 in all, as
 ``python -m glmn.cli run --config FILE --format FMT`` with glmn imported from
 each tree's src (TREE defaults to the tree holding this script), once to
 stdout and once with ``--out DIR``.  Both trees run with the same config
@@ -54,6 +55,10 @@ EXTENSIONS = {
 }
 CONFIGS += [(f"{name}-{task}-{fmt}", {"p": 5, **cfg, "tasks": [task], "seed": 1}, fmt)
             for (name, cfg), task, fmt in itertools.product(EXTENSIONS.items(), TASKS, FORMATS)]
+# both scans in one report, which CSV writes as one block per scan
+CONFIGS += [(f"gl21-p5-{chi}-both-scans-{fmt}",
+             {"p": 5, "m": 2, "n": 1, "chi": CHIS[chi](3), "tasks": list(TASKS), "seed": 1}, fmt)
+            for chi, fmt in itertools.product(("chi0", "diag"), FORMATS)]
 
 
 def outputs(tree, cfg, fmt, tmp, out):
