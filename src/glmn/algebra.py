@@ -191,7 +191,6 @@ class RootSystem:
         self.simple = [self._by_key[(i, i + 1)] for i in range(1, d)]
         self.positive_even = [r for r in self.positive if r.parity == 0]
         self.positive_odd = [r for r in self.positive if r.parity == 1]
-        self.pos_index = {r.key: t for t, r in enumerate(self.positive)}
         self.rho = self._compute_rho()
 
     def root(self, i, j):

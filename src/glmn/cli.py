@@ -1,8 +1,9 @@
 """Command line front end: config ingestion, scans, and report emission.
 
-Subcommands: run (execute the task list of a config), scan (simplicity
-scan over the weight variety), kw (dimension-reduction verification),
-levi (standard-Levi isomorphism scan), check (structure invariants).
+Commands, the one positional argument (COMMANDS): run (execute the task
+list of a config), scan (simplicity scan over the weight variety), kw
+(dimension-reduction verification), levi (standard-Levi isomorphism scan),
+check (structure invariants).
 Reports are deterministic given (config, seed): the structured output
 carries no timings, so byte-identical configs give byte-identical files.
 Exit codes: 0 all checks pass, 1 a hard check failed, 2 configuration or
@@ -38,9 +39,6 @@ from .linalg import matmul, matrix_power
 from .verma import (STACK_ENTRIES, _axiom_table, build_baby_verma, build_baby_vermas,
                     build_graded_vermas, build_simple_g0_modules, f1_direct,
                     f_direct, f_formulas)
-
-TASKS = ("structure-check", "verma-scan", "graded-verma-scan", "kw-verify",
-         "levi-scan", "frobenius-check", "regular-module-check")
 
 DEFAULTS = {
     "field_degree": 1,
@@ -112,8 +110,8 @@ def validate_config(raw):
     if not isinstance(cfg["tasks"], list):
         raise ConfigInvalid("tasks must be a list of task names")
     for t in cfg["tasks"]:
-        if t not in TASKS:
-            raise ConfigInvalid(f"unknown task {t!r}; known: {', '.join(TASKS)}")
+        if not isinstance(t, str) or t not in TASK_RUNNERS:
+            raise ConfigInvalid(f"unknown task {t!r}; known: {', '.join(TASK_RUNNERS)}")
     if not isinstance(cfg["chi"], dict):
         raise ConfigInvalid("chi must be an object keyed by 'E(i,j)'")
     lam = cfg["lambda"]
@@ -438,36 +436,32 @@ def regular_task(cfg, algebra, chi, weights):
             "factors_uniform": uniform}, passed
 
 
-def _sample_weights(cfg, weights, label, count=5):
+def _sampled_task(cfg, algebra, weights, label, scan, passes, count=5):
+    """scan's reports on count weights sampled by (seed, label), or on all
+    of them if there are no more, each with its lambda digits; the task
+    passes when passes holds for every report."""
     if len(weights) <= count:
-        return list(weights)
-    rng = random.Random(task_seed(cfg["seed"], label))
-    idx = sorted(rng.sample(range(len(weights)), count))
-    return [weights[t] for t in idx]
+        lams = list(weights)
+    else:
+        rng = random.Random(task_seed(cfg["seed"], label))
+        lams = [weights[t] for t in sorted(rng.sample(range(len(weights)), count))]
+    reports = scan(lams)
+    for lam, rep in zip(lams, reports):
+        rep["lambda"] = algebra.field.digits[lam.coords].tolist()
+    return {"reports": reports}, all(map(passes, reports))
 
 
 def kw_task(cfg, algebra, chi, weights):
-    reports = []
-    passed = True
-    for lam in _sample_weights(cfg, weights, "kw"):
-        rep = kw_verify(algebra, chi, lam)
-        rep["lambda"] = algebra.field.digits[lam.coords].tolist()
-        passed = passed and rep["induced_simple"] and rep["chi_l_nilpotent"]
-        reports.append(rep)
-    return {"reports": reports}, passed
+    return _sampled_task(cfg, algebra, weights, "kw",
+                         lambda lams: [kw_verify(algebra, chi, lam) for lam in lams],
+                         lambda rep: rep["induced_simple"] and rep["chi_l_nilpotent"])
 
 
 def levi_task(cfg, algebra, chi, weights):
-    lams = _sample_weights(cfg, weights, "levi")
-    reports = levi_scans(algebra, chi, lams)
-    passed = True
-    for lam, rep in zip(lams, reports):
-        rep["lambda"] = algebra.field.digits[lam.coords].tolist()
-        ok = (rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
-              and all(a["isomorphism"] and a["heads_match"]
-                      for a in rep["alphas"]))
-        passed = passed and ok
-    return {"reports": reports}, passed
+    return _sampled_task(cfg, algebra, weights, "levi",
+                         lambda lams: levi_scans(algebra, chi, lams),
+                         lambda rep: rep["radical_absorbs_all"] and rep["outside_vectors_generate"]
+                         and all(a["isomorphism"] and a["heads_match"] for a in rep["alphas"]))
 
 
 TASK_RUNNERS = {
@@ -628,45 +622,36 @@ def _ext(fmt):
     return {"json": "json", "csv": "csv", "table": "txt"}[fmt]
 
 
+# each command's tasks; run takes the config's own
+COMMANDS = {"run": None, "scan": ["verma-scan"], "kw": ["kw-verify"],
+            "levi": ["levi-scan"], "check": ["structure-check"]}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="glmn",
         description="Exact gl(m|n) module computations over finite fields.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-            ("run", "execute every task listed in the config"),
-            ("scan", "simplicity scan over the weight variety"),
-            ("kw", "verify the parabolic dimension reduction"),
-            ("levi", "standard-Levi isomorphism scan"),
-            ("check", "structure invariant checks")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None,
-                       help="directory for report files (default: stdout)")
-        p.add_argument("--format", default="json",
-                       choices=("json", "csv", "table"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--dim-budget", type=int, default=None)
-        p.add_argument("--dump-module", default=None,
-                       help="write the baby Verma at the first weight here")
-        p.add_argument("--dump-element", default=None,
-                       help="write the straightened top monomial product here")
+    parser.add_argument("command", choices=COMMANDS, help="; ".join(
+        f"{name}: {', '.join(tasks or ['the tasks listed in the config'])}"
+        for name, tasks in COMMANDS.items()))
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None,
+                        help="directory for report files (default: stdout)")
+    parser.add_argument("--format", default="json", choices=("json", "csv", "table"))
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--dim-budget", type=int, default=None)
+    parser.add_argument("--dump-module", default=None,
+                        help="write the baby Verma at the first weight here")
+    parser.add_argument("--dump-element", default=None,
+                        help="write the straightened top monomial product here")
     return parser
-
-
-COMMAND_TASKS = {
-    "scan": ["verma-scan"],
-    "kw": ["kw-verify"],
-    "levi": ["levi-scan"],
-    "check": ["structure-check"],
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, dim_budget=args.dim_budget)
-        tasks = COMMAND_TASKS.get(args.command, cfg["tasks"])
+        tasks = COMMANDS[args.command] or cfg["tasks"]
         return _execute(cfg, tasks, args.format, args.out,
                         args.dump_module, args.dump_element)
     except (ConfigInvalid, BudgetExceeded) as exc:

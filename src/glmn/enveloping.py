@@ -53,7 +53,6 @@ class ReductionContext:
             units.append(rs.e_unit(r))
         self.nf = len(self.f_order)
         self.nh = algebra.d
-        self.ne = len(self.e_order)
         self.ngens = len(units)
         self.units = units
         self.parities = [algebra.parity(*u) for u in units]
@@ -64,7 +63,6 @@ class ReductionContext:
         # chi(x)^p per generator
         f = self.field
         self.chi_p = [f.power(chi.value(u), p) for u in units]
-        self.half = f.inv(2 % p)
         self._memo = {}
         self._plans = {}
         self._layouts = {}
@@ -254,17 +252,9 @@ def _bump(ctx, exps, pos):
         out[pos] = new
         return {tuple(out): 1}
     if ctx.parities[pos]:
-        # odd square: (1/2)[x,x]; for a root vector the bracket vanishes,
-        # but expand it in general through the structure constants
-        base = list(exps)
-        base[pos] = 0
-        u = ctx.units[pos]
-        result = {}
-        for coeff, unit in ctx.algebra.bracket_table[(u, u)]:
-            c = f.mul(coeff, ctx.half)
-            _accumulate(f, result,
-                        _mono_times_gen(ctx, tuple(base), ctx.unit_to_pos[unit]), c)
-        return result
+        # odd square: (1/2)[x,x], and an odd generator is a unit E(i,j) with
+        # i != j, whose bracket with itself is 2 delta_ij E(i,i) = 0
+        return {}
     # even generator at exponent p: x^p = x^[p] + chi(x)^p
     base = list(exps)
     base[pos] = 0

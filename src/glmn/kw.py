@@ -39,17 +39,14 @@ class CharacterDecomposition:
 
 
 class LeviData:
-    """Phi', l', l = [l', l'], the parabolic P and the nilradical N."""
+    """Phi', l', l = [l', l'] and the nilradical N of the parabolic P = l' + N."""
 
-    __slots__ = ("phi_prime", "levi_prime", "levi", "parabolic", "nilradical",
-                 "n_even", "n_odd")
+    __slots__ = ("phi_prime", "levi_prime", "levi", "nilradical", "n_even", "n_odd")
 
-    def __init__(self, phi_prime, levi_prime, levi, parabolic, nilradical,
-                 n_even, n_odd):
+    def __init__(self, phi_prime, levi_prime, levi, nilradical, n_even, n_odd):
         self.phi_prime = phi_prime
         self.levi_prime = levi_prime
         self.levi = levi
-        self.parabolic = parabolic
         self.nilradical = nilradical
         self.n_even = n_even
         self.n_odd = n_odd
@@ -116,7 +113,7 @@ def levi_data(rs, chi):
     levi = Subspace(alg.field, alg.dim, coef.reshape(-1, alg.dim))
     n_even = sum(1 for r in phi if r.parity == 0)
     n_odd = sum(1 for r in phi if r.parity == 1)
-    return LeviData(phi, levi_prime, levi, parabolic, nilradical, n_even, n_odd)
+    return LeviData(phi, levi_prime, levi, nilradical, n_even, n_odd)
 
 
 class PhiPrimeOrder:
@@ -326,8 +323,6 @@ def _levi_stages(algebra, chi, lams):
     """levi_scans' stages, raising at the first failure of any weight."""
     from .algebra import classify_character
     rs = algebra.root_system()
-    f = algebra.field
-    p = f.p
     cc = classify_character(rs, chi)
     if not cc.standard_levi:
         raise NotStandardLevi("chi is not in standard Levi form")
@@ -347,10 +342,9 @@ def _levi_stages(algebra, chi, lams):
         Z, (R, headZ) = Zs[w], heads[w]
         report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
         for j, alpha in enumerate(alphas):
-            a = rs.weight_on_coroot(lam, alpha)
-            if f.power(a, p) != a:
-                raise NotStandardLevi("lambda(h_alpha) not in the prime field")
-            a = int(a)  # prime-subfield elements are the indices 0..p-1
+            # a standard-Levi chi vanishes on h, so X^chi = F_p^d (weight_lines
+            # refused any other lambda) and lambda(h_alpha) is an index 0..p-1
+            a = int(rs.weight_on_coroot(lam, alpha))
             u = Z.highest_vector
             for _ in range(a + 1):
                 u = Z.act(rs.f_unit(alpha), u)

@@ -231,17 +231,15 @@ def _axiom_table(algebra, units):
 class SimplicityPolynomials:
     """The values f(lambda), f0, f1 at one weight."""
 
-    __slots__ = ("f_direct", "f_formula", "f0", "f1")
+    __slots__ = ("f_formula", "f0", "f1")
 
-    def __init__(self, f_formula, f0, f1, f_direct=None):
+    def __init__(self, f_formula, f0, f1):
         self.f_formula = f_formula
         self.f0 = f0
         self.f1 = f1
-        self.f_direct = f_direct
 
     def __repr__(self):
-        return (f"SimplicityPolynomials(f_direct={self.f_direct}, "
-                f"f_formula={self.f_formula}, f0={self.f0}, f1={self.f1})")
+        return f"SimplicityPolynomials(f_formula={self.f_formula}, f0={self.f0}, f1={self.f1})"
 
 
 def _check_borel(chi):

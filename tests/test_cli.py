@@ -81,9 +81,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_unknown_task_exits_two(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, tasks=["bogus"])
-        code, _, err = run_cli(capsys, ["run", "--config", cfg])
-        assert code == 2 and "unknown task" in err
+        # a task that is no name, a list or an object too, is unknown
+        known = ("structure-check, verma-scan, graded-verma-scan, kw-verify, levi-scan, "
+                 "frobenius-check, regular-module-check")
+        for task in ["bogus", ["verma-scan"], {}, 3]:
+            cfg = write_cfg(tmp_path, tasks=[task])
+            code, _, err = run_cli(capsys, ["run", "--config", cfg])
+            assert code == 2 and err == f"error: unknown task {task!r}; known: {known}\n"
 
     def test_bad_chi_key_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, chi={"X(1,2)": 1})
@@ -469,6 +473,19 @@ class TestFormatsAndOutputs:
                                         "--format", "table"])
         assert code == 0 and "[verma-scan] pass" in out
 
+    def test_table_writes_a_record_without_rows_as_its_sorted_json(self, tmp_path, capsys):
+        tasks = ["structure-check", "kw-verify", "levi-scan", "frobenius-check",
+                 "regular-module-check"]
+        cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(2,1)": 1}, tasks=tasks)
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+        report = json.loads(out)
+        assert code == 0 and [t["task"] for t in report["tasks"]] == tasks
+        code, table, _ = run_cli(capsys, ["run", "--config", cfg, "--format", "table"])
+        assert code == 0 and table == (
+            f"glmn {report['library_version']} report\nfield: p=5 k=1 modulus=[0, 1]\n"
+            + "".join(f"\n[{t['task']}] pass\n  {json.dumps(t['record'], sort_keys=True)}\n"
+                      for t in report["tasks"]))
+
     def test_out_directory(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, tasks=["structure-check", "verma-scan"])
         outdir = tmp_path / "out"
@@ -504,6 +521,21 @@ class TestSubcommands:
         rec = json.loads(out)["tasks"][0]["record"]
         assert rec["all_pass"]
         assert rec["checked"]["jacobi"] == 16 ** 3
+
+    def test_flags_come_before_or_after_the_command(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, tasks=["structure-check"])
+        after = run_cli(capsys, ["scan", "--config", cfg, "--format", "csv"])
+        assert after[0] == 0 and after[1].startswith("lambda,")
+        assert run_cli(capsys, ["--config", cfg, "--format", "csv", "scan"]) == after
+        assert run_cli(capsys, ["--format", "csv", "scan", "--config", cfg]) == after
+
+    def test_help_names_each_commands_tasks(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert ("run: the tasks listed in the config; scan: verma-scan; kw: kw-verify; "
+                "levi: levi-scan; check: structure-check") in capsys.readouterr().out
 
     def test_kw_gl11(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, chi={"E(1,1)": 1}, tasks=["kw-verify"])

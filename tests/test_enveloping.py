@@ -71,6 +71,17 @@ class TestStraightening:
             expect = PBWElement.from_matrix(ctx, alg.bracket(x, x)).scale(half)
             assert sq == expect
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_odd_units_square_to_zero(self, m, n):
+        # x^2 = (1/2)[x, x] needs no expansion: every odd unit is an E(i, j)
+        # with i != j, whose bracket with itself is empty
+        ctx = ctx_for(m, n)
+        alg = ctx.algebra
+        assert alg.odd_units and all(i != j for i, j in alg.odd_units)
+        for unit in alg.odd_units:
+            assert alg.bracket_table[(unit, unit)] == ()
+            assert normalize(ctx, [unit, unit]) == PBWElement(ctx, {})
+
     def test_even_cartan_p_reduction(self):
         # h^p = h + chi(h)^p in u(g, chi)
         for chi_vals, expect_shift in [({}, 0), ({(1, 1): 2}, F.power(2, 5))]:

@@ -161,6 +161,23 @@ class TestReduction:
         assert ZL.verify_axioms()
 
 
+    def test_kw_verify_reflects_an_even_root(self, tmp_path, capsys):
+        # chi(E11) = 1 puts eps1 - eps2 and the odd eps1 - delta1 in Phi';
+        # the even root is simple first, so its reflection is the even one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 5, "m": 2, "n": 1, "chi": {"E(1,1)": 1},
+                                   "tasks": ["kw-verify"], "seed": 1}))
+        with mock.patch.object(kw, "_reflect_system", wraps=kw._reflect_system) as spy:
+            assert main(["kw", "--config", str(cfg)]) == 0
+        assert [call.args[1].key for call in spy.call_args_list[:2]] == [(1, 2), (1, 3)]
+        reports = json.loads(capsys.readouterr().out)["tasks"][0]["record"]["reports"]
+        assert len(reports) == 5
+        for rep in reports:
+            assert rep["phi_prime"] == [[1, 2], [1, 3]] and rep["induced_simple"]
+            n0, n1 = rep["dim_n"]
+            assert rep["dim_m"] == 5 ** n0 * 2 ** n1 * rep["dim_m_prime"] == rep["predicted_dim"]
+
+
 class TestDotAction:
     def test_definition(self):
         rs = build_algebra(2, 1, F).root_system()
@@ -278,6 +295,23 @@ class TestLeviScan:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("task failed:") and captured.err.count("\n") == 1
+
+    def test_reports_over_f25_are_those_over_f5(self, tmp_path, capsys):
+        # a standard-Levi chi vanishes on h, so X^chi is F_5^3 over either
+        # field and each lambda(h_alpha) lies in F_5: the reports differ only
+        # in the length of each lambda digit list
+        reports = []
+        for degree in (1, 2):
+            cfg = tmp_path / f"cfg{degree}.json"
+            cfg.write_text(json.dumps({"p": 5, "m": 2, "n": 1, "field_degree": degree,
+                                       "chi": {"E(2,1)": 1}, "tasks": ["levi-scan"], "seed": 3}))
+            assert main(["levi", "--config", str(cfg)]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["tasks"][0]["record"]["reports"])
+        f5, f25 = reports
+        for rep in f25:
+            assert [d[1:] for d in rep["lambda"]] == [[0]] * 3
+            rep["lambda"] = [d[:1] for d in rep["lambda"]]
+        assert f25 == f5 and len(f5) == 5
 
     def test_staged_reports_equal_one_weight_at_a_time(self):
         # all 125 gl(2|1) weights at chi(E21) = 1, staged on one algebra and

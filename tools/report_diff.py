@@ -9,14 +9,20 @@ verma-scan and graded-verma-scan; JSON, CSV and table output) and 18 more
 over fields given as extensions, with chi values outside F_p where the
 Frobenius x -> x^p does not fix chi (three settings, both scans, each
 output), and 6 that run both scans in one report (gl(2|1), p = 5, chi = 0
-and chi = diag(1, 1, 1), which runs over F_{5^5}; each output), 132 in all, as
-``python -m glmn.cli run --config FILE --format FMT`` with glmn imported from
-each tree's src (TREE defaults to the tree holding this script), once to
-stdout and once with ``--out DIR``.  Both trees run with the same config
+and chi = diag(1, 1, 1), which runs over F_{5^5}; each output), 132 scan
+configs, as ``python -m glmn.cli run --config FILE --format FMT``.  13 more
+check the front end on gl(2|1) at p = 5: the five tasks that are no scan in
+one report at chi = 0 and at chi(E21) = 1 (each output); the commands scan,
+kw, levi and check on one config; one run with --dump-module and
+--dump-element; kw-verify at chi(E22) = 1, which exits 1, and an unknown
+task, which exits 2.  145 in all.  glmn is imported from each tree's src
+(TREE defaults to the tree holding this script), and each config runs once
+to stdout and once with ``--out DIR``.  Both trees run with the same config
 path, output directory and working directory, so that any path they print
-matches.  For each run it compares stdout, stderr, the exit code and every
-file under DIR; for each difference it prints the config, the output and
-the first differing byte.  Exits 1 if anything differs, 0 otherwise.
+matches.  For each run it compares stdout, stderr, the exit code, every file
+under DIR and every file written to the working directory (the dumps); for
+each difference it prints the config, the output and the first differing
+byte.  Exits 1 if anything differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -36,11 +42,11 @@ CHIS = {"chi0": lambda d: {}, "E21": lambda d: {"E(2,1)": 1},
         "diag": lambda d: {f"E({i},{i})": 1 for i in range(1, d + 1)}}
 TASKS = ("verma-scan", "graded-verma-scan")
 FORMATS = ("json", "csv", "table")
-# (name, config, format); chi(E21) lies on an odd unit of gl(1|1), whose
-# configs exit 2 in both trees
+# (name, config, format, command, more arguments); chi(E21) lies on an odd
+# unit of gl(1|1), whose configs exit 2 in both trees
 CONFIGS = [(f"{alg}-p{p}-{chi}-{task}-{fmt}",
             {"p": p, "m": ALGEBRAS[alg][0], "n": ALGEBRAS[alg][1],
-             "chi": CHIS[chi](sum(ALGEBRAS[alg])), "tasks": [task], "seed": 1}, fmt)
+             "chi": CHIS[chi](sum(ALGEBRAS[alg])), "tasks": [task], "seed": 1}, fmt, "run", ())
            for alg, p, chi, task, fmt in itertools.product(ALGEBRAS, (5, 7), CHIS, TASKS, FORMATS)]
 # p = 5 over F_25, F_{5^4} and F_{5^5}: chi = 0; chi(E11) = chi(E22) = a
 # with a in F_25, a^4 = -1, fixed by phi^2 but not phi; chi = diag(1, 1, 1)
@@ -53,29 +59,48 @@ EXTENSIONS = {
     "gl21-q3125-diag-E21x": {"m": 2, "n": 1, "field_degree": 5,
                              "chi": {**CHIS["diag"](3), "E(2,1)": [0, 1]}},
 }
-CONFIGS += [(f"{name}-{task}-{fmt}", {"p": 5, **cfg, "tasks": [task], "seed": 1}, fmt)
+CONFIGS += [(f"{name}-{task}-{fmt}", {"p": 5, **cfg, "tasks": [task], "seed": 1}, fmt, "run", ())
             for (name, cfg), task, fmt in itertools.product(EXTENSIONS.items(), TASKS, FORMATS)]
 # both scans in one report, which CSV writes as one block per scan
 CONFIGS += [(f"gl21-p5-{chi}-both-scans-{fmt}",
-             {"p": 5, "m": 2, "n": 1, "chi": CHIS[chi](3), "tasks": list(TASKS), "seed": 1}, fmt)
+             {"p": 5, "m": 2, "n": 1, "chi": CHIS[chi](3), "tasks": list(TASKS), "seed": 1},
+             fmt, "run", ())
             for chi, fmt in itertools.product(("chi0", "diag"), FORMATS)]
+# the front end: the tasks that are no scan, each command, both dumps, a
+# task that fails (exit 1) and an unknown task (exit 2)
+OTHER = ["structure-check", "kw-verify", "levi-scan", "frobenius-check", "regular-module-check"]
+GL21 = {"p": 5, "m": 2, "n": 1, "chi": CHIS["E21"](3), "tasks": OTHER, "seed": 1}
+CONFIGS += [(f"gl21-p5-{chi}-other-tasks-{fmt}", dict(GL21, chi=CHIS[chi](3)), fmt, "run", ())
+            for chi, fmt in itertools.product(("chi0", "E21"), FORMATS)]
+CONFIGS += [(f"gl21-p5-E21-{command}-json", GL21, "json", command, ())
+            for command in ("scan", "kw", "levi", "check")]
+CONFIGS += [("gl21-p5-E21-dumps-json", dict(GL21, tasks=["verma-scan"]), "json", "run",
+             ("--dump-module", "module.txt", "--dump-element", "element.txt")),
+            ("gl21-p5-E22-kw-verify-json", dict(GL21, chi={"E(2,2)": 1}, tasks=["kw-verify"]),
+             "json", "run", ()),
+            ("gl21-p5-unknown-task-json", dict(GL21, tasks=["no-such-task"]), "json", "run", ())]
 
 
-def outputs(tree, cfg, fmt, tmp, out):
-    """{output name: bytes} of one run of tree in the directory tmp: stdout,
-    stderr and the exit code, and with out each file written there."""
+def outputs(tree, config, tmp, out):
+    """{output name: bytes} of one run of tree on config under the directory
+    tmp: stdout, stderr and the exit code, each file written to the working
+    directory, and with out each file written to the --out directory."""
+    _, cfg, fmt, command, more = config
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    path, out_dir = Path(tmp) / "cfg.json", Path(tmp) / "out"
+    path, out_dir, cwd = Path(tmp) / "cfg.json", Path(tmp) / "out", Path(tmp) / "cwd"
     path.write_text(json.dumps(cfg))
-    shutil.rmtree(out_dir, ignore_errors=True)
-    argv = [sys.executable, "-m", "glmn.cli", "run", "--config", str(path), "--format", fmt]
-    run = subprocess.run(argv + ["--out", str(out_dir)] * out, env=env, cwd=tmp,
+    for d in (out_dir, cwd):
+        shutil.rmtree(d, ignore_errors=True)
+    cwd.mkdir()
+    argv = [sys.executable, "-m", "glmn.cli", command, "--config", str(path), "--format", fmt]
+    run = subprocess.run([*argv, *more] + ["--out", str(out_dir)] * out, env=env, cwd=cwd,
                          capture_output=True)
     found = {"stdout": run.stdout, "stderr": run.stderr, "exit code": b"%d" % run.returncode}
-    if out and out_dir.is_dir():
-        found.update((f"--out {p.relative_to(out_dir)}", p.read_bytes())
-                     for p in sorted(out_dir.rglob("*")) if p.is_file())
+    for label, top in (("file", cwd), ("--out", out_dir)):
+        if top.is_dir():
+            found.update((f"{label} {p.relative_to(top)}", p.read_bytes())
+                         for p in sorted(top.rglob("*")) if p.is_file())
     return found
 
 
@@ -88,8 +113,9 @@ def first_difference(a, b):
 def differences(parent, tree, configs=CONFIGS):
     """One line for each output of configs in which tree differs from parent."""
     with tempfile.TemporaryDirectory() as tmp:
-        for (name, cfg, fmt), out in itertools.product(configs, (False, True)):
-            before, after = (outputs(t, cfg, fmt, tmp, out) for t in (parent, tree))
+        for config, out in itertools.product(configs, (False, True)):
+            name = config[0]
+            before, after = (outputs(t, config, tmp, out) for t in (parent, tree))
             for key in sorted(set(before) | set(after)):
                 a, b = before.get(key), after.get(key)
                 if a is None or b is None:
