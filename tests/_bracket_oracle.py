@@ -2,10 +2,10 @@
 
 These are the walks that products of index arrays replaced: the parity of
 an element unit by unit, chi on the bracket of every two units of a
-module summed term by term (analysis._shifted_scalars), [l', l'] as one
+module summed term by term (series._shifted_scalars), [l', l'] as one
 coefficient row per bracket pair (kw.levi_data), g . chi as one Matrix
 triple product per even unit (kw.conjugate_character), and the four
-identities of structure-check (cli.structure_task), read off a given
+identities of structure-check (checks.structure_task), read off a given
 (U, U, U) coefficient array pair by pair, triple by triple and through
 Matrix powers and supertraces.  The array forms must give the same
 parities, the same verdicts and scalars, the same Subspace, the same

@@ -1,14 +1,14 @@
 """The Frobenius Gram by one PBW product per pair of monomials.
 
-This is the loop analysis.frobenius_gram replaced: m_a * m_b straightened
+This is the loop series.frobenius_gram replaced: m_a * m_b straightened
 in full for every pair of PBW monomials of u(sub, chi), the coefficient of
 the top monomial (every exponent maximal) filed at (a, b).
 """
 
 import numpy as np
 
-from glmn.analysis import sub_enveloping_basis
 from glmn.enveloping import PBWElement, multiply
+from glmn.series import sub_enveloping_basis
 
 
 def pbw_gram(algebra, sub_units, chi):

@@ -17,10 +17,10 @@ from glmn.enveloping import (ReductionContext, PBWElement, multiply,
 from glmn.verma import (build_baby_verma, build_simple_g0_module,
                         build_graded_verma, f_direct, f_formula, f1_direct,
                         maximal_vectors)
-from glmn.analysis import (spin, is_simple, simple_head, trivial_submodules,
-                           regular_module, frobenius_gram)
+from glmn.analysis import spin, is_simple, simple_head
+from glmn.series import trivial_submodules, regular_module, frobenius_gram
 from glmn.kw import kw_verify, levi_scan, levi_data
-from glmn.cli import structure_task
+from glmn.checks import structure_task
 
 F = make_field(5)
 

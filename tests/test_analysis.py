@@ -17,12 +17,11 @@ from glmn.ffield import make_field
 from glmn.linalg import Subspace, matvec
 from glmn.algebra import build_algebra, Character, Weight
 from glmn.verma import build_baby_verma
-from glmn.analysis import (spin, is_simple, simple_head,
-                           composition_series, quotient_module,
-                           restrict_module, trivial_submodules,
-                           regular_module, frobenius_gram,
-                           shifted_joint_kernel)
-from glmn import analysis, enveloping
+from glmn.analysis import spin, is_simple, simple_head
+from glmn.series import (composition_series, quotient_module, restrict_module,
+                         trivial_submodules, regular_module, frobenius_gram,
+                         shifted_joint_kernel)
+from glmn import enveloping, series
 from glmn.errors import (BudgetExceeded, ZeroVector, NotClosed,
                          ShiftInconsistent)
 from test_block_spin import is_action_closed
@@ -220,7 +219,7 @@ class TestUnipotentAlgebra:
         alg = build_algebra(3, 2, F)
         rs = alg.root_system()
         sub = [rs.f_unit(r) for r in rs.positive]
-        monkeypatch.setattr(analysis, "sub_enveloping_basis", _must_not_run)
+        monkeypatch.setattr(series, "sub_enveloping_basis", _must_not_run)
         with pytest.raises(BudgetExceeded, match="40000"):
             frobenius_gram(alg, sub, Character(alg, {}))
 
@@ -244,16 +243,16 @@ class TestUnipotentAlgebra:
         # every PBW product is straightened by regular_module: once the left
         # module is built, a call of multiply fails the test
         alg = build_algebra(2, 1, F)
-        real, built = analysis.regular_module, []
+        real, built = series.regular_module, []
 
         def left_module_then_no_products(*args, **kwargs):
             M = real(*args, **kwargs)
             built.append(M)
-            monkeypatch.setattr(analysis, "multiply", _must_not_multiply)
+            monkeypatch.setattr(series, "multiply", _must_not_multiply)
             monkeypatch.setattr(enveloping, "multiply", _must_not_multiply)
             return M
 
-        monkeypatch.setattr(analysis, "regular_module", left_module_then_no_products)
+        monkeypatch.setattr(series, "regular_module", left_module_then_no_products)
         G, nondeg = frobenius_gram(alg, [(2, 1), (3, 2), (3, 1)], Character(alg, {}))
         assert nondeg and G.rows == 20 and len(built) == 1
 
@@ -287,7 +286,7 @@ class TestUnipotentAlgebra:
         entry = st.one_of(st.just(0), st.integers(1, f.q - 1))
         values = {u: data.draw(entry) for u in units if alg.parity(*u) == 0}
         M = SimpleNamespace(algebra=alg, field=f, units=units, chi=Character(alg, values))
-        got = outcome(analysis._shifted_scalars, M)
+        got = outcome(series._shifted_scalars, M)
         assert got == outcome(shifted_scalars, M)
         if (alg.m, len(units)) == (3, 6) and values.get((3, 1) if lower else (1, 3)):
             assert got is ShiftInconsistent

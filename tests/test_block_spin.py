@@ -24,10 +24,10 @@ from hypothesis.extra import numpy as hnp
 
 from glmn import linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (_images, composition_series, dual_core,
-                           is_simple, quotient_module, restrict_module, spin)
+from glmn.analysis import _images, dual_core, is_simple, spin
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
+from glmn.series import composition_series, quotient_module, restrict_module
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 from test_kernels import (FIELDS, KERNEL_SETTINGS, draw_matrix, line_seeded, t_kernel,
                           t_rref)

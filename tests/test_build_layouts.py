@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _bracket_oracle as oracle
-from glmn import cli, verma
+from glmn import checks, verma
 from glmn.algebra import Character, build_algebra
-from glmn.cli import structure_task
+from glmn.checks import structure_task
 from glmn.ffield import make_field
 from glmn.analysis import simple_head
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
@@ -213,8 +213,8 @@ def test_structure_identities_match_the_walks(m, n, q, data):
     table = oracle.coefficient_table(alg, coef)
     samples = oracle.ad_samples(alg, seed)
     xs = np.array([x.data.reshape(-1) for x in samples])
-    assert cli._jacobi_holds(f, odd, coef) == oracle.jacobi_holds(alg, table)
-    assert cli._ad_powers_hold(alg, coef, xs) == oracle.ad_powers_hold(alg, table, samples)
+    assert checks._jacobi_holds(f, odd, coef) == oracle.jacobi_holds(alg, table)
+    assert checks._ad_powers_hold(alg, coef, xs) == oracle.ad_powers_hold(alg, table, samples)
     install(alg, coef)
     rec, passed = structure_task({"seed": seed}, alg, Character(alg, {}), [])
     assert rec == oracle.structure_record(alg, coef, seed) and passed == rec["all_pass"]

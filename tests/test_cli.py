@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from glmn import algebra, analysis, cli
+from glmn import algebra, cli, series
 from glmn.cli import main
 from glmn.errors import BudgetExceeded
 
@@ -153,7 +153,7 @@ class TestExitCodes:
         # the gl(3|1) baby Verma's top weight occurs at more than one basis
         # vector, so it descends, and a budget of 0 lines refuses even a
         # single line
-        monkeypatch.setattr(analysis, "LINE_BUDGET", 0)
+        monkeypatch.setattr(series, "LINE_BUDGET", 0)
         cfg = write_cfg(tmp_path, m=3, n=1, tasks=["verma-scan"],
                         **{"lambda": [0, 4, 3, 1]})
         code, _, err = run_cli(capsys, ["run", "--config", cfg])

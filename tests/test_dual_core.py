@@ -28,14 +28,13 @@ from _line_oracle import (is_local_by_dual_spins, is_simple_by_lines,
                           witness)
 from test_weight_split import _series_restrictions
 
-from glmn import analysis, linalg
+from glmn import analysis, linalg, series
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (_candidate_spaces, _top_coordinate,
-                           composition_series, dual_core, dual_module,
-                           is_simple, quotient_module, regular_module,
-                           restrict_module, simple_head, spin)
+from glmn.analysis import (_candidate_spaces, _top_coordinate, dual_core, dual_module,
+                           is_simple, simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
+from glmn.series import composition_series, quotient_module, regular_module, restrict_module
 from glmn.kw import build_kw_module, build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
                         build_graded_verma, build_simple_g0_module)
@@ -206,8 +205,8 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
         spins.append(M.dim)
         return spin(M, w)
 
-    monkeypatch.setattr(analysis, "LINE_BUDGET", 5)
-    monkeypatch.setattr(analysis, "spin", counting_spin)
+    monkeypatch.setattr(series, "LINE_BUDGET", 5)
+    monkeypatch.setattr(series, "spin", counting_spin)
     with pytest.raises(BudgetExceeded):
         is_simple(D)
     with pytest.raises(BudgetExceeded):
@@ -270,7 +269,7 @@ def test_socle_route_matches_line_route_on_regular_modules(m, n, chi, side,
     def no_descent(*args):
         raise AssertionError("a module without Cartan units descended")
 
-    monkeypatch.setattr(analysis, "_smaller_spin", no_descent)
+    monkeypatch.setattr(series, "_smaller_spin", no_descent)
     alg = algebra(m, n)
     rs = alg.root_system()
     M = regular_module(alg, [rs.f_unit(r) for r in rs.positive],

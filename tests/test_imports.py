@@ -1,16 +1,19 @@
 """The import graph of glmn.
 
-Every name a glmn module imports is used in that module (the package's
-__init__.py is left out: it imports to re-export), and a fresh interpreter
+Every name a glmn module imports is used in that module, and a fresh interpreter
 that imports glmn.cli, runs a config or refuses a prime p over the field
 budget, loads neither sympy nor a process pool; nor does one that runs the
 benchmark's gated configs, as perfbench.workloads.make_config writes them.
 No run loads OpenSSL (hashlib), not even one that draws a seed: task_seed,
 whose values are pinned here, takes SHA-256 from CPython's own module.
+`import glmn` loads no submodule and not numpy, and a run loads the modules
+of its tasks alone: glmn.kw for kw-verify and levi-scan, glmn.checks for the
+three check tasks, and glmn.series past the certificate.
 """
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -20,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
+import glmn
 from _tools import workloads
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "glmn"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -104,6 +108,43 @@ def test_benchmark_configs_load_no_masked_arrays_and_no_pool(tmp_path, name):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+SUBMODULES = tuple(f"glmn.{p.stem}" for p in MODULES if p.stem != "__init__")
+LAZY = ("glmn.kw", "glmn.series", "glmn.checks")
+
+
+def test_import_glmn_loads_no_submodule_and_not_numpy():
+    assert heavy_modules_after("import glmn", SUBMODULES + ("numpy",)) == "[]"
+
+
+def test_import_cli_loads_no_lazy_module():
+    assert heavy_modules_after("import glmn.cli", LAZY) == "[]"
+
+
+@pytest.mark.parametrize("name,loaded", [("graded-gl21-ext", "[]"),
+                                         ("levi-gl21", "['glmn.kw']")])
+def test_benchmark_configs_load_only_their_tasks_modules(tmp_path, name, loaded):
+    # kw is compiled in set-up on levi-gl21 (build_setting imports it), and
+    # neither gated config reaches the socle, the descent or a check task
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(workloads.make_config(name, 1)))
+    code = ("from glmn.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg)!r}]) == 0")
+    assert heavy_modules_after(code, LAZY) == loaded
+
+
+def test_every_exported_name_is_its_submodules_object():
+    # glmn.X and from glmn import X give the submodule's own object, and the
+    # submodules are attributes of the package, as when __init__ imported them
+    assert len(glmn.__all__) == len(set(glmn.__all__)) > 0
+    assert set(glmn.__all__) <= set(dir(glmn))
+    for name in glmn.__all__:
+        module = importlib.import_module(f"glmn.{glmn._SOURCE[name]}")
+        assert getattr(glmn, name) is getattr(module, name), name
+    assert glmn.kw is importlib.import_module("glmn.kw")
+    with pytest.raises(AttributeError):
+        glmn.no_such_name
 
 
 def test_import_loads_no_openssl():

@@ -1,4 +1,4 @@
-"""verma, analysis and kw work on raw index arrays; Matrix is API only.
+"""verma, analysis, series and kw work on raw index arrays; Matrix is API only.
 
 A module's action is one (U, dim, dim) index array and a submodule one
 Subspace, so no step inside these modules needs the Matrix wrapper.  It
@@ -32,7 +32,7 @@ def matrix_uses(source):
     return sorted(found)
 
 
-@pytest.mark.parametrize("name", ["verma", "analysis", "kw"])
+@pytest.mark.parametrize("name", ["verma", "analysis", "series", "kw"])
 def test_matrix_only_at_the_public_api(name):
     assert matrix_uses((SRC / f"{name}.py").read_text()) == []
 

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from glmn.algebra import Character, Weight, build_algebra
-from glmn.analysis import _top_coordinate, is_simple, regular_module
+from glmn.analysis import _top_coordinate, is_simple
 from glmn.ffield import make_field
+from glmn.series import regular_module
 from glmn.verma import build_baby_verma
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

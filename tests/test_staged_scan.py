@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glmn import analysis, cli, enveloping, verma
+from glmn import analysis, cli, enveloping, series, verma
 from glmn.algebra import Character, build_algebra, classify_character, weight_variety
 from glmn.analysis import simple_head, simple_heads
 from glmn.errors import NotG0Module
@@ -137,7 +137,7 @@ def test_a_second_serial_scan_on_one_algebra_straightens_no_plan(graded):
     for _ in range(2):
         with mock.patch.object(enveloping, "multiply", counted), \
                 mock.patch.object(verma, "multiply", counted), \
-                mock.patch.object(analysis, "multiply", counted):
+                mock.patch.object(series, "multiply", counted):
             reports.append(cli._run_scan(alg, chi, weights, graded, semisimple))
         products.append(len(made))
         made.clear()

@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from glmn import linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (composition_series, is_simple, regular_module,
-                           restrict_module, simple_head)
+from glmn.analysis import is_simple, simple_head
 from glmn.errors import NotWeightBasis
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, eigenspaces, kernel_arr, matmul
+from glmn.series import composition_series, regular_module, restrict_module
 from glmn.verma import (build_baby_verma, build_even_verma, build_graded_verma,
                         build_simple_g0_module, maximal_vectors)
 

@@ -15,7 +15,8 @@ check the front end on gl(2|1) at p = 5: the five tasks that are no scan in
 one report at chi = 0 and at chi(E21) = 1 (each output); the commands scan,
 kw, levi and check on one config; one run with --dump-module and
 --dump-element; kw-verify at chi(E22) = 1, which exits 1, and an unknown
-task, which exits 2.  145 in all.  glmn is imported from each tree's src
+task, which exits 2.  9 more run each of the seven tasks alone on that
+config (JSON), and structure-check alone in CSV and table.  154 in all.  glmn is imported from each tree's src
 (TREE defaults to the tree holding this script), and each config runs once
 to stdout and once with ``--out DIR``.  Both trees run with the same config
 path, output directory and working directory, so that any path they print
@@ -79,6 +80,12 @@ CONFIGS += [("gl21-p5-E21-dumps-json", dict(GL21, tasks=["verma-scan"]), "json",
             ("gl21-p5-E22-kw-verify-json", dict(GL21, chi={"E(2,2)": 1}, tasks=["kw-verify"]),
              "json", "run", ()),
             ("gl21-p5-unknown-task-json", dict(GL21, tasks=["no-such-task"]), "json", "run", ())]
+# each task alone, so that no task's report rests on a module that only
+# another task of the same run imports; structure-check in each output
+ALONE = [(task, "json") for task in ("structure-check", *TASKS, *OTHER[1:])]
+ALONE += [("structure-check", "csv"), ("structure-check", "table")]
+CONFIGS += [(f"gl21-p5-E21-{task}-alone-{fmt}", dict(GL21, tasks=[task]), fmt, "run", ())
+            for task, fmt in ALONE]
 
 
 def outputs(tree, config, tmp, out):
