@@ -1,11 +1,11 @@
 """Module analysis on explicit action matrices.
 
 Everything here works on explicit action matrices: spinning vectors into
-graded submodules, graded simplicity and simple heads (composition series,
-restrictions, regular modules, shifted kernels, the socle and the descent
-are in series, which is imported only where they are reached).  A graded
-submodule is its canonical Subspace of F^dim: spanned by parity-homogeneous rows, each basis row lies in the
-parity part of its pivot, and Subspace.split(M.parity) gives the parts.
+graded submodules, graded simplicity and simple heads (series holds the
+rest, imported only where it is reached).  A graded submodule is its
+canonical Subspace of F^dim: spanned by parity-homogeneous rows, each
+basis row lies in the parity part of its pivot, and Subspace.split(M.parity)
+gives the parts.
 
 Simplicity and simple heads have one route, dual_core: a maximal graded
 submodule R of M with M/R simple, the annihilator of a simple graded

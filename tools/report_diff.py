@@ -16,9 +16,10 @@ one report at chi = 0 and at chi(E21) = 1 (each output); the commands scan,
 kw, levi and check on one config; one run with --dump-module and
 --dump-element; kw-verify at chi(E22) = 1, which exits 1, and an unknown
 task, which exits 2.  9 more run each of the seven tasks alone on that
-config (JSON), and structure-check alone in CSV and table.  154 in all.  glmn is imported from each tree's src
-(TREE defaults to the tree holding this script), and each config runs once
-to stdout and once with ``--out DIR``.  Both trees run with the same config
+config (JSON), and structure-check alone in CSV and table.  154 in all.
+glmn is imported from each tree's src (TREE defaults to the tree holding
+this script), and each config runs once to stdout and once with ``--out
+DIR``.  Both trees run with the same config
 path, output directory and working directory, so that any path they print
 matches.  For each run it compares stdout, stderr, the exit code, every file
 under DIR and every file written to the working directory (the dumps); for
