@@ -30,13 +30,11 @@ nonzero graded submodule contains a candidate line.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import ZeroVector
 from .linalg import Subspace, _first, _insert, _matmul, float_copy
-from .verma import STACK_ENTRIES, ModuleRep, cartan_diagonal, maximal_vectors
+from .verma import ModuleRep, _stacks, cartan_diagonal, maximal_vectors
 
 
 def spin(M, w):
@@ -48,24 +46,21 @@ def spin(M, w):
 def _spins(Ms, ws):
     """spin(M, w) for each module M of Ms and vector w of ws, in lockstep.
 
-    Consecutive modules of one dimension and unit count form stacks, cut as
-    verma._stacks cuts them (an entry over F_{p^K} counts K times, for its
-    digits).  w is split into its homogeneous components; homogeneous units
-    keep rows homogeneous, so each span stays graded (Subspace.split gives
-    its parts).  A round maps the rows each module added last round, its
-    basis rows at the pivots it gained, through its units (_images) and
-    inserts all the images at once (_insert); the added rows vanish at
-    every old pivot, so with the old span they span the new one.  A module drops out once it is full or a round adds
-    nothing to it, with the canonical Subspace of its span.  Over F_p the
-    float_copy of each module's action is kept on it.
+    Consecutive modules of one dimension, unit count and field degree form
+    stacks, cut by verma._stacks at the entries of their actions (an entry
+    over F_{p^K} counts K times, for its digits).  w is split into its
+    homogeneous components; homogeneous units keep rows homogeneous, so
+    each span stays graded (Subspace.split gives its parts).  A round maps
+    the rows each module added last round, its basis rows at the pivots it
+    gained, through its units (_images) and inserts all the images at once
+    (_insert); the added rows vanish at every old pivot, so with the old
+    span they span the new one.  A module drops out once it is full or a
+    round adds nothing to it, with the canonical Subspace of its span.  Over
+    F_p the float_copy of each module's action is kept on it.
     """
-    out = []
-    for (d, U, k), run in itertools.groupby(
-            zip(Ms, ws), key=lambda mw: (mw[0].dim, len(mw[0].units), mw[0].field.k)):
-        size = max(1, STACK_ENTRIES // max(U * d * d * k, 1))
-        while stack := list(itertools.islice(run, size)):
-            out += _spin_stack(*zip(*stack))
-    return out
+    stacks = _stacks(zip(Ms, ws), lambda mw: (mw[0].dim, len(mw[0].units), mw[0].field.k),
+                     lambda mw: len(mw[0].units) * mw[0].dim ** 2 * mw[0].field.k)
+    return [S for stack in stacks for S in _spin_stack(*zip(*stack))]
 
 
 def _spin_stack(Ms, ws):

@@ -10,7 +10,7 @@ import numpy as np
 from .cli import task_seed
 from .linalg import matmul, matrix_power
 from .series import composition_series, frobenius_gram, regular_module, shifted_joint_kernel
-from .verma import STACK_ENTRIES, _axiom_table
+from .verma import _axiom_table, _slices
 
 
 def structure_task(cfg, algebra, chi, weights):
@@ -61,14 +61,13 @@ def _jacobi_holds(f, odd, coef):
 def _ad_powers_hold(algebra, coef, xs):
     """ad(x)^p = ad(x^[p]) for each row x of xs, an even element on the unit
     basis: the transpose of ad(x) is x times the table reshaped to (U, U * U),
-    on its nonzero columns, in chunks of rows whose ad stays below STACK_ENTRIES."""
+    on its nonzero columns, in chunks of rows whose ad stays below verma's budget."""
     f, U, d = algebra.field, len(coef), algebra.d
     xps = matrix_power(f, xs.reshape(-1, d, d), f.p).reshape(-1, U)
     cols = np.flatnonzero(coef.reshape(U, U * U).any(axis=0))
     table = coef.reshape(U, U * U)[:, cols]
-    chunk = max(1, STACK_ENTRIES // (U * U))
-    for s in range(0, len(xs), chunk):
-        x = np.concatenate([xs[s:s + chunk], xps[s:s + chunk]])
+    for C in _slices(len(xs), U * U):
+        x = np.concatenate([xs[C], xps[C]])
         ads = np.zeros((len(x), U * U), dtype=np.int64)
         ads[:, cols] = matmul(f, x, table)
         ads = ads.reshape(2, -1, U, U)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Character, Weight, reflect
+from .algebra import Character, Weight, classify_character, reflect
 from .errors import (ClosureFailure, GlmnError, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
 from .linalg import Matrix, Subspace, eigenspaces, inverse, matmul
-from .verma import (_axiom_table, _induce_all, build_baby_vermas, induce,
-                    induced_hom, weight_lines)
+from .verma import (_axiom_table, build_baby_vermas, build_levi_verma,
+                    build_levi_vermas, induce, induced_hom, levi_parts)
 from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
                        simple_heads)
 
@@ -93,12 +93,7 @@ def levi_data(rs, chi):
     """Phi', the centralizer l' of chi_s, l, P and the nilradical N."""
     alg = rs.algebra
     phi = order_phi_prime(rs, chi).order
-    phi_keys = {r.key for r in phi}
-    levi_roots = [r for r in rs.positive if r.key not in phi_keys]
-    levi_prime = list(alg.diag_units)
-    for r in levi_roots:
-        levi_prime.append(rs.e_unit(r))
-        levi_prime.append(rs.f_unit(r))
+    levi_prime = levi_parts(alg, phi)[1]
     nilradical = [rs.e_unit(r) for r in phi]
     parabolic = levi_prime + nilradical
     hit = alg.bracket_escape(levi_prime, levi_prime, set(levi_prime))
@@ -165,7 +160,7 @@ def order_phi_prime(rs, chi):
     """
     phi = _check_normalized(rs, chi)
     remaining = {r.key for r in phi}
-    levi_pos = [r for r in rs.positive if r.key not in remaining]
+    levi_pos = levi_parts(rs.algebra, phi)[0]
     positives = list(rs.positive)
     order = []
     steps = []
@@ -201,32 +196,6 @@ def _certify_prefix(rs, prefix, levi_pos):
         raise ClosureFailure("prefix not normalized: [{}, {}] hits {}".format(*hit))
 
 
-def build_levi_verma(algebra, chi, lam, phi):
-    """The baby Verma of l' at lambda: induced over the roots outside Phi'."""
-    return next(build_levi_vermas(algebra, chi, [lam], phi))[0]
-
-
-def build_levi_vermas(algebra, chi, lams, phi):
-    """build_levi_verma at each lambda of lams, in stacks (verma._induce_all)."""
-    rs = algebra.root_system()
-    phi_keys = {r.key for r in phi}
-    levi_roots = [r for r in rs.positive if r.key not in phi_keys]
-    units = algebra.diag_units + [u for r in levi_roots for u in (rs.e_unit(r), rs.f_unit(r))]
-    return _induce_all(algebra, chi, levi_roots, weight_lines(algebra, chi, lams),
-                       units=units)
-
-
-def build_kw_module(algebra, chi, M_prime, phi):
-    """u(g, chi) tensored over the parabolic with a simple u(l')-module.
-
-    The nilradical acts by zero on M_prime; the basis is (monomials in
-    the Phi' negative root vectors) x (basis of M_prime).
-    """
-    # the Phi' positive root vectors span N, which is not among the units
-    # of M_prime and so kills it
-    return induce(algebra, chi, phi, M_prime)
-
-
 def kw_verify(algebra, chi, lam):
     """Check the reduction dim M = p^{dim N_0} 2^{dim N_1} dim M' at lambda.
 
@@ -245,7 +214,8 @@ def kw_verify(algebra, chi, lam):
     chi_l_nilpotent = not matmul(algebra.field, ld.levi.basis[:, cartan], chi_h).any()
     ZL = build_levi_verma(algebra, chi, lam, ld.phi_prime)
     _, M_prime = simple_head(ZL)
-    M = build_kw_module(algebra, chi, M_prime, ld.phi_prime)
+    # the Phi' positive root vectors span N, no unit of M_prime, so N kills it
+    M = induce(algebra, chi, ld.phi_prime, M_prime)
     predicted = (p ** ld.n_even) * (2 ** ld.n_odd) * M_prime.dim
     if M.dim != predicted:
         raise FormulaMismatch(f"dim M = {M.dim}, predicted {predicted}")
@@ -303,7 +273,7 @@ def levi_scans(algebra, chi, lams):
     verdict reported.
 
     The weights go in stages: one build_baby_vermas of every Z(lambda) and
-    Z(s_alpha . lambda) and one _induce_all of every Z_L(lambda); one
+    Z(s_alpha . lambda) and one build_levi_vermas of every Z_L(lambda); one
     simple_heads of all the Z's and one dual_cores of all the Z_L's, each
     spinning its certificates in lockstep; then each weight's report, with
     its maximal vectors and induced_hom.  When a stage raises, the weights
@@ -321,7 +291,6 @@ def levi_scans(algebra, chi, lams):
 
 def _levi_stages(algebra, chi, lams):
     """levi_scans' stages, raising at the first failure of any weight."""
-    from .algebra import classify_character
     rs = algebra.root_system()
     cc = classify_character(rs, chi)
     if not cc.standard_levi:
@@ -342,7 +311,7 @@ def _levi_stages(algebra, chi, lams):
         Z, (R, headZ) = Zs[w], heads[w]
         report = {"I": [r.key for r in cc.levi_set], "dim": Z.dim, "alphas": []}
         for j, alpha in enumerate(alphas):
-            # a standard-Levi chi vanishes on h, so X^chi = F_p^d (weight_lines
+            # a standard-Levi chi vanishes on h, so X^chi = F_p^d (the builders
             # refused any other lambda) and lambda(h_alpha) is an index 0..p-1
             a = int(rs.weight_on_coroot(lam, alpha))
             u = Z.highest_vector
@@ -372,6 +341,14 @@ def _levi_stages(algebra, chi, lams):
     return reports
 
 
+def _avatar(algebra, chi):
+    """The avatar of chi: the (d, d) index array C with C[i-1, j-1] = chi(E(i,j))."""
+    avatar = np.zeros((algebra.d, algebra.d), dtype=np.int64)
+    for (i, j), v in chi.values.items():
+        avatar[i - 1, j - 1] = v
+    return avatar
+
+
 def conjugate_character(algebra, g, chi):
     """(g . chi)(x) = chi(g^-1 x g) for an even invertible g."""
     f = algebra.field
@@ -389,10 +366,7 @@ def conjugate_character(algebra, g, chi):
     except ValueError:
         raise SingularG("g is not invertible") from None
     # chi(g^-1 E(i,j) g) is entry (i, j) of g^-T C g^T, C the avatar of chi
-    avatar = np.zeros((algebra.d, algebra.d), dtype=np.int64)
-    for (i, j), v in chi.values.items():
-        avatar[i - 1, j - 1] = v
-    conj = matmul(f, matmul(f, ginv.data.T, avatar), g.data.T)
+    conj = matmul(f, matmul(f, ginv.data.T, _avatar(algebra, chi)), g.data.T)
     return Character(algebra, {(i + 1, j + 1): conj[i, j] for i, j in zip(*np.nonzero(conj))})
 
 
@@ -407,19 +381,14 @@ def normalize_character(algebra, chi):
     """
     f = algebra.field
     m, n, d = algebra.m, algebra.n, algebra.d
-    avatar = np.zeros((d, d), dtype=np.int64)
-    for (i, j), v in chi.values.items():
-        avatar[i - 1, j - 1] = v
-    full = np.zeros((d, d), dtype=np.int64)
+    avatar, full = _avatar(algebra, chi), np.zeros((d, d), dtype=np.int64)
     for lo, hi in ((0, m), (m, d)):
         block = avatar[lo:hi, lo:hi].T
         pairs, complete = eigenspaces(f, block)
         if not complete:
             raise NotNormalizable(
                 "the avatar block is not diagonalizable over this field")
-        cols = []
-        for eig, ker in pairs:
-            cols.extend(ker.basis)
+        cols = [row for _, ker in pairs for row in ker.basis]
         h = Matrix(f, np.array(cols, dtype=np.int64).T)
         full[lo:hi, lo:hi] = inverse(h).data
     g = Matrix(f, full)

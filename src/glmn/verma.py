@@ -6,9 +6,9 @@ induced module comes from one entry point, induce(algebra, chi,
 free_roots, inner): u(g, chi) tensored with a ModuleRep inner over the
 subalgebra of inner's units and the root vectors outside f_alpha, alpha in
 free_roots.  The free monomials times inner's basis form the basis.  The
-baby Verma Z^chi(lambda) and the even-part Verma induce from the weight
-line of lambda, and the graded baby Verma Z^chi(M) from a g_0bar-module M;
-the Levi Verma and the Kac-Weisfeiler module of kw induce the same way.
+baby Verma Z^chi(lambda) and the Levi Vermas, the even-part Verma among
+them, induce from the weight line of lambda, and the graded baby Verma
+Z^chi(M) from a g_0bar-module M; kw_verify induces the same way.
 
 The straightening does not depend on the inner module.  Each shared
 ReductionContext keeps an induction plan per number of free roots: for
@@ -19,7 +19,7 @@ with one row per (u, m', m) block that some term reaches and one column
 per distinct tail.  A layout per inner dimension, inner parity and acting
 units holds the basis parity, labels, block positions and the plan rows of
 those units.  The builders (build_baby_vermas, build_graded_vermas, ...)
-yield stacks of modules of one layout (_stacks): one _plan_blocks
+yield stacks of modules of one layout (_induced_stacks): one _plan_blocks
 multiplies each tail out on the stack's inner modules once and forms
 every block in one product, and build_induced places each module once,
 over the units it acts by.  axioms_hold checks the g_0bar-module axioms
@@ -50,10 +50,10 @@ from .linalg import (Matrix, _matmul, kernel, matmul, matrix_power, matvec,
 
 
 # Entries of one stack of matrices or one product of them: the axiom checks
-# go in chunks that stay below it (one unit per product in a large module),
-# and a stacked build (_stacks) makes as many modules at once as keep their
-# actions below it.  It is as low as this so that a scan's peak memory
-# stays near that of one module at a time.
+# go in chunks that stay below it (_slices: one unit per product in a large
+# module), and a stacked build or spin (_stacks) takes as many modules at
+# once as keep their actions below it.  It is as low as this so that a
+# scan's peak memory stays near that of one module at a time.
 STACK_ENTRIES = 1 << 15
 
 
@@ -88,7 +88,8 @@ class ModuleRep:
         self.highest_vector = highest_vector
         self.lam = lam
         self.ctx = ctx
-        self._float_action = None  # analysis.spin keeps its float copy here
+        # analysis._spin_stack keeps its float copy here; series.restrict_module reads it
+        self._float_action = None
 
     def matrix(self, unit):
         return self.actions[self._index[tuple(unit)]]
@@ -163,12 +164,10 @@ def _brackets_hold(M, actions):
     stacked = actions.reshape(B, U * n, n)
     side_by_side = actions.transpose(0, 2, 1, 3).reshape(B, n, U * n)
     flat = actions.transpose(1, 0, 2, 3).reshape(U, B * n * n)
-    chunk = max(1, STACK_ENTRIES // max(B * U * n * n, 1))
     ok = np.ones(B, dtype=bool)
-    for s in range(0, U, chunk):
-        C = slice(s, min(s + chunk, U))
-        c = C.stop - s
-        rows = slice(s * n, C.stop * n)
+    for C in _slices(U, B * U * n * n):
+        c = C.stop - C.start
+        rows = slice(C.start * n, C.stop * n)
         xy = _matmul(f, stacked[:, rows], side_by_side)
         yx = xy if c == U else _matmul(f, stacked, side_by_side[:, :, rows])
         # [m, a, b] holds x_a x_b and x_b x_a of module m, a in C, b any
@@ -195,9 +194,8 @@ def _pth_powers_hold(M, actions):
     B, _, n, _ = actions.shape
     scal = f.power(np.array([M.chi.value(u) for u in M.units], dtype=np.int64), f.p)
     good = np.ones(B * len(even), dtype=bool)
-    chunk = max(1, STACK_ENTRIES // max(n * n, 1))
-    for s in range(0, len(good), chunk):
-        pair = np.arange(s, min(s + chunk, len(good)))
+    for C in _slices(len(good), n * n):
+        pair = np.arange(C.start, C.stop)
         t = even[pair % len(even)]
         mats = actions[pair // len(even), t]
         # chi(x)^p times the identity: its index on the diagonal, 0 off it
@@ -419,15 +417,14 @@ def induce(algebra, chi, free_roots, inner, units=None):
 
 def _induce_all(algebra, chi, free_roots, inners, units=None):
     """induce for each of inners, an iterable of modules, yielding one list
-    of modules per _stacks stack (inner modules of one layout): one
-    stacked _plan_blocks of the stack's layout, then build_induced places
-    each module once, over the acting units alone."""
-    keys = {r.key for r in free_roots}
+    of modules per _induced_stacks stack: one stacked _plan_blocks of the
+    stack's layout, then build_induced places each module once, over the
+    acting units alone."""
     order = list(free_roots) + [r for r in algebra.root_system().positive
-                                if r.key not in keys]
+                                if r not in free_roots]
     ctx, nfree = reduction_context(algebra, chi, f_order=order), len(free_roots)
     units = tuple(map(tuple, algebra.units if units is None else units))
-    for stack in _stacks(algebra, free_roots, inners):
+    for stack in _induced_stacks(algebra, free_roots, inners):
         layout = _layout(ctx, nfree, stack[0].dim, stack[0].parity, units)
         acting = {pos: np.stack([M.matrix(u) for M in stack])
                   for pos, u in enumerate(ctx.units) if u in stack[0]._index}
@@ -436,15 +433,28 @@ def _induce_all(algebra, chi, free_roots, inners, units=None):
                for M, block in zip(stack, _plan_blocks(ctx, layout, acting, len(stack)))]
 
 
-def _stacks(algebra, free_roots, inners):
-    """The iterable inners, taken as needed, in lists of consecutive modules
-    of one layout (dim, parity, units), as many as keep the actions induced
-    from them within STACK_ENTRIES entries, one at least."""
+def _induced_stacks(algebra, free_roots, inners):
+    """_stacks of inners by layout (dim, parity, units), at the entries of the
+    actions induced from them over free_roots."""
     grow = math.prod(2 if r.parity else algebra.field.p for r in free_roots)
-    for _, run in itertools.groupby(inners, lambda M: (M.dim, M.parity.tobytes(), M.units)):
+    return _stacks(inners, lambda M: (M.dim, M.parity.tobytes(), M.units),
+                   lambda M: len(algebra.units) * (M.dim * grow) ** 2)
+
+
+def _stacks(items, key, entries):
+    """The iterable items, taken as needed, in lists of consecutive items of
+    one key, as many as keep their entries, entries(item) each, within
+    STACK_ENTRIES (one at least)."""
+    for _, run in itertools.groupby(items, key):
         for first in run:
-            size = max(1, STACK_ENTRIES // (len(algebra.units) * (first.dim * grow) ** 2))
+            size = max(1, STACK_ENTRIES // max(entries(first), 1))
             yield [first, *itertools.islice(run, size - 1)]
+
+
+def _slices(n, entries):
+    """range(n) in slices, cut as _stacks cuts n items of entries each."""
+    size = max(1, STACK_ENTRIES // max(entries, 1))
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 def weight_lines(algebra, chi, lams):
@@ -472,19 +482,38 @@ def build_baby_vermas(algebra, chi, lams):
                        weight_lines(algebra, chi, lams))
 
 
-def build_even_verma(algebra, chi, lam):
-    """The g_0bar baby Verma: even-root monomials over the weight line.
+def levi_parts(algebra, phi):
+    """The positive roots outside phi, in order, and the units of their Levi
+    l': h and those roots' e and f vectors, in the algebra's order."""
+    rs = algebra.root_system()
+    roots = [r for r in rs.positive if r not in phi]
+    vectors = {u for r in roots for u in (rs.e_unit(r), rs.f_unit(r))}
+    return roots, [u for u in algebra.units if u[0] == u[1] or u in vectors]
 
-    Returned as a ModuleRep whose acting units are the even units only.
-    """
+
+def build_levi_verma(algebra, chi, lam, phi):
+    """The baby Verma of the Levi l' of the positive roots outside phi
+    (levi_parts) at lambda, acting by the units of l' alone."""
+    return next(build_levi_vermas(algebra, chi, [lam], phi))[0]
+
+
+def build_levi_vermas(algebra, chi, lams, phi):
+    """build_levi_verma at each lambda of lams, in stacks as build_baby_vermas."""
+    roots, units = levi_parts(algebra, phi)
+    return _induce_all(algebra, chi, roots, weight_lines(algebra, chi, lams), units=units)
+
+
+def build_even_verma(algebra, chi, lam):
+    """The g_0bar baby Verma: even-root monomials over the weight line,
+    acting by the even units alone."""
     return next(build_even_vermas(algebra, chi, [lam]))[0]
 
 
 def build_even_vermas(algebra, chi, lams):
-    """build_even_verma at each lambda of lams, in stacks as build_baby_vermas."""
+    """build_even_verma at each lambda of lams: the Levi Vermas of g_0bar,
+    whose roots are the even ones and whose units are algebra.even_units."""
     _check_borel(chi)
-    return _induce_all(algebra, chi, algebra.root_system().positive_even,
-                       weight_lines(algebra, chi, lams), units=algebra.even_units)
+    return build_levi_vermas(algebra, chi, lams, algebra.root_system().positive_odd)
 
 
 def build_simple_g0_module(algebra, chi, lam):
@@ -519,7 +548,7 @@ def build_graded_vermas(algebra, chi, Ms):
     for M in Ms:
         groups.setdefault((M.dim, M.parity.tobytes(), tuple(M.units)), []).append(M)
     if any(sorted(units) != sorted(algebra.even_units) or not all(
-            axioms_hold(stack).all() for stack in _stacks(algebra, odd, group))
+            axioms_hold(stack).all() for stack in _induced_stacks(algebra, odd, group))
            for (_, _, units), group in groups.items()):
         raise NotG0Module("M does not satisfy the g_0bar module axioms")
     return _induce_all(algebra, chi, odd, Ms)
@@ -663,9 +692,8 @@ def induced_hom(source, target, u):
         cols[:, ts] = matmul(field, target.matrix(f_units[i]), cols[:, prevs])
     # the units in chunks whose products stay within STACK_ENTRIES entries,
     # all of them at once in a small module: two stacked products each
-    chunk = max(1, STACK_ENTRIES // (target.dim * source.dim))
-    for s in range(0, len(source.units), chunk):
-        batch = source.units[s:s + chunk]
+    for C in _slices(len(source.units), target.dim * source.dim):
+        batch = source.units[C]
         lhs = _matmul(field, cols, source.matrices(batch))
         rhs = _matmul(field, target.matrices(batch), cols)
         if hom_parity:

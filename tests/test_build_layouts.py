@@ -27,9 +27,9 @@ from glmn.algebra import Character, build_algebra
 from glmn.checks import structure_task
 from glmn.ffield import make_field
 from glmn.analysis import simple_head
-from glmn.kw import build_kw_module, build_levi_verma, levi_data
+from glmn.kw import build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma, build_graded_verma,
-                        build_simple_g0_module)
+                        build_simple_g0_module, induce)
 
 from test_twist_orbits import CHI0, DIAG, count_scan, fresh_setting
 
@@ -43,7 +43,7 @@ def _graded(alg, chi, lam):
 def _levi(alg, chi, lam):
     phi = levi_data(alg.root_system(), chi).phi_prime
     ZL = build_levi_verma(alg, chi, lam, phi)
-    K = build_kw_module(alg, chi, simple_head(ZL)[1], phi)
+    K = induce(alg, chi, phi, simple_head(ZL)[1])
     return [build_baby_verma(alg, chi, lam), ZL, K]
 
 
@@ -197,6 +197,26 @@ def test_structure_check_reads_anticommutativity_off_the_unit_table(m, n, data):
     rec, passed = structure_task({"seed": 1}, alg, Character(alg, {}), [])
     assert rec["checked"]["anticommutativity"] == U * U
     assert passed == rec["all_pass"] == oracle.structure_record(alg, coef, 1)["all_pass"]
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_structure_check_fails_on_anticommutativity_alone(mirrored):
+    # [E(1,1), E(1,2)] = 2 E(1,2) breaks Jacobi too, but Jacobi and the ad
+    # powers pass here, and the change is off the diagonal units, which the
+    # supertrace reads: only anticommutativity can fail the record.  The
+    # mirror [E(1,2), E(1,1)] = -2 E(1,2) mends it.
+    alg = build_algebra(2, 1, make_field(5))
+    a, b = alg.units.index((1, 1)), alg.units.index((1, 2))
+    coef = verma._axiom_table(alg, tuple(alg.units))[1].copy()
+    assert coef[a, b, b] == 1 and coef[b, a, b] == alg.field.neg(1)
+    coef[a, b, b] = 2
+    if mirrored:
+        coef[b, a, b] = alg.field.neg(2)
+    install(alg, coef)
+    with mock.patch.object(checks, "_jacobi_holds", lambda *args: True), \
+            mock.patch.object(checks, "_ad_powers_hold", lambda *args: True):
+        rec, passed = structure_task({"seed": 1}, alg, Character(alg, {}), [])
+    assert passed == rec["all_pass"] == mirrored
 
 
 @pytest.mark.parametrize("m,n,q", [(1, 1, 5), (2, 1, 5), (2, 2, 5),

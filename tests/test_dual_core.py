@@ -35,9 +35,9 @@ from glmn.analysis import (_candidate_spaces, _top_coordinate, dual_core, dual_m
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
 from glmn.series import composition_series, quotient_module, regular_module, restrict_module
-from glmn.kw import build_kw_module, build_levi_verma, levi_data
+from glmn.kw import build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
-                        build_graded_verma, build_simple_g0_module)
+                        build_graded_verma, build_simple_g0_module, induce)
 
 F5 = make_field(5)
 DUAL_SETTINGS = settings(max_examples=12, deadline=None)
@@ -76,7 +76,7 @@ def _kw(alg, chi, lam):
     ZL = build_levi_verma(alg, chi, lam, phi)
     _, head = simple_head(ZL)
     head.lam = lam
-    return [ZL, head, build_kw_module(alg, chi, head, phi)]
+    return [ZL, head, induce(alg, chi, phi, head)]
 
 
 BUILDERS = {

@@ -122,7 +122,7 @@ def build_all(alg, chi, lam):
     L = kw.build_levi_verma(alg, chi, lam, phi)
     return [(line, verma.build_baby_verma(alg, chi, lam)), (line, E),
             (E, verma.build_graded_verma(alg, chi, E)), (line, L),
-            (L, kw.build_kw_module(alg, chi, L, phi))]
+            (L, verma.induce(alg, chi, phi, L))]
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))
@@ -162,7 +162,7 @@ def test_every_build_carries_its_weight_and_context():
     G = verma.build_graded_verma(alg, chi, M)
     L = kw.build_levi_verma(alg, chi, lam, phi)
     head = simple_head(L)[1]
-    K = kw.build_kw_module(alg, chi, head, phi)
+    K = verma.induce(alg, chi, phi, head)
     assert all(X.lam is lam for X in (Z, E, M, G, L, head, K))
     for X, free in ((Z, rs.positive), (E, rs.positive_even),
                     (G, rs.positive_odd), (L, levi), (K, phi)):

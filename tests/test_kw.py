@@ -25,7 +25,7 @@ from glmn.algebra import build_algebra, Character, Weight, weight_variety
 from glmn.analysis import SimplicityVerdict, is_simple
 from glmn.verma import build_baby_verma
 from glmn.kw import (decompose_character, levi_data, order_phi_prime,
-                     build_levi_verma, build_kw_module, kw_verify,
+                     build_levi_verma, kw_verify,
                      dot_action, levi_scan, levi_scans, conjugate_character,
                      normalize_character, phi_prime_roots, chi_on_coroot)
 from glmn.errors import (ClosureFailure, IntertwinerCheckFailed, NoMaximalVector,

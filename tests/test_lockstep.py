@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glmn import analysis
+from glmn import analysis, verma
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import _spins, dual_module, spin
 from glmn.ffield import make_field
@@ -101,7 +101,7 @@ def test_groups_cut_by_stack_entries(monkeypatch, entries, sizes):
         cut.append(len(stack))
         return real(stack, vectors)
 
-    monkeypatch.setattr(analysis, "STACK_ENTRIES", entries)
+    monkeypatch.setattr(verma, "STACK_ENTRIES", entries)
     monkeypatch.setattr(analysis, "_spin_stack", recording)
     together = _spins([unspun(M) for M in Ms], ws)
     assert cut == sizes

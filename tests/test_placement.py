@@ -83,12 +83,13 @@ def built(alg, chi, lam):
     phi = kw.levi_data(rs, chi).phi_prime
     levi = [r for r in rs.positive if r not in phi]
     L = kw.build_levi_verma(alg, chi, lam, phi)
-    yield "levi", line, L, alg.diag_units + [u for r in levi for u in (rs.e_unit(r), rs.f_unit(r))]
+    vectors = {u for r in levi for u in (rs.e_unit(r), rs.f_unit(r))}
+    yield "levi", line, L, [u for u in alg.units if u[0] == u[1] or u in vectors]
     # over the head of the Levi Verma, as kw_verify induces, or over the line
     # where the Levi Verma is the whole baby Verma
     inner = simple_head(L)[1] if phi else line
     del L
-    yield "kw", inner, kw.build_kw_module(alg, chi, inner, phi), alg.units
+    yield "kw", inner, verma.induce(alg, chi, phi, inner), alg.units
     yield "induce", line, verma.induce(alg, chi, rs.positive_even, line), alg.units
     # fewer units, in an order of their own
     units = [u for u in reversed(alg.units) if u[0] >= u[1]]

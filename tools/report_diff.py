@@ -16,7 +16,10 @@ one report at chi = 0 and at chi(E21) = 1 (each output); the commands scan,
 kw, levi and check on one config; one run with --dump-module and
 --dump-element; kw-verify at chi(E22) = 1, which exits 1, and an unknown
 task, which exits 2.  9 more run each of the seven tasks alone on that
-config (JSON), and structure-check alone in CSV and table.  154 in all.
+config (JSON), and structure-check alone in CSV and table.  3 more run
+kw-verify (JSON) where Phi' is not empty, so that the KW module is induced
+from the head of a Levi Verma: gl(2|1) and gl(1|2) at chi(E11) = 1 and
+gl(2|2) at chi(E11) = chi(E22) = 1.  157 in all.
 glmn is imported from each tree's src (TREE defaults to the tree holding
 this script), and each config runs once to stdout and once with ``--out
 DIR``.  Both trees run with the same config
@@ -87,6 +90,15 @@ ALONE = [(task, "json") for task in ("structure-check", *TASKS, *OTHER[1:])]
 ALONE += [("structure-check", "csv"), ("structure-check", "table")]
 CONFIGS += [(f"gl21-p5-E21-{task}-alone-{fmt}", dict(GL21, tasks=[task]), fmt, "run", ())
             for task, fmt in ALONE]
+# kw-verify where Phi' is not empty, so the KW module is induced from the
+# head of a Levi Verma: (1,2), (1,3) on gl(2|1) and gl(1|2) at chi(E11) = 1,
+# and (2,3), (1,3), (2,4), (1,4) on gl(2|2) at chi(E11) = chi(E22) = 1
+LEVI_HEADS = {"gl21-p5-E11": (2, 1, {"E(1,1)": 1}), "gl12-p5-E11": (1, 2, {"E(1,1)": 1}),
+              "gl22-p5-E11-E22": (2, 2, {"E(1,1)": 1, "E(2,2)": 1})}
+CONFIGS += [(f"{name}-kw-verify-json",
+             {"p": 5, "m": m, "n": n, "chi": chi, "tasks": ["kw-verify"], "seed": 1},
+             "json", "run", ())
+            for name, (m, n, chi) in LEVI_HEADS.items()]
 
 
 def outputs(tree, config, tmp, out):
