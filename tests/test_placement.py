@@ -83,6 +83,7 @@ def built(alg, chi, lam):
     phi = kw.levi_data(rs, chi).phi_prime
     levi = [r for r in rs.positive if r not in phi]
     L = kw.build_levi_verma(alg, chi, lam, phi)
+    # h and the e, f of each Levi root, in the algebra's order
     vectors = {u for r in levi for u in (rs.e_unit(r), rs.f_unit(r))}
     yield "levi", line, L, [u for u in alg.units if u[0] == u[1] or u in vectors]
     # over the head of the Levi Verma, as kw_verify induces, or over the line
