@@ -5,18 +5,19 @@ graded submodules, graded simplicity and simple heads (series holds the
 rest, imported only where it is reached).  A graded submodule is its
 canonical Subspace of F^dim: spanned by parity-homogeneous rows, each
 basis row lies in the parity part of its pivot, and Subspace.split(M.parity)
-gives the parts.
+gives the parts.  A spin multiplies rows by the units' matrices side by
+side (_factor): transposed for vectors of M, as they are for its forms.
 
 Simplicity and simple heads have one route, dual_core: a maximal graded
 submodule R of M with M/R simple, the annihilator of a simple graded
-submodule S of the dual module M* (dual_module, the transposed action).
-S is the spin of a top coordinate form (the certificate, for modules
-generated by a highest vector whose weight occurs at no other basis
-vector), a line of M*'s socle (modules without Cartan units), or the end
-of a descent through spins of candidate lines, exhaustive or refused
-(series.LINE_BUDGET), so no verdict rests on a sample.  dual_cores takes the R
-of many modules at once, spinning their certificates in lockstep (_spins),
-and simple_heads their quotients by those R.
+submodule S of the dual module M*, the forms of M.  S is the spin of a top
+coordinate form (the certificate, for modules generated by a highest
+vector whose weight occurs at no other basis vector), a line of M*'s socle
+(modules without Cartan units), or the end of a descent through spins of
+candidate lines, exhaustive or refused (series.LINE_BUDGET), so no verdict
+rests on a sample.  dual_cores takes the R of many modules at once,
+spinning their certificates in lockstep (_spins) with no copy of M*, and
+simple_heads their quotients by those R.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -33,48 +34,54 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroVector
-from .linalg import Subspace, _first, _insert, _matmul, float_copy
+from .linalg import Subspace, _first, _insert, _matmul, float_type
 from .verma import ModuleRep, _stacks, cartan_diagonal, maximal_vectors
 
 
 def spin(M, w):
     """Smallest graded submodule containing w, as a Subspace of F^dim: the
-    lockstep spin (_spins) of M alone."""
-    return _spins([M], [w])[0]
+    lockstep spin (_spins) of w alone, by M's action transposed."""
+    return _spins([(M, _factor(M, M.units, False), w)])[0]
 
 
-def _spins(Ms, ws):
-    """spin(M, w) for each module M of Ms and vector w of ws, in lockstep.
+def _factor(M, units, forms):
+    """[B_1 | ... | B_U], the (dim, U * dim) right factor by which a row
+    spins under units: B_u is the matrix of u when the rows are forms of M
+    (forms), and its transpose when they are vectors.  It is filled unit by
+    unit into one array, of float_type over F_p and of indices over F_{p^K}."""
+    f, d = M.field, M.dim
+    right = np.empty((d, len(units), d), dtype=np.int64 if f.k > 1 else float_type(f, d))
+    for t, u in enumerate(units):
+        right[:, t] = M.matrix(u) if forms else M.matrix(u).T
+    return right.reshape(d, -1)
 
-    Consecutive modules of one dimension, unit count and field degree form
-    stacks, cut by verma._stacks at the entries of their actions (an entry
-    over F_{p^K} counts K times, for its digits).  w is split into its
-    homogeneous components; homogeneous units keep rows homogeneous, so
+
+def _spins(jobs):
+    """For each (M, right, w) of jobs, in lockstep, the spin of w by right
+    (_factor): the smallest graded subspace of F^dim holding w and closed
+    under right.  jobs is read as stacks of consecutive jobs of one field
+    and factor shape, cut by verma._stacks at the entries of their factors
+    (an entry over F_{p^K} counts K times, for its digits).  w is split into
+    its homogeneous components; homogeneous units keep rows homogeneous, so
     each span stays graded (Subspace.split gives its parts).  A round maps
-    the rows each module added last round, its basis rows at the pivots it
-    gained, through its units (_images) and inserts all the images at once
+    the rows each job added last round, its basis rows at the pivots it
+    gained, through its factor (_images) and inserts all the images at once
     (_insert); the added rows vanish at every old pivot, so with the old
-    span they span the new one.  A module drops out once it is full or a
-    round adds nothing to it, with the canonical Subspace of its span.  Over
-    F_p the float_copy of each module's action is kept on it.
+    span they span the new one.  A job drops out once it is full or a
+    round adds nothing to it, with the canonical Subspace of its span.
     """
-    stacks = _stacks(zip(Ms, ws), lambda mw: (mw[0].dim, len(mw[0].units), mw[0].field.k),
-                     lambda mw: len(mw[0].units) * mw[0].dim ** 2 * mw[0].field.k)
+    stacks = _stacks(jobs, lambda job: (job[0].field, *job[1].shape),
+                     lambda job: job[1].size * job[0].field.k)
     return [S for stack in stacks for S in _spin_stack(*zip(*stack))]
 
 
-def _spin_stack(Ms, ws):
+def _spin_stack(Ms, rights, ws):
     """The spins of one stack of _spins; E, piv and line as _insert holds them."""
     B, d, f = len(Ms), Ms[0].dim, Ms[0].field
     w = np.array(ws, dtype=np.int64)
     if not w.any(axis=1).all():
         raise ZeroVector("cannot spin the zero vector")
-    if f.k == 1:
-        for M in Ms:
-            if M._float_action is None:
-                M._float_action = float_copy(f, M.stacked_action.T)
-    right = [M.stacked_action.T if f.k > 1 else M._float_action for M in Ms]
-    right, parity = right[0] if B == 1 else np.array(right), np.array([M.parity for M in Ms])
+    right, parity = rights[0] if B == 1 else np.array(rights), np.array([M.parity for M in Ms])
     E, piv, line = np.zeros((B, d, d), dtype=np.int64), *np.zeros((2, B, d), dtype=bool)
     live, out = np.arange(B), [None] * B
     rows = np.where(parity[:, None] == np.array([[0], [1]]), w[:, None], 0)
@@ -97,9 +104,9 @@ def _spin_stack(Ms, ws):
 
 def _images(f, rows, right):
     """The (B, n * U, d) images of the (B, n, d) rows of a stack under each
-    module's units: rows times right, the stacked actions transposed (2-D
-    for a stack of one).  A coordinate line e_c is row c of right, gathered;
-    the other rows take one stacked product."""
+    job's units: rows times right, its (d, U * d) factor (2-D for a stack
+    of one).  A coordinate line e_c is row c of right, gathered; the other
+    rows take one stacked product."""
     B, n, d = rows.shape
     count = np.count_nonzero(rows, axis=2)
     line = (count == 1) & (rows.max(axis=2, initial=0) == 1)
@@ -173,22 +180,11 @@ def _top_coordinate(M):
     return t
 
 
-def dual_module(M, units=None):
-    """M*, the dual module of units (M's by default): the transposed action.
-
-    Transposing a homogeneous unit keeps its parity, so spins in M* are
-    ordinary graded spins.  M* copies the action, and a spin adds a float
-    copy: build it only to spin in it, of the units the spin needs.
-    """
-    units = M.units if units is None else units
-    actions = M.actions if units == M.units else M.matrices(units)
-    return ModuleRep(M.algebra, M.chi, units, actions.transpose(0, 2, 1), M.parity)
-
-
 def dual_core(M):
     """R: a maximal graded submodule of M with M/R simple, a Subspace of
-    F^dim: the annihilator of a simple graded submodule S of M*, since
-    (M/R)* is S.  M* (dual_module) is built only to find S in it.
+    F^dim: the annihilator of a simple graded submodule S of the dual
+    module M*, since (M/R)* is S.  S is spun from forms of M, rows that
+    each unit x maps to the form times the matrix of x (_factor).
 
     Certificate: when M.highest_vector generates M and spans a weight
     space T = F e_t of its own (_top_coordinate), S is the spin of the
@@ -197,9 +193,8 @@ def dual_core(M):
     M, or lies in W, the span of the other basis vectors.  R is therefore
     core(W) = {v : a v in W for every a in u(g)}, the sum of all proper
     submodules.  A root unit maps weight vectors to weight vectors and a
-    Cartan unit scales them, so S is the spin of e_t in the dual of the
-    root units alone.  dual_cores spins the certificates of many modules in
-    lockstep.
+    Cartan unit scales them, so S is the spin of e_t by the root units
+    alone.  dual_cores spins the certificates of many modules in lockstep.
 
     Socle: a module without Cartan units is a module over a nilpotent
     subalgebra, whose one simple module is the line on which each unit x
@@ -221,13 +216,13 @@ def dual_core(M):
 
 
 def dual_cores(Ms):
-    """dual_core of each module of Ms.  The certificates spin in their
-    root-unit duals in lockstep, one _spins call building each dual as its
-    stack needs it; every other module takes the socle or the descent."""
+    """dual_core of each module of Ms.  The certificates spin their forms
+    e_t in lockstep, by root-unit factors built as their stacks need them,
+    with no ModuleRep; every other module takes the socle or the descent."""
     tops = [_top_coordinate(M) for M in Ms]
     todo = [b for b, t in enumerate(tops) if t is not None]
-    duals = (dual_module(Ms[b], [u for u in Ms[b].units if u[0] != u[1]]) for b in todo)
-    spun = _spins(duals, (Ms[b].basis_vector(tops[b]) for b in todo))
+    spun = _spins((Ms[b], _factor(Ms[b], [u for u in Ms[b].units if u[0] != u[1]], True),
+                   Ms[b].basis_vector(tops[b])) for b in todo)
     cores = dict(zip(todo, (S.annihilator() for S in spun)))
     if len(cores) < len(Ms):
         from .series import _uncertified_core

@@ -19,8 +19,8 @@ space off the echelon basis: kernel is rref followed by annihilator.
 Over a prime field a matrix product is one float64 BLAS product of the
 residues reduced mod p, exact while every partial sum stays below 2^53:
 longer inner dimensions are split into blocks that meet this bound.  A
-right factor of many products is converted once, by float_copy, to float32
-when inner * (p - 1)^2 < 2^24, which keeps the sums exact.  F_{p^K} is a
+right factor of many products is held as float32 (float_type) when
+inner * (p - 1)^2 < 2^24, which keeps the sums exact.  F_{p^K} is a
 K-dimensional F_p-algebra, so over an extension field the product is one
 such F_p product of K-times-larger matrices: the base-p digits of one
 factor against the regular representation (the F_p-matrices of
@@ -95,19 +95,18 @@ class Matrix:
 _FLOAT_EXACT = 2 ** 53
 
 
-def float_copy(field, b):
-    """b, an F_p index array, as a right factor of _matmul_mod: float32 when
-    its inner dimension n has n (p - 1)^2 < 2^24, and float64 otherwise."""
-    exact32 = b.shape[-2] * (field.p - 1) ** 2 < 2 ** 24
-    return np.ascontiguousarray(b, dtype=np.float32 if exact32 else np.float64)
+def float_type(field, inner):
+    """The type of a right factor of _matmul_mod over F_p with inner
+    dimension inner: float32 when inner (p - 1)^2 < 2^24, else float64."""
+    return np.float32 if inner * (field.p - 1) ** 2 < 2 ** 24 else np.float64
 
 
 def _matmul_mod(a, b, p):
     """(a @ b) % p, exactly, for integer arrays (or stacks) in [0, p).
 
     Each block of the inner dimension is one BLAS product in float64, or in
-    float32 when b is a float_copy that chose it, short enough that its sums
-    stay below 2^53, reduced mod p in int64.  Every field's p has
+    float32 when b is float32 (float_type chose it), short enough that its
+    sums stay below 2^53, reduced mod p in int64.  Every field's p has
     (p - 1)^2 < 7^14 < 2^40, so a block holds at least 2^13 terms.
     """
     step = (p - 1) ** 2
@@ -132,9 +131,10 @@ def matmul(field, a, b):
 
 def _matmul(field, a, b):
     """matmul's kernel, which stacked products call: perfbench's span on
-    matmul counts 2-D products only.  Over F_p, b may be a float_copy, which
-    goes to _matmul_mod as it is.  Over F_{p^K} one F_p product with
-    digits(xy) = digits(x) @ regular[:, y], regular on the smaller factor."""
+    matmul counts 2-D products only.  Over F_p, b may be a float right
+    factor (float_type), which goes to _matmul_mod as it is.  Over F_{p^K}
+    one F_p product with digits(xy) = digits(x) @ regular[:, y], regular on
+    the smaller factor."""
     a = np.asarray(a, dtype=np.int64)
     if field.k == 1 and isinstance(b, np.ndarray) and b.dtype.kind == "f":
         return _matmul_mod(a, b, field.p)

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .analysis import (_candidate_spaces, _has_cartan, _images, _quotient, dual_module,
-                       simple_head, spin)
+from .analysis import (_candidate_spaces, _factor, _has_cartan, _images, _quotient, _spins,
+                       simple_head)
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import BudgetExceeded, NoMaximalVector, NotClosed, ShiftInconsistent
 from .linalg import Matrix, Subspace, kernel, matmul, row_reduce
@@ -72,24 +72,31 @@ def _line_representatives(field, sub):
     return list(matmul(field, np.array(coeffs, dtype=np.int64).reshape(-1, d), sub.basis))
 
 
+def dual_module(M):
+    """M*, the dual module: the transposed action, whose candidate pieces
+    the socle and the descent read."""
+    return ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1), M.parity)
+
+
 def _uncertified_core(M):
-    """dual_core of M by the socle or the descent."""
-    dual = dual_module(M)
-    pieces = [sub for _, sub, _ in _candidate_spaces(dual)]
+    """dual_core of M by the socle or the descent, which spins forms of M by
+    one factor; M* lives only while its pieces are read."""
+    pieces = [sub for _, sub, _ in _candidate_spaces(dual_module(M))]
     # with no piece at all, the descent raises NoMaximalVector
     if pieces and not _has_cartan(M):
         return Subspace(M.field, M.dim, pieces[0].basis[:1]).annihilator()
+    right = _factor(M, M.units, True)
     S = Subspace(M.field, M.dim, np.eye(M.dim, dtype=np.int64))
-    while (smaller := _smaller_spin(dual, pieces, S)) is not None:
+    while (smaller := _smaller_spin(M, right, pieces, S)) is not None:
         S = smaller
     return S.annihilator()
 
 
-def _smaller_spin(M, pieces, S):
-    """The first spin of a line of a piece inside S that is smaller than S;
-    None when every such line spins to S.
+def _smaller_spin(M, right, pieces, S):
+    """The first spin of a line of a piece inside S, a form of M spun by
+    right, that is smaller than S; None when every such line spins to S.
 
-    While S is all of M the pieces are used as they are.
+    While S is all of M* the pieces are used as they are.
     """
     lines = 0
     for sub in pieces:
@@ -99,7 +106,7 @@ def _smaller_spin(M, pieces, S):
                 continue
         for v in _line_representatives(M.field, sub):
             lines += 1
-            smaller = spin(M, v)
+            smaller, = _spins([(M, right, v)])
             if smaller.dim < S.dim:
                 return smaller
     if not lines:
@@ -133,8 +140,8 @@ def restrict_module(M, sub):
     basis, d = sub.basis, sub.dim
     # coords raises unless every image lies in the submodule; coeffs[t, i]
     # holds the coordinates of unit i's image of basis row t
-    right = M.stacked_action.T if M._float_action is None else M._float_action
-    coeffs = sub.coords(_images(M.field, basis[None], right)[0]).reshape(d, len(M.units), d)
+    images = _images(M.field, basis[None], M.stacked_action.T)[0]
+    coeffs = sub.coords(images).reshape(d, len(M.units), d)
     return ModuleRep(M.algebra, M.chi, M.units, coeffs.transpose(1, 2, 0),
                      M.parity[sub.pivots]), basis
 

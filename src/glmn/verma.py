@@ -52,8 +52,8 @@ from .linalg import (Matrix, _matmul, kernel, matmul, matrix_power, matvec,
 # Entries of one stack of matrices or one product of them: the axiom checks
 # go in chunks that stay below it (_slices: one unit per product in a large
 # module), and a stacked build or spin (_stacks) takes as many modules at
-# once as keep their actions below it.  It is as low as this so that a
-# scan's peak memory stays near that of one module at a time.
+# once as keep their actions, or spin factors, below it.  It is this low so
+# that a scan's peak memory stays near that of one module at a time.
 STACK_ENTRIES = 1 << 15
 
 
@@ -88,8 +88,6 @@ class ModuleRep:
         self.highest_vector = highest_vector
         self.lam = lam
         self.ctx = ctx
-        # analysis._spin_stack keeps its float copy here; series.restrict_module reads it
-        self._float_action = None
 
     def matrix(self, unit):
         return self.actions[self._index[tuple(unit)]]

@@ -13,10 +13,10 @@ carry.
 
 from collections import Counter
 
-from glmn.analysis import SimplicityVerdict, _candidate_spaces, dual_core, dual_module, spin
+from glmn.analysis import SimplicityVerdict, _candidate_spaces, dual_core, spin
 from glmn.errors import NoMaximalVector
 from glmn.linalg import Subspace
-from glmn.series import _line_representatives, quotient_module, restrict_module
+from glmn.series import _line_representatives, dual_module, quotient_module, restrict_module
 
 
 def is_simple_by_lines(M):

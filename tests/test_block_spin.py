@@ -10,9 +10,10 @@ the two must agree exactly.  The block rref is checked on sparse matrices
 against the table oracle of test_kernels, and the block forms of
 quotient_module and restrict_module against the per-vector loops they
 replaced; is_action_closed, the tests' closure check, against a
-per-vector loop too.  Over F_p spin keeps a float copy of the action on the
-spun module; unit images with and without it must agree, and only spin
-may leave one on a module.
+per-vector loop too.  A spin multiplies rows by a right factor
+(analysis._factor) that it builds for the call, float over F_p: unit
+images by it and by the index array must agree, no analysis may leave
+anything on a module, and the certificate builds no module at all.
 """
 
 import bisect
@@ -22,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from glmn import linalg
+from glmn import analysis, linalg, series, verma
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import _images, dual_core, is_simple, spin
+from glmn.analysis import _factor, _images, dual_core, dual_cores, is_simple, simple_head, spin
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel_arr, matmul, rref
 from glmn.series import composition_series, quotient_module, restrict_module
@@ -107,10 +108,10 @@ def parity_parts(M, sub):
     return tuple(parts[par].basis if par in parts else empty for par in (0, 1))
 
 
-def unit_images(M, rows):
+def unit_images(M, rows, right=None):
     """The images u.v of the rows v under every unit u (_images of the
-    stack of M alone), by the float copy where spin kept one on M."""
-    right = M.stacked_action.T if M._float_action is None else M._float_action
+    stack of M alone), by right, M's action transposed by default."""
+    right = M.stacked_action.T if right is None else right
     return _images(M.field, np.asarray(rows, dtype=np.int64)[None], right)[0]
 
 
@@ -214,27 +215,20 @@ def test_spin_of_highest_vector_matches_oracle(name):
     assert np.array_equal(got_odd, odd)
 
 
-def unspun(M):
-    """M as a new module, without the float copy that spin keeps."""
-    return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
-                     highest_vector=M.highest_vector)
-
-
 @pytest.mark.parametrize("name", sorted(MODULES))
 @SPIN_SETTINGS
 @given(data=st.data())
 def test_unit_images_match_per_unit_products(name, data):
     """Coordinate vectors e_c are gathered, scaled ones and the rest are
-    multiplied: by the int action, and over F_p, once M has been spun, by
-    the float copy kept on M; every image must equal u.v."""
-    M = unspun(module(name))
+    multiplied: by the index array of the action and by spin's factor, a
+    float array over F_p; every image must equal u.v."""
+    M = module(name)
     rows = np.array([data.draw(spin_vectors(M)) for _ in range(3)])
     want = [[M.act(u, v) for u in M.units] for v in rows]
-    for kept in (False, True):
-        if kept:
-            spin(M, M.basis_vector(0))
-        assert (M._float_action is not None) == (kept and M.field.k == 1)
-        images = unit_images(M, rows).reshape(len(rows), len(M.units), M.dim)
+    factor = _factor(M, M.units, False)
+    assert (factor.dtype.kind == "f") == (M.field.k == 1)
+    for right in (M.stacked_action.T, factor):
+        images = unit_images(M, rows, right).reshape(len(rows), len(M.units), M.dim)
         assert np.array_equal(images, want)
 
 
@@ -338,52 +332,110 @@ def test_is_action_closed_matches_per_vector_loop():
 
 
 # ---------------------------------------------------------------------------
-# the float copy of the action: made by spin, kept on the spun module only
+# the right factor of a spin: built for the call, kept on no module
 
-def test_spin_keeps_one_float_copy_on_the_spun_module():
-    Z = unspun(module("gl21"))
-    assert Z._float_action is None
+def same_state(M, before):
+    """Whether vars(M) holds the very objects of the snapshot before."""
+    now = vars(M)
+    return now.keys() == before.keys() and all(now[k] is v for k, v in before.items())
+
+
+def test_analysis_leaves_the_module_as_it_was():
+    Z = module("gl21")
+    before = dict(vars(Z))
     sub = spin(Z, witness(Z)[0])
-    copy = Z._float_action
-    assert copy.dtype == np.float32 and copy.flags.c_contiguous
-    assert np.array_equal(copy, Z.stacked_action.T)
-    spin(Z, Z.highest_vector)
-    assert Z._float_action is copy
-    # restriction, quotient and series read a copy but keep none
-    fresh = unspun(Z)
-    restrict_module(fresh, sub)
-    quotient_module(fresh, sub)
-    dual_core(fresh)
-    composition_series(fresh)
-    assert fresh._float_action is None
+    dual_core(Z)
+    simple_head(Z)
+    quotient_module(Z, sub)
+    R, _ = restrict_module(Z, sub)
+    composition_series(Z)
+    assert same_state(Z, before)
+    # a restriction has no highest vector: its core takes the descent
+    before = dict(vars(R))
+    assert analysis._top_coordinate(R) is None and dual_core(R).dim < R.dim
+    composition_series(R)
+    assert same_state(R, before)
+
+
+def test_certificates_build_no_module(monkeypatch):
+    # every gl(2|1) baby Verma at chi = 0 is certified
+    alg = build_algebra(2, 1, F5)
+    alg, chi, weights = weight_variety(alg, Character(alg, {}))
+    Zs = [build_baby_verma(alg, chi, lam) for lam in weights]
+    assert all(analysis._top_coordinate(Z) is not None for Z in Zs)
+    built, real = [], verma.ModuleRep.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(verma.ModuleRep, "__init__", init)
+    cores = dual_cores(Zs)
+    assert built == [] and len(cores) == len(Zs) and any(R.dim for R in cores)
 
 
 def test_spin_multiplies_by_the_copy_itself(monkeypatch):
-    # linalg.matmul hands the kept copy to _matmul_mod unconverted
-    Z = unspun(module("gl21"))
-    rights, kernel = [], linalg._matmul_mod
+    # linalg.matmul hands spin's float factor to _matmul_mod unconverted
+    Z = module("gl21")
+    rights, factors, kernel = [], [], linalg._matmul_mod
 
     def recording(a, b, p):
         rights.append(b)
         return kernel(a, b, p)
 
+    def factor(*args):
+        factors.append(_factor(*args))
+        return factors[-1]
+
     monkeypatch.setattr(linalg, "_matmul_mod", recording)
+    monkeypatch.setattr(analysis, "_factor", factor)
     spin(Z, np.where(Z.parity == 0, 1, 0))
-    assert any(b is Z._float_action for b in rights)
+    assert len(factors) == 1 and factors[0].dtype == np.float32
+    assert any(b is factors[0] for b in rights)
 
 
 @pytest.mark.parametrize("p,ftype", [(5, np.float32), (4093, np.float64)])
 def test_float_copy_type_follows_dimension_and_p(p, ftype):
     # gl(1|1) baby Vermas have dimension 2: 2 (p - 1)^2 >= 2^24 at p = 4093
     Z = _verma(1, 1, [1, 3], field=make_field(p))
-    spin(Z, Z.basis_vector(0))
-    assert Z._float_action.dtype == ftype
+    for forms in (False, True):
+        right = _factor(Z, Z.units, forms)
+        assert right.dtype == ftype and right.flags.c_contiguous
+        assert np.array_equal(right, np.hstack([Z.matrix(u) if forms else Z.matrix(u).T
+                                                for u in Z.units]))
 
 
 def test_extension_fields_keep_no_float_copy():
-    M = unspun(module("gl21-ext"))
-    spin(M, M.basis_vector(0))
-    assert M._float_action is None
+    # over F_{5^5} the factor holds the field indices themselves
+    M = module("gl21-ext")
+    roots = [u for u in M.units if u[0] != u[1]]
+    right = _factor(M, roots, True)
+    assert right.dtype == np.int64 and np.array_equal(right, np.hstack(M.matrices(roots)))
+
+
+def test_the_descent_builds_one_factor_per_core(monkeypatch):
+    # the restrictions of a composition series of a reducible gl(2|1) baby
+    # Verma take the descent, each trying several lines with one factor
+    Z = module("gl21")
+    restrictions = []
+    while (R := dual_core(Z)).dim:
+        Z, _ = restrict_module(Z, R)
+        restrictions.append(Z)
+    counts = {"core": 0, "factor": 0, "line": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name, owner, attr in (("core", series, "_uncertified_core"),
+                              ("factor", series, "_factor"), ("line", series, "_spins")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    for M in restrictions:
+        series._uncertified_core(M)
+    assert counts["core"] == counts["factor"] == len(restrictions) >= 2
+    assert counts["line"] > counts["core"]
 
 
 # ---------------------------------------------------------------------------

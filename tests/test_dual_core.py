@@ -30,11 +30,12 @@ from test_weight_split import _series_restrictions
 
 from glmn import analysis, linalg, series
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import (_candidate_spaces, _top_coordinate, dual_core, dual_module,
+from glmn.analysis import (_candidate_spaces, _top_coordinate, dual_core,
                            is_simple, simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
-from glmn.series import composition_series, quotient_module, regular_module, restrict_module
+from glmn.series import (composition_series, dual_module, quotient_module, regular_module,
+                         restrict_module)
 from glmn.kw import build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
                         build_graded_verma, build_simple_g0_module, induce)
@@ -201,12 +202,15 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
     assert not verdict.simple and spin(D, witness(D)[0]).dim < D.dim
     spins = []
 
-    def counting_spin(M, w):
-        spins.append(M.dim)
-        return spin(M, w)
+    real = series._spins
+
+    def counting_spins(jobs):
+        jobs = list(jobs)
+        spins.extend(M.dim for M, _, _ in jobs)
+        return real(jobs)
 
     monkeypatch.setattr(series, "LINE_BUDGET", 5)
-    monkeypatch.setattr(series, "spin", counting_spin)
+    monkeypatch.setattr(series, "_spins", counting_spins)
     with pytest.raises(BudgetExceeded):
         is_simple(D)
     with pytest.raises(BudgetExceeded):
@@ -292,19 +296,13 @@ def int_matmul_mod(a, b, p):
     return (np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64)) % p
 
 
-def fresh_copy(M):
-    """M as a new module, which holds no float copy of the action yet."""
-    return ModuleRep(M.algebra, M.chi, M.units, M.actions, M.parity,
-                     highest_vector=M.highest_vector)
-
-
 def core_by_both_paths(M):
-    """dual_core of new copies of M, which share no float copy:
-    by float BLAS products, and with _matmul_mod replaced by int64 ones."""
-    got = dual_core(fresh_copy(M))
+    """dual_core of M by float BLAS products, and with _matmul_mod replaced
+    by int64 ones."""
+    got = dual_core(M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_matmul_mod", int_matmul_mod)
-        want = dual_core(fresh_copy(M))
+        want = dual_core(M)
     return got, want
 
 
@@ -348,21 +346,25 @@ def test_root_unit_dual_gives_the_core_of_every_unit(name):
             R = spin(dual_module(M), M.basis_vector(t)).annihilator()
             assert dual_core(M) == R
             roots = [u for u in M.units if u[0] != u[1]]
-            assert spin(dual_module(M, roots), M.basis_vector(t)).annihilator() == R
+            root_part = ModuleRep(alg, chi, roots, M.matrices(roots), M.parity)
+            assert spin(dual_module(root_part), M.basis_vector(t)).annihilator() == R
     assert certified == 2 * len(weights)
 
 
 def test_certificate_spins_in_the_dual_of_the_root_units(monkeypatch):
     alg, chi, weights = setting("gl21-F5-chi0")
-    M = fresh_copy(build_baby_verma(alg, chi, weights[0]))
+    # the forms of M spin by [A_1 | ... | A_6], the root units' own matrices
+    M = build_baby_verma(alg, chi, weights[0])
     assert _top_coordinate(M) is not None
     spun = []
     real = analysis._spin_stack
 
-    def recording_spin(Ms, ws):
-        spun.extend(N.units for N in Ms)
-        return real(Ms, ws)
+    def recording_spin(Ms, rights, ws):
+        spun.extend(zip(Ms, rights))
+        return real(Ms, rights, ws)
 
     monkeypatch.setattr(analysis, "_spin_stack", recording_spin)
     dual_core(M)
-    assert spun == [[u for u in M.units if u[0] != u[1]]] and len(spun[0]) == 6
+    roots = [u for u in M.units if u[0] != u[1]]
+    assert len(roots) == 6 and len(spun) == 1 and spun[0][0] is M
+    assert np.array_equal(spun[0][1], np.hstack(M.matrices(roots)))

@@ -12,9 +12,9 @@ linear Artin-Schreier solve replaced.  Every case must agree exactly, on
 prime fields and on extension fields up to F_{5^5}.  matmul, matrix_power
 and _matmul_mod also take stacks of matrices; each slice of a stacked
 result must equal the 2-D result on that slice.  _matmul_mod's products
-with float_copy right factors, float32 or float64, are checked against
-Python-int dot products at the boundary between the two types and past
-one float64 block.
+with float right factors, float32 or float64 by float_type, are checked
+against Python-int dot products at the boundary between the two types and
+past one float64 block.
 
 rref, Subspace.reduce, add_vectors and annihilator pivot coordinate lines
 (rows with one nonzero entry) by assignment; their cases are drawn with
@@ -368,12 +368,17 @@ def test_blocked_inner_dimension_worst_case():
         assert np.all(_matmul_mod(a, a.T, p) == want)
 
 
-# float_copy makes a right factor float32 while inner * (p - 1)^2 < 2^24,
+# float_type makes a right factor float32 while inner * (p - 1)^2 < 2^24,
 # and _matmul_mod then multiplies in float32.  At p = 4093, (p - 1)^2 =
 # 16,744,464 lies just below 2^24, so inner dimension 1 is float32 and 2 is
 # float64; 4092^2 + 4091^2 is odd and past 2^24, where float32 would round
 # it.  Products with the copy must equal those with the index array.
 FLOAT_BOUNDARY_P = 4093
+
+
+def float_copy(field, b):
+    """b as a right factor of the type float_type gives its inner dimension."""
+    return b.astype(linalg.float_type(field, b.shape[-2]))
 
 
 @pytest.mark.parametrize("inner,ftype", [(1, np.float32), (2, np.float64)])
@@ -386,7 +391,7 @@ def test_float_copy_boundary_is_exact(inner, ftype, data):
     a = data.draw(hnp.arrays(np.int64, (n, inner), elements=elems))
     b = data.draw(hnp.arrays(np.int64, (inner, m), elements=elems))
     want = ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
-    copy = linalg.float_copy(make_field(p), b)
+    copy = float_copy(make_field(p), b)
     assert copy.dtype == ftype and copy.flags.c_contiguous
     for right in (b, copy):
         got = _matmul_mod(a, right, p)
@@ -397,11 +402,11 @@ def test_float_copy_boundary_worst_case():
     p, F = FLOAT_BOUNDARY_P, make_field(FLOAT_BOUNDARY_P)
     a = np.array([[p - 1, p - 2]], dtype=np.int64)
     assert (p - 1) ** 2 < 2 ** 24 < (p - 1) ** 2 + (p - 2) ** 2
-    for right in (a.T, linalg.float_copy(F, a.T)):
+    for right in (a.T, float_copy(F, a.T)):
         assert _matmul_mod(a, right, p)[0, 0] == ((p - 1) ** 2 + (p - 2) ** 2) % p
     one = a[:, :1]
-    assert linalg.float_copy(F, one.T).dtype == np.float32
-    assert _matmul_mod(one, linalg.float_copy(F, one.T), p)[0, 0] == (p - 1) ** 2 % p
+    assert float_copy(F, one.T).dtype == np.float32
+    assert _matmul_mod(one, float_copy(F, one.T), p)[0, 0] == (p - 1) ** 2 % p
 
 
 def test_float_copy_past_one_float64_block_is_exact():
@@ -413,7 +418,7 @@ def test_float_copy_past_one_float64_block_is_exact():
     a[:, ::2] = p - 1
     b[::3] = p - 1
     want = ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
-    copy = linalg.float_copy(make_field(p), b)
+    copy = float_copy(make_field(p), b)
     assert copy.dtype == np.float64
     assert np.array_equal(_matmul_mod(a, b, p), want)
     assert np.array_equal(_matmul_mod(a, copy, p), want)
@@ -713,8 +718,8 @@ def test_dual_core_of_a_simple_module_stops_eliminating_after_its_spin(monkeypat
         events.append("rref")
         return rref_(field, arr)
 
-    def marked_spin(Ms, ws):
-        out = spin_(Ms, ws)
+    def marked_spin(Ms, rights, ws):
+        out = spin_(Ms, rights, ws)
         events.append("spin")
         spun.extend(S.dim for S in out)
         return out
