@@ -15,9 +15,10 @@ coordinate form (the certificate, for modules generated by a highest
 vector whose weight occurs at no other basis vector), a line of M*'s socle
 (modules without Cartan units), or the end of a descent through spins of
 candidate lines, exhaustive or refused (series.LINE_BUDGET), so no verdict
-rests on a sample.  dual_cores takes the R of many modules at once,
-spinning their certificates in lockstep (_spins) with no copy of M*, and
-simple_heads their quotients by those R.
+rests on a sample.  No route builds M*: its spins and candidate pieces are
+read off M's own matrices.  dual_cores takes the R of many modules at
+once, spinning their certificates in lockstep (_spins), and simple_heads
+their quotients by those R.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -125,20 +126,21 @@ def _has_cartan(M):
     return all(u in M.units for u in M.algebra.diag_units)
 
 
-def _candidate_spaces(M):
-    """Spaces whose lines are the generating candidates of Lemma 2.4.
+def _candidate_spaces(M, forms=False):
+    """Spaces whose lines are the generating candidates of Lemma 2.4: of M,
+    or with forms, of M*, read off M's own matrices as forms of M.
 
     Returns a list of (fingerprint, Subspace, parity).
     """
     if _has_cartan(M):
         return [(("weight",) + lam.key(), sub, par)
-                for lam, sub, par in maximal_vectors(M)]
+                for lam, sub, par in maximal_vectors(M, forms=forms)]
     from .series import _shifted_scalars, shifted_joint_kernel
     # chi vanishes on odd units, so the shifted actions are homogeneous
     # and their joint kernel is the sum of its parity parts
     scalars = tuple(int(v) for v in _shifted_scalars(M).values())
     return [(("shifted",) + scalars, part, par)
-            for par, part in shifted_joint_kernel(M).split(M.parity.tolist())]
+            for par, part in shifted_joint_kernel(M, forms=forms).split(M.parity.tolist())]
 
 
 class SimplicityVerdict:
@@ -200,7 +202,8 @@ def dual_core(M):
     subalgebra, whose one simple module is the line on which each unit x
     acts by chi(x).  S is the line of the first homogeneous row of M*'s
     shifted joint kernel: every such line is a simple submodule of M*, and
-    when M is local it is the only one.
+    when M is local it is the only one.  M*'s candidate pieces, here and in
+    the descent, are forms of M (_candidate_spaces with forms).
 
     Descent: otherwise S starts as M*.  The lines of each candidate piece
     of M* that lie in S are spun, S becomes the first spin smaller than S,

@@ -41,12 +41,13 @@ def _shifted_scalars(M):
     return {x: chi.value(x) for x in M.units}
 
 
-def shifted_joint_kernel(M):
-    """Joint kernel of x - a_x over the acting units (the socle of a
-    module over a nilpotent subalgebra)."""
+def shifted_joint_kernel(M, *, forms=False):
+    """Joint kernel of x - a_x over the acting units, the socle of a module
+    over a nilpotent subalgebra: of M, or with forms, of M* as forms of M."""
     f, scalars = M.field, _shifted_scalars(M)
     shift = np.array([scalars[u] for u in M.units], dtype=np.int64).reshape(-1, 1, 1)
-    shifted = f.sub(M.actions, f.mul(shift, np.eye(M.dim, dtype=np.int64)))
+    acts = M.actions.transpose(0, 2, 1) if forms else M.actions
+    shifted = f.sub(acts, f.mul(shift, np.eye(M.dim, dtype=np.int64)))
     return kernel(f, shifted.reshape(M.stacked_action.shape))
 
 
@@ -72,16 +73,10 @@ def _line_representatives(field, sub):
     return list(matmul(field, np.array(coeffs, dtype=np.int64).reshape(-1, d), sub.basis))
 
 
-def dual_module(M):
-    """M*, the dual module: the transposed action, whose candidate pieces
-    the socle and the descent read."""
-    return ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1), M.parity)
-
-
 def _uncertified_core(M):
-    """dual_core of M by the socle or the descent, which spins forms of M by
-    one factor; M* lives only while its pieces are read."""
-    pieces = [sub for _, sub, _ in _candidate_spaces(dual_module(M))]
+    """dual_core of M by the socle or the descent, with no M* built: M*'s
+    pieces are forms of M, spun in the descent by one factor."""
+    pieces = [sub for _, sub, _ in _candidate_spaces(M, True)]
     # with no piece at all, the descent raises NoMaximalVector
     if pieces and not _has_cartan(M):
         return Subspace(M.field, M.dim, pieces[0].basis[:1]).annihilator()

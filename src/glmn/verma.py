@@ -616,31 +616,32 @@ def cartan_diagonal(M):
     return diag
 
 
-def maximal_vectors(M):
-    """Weight lines annihilated by all positive root vectors.
+def maximal_vectors(M, *, forms=False):
+    """Weight lines annihilated by all positive root vectors, of M or, with
+    forms, of its dual M*: the forms f with f A = 0 for each e-unit's A.
 
     Returns a list of (Weight, Subspace, parity) with the Subspace in the
     module's coordinates, one entry per occurring weight and parity, sorted
     by parity and then by the weight's indices.
 
     Every module built here acts by diagonal Cartan matrices, so its weight
-    spaces and parity parts are coordinate blocks.  Each e-action maps a
-    block into another, so the joint kernel of the e-actions is the sum of
-    its intersections with the blocks: one kernel, split by the (parity,
-    weight) read at each basis row's pivot, gives every piece.  Raises
-    NotWeightBasis when a Cartan matrix has an off-diagonal entry.
+    spaces and parity parts are coordinate blocks, M*'s too.  Each e-action
+    maps a block into another, so the joint kernel of the e-actions is the
+    sum of its intersections with the blocks: one kernel, split by the
+    (parity, weight) read at each basis row's pivot, gives every piece.
+    Raises NotWeightBasis when a Cartan matrix has an off-diagonal entry.
     """
     rs = M.algebra.root_system()
-    field = M.field
     e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in M.units]
-    stacked = M.matrices(e_units).reshape(len(e_units) * M.dim, M.dim)
+    stacked = np.empty((len(e_units), M.dim, M.dim), dtype=np.int64)
+    for t, u in enumerate(e_units):
+        stacked[t] = M.matrix(u).T if forms else M.matrix(u)
     diag = cartan_diagonal(M)
     if diag is None:
         raise NotWeightBasis("a Cartan matrix is not diagonal in the module's basis")
-    ker = kernel(field, stacked)
+    ker = kernel(M.field, stacked.reshape(len(e_units) * M.dim, M.dim))
     keys = list(zip(M.parity.tolist(), map(tuple, diag.T.tolist())))
-    return [(Weight(field, vals), sub, par)
-            for (par, vals), sub in ker.split(keys)]
+    return [(Weight(M.field, vals), sub, par) for (par, vals), sub in ker.split(keys)]
 
 
 def _pbw_layers(monos, last=False):

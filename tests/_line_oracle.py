@@ -6,7 +6,9 @@ simple; series_factors_by_lines peels such heads down a composition
 series.  is_local_by_dual_spins decides whether M has a unique maximal
 submodule from the smallest of all dual spins.  They share spin,
 quotient_module, restrict_module and the candidate lines with the
-library, and no descent or certificate.  witness finds a homogeneous
+library, and no descent or certificate.  dual_module builds M* as a
+module of its own, the oracle of the candidate pieces of M* that the
+library reads off M's matrices.  witness finds a homogeneous
 maximal vector of dual_core's R, which the library's verdict does not
 carry.
 """
@@ -16,7 +18,14 @@ from collections import Counter
 from glmn.analysis import SimplicityVerdict, _candidate_spaces, dual_core, spin
 from glmn.errors import NoMaximalVector
 from glmn.linalg import Subspace
-from glmn.series import _line_representatives, dual_module, quotient_module, restrict_module
+from glmn.series import _line_representatives, quotient_module, restrict_module
+from glmn.verma import ModuleRep
+
+
+def dual_module(M):
+    """M*, the dual module: the transposed action, whose candidate pieces
+    the socle and the descent read off M's own matrices."""
+    return ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1), M.parity)
 
 
 def is_simple_by_lines(M):

@@ -13,7 +13,10 @@ rests on the highest vector generating the module, which is checked here
 for every builder output and its quotients.  Its spin runs in the dual of
 the root units alone, checked against the dual of every unit; and R, on
 every route, against the int path, with every product taken in int64
-instead of by float BLAS.
+instead of by float BLAS and the candidate pieces of M* read off the
+oracle's dual module.  The descent is checked there on the restrictions of
+a composition series and on M + M in a drawn basis, whose spins take
+products where those of the restrictions mostly gather coordinate rows.
 """
 
 import functools
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _line_oracle import (is_local_by_dual_spins, is_simple_by_lines,
+from _line_oracle import (dual_module, is_local_by_dual_spins, is_simple_by_lines,
                           series_factors_by_lines, simple_head_by_lines,
                           witness)
 from test_weight_split import _series_restrictions
@@ -34,11 +37,11 @@ from glmn.analysis import (_candidate_spaces, _top_coordinate, dual_core,
                            is_simple, simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
-from glmn.series import (composition_series, dual_module, quotient_module, regular_module,
-                         restrict_module)
+from glmn.series import composition_series, quotient_module, regular_module, restrict_module
 from glmn.kw import build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
-                        build_graded_verma, build_simple_g0_module, induce)
+                        build_graded_verma, build_simple_g0_module, cartan_diagonal,
+                        induce)
 
 F5 = make_field(5)
 DUAL_SETTINGS = settings(max_examples=12, deadline=None)
@@ -296,14 +299,42 @@ def int_matmul_mod(a, b, p):
     return (np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64)) % p
 
 
+def oracle_pieces(M, forms=False):
+    """The candidate pieces of M, or with forms those of the dual module
+    built as a module of its own."""
+    return _candidate_spaces(dual_module(M) if forms else M)
+
+
 def core_by_both_paths(M):
-    """dual_core of M by float BLAS products, and with _matmul_mod replaced
-    by int64 ones."""
+    """dual_core of M by float BLAS products, and by the int path:
+    _matmul_mod replaced by int64 products, and the pieces of M* read off
+    dual_module(M)."""
     got = dual_core(M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_matmul_mod", int_matmul_mod)
+        mp.setattr(series, "_candidate_spaces", oracle_pieces)
         want = dual_core(M)
     return got, want
+
+
+def in_drawn_basis(data, M):
+    """M over F_p in the basis changed by a drawn G = D (1 + N): D diagonal
+    with nonzero entries, N strictly upper triangular inside each block of
+    one parity and weight, so the Cartan action stays diagonal.  N is
+    nilpotent, so G's inverse is exact in int64."""
+    p, n = M.field.p, M.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="basis seed"))
+    keys = np.vstack([M.parity, cartan_diagonal(M)])
+    N = np.triu(rng.integers(0, p, (n, n)), 1) * (keys[:, :, None] == keys[:, None]).all(axis=0)
+    d = rng.integers(1, p, n)
+    inv, power = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        power = -power @ N % p
+        inv = (inv + power) % p
+    G = d[:, None] * (np.eye(n, dtype=np.int64) + N) % p
+    inv = inv * np.array([pow(int(x), p - 2, p) for x in d]) % p
+    assert np.array_equal(G @ inv % p, np.eye(n))
+    return ModuleRep(M.algebra, M.chi, M.units, G @ M.actions @ inv % p, M.parity)
 
 
 @pytest.mark.parametrize("name,kind", CASES)
@@ -323,7 +354,8 @@ def test_dual_core_matches_the_int_path(name, kind, data):
 def test_descent_matches_the_int_path(name, data):
     alg, chi, weights = setting(name)
     t = data.draw(st.integers(0, len(weights) - 1), label="weight")
-    for M in _series_restrictions(alg, chi, weights[t]):
+    D = _doubled(build_baby_verma(alg, chi, weights[t]))
+    for M in _series_restrictions(alg, chi, weights[t]) + [in_drawn_basis(data, D)]:
         assert _top_coordinate(M) is None, "the certificate applied"
         got, want = core_by_both_paths(M)
         assert got == want and got.pivots == want.pivots

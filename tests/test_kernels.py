@@ -14,7 +14,8 @@ and _matmul_mod also take stacks of matrices; each slice of a stacked
 result must equal the 2-D result on that slice.  _matmul_mod's products
 with float right factors, float32 or float64 by float_type, are checked
 against Python-int dot products at the boundary between the two types and
-past one float64 block.
+past one float64 block, whose length is pinned at the largest p that
+make_field admits.
 
 rref, Subspace.reduce, add_vectors and annihilator pivot coordinate lines
 (rows with one nonzero entry) by assignment; their cases are drawn with
@@ -29,10 +30,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from sympy import prevprime, primefactors
+from sympy import nextprime, prevprime, primefactors
 
 from glmn import analysis, linalg
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
+from glmn.errors import BudgetExceeded
 from glmn.ffield import artin_schreier_roots, make_field
 from glmn.linalg import Subspace, _matmul_mod, kernel_arr, matmul, rref
 from glmn.verma import build_baby_verma, build_graded_verma, build_simple_g0_module
@@ -422,6 +424,30 @@ def test_float_copy_past_one_float64_block_is_exact():
     assert copy.dtype == np.float64
     assert np.array_equal(_matmul_mod(a, b, p), want)
     assert np.array_equal(_matmul_mod(a, copy, p), want)
+
+
+def test_float64_block_length_is_pinned():
+    """At the largest p that make_field admits, 823,541 <= 7^7, a float64
+    block holds 13,280 terms of (p - 1)^2.  With an inner dimension of two
+    blocks and three, and entries alternating between p - 1 and p - 2, the
+    exact sums exceed 2^53, so a product past one block (an unblocked one,
+    or a block four times as long) rounds them."""
+    p = prevprime(7 ** 7 + 1)
+    F = make_field(p)
+    block = (2 ** 53 - 1) // (p - 1) ** 2
+    assert (p, block) == (823_541, 13_280)
+    with pytest.raises(BudgetExceeded):
+        make_field(nextprime(p))
+    inner = 2 * block + 3
+    a = np.where(np.arange(inner) % 2 == 0, p - 1, p - 2)[None].repeat(2, axis=0)
+    a[1] = a[1, ::-1]
+    b = np.stack([a[0], a[1], np.full(inner, p - 1)], axis=1)
+    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in b.T] for row in a]
+    assert max(max(row) for row in exact) > 2 ** 53
+    want = np.array(exact, dtype=object) % p
+    for right in (b, float_copy(F, b)):
+        assert right.dtype in (np.int64, np.float64)
+        assert np.array_equal(_matmul_mod(a, right, p), want.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

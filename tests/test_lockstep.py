@@ -6,12 +6,12 @@ every job's added rows per round, and one batched echelon insert
 or forms of it under some of its units, by a right factor
 (analysis._factor).  Each job's result must be the canonical Subspace of
 its own spin, as an array, whatever else shares its stack: a spin of
-forms equals the spin of vectors of the dual (series.dual_module) of the
-same units.  This holds over F_5, F_7, F_25, F_{5^5} and at p = 4093, whose
-factors are float64, with modules of several unit sets and dimensions in
-one call, with spins to the whole module and to proper submodules, and
-with groups cut into several stacks by STACK_ENTRIES.  The per-vector
-oracle of test_block_spin checks the single spins too.
+forms equals the spin of vectors of the dual (_line_oracle.dual_module)
+of the same units.  This holds over F_5, F_7, F_25, F_{5^5} and at
+p = 4093, whose factors are float64, with modules of several unit sets
+and dimensions in one call, with spins to the whole module and to proper
+submodules, and with groups cut into several stacks by STACK_ENTRIES.
+The per-vector oracle of test_block_spin checks the single spins too.
 """
 
 import numpy as np
@@ -23,11 +23,10 @@ from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import _factor, _spins, spin
 from glmn.ffield import make_field
 from glmn.linalg import float_type
-from glmn.series import dual_module
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 from test_block_spin import parity_parts, seq_spin, spin_vectors
 
-from _line_oracle import witness
+from _line_oracle import dual_module, witness
 
 
 def setting(p, chi, k_ext=False, degree=1, m=2):

@@ -201,8 +201,10 @@ def test_non_diagonal_cartan_is_rejected():
     for i in (1, 2):
         h = M.matrix((i, i))
         assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 50
-    with pytest.raises(NotWeightBasis):
-        maximal_vectors(M)
+    # from the vectors side, and from the forms side that reads M*'s pieces
+    for forms in (False, True):
+        with pytest.raises(NotWeightBasis):
+            maximal_vectors(M, forms=forms)
     with pytest.raises(NotWeightBasis):
         is_simple(M)
 
