@@ -42,15 +42,16 @@ from .verma import ModuleRep, _stacks, cartan_diagonal, maximal_vectors
 def spin(M, w):
     """Smallest graded submodule containing w, as a Subspace of F^dim: the
     lockstep spin (_spins) of w alone, by M's action transposed."""
-    return _spins([(M, _factor(M, M.units, False), w)])[0]
+    return _spins([(M, _factor(M, False), w)])[0]
 
 
-def _factor(M, units, forms):
-    """[B_1 | ... | B_U], the (dim, U * dim) right factor by which a row
-    spins under units: B_u is the matrix of u when the rows are forms of M
-    (forms), and its transpose when they are vectors.  It is filled unit by
-    unit into one array, of float_type over F_p and of indices over F_{p^K}."""
+def _factor(M, forms):
+    """[B_1 | ... | B_U], the (dim, U * dim) right factor by which rows spin:
+    for vectors, every unit's matrix transposed, as a vector may mix weights;
+    for forms of M, the root units' own matrices, as every form spun is a
+    weight form (dual_core).  float_type over F_p, indices over F_{p^K}."""
     f, d = M.field, M.dim
+    units = [u for u in M.units if u[0] != u[1]] if forms else M.units
     right = np.empty((d, len(units), d), dtype=np.int64 if f.k > 1 else float_type(f, d))
     for t, u in enumerate(units):
         right[:, t] = M.matrix(u) if forms else M.matrix(u).T
@@ -194,7 +195,7 @@ def dual_core(M):
     intersections with the weight spaces, so N contains T, and then all of
     M, or lies in W, the span of the other basis vectors.  R is therefore
     core(W) = {v : a v in W for every a in u(g)}, the sum of all proper
-    submodules.  A root unit maps weight vectors to weight vectors and a
+    submodules.  A root unit maps weight forms to weight forms and a
     Cartan unit scales them, so S is the spin of e_t by the root units
     alone.  dual_cores spins the certificates of many modules in lockstep.
 
@@ -205,9 +206,9 @@ def dual_core(M):
     when M is local it is the only one.  M*'s candidate pieces, here and in
     the descent, are forms of M (_candidate_spaces with forms).
 
-    Descent: otherwise S starts as M*.  The lines of each candidate piece
-    of M* that lie in S are spun, S becomes the first spin smaller than S,
-    and this repeats until no line in S spins smaller.  Every nonzero
+    Descent: otherwise S starts as M*.  The lines in S of each candidate
+    piece, weight forms spun as e_t is, are spun; S becomes the first spin
+    smaller than S, until no line in S spins smaller.  Every nonzero
     submodule of S contains a candidate line, so the final S is simple.
 
     When M is local, S is the only simple submodule of M* on every route,
@@ -220,12 +221,11 @@ def dual_core(M):
 
 def dual_cores(Ms):
     """dual_core of each module of Ms.  The certificates spin their forms
-    e_t in lockstep, by root-unit factors built as their stacks need them,
+    e_t in lockstep, by factors (_factor) built as their stacks need them,
     with no ModuleRep; every other module takes the socle or the descent."""
     tops = [_top_coordinate(M) for M in Ms]
     todo = [b for b, t in enumerate(tops) if t is not None]
-    spun = _spins((Ms[b], _factor(Ms[b], [u for u in Ms[b].units if u[0] != u[1]], True),
-                   Ms[b].basis_vector(tops[b])) for b in todo)
+    spun = _spins((Ms[b], _factor(Ms[b], True), Ms[b].basis_vector(tops[b])) for b in todo)
     cores = dict(zip(todo, (S.annihilator() for S in spun)))
     if len(cores) < len(Ms):
         from .series import _uncertified_core

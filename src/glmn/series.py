@@ -75,13 +75,13 @@ def _line_representatives(field, sub):
 
 def _uncertified_core(M):
     """dual_core of M by the socle or the descent, with no M* built: M*'s
-    pieces are forms of M, spun in the descent by one factor."""
+    pieces are forms of M, spun in the descent by one root-unit factor."""
     pieces = [sub for _, sub, _ in _candidate_spaces(M, True)]
     # with no piece at all, the descent raises NoMaximalVector
     if pieces and not _has_cartan(M):
         return Subspace(M.field, M.dim, pieces[0].basis[:1]).annihilator()
-    right = _factor(M, M.units, True)
-    S = Subspace(M.field, M.dim, np.eye(M.dim, dtype=np.int64))
+    right = _factor(M, True)
+    S = Subspace._echelon(M.field, M.dim, np.eye(M.dim, dtype=np.int64), list(range(M.dim)))
     while (smaller := _smaller_spin(M, right, pieces, S)) is not None:
         S = smaller
     return S.annihilator()

@@ -13,7 +13,9 @@ replaced; is_action_closed, the tests' closure check, against a
 per-vector loop too.  A spin multiplies rows by a right factor
 (analysis._factor) that it builds for the call, float over F_p: unit
 images by it and by the index array must agree, no analysis may leave
-anything on a module, and the certificate builds no module at all.
+anything on a module, and the certificate builds no module at all.  Every
+factor of forms, the certificate's and the descent's, holds the root
+units alone.
 """
 
 import bisect
@@ -225,7 +227,7 @@ def test_unit_images_match_per_unit_products(name, data):
     M = module(name)
     rows = np.array([data.draw(spin_vectors(M)) for _ in range(3)])
     want = [[M.act(u, v) for u in M.units] for v in rows]
-    factor = _factor(M, M.units, False)
+    factor = _factor(M, False)
     assert (factor.dtype.kind == "f") == (M.field.k == 1)
     for right in (M.stacked_action.T, factor):
         images = unit_images(M, rows, right).reshape(len(rows), len(M.units), M.dim)
@@ -397,19 +399,20 @@ def test_spin_multiplies_by_the_copy_itself(monkeypatch):
 @pytest.mark.parametrize("p,ftype", [(5, np.float32), (4093, np.float64)])
 def test_float_copy_type_follows_dimension_and_p(p, ftype):
     # gl(1|1) baby Vermas have dimension 2: 2 (p - 1)^2 >= 2^24 at p = 4093
+    # vectors spin by every unit, forms by the root units alone
     Z = _verma(1, 1, [1, 3], field=make_field(p))
-    for forms in (False, True):
-        right = _factor(Z, Z.units, forms)
+    for forms, units in ((False, Z.units), (True, [(1, 2), (2, 1)])):
+        right = _factor(Z, forms)
         assert right.dtype == ftype and right.flags.c_contiguous
         assert np.array_equal(right, np.hstack([Z.matrix(u) if forms else Z.matrix(u).T
-                                                for u in Z.units]))
+                                                for u in units]))
 
 
 def test_extension_fields_keep_no_float_copy():
     # over F_{5^5} the factor holds the field indices themselves
     M = module("gl21-ext")
     roots = [u for u in M.units if u[0] != u[1]]
-    right = _factor(M, roots, True)
+    right = _factor(M, True)
     assert right.dtype == np.int64 and np.array_equal(right, np.hstack(M.matrices(roots)))
 
 
@@ -436,6 +439,37 @@ def test_the_descent_builds_one_factor_per_core(monkeypatch):
         series._uncertified_core(M)
     assert counts["core"] == counts["factor"] == len(restrictions) >= 2
     assert counts["line"] > counts["core"]
+
+
+def test_every_forms_factor_holds_the_root_units_alone(monkeypatch):
+    # the certificates of gl(2|1) baby Vermas and the descent of the
+    # restrictions of a reducible one: no forms factor holds a Cartan block
+    alg = module("gl21").algebra
+    chi, field = Character(alg, {}), alg.field
+    Zs = [build_baby_verma(alg, chi, Weight(field, lam))
+          for lam in ([0, 0, 0], [1, 3, 2], [2, 0, 4], [4, 4, 1])]
+    restrictions, Z = [], module("gl21")
+    while (R := dual_core(Z)).dim:
+        Z, _ = restrict_module(Z, R)
+        restrictions.append(Z)
+    built, real = [], analysis._factor
+
+    def recording(M, *args):
+        right = real(M, *args)
+        if args[-1]:
+            built.append((M, right))
+        return right
+
+    monkeypatch.setattr(analysis, "_factor", recording)
+    monkeypatch.setattr(series, "_factor", recording)
+    dual_cores(Zs)
+    assert [M for M, _ in built] == Zs
+    dual_cores(restrictions)
+    assert [M for M, _ in built[len(Zs):]] == restrictions and len(restrictions) >= 2
+    for M, right in built:
+        roots = [u for u in M.units if u[0] != u[1]]
+        assert len(roots) == 6 < len(M.units)
+        assert right.shape == (M.dim, M.dim * len(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,21 @@ analysis._spins spins a stack of jobs together: one stacked product of
 every job's added rows per round, and one batched echelon insert
 (linalg._insert) with a pivot per job.  A job spins vectors of a module,
 or forms of it under some of its units, by a right factor
-(analysis._factor).  Each job's result must be the canonical Subspace of
-its own spin, as an array, whatever else shares its stack: a spin of
-forms equals the spin of vectors of the dual (_line_oracle.dual_module)
-of the same units.  This holds over F_5, F_7, F_25, F_{5^5} and at
+(analysis._factor, or the same matrices of other units side by side).
+Each job's result must be the canonical Subspace of its own spin, as an
+array, whatever else shares its stack: a spin of forms equals the spin of
+vectors of the dual (_line_oracle.dual_module) of the same units.  This
+holds over F_5, F_7, F_25, F_{5^5} and at
 p = 4093, whose factors are float64, with modules of several unit sets
 and dimensions in one call, with spins to the whole module and to proper
 submodules, and with groups cut into several stacks by STACK_ENTRIES.
 The per-vector oracle of test_block_spin checks the single spins too.
+A weight form, the only form analysis spins, spins to the same Subspace
+by the root units as by every unit: on baby Vermas, graded Vermas and
+restrictions, over F_5, F_25 and F_{5^5}.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -20,10 +26,12 @@ from hypothesis import given, settings, strategies as st
 
 from glmn import analysis, verma
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import _factor, _spins, spin
+from glmn.analysis import _factor, _spins, dual_core, spin
 from glmn.ffield import make_field
 from glmn.linalg import float_type
-from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
+from glmn.series import restrict_module
+from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma, build_graded_verma,
+                        build_simple_g0_module, cartan_diagonal)
 from test_block_spin import parity_parts, seq_spin, spin_vectors
 
 from _line_oracle import dual_module, witness
@@ -51,8 +59,18 @@ def oracle(M, units, forms):
     return dual_module(part) if forms else part
 
 
+def factor(M, units, forms):
+    """_factor of M where units are the ones it spins by (the root units
+    for forms, every unit for vectors); else the matrices of units side by
+    side as _factor lays them out, in its dtype."""
+    right = _factor(M, forms)
+    if list(units) == (roots(M) if forms else list(M.units)):
+        return right
+    return np.hstack([M.matrix(u) if forms else M.matrix(u).T for u in units]).astype(right.dtype)
+
+
 def job(M, units, forms, w):
-    return M, _factor(M, units, forms), w
+    return M, factor(M, units, forms), w
 
 
 # (p, chi, extended, degree, m): gl(m|1) over F_{p^degree}, or over F_{5^5}
@@ -199,3 +217,53 @@ def test_forms_spin_as_vectors_of_the_dual(name, data):
         if forms and units == roots(N) and N.highest_vector is not None:
             dims.add(S.dim == N.dim)
     assert dims == {True, False}
+
+
+@functools.lru_cache(maxsize=None)
+def weight_modules(name):
+    """Two baby Vermas, their graded Vermas, and the restriction of a
+    reducible baby Verma to its dual_core, of one setting."""
+    alg, chi, weights = setting(*FIELDS[name])
+    out, restricted = [], None
+    for t, lam in enumerate(weights):
+        Z = build_baby_verma(alg, chi, lam)
+        if t < 2:
+            out += [Z, build_graded_verma(alg, chi, build_simple_g0_module(alg, chi, lam))]
+        if restricted is None and (R := dual_core(Z)).dim:
+            restricted, _ = restrict_module(Z, R)
+        if t >= 1 and restricted is not None:
+            return out + [restricted]
+    raise AssertionError("no reducible baby Verma")
+
+
+def weight_blocks(M):
+    """The coordinates of each (parity, weight) block of M, whose Cartan
+    action is diagonal."""
+    diag = cartan_diagonal(M)
+    assert diag is not None
+    blocks = {}
+    for c, key in enumerate(zip(M.parity.tolist(), map(tuple, diag.T.tolist()))):
+        blocks.setdefault(key, []).append(c)
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("name", ["F5", "F25", "F5^5"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_weight_forms_spin_alike_by_root_units_and_by_all(name, data):
+    """A coordinate form, or a random combination of the coordinate forms
+    of one (parity, weight) block, spun by the root-unit factor and by the
+    factor of every unit: the two Subspaces are equal."""
+    Ms = weight_modules(name)
+    M = Ms[data.draw(st.integers(0, len(Ms) - 1), label="module")]
+    block = data.draw(st.sampled_from(weight_blocks(M)), label="block")
+    q, w = M.field.q, np.zeros(M.dim, dtype=np.int64)
+    if data.draw(st.booleans(), label="coordinate"):
+        w[data.draw(st.sampled_from(block), label="c")] = 1
+    else:
+        w[block] = data.draw(st.lists(st.integers(0, q - 1), min_size=len(block),
+                                      max_size=len(block)), label="coefficients")
+        w[block[data.draw(st.integers(0, len(block) - 1), label="at")]] = 1
+    by_roots, by_all = _spins([job(M, roots(M), True, w), job(M, M.units, True, w)])
+    assert by_roots == by_all
+    assert np.array_equal(by_roots.basis, by_all.basis) and by_roots.pivots == by_all.pivots

@@ -2,6 +2,8 @@
 """Run the configs too slow for tier-1, each in a fresh interpreter.
 
 usage: python3 tools/slow_checks.py [TREE] [--out DIR]
+       python3 tools/slow_checks.py TREE --parent PARENT --pairs N
+                                    [--only NAME ...] [--record FILE]
 
 Each config below runs as ``python -m glmn.cli run --config FILE`` with
 glmn imported from TREE/src (default: the tree holding this script) and
@@ -15,6 +17,16 @@ in memory: one above PARSE_LIMIT bytes (``scan-gl11-p1409`` writes about
 940 MB) is checked by its top-level ``"passed"`` line, which the CLI's
 ``json`` output (sorted keys, indent 2) puts alone at two spaces in.
 
+Pair mode (--parent and --pairs) compares TREE with PARENT: each config,
+or each named by --only, runs N alternating pairs of fresh interpreters,
+PARENT first on odd pairs and TREE first on even ones, both sides of a
+pair with the same config path and working directory.  Each pair's reports
+(stdout) must be byte-identical and each run must behave as its config
+expects.  For each config and side it prints the median [q1, q3] of the
+wall time and of the peak RSS, and in how many pairs TREE's is the lower;
+--record FILE writes the same figures, and every run's, as JSON.  Exits 1
+on any report difference or unexpected exit.
+
 Each child's address space is capped at MEMORY_CAP bytes, so a tree that
 builds a huge algebra before refusing it fails with a MemoryError instead
 of exhausting the machine (an unchecked ``frobenius-check`` or
@@ -24,10 +36,12 @@ of exhausting the machine (an unchecked ``frobenius-check`` or
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -126,11 +140,77 @@ def check(expect, code, stdout, stderr):
         return '  "passed": true,\n' in fh
 
 
+def spread(values):
+    """{"median", "q1", "q3"} of values (inclusive quartiles)."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pair_config(trees, name, expect, cfg, pairs):
+    """The record of one config's alternating pairs (see the module's
+    docstring), and whether every pair ran as expected with equal reports."""
+    runs = {side: {"wall_s": [], "peak_rss_mb": []} for side in trees}
+    ok, differences = True, 0
+    for k in range(pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = {}
+            for side in (("parent", "tree") if k % 2 == 0 else ("tree", "parent")):
+                code, stdout, stderr, wall, rss = run(trees[side], cfg, tmp)
+                if not check(expect, code, stdout, stderr):
+                    ok = False
+                    print(f"{name} pair {k + 1}: {side} exit {code}, not as expected\n{stderr}",
+                          end="", file=sys.stderr)
+                outs[side] = stdout.rename(Path(tmp) / f"{side}.out")
+                runs[side]["wall_s"].append(wall)
+                runs[side]["peak_rss_mb"].append(rss)
+            if not filecmp.cmp(outs["parent"], outs["tree"], shallow=False):
+                ok, differences = False, differences + 1
+                print(f"{name} pair {k + 1}: the reports differ", file=sys.stderr)
+    lower = {m: sum(t < p for t, p in zip(runs["tree"][m], runs["parent"][m]))
+             for m in ("wall_s", "peak_rss_mb")}
+    record = {side: {m: spread(v) for m, v in runs[side].items()} for side in trees}
+    print(f"{name}: {pairs} pairs, {differences} report differences")
+    for side in trees:
+        w, r = record[side]["wall_s"], record[side]["peak_rss_mb"]
+        print(f"  {side:6s}  {w['median']:7.2f} s [{w['q1']:.2f}, {w['q3']:.2f}]  "
+              f"{r['median']:7.1f} MB [{r['q1']:.1f}, {r['q3']:.1f}]", flush=True)
+    print(f"  tree lower in {lower['wall_s']}/{pairs} (wall), "
+          f"{lower['peak_rss_mb']}/{pairs} (peak RSS)", flush=True)
+    return {**record, "lower": lower, "differences": differences, "runs": runs}, ok
+
+
+def pair_mode(args):
+    trees = {"parent": str(args.parent), "tree": str(args.tree)}
+    record, ok = {**trees, "pairs": args.pairs, "configs": {}}, True
+    for name, expect, overrides in CONFIGS:
+        if not args.only or name in args.only:
+            entry, good = pair_config(trees, name, expect, {**BASE, **overrides}, args.pairs)
+            record["configs"][name], ok = entry, ok and good
+    if args.record:
+        Path(args.record).write_text(json.dumps(record, indent=2) + "\n")
+    return 0 if ok else 1
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("tree", nargs="?", default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--out", default=None)
+    parser.add_argument("--parent", default=None)
+    parser.add_argument("--pairs", type=int, default=None)
+    parser.add_argument("--only", nargs="+", default=None, metavar="NAME")
+    parser.add_argument("--record", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+    if (args.parent is None) != (args.pairs is None) or (args.pairs or 1) < 1:
+        parser.error("pair mode takes both --parent and --pairs N, N >= 1")
+    if args.parent is None and (args.only or args.record):
+        parser.error("--only and --record are for pair mode")
+    if args.parent is not None and args.out:
+        parser.error("--out is for the single-run mode")
+    if unknown := set(args.only or ()) - {name for name, _, _ in CONFIGS}:
+        parser.error(f"unknown config: {', '.join(sorted(unknown))}")
+    if args.parent is not None:
+        return pair_mode(args)
     ok = True
     for name, expect, overrides in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
