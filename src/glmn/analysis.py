@@ -11,14 +11,14 @@ side (_factor): transposed for vectors of M, as they are for its forms.
 Simplicity and simple heads have one route, dual_core: a maximal graded
 submodule R of M with M/R simple, the annihilator of a simple graded
 submodule S of the dual module M*, the forms of M.  S is the spin of a top
-coordinate form (the certificate, for modules generated by a highest
-vector whose weight occurs at no other basis vector), a line of M*'s socle
-(modules without Cartan units), or the end of a descent through spins of
-candidate lines, exhaustive or refused (series.LINE_BUDGET), so no verdict
-rests on a sample.  No route builds M*: its spins and candidate pieces are
-read off M's own matrices.  dual_cores takes the R of many modules at
-once, spinning their certificates in lockstep (_spins), and simple_heads
-their quotients by those R.
+coordinate form (the certificate, for modules generated by a highest vector
+whose weight occurs at no other basis vector), of a line of M*'s socle over
+n- (one line, or any without Cartan units), or the end of a descent through
+spins of candidate lines, exhaustive or refused (series.LINE_BUDGET), so no
+verdict rests on a sample.  No route builds M*: its spins and candidate
+pieces are read off M's own matrices.  dual_cores takes the R of many
+modules at once, spinning their certificates in lockstep (_spins), and
+simple_heads their quotients by those R.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -199,22 +199,24 @@ def dual_core(M):
     Cartan unit scales them, so S is the spin of e_t by the root units
     alone.  dual_cores spins the certificates of many modules in lockstep.
 
-    Socle: a module without Cartan units is a module over a nilpotent
-    subalgebra, whose one simple module is the line on which each unit x
-    acts by chi(x).  S is the line of the first homogeneous row of M*'s
-    shifted joint kernel: every such line is a simple submodule of M*, and
-    when M is local it is the only one.  M*'s candidate pieces, here and in
-    the descent, are forms of M (_candidate_spaces with forms).
+    Socle: otherwise M is a module over a nilpotent subalgebra, n- or,
+    without Cartan units, its own units, whose one simple module is the line
+    on which x acts by chi(x).  M*'s socle over it is the forms killed by
+    every x - chi(x).  Without Cartan units each of its lines is simple in
+    M*, and S is the first homogeneous one.  With them, it is one line F phi
+    exactly when M is cyclic over the local u(n-, chi); then every proper
+    submodule lies in ker phi, so S, M*'s only simple submodule, is the spin
+    of phi's part at its pivot's weight (u(h) separates weights).
 
-    Descent: otherwise S starts as M*.  The lines in S of each candidate
-    piece, weight forms spun as e_t is, are spun; S becomes the first spin
-    smaller than S, until no line in S spins smaller.  Every nonzero
-    submodule of S contains a candidate line, so the final S is simple.
+    Descent: otherwise (a socle of more lines, or chi no character of n-) S
+    starts as M*.  The lines in S of each candidate piece, weight forms spun
+    as e_t is, are spun; S becomes the first spin smaller than S, until no
+    line in S spins smaller.  Every nonzero submodule of S contains a
+    candidate line, so the final S is simple.
 
     When M is local, S is the only simple submodule of M* on every route,
     and R the unique maximal submodule of M.  R is read off S's echelon
-    basis (Subspace.annihilator): 0 with no elimination when S is all of
-    M*, and otherwise one rref of the null rows.
+    basis (Subspace.annihilator).
     """
     return dual_cores([M])[0]
 

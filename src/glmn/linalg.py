@@ -201,14 +201,6 @@ def kernel(field, arr):
     return Subspace._echelon(field, a.shape[1], a[:len(pivots)], pivots).annihilator()
 
 
-def kernel_arr(field, arr):
-    """Canonical basis of the right null space of a raw index array.
-
-    Returns a (nullity, cols) array in reduced row-echelon form.
-    """
-    return kernel(field, arr).basis
-
-
 def kernel_basis(m):
     """Subspace of vectors v with M v = 0."""
     return kernel(m.field, m.data)
@@ -480,7 +472,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.field, self.ambient)
         stacked = np.vstack([self.basis, other.basis]).T  # ambient x (d1+d2)
-        ker = kernel_arr(self.field, stacked)
+        ker = kernel(self.field, stacked).basis
         return Subspace(self.field, self.ambient,
                         matmul(self.field, ker[:, :self.dim], self.basis))
 

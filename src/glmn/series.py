@@ -16,14 +16,14 @@ from .analysis import (_candidate_spaces, _factor, _has_cartan, _images, _quotie
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import BudgetExceeded, NoMaximalVector, NotClosed, ShiftInconsistent
 from .linalg import Matrix, Subspace, kernel, matmul, row_reduce
-from .verma import ModuleRep, _axiom_table, _pbw_layers
+from .verma import ModuleRep, _axiom_table, _pbw_layers, cartan_diagonal
 
 LINE_BUDGET = 10 ** 4
 
 
 def _shifted_scalars(M):
-    """The scalar a_x = chi(x) by which each unit acts on the simple
-    module of a nilpotent (strictly triangular) subalgebra.
+    """The scalar a_x = chi(x) by which each unit x of M, or of n- when M
+    has Cartan units, acts on the simple module of that nilpotent subalgebra.
 
     Raises ShiftInconsistent when chi does not vanish on brackets of the
     subalgebra, in which case no one-dimensional module exists: chi on the
@@ -31,24 +31,26 @@ def _shifted_scalars(M):
     coefficients (verma._axiom_table) with chi's values on the units.
     """
     alg, chi = M.algebra, M.chi
-    assert all(i != j for i, j in M.units), "nilpotent subalgebra expected"
-    pos = [alg.units.index(u) for u in M.units]
+    units = [u for u in M.units if u[0] > u[1]] if _has_cartan(M) else M.units
+    assert all(i != j for i, j in units), "nilpotent subalgebra expected"
+    pos = [alg.units.index(u) for u in units]
     coef = _axiom_table(alg, tuple(alg.units))[1][np.ix_(pos, pos)].reshape(-1, alg.dim)
     if matmul(M.field, coef, np.array([[chi.value(u)] for u in alg.units])).any():
         raise ShiftInconsistent(
             "chi does not vanish on the derived subalgebra; no "
             "one-dimensional module to shift by")
-    return {x: chi.value(x) for x in M.units}
+    return {x: chi.value(x) for x in units}
 
 
 def shifted_joint_kernel(M, *, forms=False):
-    """Joint kernel of x - a_x over the acting units, the socle of a module
-    over a nilpotent subalgebra: of M, or with forms, of M* as forms of M."""
-    f, scalars = M.field, _shifted_scalars(M)
-    shift = np.array([scalars[u] for u in M.units], dtype=np.int64).reshape(-1, 1, 1)
-    acts = M.actions.transpose(0, 2, 1) if forms else M.actions
-    shifted = f.sub(acts, f.mul(shift, np.eye(M.dim, dtype=np.int64)))
-    return kernel(f, shifted.reshape(M.stacked_action.shape))
+    """Joint kernel of x - a_x over the units of _shifted_scalars: the socle
+    over them of M, or with forms, of M* as forms of M."""
+    f, n, scalars = M.field, M.dim, _shifted_scalars(M)
+    rows = np.empty((len(scalars), n, n), dtype=np.int64)
+    for t, (x, a) in enumerate(scalars.items()):
+        rows[t] = M.matrix(x).T if forms else M.matrix(x)
+        rows[t].flat[::n + 1] = f.sub(rows[t].diagonal(), a)
+    return kernel(f, rows.reshape(len(scalars) * n, n))
 
 
 def trivial_submodules(M):
@@ -74,12 +76,20 @@ def _line_representatives(field, sub):
 
 
 def _uncertified_core(M):
-    """dual_core of M by the socle or the descent, with no M* built: M*'s
-    pieces are forms of M, spun in the descent by one root-unit factor."""
+    """dual_core past the certificate, with no M* built: S is spun from a
+    line of M*'s socle N over n- (shifted_joint_kernel), or descends."""
+    try:
+        N = shifted_joint_kernel(M, forms=True)
+    except ShiftInconsistent:  # which _candidate_spaces raises without Cartan units
+        N = Subspace(M.field, M.dim)
+    if N.dim and not _has_cartan(M):
+        (_, line), *_ = N.split(M.parity.tolist())
+        return Subspace(M.field, M.dim, line.basis[:1]).annihilator()
+    if N.dim == 1:
+        diag = cartan_diagonal(M)
+        form = N.basis[0] * (diag == diag[:, N.pivots[0], None]).all(axis=0)
+        return _spins([(M, _factor(M, True), form)])[0].annihilator()
     pieces = [sub for _, sub, _ in _candidate_spaces(M, True)]
-    # with no piece at all, the descent raises NoMaximalVector
-    if pieces and not _has_cartan(M):
-        return Subspace(M.field, M.dim, pieces[0].basis[:1]).annihilator()
     right = _factor(M, True)
     S = Subspace._echelon(M.field, M.dim, np.eye(M.dim, dtype=np.int64), list(range(M.dim)))
     while (smaller := _smaller_spin(M, right, pieces, S)) is not None:

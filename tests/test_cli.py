@@ -150,12 +150,12 @@ class TestExitCodes:
 
     def test_line_budget_exceeded_exits_two(self, tmp_path, capsys,
                                             monkeypatch):
-        # the gl(3|1) baby Verma's top weight occurs at more than one basis
-        # vector, so it descends, and a budget of 0 lines refuses even a
-        # single line
+        # chi(E(3,1)) = 1 is no character of n- of gl(3|1), as E(3,1) =
+        # [E(3,2), E(2,1)], so a module the certificate declines descends,
+        # and a budget of 0 lines refuses even a single line
         monkeypatch.setattr(series, "LINE_BUDGET", 0)
-        cfg = write_cfg(tmp_path, m=3, n=1, tasks=["verma-scan"],
-                        **{"lambda": [0, 4, 3, 1]})
+        cfg = write_cfg(tmp_path, m=3, n=1, chi={"E(3,1)": 1},
+                        tasks=["graded-verma-scan"], **{"lambda": [0, 4, 3, 1]})
         code, _, err = run_cli(capsys, ["run", "--config", cfg])
         assert code == 2 and err.startswith("error:") and "line budget 0" in err
 

@@ -2,8 +2,8 @@
 
 is_simple and simple_head take dual_core's certificate whenever a module's
 highest vector generates it and spans a weight space of its own, a line
-of the dual's socle on modules without Cartan units, and its descent
-otherwise.  The oracle is the route this replaced:
+of the dual's socle over n- where that socle is one line or the module has
+no Cartan units, and its descent otherwise.  The oracle is the route this replaced:
 is_simple_by_lines spins every maximal-vector line, and
 simple_head_by_lines peels proper spins until the quotient is simple.  The
 unique maximal submodule of a local module has one canonical basis, so
@@ -250,7 +250,8 @@ def assert_matches_lines(M, memo=None):
     assert Counter(composition_series(M).factors) == series_factors_by_lines(M, memo)
 
 
-# the settings whose baby Vermas' series restrictions go through the descent
+# the settings whose baby Vermas' series restrictions the certificate
+# declines: the socle line decides the cyclic ones, the descent the rest
 SERIES_SETTINGS = ["gl11-F5-chi0", "gl21-F5-chi0", "gl21-F5-E21", "gl21-F5-E21x2"]
 
 

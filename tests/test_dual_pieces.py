@@ -150,4 +150,6 @@ def test_the_descent_builds_no_module(monkeypatch):
 
     monkeypatch.setattr(series, "_smaller_spin", counting_step)
     assert modules_built_in_uncertified_cores(monkeypatch, modules) == (len(modules), 0)
-    assert len(steps) >= len(modules)
+    # a module whose socle over n- is one line takes no descent step
+    descending = [M for M in modules if series.shifted_joint_kernel(M, forms=True).dim > 1]
+    assert descending and len(steps) >= len(descending)

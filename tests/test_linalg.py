@@ -13,7 +13,7 @@ import pytest
 from glmn import linalg
 from glmn.ffield import make_field
 from glmn.linalg import (Matrix, Subspace, matmul, matrix_power, matvec, rref,
-                         row_reduce, kernel_arr, kernel_basis, inverse, solve,
+                         row_reduce, kernel, kernel_basis, inverse, solve,
                          eigenspaces)
 
 
@@ -262,7 +262,7 @@ def minimal_polynomial_eigenspaces(field, a):
     pairs = []
     for lam in poly_roots(field, minimal_polynomial(field, a)):
         shifted = field.sub(a, lam * np.eye(n, dtype=np.int64))
-        pairs.append((lam, Subspace(field, n, kernel_arr(field, shifted))))
+        pairs.append((lam, Subspace(field, n, kernel(field, shifted).basis)))
     return pairs, sum(ker.dim for _, ker in pairs) == n
 
 

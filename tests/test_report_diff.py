@@ -1,4 +1,4 @@
-"""tools/report_diff.py, on two of its 158 configs: a tree has no
+"""tools/report_diff.py, on two of its 159 configs: a tree has no
 difference from itself, and a copy whose JSON reports carry another
 schema_version differs from it on stdout and in both --out files."""
 
@@ -12,7 +12,7 @@ NAMES = ("gl11-p5-chi0-verma-scan-json", "gl21-p5-E21-graded-verma-scan-table")
 
 def test_a_tree_has_no_difference_from_itself(capsys, monkeypatch):
     configs = [c for c in report_diff.CONFIGS if c[0] in NAMES]
-    assert len(report_diff.CONFIGS) == 158 and len(configs) == 2
+    assert len(report_diff.CONFIGS) == 159 and len(configs) == 2
     monkeypatch.setattr(report_diff, "CONFIGS", configs)
     assert report_diff.main([str(ROOT), str(ROOT)]) == 0
     assert capsys.readouterr().out == "2 configs, each to stdout and under --out: 0 differences\n"

@@ -20,7 +20,7 @@ from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import is_simple, simple_head
 from glmn.errors import NotWeightBasis
 from glmn.ffield import make_field
-from glmn.linalg import Subspace, eigenspaces, kernel_arr, matmul
+from glmn.linalg import Subspace, eigenspaces, kernel, matmul
 from glmn.series import composition_series, regular_module, restrict_module
 from glmn.verma import (build_baby_verma, build_even_verma, build_graded_verma,
                         build_simple_g0_module, maximal_vectors)
@@ -62,7 +62,7 @@ def oracle_maximal_vectors(M):
     e_units = [rs.e_unit(r) for r in rs.positive if rs.e_unit(r) in M.units]
     stacked = np.vstack([M.matrix(u) for u in e_units]
                         + [np.zeros((0, M.dim), dtype=np.int64)])
-    ker = Subspace(field, M.dim, kernel_arr(field, stacked))
+    ker = Subspace(field, M.dim, kernel(field, stacked).basis)
     hmats = [M.matrix((i, i)) for i in range(1, alg.d + 1)]
     out = []
     for par in (0, 1):

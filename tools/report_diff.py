@@ -19,9 +19,11 @@ task, which exits 2.  9 more run each of the seven tasks alone on that
 config (JSON), and structure-check alone in CSV and table.  3 more run
 kw-verify (JSON) where Phi' is not empty, so that the KW module is induced
 from the head of a Levi Verma: gl(2|1) and gl(1|2) at chi(E11) = 1 and
-gl(2|2) at chi(E11) = chi(E22) = 1.  1 more runs verma-scan (JSON) on
-gl(3|1) at chi = 0 and lambda = (0, 4, 3, 1), whose verdict the descent
-takes (the certificate does not apply to it).  158 in all.
+gl(2|2) at chi(E11) = chi(E22) = 1.  2 more run gl(3|1) at lambda =
+(0, 4, 3, 1), where the certificate does not apply: verma-scan (JSON) at
+chi = 0, decided by the line of M*'s socle over n-, and graded-verma-scan
+(JSON) at chi(E31) = 1, no character of n-, whose verdict the descent
+takes.  159 in all.
 glmn is imported from each tree's src (TREE defaults to the tree holding
 this script), and each config runs once to stdout and once with ``--out
 DIR``.  Both trees run with the same config
@@ -101,10 +103,14 @@ CONFIGS += [(f"{name}-kw-verify-json",
              {"p": 5, "m": m, "n": n, "chi": chi, "tasks": ["kw-verify"], "seed": 1},
              "json", "run", ())
             for name, (m, n, chi) in LEVI_HEADS.items()]
-# the descent, which no module of the algebras above reaches
+# gl(3|1), where the certificate declines: the socle line over n- decides
+# chi = 0, and the descent chi(E31) = 1, which is no character of n-
 CONFIGS += [("gl31-p5-chi0-lam0431-verma-scan-json",
              {"p": 5, "m": 3, "n": 1, "chi": {}, "lambda": [0, 4, 3, 1],
-              "tasks": ["verma-scan"], "seed": 1}, "json", "run", ())]
+              "tasks": ["verma-scan"], "seed": 1}, "json", "run", ()),
+            ("gl31-p5-E31-lam0431-graded-verma-scan-json",
+             {"p": 5, "m": 3, "n": 1, "chi": {"E(3,1)": 1}, "lambda": [0, 4, 3, 1],
+              "tasks": ["graded-verma-scan"], "seed": 1}, "json", "run", ())]
 
 
 def outputs(tree, config, tmp, out):
