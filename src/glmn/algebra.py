@@ -10,6 +10,7 @@ X (Weights, a read-only sequence over one index array) and a scan's rows
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import operator
@@ -464,22 +465,9 @@ def weyl_move_to_simple(rs, beta):
     raise AssertionError("W0-orbit of an odd root must meet the odd simple roots")
 
 
-class CharacterClass:
-    """Vanishing-pattern classification of a character."""
-
-    def __init__(self, semisimple, borel_vanishing, nplus_vanishing,
-                 standard_levi, levi_set):
-        self.semisimple = semisimple
-        self.borel_vanishing = borel_vanishing
-        self.nplus_vanishing = nplus_vanishing
-        self.standard_levi = standard_levi
-        self.levi_set = levi_set
-
-    def __repr__(self):
-        return (f"CharacterClass(semisimple={self.semisimple}, "
-                f"borel_vanishing={self.borel_vanishing}, "
-                f"nplus_vanishing={self.nplus_vanishing}, "
-                f"standard_levi={self.standard_levi}, I={sorted(r.key for r in self.levi_set)})")
+# Vanishing-pattern classification of a character.
+CharacterClass = collections.namedtuple(
+    "CharacterClass", "semisimple borel_vanishing nplus_vanishing standard_levi levi_set")
 
 
 def classify_character(rs, chi):

@@ -11,6 +11,8 @@ character conjugation.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 from .algebra import Character, Weight, classify_character, reflect
@@ -24,36 +26,12 @@ from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
                        simple_heads)
 
 
-class CharacterDecomposition:
-    """chi = chi_s + chi_n with chi_s on H and chi_n on root vectors."""
+# chi = chi_s + chi_n with chi_s on H and chi_n on root vectors.
+CharacterDecomposition = collections.namedtuple("CharacterDecomposition", "chi chi_s chi_n")
 
-    __slots__ = ("chi", "chi_s", "chi_n")
-
-    def __init__(self, chi, chi_s, chi_n):
-        self.chi = chi
-        self.chi_s = chi_s
-        self.chi_n = chi_n
-
-    def __repr__(self):
-        return f"CharacterDecomposition(chi_s={self.chi_s!r}, chi_n={self.chi_n!r})"
-
-
-class LeviData:
-    """Phi', l', l = [l', l'] and the nilradical N of the parabolic P = l' + N."""
-
-    __slots__ = ("phi_prime", "levi_prime", "levi", "nilradical", "n_even", "n_odd")
-
-    def __init__(self, phi_prime, levi_prime, levi, nilradical, n_even, n_odd):
-        self.phi_prime = phi_prime
-        self.levi_prime = levi_prime
-        self.levi = levi
-        self.nilradical = nilradical
-        self.n_even = n_even
-        self.n_odd = n_odd
-
-    def __repr__(self):
-        return (f"LeviData(phi_prime={[r.key for r in self.phi_prime]}, "
-                f"dim N = ({self.n_even}|{self.n_odd}))")
+# Phi', l', l = [l', l'] and the nilradical N of the parabolic P = l' + N.
+LeviData = collections.namedtuple(
+    "LeviData", "phi_prime levi_prime levi nilradical n_even n_odd")
 
 
 def phi_prime_roots(rs, chi):
@@ -111,17 +89,8 @@ def levi_data(rs, chi):
     return LeviData(phi, levi_prime, levi, nilradical, n_even, n_odd)
 
 
-class PhiPrimeOrder:
-    """An admissible order on Phi' with the per-step systems."""
-
-    __slots__ = ("order", "steps")
-
-    def __init__(self, order, steps):
-        self.order = order
-        self.steps = steps
-
-    def __repr__(self):
-        return f"PhiPrimeOrder({[r.key for r in self.order]})"
+# An admissible order on Phi' with the per-step systems.
+PhiPrimeOrder = collections.namedtuple("PhiPrimeOrder", "order steps")
 
 
 def _simple_of(rs, positives):

@@ -6,6 +6,7 @@ than LINE_BUDGET lines raises BudgetExceeded."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -145,24 +146,14 @@ def restrict_module(M, sub):
     basis, d = sub.basis, sub.dim
     # coords raises unless every image lies in the submodule; coeffs[t, i]
     # holds the coordinates of unit i's image of basis row t
-    images = _images(M.field, basis[None], M.stacked_action.T)[0]
+    images = _images(M.field, basis[None], _factor(M, False))[0]
     coeffs = sub.coords(images).reshape(d, len(M.units), d)
     return ModuleRep(M.algebra, M.chi, M.units, coeffs.transpose(1, 2, 0),
                      M.parity[sub.pivots]), basis
 
 
-class CompositionSeries:
-    """Descending chain of graded submodules, Subspaces of F^dim, with
-    simple quotients."""
-
-    __slots__ = ("chain", "factors")
-
-    def __init__(self, chain, factors):
-        self.chain = chain
-        self.factors = factors
-
-    def __repr__(self):
-        return f"CompositionSeries(factors={self.factors})"
+# Descending chain of graded submodules, Subspaces of F^dim, with simple quotients.
+CompositionSeries = collections.namedtuple("CompositionSeries", "chain factors")
 
 
 def composition_series(M):

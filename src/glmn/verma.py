@@ -224,18 +224,8 @@ def _axiom_table(algebra, units):
     return algebra._axiom_tables[units]
 
 
-class SimplicityPolynomials:
-    """The values f(lambda), f0, f1 at one weight."""
-
-    __slots__ = ("f_formula", "f0", "f1")
-
-    def __init__(self, f_formula, f0, f1):
-        self.f_formula = f_formula
-        self.f0 = f0
-        self.f1 = f1
-
-    def __repr__(self):
-        return f"SimplicityPolynomials(f_formula={self.f_formula}, f0={self.f0}, f1={self.f1})"
+# The values f(lambda), f0, f1 at one weight.
+SimplicityPolynomials = collections.namedtuple("SimplicityPolynomials", "f_formula f0 f1")
 
 
 def _check_borel(chi):

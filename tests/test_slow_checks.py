@@ -1,6 +1,8 @@
-"""tools/slow_checks.py in pair mode, on graded-gl31-lam0431 (about 0.3 s a
-run): two copies of one tree give a record of every figure with equal
-reports, and a copy whose report differs makes it exit 1."""
+"""tools/slow_checks.py, on graded-gl31-lam0431 (about 0.3 s a run).  Pair
+mode: two copies of one tree give a record of every figure with equal
+reports, and a copy whose report differs makes it exit 1.  Single-run mode
+with --only runs just the named configs, and --out keeps only the reports
+they write (empty-huge is refused and writes none)."""
 
 import json
 import shutil
@@ -47,3 +49,16 @@ def test_a_differing_report_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{NAME} pair 1: the reports differ" in captured.err
     assert f"{NAME}: 1 pairs, 1 report differences" in captured.out
+
+
+def test_single_run_mode_runs_only_the_named_configs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert slow_checks.main([copy_tree(tmp_path / "tree"), "--out", str(out),
+                             "--only", NAME, "empty-huge"]) == 0
+    # in the order of CONFIGS, not of --only
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [["empty-huge", "exit", "2"],
+                                                    [NAME, "exit", "0"]]
+    assert all(line.endswith(" ok") for line in lines)
+    assert json.loads((out / f"{NAME}.json").read_text())["passed"] is True
+    assert sorted(p.name for p in out.iterdir()) == [f"{NAME}.json"]

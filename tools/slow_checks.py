@@ -1,31 +1,37 @@
 #!/usr/bin/env python3
 """Run the configs too slow for tier-1, each in a fresh interpreter.
 
-usage: python3 tools/slow_checks.py [TREE] [--out DIR]
+usage: python3 tools/slow_checks.py [TREE] [--out DIR] [--only NAME ...]
        python3 tools/slow_checks.py TREE --parent PARENT --pairs N
                                     [--only NAME ...] [--record FILE]
 
-Each config below runs as ``python -m glmn.cli run --config FILE`` with
-glmn imported from TREE/src (default: the tree holding this script) and
-BLAS pinned to one thread.  A config with ``expect`` 0 must exit 0 with
-``"passed": true``; one with ``expect`` 2 must exit 2 with one ``error:``
-line.  For each config the script prints the exit code, the wall time and
-the child's peak RSS (``os.wait4``); with --out it also writes each report
-to DIR/<name>.json, so that two trees' reports can be compared.  Exits 1
-unless every config behaves as expected.  A report is kept in a file, not
-in memory: one above PARSE_LIMIT bytes (``scan-gl11-p1409`` writes about
-940 MB) is checked by its top-level ``"passed"`` line, which the CLI's
-``json`` output (sorted keys, indent 2) puts alone at two spaces in.
+Each config below, or each named by --only, runs as ``python -m glmn.cli
+run --config FILE`` with glmn imported from TREE/src (default: the tree
+holding this script) and BLAS pinned to one thread.  A config with
+``expect`` 0 must exit 0 with ``"passed": true``; one with ``expect`` 2
+must exit 2 with one ``error:`` line.  For each config the script prints
+the exit code, the wall time and the child's peak RSS (``os.wait4``); with
+--out it also writes each report to DIR/<name>.json, so that two trees'
+reports can be compared.  Exits 1 unless every config behaves as expected.
+A report is kept in a file, not in memory: one above PARSE_LIMIT bytes
+(``scan-gl11-p1409`` writes about 940 MB) is checked by its top-level
+``"passed"`` line, which the CLI's ``json`` output (sorted keys, indent 2)
+puts alone at two spaces in.
 
-Pair mode (--parent and --pairs) compares TREE with PARENT: each config,
-or each named by --only, runs N alternating pairs of fresh interpreters,
-PARENT first on odd pairs and TREE first on even ones, both sides of a
-pair with the same config path and working directory.  Each pair's reports
-(stdout) must be byte-identical and each run must behave as its config
-expects.  For each config and side it prints the median [q1, q3] of the
-wall time and of the peak RSS, and in how many pairs TREE's is the lower;
---record FILE writes the same figures, and every run's, as JSON.  Exits 1
-on any report difference or unexpected exit.
+Pair mode (--parent and --pairs) compares TREE with PARENT: each config
+runs N alternating pairs of fresh interpreters, PARENT first on odd pairs
+and TREE first on even ones, both sides of a pair with the same config
+path and working directory.  Each pair's reports (stdout) must be
+byte-identical and each run must behave as its config expects.  For each
+config and side it prints the median [q1, q3] of the wall time and of the
+peak RSS, and in how many pairs TREE's is the lower; --record FILE writes
+the same figures, and every run's, as JSON.  Exits 1 on any report
+difference or unexpected exit.  q1 and q3 are inclusive quartiles
+(statistics.quantiles, method="inclusive"), which always lie within the
+runs.  A gain on a slow config is judged by bench_record.py's rule, whose
+quartile distance is the exclusive one (statistics.quantiles' default, as
+perfbench/run.py takes it), never narrower than the printed one: take it
+from the record's runs.
 
 Each child's address space is capped at MEMORY_CAP bytes, so a tree that
 builds a huge algebra before refusing it fails with a MemoryError instead
@@ -180,13 +186,12 @@ def pair_config(trees, name, expect, cfg, pairs):
     return {**record, "lower": lower, "differences": differences, "runs": runs}, ok
 
 
-def pair_mode(args):
+def pair_mode(args, configs):
     trees = {"parent": str(args.parent), "tree": str(args.tree)}
     record, ok = {**trees, "pairs": args.pairs, "configs": {}}, True
-    for name, expect, overrides in CONFIGS:
-        if not args.only or name in args.only:
-            entry, good = pair_config(trees, name, expect, {**BASE, **overrides}, args.pairs)
-            record["configs"][name], ok = entry, ok and good
+    for name, expect, overrides in configs:
+        entry, good = pair_config(trees, name, expect, {**BASE, **overrides}, args.pairs)
+        record["configs"][name], ok = entry, ok and good
     if args.record:
         Path(args.record).write_text(json.dumps(record, indent=2) + "\n")
     return 0 if ok else 1
@@ -203,16 +208,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if (args.parent is None) != (args.pairs is None) or (args.pairs or 1) < 1:
         parser.error("pair mode takes both --parent and --pairs N, N >= 1")
-    if args.parent is None and (args.only or args.record):
-        parser.error("--only and --record are for pair mode")
+    if args.parent is None and args.record:
+        parser.error("--record is for pair mode")
     if args.parent is not None and args.out:
         parser.error("--out is for the single-run mode")
     if unknown := set(args.only or ()) - {name for name, _, _ in CONFIGS}:
         parser.error(f"unknown config: {', '.join(sorted(unknown))}")
+    configs = [c for c in CONFIGS if not args.only or c[0] in args.only]
     if args.parent is not None:
-        return pair_mode(args)
+        return pair_mode(args, configs)
     ok = True
-    for name, expect, overrides in CONFIGS:
+    for name, expect, overrides in configs:
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, stderr, wall, rss = run(args.tree, {**BASE, **overrides}, tmp)
             good = check(expect, code, stdout, stderr)
