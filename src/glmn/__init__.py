@@ -18,8 +18,7 @@ _EXPORTS = {
              "build_simple_g0_module build_graded_verma f_direct f_formula f1_direct "
              "maximal_vectors induced_hom",
     "analysis": "spin is_simple simple_head",
-    "series": "CompositionSeries composition_series regular_module trivial_submodules "
-              "frobenius_gram",
+    "series": "regular_module frobenius_gram",
     "kw": "CharacterDecomposition LeviData decompose_character levi_data order_phi_prime "
           "kw_verify dot_action levi_scan levi_scans conjugate_character normalize_character",
 }

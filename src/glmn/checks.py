@@ -1,5 +1,6 @@
 """The tasks that check the algebra and u(n-, chi), not weights: structure-check,
-frobenius-check and regular-module-check, imported only by a run that lists one."""
+frobenius-check and regular-module-check (by the radical layers of the regular
+module), imported only by a run that lists one."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .cli import task_seed
 from .linalg import matmul, matrix_power
-from .series import composition_series, frobenius_gram, regular_module, shifted_joint_kernel
+from .series import frobenius_gram, radical_layers, regular_module, shifted_joint_kernel
 from .verma import _axiom_table, _slices
 
 
@@ -96,10 +97,10 @@ def regular_task(cfg, algebra, chi, weights):
     # trivial submodules
     tl, tr = shifted_joint_kernel(left), shifted_joint_kernel(right)
     same_line = tl.dim == 1 == tr.dim and bool((tl.basis == tr.basis).all())
-    series = composition_series(left)
-    factor_dims = [d for d, _ in series.factors]
-    uniform = len({fp for _, fp in series.factors}) <= 1
-    passed = same_line and sum(factor_dims) == left.dim and uniform
+    # every y_x acts by 0 on each layer: one factor, the chi-module, per
+    # dimension peeled; a chain that stalls above 0 leaves the rest unpeeled
+    peeled = sum(radical_layers(left))
+    uniform = peeled == left.dim
     return {"sub": sub, "dim": left.dim, "trivial_dim_left": tl.dim, "trivial_dim_right": tr.dim,
-            "v_left_equals_v_right": same_line, "factor_dims": factor_dims,
-            "factors_uniform": uniform}, passed
+            "v_left_equals_v_right": same_line, "factor_dims": [1] * peeled,
+            "factors_uniform": uniform}, same_line and uniform

@@ -1,22 +1,20 @@
 """Module analysis past the certificate (analysis imports it only there):
-the socle and the descent, shifted kernels, quotients, restrictions,
-composition series, and the regular modules and Frobenius form of u(sub,
-chi).  The descent is exhaustive or refused: a candidate piece with more
-than LINE_BUDGET lines raises BudgetExceeded."""
+the socle and the descent, shifted kernels and radical layers, and the
+regular modules and Frobenius form of u(sub, chi).  The descent is
+exhaustive or refused: a candidate piece with more than LINE_BUDGET lines
+raises BudgetExceeded."""
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 
 import numpy as np
 
-from .analysis import (_candidate_spaces, _factor, _has_cartan, _images, _quotient, _spins,
-                       simple_head)
+from .analysis import _candidate_spaces, _factor, _has_cartan, _spins
 from .enveloping import PBWElement, multiply, reduction_context
 from .errors import BudgetExceeded, NoMaximalVector, NotClosed, ShiftInconsistent
-from .linalg import Matrix, Subspace, kernel, matmul, row_reduce
+from .linalg import Matrix, Subspace, _matmul, kernel, matmul, row_reduce, rref
 from .verma import ModuleRep, _axiom_table, _pbw_layers, cartan_diagonal
 
 LINE_BUDGET = 10 ** 4
@@ -43,20 +41,42 @@ def _shifted_scalars(M):
     return {x: chi.value(x) for x in units}
 
 
-def shifted_joint_kernel(M, *, forms=False):
-    """Joint kernel of x - a_x over the units of _shifted_scalars: the socle
-    over them of M, or with forms, of M* as forms of M."""
+def _shifted_units(M, forms=False):
+    """The (len(units), dim, dim) stack of y_x = x - a_x over the units x
+    and scalars a_x of _shifted_scalars; with forms, their transposes, by
+    which forms of M move (written in place: a transposed copy of the stack
+    would double its peak)."""
     f, n, scalars = M.field, M.dim, _shifted_scalars(M)
-    rows = np.empty((len(scalars), n, n), dtype=np.int64)
+    ys = np.empty((len(scalars), n, n), dtype=np.int64)
     for t, (x, a) in enumerate(scalars.items()):
-        rows[t] = M.matrix(x).T if forms else M.matrix(x)
-        rows[t].flat[::n + 1] = f.sub(rows[t].diagonal(), a)
-    return kernel(f, rows.reshape(len(scalars) * n, n))
+        ys[t] = M.matrix(x).T if forms else M.matrix(x)
+        ys[t].flat[::n + 1] = f.sub(ys[t].diagonal(), a)
+    return ys
 
 
-def trivial_submodules(M):
-    """Joint kernel of all action matrices."""
-    return kernel(M.field, M.stacked_action)
+def shifted_joint_kernel(M, *, forms=False):
+    """Joint kernel of the y_x of _shifted_units: the socle over their units
+    of M, or with forms, of M* as forms of M."""
+    return kernel(M.field, _shifted_units(M, forms).reshape(-1, M.dim))
+
+
+def radical_layers(M):
+    """The dimensions of M_k / M_{k+1}, for M_0 = M and M_{k+1} = sum_x
+    y_x M_k over the y_x of _shifted_units, until M_k is 0 or M_{k+1} =
+    M_k.  Each y_x acts by 0 on every layer, so the chain reaches 0 (the
+    dimensions sum to dim M) exactly when every composition factor of M is
+    the one-dimensional module of the scalars a_x."""
+    f, n = M.field, M.dim
+    # layer rows times right: each row's images under every y_x, side by side
+    right = _shifted_units(M).transpose(2, 0, 1).reshape(n, -1)
+    layer, dims = np.eye(n, dtype=np.int64), []
+    while len(layer):
+        echelon, pivots = rref(f, _matmul(f, layer, right).reshape(-1, n))
+        if len(pivots) == len(layer):
+            break
+        dims.append(len(layer) - len(pivots))
+        layer = echelon[:len(pivots)]
+    return dims
 
 
 def _line_representatives(field, sub):
@@ -118,65 +138,6 @@ def _smaller_spin(M, right, pieces, S):
     if not lines:
         raise NoMaximalVector("a submodule has no generating candidate line")
     return None
-
-
-def quotient_module(M, sub):
-    """The quotient of M by a graded submodule, a Subspace of F^dim.
-
-    Returns (Q, proj, lift): proj maps ambient vectors to quotient
-    coordinates and lift is a linear section.
-    """
-    free = np.delete(np.arange(M.dim), sub.pivots)
-
-    def proj(vec):
-        return sub.reduce(vec)[..., free]
-
-    def lift(vec):
-        vec = np.asarray(vec, dtype=np.int64)
-        out = np.zeros(vec.shape[:-1] + (M.dim,), dtype=np.int64)
-        out[..., free] = vec
-        return out
-
-    return _quotient(M, sub), proj, lift
-
-
-def restrict_module(M, sub):
-    """M restricted to a graded submodule, a Subspace of F^dim, with the
-    embedding rows."""
-    basis, d = sub.basis, sub.dim
-    # coords raises unless every image lies in the submodule; coeffs[t, i]
-    # holds the coordinates of unit i's image of basis row t
-    images = _images(M.field, basis[None], _factor(M, False))[0]
-    coeffs = sub.coords(images).reshape(d, len(M.units), d)
-    return ModuleRep(M.algebra, M.chi, M.units, coeffs.transpose(1, 2, 0),
-                     M.parity[sub.pivots]), basis
-
-
-# Descending chain of graded submodules, Subspaces of F^dim, with simple quotients.
-CompositionSeries = collections.namedtuple("CompositionSeries", "chain factors")
-
-
-def composition_series(M):
-    """Peel simple heads until nothing is left.
-
-    factors records (dim, fingerprint) per simple factor, top first;
-    chain records the corresponding graded submodules of M, as Subspaces
-    of F^dim, descending.
-    """
-    chain, factors, current = [], [], M
-    # rows of the current module's basis expressed in M's coordinates
-    embed = np.eye(M.dim, dtype=np.int64)
-    while current.dim:
-        R, head = simple_head(current)
-        fps = sorted({fp for fp, _, _ in _candidate_spaces(head)})
-        factors.append((head.dim, tuple(fps)))
-        if R.dim == 0:
-            chain.append(Subspace(M.field, M.dim))
-            break
-        current, basis_local = restrict_module(current, R)
-        embed = matmul(M.field, basis_local, embed)
-        chain.append(Subspace(M.field, M.dim, embed))
-    return CompositionSeries(chain, factors)
 
 
 def _sub_positions(ctx, sub_units):

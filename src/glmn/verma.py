@@ -61,8 +61,7 @@ class ModuleRep:
     """A finite-dimensional u(g, chi)-module given by action matrices.
 
     The action is one (U, dim, dim) index array, actions, whose slice t is
-    the matrix of units[t]; stacked_action is the same memory as one
-    (U * dim, dim) array.  The action is read-only once the module is built.
+    the matrix of units[t].  The action is read-only once the module is built.
     """
 
     def __init__(self, algebra, chi, units, actions, parity, labels=None,
@@ -80,7 +79,6 @@ class ModuleRep:
         # a view: freezing it leaves the caller's array writeable
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).reshape(U, n, n)
         self.actions.flags.writeable = False
-        self.stacked_action = self.actions.reshape(U * n, n)
         self._index = {u: t for t, u in enumerate(self.units)}
         self.labels = labels
         if highest_vector is not None:

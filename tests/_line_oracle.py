@@ -18,8 +18,9 @@ from collections import Counter
 from glmn.analysis import SimplicityVerdict, _candidate_spaces, dual_core, spin
 from glmn.errors import NoMaximalVector
 from glmn.linalg import Subspace
-from glmn.series import _line_representatives, quotient_module, restrict_module
+from glmn.series import _line_representatives
 from glmn.verma import ModuleRep
+from _series_oracle import quotient_module, restrict_module
 
 
 def dual_module(M):

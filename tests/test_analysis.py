@@ -18,9 +18,7 @@ from glmn.linalg import Subspace, matvec
 from glmn.algebra import build_algebra, Character, Weight
 from glmn.verma import build_baby_verma
 from glmn.analysis import spin, is_simple, simple_head
-from glmn.series import (composition_series, quotient_module, restrict_module,
-                         trivial_submodules, regular_module, frobenius_gram,
-                         shifted_joint_kernel)
+from glmn.series import regular_module, frobenius_gram, shifted_joint_kernel
 from glmn import enveloping, series
 from glmn.errors import (BudgetExceeded, ZeroVector, NotClosed,
                          ShiftInconsistent)
@@ -28,6 +26,8 @@ from test_block_spin import is_action_closed
 from _bracket_oracle import outcome, shifted_scalars
 from _gram_oracle import pbw_gram
 from _line_oracle import witness
+from _series_oracle import (composition_series, quotient_module, restrict_module,
+                            trivial_submodules)
 
 F = make_field(5)
 

@@ -114,3 +114,74 @@ def test_mixed_commits_are_refused(tmp_path):
         write_run(change, "bbb", seed, 0.9, 11.0)
     with pytest.raises(SystemExit, match="several commits"):
         bench_record.record(8, parent, change, BENCHMARK)
+
+
+def write_slow(path, pairs=10):
+    """A pair-mode record of tools/slow_checks.py, with the entries that
+    bench_record reads: regular-gl22 faster in every pair at the same peak
+    RSS, and graded-gl31-lam0431 unchanged."""
+    walls = {"regular-gl22": {"parent": [5.0 + k / 100 for k in range(pairs)],
+                              "tree": [0.5 + k / 100 for k in range(pairs)]},
+             "graded-gl31-lam0431": {"parent": [0.3] * pairs, "tree": [0.3] * pairs}}
+    configs = {name: {"differences": 0,
+                      "runs": {side: {"wall_s": v, "peak_rss_mb": [80.0] * pairs}
+                               for side, v in sides.items()}}
+               for name, sides in walls.items()}
+    path.write_text(json.dumps({"parent": "/p", "tree": "/t", "pairs": pairs,
+                                "environment": {"nproc": 2, "python": "3.11"},
+                                "configs": configs}))
+
+
+def test_a_slow_record_is_copied_and_its_gains_marked(tmp_path):
+    slow, out = tmp_path / "slow.json", tmp_path / "BENCH.json"
+    write_slow(slow)
+    bench_record.main(["--pr", "51", "--slow", str(slow), "--out", str(out)])
+    rec = json.loads(out.read_text())
+    assert list(rec) == ["pr", "slow"] and rec["pr"] == 51
+    section = rec["slow"]
+    assert section["environment"] == {"nproc": 2, "python": "3.11"}
+    assert section["pairs"] == 10
+    assert section["command"][-5:] == ["--pairs", "10", "--only", "regular-gl22",
+                                       "graded-gl31-lam0431"]
+    regular = section["configs"]["regular-gl22"]
+    assert regular["differences"] == 0
+    wall = regular["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == pytest.approx(5.045)
+    assert wall["change"]["median"] == pytest.approx(0.545)
+    assert wall["pairs_change_better"] == 10 and wall["gain"]
+    assert "bound" not in wall and "within_bound" not in wall
+    rss = regular["metrics"]["peak_rss_mb"]
+    assert rss["pairs_change_better"] == 0 and not rss["gain"]
+    assert rss["unit"] == "MB" and rss["change_over_parent"] == 1
+    graded = section["configs"]["graded-gl31-lam0431"]["metrics"]["wall_s"]
+    assert graded["pairs_change_better"] == 0 and not graded["gain"]
+
+
+def test_a_slow_gain_needs_nine_pairs_in_ten(tmp_path):
+    slow = tmp_path / "slow.json"
+    write_slow(slow)
+    rec = json.loads(slow.read_text())
+    # two pairs in which the change is slower: 8 of 10 is no gain
+    rec["configs"]["regular-gl22"]["runs"]["tree"]["wall_s"][:2] = [9.0, 9.0]
+    slow.write_text(json.dumps(rec))
+    wall = bench_record.slow(slow)["configs"]["regular-gl22"]["metrics"]["wall_s"]
+    assert wall["pairs_change_better"] == 8 and not wall["gain"]
+
+
+def test_slow_with_the_perfbench_pairs(tmp_path, monkeypatch):
+    # main reads BENCHMARK.json at ROOT
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    parent, change, slow = tmp_path / "parent", tmp_path / "change", tmp_path / "slow.json"
+    for seed in (1, 2):
+        write_run(parent, "aaa", seed, 1.0, 10.0)
+        write_run(change, "bbb", seed, 1.0, 10.0)
+    write_slow(slow)
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--pr", "51", "--parent", str(parent), "--change", str(change),
+                       "--slow", str(slow), "--out", str(out)])
+    rec = json.loads(out.read_text())
+    assert rec["workloads"]["levi-gl21"]["seeds"] == [1, 2]
+    assert rec["slow"]["configs"]["regular-gl22"]["metrics"]["wall_s"]["gain"]
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "51", "--parent", str(parent), "--out", str(out)])

@@ -30,11 +30,11 @@ from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import _factor, _images, dual_core, dual_cores, is_simple, simple_head, spin
 from glmn.ffield import make_field
 from glmn.linalg import Subspace, kernel, matmul, rref
-from glmn.series import composition_series, quotient_module, restrict_module
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 from test_kernels import (FIELDS, KERNEL_SETTINGS, draw_matrix, line_seeded, t_kernel,
                           t_rref)
 from _line_oracle import witness
+from _series_oracle import composition_series, quotient_module, restrict_module, stacked_action
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -113,7 +113,7 @@ def parity_parts(M, sub):
 def unit_images(M, rows, right=None):
     """The images u.v of the rows v under every unit u (_images of the
     stack of M alone), by right, M's action transposed by default."""
-    right = M.stacked_action.T if right is None else right
+    right = stacked_action(M).T if right is None else right
     return _images(M.field, np.asarray(rows, dtype=np.int64)[None], right)[0]
 
 
@@ -229,7 +229,7 @@ def test_unit_images_match_per_unit_products(name, data):
     want = [[M.act(u, v) for u in M.units] for v in rows]
     factor = _factor(M, False)
     assert (factor.dtype.kind == "f") == (M.field.k == 1)
-    for right in (M.stacked_action.T, factor):
+    for right in (stacked_action(M).T, factor):
         images = unit_images(M, rows, right).reshape(len(rows), len(M.units), M.dim)
         assert np.array_equal(images, want)
 
@@ -484,9 +484,9 @@ def test_stacked_action_is_cached_vstack(name):
         M, _ = restrict_module(*_proper_submodule())
     else:
         M = module(name)
-    stacked = M.stacked_action
-    assert stacked is M.stacked_action
+    stacked = stacked_action(M)
+    assert stacked is stacked_action(M)
     assert np.array_equal(stacked, np.vstack([M.matrix(u) for u in M.units]))
     spin(M, M.highest_vector if M.highest_vector is not None
          else np.eye(M.dim, dtype=np.int64)[0])
-    assert M.stacked_action is stacked
+    assert stacked_action(M) is stacked

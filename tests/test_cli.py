@@ -573,6 +573,16 @@ class TestSubcommands:
         assert rec["trivial_dim_left"] == rec["trivial_dim_right"] == 1
         assert rec["v_left_equals_v_right"]
 
+    def test_regular_module_check_refuses_chi_that_is_no_character(self, tmp_path, capsys):
+        """chi(E31) = 1 on gl(3|1), with E31 = [E32, E21]: no one-dimensional
+        module of n- to shift by, so the task fails before any layer."""
+        cfg = write_cfg(tmp_path, m=3, n=1, chi={"E(3,1)": 1}, **{"lambda": [0, 0, 0, 0]},
+                        tasks=["regular-module-check"])
+        code, out, err = run_cli(capsys, ["run", "--config", cfg])
+        assert (code, out) == (1, "")
+        assert err == ("task failed: chi does not vanish on the derived subalgebra; "
+                       "no one-dimensional module to shift by\n")
+
 
 def run_python(*args):
     """A fresh interpreter with glmn on its path; its completed process."""

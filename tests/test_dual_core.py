@@ -30,6 +30,7 @@ from _line_oracle import (dual_module, is_local_by_dual_spins, is_simple_by_line
                           series_factors_by_lines, simple_head_by_lines,
                           witness)
 from test_weight_split import _series_restrictions
+from _series_oracle import composition_series, quotient_module, restrict_module
 
 from glmn import analysis, linalg, series
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
@@ -37,7 +38,7 @@ from glmn.analysis import (_candidate_spaces, _top_coordinate, dual_core,
                            is_simple, simple_head, spin)
 from glmn.errors import BudgetExceeded
 from glmn.ffield import make_field
-from glmn.series import composition_series, quotient_module, regular_module, restrict_module
+from glmn.series import regular_module
 from glmn.kw import build_levi_verma, levi_data
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma,
                         build_graded_verma, build_simple_g0_module, cartan_diagonal,

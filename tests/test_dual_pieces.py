@@ -23,12 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from _line_oracle import dual_module
 from test_weight_split import _series_restrictions
+from _series_oracle import restrict_module
 
 from glmn import series
 from glmn.algebra import Character, build_algebra, weight_variety
 from glmn.analysis import _candidate_spaces, _has_cartan, _top_coordinate, dual_core, dual_cores
 from glmn.ffield import make_field
-from glmn.series import regular_module, restrict_module
+from glmn.series import regular_module
 from glmn.verma import ModuleRep, build_baby_verma, build_graded_verma, build_simple_g0_module
 
 # (degree, chi) of gl(2|1) over F_{5^degree}; a diagonal chi extends F_5

@@ -29,12 +29,12 @@ from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import _factor, _spins, dual_core, spin
 from glmn.ffield import make_field
 from glmn.linalg import float_type
-from glmn.series import restrict_module
 from glmn.verma import (ModuleRep, build_baby_verma, build_even_verma, build_graded_verma,
                         build_simple_g0_module, cartan_diagonal)
 from test_block_spin import parity_parts, seq_spin, spin_vectors
 
 from _line_oracle import dual_module, witness
+from _series_oracle import restrict_module
 
 
 def setting(p, chi, k_ext=False, degree=1, m=2):

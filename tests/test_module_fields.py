@@ -2,7 +2,7 @@
 
 ModuleRep.__init__ takes lam, highest_vector and ctx, and every builder
 passes them there: verma.build_induced and induce for each induced module,
-quotient_module and regular_module for theirs.  Assigning one of these
+analysis._quotient and regular_module for theirs.  Assigning one of these
 fields on another object after the fact fails this test; an object setting
 its own field (self.ctx in a ReductionContext, say) does not.
 """

@@ -1,6 +1,7 @@
 """tools/report_diff.py, on two of its 159 configs: a tree has no
-difference from itself, and a copy whose JSON reports carry another
-schema_version differs from it on stdout and in both --out files."""
+difference from itself, also when named by a relative path, and a copy
+whose JSON reports carry another schema_version differs from it on stdout
+and in both --out files."""
 
 import re
 import shutil
@@ -33,3 +34,14 @@ def test_an_altered_report_is_found(tmp_path, capsys, monkeypatch):
         f"{NAMES[0]} --out: --out summary.json {diff}",
         f"{NAMES[0]} --out: --out verma-scan.json {diff}",
         "2 configs, each to stdout and under --out: 3 differences"]
+
+
+def test_a_relative_parent_runs_from_the_childrens_directory(tmp_path, capsys, monkeypatch):
+    # each child runs in a temporary directory, where a relative src path
+    # would not find glmn: every run of the parent would differ
+    shutil.copytree(ROOT / "src" / "glmn", tmp_path / "parent" / "src" / "glmn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(report_diff, "CONFIGS", [c for c in report_diff.CONFIGS if c[0] in NAMES])
+    assert report_diff.main(["parent"]) == 0
+    assert capsys.readouterr().out == "2 configs, each to stdout and under --out: 0 differences\n"

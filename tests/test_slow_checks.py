@@ -2,7 +2,8 @@
 mode: two copies of one tree give a record of every figure with equal
 reports, and a copy whose report differs makes it exit 1.  Single-run mode
 with --only runs just the named configs, and --out keeps only the reports
-they write (empty-huge is refused and writes none)."""
+they write (empty-huge is refused and writes none).  Relative trees run as
+well as absolute ones, though each child runs in a temporary directory."""
 
 import json
 import shutil
@@ -62,3 +63,13 @@ def test_single_run_mode_runs_only_the_named_configs(tmp_path, capsys):
     assert all(line.endswith(" ok") for line in lines)
     assert json.loads((out / f"{NAME}.json").read_text())["passed"] is True
     assert sorted(p.name for p in out.iterdir()) == [f"{NAME}.json"]
+
+
+def test_relative_trees_run_from_the_childrens_directory(tmp_path, capsys, monkeypatch):
+    # each child runs in a temporary directory, where a relative src path
+    # would not find glmn
+    copy_tree(tmp_path / "parent")
+    copy_tree(tmp_path / "tree")
+    monkeypatch.chdir(tmp_path)
+    assert slow_checks.main(["tree", "--parent", "parent", "--pairs", "1", "--only", NAME]) == 0
+    assert capsys.readouterr().out.startswith(f"{NAME}: 1 pairs, 0 report differences\n")

@@ -29,9 +29,10 @@ from glmn.analysis import _candidate_spaces, _factor, _spins, _top_coordinate, d
 from glmn.ffield import make_field
 from glmn.kw import build_levi_verma, levi_data
 from glmn.linalg import Subspace
-from glmn.series import restrict_module, shifted_joint_kernel
+from glmn.series import shifted_joint_kernel
 from glmn.verma import (build_baby_verma, build_graded_verma, build_simple_g0_module,
                         cartan_diagonal)
+from _series_oracle import restrict_module
 
 F5 = make_field(5)
 # chi of gl(2|1) over F_5; the diagonal one extends the field to F_{5^5}

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from _line_oracle import witness
+from _series_oracle import stacked_action
 
 from glmn import analysis, cli, verma
 from glmn.algebra import (Character, Weight, build_algebra, classify_character,
@@ -313,7 +314,7 @@ def test_equal_root_action_at_different_weights():
 def test_action_is_read_only():
     alg, chi, weights = fresh_setting(CHI0)
     Z = build_baby_verma(alg, chi, weights[0])
-    for view in (Z.actions, Z.stacked_action, Z.matrix((1, 2))):
+    for view in (Z.actions, stacked_action(Z), Z.matrix((1, 2))):
         with pytest.raises(ValueError):
             view[0, 0] = 1
     # the caller's array is left as it was

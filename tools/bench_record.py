@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Record a parent/change benchmark comparison as BENCH_<pr>.json.
 
-usage: python3 tools/bench_record.py --pr N --parent DIR --change DIR [--out FILE]
+usage: python3 tools/bench_record.py --pr N [--parent DIR --change DIR]
+                                     [--slow FILE] [--out FILE]
 
 Each DIR is the .perfbench_run/results directory of a source tree on which
 perfbench/run.py ran with --trace 0; every <workload>-seed<S>-trace0.json
@@ -24,8 +25,16 @@ workload and seed are paired the same way, and the record gains a
 per_layer section: for each workload and each per-layer metric of
 BENCHMARK.json, each side's value (the median over the paired seeds) and
 the change over the parent, so that cuts in call counts show beside the
-timings.  Written to BENCH_<pr>.json at the root of the repository unless
---out says otherwise.
+timings.
+
+--slow FILE adds a slow section from a pair-mode record of
+tools/slow_checks.py --record (with or without --parent and --change):
+for each slow config, its report differences and, for the wall time and
+the peak RSS, each side's median and quartiles over its runs, the pairs in
+which the change is lower, and whether a gain holds by the rule above.  A
+slow config has no bound, so the section is recorded and never gated.  It
+keeps the record's environment.  Written to BENCH_<pr>.json at the root of
+the repository unless --out says otherwise.
 """
 
 from __future__ import annotations
@@ -59,26 +68,57 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def compare(metric, parent_values, change_values):
-    """The record of one metric over the paired runs of one workload."""
-    lower = metric["better"] == "lower"
+def paired(parent_values, change_values, lower):
+    """Each side's summary of one metric over paired runs, the change median
+    over the parent median, the pairs in which the change is better, and
+    whether a gain holds."""
     parent, change = summary(parent_values), summary(change_values)
     better = sum((c < p) if lower else (c > p)
                  for p, c in zip(parent_values, change_values))
     pm, cm = parent["median"], change["median"]
-    limit = pm * (1 + metric["bound"]) if lower else pm * (1 - metric["bound"])
     return {
-        "unit": metric["unit"],
-        "better": metric["better"],
-        "bound": metric["bound"],
         "parent": parent,
         "change": change,
         "change_over_parent": cm / pm if pm else None,
         "pairs_change_better": better,
-        "within_bound": cm <= limit if lower else cm >= limit,
         "gain": (10 * better >= 9 * len(parent_values)
                  and abs(cm - pm) > parent["q3"] - parent["q1"]
                  and ((cm < pm) if lower else (cm > pm))),
+    }
+
+
+def compare(metric, parent_values, change_values):
+    """The record of one metric over the paired runs of one workload."""
+    lower = metric["better"] == "lower"
+    rec = paired(parent_values, change_values, lower)
+    pm, cm = rec["parent"]["median"], rec["change"]["median"]
+    limit = pm * (1 + metric["bound"]) if lower else pm * (1 - metric["bound"])
+    return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            **rec, "within_bound": cm <= limit if lower else cm >= limit}
+
+
+def slow(path):
+    """The slow section: a pair-mode record of tools/slow_checks.py --record,
+    each config's wall time and peak RSS compared as compare does, with no
+    bound (a slow config is recorded, not gated), and the record's
+    environment.  The tree that slow_checks.py calls TREE is the change."""
+    with open(path) as fh:
+        rec = json.load(fh)
+    configs = {}
+    for name, entry in rec["configs"].items():
+        runs = entry["runs"]
+        configs[name] = {
+            "differences": entry["differences"],
+            "metrics": {key: {"unit": unit, "better": "lower",
+                              **paired(runs["parent"][key], runs["tree"][key], True)}
+                        for key, unit in (("wall_s", "s"), ("peak_rss_mb", "MB"))},
+        }
+    return {
+        "command": ["python3", "tools/slow_checks.py", "TREE", "--parent", "PARENT",
+                    "--pairs", str(rec["pairs"]), "--only", *rec["configs"]],
+        "environment": rec["environment"],
+        "pairs": rec["pairs"],
+        "configs": configs,
     }
 
 
@@ -169,15 +209,22 @@ def record(pr, parent_dir, change_dir, benchmark):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--parent", required=True,
-                    help="results directory of the parent tree's runs")
-    ap.add_argument("--change", required=True,
-                    help="results directory of the change tree's runs")
+    ap.add_argument("--parent", help="results directory of the parent tree's runs")
+    ap.add_argument("--change", help="results directory of the change tree's runs")
+    ap.add_argument("--slow", metavar="FILE",
+                    help="a pair-mode record of tools/slow_checks.py --record")
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
+    if (args.parent is None) != (args.change is None):
+        ap.error("--parent and --change go together")
+    if args.parent is None and args.slow is None:
+        ap.error("give --parent and --change, or --slow, or all three")
     with open(ROOT / "BENCHMARK.json") as fh:
         benchmark = json.load(fh)
-    rec = record(args.pr, args.parent, args.change, benchmark)
+    rec = {"pr": args.pr} if args.parent is None else \
+        record(args.pr, args.parent, args.change, benchmark)
+    if args.slow:
+        rec["slow"] = slow(args.slow)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
     print(out)

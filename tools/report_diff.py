@@ -160,8 +160,10 @@ def differences(parent, tree, configs=CONFIGS):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("tree", nargs="?", default=Path(__file__).resolve().parent.parent)
+    # the children run in another directory, so each tree is made absolute
+    parser.add_argument("parent", type=lambda tree: Path(tree).resolve())
+    parser.add_argument("tree", nargs="?", type=lambda tree: Path(tree).resolve(),
+                        default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
     found = 0
     for line in differences(args.parent, args.tree, CONFIGS):

@@ -25,7 +25,9 @@ path and working directory.  Each pair's reports (stdout) must be
 byte-identical and each run must behave as its config expects.  For each
 config and side it prints the median [q1, q3] of the wall time and of the
 peak RSS, and in how many pairs TREE's is the lower; --record FILE writes
-the same figures, and every run's, as JSON.  Exits 1 on any report
+the same figures, every run's and the environment (Python, numpy, the
+CPUs and the thread pins), as JSON, which tools/bench_record.py --slow
+copies into BENCH_<pr>.json.  Exits 1 on any report
 difference or unexpected exit.  q1 and q3 are inclusive quartiles
 (statistics.quantiles, method="inclusive"), which always lie within the
 runs.  A gain on a slow config is judged by bench_record.py's rule, whose
@@ -43,8 +45,10 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import importlib.metadata
 import json
 import os
+import platform
 import resource
 import shutil
 import statistics
@@ -56,6 +60,7 @@ from pathlib import Path
 
 MEMORY_CAP = 4 << 30
 PARSE_LIMIT = 64 << 20
+THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
 BASE = {"p": 5, "chi": {}, "seed": 1}
 CONFIGS = [
     ("levi-gl31-E21-lam0", 0, {"m": 3, "n": 1, "chi": {"E(2,1)": 1},
@@ -114,11 +119,17 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
+def environment():
+    """The machine and the software of a pair-mode record."""
+    return {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+            "machine": platform.machine(), "nproc": os.cpu_count(),
+            "cpus_allowed": len(os.sched_getaffinity(0)), "thread_pins": THREAD_PINS}
+
+
 def run(tree, cfg, tmp):
     """(exit code, stdout's path, stderr, wall seconds, peak RSS in MB) of
     one run in the directory tmp."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), **THREAD_PINS)
     path = Path(tmp) / "cfg.json"
     path.write_text(json.dumps(cfg))
     with open(Path(tmp) / "out", "w") as out, open(Path(tmp) / "err", "w+") as err:
@@ -188,7 +199,8 @@ def pair_config(trees, name, expect, cfg, pairs):
 
 def pair_mode(args, configs):
     trees = {"parent": str(args.parent), "tree": str(args.tree)}
-    record, ok = {**trees, "pairs": args.pairs, "configs": {}}, True
+    record = {**trees, "pairs": args.pairs, "environment": environment(), "configs": {}}
+    ok = True
     for name, expect, overrides in configs:
         entry, good = pair_config(trees, name, expect, {**BASE, **overrides}, args.pairs)
         record["configs"][name], ok = entry, ok and good
@@ -199,9 +211,11 @@ def pair_mode(args, configs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("tree", nargs="?", default=Path(__file__).resolve().parent.parent)
+    # the children run in another directory, so each tree is made absolute
+    parser.add_argument("tree", nargs="?", type=lambda tree: Path(tree).resolve(),
+                        default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--parent", default=None)
+    parser.add_argument("--parent", type=lambda tree: Path(tree).resolve(), default=None)
     parser.add_argument("--pairs", type=int, default=None)
     parser.add_argument("--only", nargs="+", default=None, metavar="NAME")
     parser.add_argument("--record", default=None, metavar="FILE")
