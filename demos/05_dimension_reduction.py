@@ -43,7 +43,11 @@ print(f"  induced hom rank {entry['rank']} of {scan['dim']}: "
       f"isomorphism = {entry['isomorphism']}")
 print(f"  simple heads match: {entry['heads_match']}")
 
-# Conjugating a character into normalized position when the avatar allows.
-messy = Character(alg, {(1, 1): 1, (2, 2): 2, (2, 1): 3})
-g, clean = normalize_character(alg, messy)
-print(f"\nnormalize {messy!r}\n  ->  {clean!r}")
+# Every chi is conjugate under the even group to a standard Levi form, by a
+# Jordan basis of its avatar blocks: chi(E12) = 1 is nilpotent, and the
+# swap of the two even basis vectors takes it to chi(E21) = 1 above.
+nilpotent = Character(alg, {(1, 2): 1})
+g, standard = normalize_character(alg, nilpotent)
+print(f"\nnormalize {nilpotent!r}\n  ->  {standard!r} by g =")
+print(g.data)
+print(f"  standard Levi: {standard == chi_levi}")

@@ -251,9 +251,10 @@ class RootSystem:
 class Character:
     """A linear functional on the even part, stored on even matrix units."""
 
-    def __init__(self, algebra, values=None):
+    def __init__(self, algebra, values=None, conjugator=None):
         self.algebra = algebra
         self.field = algebra.field
+        self.conjugator = conjugator  # the even g, if any, that moved the configured chi here
         vals = {}
         for unit, v in (values or {}).items():
             unit = tuple(unit)
@@ -508,7 +509,7 @@ def weight_variety(algebra, chi, count=None):
     if not all(roots):
         field = field.extend()
         algebra = SuperAlgebra(algebra.m, algebra.n, field)
-        chi = Character(algebra, chi.values)
+        chi = Character(algebra, chi.values, chi.conjugator)
         roots = [ffield.artin_schreier_roots(field, c) for c in values]
     combos = itertools.islice(itertools.product(*([r.idx for r in rs] for rs in roots)), count)
     coords = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64)

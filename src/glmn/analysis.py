@@ -12,13 +12,15 @@ Simplicity and simple heads have one route, dual_core: a maximal graded
 submodule R of M with M/R simple, the annihilator of a simple graded
 submodule S of the dual module M*, the forms of M.  S is the spin of a top
 coordinate form (the certificate, for modules generated by a highest vector
-whose weight occurs at no other basis vector), of a line of M*'s socle over
-n- (one line, or any without Cartan units), or the end of a descent through
-spins of candidate lines, exhaustive or refused (series.LINE_BUDGET), so no
-verdict rests on a sample.  No route builds M*: its spins and candidate
-pieces are read off M's own matrices.  dual_cores takes the R of many
-modules at once, spinning their certificates in lockstep (_spins), and
-simple_heads their quotients by those R.
+whose weight occurs at no other basis vector) or of a line of M*'s socle
+over n- (its one line, or any without Cartan units), so no verdict rests on
+a sample.  Every module glmn induces, and every quotient of one, is cyclic
+over u(n-, chi), which is local once chi is a character of n-, as
+cli.build_setting makes every chi; any other module with Cartan units is
+refused (NotCyclic).  No route builds M*: its spins and socle are read off
+M's own matrices.  dual_cores takes the R of many modules at once, spinning their
+certificates in lockstep (_spins), and simple_heads their quotients by
+those R.
 
 The generating candidates come from two sources.  Modules with a full
 Cartan action, diagonal in their basis, use weight-space maximal vectors.
@@ -208,13 +210,12 @@ def dual_core(M):
     submodule lies in ker phi, so S, M*'s only simple submodule, is the spin
     of phi's part at its pivot's weight (u(h) separates weights).
 
-    Descent: otherwise (a socle of more lines, or chi no character of n-) S
-    starts as M*.  The lines in S of each candidate piece, weight forms spun
-    as e_t is, are spun; S becomes the first spin smaller than S, until no
-    line in S spins smaller.  Every nonzero submodule of S contains a
-    candidate line, so the final S is simple.
+    Otherwise M is not cyclic over u(n-, chi), which every induced module
+    and every quotient of one is, or chi is no character of n-, which every
+    chi that cli.build_setting returns is: NotCyclic or ShiftInconsistent
+    is raised.
 
-    When M is local, S is the only simple submodule of M* on every route,
+    When M is local, S is the only simple submodule of M* on both routes,
     and R the unique maximal submodule of M.  R is read off S's echelon
     basis (Subspace.annihilator).
     """
@@ -224,7 +225,7 @@ def dual_core(M):
 def dual_cores(Ms):
     """dual_core of each module of Ms.  The certificates spin their forms
     e_t in lockstep, by factors (_factor) built as their stacks need them,
-    with no ModuleRep; every other module takes the socle or the descent."""
+    with no ModuleRep; every other module takes the socle line."""
     tops = [_top_coordinate(M) for M in Ms]
     todo = [b for b, t in enumerate(tops) if t is not None]
     spun = _spins((Ms[b], _factor(Ms[b], True), Ms[b].basis_vector(tops[b])) for b in todo)

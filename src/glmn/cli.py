@@ -7,7 +7,7 @@ check (structure invariants).
 Reports are deterministic given (config, seed): the structured output
 carries no timings, so byte-identical configs give byte-identical files.
 Exit codes: 0 all checks pass, 1 a hard check failed, 2 configuration or
-budget error.
+budget error, a chi with no standard Levi form over the field included.
 
 Importing this module registers gc.freeze with atexit: exit then skips the
 import heap instead of collecting it object by object (stdio flushes after).
@@ -32,7 +32,7 @@ from .algebra import (Character, ColumnRows, Weights, build_algebra, classify_ch
                       weights_in_variety, weight_variety, write_json)
 from .analysis import dual_cores
 from .enveloping import normalize, reduction_context
-from .errors import BudgetExceeded, ConfigInvalid, GlmnError
+from .errors import BudgetExceeded, ConfigInvalid, GlmnError, NotNormalizable
 from .ffield import check_field_budget, isprime, make_field
 from .verma import (build_baby_verma, build_baby_vermas, build_graded_vermas,
                     build_simple_g0_modules, f1_direct, f_direct, f_formulas)
@@ -149,12 +149,20 @@ def build_setting(cfg):
     """(algebra, chi, weights) over the field the run executes in, the
     weights as Weights; those of X^chi are enumerated only for a task of cfg
     that reads them.  It imports the module of each task of cfg that cli
-    does not import itself (TASK_MODULES)."""
+    does not import itself (TASK_MODULES).  A chi with a value off the
+    diagonal and off every E(i+1, i) is put in standard Levi form
+    (kw.normalize_character), with its conjugator, for every task and an
+    explicit lambda to be read against; any other vanishes on N+ and is a
+    character of n-, as [n-, n-] has no odd part."""
     for module in sorted({TASK_MODULES[t] for t in cfg["tasks"] if t in TASK_MODULES}):
         import_module(f".{module}", __package__)
     field = make_field(cfg["p"], cfg["field_degree"])
     algebra = build_algebra(cfg["m"], cfg["n"], field)
     chi = parse_chi(algebra, cfg["chi"])
+    if any(j not in (i, i - 1) for i, j in chi.values):
+        from .kw import normalize_character
+        g, chi = normalize_character(algebra, chi)
+        chi.conjugator = g.data
     lam = cfg["lambda"]
     if lam == "scan-all-X":
         reads = any(t in WEIGHT_TASKS for t in cfg["tasks"])
@@ -444,9 +452,10 @@ def _emit_table(report, stream):
             stream.write("  " + json.dumps(rec, sort_keys=True) + "\n")
 
 
-def make_report(cfg, algebra, results):
+def make_report(cfg, algebra, results, chi=None):
+    """The report of results, with the chi that build_setting moved to, if any."""
     field = algebra.field
-    return {
+    report = {
         "schema_version": 3,
         "library_version": __version__,
         # jobs is accepted and has no effect, so the report leaves it out
@@ -457,6 +466,11 @@ def make_report(cfg, algebra, results):
                   for name, rec, passed in results],
         "passed": all(passed for _, _, passed in results),
     }
+    if chi is not None and chi.conjugator is not None:
+        report["normalized_chi"] = {
+            "chi": {f"E({i},{j})": field.coeffs(v) for (i, j), v in sorted(chi.values.items())},
+            "conjugator": [[field.coeffs(v) for v in row] for row in chi.conjugator]}
+    return report
 
 
 def dump_module(module, stream):
@@ -503,7 +517,7 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
     for name in tasks:
         rec, passed = TASK_RUNNERS[name](cfg, algebra, chi, weights)
         results.append((name, rec, passed))
-    report = make_report(cfg, algebra, results)
+    report = make_report(cfg, algebra, results, chi)
     if dump_module_path:
         Z = build_baby_verma(algebra, chi, (weights or weight_variety(algebra, chi, 1)[2])[0])
         with open(dump_module_path, "w") as fh:
@@ -521,7 +535,7 @@ def _execute(cfg, tasks, fmt, out, dump_module_path=None, dump_element_path=None
     if out:
         os.makedirs(out, exist_ok=True)
         for name, rec, passed in results:
-            sub = make_report(cfg, algebra, [(name, rec, passed)])
+            sub = make_report(cfg, algebra, [(name, rec, passed)], chi)
             with open(os.path.join(out, f"{name}.{_ext(fmt)}"), "w") as fh:
                 emit(sub, fmt, fh)
         with open(os.path.join(out, f"summary.{_ext(fmt)}"), "w") as fh:
@@ -567,7 +581,7 @@ def main(argv=None):
         tasks = COMMANDS[args.command] or cfg["tasks"]
         return _execute(cfg, tasks, args.format, args.out,
                         args.dump_module, args.dump_element)
-    except (ConfigInvalid, BudgetExceeded) as exc:
+    except (ConfigInvalid, BudgetExceeded, NotNormalizable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GlmnError as exc:

@@ -92,6 +92,10 @@ class NotClosed(GlmnError):
     pass
 
 
+class NotCyclic(GlmnError):
+    """A module with Cartan units is not cyclic over u(n-, chi)."""
+
+
 class ShiftInconsistent(GlmnError):
     """No consistent one-dimensional shifted-trivial module for a unipotent
     subalgebra; the joint-kernel oracle is not applicable."""
@@ -124,7 +128,8 @@ class SingularG(GlmnError):
 
 
 class NotNormalizable(GlmnError):
-    pass
+    """An eigenvalue of chi's even avatar lies outside the field, so chi has
+    no standard Levi form over it; the CLI exits with code 2."""
 
 
 # --- CLI ---
@@ -134,5 +139,5 @@ class ConfigInvalid(GlmnError):
 
 
 class BudgetExceeded(GlmnError):
-    """A budget (module dimension, dim u(sub), lines of a generating-candidate
-    piece of a dual module) would be exceeded; the CLI exits with code 2."""
+    """A budget (the field size, a module's dimension, dim u(sub), a table's
+    entries) would be exceeded; the CLI exits with code 2."""

@@ -19,7 +19,8 @@ from .algebra import Character, Weight, classify_character, reflect
 from .errors import (ClosureFailure, GlmnError, NotNormalized, NotNormalizable,
                      NotStandardLevi, OddInput, OrderingStuck, SingularG,
                      FormulaMismatch)
-from .linalg import Matrix, Subspace, eigenspaces, inverse, matmul
+from .linalg import (Matrix, Subspace, generalized_eigenspaces, invert, kernel, matmul,
+                     matvec)
 from .verma import (_axiom_table, build_baby_vermas, build_levi_verma,
                     build_levi_vermas, induce, induced_hom, levi_parts)
 from .analysis import (_candidate_spaces, dual_cores, is_simple, simple_head,
@@ -319,46 +320,67 @@ def _avatar(algebra, chi):
 
 
 def conjugate_character(algebra, g, chi):
-    """(g . chi)(x) = chi(g^-1 x g) for an even invertible g."""
-    f = algebra.field
+    """(g . chi)(x) = chi(g^-1 x g) for an even invertible g: a Matrix, or
+    the pair of its even blocks."""
+    f, m, d = algebra.field, algebra.m, algebra.d
     if isinstance(g, tuple):
-        m, n = algebra.m, algebra.n
-        full = np.zeros((algebra.d, algebra.d), dtype=np.int64)
-        full[:m, :m] = np.asarray(g[0], dtype=np.int64)
-        full[m:, m:] = np.asarray(g[1], dtype=np.int64)
-        g = Matrix(f, full)
-    m = algebra.m
-    if g.data[:m, m:].any() or g.data[m:, :m].any():
+        full = np.zeros((d, d), dtype=np.int64)
+        full[:m, :m], full[m:, m:] = g
+    else:
+        full = g.data
+    if full[:m, m:].any() or full[m:, :m].any():
         raise OddInput("g must be an even block matrix")
     try:
-        ginv = inverse(g)
+        ginv = invert(f, full)
     except ValueError:
         raise SingularG("g is not invertible") from None
     # chi(g^-1 E(i,j) g) is entry (i, j) of g^-T C g^T, C the avatar of chi
-    conj = matmul(f, matmul(f, ginv.data.T, _avatar(algebra, chi)), g.data.T)
-    return Character(algebra, {(i + 1, j + 1): conj[i, j] for i, j in zip(*np.nonzero(conj))})
+    conj = matmul(f, matmul(f, ginv.T, _avatar(algebra, chi)), full.T)
+    return Character(algebra, {(i + 1, j + 1): conj[i, j] for i, j in np.argwhere(conj).tolist()})
 
 
 def normalize_character(algebra, chi):
-    """A conjugator g with (g . chi)(N+) = 0 when the avatar allows it.
-
-    The even avatar of chi is the pair of blocks C with C[a, b] =
-    chi(E(a+1, b+1)); conjugation by g sends the transposed avatar A to
-    g A g^-1.  When both transposed blocks are diagonalizable over the
-    field, the inverse of the eigenvector matrix is such a g.  Returns
-    (g, new_chi).
-    """
-    f = algebra.field
-    m, n, d = algebra.m, algebra.n, algebra.d
-    avatar, full = _avatar(algebra, chi), np.zeros((d, d), dtype=np.int64)
+    """(g, g . chi) with g . chi in standard Levi form: zero on N+, the
+    eigenvalues of chi's even avatar blocks on the diagonal and 1 on the
+    E(i+1, i) where a Jordan chain goes on.  Conjugation by an even g sends
+    the transposed avatar A of chi (A[a, b] = chi(E(b+1, a+1))) to g A g^-1,
+    so g = P^-1 does it, P a Jordan basis of each even block of A with its
+    1s on the superdiagonal (_jordan_basis).  Raises NotNormalizable when an
+    eigenvalue lies outside the field."""
+    f, m, d = algebra.field, algebra.m, algebra.d
+    avatar, g = _avatar(algebra, chi).T, np.zeros((d, d), dtype=np.int64)
     for lo, hi in ((0, m), (m, d)):
-        block = avatar[lo:hi, lo:hi].T
-        pairs, complete = eigenspaces(f, block)
-        if not complete:
-            raise NotNormalizable(
-                "the avatar block is not diagonalizable over this field")
-        cols = [row for _, ker in pairs for row in ker.basis]
-        h = Matrix(f, np.array(cols, dtype=np.int64).T)
-        full[lo:hi, lo:hi] = inverse(h).data
-    g = Matrix(f, full)
+        g[lo:hi, lo:hi] = invert(f, _jordan_basis(f, avatar[lo:hi, lo:hi]))
+    g = Matrix(f, g)
     return g, conjugate_character(algebra, g, chi)
+
+
+def _jordan_basis(f, a):
+    """Columns P with P^-1 a P in Jordan form, 1s on the superdiagonal: for
+    each eigenvalue in turn (generalized_eigenspaces), the chains N^(s-1) v,
+    ..., N v, v of N = a - eig I, longest first.  A head v of length s is a
+    vector of ker N^s outside ker N^(s-1) and the vectors that the longer
+    chains put at that level.  Raises NotNormalizable when the eigenvalues
+    in the field leave part of the space uncovered."""
+    n, cols = len(a), []
+    spaces = generalized_eigenspaces(f, a)
+    if sum(V.dim for _, V in spaces) < n:
+        raise NotNormalizable(f"an eigenvalue of chi's even avatar lies outside F_{f.q}, "
+                              "so chi has no standard Levi form over it")
+    for lam, V in spaces:
+        N = f.sub(a, lam * np.eye(n, dtype=np.int64))
+        kers, power = [Subspace(f, n)], np.eye(n, dtype=np.int64)
+        while kers[-1].dim < V.dim:
+            power = matmul(f, power, N)
+            kers.append(kernel(f, power))
+        level = np.zeros((0, n), dtype=np.int64)
+        for s in range(len(kers) - 1, 0, -1):
+            span = kers[s - 1].add_vectors(level)
+            for v in kers[s].basis:
+                if not span.contains(v):
+                    span, level, chain = span.add_vectors(v), np.vstack([level, v]), [v]
+                    while len(chain) < s:
+                        chain.insert(0, matvec(f, N, chain[0]))
+                    cols += chain
+            level = matmul(f, level, N.T)
+    return np.array(cols, dtype=np.int64).T

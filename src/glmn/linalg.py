@@ -208,11 +208,16 @@ def kernel_basis(m):
 
 def inverse(m):
     """Inverse of a square Matrix; raises ValueError when singular."""
-    n = m.rows
-    aug, pivots = rref(m.field, np.hstack([m.data, np.eye(n, dtype=np.int64)]))
+    return Matrix(m.field, invert(m.field, m.data))
+
+
+def invert(field, a):
+    """The inverse of a square index array; raises ValueError when singular."""
+    n = len(a)
+    aug, pivots = rref(field, np.hstack([a, np.eye(n, dtype=np.int64)]))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(m.field, aug[:, n:])
+    return aug[:, n:]
 
 
 def solve(field, a, b):
@@ -232,14 +237,12 @@ def solve(field, a, b):
     return x
 
 
-def eigenspaces(field, a):
-    """Eigenvalues and eigenvector kernels of a square index array.
+def generalized_eigenspaces(field, a):
+    """(eigenvalue index, Subspace ker (a - eig I)^n) for each eigenvalue of
+    the (n, n) index array a that lies in the field, in increasing index;
+    their dimensions sum to n exactly when every eigenvalue does.
 
-    Returns (pairs, complete) where pairs is a list of (eigenvalue index,
-    kernel Subspace of a - eig*I) and complete says whether the
-    eigenspaces together span the whole space.  The eigenvalues are the
-    roots in the field of the minimal polynomial; an empty matrix has none.
-
+    The eigenvalues are the roots in the field of the minimal polynomial.
     The kernel of the columns a^n, ..., a, I (flattened) holds the
     coefficients, highest degree first, of the polynomials of degree <= n
     that annihilate a.  The last row of its canonical basis has the
@@ -247,9 +250,8 @@ def eigenspaces(field, a):
     polynomial.  One Horner pass over all q elements finds its roots.
     """
     n = a.shape[0]
-    if n == 0:
-        return [], True
-    powers = [np.eye(n, dtype=np.int64)]
+    eye = np.eye(n, dtype=np.int64)
+    powers = [eye]
     for _ in range(n):
         powers.append(matmul(field, powers[-1], a))
     stacked = np.stack(powers[::-1], axis=-1).reshape(n * n, n + 1)
@@ -258,9 +260,8 @@ def eigenspaces(field, a):
     acc = np.zeros(field.q, dtype=np.int64)
     for c in minpoly:
         acc = field.add(field.mul(acc, xs), int(c))
-    pairs = [(lam, kernel(field, field.sub(a, lam * np.eye(n, dtype=np.int64))))
-             for lam in np.flatnonzero(acc == 0).tolist()]
-    return pairs, sum(ker.dim for _, ker in pairs) == n
+    return [(lam, kernel(field, matrix_power(field, field.sub(a, lam * eye), n)))
+            for lam in np.flatnonzero(acc == 0).tolist()]
 
 
 def _reduce(field, rows, basis, cols, line):
@@ -468,7 +469,7 @@ class Subspace:
                 for key, c in sorted(codes.items()) if c in present]
 
     def intersect(self, other):
-        # null space construction on stacked bases
+        # null space construction on stacked bases; only perfbench/spans.py names it
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.field, self.ambient)
         stacked = np.vstack([self.basis, other.basis]).T  # ambient x (d1+d2)

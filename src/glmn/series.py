@@ -1,8 +1,6 @@
 """Module analysis past the certificate (analysis imports it only there):
-the socle and the descent, shifted kernels and radical layers, and the
-regular modules and Frobenius form of u(sub, chi).  The descent is
-exhaustive or refused: a candidate piece with more than LINE_BUDGET lines
-raises BudgetExceeded."""
+the socle line, shifted kernels and radical layers, and the regular
+modules and Frobenius form of u(sub, chi)."""
 
 from __future__ import annotations
 
@@ -11,13 +9,11 @@ import math
 
 import numpy as np
 
-from .analysis import _candidate_spaces, _factor, _has_cartan, _spins
+from .analysis import _factor, _has_cartan, _spins
 from .enveloping import PBWElement, multiply, reduction_context
-from .errors import BudgetExceeded, NoMaximalVector, NotClosed, ShiftInconsistent
+from .errors import BudgetExceeded, NotClosed, NotCyclic, NotWeightBasis, ShiftInconsistent
 from .linalg import Matrix, Subspace, _matmul, kernel, matmul, row_reduce, rref
 from .verma import ModuleRep, _axiom_table, _pbw_layers, cartan_diagonal
-
-LINE_BUDGET = 10 ** 4
 
 
 def _shifted_scalars(M):
@@ -79,65 +75,22 @@ def radical_layers(M):
     return dims
 
 
-def _line_representatives(field, sub):
-    """One vector per line of a Subspace, every line of it.
-
-    Raises BudgetExceeded, before building a coefficient row, when the
-    projective count exceeds LINE_BUDGET (read at call time).
-    """
-    d, q = sub.dim, field.q
-    lines = (q ** d - 1) // (q - 1)
-    if lines > LINE_BUDGET:
-        raise BudgetExceeded(
-            f"a maximal-vector space of dimension {d} over F_{q} has {lines} "
-            f"lines, more than the line budget {LINE_BUDGET}")
-    coeffs = [(0,) * lead + (1,) + tail for lead in range(d)
-              for tail in itertools.product(range(q), repeat=d - 1 - lead)]
-    return list(matmul(field, np.array(coeffs, dtype=np.int64).reshape(-1, d), sub.basis))
-
-
 def _uncertified_core(M):
     """dual_core past the certificate, with no M* built: S is spun from a
-    line of M*'s socle N over n- (shifted_joint_kernel), or descends."""
-    try:
-        N = shifted_joint_kernel(M, forms=True)
-    except ShiftInconsistent:  # which _candidate_spaces raises without Cartan units
-        N = Subspace(M.field, M.dim)
+    line of M*'s socle N over n- (shifted_joint_kernel).  Raises
+    ShiftInconsistent where chi is no character of n-, NotWeightBasis where
+    a Cartan unit is not diagonal, and NotCyclic where N is not one line."""
+    N = shifted_joint_kernel(M, forms=True)
     if N.dim and not _has_cartan(M):
         (_, line), *_ = N.split(M.parity.tolist())
         return Subspace(M.field, M.dim, line.basis[:1]).annihilator()
-    if N.dim == 1:
-        diag = cartan_diagonal(M)
-        form = N.basis[0] * (diag == diag[:, N.pivots[0], None]).all(axis=0)
-        return _spins([(M, _factor(M, True), form)])[0].annihilator()
-    pieces = [sub for _, sub, _ in _candidate_spaces(M, True)]
-    right = _factor(M, True)
-    S = Subspace._echelon(M.field, M.dim, np.eye(M.dim, dtype=np.int64), list(range(M.dim)))
-    while (smaller := _smaller_spin(M, right, pieces, S)) is not None:
-        S = smaller
-    return S.annihilator()
-
-
-def _smaller_spin(M, right, pieces, S):
-    """The first spin of a line of a piece inside S, a form of M spun by
-    right, that is smaller than S; None when every such line spins to S.
-
-    While S is all of M* the pieces are used as they are.
-    """
-    lines = 0
-    for sub in pieces:
-        if S.dim < M.dim:
-            sub = sub.intersect(S)
-            if not sub.dim:
-                continue
-        for v in _line_representatives(M.field, sub):
-            lines += 1
-            smaller, = _spins([(M, right, v)])
-            if smaller.dim < S.dim:
-                return smaller
-    if not lines:
-        raise NoMaximalVector("a submodule has no generating candidate line")
-    return None
+    if _has_cartan(M) and (diag := cartan_diagonal(M)) is None:
+        raise NotWeightBasis("a Cartan matrix is not diagonal in the module's basis")
+    if N.dim != 1:
+        raise NotCyclic(f"the socle over n- of the dual of a module of dimension {M.dim} has "
+                        f"dimension {N.dim}, not 1: the module is not cyclic over u(n-, chi)")
+    form = N.basis[0] * (diag == diag[:, N.pivots[0], None]).all(axis=0)
+    return _spins([(M, _factor(M, True), form)])[0].annihilator()
 
 
 def _sub_positions(ctx, sub_units):

@@ -1,4 +1,4 @@
-"""The line route, kept as the oracle of analysis.dual_core.
+"""The line route and the descent, kept as the oracles of analysis.dual_core.
 
 is_simple_by_lines spins every maximal-vector line of M, and
 simple_head_by_lines peels one proper spin at a time until the quotient is
@@ -6,26 +6,114 @@ simple; series_factors_by_lines peels such heads down a composition
 series.  is_local_by_dual_spins decides whether M has a unique maximal
 submodule from the smallest of all dual spins.  They share spin,
 quotient_module, restrict_module and the candidate lines with the
-library, and no descent or certificate.  dual_module builds M* as a
-module of its own, the oracle of the candidate pieces of M* that the
-library reads off M's matrices.  witness finds a homogeneous
-maximal vector of dual_core's R, which the library's verdict does not
-carry.
+library, and no descent or certificate.
+
+The descent (descent_core) finds a simple submodule S of M* for any M:
+S starts as M*, and becomes the first spin of a candidate line in S that is
+smaller than S, until none is.  The library takes the line of M*'s socle
+over n- instead, and refuses a module that is not cyclic over u(n-, chi);
+dual_core, is_simple and simple_head here take the descent there, for the
+tests of such modules (the restrictions along a composition series, M + M).
+A candidate piece with more than LINE_BUDGET lines is refused.
+
+dual_module builds M* as a module of its own, the oracle of the candidate
+pieces of M* that the library reads off M's matrices.  witness finds a
+homogeneous maximal vector of dual_core's R, which the library's verdict
+does not carry.
 """
 
+import itertools
 from collections import Counter
 
-from glmn.analysis import SimplicityVerdict, _candidate_spaces, dual_core, spin
-from glmn.errors import NoMaximalVector
-from glmn.linalg import Subspace
-from glmn.series import _line_representatives
+import numpy as np
+
+from glmn import analysis
+from glmn.analysis import (SimplicityVerdict, _candidate_spaces, _factor, _quotient, _spins,
+                           spin)
+from glmn.errors import BudgetExceeded, NoMaximalVector, NotCyclic, ShiftInconsistent
+from glmn.linalg import Subspace, matmul
 from glmn.verma import ModuleRep
 from _series_oracle import quotient_module, restrict_module
+
+LINE_BUDGET = 10 ** 4
+
+
+def _line_representatives(field, sub):
+    """One vector per line of a Subspace, every line of it.
+
+    Raises BudgetExceeded, before building a coefficient row, when the
+    projective count exceeds LINE_BUDGET (read at call time).
+    """
+    d, q = sub.dim, field.q
+    lines = (q ** d - 1) // (q - 1)
+    if lines > LINE_BUDGET:
+        raise BudgetExceeded(
+            f"a maximal-vector space of dimension {d} over F_{q} has {lines} "
+            f"lines, more than the line budget {LINE_BUDGET}")
+    coeffs = [(0,) * lead + (1,) + tail for lead in range(d)
+              for tail in itertools.product(range(q), repeat=d - 1 - lead)]
+    return list(matmul(field, np.array(coeffs, dtype=np.int64).reshape(-1, d), sub.basis))
+
+
+def _smaller_spin(M, right, pieces, S):
+    """The first spin of a line of a piece inside S, a form of M spun by
+    right, that is smaller than S; None when every such line spins to S.
+
+    While S is all of M* the pieces are used as they are.
+    """
+    lines = 0
+    for sub in pieces:
+        if S.dim < M.dim:
+            sub = sub.intersect(S)
+            if not sub.dim:
+                continue
+        for v in _line_representatives(M.field, sub):
+            lines += 1
+            smaller, = _spins([(M, right, v)])
+            if smaller.dim < S.dim:
+                return smaller
+    if not lines:
+        raise NoMaximalVector("a submodule has no generating candidate line")
+    return None
+
+
+def descent_core(M):
+    """R by the descent alone: S starts as M*, the lines in S of each
+    candidate piece of M* (weight forms, with Cartan units) are spun, and S
+    becomes the first spin smaller than S, until no line in S spins
+    smaller.  Every nonzero submodule of S contains a candidate line, so
+    the final S is simple."""
+    pieces = [sub for _, sub, _ in _candidate_spaces(M, True)]
+    right = _factor(M, True)
+    S = Subspace._echelon(M.field, M.dim, np.eye(M.dim, dtype=np.int64), list(range(M.dim)))
+    while (smaller := _smaller_spin(M, right, pieces, S)) is not None:
+        S = smaller
+    return S.annihilator()
+
+
+def dual_core(M):
+    """analysis.dual_core, or the descent where the library refuses M: M
+    not cyclic over u(n-, chi), or chi no character of n-."""
+    try:
+        return analysis.dual_core(M)
+    except (NotCyclic, ShiftInconsistent):
+        return descent_core(M)
+
+
+def is_simple(M):
+    """analysis.is_simple, with dual_core's descent."""
+    return SimplicityVerdict(not dual_core(M).dim)
+
+
+def simple_head(M):
+    """analysis.simple_head, with dual_core's descent: (R, M / R)."""
+    R = dual_core(M)
+    return R, _quotient(M, R)
 
 
 def dual_module(M):
     """M*, the dual module: the transposed action, whose candidate pieces
-    the socle and the descent read off M's own matrices."""
+    the socle route and the descent read off M's own matrices."""
     return ModuleRep(M.algebra, M.chi, M.units, M.actions.transpose(0, 2, 1), M.parity)
 
 

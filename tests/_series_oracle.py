@@ -4,7 +4,9 @@ regular-module-check decides the regular module of u(n-, chi) from its
 radical layers (series.radical_layers).  composition_series peels simple
 heads one at a time and restricts to their radicals, which gives the
 factors the layers count; quotient_module and restrict_module build the
-modules it and the line oracle peel through.  trivial_submodules is the
+modules it and the line oracle peel through.  Its heads are the line
+oracle's (_line_oracle.simple_head), which take the descent on the
+restrictions that are not cyclic over u(n-, chi).  trivial_submodules is the
 joint kernel of the raw actions, the socle at chi = 0 that
 series.shifted_joint_kernel generalizes, and stacked_action the (U * dim,
 dim) view of a module's actions that it takes the kernel of.
@@ -15,7 +17,7 @@ import weakref
 
 import numpy as np
 
-from glmn.analysis import _candidate_spaces, _factor, _images, _quotient, simple_head
+from glmn.analysis import _candidate_spaces, _factor, _images, _quotient
 from glmn.linalg import Subspace, kernel, matmul
 from glmn.verma import ModuleRep
 
@@ -78,6 +80,9 @@ def composition_series(M):
     chain records the corresponding graded submodules of M, as Subspaces
     of F^dim, descending.
     """
+    # the line oracle imports this module, so its simple_head, which takes
+    # the descent on the restrictions that are not cyclic, is looked up here
+    from _line_oracle import simple_head
     chain, factors, current = [], [], M
     # rows of the current module's basis expressed in M's coordinates
     embed = np.eye(M.dim, dtype=np.int64)

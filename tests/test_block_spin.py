@@ -14,8 +14,8 @@ per-vector loop too.  A spin multiplies rows by a right factor
 (analysis._factor) that it builds for the call, float over F_p: unit
 images by it and by the index array must agree, no analysis may leave
 anything on a module, and the certificate builds no module at all.  Every
-factor of forms, the certificate's and the descent's, holds the root
-units alone.
+factor of forms, the certificate's, the socle line's and the line oracle's
+descent's, holds the root units alone.
 """
 
 import bisect
@@ -33,6 +33,7 @@ from glmn.linalg import Subspace, kernel, matmul, rref
 from glmn.verma import ModuleRep, build_baby_verma, build_even_verma
 from test_kernels import (FIELDS, KERNEL_SETTINGS, draw_matrix, line_seeded, t_kernel,
                           t_rref)
+import _line_oracle
 from _line_oracle import witness
 from _series_oracle import composition_series, quotient_module, restrict_module, stacked_action
 
@@ -352,9 +353,10 @@ def test_analysis_leaves_the_module_as_it_was():
     R, _ = restrict_module(Z, sub)
     composition_series(Z)
     assert same_state(Z, before)
-    # a restriction has no highest vector: its core takes the descent
+    # a restriction has no highest vector: its core takes the socle line,
+    # or the line oracle's descent where the library refuses it
     before = dict(vars(R))
-    assert analysis._top_coordinate(R) is None and dual_core(R).dim < R.dim
+    assert analysis._top_coordinate(R) is None and _line_oracle.dual_core(R).dim < R.dim
     composition_series(R)
     assert same_state(R, before)
 
@@ -418,10 +420,11 @@ def test_extension_fields_keep_no_float_copy():
 
 def test_the_descent_builds_one_factor_per_core(monkeypatch):
     # the restrictions of a composition series of a reducible gl(2|1) baby
-    # Verma take the descent, each trying several lines with one factor
+    # Verma take the line oracle's descent, each trying several lines with
+    # one factor
     Z = module("gl21")
     restrictions = []
-    while (R := dual_core(Z)).dim:
+    while (R := _line_oracle.dual_core(Z)).dim:
         Z, _ = restrict_module(Z, R)
         restrictions.append(Z)
     counts = {"core": 0, "factor": 0, "line": 0}
@@ -432,24 +435,24 @@ def test_the_descent_builds_one_factor_per_core(monkeypatch):
             return real(*args)
         return call
 
-    for name, owner, attr in (("core", series, "_uncertified_core"),
-                              ("factor", series, "_factor"), ("line", series, "_spins")):
-        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    for name, attr in (("core", "descent_core"), ("factor", "_factor"), ("line", "_spins")):
+        monkeypatch.setattr(_line_oracle, attr, counted(name, getattr(_line_oracle, attr)))
     for M in restrictions:
-        series._uncertified_core(M)
+        _line_oracle.descent_core(M)
     assert counts["core"] == counts["factor"] == len(restrictions) >= 2
     assert counts["line"] > counts["core"]
 
 
 def test_every_forms_factor_holds_the_root_units_alone(monkeypatch):
-    # the certificates of gl(2|1) baby Vermas and the descent of the
-    # restrictions of a reducible one: no forms factor holds a Cartan block
+    # the certificates of gl(2|1) baby Vermas, and the socle line or the
+    # line oracle's descent of the restrictions of a reducible one: no forms
+    # factor holds a Cartan block
     alg = module("gl21").algebra
     chi, field = Character(alg, {}), alg.field
     Zs = [build_baby_verma(alg, chi, Weight(field, lam))
           for lam in ([0, 0, 0], [1, 3, 2], [2, 0, 4], [4, 4, 1])]
     restrictions, Z = [], module("gl21")
-    while (R := dual_core(Z)).dim:
+    while (R := _line_oracle.dual_core(Z)).dim:
         Z, _ = restrict_module(Z, R)
         restrictions.append(Z)
     built, real = [], analysis._factor
@@ -462,9 +465,11 @@ def test_every_forms_factor_holds_the_root_units_alone(monkeypatch):
 
     monkeypatch.setattr(analysis, "_factor", recording)
     monkeypatch.setattr(series, "_factor", recording)
+    monkeypatch.setattr(_line_oracle, "_factor", recording)
     dual_cores(Zs)
     assert [M for M, _ in built] == Zs
-    dual_cores(restrictions)
+    for M in restrictions:
+        _line_oracle.dual_core(M)
     assert [M for M, _ in built[len(Zs):]] == restrictions and len(restrictions) >= 2
     for M, right in built:
         roots = [u for u in M.units if u[0] != u[1]]

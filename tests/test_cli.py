@@ -3,17 +3,20 @@
 formats and dump files, and the exit hook that glmn.cli registers (reports
 of a fresh interpreter, which runs it, against in-process ones)."""
 
+import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
 
-from glmn import algebra, cli, series
+from glmn import algebra, cli
 from glmn.cli import main
 from glmn.errors import BudgetExceeded
+from glmn.ffield import artin_schreier_roots, make_field
 
 from _tools import slow_checks, workloads
 
@@ -148,16 +151,16 @@ class TestExitCodes:
         assert code == 2 and err.startswith("error:")
         assert f"q = 11^11 = {11 ** 11}" in err and f"7^7 = {7 ** 7}" in err
 
-    def test_line_budget_exceeded_exits_two(self, tmp_path, capsys,
-                                            monkeypatch):
-        # chi(E(3,1)) = 1 is no character of n- of gl(3|1), as E(3,1) =
-        # [E(3,2), E(2,1)], so a module the certificate declines descends,
-        # and a budget of 0 lines refuses even a single line
-        monkeypatch.setattr(series, "LINE_BUDGET", 0)
-        cfg = write_cfg(tmp_path, m=3, n=1, chi={"E(3,1)": 1},
-                        tasks=["graded-verma-scan"], **{"lambda": [0, 4, 3, 1]})
-        code, _, err = run_cli(capsys, ["run", "--config", cfg])
-        assert code == 2 and err.startswith("error:") and "line budget 0" in err
+    @pytest.mark.parametrize("task", ["verma-scan", "kw-verify", "structure-check"])
+    def test_chi_with_no_standard_levi_form_exits_two(self, tmp_path, capsys, task):
+        # chi(E12) = 1, chi(E21) = 2 on gl(2|1): the even avatar block has
+        # characteristic polynomial x^2 - 2, and 2 is no square mod 5, so
+        # chi has no standard Levi form over F_5; refused before any task
+        cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(1,2)": 1, "E(2,1)": 2}, tasks=[task])
+        code, out, err = run_cli(capsys, ["run", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err == ("error: an eigenvalue of chi's even avatar lies outside F_5, "
+                       "so chi has no standard Levi form over it\n")
 
     @pytest.mark.parametrize("raw", [
         [{"p": 5, "m": 1, "n": 1}],
@@ -573,15 +576,63 @@ class TestSubcommands:
         assert rec["trivial_dim_left"] == rec["trivial_dim_right"] == 1
         assert rec["v_left_equals_v_right"]
 
-    def test_regular_module_check_refuses_chi_that_is_no_character(self, tmp_path, capsys):
-        """chi(E31) = 1 on gl(3|1), with E31 = [E32, E21]: no one-dimensional
-        module of n- to shift by, so the task fails before any layer."""
-        cfg = write_cfg(tmp_path, m=3, n=1, chi={"E(3,1)": 1}, **{"lambda": [0, 0, 0, 0]},
-                        tasks=["regular-module-check"])
-        code, out, err = run_cli(capsys, ["run", "--config", cfg])
-        assert (code, out) == (1, "")
-        assert err == ("task failed: chi does not vanish on the derived subalgebra; "
-                       "no one-dimensional module to shift by\n")
+    def test_regular_module_check_normalizes_chi_that_is_no_character(self, tmp_path,
+                                                                       capsys):
+        """chi(E31) = 1 on gl(3|1), with E31 = [E32, E21], is no character of
+        n-; swapping the basis vectors 2 and 3 takes it to chi(E21) = 1, on
+        which the task runs and passes, as at chi(E21) = 1 itself."""
+        reports = []
+        for name, chi in (("moved.json", {"E(3,1)": 1}), ("standard.json", {"E(2,1)": 1})):
+            cfg = write_cfg(tmp_path, name, m=3, n=1, chi=chi, **{"lambda": [0, 0, 0, 0]},
+                            tasks=["regular-module-check"])
+            code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+            assert code == 0
+            reports.append(json.loads(out))
+        moved, standard = reports
+        assert moved["tasks"] == standard["tasks"] and "normalized_chi" not in standard
+        swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        assert moved["normalized_chi"] == {
+            "chi": {"E(2,1)": [1]}, "conjugator": [[[c] for c in row] for row in swap]}
+
+    def test_levi_scan_at_chi_e12_equals_the_golden_rows(self, tmp_path, capsys):
+        """chi(E12) = 1 normalizes to chi(E21) = 1, the golden levi-gl21
+        config, by the swap of the two even basis vectors: the same rows."""
+        golden = json.loads((pathlib.Path(__file__).parent / "golden" / "levi-gl21.json")
+                            .read_text())
+        cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(1,2)": 1}, tasks=["levi-scan"])
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+        report = json.loads(out)
+        assert code == 0 and report["tasks"] == golden["tasks"]
+        assert report["normalized_chi"] == {
+            "chi": {"E(2,1)": [1]}, "conjugator": [[[0], [1], [0]], [[1], [0], [0]],
+                                                   [[0], [0], [1]]]}
+        assert set(report) - set(golden) == {"normalized_chi"}
+
+    def test_kw_verify_at_chi_e12_exits_zero(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, m=2, n=1, chi={"E(1,2)": 1}, tasks=["kw-verify"], seed=1)
+        code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+        assert code == 0 and json.loads(out)["passed"]
+
+    def test_explicit_lambda_is_read_against_the_normalized_chi(self, tmp_path, capsys):
+        """chi(E11) = chi(E12) = 1 on gl(2|1) over F_{5^5}: its even block has
+        eigenvalues 0 and 1, so the normalized chi is diag(0, 1, 0).  A
+        lambda with lambda_2^5 - lambda_2 = 1 and lambda_1 = 0 lies in its
+        X^chi and is accepted; with the two swapped, as the configured chi
+        would need, it is refused."""
+        r = artin_schreier_roots(make_field(5, 5), 1)[0].coeffs
+        for lam, code in (([0, r, 0], 0), ([r, 0, 0], 2)):
+            cfg = write_cfg(tmp_path, m=2, n=1, field_degree=5,
+                            chi={"E(1,1)": 1, "E(1,2)": 1}, **{"lambda": lam})
+            got, out, err = run_cli(capsys, ["run", "--config", cfg])
+            assert got == code
+            if code:
+                assert err == "error: lambda does not lie in the weight variety of chi\n"
+            else:
+                assert json.loads(out)["normalized_chi"]["chi"] == {"E(2,2)": [1, 0, 0, 0, 0]}
+
+    def test_build_setting_takes_one_parameter(self):
+        # the benchmark's child wraps build_setting with one positional argument
+        assert list(inspect.signature(cli.build_setting).parameters) == ["cfg"]
 
 
 def run_python(*args):

@@ -1,9 +1,11 @@
 """dual_core against the line route, kept as an oracle in _line_oracle.
 
 is_simple and simple_head take dual_core's certificate whenever a module's
-highest vector generates it and spans a weight space of its own, a line
+highest vector generates it and spans a weight space of its own, and a line
 of the dual's socle over n- where that socle is one line or the module has
-no Cartan units, and its descent otherwise.  The oracle is the route this replaced:
+no Cartan units.  The library refuses any other module, and the line
+oracle's dual_core, is_simple and simple_head take the descent there
+(_line_oracle.descent_core).  The oracle is the route this replaced:
 is_simple_by_lines spins every maximal-vector line, and
 simple_head_by_lines peels proper spins until the quotient is simple.  The
 unique maximal submodule of a local module has one canonical basis, so
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _line_oracle
 from _line_oracle import (dual_module, is_local_by_dual_spins, is_simple_by_lines,
                           series_factors_by_lines, simple_head_by_lines,
                           witness)
@@ -202,7 +205,7 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
     D = _doubled(build_baby_verma(alg, Character(alg, {}), Weight(F5, lam)))
     assert _top_coordinate(D) is None
     assert min(sub.dim for _, sub, _ in _candidate_spaces(D)) >= 2
-    verdict = is_simple(D)
+    verdict = _line_oracle.is_simple(D)
     assert not verdict.simple and spin(D, witness(D)[0]).dim < D.dim
     spins = []
 
@@ -213,12 +216,13 @@ def test_line_route_is_exhaustive_or_refused(m, n, lam, monkeypatch):
         spins.extend(M.dim for M, _, _ in jobs)
         return real(jobs)
 
-    monkeypatch.setattr(series, "LINE_BUDGET", 5)
+    monkeypatch.setattr(_line_oracle, "LINE_BUDGET", 5)
     monkeypatch.setattr(series, "_spins", counting_spins)
+    monkeypatch.setattr(_line_oracle, "_spins", counting_spins)
     with pytest.raises(BudgetExceeded):
-        is_simple(D)
+        _line_oracle.is_simple(D)
     with pytest.raises(BudgetExceeded):
-        simple_head(D)
+        _line_oracle.simple_head(D)
     assert spins == []
 
 
@@ -230,7 +234,7 @@ def test_doubled_module_has_a_simple_head_and_is_not_local(m, n, lam):
     alg = algebra(m, n)
     M = build_baby_verma(alg, Character(alg, {}), Weight(F5, lam))
     D = _doubled(M)
-    R, head = simple_head(D)
+    R, head = _line_oracle.simple_head(D)
     assert R.dim + head.dim == D.dim and is_simple_by_lines(head).simple
     assert head.dim == simple_head(M)[1].dim
     assert not is_local_by_dual_spins(D) and is_local_by_dual_spins(M)
@@ -239,12 +243,12 @@ def test_doubled_module_has_a_simple_head_and_is_not_local(m, n, lam):
 def assert_matches_lines(M, memo=None):
     """Equal verdicts, equal R where M is local (the oracle's locality),
     and equal composition factors (memo: see series_factors_by_lines)."""
-    got, want = is_simple(M), is_simple_by_lines(M)
+    got, want = _line_oracle.is_simple(M), is_simple_by_lines(M)
     assert got.simple == want.simple
-    core = dual_core(M)
+    core = _line_oracle.dual_core(M)
     if not got.simple:
         assert_witness(M, core)
-    R, head = simple_head(M)
+    R, head = _line_oracle.simple_head(M)
     assert is_simple_by_lines(head).simple
     if is_local_by_dual_spins(M):
         assert R == simple_head_by_lines(M)[0]
@@ -278,7 +282,7 @@ def test_socle_route_matches_line_route_on_regular_modules(m, n, chi, side,
     def no_descent(*args):
         raise AssertionError("a module without Cartan units descended")
 
-    monkeypatch.setattr(series, "_smaller_spin", no_descent)
+    monkeypatch.setattr(_line_oracle, "descent_core", no_descent)
     alg = algebra(m, n)
     rs = alg.root_system()
     M = regular_module(alg, [rs.f_unit(r) for r in rs.positive],
@@ -311,11 +315,11 @@ def core_by_both_paths(M):
     """dual_core of M by float BLAS products, and by the int path:
     _matmul_mod replaced by int64 products, and the pieces of M* read off
     dual_module(M)."""
-    got = dual_core(M)
+    got = _line_oracle.dual_core(M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_matmul_mod", int_matmul_mod)
-        mp.setattr(series, "_candidate_spaces", oracle_pieces)
-        want = dual_core(M)
+        mp.setattr(_line_oracle, "_candidate_spaces", oracle_pieces)
+        want = _line_oracle.dual_core(M)
     return got, want
 
 

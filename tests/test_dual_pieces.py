@@ -1,7 +1,8 @@
 """The candidate pieces of M* read off M's own matrices, against M* built.
 
-The socle route and the descent (series._uncertified_core) read the
-candidate pieces of the dual module M* as forms of M
+The socle route (series._uncertified_core) and the descent
+(_line_oracle.descent_core) read the candidate pieces of the dual module
+M* as forms of M
 (analysis._candidate_spaces with forms): with Cartan units, the forms
 killed by every e-unit, split by the (parity, weight) of M's Cartan
 diagonal, which M* shares; without them, the forms killed by every
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _line_oracle
 from _line_oracle import dual_module
 from test_weight_split import _series_restrictions
 from _series_oracle import restrict_module
@@ -107,10 +109,10 @@ def test_pieces_of_the_dual_on_regular_modules(name, side):
         assert_pieces_of_the_dual(M)
 
 
-def modules_built_in_uncertified_cores(monkeypatch, modules):
-    """(cores, modules built inside them) over dual_cores of modules."""
-    inside, cores, built = [False], [], []
-    real_init, real_core = ModuleRep.__init__, series._uncertified_core
+def modules_built_in(monkeypatch, owner, name, run):
+    """(calls of owner.name, modules built inside them) while run() runs."""
+    inside, calls, built = [False], [], []
+    real_init, real_core = ModuleRep.__init__, getattr(owner, name)
 
     def counting_init(self, *args, **kwargs):
         if inside[0]:
@@ -120,22 +122,23 @@ def modules_built_in_uncertified_cores(monkeypatch, modules):
     def marked_core(M):
         inside[0] = True
         try:
-            cores.append(M)
+            calls.append(M)
             return real_core(M)
         finally:
             inside[0] = False
 
     with monkeypatch.context() as mp:
         mp.setattr(ModuleRep, "__init__", counting_init)
-        mp.setattr(series, "_uncertified_core", marked_core)
-        dual_cores(modules)
-    return len(cores), len(built)
+        mp.setattr(owner, name, marked_core)
+        run()
+    return len(calls), len(built)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_the_socle_route_builds_no_module(side, monkeypatch):
     modules = regular_series("F5-chi0", side)
-    assert modules_built_in_uncertified_cores(monkeypatch, modules) == (len(modules), 0)
+    assert modules_built_in(monkeypatch, series, "_uncertified_core",
+                            lambda: dual_cores(modules)) == (len(modules), 0)
 
 
 def test_the_descent_builds_no_module(monkeypatch):
@@ -143,14 +146,22 @@ def test_the_descent_builds_no_module(monkeypatch):
     modules = [M for lam in weights[::5] for M in _series_restrictions(alg, chi, lam)]
     assert modules and all(_top_coordinate(M) is None for M in modules)
     steps = []
-    real = series._smaller_spin
+    real = _line_oracle._smaller_spin
 
     def counting_step(*args):
         steps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(series, "_smaller_spin", counting_step)
-    assert modules_built_in_uncertified_cores(monkeypatch, modules) == (len(modules), 0)
-    # a module whose socle over n- is one line takes no descent step
+    monkeypatch.setattr(_line_oracle, "_smaller_spin", counting_step)
+    # a module whose socle over n- is one line takes the library's socle
+    # route and no descent step; the library refuses the others, which the
+    # oracle's descent decides
+    cyclic = [M for M in modules if series.shifted_joint_kernel(M, forms=True).dim == 1]
     descending = [M for M in modules if series.shifted_joint_kernel(M, forms=True).dim > 1]
+    assert modules_built_in(monkeypatch, series, "_uncertified_core",
+                            lambda: dual_cores(cyclic)) == (len(cyclic), 0)
+    assert not steps
+    assert modules_built_in(monkeypatch, _line_oracle, "descent_core",
+                            lambda: [_line_oracle.dual_core(M) for M in descending]
+                            ) == (len(descending), 0)
     assert descending and len(steps) >= len(descending)

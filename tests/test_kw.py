@@ -231,7 +231,7 @@ class TestLeviScan:
         assert passes == [[20, 20], [5]]
 
     def test_descent_report_equals_the_certified_one(self, monkeypatch):
-        # with the top coordinate hidden, Z and Z_L take the descent; the
+        # with the top coordinate hidden, Z and Z_L take the socle line; the
         # report must not change, and its locality is the line oracle's
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): 1})
@@ -252,7 +252,7 @@ class TestLeviScan:
     @given(data=st.data())
     def test_locality_matches_line_oracle(self, value, hidden, data):
         """Prop 5.17 read off Z_L equals the oracle's locality of Z, also
-        when Z's R comes from the descent."""
+        when Z's R comes from the socle line."""
         alg = build_algebra(2, 1, F)
         chi = Character(alg, {(2, 1): value})
         _, _, weights = weight_variety(alg, chi)
@@ -466,8 +466,72 @@ class TestConjugation:
         assert all(i >= j for (i, j) in new.values)
         assert all(i == j for (i, j) in new.values)  # fully semisimple here
 
-    def test_normalize_rejects_nilpotent_avatar(self):
-        alg = build_algebra(2, 1, F)
-        chi = Character(alg, {(2, 1): 3})
-        with pytest.raises(NotNormalizable):
-            normalize_character(alg, chi)
+    def test_normalize_nilpotent_avatar_to_a_jordan_block(self):
+        # chi(E21) = 3: one Jordan block of eigenvalue 0, whose chain puts
+        # the value 1 on E21; chi(E12) = 1 and chi(E31) = 1 go the same way
+        for m, chi, g in [(2, {(2, 1): 3}, [[2, 0], [0, 1]]),
+                          (2, {(1, 2): 1}, [[0, 1], [1, 0]]),
+                          (3, {(3, 1): 1}, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])]:
+            alg = build_algebra(m, 1, F)
+            got, new = normalize_character(alg, Character(alg, chi))
+            assert new.values == {(2, 1): 1}
+            assert np.array_equal(got.data[:m, :m], g) and got.data[m, m] == 1
+
+    def test_normalize_refuses_eigenvalues_outside_the_field(self):
+        # x^2 - 2 has no root mod 5; over F_25 it splits
+        for field, refused in ((F, True), (make_field(5, 2), False)):
+            alg = build_algebra(2, 1, field)
+            chi = Character(alg, {(1, 2): 1, (2, 1): 2})
+            if refused:
+                with pytest.raises(NotNormalizable):
+                    normalize_character(alg, chi)
+            else:
+                _, new = normalize_character(alg, chi)
+                assert sorted(new.values) == [(1, 1), (2, 2)]
+
+
+def _splits_by_brute_force(field, block):
+    """Whether sum over lambda in the field of dim ker (block - lambda)^2 is
+    2, for a 2 x 2 index array, from the rank of each square: 0 when it is
+    0, 2 when its determinant is nonzero, 1 otherwise."""
+    f, total = field, 0
+    for lam in range(f.q):
+        a, b, c, d = (int(x) for x in block.reshape(-1))
+        a, d = f.sub(a, lam), f.sub(d, lam)
+        sq = [f.add(f.mul(a, a), f.mul(b, c)), f.add(f.mul(a, b), f.mul(b, d)),
+              f.add(f.mul(c, a), f.mul(d, c)), f.add(f.mul(c, b), f.mul(d, d))]
+        det = f.sub(f.mul(sq[0], sq[3]), f.mul(sq[1], sq[2]))
+        total += 2 if not any(sq) else 0 if det else 1
+    return total == 2
+
+
+NORMAL_FIELDS = {"F5": make_field(5), "F25": make_field(5, 2), "F3125": make_field(5, 5)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_normalized_chi_is_in_standard_levi_form(data):
+    """200 random chi on gl(2|1) and gl(2|2) over F_5, F_25 and F_3125: g
+    conjugates chi to the result on every even unit, which vanishes on N+
+    and off the diagonal lies on the E(i+1, i) alone; a refusal is exactly
+    a 2 x 2 even block whose eigenvalues are not in the field."""
+    field = NORMAL_FIELDS[data.draw(st.sampled_from(sorted(NORMAL_FIELDS)), label="field")]
+    alg = build_algebra(2, data.draw(st.sampled_from([1, 2]), label="n"), field)
+    entry = st.integers(0, field.q - 1)
+    chi = Character(alg, {u: data.draw(entry, label=f"chi{u}") for u in alg.even_units})
+    m = alg.m
+    avatar = np.zeros((alg.d, alg.d), dtype=np.int64)
+    for (i, j), v in chi.values.items():
+        avatar[j - 1, i - 1] = v
+    blocks = [avatar[lo:hi, lo:hi] for lo, hi in ((0, m), (m, alg.d)) if hi - lo == 2]
+    splits = all(_splits_by_brute_force(field, b) for b in blocks)
+    try:
+        g, new = normalize_character(alg, chi)
+    except NotNormalizable:
+        assert not splits
+        return
+    assert splits
+    moved = conjugate_character(alg, g, chi)
+    assert all(moved.value(u) == new.value(u) for u in alg.even_units)
+    assert all(i >= j for i, j in new.values)
+    assert all(i == j or i == j + 1 for i, j in new.values)

@@ -14,7 +14,7 @@ from glmn import linalg
 from glmn.ffield import make_field
 from glmn.linalg import (Matrix, Subspace, matmul, matrix_power, matvec, rref,
                          row_reduce, kernel, kernel_basis, inverse, solve,
-                         eigenspaces)
+                         generalized_eigenspaces)
 
 
 F = make_field(5)
@@ -22,8 +22,18 @@ F25 = make_field(5, 2)
 
 
 # ---------------------------------------------------------------------------
-# oracles: the Krylov minimal polynomial and the root scan that eigenspaces
-# used before it read the minimal polynomial off one kernel
+# oracles: the Krylov minimal polynomial and the root scan that the
+# eigenvalue search used before it read the minimal polynomial off one
+# kernel; and the eigenspaces at the eigenvalues it finds
+
+def eigenspaces(field, a):
+    """(eigenvalue, Subspace ker (a - eig I)) at each eigenvalue in the field
+    of generalized_eigenspaces, and whether these eigenspaces span F^n."""
+    n = a.shape[0]
+    pairs = [(lam, kernel(field, field.sub(a, lam * np.eye(n, dtype=np.int64))))
+             for lam, _ in generalized_eigenspaces(field, a)]
+    return pairs, sum(ker.dim for _, ker in pairs) == n
+
 
 def minimal_polynomial(field, a):
     """Monic minimal polynomial of a square index array.
@@ -250,6 +260,9 @@ class TestEigen:
         pairs, complete = eigenspaces(F, a)
         assert not complete
         assert [lam for lam, _ in pairs] == [0]
+        # the generalized eigenspace is the whole plane
+        [(lam, space)] = generalized_eigenspaces(F, a)
+        assert lam == 0 and space.dim == 2
 
     def test_empty_matrix(self):
         assert eigenspaces(F, np.zeros((0, 0), dtype=np.int64)) == ([], True)
@@ -287,6 +300,15 @@ class TestEigenRoutes:
         assert complete == want_complete
         assert [lam for lam, _ in pairs] == [lam for lam, _ in want_pairs]
         assert all(ker == want for (_, ker), (_, want) in zip(pairs, want_pairs))
+        # each generalized eigenspace is the kernel of the n-th power of
+        # a - eig I, taken by n products, and holds the eigenspace
+        n = a.shape[0]
+        for (lam, space), (_, ker) in zip(generalized_eigenspaces(field, a), pairs):
+            shifted = field.sub(a, lam * np.eye(n, dtype=np.int64))
+            power = np.eye(n, dtype=np.int64)
+            for _ in range(n):
+                power = matmul(field, power, shifted)
+            assert space == kernel(field, power) and ker <= space
         return pairs, complete
 
     @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -50,7 +50,7 @@ def test_is_simple_hook_counts_no_sampled_verdict():
     verma = build_baby_verma(alg, chi, Weight(alg.field, [1, 3]))
     rs = alg.root_system()
     regular = regular_module(alg, [rs.f_unit(r) for r in rs.positive], chi)
-    # the Verma takes the dual-spin certificate, the regular module the descent
+    # the Verma takes the dual-spin certificate, the regular module the socle line
     assert _top_coordinate(verma) is not None and _top_coordinate(regular) is None
     for M in (verma, regular):
         hook(tracer, (M,), is_simple(M), ["analysis.is_simple"])
@@ -86,7 +86,7 @@ def test_traced_graded_scan_exits_zero(tmp_path):
 def test_traced_levi_scan_exits_zero(tmp_path):
     # the benchmark's traced run of its levi workload: the staged scan passes
     # the span hooks stacked products through _matmul only, and spins the
-    # certificates without analysis.spin, which the descent still calls
+    # certificates without analysis.spin
     config = tmp_path / "levi.json"
     config.write_text(json.dumps({
         "p": 5, "m": 2, "n": 1, "chi": {"E(2,1)": 1}, "lambda": "scan-all-X",

@@ -5,16 +5,16 @@ one simple module is the line on which each lower root unit x acts by
 chi(x).  series._uncertified_core reads N, the socle of M* over it, as the
 forms of M killed by every x - chi(x) (shifted_joint_kernel with forms).
 Where N is one line, every proper submodule of M lies in the kernel of its
-form, so S is the spin of that line and the descent is not needed.  The
-descent (series._smaller_spin) stays in the library for the modules whose
-N has more lines, and is the reference here: wherever N is one line, the
-core must be the descent's, with the same canonical basis, on the baby,
-Levi and graded Vermas of gl(2|1) and on every restriction along their
-composition series.  The line's form may mix weights (at chi(E21) = 1),
-so the form spun by the root units alone must be a weight form, its part
-at one weight, as dual_core's argument needs.  On gl(3|1), whose weights
-recur mod p so that the certificate declines, two baby Vermas are decided
-with no descent step.
+form, so S is the spin of that line.  Where N has more lines the library
+refuses the module (NotCyclic).  The descent (_line_oracle.descent_core)
+is the reference here: wherever N is one line, the core must be the
+descent's, with the same canonical basis, on the baby, Levi and graded
+Vermas of gl(2|1) and on every restriction along their composition series;
+wherever it has more, the library must refuse.  The line's form may mix
+weights (at chi(E21) = 1), so the form spun by the root units alone must
+be a weight form, its part at one weight, as dual_core's argument needs.
+On gl(3|1), whose weights recur mod p so that the certificate declines,
+two baby Vermas are decided by the socle line.
 """
 
 import functools
@@ -25,13 +25,15 @@ from hypothesis import given, settings, strategies as st
 
 from glmn import series
 from glmn.algebra import Character, Weight, build_algebra, weight_variety
-from glmn.analysis import _candidate_spaces, _factor, _spins, _top_coordinate, dual_core
+from glmn.analysis import _spins, _top_coordinate, dual_core
+from glmn.errors import NotCyclic
 from glmn.ffield import make_field
 from glmn.kw import build_levi_verma, levi_data
-from glmn.linalg import Subspace
 from glmn.series import shifted_joint_kernel
 from glmn.verma import (build_baby_verma, build_graded_verma, build_simple_g0_module,
                         cartan_diagonal)
+import _line_oracle
+from _line_oracle import descent_core
 from _series_oracle import restrict_module
 
 F5 = make_field(5)
@@ -52,10 +54,6 @@ def setting(name):
     return weight_variety(alg, Character(alg, CHIS[name]))
 
 
-def no_descent(*args):
-    raise AssertionError("a module whose socle over n- is one line descended")
-
-
 def spins_of_weight_forms(jobs):
     """_spins, once every form it is given lies in one weight space."""
     jobs = list(jobs)
@@ -65,20 +63,10 @@ def spins_of_weight_forms(jobs):
     return _spins(jobs)
 
 
-def descent_core(M):
-    """R by the descent alone, from S = M*."""
-    pieces = [sub for _, sub, _ in _candidate_spaces(M, True)]
-    right = _factor(M, True)
-    S = Subspace(M.field, M.dim, np.eye(M.dim, dtype=np.int64))
-    while (smaller := series._smaller_spin(M, right, pieces, S)) is not None:
-        S = smaller
-    return S.annihilator()
-
-
 def with_restrictions(M):
     """M and every submodule its composition series restricts to."""
     out = [M]
-    while (R := dual_core(M)).dim:
+    while (R := _line_oracle.dual_core(M)).dim:
         M, _ = restrict_module(M, R)
         out.append(M)
     return out
@@ -92,13 +80,16 @@ def test_socle_line_core_is_the_descents(name, kind, data):
     alg, chi, weights = setting(name)
     lam = weights[data.draw(st.integers(0, len(weights) - 1), label="weight")]
     modules = with_restrictions(BUILDERS[kind](alg, chi, lam))
-    lines = [M for M in modules if shifted_joint_kernel(M, forms=True).dim == 1]
+    socles = [shifted_joint_kernel(M, forms=True).dim for M in modules]
     # the induced module itself is cyclic over u(n-, chi)
-    assert lines[:1] == modules[:1]
-    for M in lines:
+    assert socles[0] == 1
+    for M, socle in zip(modules, socles):
+        if socle != 1:
+            with pytest.raises(NotCyclic):
+                series._uncertified_core(M)
+            continue
         want = descent_core(M)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "_smaller_spin", no_descent)
             mp.setattr(series, "_spins", spins_of_weight_forms)
             got = series._uncertified_core(M)
         assert np.array_equal(got.basis, want.basis) and got.pivots == want.pivots
@@ -106,9 +97,9 @@ def test_socle_line_core_is_the_descents(name, kind, data):
 
 @pytest.mark.parametrize("chi,lam,core_dim", [({}, [0, 4, 3, 1], 936),
                                               ({(2, 1): 1}, [0, 0, 0, 0], 950)])
-def test_gl31_baby_vermas_take_no_descent_step(chi, lam, core_dim, monkeypatch):
+def test_gl31_baby_vermas_take_no_descent_step(chi, lam, core_dim):
     alg = build_algebra(3, 1, F5)
     Z = build_baby_verma(alg, Character(alg, chi), Weight(F5, lam))
     assert Z.dim == 1000 and _top_coordinate(Z) is None
-    monkeypatch.setattr(series, "_smaller_spin", no_descent)
+    assert shifted_joint_kernel(Z, forms=True).dim == 1
     assert dual_core(Z).dim == core_dim

@@ -5,7 +5,7 @@ canonical basis by the (parity, weight) at each row's pivot.  The oracle
 below is the route it replaced: intersect the kernel with each parity part,
 then split every part into joint eigenspaces of the Cartan matrices, one
 matrix at a time, by restricting the matrix to each piece and solving for
-its eigenspaces.  Canonical echelon bases are unique, so both routes must
+its eigenspaces (test_linalg.eigenspaces).  Canonical echelon bases are unique, so both routes must
 return the same weights, basis arrays and parities in the same order.
 """
 
@@ -20,11 +20,13 @@ from glmn.algebra import Character, Weight, build_algebra, weight_variety
 from glmn.analysis import is_simple, simple_head
 from glmn.errors import NotWeightBasis
 from glmn.ffield import make_field
-from glmn.linalg import Subspace, eigenspaces, kernel, matmul
+from glmn.linalg import Subspace, kernel, matmul
 from glmn.series import regular_module
 from glmn.verma import (build_baby_verma, build_even_verma, build_graded_verma,
                         build_simple_g0_module, maximal_vectors)
+import _line_oracle
 from _series_oracle import composition_series, restrict_module
+from test_linalg import eigenspaces
 
 F5 = make_field(5)
 
@@ -112,10 +114,12 @@ def _head(alg, chi, lam):
 
 
 def _series_restrictions(alg, chi, lam):
-    """Every submodule a composition series of the baby Verma restricts to."""
+    """Every submodule a composition series of the baby Verma restricts to,
+    its heads taken by the line oracle, which descends where the library
+    refuses a restriction that is not cyclic."""
     current, out = build_baby_verma(alg, chi, lam), []
     while current.dim:
-        R, _ = simple_head(current)
+        R, _ = _line_oracle.simple_head(current)
         if R.dim == 0:
             break
         current, _ = restrict_module(current, R)

@@ -22,8 +22,11 @@ from the head of a Levi Verma: gl(2|1) and gl(1|2) at chi(E11) = 1 and
 gl(2|2) at chi(E11) = chi(E22) = 1.  2 more run gl(3|1) at lambda =
 (0, 4, 3, 1), where the certificate does not apply: verma-scan (JSON) at
 chi = 0, decided by the line of M*'s socle over n-, and graded-verma-scan
-(JSON) at chi(E31) = 1, no character of n-, whose verdict the descent
-takes.  159 in all.
+(JSON) at chi(E31) = 1, no character of n-, which runs on its standard
+Levi form chi(E21) = 1.  4 more run gl(2|1) at chi(E12) = 1, which is
+normalized to chi(E21) = 1 (verma-scan, kw-verify and levi-scan, JSON), and
+at chi(E12) = 1, chi(E21) = 2, whose even block has no eigenvalue in F_5,
+which exits 2.  163 in all.
 glmn is imported from each tree's src (TREE defaults to the tree holding
 this script), and each config runs once to stdout and once with ``--out
 DIR``.  Both trees run with the same config
@@ -104,13 +107,20 @@ CONFIGS += [(f"{name}-kw-verify-json",
              "json", "run", ())
             for name, (m, n, chi) in LEVI_HEADS.items()]
 # gl(3|1), where the certificate declines: the socle line over n- decides
-# chi = 0, and the descent chi(E31) = 1, which is no character of n-
+# chi = 0, and chi(E31) = 1, no character of n-, runs on its standard Levi
+# form chi(E21) = 1, where the socle line decides it too
 CONFIGS += [("gl31-p5-chi0-lam0431-verma-scan-json",
              {"p": 5, "m": 3, "n": 1, "chi": {}, "lambda": [0, 4, 3, 1],
               "tasks": ["verma-scan"], "seed": 1}, "json", "run", ()),
             ("gl31-p5-E31-lam0431-graded-verma-scan-json",
              {"p": 5, "m": 3, "n": 1, "chi": {"E(3,1)": 1}, "lambda": [0, 4, 3, 1],
               "tasks": ["graded-verma-scan"], "seed": 1}, "json", "run", ())]
+# gl(2|1) at chi(E12) = 1, nonzero on N+: each task runs on chi(E21) = 1;
+# with chi(E21) = 2 as well, x^2 - 2 has no root in F_5, which exits 2
+CONFIGS += [(f"gl21-p5-E12-{task}-json", dict(GL21, chi={"E(1,2)": 1}, tasks=[task]),
+             "json", "run", ()) for task in ("verma-scan", "kw-verify", "levi-scan")]
+CONFIGS += [("gl21-p5-E12-E21x2-verma-scan-json",
+             dict(GL21, chi={"E(1,2)": 1, "E(2,1)": 2}, tasks=["verma-scan"]), "json", "run", ())]
 
 
 def outputs(tree, config, tmp, out):
